@@ -13,6 +13,7 @@ variable.  Exit status of `verify` is 0 exactly when every pair passes.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from fractions import Fraction
@@ -23,27 +24,70 @@ from .scenario import ScenarioError, load_scenario_file
 from .verify import VerificationRefused, emit_report, run_verify
 
 
-def _default_tol() -> float:
-    raw = os.environ.get("ENDOTRANSFER_TOL", "")
+DEFAULT_TOL = 1e-12
+
+
+class InputError(ValueError):
+    pass
+
+
+def _count(text: str) -> int:
     try:
-        return float(raw) if raw else 1e-12
+        n = int(text)
     except ValueError:
-        return 1e-12
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return n
 
 
-def _parse_vec(text: str):
+def _tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative finite number, got {text!r}")
+    return tol
+
+
+def _parse_vec(text: str, option: str, rank: int):
     parts = [p for chunk in text.split(",") for p in chunk.split()]
-    return tuple(Fraction(p) for p in parts)
+    try:
+        vec = tuple(Fraction(p) for p in parts)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"{option} {text!r} is not a vector of rationals")
+    if len(vec) != rank:
+        raise InputError(f"{option} has {len(vec)} coordinates, the rank is {rank}")
+    return vec
+
+
+def _load_scenario(path):
+    """The scenario in the file, or None once the reason it cannot be
+    loaded is printed."""
+    try:
+        return load_scenario_file(path)
+    except ScenarioError as e:
+        print(f"invalid scenario: {e}", file=sys.stderr)
+    except OSError as e:
+        print(f"cannot read scenario: {e}", file=sys.stderr)
+    return None
 
 
 def _cmd_verify(args) -> int:
-    try:
-        scenario = load_scenario_file(args.scenario)
-    except ScenarioError as e:
-        print(f"invalid scenario: {e}", file=sys.stderr)
+    tol = args.tol
+    if tol is None:
+        raw = os.environ.get("ENDOTRANSFER_TOL", "")
+        try:
+            tol = _tolerance(raw) if raw else DEFAULT_TOL
+        except argparse.ArgumentTypeError as e:
+            print(f"invalid ENDOTRANSFER_TOL: {e}", file=sys.stderr)
+            return 2
+    scenario = _load_scenario(args.scenario)
+    if scenario is None:
         return 2
     try:
-        report = run_verify(scenario, args.samples, args.seed, args.tol)
+        report = run_verify(scenario, args.samples, args.seed, tol)
     except VerificationRefused as e:
         print(str(e), file=sys.stderr)
         return 2
@@ -52,14 +96,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_factors(args) -> int:
-    try:
-        scenario = load_scenario_file(args.scenario)
-    except ScenarioError as e:
-        print(f"invalid scenario: {e}", file=sys.stderr)
+    scenario = _load_scenario(args.scenario)
+    if scenario is None:
         return 2
     eng = scenario.engine
-    x_h = EllipticElement(_parse_vec(args.xh), "H")
-    x_g = EllipticElement(_parse_vec(args.xg), "G")
+    try:
+        x_h = EllipticElement(_parse_vec(args.xh, "--xh", eng.g_datum.rank), "H")
+        x_g = EllipticElement(_parse_vec(args.xg, "--xg", eng.g_datum.rank), "G")
+    except InputError as e:
+        print(f"invalid input: {e}", file=sys.stderr)
+        return 2
     try:
         diagram = build_diagram(eng.datum, eng.weyl_g, x_h, x_g)
     except EndoscopyError as e:
@@ -83,13 +129,15 @@ def _cmd_factors(args) -> int:
 
 
 def _cmd_orbits(args) -> int:
-    try:
-        scenario = load_scenario_file(args.scenario)
-    except ScenarioError as e:
-        print(f"invalid scenario: {e}", file=sys.stderr)
+    scenario = _load_scenario(args.scenario)
+    if scenario is None:
         return 2
     eng = scenario.engine
-    x_g = EllipticElement(_parse_vec(args.xg), "G")
+    try:
+        x_g = EllipticElement(_parse_vec(args.xg, "--xg", eng.g_datum.rank), "G")
+    except InputError as e:
+        print(f"invalid input: {e}", file=sys.stderr)
+        return 2
     try:
         stable = eng.stable_orbit_representatives(x_g)
         matching = eng.matching_h_orbits(x_g)
@@ -108,14 +156,13 @@ def _cmd_orbits(args) -> int:
 
 
 def _cmd_h1(args) -> int:
-    rows = []
-    with open(args.lattice, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                rows.append(tuple(int(p) for p in line.split()))
-    if not rows:
-        print("empty lattice file", file=sys.stderr)
+    try:
+        rows = _read_lattice(args.lattice)
+    except InputError as e:
+        print(f"invalid lattice file: {e}", file=sys.stderr)
+        return 2
+    except OSError as e:
+        print(f"cannot read lattice file: {e}", file=sys.stderr)
         return 2
     try:
         torus = RealTorus(len(rows), tuple(rows))
@@ -143,6 +190,29 @@ def _cmd_h1(args) -> int:
             row = [tate_nakayama_pair(cls, kap) for kap in characters]
             print(f"  c{i:<4d} " + "  ".join(f"{v:+d}   " for v in row))
     return 0
+
+
+def _read_lattice(path) -> tuple[tuple[int, ...], ...]:
+    """Rows of an integer square matrix, one per non-comment line."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            try:
+                rows.append(tuple(int(p) for p in line.split()))
+            except ValueError:
+                raise InputError(f"line {lineno}: entries must be integers, got {line!r}")
+            if len(rows[-1]) != len(rows[0]):
+                raise InputError(
+                    f"line {lineno}: row has {len(rows[-1])} entries, the first row has {len(rows[0])}"
+                )
+    if not rows:
+        raise InputError("no matrix rows")
+    if len(rows) != len(rows[0]):
+        raise InputError(f"{len(rows)} rows of {len(rows[0])} entries; the matrix must be square")
+    return tuple(rows)
 
 
 def _all_classes(group):
@@ -181,9 +251,9 @@ def main(argv=None) -> int:
 
     p_verify = sub.add_parser("verify", help="run the identity verification on sampled pairs")
     p_verify.add_argument("scenario")
-    p_verify.add_argument("--samples", type=int, default=100)
+    p_verify.add_argument("--samples", type=_count, default=100)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--tol", type=float, default=_default_tol())
+    p_verify.add_argument("--tol", type=_tolerance, default=None)
     p_verify.add_argument("--format", choices=("human", "machine"), default="human")
     p_verify.set_defaults(func=_cmd_verify)
 

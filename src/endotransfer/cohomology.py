@@ -56,13 +56,6 @@ class RealTorus:
         if mat_mul(self.involution, self.involution) != identity(self.lattice_rank):
             raise CohomologyError("involution does not square to the identity")
 
-    def is_elliptic(self) -> bool:
-        minus = tuple(
-            tuple(-1 if i == j else 0 for j in range(self.lattice_rank))
-            for i in range(self.lattice_rank)
-        )
-        return self.involution == minus
-
 
 def elliptic_torus(rank: int) -> RealTorus:
     minus = tuple(tuple(-1 if i == j else 0 for j in range(rank)) for i in range(rank))

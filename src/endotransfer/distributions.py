@@ -15,6 +15,8 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import Optional
 
 from .endoscopy import (
@@ -23,7 +25,9 @@ from .endoscopy import (
     EllipticElement,
     EndoscopyError,
     TransferFactorEngine,
+    TransferTable,
     require_regular,
+    root_signs,
     sign_of,
 )
 from .lattice import dot
@@ -75,33 +79,65 @@ class RatioCheckReport:
 
 
 class Side:
-    """Evaluation data for one group of the pair (ambient or endoscopic)."""
+    """Evaluation data for one group of the pair (ambient or endoscopic).
+
+    The invariant form is held as floats, and each real Weyl element with
+    its float matrix and determinant, so that kernel evaluation does no
+    exact arithmetic.
+    """
 
     def __init__(self, datum: RootDatum, grading: RealFormGrading, real_weyl, form, form_scale):
         self.datum = datum
         self.grading = grading
         self.real_weyl = tuple(real_weyl)
-        self._form = form
+        self.weyl_table = tuple(
+            (w, tuple(tuple(float(x) for x in row) for row in w.matrix), weyl_sign(w))
+            for w in self.real_weyl
+        )
+        self._form = tuple(tuple(float(b) for b in row) for row in form)
         self._scale = float(form_scale)
         self.profile = dimension_profile(grading)
         self.gamma: EighthRoot = gamma_psi(grading)
         self.prefactor: EighthRoot = prefactor(self.profile)
+        self._prefactor = complex(self.prefactor)
+        self._d_over_pi_unit = complex(EighthRoot(-2 * len(datum.positive_roots)))
+
+    def form_image(self, v) -> tuple[float, ...]:
+        """B v before the scale: each row of the form paired with v."""
+        return tuple(sum(b * float(x) for b, x in zip(row, v)) for row in self._form)
 
     def bform(self, u, v) -> float:
-        out = 0.0
-        for i, row in enumerate(self._form):
-            ui = float(u[i])
-            if ui:
-                out += ui * sum(float(b) * float(x) for b, x in zip(row, v))
-        return self._scale * out
+        return self._scale * _contract(map(float, u), self.form_image(v))
 
     def d_over_pi(self, x: EllipticElement) -> complex:
         """D^{1/2}(X)/pi(X) on the compact Cartan: (-i)^m sign(prod <alpha,v>)."""
-        prod_sign = 1
-        for alpha in self.datum.positive_roots:
-            prod_sign *= sign_of(dot(alpha, x.coords))
-        m = len(self.datum.positive_roots)
-        return complex(EighthRoot(-2 * m)) * prod_sign
+        return self._d_over_pi_unit * root_signs(self.datum.positive_roots, x.coords)
+
+    def x_part(self, x: EllipticElement):
+        """What a kernel needs of its first argument: the prefactor times
+        [D/pi](x), and the real Weyl orbit of x as (w, w x, det w)."""
+        u = x.floats()
+        orbit = tuple(
+            (w, tuple(sum(map(mul, row, u)) for row in matrix), det)
+            for w, matrix, det in self.weyl_table
+        )
+        return self._prefactor * self.d_over_pi(x), orbit
+
+    def y_part(self, y: EllipticElement):
+        """What a kernel needs of its second argument: [D/pi](y) and B y."""
+        return self.d_over_pi(y), self.form_image(y.floats())
+
+    def weyl_sum(self, front: complex, orbit, bv, terms=None) -> complex:
+        """Sum over the orbit of front * det(w) * exp(-i B(w u, v)), given
+        the orbit of u from x_part and B v from y_part."""
+        total = complex(0.0)
+        for w, image, det in orbit:
+            phase = -(self._scale * _contract(image, bv))
+            contrib = front * det * cmath.exp(1j * phase)
+            if terms is not None:
+                terms.append((w, contrib))
+            total += contrib
+        return total
 
     def discriminant_sqrt(self, x: EllipticElement) -> float:
         out = 1.0
@@ -117,6 +153,14 @@ class Side:
         for alpha in self.datum.positive_roots:
             out *= 1j * float(dot(alpha, x.coords))
         return out
+
+
+def _contract(u, bv) -> float:
+    """sum_i u_i (B v)_i, accumulated in order from 0.0."""
+    out = 0.0
+    for ui, bi in zip(u, bv):
+        out += ui * bi
+    return out
 
 
 @dataclass
@@ -136,6 +180,11 @@ class EllipticScenario:
     @property
     def weyl_h(self):
         return self.engine.weyl_h
+
+    @cached_property
+    def transfer_table(self) -> TransferTable:
+        """The routes' per-w transfer data, built on first use."""
+        return self.engine.transfer_table(self.a_datum)
 
     def h_element(self, coords) -> EllipticElement:
         return EllipticElement(tuple(coords), "H")
@@ -167,22 +216,11 @@ def rossmann_kernel(side: Side, x: EllipticElement, y: EllipticElement) -> Kerne
     """Normalized Fourier kernel of the orbital integral:
     prefactor * [D/pi](x) [D/pi](y) * sum over the real Weyl group of
     det(w) exp(-i B(w u, v)); the form convention is <iu, iv> = -B(u, v)."""
-    front = complex(side.prefactor) * side.d_over_pi(x) * side.d_over_pi(y)
-    u = x.floats()
-    v = y.floats()
-    terms = []
-    total = complex(0.0)
-    for w in side.real_weyl:
-        phase = -side.bform(w.act(u), v)
-        contrib = front * weyl_sign(w) * cmath.exp(1j * phase)
-        terms.append((w, contrib))
-        total += contrib
+    front_x, orbit = side.x_part(x)
+    d_y, bv = side.y_part(y)
+    terms: list = []
+    total = side.weyl_sum(front_x * d_y, orbit, bv, terms)
     return KernelValue(total, tuple(terms))
-
-
-def _transfer_value(scenario: EllipticScenario, diagram: Diagram):
-    eng = scenario.engine
-    return eng.relative_factor(diagram, scenario.a_datum) * eng.base_value
 
 
 def _gstar_regular_or_zero(scenario: EllipticScenario, x_h: EllipticElement) -> bool:
@@ -202,16 +240,18 @@ def d_gh(scenario: EllipticScenario, x_h: EllipticElement, x_g: EllipticElement)
         return complex(0.0)
     require_regular(scenario.engine.g_datum, x_g)
     eng = scenario.engine
+    side = scenario.g_side
+    d_y, bv = side.y_part(x_g)
     mu = x_h.coords
     total = complex(0.0)
-    for w in eng.weyl_g:
-        target = scenario.g_element(w.act(mu))
-        diagram = Diagram(eng.datum, w, x_h, target)
-        weight = _transfer_value(scenario, diagram)
+    for entry in scenario.transfer_table.entries:
+        target = scenario.g_element(entry.w.act(mu))
+        weight = entry.factor(target.coords) * eng.base_value
         if weight == 0:
             continue
-        total += weight * rossmann_kernel(scenario.g_side, target, x_g).value
-    gamma = complex(scenario.g_side.gamma)
+        front_x, orbit = side.x_part(target)
+        total += weight * side.weyl_sum(front_x * d_y, orbit, bv)
+    gamma = complex(side.gamma)
     return gamma * total / len(eng.real_weyl_g)
 
 
@@ -221,21 +261,22 @@ def d_tilde_gh(scenario: EllipticScenario, x_h: EllipticElement, x_g: EllipticEl
         return complex(0.0)
     require_regular(scenario.engine.g_datum, x_g)
     eng = scenario.engine
+    side = scenario.h_side
+    entries = scenario.transfer_table.entries
+    moved = [side.x_part(scenario.h_element(wp.act(x_h.coords))) for wp in eng.weyl_h]
     nu = x_g.coords
     total = complex(0.0)
-    for w in eng.weyl_g:
-        pulled = scenario.h_element(w.act(nu))
-        winv = eng.inverse_of(w)
-        diagram = Diagram(eng.datum, winv, pulled, x_g)
-        weight = _transfer_value(scenario, diagram)
+    for entry in entries:
+        pulled = scenario.h_element(entry.w.act(nu))
+        weight = entries[entry.inverse].factor(nu) * eng.base_value
         if weight == 0:
             continue
+        d_y, bv = side.y_part(pulled)
         inner = complex(0.0)
-        for wp in eng.weyl_h:
-            moved = scenario.h_element(wp.act(x_h.coords))
-            inner += rossmann_kernel(scenario.h_side, moved, pulled).value
+        for front_x, orbit in moved:
+            inner += side.weyl_sum(front_x * d_y, orbit, bv)
         total += weight * inner
-    gamma = complex(scenario.h_side.gamma)
+    gamma = complex(side.gamma)
     return gamma * total / (len(eng.real_weyl_h) * len(eng.weyl_h))
 
 
@@ -244,11 +285,11 @@ def explicit_term(
 ) -> complex:
     """Single-exponential w-term of the closed-form expansion of either route."""
     eng = scenario.engine
+    table = scenario.transfer_table
     if side == "G":
         s = scenario.g_side
         target = scenario.g_element(w.act(x_h.coords))
-        diagram = Diagram(eng.datum, w, x_h, target)
-        weight = _transfer_value(scenario, diagram)
+        weight = table.entry(w).factor(target.coords) * eng.base_value
         phase = -s.bform(target.floats(), x_g.floats())
         return (
             complex(s.gamma)
@@ -260,9 +301,7 @@ def explicit_term(
         )
     s = scenario.h_side
     pulled = scenario.h_element(w.act(x_g.coords))
-    winv = eng.inverse_of(w)
-    diagram = Diagram(eng.datum, winv, pulled, x_g)
-    weight = _transfer_value(scenario, diagram)
+    weight = table.entries[table.entry(w).inverse].factor(x_g.coords) * eng.base_value
     phase = -s.bform(x_h.floats(), pulled.floats())
     return (
         complex(s.gamma)
@@ -285,21 +324,24 @@ def verify_identity(
     rhs = d_tilde_gh(scenario, x_h, x_g)
     abs_error = abs(lhs - rhs)
 
-    eng = scenario.engine
     comparisons = []
     lhs_sum = complex(0.0)
     rhs_sum = complex(0.0)
     regular = _gstar_regular_or_zero(scenario, x_h)
     if regular:
-        for w in eng.weyl_g:
-            t_lhs = explicit_term(scenario, w, x_h, x_g, "G")
-            t_rhs = explicit_term(scenario, eng.inverse_of(w), x_h, x_g, "H")
+        entries = scenario.transfer_table.entries
+        h_terms = [complex(0.0)] * len(entries)
+        for entry in entries:
+            t_lhs = explicit_term(scenario, entry.w, x_h, x_g, "G")
+            t_rhs = explicit_term(scenario, entries[entry.inverse].w, x_h, x_g, "H")
+            h_terms[entry.inverse] = t_rhs
             comparisons.append(
-                TermComparison(w.word, t_lhs, t_rhs, abs(t_lhs - t_rhs))
+                TermComparison(entry.w.word, t_lhs, t_rhs, abs(t_lhs - t_rhs))
             )
             lhs_sum += t_lhs
-        for w in eng.weyl_g:
-            rhs_sum += explicit_term(scenario, w, x_h, x_g, "H")
+        # The H-terms of the pairing, summed in the order of the Weyl group.
+        for t_rhs in h_terms:
+            rhs_sum += t_rhs
     termwise_max = max((c.abs_error for c in comparisons), default=0.0)
     consistent = (
         abs(lhs_sum - lhs) <= 64 * max(tolerance, 1e-15) * max(1.0, abs(lhs))

@@ -121,6 +121,38 @@ class Diagram:
     x_g: EllipticElement
 
 
+@dataclass(frozen=True)
+class WeylWeight:
+    """The relative transfer factor of the diagrams (w, x_h, x_g), split
+    into a sign fixed by the scenario and root signs at x_g:
+
+        relative_factor(diagram) = sign * root_signs(roots, x_g).
+
+    sign is delta_I(w) delta_I(base) delta_III(w, base) delta_II(base) times
+    the a-datum signs of delta_II(w); roots are the positive roots outside
+    w Phi_H; inverse is the position of w^{-1} in the ambient Weyl group.
+    """
+
+    w: WeylElement
+    inverse: int
+    sign: int
+    roots: tuple[IntVec, ...]
+
+    def factor(self, coords: Coords) -> int:
+        return self.sign * root_signs(self.roots, coords)
+
+
+class TransferTable:
+    """One WeylWeight per element of the ambient Weyl group, in its order."""
+
+    def __init__(self, entries: tuple[WeylWeight, ...]):
+        self.entries = entries
+        self._position = {e.w.matrix: i for i, e in enumerate(entries)}
+
+    def entry(self, w: WeylElement) -> WeylWeight:
+        return self.entries[self._position[w.matrix]]
+
+
 def build_endoscopic_datum(g_datum: RootDatum, s_simple_signs: Sequence[int]) -> EndoscopicDatum:
     if len(s_simple_signs) != len(g_datum.simple_roots):
         raise EndoscopyError("one sign per simple coroot is required")
@@ -224,12 +256,16 @@ def require_regular(g_datum: RootDatum, x: EllipticElement, wall_eps: float = WA
                 raise EndoscopyError(f"element is numerically on the wall of root {alpha}")
 
 
+def root_signs(roots: Sequence[IntVec], coords: Coords) -> int:
+    """Product of the signs of <alpha, v> over the given roots."""
+    out = 1
+    for alpha in roots:
+        out *= sign_of(dot(alpha, coords))
+    return out
+
+
 def sign_of(value) -> int:
-    if isinstance(value, Fraction):
-        if value == 0:
-            raise EndoscopyError("sign of zero requested; regularity leak")
-        return 1 if value > 0 else -1
-    if value == 0.0:
+    if value == 0:
         raise EndoscopyError("sign of zero requested; regularity leak")
     return 1 if value > 0 else -1
 
@@ -258,7 +294,6 @@ class TransferFactorEngine:
         self.grading_h = grading_h
         self.weyl_g = enumerate_weyl(self.g_datum)
         self.weyl_h = enumerate_weyl(datum.h_datum)
-        self._weyl_h_matrices = {w.matrix for w in self.weyl_h}
         self.real_weyl_g = real_weyl_g
         self.real_weyl_h = real_weyl_h
         self.base_value = base_value
@@ -274,9 +309,6 @@ class TransferFactorEngine:
         self.torus = elliptic_torus(self.g_datum.rank)
         self._h1 = h1(self.torus)
         self._delta_cache: dict = {}
-        self._delta_i_cache: dict = {}
-        self._delta_iii_cache: dict = {}
-        self._inverse_cache: dict = {}
         self._u = None
         self._u_h1 = None
 
@@ -318,19 +350,12 @@ class TransferFactorEngine:
         return kappa_from_s(moved, self.torus)
 
     def inverse_of(self, w: WeylElement) -> WeylElement:
-        if w.matrix not in self._inverse_cache:
-            self._inverse_cache[w.matrix] = self.g_datum.element_from_matrix(
-                weyl_inverse(self.g_datum, w).matrix
-            )
-        return self._inverse_cache[w.matrix]
+        return self.g_datum.element_from_matrix(weyl_inverse(self.g_datum, w).matrix)
 
     def delta_i(self, diagram: Diagram, a: ADatum) -> int:
         """Pairing of the splitting-cocycle class with the transported
         endoscopic character; exact, via the cohomology layer.  The value
-        depends only on the torus identification, hence is cached per w."""
-        key = (diagram.w.matrix, a.ratios)
-        if key in self._delta_i_cache:
-            return self._delta_i_cache[key]
+        depends only on the torus identification, that is on w."""
         d = self.g_datum
         w = diagram.w
         phases = [Fraction(0)] * d.rank
@@ -356,33 +381,29 @@ class TransferFactorEngine:
 
         tau = TorusPoint(tuple(mags), tuple(phases))
         cls = cocycle_class(self.torus, tau, self._h1)
-        value = tate_nakayama_pair(cls, self.kappa_for(w))
-        self._delta_i_cache[key] = value
-        return value
+        return tate_nakayama_pair(cls, self.kappa_for(w))
+
+    def delta_ii_roots(self, w: WeylElement) -> tuple[IntVec, ...]:
+        """The positive roots outside w Phi_H, over which delta_II runs."""
+        d = self.g_datum
+        h_image = {d.act_on_root(w, beta) for beta in self.datum.h_roots}
+        return tuple(alpha for alpha in d.positive_roots if alpha not in h_image)
 
     def delta_ii(self, diagram: Diagram, a: ADatum) -> int:
         """Sign product over positive roots outside the image of H."""
-        d = self.g_datum
-        w = diagram.w
-        h_image = {d.act_on_root(w, beta) for beta in self.datum.h_roots}
-        v = diagram.x_g.coords
-        out = 1
-        for alpha in d.positive_roots:
-            if alpha in h_image:
-                continue
-            out *= sign_of(dot(alpha, v)) * sign_of(a.ratio(alpha))
+        roots = self.delta_ii_roots(diagram.w)
+        out = root_signs(roots, diagram.x_g.coords)
+        for alpha in roots:
+            out *= sign_of(a.ratio(alpha))
         return out
 
     def delta_iii(self, diagram: Diagram, base: Optional[Diagram] = None) -> int:
         """Duality pairing on the doubled torus of the two diagrams.  The
-        value depends only on the two torus identifications (cached)."""
+        value depends only on the two torus identifications."""
         if base is None:
             base = self.base_diagram
         if base.datum is not self.datum or diagram.datum is not self.datum:
             raise EndoscopyError("diagrams come from different endoscopic data")
-        key = (diagram.w.matrix, base.w.matrix)
-        if key in self._delta_iii_cache:
-            return self._delta_iii_cache[key]
         d = self.g_datum
         u = self._u_torus()
         n = d.rank
@@ -405,11 +426,37 @@ class TransferFactorEngine:
         f2 = d.act_on_functional(base.w, self.datum.xhat_s)
         f_new = u.functional_to_new(vec_frac(tuple(f1) + tuple(f2)))
         kappa_u = kappa_from_s(f_new, u.torus)
-        value = tate_nakayama_pair(cls, kappa_u)
-        self._delta_iii_cache[key] = value
-        return value
+        return tate_nakayama_pair(cls, kappa_u)
 
     # -- normalized transfer factor ---------------------------------------
+
+    def transfer_table(self, a: ADatum) -> TransferTable:
+        """The pair-independent part of relative_factor for every w of
+        weyl_g, taken from the factors at the diagram (w, x_h, w x_h) of
+        the base point's x_h."""
+        base = self.base_diagram
+        position = {w.matrix: i for i, w in enumerate(self.weyl_g)}
+        diagrams = [
+            Diagram(self.datum, w, base.x_h, EllipticElement(tuple(w.act(base.x_h.coords)), "G"))
+            for w in self.weyl_g
+        ]
+        d1 = [self.delta_i(diagram, a) for diagram in diagrams]
+        # delta_I depends on w alone, so the base diagram takes its w's value.
+        base_sign = d1[position[base.w.matrix]] * self.delta_ii(base, a)
+        entries = []
+        for diagram, d1_w in zip(diagrams, d1):
+            roots = self.delta_ii_roots(diagram.w)
+            # delta_II times the root signs at its own point leaves the a-signs.
+            sign = (
+                d1_w
+                * base_sign
+                * self.delta_iii(diagram, base)
+                * self.delta_ii(diagram, a)
+                * root_signs(roots, diagram.x_g.coords)
+            )
+            inverse = position[weyl_inverse(self.g_datum, diagram.w).matrix]
+            entries.append(WeylWeight(diagram.w, inverse, sign, roots))
+        return TransferTable(tuple(entries))
 
     def transfer_factor(
         self,
@@ -454,9 +501,6 @@ class TransferFactorEngine:
     def stable_class_size_h(self, x_h: EllipticElement) -> int:
         require_regular(self.g_datum, x_h)
         return len(self.weyl_h) // len(self.real_weyl_h)
-
-    def h_weyl_contains(self, w: WeylElement) -> bool:
-        return w.matrix in self._weyl_h_matrices
 
     # -- independent stable-conjugacy invariant ----------------------------
 

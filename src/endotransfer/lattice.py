@@ -8,6 +8,7 @@ classical elimination algorithms are used without any pivot-size tricks.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 IntVec = tuple[int, ...]
@@ -42,20 +43,8 @@ def mat_vec(a: Sequence[Sequence], v: Sequence):
     return tuple(sum(a[i][k] * v[k] for k in range(len(v))) for i in range(len(a)))
 
 
-def vec_add(u: Sequence, v: Sequence):
-    return tuple(x + y for x, y in zip(u, v))
-
-
-def vec_sub(u: Sequence, v: Sequence):
-    return tuple(x - y for x, y in zip(u, v))
-
-
-def vec_scale(c, v: Sequence):
-    return tuple(c * x for x in v)
-
-
 def dot(u: Sequence, v: Sequence):
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def transpose(a: Sequence[Sequence]):

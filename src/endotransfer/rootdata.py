@@ -163,10 +163,6 @@ class RootDatum:
         pairing = dot(f, self.simple_coroots[i])
         return tuple(x - pairing * a for x, a in zip(f, self.simple_roots[i]))
 
-    def reflect_coroot(self, i: int, v: IntVec) -> IntVec:
-        pairing = dot(self.simple_roots[i], v)
-        return tuple(x - pairing * a for x, a in zip(v, self.simple_coroots[i]))
-
     def act_on_root(self, w: WeylElement, f: IntVec) -> IntVec:
         """w . f as a functional: (w.f)(v) = f(w^{-1} v)."""
         out = f

@@ -2,11 +2,13 @@
 
 Nothing here imports the package's normal-form or cocycle machinery: the
 cohomology oracle enumerates sign points directly, and the rank-one matrix
-oracle works with literal 2x2 complex matrices.
+oracle works with literal 2x2 complex matrices.  The route oracle takes its
+transfer factors from the engine and recomputes everything else per term.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 from fractions import Fraction
 
@@ -167,3 +169,154 @@ def compact_point_coordinate(t: Mat) -> complex:
     d = m_mul(m_mul(m_inv(CAYLEY), t), CAYLEY)
     assert abs(d[0][1]) < 1e-9 and abs(d[1][0]) < 1e-9
     return d[0][0]
+
+
+# ---------------------------------------------------------------------------
+# literal routes
+# ---------------------------------------------------------------------------
+
+
+class LiteralRoutes:
+    """The two routes and their pairing written out term by term, with no
+    precomputation: each kernel term takes its Weyl sign from an exact
+    determinant, the form is read as Fractions and converted on every call,
+    and every term asks the engine for its full relative factor.
+
+    The package's routes read per-scenario tables instead; they must agree
+    with this oracle to the last bit, term by term.
+    """
+
+    def __init__(self, scenario, form_scale):
+        self.sc = scenario
+        self.eng = scenario.engine
+        self.form = scenario.g_side.datum.invariant_form
+        self.scale = float(form_scale)
+
+    def bform(self, u, v) -> float:
+        out = 0.0
+        for i, row in enumerate(self.form):
+            ui = float(u[i])
+            if ui:
+                out += ui * sum(float(b) * float(x) for b, x in zip(row, v))
+        return self.scale * out
+
+    @staticmethod
+    def d_over_pi(side, coords) -> complex:
+        from endotransfer.endoscopy import sign_of
+        from endotransfer.realform import EighthRoot
+
+        prod_sign = 1
+        for alpha in side.datum.positive_roots:
+            prod_sign *= sign_of(sum(a * x for a, x in zip(alpha, coords)))
+        m = len(side.datum.positive_roots)
+        return complex(EighthRoot(-2 * m)) * prod_sign
+
+    def kernel(self, side, x, y) -> complex:
+        from endotransfer.lattice import det_int
+
+        front = complex(side.prefactor) * self.d_over_pi(side, x.coords) * self.d_over_pi(side, y.coords)
+        u = x.floats()
+        v = y.floats()
+        total = complex(0.0)
+        for w in side.real_weyl:
+            phase = -self.bform(w.act(u), v)
+            total += front * det_int(w.matrix) * cmath.exp(1j * phase)
+        return total
+
+    def weight(self, w, x_h, x_g):
+        from endotransfer.endoscopy import Diagram
+
+        return self.eng.relative_factor(Diagram(self.eng.datum, w, x_h, x_g), self.sc.a_datum) * self.eng.base_value
+
+    def regular(self, x_h) -> bool:
+        from endotransfer.endoscopy import EndoscopyError, require_regular
+
+        try:
+            require_regular(self.eng.g_datum, x_h)
+            return True
+        except EndoscopyError:
+            require_regular(self.eng.datum.h_datum, x_h)
+            return False
+
+    def d_gh(self, x_h, x_g) -> complex:
+        from endotransfer.endoscopy import EllipticElement, require_regular
+
+        if not self.regular(x_h):
+            return complex(0.0)
+        require_regular(self.eng.g_datum, x_g)
+        total = complex(0.0)
+        for w in self.eng.weyl_g:
+            target = EllipticElement(tuple(w.act(x_h.coords)), "G")
+            weight = self.weight(w, x_h, target)
+            if weight == 0:
+                continue
+            total += weight * self.kernel(self.sc.g_side, target, x_g)
+        return complex(self.sc.g_side.gamma) * total / len(self.eng.real_weyl_g)
+
+    def d_tilde_gh(self, x_h, x_g) -> complex:
+        from endotransfer.endoscopy import EllipticElement, require_regular
+
+        if not self.regular(x_h):
+            return complex(0.0)
+        require_regular(self.eng.g_datum, x_g)
+        total = complex(0.0)
+        for w in self.eng.weyl_g:
+            pulled = EllipticElement(tuple(w.act(x_g.coords)), "H")
+            weight = self.weight(self.eng.inverse_of(w), pulled, x_g)
+            if weight == 0:
+                continue
+            inner = complex(0.0)
+            for wp in self.eng.weyl_h:
+                moved = EllipticElement(tuple(wp.act(x_h.coords)), "H")
+                inner += self.kernel(self.sc.h_side, moved, pulled)
+            total += weight * inner
+        return complex(self.sc.h_side.gamma) * total / (len(self.eng.real_weyl_h) * len(self.eng.weyl_h))
+
+    def explicit_term(self, w, x_h, x_g, side: str) -> complex:
+        from endotransfer.endoscopy import EllipticElement
+
+        if side == "G":
+            s = self.sc.g_side
+            target = EllipticElement(tuple(w.act(x_h.coords)), "G")
+            weight = self.weight(w, x_h, target)
+            phase = -self.bform(target.floats(), x_g.floats())
+            return (
+                complex(s.gamma) * complex(s.prefactor) * self.d_over_pi(s, x_g.coords)
+                * weight * self.d_over_pi(s, target.coords) * cmath.exp(1j * phase)
+            )
+        s = self.sc.h_side
+        pulled = EllipticElement(tuple(w.act(x_g.coords)), "H")
+        weight = self.weight(self.eng.inverse_of(w), pulled, x_g)
+        phase = -self.bform(x_h.floats(), pulled.floats())
+        return (
+            complex(s.gamma) * complex(s.prefactor) * self.d_over_pi(s, x_h.coords)
+            * weight * self.d_over_pi(s, pulled.coords) * cmath.exp(1j * phase)
+        )
+
+    def verify_identity(self, x_h, x_g, tolerance: float = 1e-12):
+        from endotransfer.distributions import IdentityReport, TermComparison
+
+        lhs = self.d_gh(x_h, x_g)
+        rhs = self.d_tilde_gh(x_h, x_g)
+        abs_error = abs(lhs - rhs)
+        comparisons = []
+        lhs_sum = complex(0.0)
+        rhs_sum = complex(0.0)
+        regular = self.regular(x_h)
+        if regular:
+            for w in self.eng.weyl_g:
+                t_lhs = self.explicit_term(w, x_h, x_g, "G")
+                t_rhs = self.explicit_term(self.eng.inverse_of(w), x_h, x_g, "H")
+                comparisons.append(TermComparison(w.word, t_lhs, t_rhs, abs(t_lhs - t_rhs)))
+                lhs_sum += t_lhs
+            for w in self.eng.weyl_g:
+                rhs_sum += self.explicit_term(w, x_h, x_g, "H")
+        termwise_max = max((c.abs_error for c in comparisons), default=0.0)
+        consistent = (
+            abs(lhs_sum - lhs) <= 64 * max(tolerance, 1e-15) * max(1.0, abs(lhs))
+            and abs(rhs_sum - rhs) <= 64 * max(tolerance, 1e-15) * max(1.0, abs(rhs))
+            if regular
+            else True
+        )
+        passed = abs_error <= tolerance and termwise_max <= tolerance and consistent
+        return IdentityReport(lhs, rhs, abs_error, tuple(comparisons), termwise_max, passed)

@@ -1,0 +1,113 @@
+"""The routes read per-scenario tables; the literal term-by-term routes of
+oracles.LiteralRoutes must give the same reports to the last bit."""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from endotransfer.distributions import verify_identity
+from endotransfer.endoscopy import EllipticElement
+from endotransfer.scenario import build_scenario, builtin_scenario_path, parse_scenario
+from endotransfer.verify import PairRecord, RunReport, emit_report, run_verify, sample_regular_vector
+
+from oracles import LiteralRoutes
+
+# B3 with s = (+1, +1, -1), alpha1 and alpha2 compact: the kernel-bound datum
+# (|W| = 48, |W_H| = 24), whose routes run 4896 kernel terms per pair.
+B3_KERNEL = """
+name = b3_kernel
+g_type = B3
+form_scale = 1
+
+[grading_g]
+alpha1 = compact
+alpha2 = compact
+alpha3 = noncompact
+
+[s_character]
+alpha1 = +1
+alpha2 = +1
+alpha3 = -1
+
+[grading_h]
+alpha1 = noncompact
+alpha2 = noncompact
+alpha3 = noncompact
+
+[base_point]
+x_h = 1/2, 2/3, 3/4
+x_g = 1/2, 2/3, 3/4
+"""
+
+# G2 with s = (+1, -1): every pair fails the identity (Delta is not constant
+# on rational classes here), and the failing reports must not move either.
+G2_FAILING = """
+name = g2_failing
+g_type = G2
+form_scale = 1
+
+[grading_g]
+alpha1 = compact
+alpha2 = noncompact
+
+[s_character]
+alpha1 = +1
+alpha2 = -1
+
+[grading_h]
+alpha1 = noncompact
+alpha2 = noncompact
+
+[base_point]
+x_h = 1/2, 2/3
+x_g = 1/2, 2/3
+"""
+
+SHIPPED = ("sl2_endoscopy", "sl2_compact", "sl2xsl2_mixed", "sl2xsl2_double", "sp4_endoscopy")
+CASES = [(name, 4) for name in SHIPPED] + [("b3_kernel", 2), ("g2_failing", 3)]
+
+
+def _text(name: str) -> str:
+    generated = {"b3_kernel": B3_KERNEL, "g2_failing": G2_FAILING}
+    if name in generated:
+        return generated[name]
+    return builtin_scenario_path(name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name,samples", CASES)
+def test_routes_match_literal_oracle_bit_for_bit(name, samples):
+    config = parse_scenario(_text(name))
+    scenario = build_scenario(config)
+    oracle = LiteralRoutes(build_scenario(config), config.form_scale)
+    seed = 11
+    got = run_verify(scenario, samples, seed)
+
+    rng = random.Random(seed)
+    records = []
+    for rec in got.records:
+        x_h = EllipticElement(sample_regular_vector(scenario, rng), "H")
+        x_g = EllipticElement(sample_regular_vector(scenario, rng), "G")
+        want = oracle.verify_identity(x_h, x_g)
+        assert rec.report == want
+        assert repr(rec.report) == repr(want)  # signed zeros too
+        records.append(PairRecord(rec.index, x_h.floats(), x_g.floats(), want))
+    want_run = RunReport(
+        scenario=got.scenario,
+        samples=samples,
+        seed=seed,
+        tolerance=got.tolerance,
+        records=tuple(records),
+        base_x_h=got.base_x_h,
+        base_x_g=got.base_x_g,
+    )
+    assert emit_report(got, "machine").encode() == emit_report(want_run, "machine").encode()
+
+
+def test_exact_points_match_literal_oracle():
+    config = parse_scenario(_text("sp4_endoscopy"))
+    scenario = build_scenario(config)
+    oracle = LiteralRoutes(scenario, config.form_scale)
+    x_h = EllipticElement((F(3, 2), F(-2, 7)), "H")
+    x_g = EllipticElement((F(5, 3), F(1, 5)), "G")
+    assert repr(verify_identity(scenario, x_h, x_g)) == repr(oracle.verify_identity(x_h, x_g))

@@ -2,8 +2,11 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import endotransfer
 
 from endotransfer.scenario import (
     ScenarioError,
@@ -139,6 +142,9 @@ def test_human_report_contains_summary():
 def _run_cli(*args, env=None):
     cmd = [sys.executable, "-m", "endotransfer.cli", *args]
     full_env = dict(os.environ)
+    # The CLI runs the package the tests import, installed or not.
+    src = str(Path(endotransfer.__file__).resolve().parents[1])
+    full_env["PYTHONPATH"] = os.pathsep.join(p for p in (src, full_env.get("PYTHONPATH")) if p)
     if env:
         full_env.update(env)
     return subprocess.run(cmd, capture_output=True, text=True, env=full_env)
@@ -185,6 +191,68 @@ def test_cli_env_tolerance(tmp_path):
     )
     assert res.returncode == 0
     assert "tolerance = 0.001" in res.stdout
+
+
+@pytest.mark.parametrize(
+    "args,env,named",
+    [
+        (("--samples", "-3"), None, "--samples"),
+        (("--tol", "nan"), None, "--tol"),
+        ((), {"ENDOTRANSFER_TOL": "abc"}, "ENDOTRANSFER_TOL"),
+    ],
+)
+def test_cli_verify_refuses_bad_counts_and_tolerances(args, env, named):
+    scn = str(builtin_scenario_path("sl2_endoscopy"))
+    res = _run_cli("verify", scn, "--format", "machine", *args, env=env)
+    assert res.returncode == 2
+    assert named in res.stderr
+    assert "status" not in res.stdout and "Traceback" not in res.stderr
+
+
+def test_cli_verify_zero_samples_still_passes():
+    scn = str(builtin_scenario_path("sl2_endoscopy"))
+    res = _run_cli("verify", scn, "--samples", "0", "--format", "machine")
+    assert res.returncode == 0
+    assert "status = PASS" in res.stdout
+
+
+@pytest.mark.parametrize(
+    "command,args,named",
+    [
+        ("factors", ("--xh", "1, 2", "--xg", "abc"), "--xg"),
+        ("factors", ("--xh", "1", "--xg", "1, 2"), "--xh"),
+        ("orbits", ("--xg", "1, 2, 3"), "--xg"),
+    ],
+)
+def test_cli_vectors_are_checked(command, args, named):
+    scn = str(builtin_scenario_path("sp4_endoscopy"))
+    res = _run_cli(command, scn, *args)
+    assert res.returncode == 2
+    assert named in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize(
+    "text,named",
+    [
+        ("0 1\n1 0 0\n", "line 2"),
+        ("1 0 0\n0 1 0\n", "must be square"),
+        ("a b\nc d\n", "integers"),
+    ],
+)
+def test_cli_h1_refuses_malformed_matrices(tmp_path, text, named):
+    lat = tmp_path / "bad.lat"
+    lat.write_text(text, encoding="utf-8")
+    res = _run_cli("h1", str(lat))
+    assert res.returncode == 2
+    assert named in res.stderr and "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
+def test_cli_missing_files_exit_2(tmp_path):
+    res = _run_cli("verify", str(tmp_path / "absent.scn"))
+    assert res.returncode == 2 and "absent.scn" in res.stderr
+    res = _run_cli("h1", str(tmp_path / "absent.lat"))
+    assert res.returncode == 2 and "absent.lat" in res.stderr
 
 
 def test_run_verify_refuses_non_elliptic_datum():
