@@ -17,22 +17,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Sequence
 
 from .lattice import (
     FracVec,
     IntMat,
     IntVec,
+    coordinate_map,
+    coordinates,
     dot,
+    hermite_normal_form,
     identity,
-    in_lattice,
     integer_kernel,
     invert_rational,
     mat_int,
     mat_mul,
     mat_vec,
     smith_normal_form,
-    solve_rational,
     transpose,
     vec_frac,
     vec_int,
@@ -132,13 +134,18 @@ def boundary(torus: RealTorus, s: TorusPoint) -> TorusPoint:
 
 @dataclass(frozen=True)
 class H1Group:
-    """ker(1 + sigma)/im(1 - sigma) in canonical Smith coordinates."""
+    """ker(1 + sigma)/im(1 - sigma) in canonical Smith coordinates.
+
+    h1 builds, once, the maps every class goes through: kernel vector ->
+    kernel coordinates -> Smith coordinates, and back through one lattice
+    representative per generator."""
 
     torus: RealTorus
-    kernel_basis: IntMat          # rows: basis of ker(1 + sigma) in Z^n
-    divisors: tuple[int, ...]     # elementary divisors > 1 (each equals 2)
-    _q: IntMat                    # Smith column transform on kernel coordinates
-    _positions: tuple[int, ...]   # coordinate slots carrying the divisors
+    kernel_basis: IntMat               # rows: basis of ker(1 + sigma) in Z^n
+    divisors: tuple[int, ...]          # elementary divisors > 1 (each equals 2)
+    _to_kernel: tuple[IntMat, int]     # coordinate_map(kernel_basis)
+    _class_rows: IntMat                # columns of the Smith transform q at the divisor slots
+    _generators: IntMat                # lattice representatives of the unit classes
 
     @property
     def order(self) -> int:
@@ -153,28 +160,18 @@ class H1Group:
             if any(x != 0 for x in lam):
                 raise CohomologyError("vector is not in ker(1 + sigma)")
             return ()
-        coords = solve_rational(transpose(self.kernel_basis), lam)
+        coords = coordinates(self.kernel_basis, self._to_kernel, lam)
         if coords is None or any(c.denominator != 1 for c in coords):
             raise CohomologyError("vector is not in ker(1 + sigma)")
-        y = mat_vec(transpose(self._q), vec_int(coords))  # row vector times q
-        return tuple(int(y[p]) % d for p, d in zip(self._positions, self.divisors))
+        coords = vec_int(coords)
+        return tuple(dot(row, coords) % d for row, d in zip(self._class_rows, self.divisors))
 
     def representative(self, coords: Sequence[int]) -> IntVec:
         """A lattice representative of the class with the given coordinates."""
-        if not self.divisors:
-            return tuple(0 for _ in range(self.torus.lattice_rank))
-        qinv = invert_rational(self._q)
-        acc = [Fraction(0)] * len(self.kernel_basis)
-        for c, pos in zip(coords, self._positions):
-            # row vector e_pos * q^{-1} gives kernel coordinates of the generator
-            row = tuple(qinv[pos][j] for j in range(len(self.kernel_basis)))
-            acc = [a + c * r for a, r in zip(acc, row)]
-        lam = [Fraction(0)] * self.torus.lattice_rank
-        for coeff, basis_row in zip(acc, self.kernel_basis):
-            lam = [a + coeff * b for a, b in zip(lam, basis_row)]
-        if any(x.denominator != 1 for x in lam):
-            raise CohomologyError("non-integral representative")
-        return vec_int(lam)
+        return tuple(
+            sum(c * g[j] for c, g in zip(coords, self._generators))
+            for j in range(self.torus.lattice_rank)
+        )
 
 
 @dataclass(frozen=True)
@@ -206,12 +203,12 @@ def h1(torus: RealTorus) -> H1Group:
     kernel = integer_kernel(one_plus)
     k = len(kernel)
     if k == 0:
-        return H1Group(torus, kernel, (), identity(0), ())
+        return H1Group(torus, kernel, (), ((), 1), (), ())
+    to_kernel = coordinate_map(kernel)
     # relations: columns (1 - sigma) e_i expressed in kernel coordinates
     relations = []
-    for i in range(n):
-        col = tuple(one_minus[r][i] for r in range(n))
-        coords = solve_rational(transpose(kernel), col)
+    for col in transpose(one_minus):
+        coords = coordinates(kernel, to_kernel, col)
         if coords is None or any(c.denominator != 1 for c in coords):
             raise CohomologyError("im(1 - sigma) is not inside ker(1 + sigma)")
         relations.append(vec_int(coords))
@@ -223,7 +220,17 @@ def h1(torus: RealTorus) -> H1Group:
     divisors = tuple(abs(diag[i]) for i in positions)
     if any(dv != 2 for dv in divisors):
         raise CohomologyError("H^1 has an elementary divisor different from 2")
-    return H1Group(torus, kernel, divisors, q, positions)
+    # A class's Smith coordinates are its kernel coordinates times q; the
+    # generator at slot p has kernel coordinates e_p q^{-1}.
+    class_rows = tuple(tuple(q[j][p] for j in range(k)) for p in positions)
+    qinv = invert_rational(q)
+    generators = []
+    for p in positions:
+        lam = mat_vec(transpose(kernel), qinv[p])
+        if any(x.denominator != 1 for x in lam):
+            raise CohomologyError("non-integral representative")
+        generators.append(vec_int(lam))
+    return H1Group(torus, kernel, divisors, to_kernel, class_rows, tuple(generators))
 
 
 def cocycle_class(torus: RealTorus, t: TorusPoint, group: Optional[H1Group] = None) -> CohomologyClass:
@@ -298,10 +305,11 @@ class QuotientTorus:
     cocharacter lattice written in the coordinates of the old one."""
 
     torus: RealTorus
-    basis: tuple[FracVec, ...]  # rows: new basis vectors in old coordinates
+    basis: tuple[FracVec, ...]      # rows: new basis vectors in old coordinates
+    _to_new: tuple[IntMat, int]     # coordinate_map(basis)
 
     def to_new_coordinates(self, v_old: Sequence[Fraction]) -> FracVec:
-        sol = solve_rational(transpose(self.basis), vec_frac(v_old))
+        sol = coordinates(self.basis, self._to_new, vec_frac(v_old))
         if sol is None:
             raise CohomologyError("vector is outside the span of the lattice")
         return sol
@@ -334,39 +342,28 @@ def quotient_torus_lattice(
     denom = 1
     for p in pset:
         for x in p:
-            denom = denom * x.denominator // _gcd(denom, x.denominator)
+            denom = denom * x.denominator // gcd(denom, x.denominator)
     rows = []
     for i in range(n):
         rows.append(tuple(denom if j == i else 0 for j in range(n)))
     for p in pset:
         rows.append(tuple(int(x * denom) for x in p))
-    h, _ = _hnf_rows(mat_int(rows))
+    # The lattice contains denom * Z^n, so its echelon form leads with n nonzero rows.
+    h, _ = hermite_normal_form(mat_int(rows))
     basis = tuple(tuple(Fraction(x, denom) for x in h[i]) for i in range(n))
-    sigma_new = _conjugate_involution(torus.involution, basis)
-    return QuotientTorus(RealTorus(n, sigma_new), basis)
+    to_new = coordinate_map(basis)
+    sigma_new = _conjugate_involution(torus.involution, basis, to_new)
+    return QuotientTorus(RealTorus(n, sigma_new), basis, to_new)
 
 
-def _conjugate_involution(sigma: IntMat, basis: tuple[FracVec, ...]) -> IntMat:
+def _conjugate_involution(
+    sigma: IntMat, basis: tuple[FracVec, ...], to_new: tuple[IntMat, int]
+) -> IntMat:
     """Involution in the new basis: columns of sigma' = coords of sigma(b_i)."""
     cols = []
     for row in basis:
-        image = mat_vec(sigma, row)
-        sol = solve_rational(transpose(basis), image)
+        sol = coordinates(basis, to_new, mat_vec(sigma, row))
         if sol is None or any(x.denominator != 1 for x in sol):
             raise CohomologyError("involution does not preserve the enlarged lattice")
         cols.append(vec_int(sol))
     return transpose(mat_int(cols))
-
-
-def _gcd(a: int, b: int) -> int:
-    from math import gcd
-
-    return gcd(a, b)
-
-
-def _hnf_rows(rows: IntMat):
-    from .lattice import hermite_normal_form
-
-    h, u = hermite_normal_form(rows)
-    nonzero = tuple(r for r in h if any(x != 0 for x in r))
-    return nonzero, u

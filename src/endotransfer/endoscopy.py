@@ -36,7 +36,16 @@ from .cohomology import (
     quotient_torus_lattice,
     tate_nakayama_pair,
 )
-from .lattice import FracVec, IntVec, dot, solve_rational, transpose, vec_frac
+from .lattice import (
+    FracVec,
+    IntVec,
+    dot,
+    integer_kernel,
+    mat_int,
+    solve_rational,
+    transpose,
+    vec_frac,
+)
 from .realform import RealFormGrading
 from .rootdata import (
     RootDatum,
@@ -168,7 +177,7 @@ def build_endoscopic_datum(g_datum: RootDatum, s_simple_signs: Sequence[int]) ->
     _check_coroot_closed(g_datum, h_roots)
     h_label = f"{g_datum.cartan_label}|s={''.join('+' if s == 1 else '-' for s in s_simple_signs)}"
     h_datum = build_sub_datum(g_datum, h_roots, h_label)
-    elliptic = _is_elliptic(g_datum, h_roots)
+    elliptic = is_elliptic_datum(g_datum, h_roots)
     return EndoscopicDatum(
         g_datum=g_datum,
         s_simple_signs=tuple(int(s) for s in s_simple_signs),
@@ -209,14 +218,8 @@ def is_elliptic_datum(
     sigma_t = transpose(involution)
     stacked = [tuple(sigma_t[i][j] - (1 if i == j else 0) for j in range(n)) for i in range(n)]
     stacked.extend(tuple(r) for r in rows)
-    from .lattice import integer_kernel, mat_int
-
     fixed_perp = integer_kernel(mat_int(stacked))
     return len(fixed_perp) == 0
-
-
-def _is_elliptic(g_datum: RootDatum, h_roots: tuple[IntVec, ...]) -> bool:
-    return is_elliptic_datum(g_datum, h_roots)
 
 
 def build_diagram(
@@ -308,7 +311,7 @@ class TransferFactorEngine:
         self.rho_check = _half_sum_positive_coroots(self.g_datum)
         self.torus = elliptic_torus(self.g_datum.rank)
         self._h1 = h1(self.torus)
-        self._delta_cache: dict = {}
+        self._check_tits_central()
         self._u = None
         self._u_h1 = None
 
@@ -319,19 +322,29 @@ class TransferFactorEngine:
     # -- auxiliary lattice data -------------------------------------------
 
     def tits_delta(self, w: WeylElement) -> IntVec:
-        """delta(w) with n(w)^{-1} n(omega) n(w) = (-1)^{delta(w)} n(omega)."""
-        key = w.matrix
-        if key not in self._delta_cache:
-            d = self.g_datum
-            lhs = tits_multiply(
-                d,
-                tits_multiply(d, tits_inverse(d, n_of(d, w)), n_of(d, self.omega)),
-                n_of(d, w),
-            )
+        """delta(w) with n(w)^{-1} n(omega) n(w) = (-1)^{delta(w)} n(omega).
+
+        It is 0 for every w: n(w) is a product of the n_i, and the
+        constructor checks that n(omega) commutes with each of them."""
+        return (0,) * self.g_datum.rank
+
+    def _check_tits_central(self) -> None:
+        """Check, by the literal product n_i^{-1} n(omega) n_i, that n(omega)
+        commutes with every n_i.
+
+        Conjugation by n(w0) sends n_i to n_{i*}, where i -> i* is the diagram
+        automorphism -w0.  Here w0 = omega = -1, so i* = i and every product
+        must be n(omega) itself; a nonzero sign vector would mean delta(s_i)
+        is not 0, which tits_delta does not allow for."""
+        d = self.g_datum
+        n_omega = n_of(d, self.omega)
+        for i in range(len(d.simple_roots)):
+            n_i = n_of(d, d.simple_reflection(i))
+            lhs = tits_multiply(d, tits_multiply(d, tits_inverse(d, n_i), n_omega), n_i)
             if lhs.w != self.omega:
                 raise EndoscopyError("minus-one element is not central in the Weyl group")
-            self._delta_cache[key] = lhs.eps
-        return self._delta_cache[key]
+            if any(lhs.eps):
+                raise EndoscopyError(f"n(omega) does not commute with the Tits lift n_{i}")
 
     def _u_torus(self) -> QuotientTorus:
         if self._u is None:
@@ -404,29 +417,26 @@ class TransferFactorEngine:
             base = self.base_diagram
         if base.datum is not self.datum or diagram.datum is not self.datum:
             raise EndoscopyError("diagrams come from different endoscopic data")
-        d = self.g_datum
         u = self._u_torus()
-        n = d.rank
-
-        def slot(w: WeylElement, sign: int) -> list[Fraction]:
-            winv = weyl_inverse(d, w)
-            rho_back = winv.act(self.rho_check)
-            delta_vec = self.tits_delta(w)
-            return [
-                sign * (-Fraction(rho_back[j]) / 2 + Fraction(delta_vec[j], 2))
-                for j in range(n)
-            ]
-
-        x_old = slot(diagram.w, +1) + slot(base.w, -1)
-        x_new = u.to_new_coordinates(vec_frac(x_old))
+        slot, f = self._delta_iii_half(diagram.w, +1)
+        base_slot, base_f = self._delta_iii_half(base.w, -1)
+        x_new = u.to_new_coordinates(slot + base_slot)
         point = TorusPoint.from_phases(x_new)
         cls = cocycle_class(u.torus, point, self._u_h1)
 
-        f1 = d.act_on_functional(diagram.w, self.datum.xhat_s)
-        f2 = d.act_on_functional(base.w, self.datum.xhat_s)
-        f_new = u.functional_to_new(vec_frac(tuple(f1) + tuple(f2)))
+        f_new = u.functional_to_new(f + base_f)
         kappa_u = kappa_from_s(f_new, u.torus)
         return tate_nakayama_pair(cls, kappa_u)
+
+    def _delta_iii_half(self, w: WeylElement, sign: int) -> tuple[FracVec, FracVec]:
+        """One diagram's half of the doubled-torus point and of the character."""
+        d = self.g_datum
+        rho_back = weyl_inverse(d, w).act(self.rho_check)
+        delta_vec = self.tits_delta(w)
+        slot = tuple(
+            sign * (-Fraction(rho_back[j]) / 2 + Fraction(delta_vec[j], 2)) for j in range(d.rank)
+        )
+        return slot, d.act_on_functional(w, self.datum.xhat_s)
 
     # -- normalized transfer factor ---------------------------------------
 

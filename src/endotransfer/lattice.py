@@ -8,6 +8,7 @@ classical elimination algorithms are used without any pivot-size tricks.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -244,12 +245,38 @@ def in_lattice(basis_rows: IntMat, v: Sequence[Fraction]) -> bool:
 
 
 def invert_rational(a: Sequence[Sequence]) -> tuple[FracVec, ...]:
+    """Exact inverse by Gauss-Jordan elimination of [a | 1]."""
     n = len(a)
-    cols = []
-    for j in range(n):
-        e = [Fraction(1) if i == j else Fraction(0) for i in range(n)]
-        col = solve_rational(a, e)
-        if col is None:
+    m = [[Fraction(x) for x in a[i]] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pivot is None:
             raise ValueError("matrix is singular")
-        cols.append(col)
-    return transpose(cols)
+        m[c], m[pivot] = m[pivot], m[c]
+        inv = 1 / m[c][c]
+        m[c] = [x * inv for x in m[c]]
+        for i in range(n):
+            if i != c and m[i][c] != 0:
+                factor = m[i][c]
+                m[i] = [x - factor * y for x, y in zip(m[i], m[c])]
+    return tuple(tuple(row[n:]) for row in m)
+
+
+def coordinate_map(rows: Sequence[Sequence]) -> tuple[IntMat, int]:
+    """The matrix P = (R R^T)^{-1} R, for which P v = c whenever
+    v = sum_i c_i R[i], as an integer matrix and a common denominator.  The
+    rows of R must be linearly independent."""
+    p = mat_mul(invert_rational(mat_mul(rows, transpose(rows))), rows)
+    den = lcm(*(Fraction(x).denominator for row in p for x in row))
+    return mat_int(tuple(x * den for x in row) for row in p), den
+
+
+def coordinates(rows: Sequence[Sequence], cmap: tuple[IntMat, int], v: Sequence) -> Optional[FracVec]:
+    """Coordinates of v over the rows, with cmap = coordinate_map(rows), or
+    None when v is outside the span of the rows.  With fewer rows than
+    columns, P v is a solution only for v in the span, so it is checked."""
+    m, den = cmap
+    c = tuple(Fraction(dot(row, v), den) for row in m)
+    if len(rows) < len(v) and mat_vec(transpose(rows), c) != tuple(v):
+        return None
+    return c

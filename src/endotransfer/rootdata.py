@@ -107,7 +107,23 @@ class RootDatum:
         object.__setattr__(self, "_root_of", dict(zip(self.coroots, self.roots)))
         object.__setattr__(self, "_root_set", frozenset(self.roots))
         object.__setattr__(self, "_coeff_cache", {})
-        object.__setattr__(self, "_positive_cache", None)
+        positive = []
+        for r in self.roots:
+            coeffs = self.simple_root_coefficients(r)
+            if all(c >= 0 for c in coeffs) and any(c > 0 for c in coeffs):
+                positive.append(r)
+        positive = tuple(positive)
+        object.__setattr__(self, "_positive", positive)
+        object.__setattr__(self, "_positive_set", frozenset(positive))
+        # s_i(v) = v - <alpha_i, v> coalpha_i, so M[r][c] = d_rc - alpha_i[c] coalpha_i[r].
+        reflections = tuple(
+            tuple(
+                tuple((1 if r == c else 0) - alpha[c] * coalpha[r] for c in range(self.rank))
+                for r in range(self.rank)
+            )
+            for alpha, coalpha in zip(self.simple_roots, self.simple_coroots)
+        )
+        object.__setattr__(self, "_reflections", reflections)
 
     # -- basic queries ----------------------------------------------------
 
@@ -131,16 +147,13 @@ class RootDatum:
         return cached
 
     def is_positive(self, root: IntVec) -> bool:
-        coeffs = self.simple_root_coefficients(root)
-        return all(c >= 0 for c in coeffs) and any(c > 0 for c in coeffs)
+        """Membership in the positive roots, which are found once, at
+        construction, from their exact simple-root coefficients."""
+        return root in self._positive_set
 
     @property
     def positive_roots(self) -> tuple[IntVec, ...]:
-        if self._positive_cache is None:
-            object.__setattr__(
-                self, "_positive_cache", tuple(r for r in self.roots if self.is_positive(r))
-            )
-        return self._positive_cache
+        return self._positive
 
     def form(self, u, v) -> Fraction:
         return sum(
@@ -151,13 +164,7 @@ class RootDatum:
     # -- Weyl action -------------------------------------------------------
 
     def simple_reflection(self, i: int) -> WeylElement:
-        # s_i(v) = v - <alpha_i, v> coalpha_i, so M[r][c] = d_rc - alpha_i[c] coalpha_i[r].
-        alpha, coalpha = self.simple_roots[i], self.simple_coroots[i]
-        matrix = tuple(
-            tuple((1 if r == c else 0) - alpha[c] * coalpha[r] for c in range(self.rank))
-            for r in range(self.rank)
-        )
-        return WeylElement(matrix, (i,))
+        return WeylElement(self._reflections[i], (i,))
 
     def reflect_root(self, i: int, f: IntVec) -> IntVec:
         pairing = dot(f, self.simple_coroots[i])
@@ -187,8 +194,9 @@ class RootDatum:
         """A reduced word for the Weyl element with the given matrix."""
         suffix: list[int] = []
         current = matrix
+        one = identity(self.rank)
         guard = 0
-        while current != identity(self.rank):
+        while current != one:
             guard += 1
             if guard > 10 * WEYL_ORDER_CAP:
                 raise RootDatumError("matrix does not define a Weyl element")
@@ -196,7 +204,7 @@ class RootDatum:
                 image = self._act_root_via_matrix(current, self.simple_roots[i])
                 if not self.is_positive(image):
                     suffix.append(i)
-                    current = mat_mul(current, self.simple_reflection(i).matrix)
+                    current = mat_mul(current, self._reflections[i])
                     break
             else:
                 raise RootDatumError("matrix does not define a Weyl element")
@@ -376,19 +384,18 @@ def enumerate_weyl(datum: RootDatum, cap: int = WEYL_ORDER_CAP) -> tuple[WeylEle
 
 
 def weyl_inverse(datum: RootDatum, w: WeylElement) -> WeylElement:
-    matrix = mat_int([[int(x) for x in row] for row in _inverse(w.matrix)])
-    return WeylElement(matrix, tuple(reversed(w.word)))
+    """w^{-1} as the product of simple reflections along w's word reversed.
 
-
-def _inverse(matrix: IntMat):
-    from .lattice import invert_rational
-
-    inv = invert_rational(matrix)
-    for row in inv:
-        for x in row:
-            if Fraction(x).denominator != 1:
-                raise RootDatumError("matrix is not unimodular")
-    return tuple(tuple(int(x) for x in row) for row in inv)
+    The word must give w's matrix, as it does for every element that
+    enumerate_weyl, element_from_matrix or WeylElement.__mul__ returns;
+    RootDatumError otherwise."""
+    word = tuple(reversed(w.word))
+    matrix = identity(datum.rank)
+    for i in word:
+        matrix = mat_mul(matrix, datum.simple_reflection(i).matrix)
+    if mat_mul(w.matrix, matrix) != identity(datum.rank):
+        raise RootDatumError("the word of the Weyl element does not give its matrix")
+    return WeylElement(matrix, word)
 
 
 def coset_representatives(

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lattice import IntVec, identity, mat_mul, vec_int
-from .rootdata import RootDatum, WeylElement
+from .rootdata import RootDatum, WeylElement, weyl_inverse
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,6 @@ def multiply(datum: RootDatum, a: TitsElement, b: TitsElement) -> TitsElement:
 
 def inverse(datum: RootDatum, a: TitsElement) -> TitsElement:
     """Inverse of (eps, w): compute n(w) n(w^{-1}) = (-1)^{e0} and unwind."""
-    from .rootdata import weyl_inverse
-
     winv = weyl_inverse(datum, a.w)
     winv = datum.element_from_matrix(winv.matrix)
     prod = multiply(datum, n_of(datum, a.w), n_of(datum, winv))

@@ -93,6 +93,8 @@ def run_verify(
     seed: int,
     tolerance: float = 1e-12,
 ) -> RunReport:
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples}")
     engine = scenario.engine
     if not engine.datum.elliptic:
         raise VerificationRefused(

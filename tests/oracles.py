@@ -3,14 +3,21 @@
 Nothing here imports the package's normal-form or cocycle machinery: the
 cohomology oracle enumerates sign points directly, and the rank-one matrix
 oracle works with literal 2x2 complex matrices.  The route oracle takes its
-transfer factors from the engine and recomputes everything else per term.
+transfer factors from the engine and recomputes everything else per term;
+the set-up oracle is the engine with its per-w set-up done literally.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 from fractions import Fraction
+
+from endotransfer.endoscopy import EndoscopyError, TransferFactorEngine
+from endotransfer.lattice import invert_rational
+from endotransfer.rootdata import RootDatumError, WeylElement
+from endotransfer.tits import inverse as tits_inverse, multiply as tits_multiply, n_of
 
 Sign = tuple[int, ...]  # vectors over GF(2)
 
@@ -320,3 +327,55 @@ class LiteralRoutes:
         )
         passed = abs_error <= tolerance and termwise_max <= tolerance and consistent
         return IdentityReport(lhs, rhs, abs_error, tuple(comparisons), termwise_max, passed)
+
+
+# ---------------------------------------------------------------------------
+# literal per-w set-up
+# ---------------------------------------------------------------------------
+
+
+def literal_weyl_inverse(datum, w) -> WeylElement:
+    """w^{-1} from the inverse of its matrix by rational elimination."""
+    inv = invert_rational(w.matrix)
+    if any(Fraction(x).denominator != 1 for row in inv for x in row):
+        raise RootDatumError("matrix is not unimodular")
+    return WeylElement(tuple(tuple(int(x) for x in row) for row in inv), tuple(reversed(w.word)))
+
+
+@functools.lru_cache(maxsize=None)
+def literal_tits_delta(datum, omega, w) -> tuple[int, ...]:
+    """delta(w) from the product n(w)^{-1} n(omega) n(w)."""
+    lhs = tits_multiply(
+        datum,
+        tits_multiply(datum, tits_inverse(datum, n_of(datum, w)), n_of(datum, omega)),
+        n_of(datum, w),
+    )
+    if lhs.w != omega:
+        raise EndoscopyError("minus-one element is not central in the Weyl group")
+    return lhs.eps
+
+
+class LiteralSetup(TransferFactorEngine):
+    """The engine of a scenario with delta(w) from the triple product for
+    each w.
+
+    The engine takes delta(w) = 0 once n(omega) commutes with every n_i;
+    everything else is the engine's own code, so their transfer tables must
+    agree entry by entry.
+    """
+
+    def __init__(self, engine: TransferFactorEngine):
+        base = engine.base_diagram
+        super().__init__(
+            engine.datum,
+            engine.grading_g,
+            engine.grading_h,
+            engine.real_weyl_g,
+            engine.real_weyl_h,
+            base.x_h,
+            base.x_g,
+            engine.base_value,
+        )
+
+    def tits_delta(self, w):
+        return literal_tits_delta(self.g_datum, self.omega, w)

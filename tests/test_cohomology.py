@@ -206,33 +206,46 @@ def test_h1_exponent_two_on_zoo():
         assert all(d == 2 for d in group.divisors)
 
 
-def test_brute_force_oracle_agreement_full_zoo():
-    """h1, cocycle_class, and the pairing against the sign-point oracle on
-    all 27 involution lattices: orders, class equality, pairing tables."""
-    for sigma in involution_zoo():
-        torus = RealTorus(len(sigma), sigma)
-        group = h1(torus)
-        oracle = BruteForceH1(sigma)
-        assert group.order == oracle.order, f"order mismatch for {sigma}"
+def _check_against_oracle(sigma):
+    """h1, cocycle_class and the pairing against the sign-point oracle:
+    order, class equality, pairing table, and the representative/reduce
+    round trip on every class."""
+    torus = RealTorus(len(sigma), sigma)
+    group = h1(torus)
+    oracle = BruteForceH1(sigma)
+    assert group.order == oracle.order, f"order mismatch for {sigma}"
 
-        sign_points = sorted(oracle.cocycles)
-        classes = {}
+    sign_points = sorted(oracle.cocycles)
+    classes = {}
+    for nu in sign_points:
+        point = TorusPoint.from_signs([1 if b == 0 else -1 for b in nu])
+        assert is_cocycle(torus, point)
+        classes[nu] = cocycle_class(torus, point, group).coordinates
+    # the class map matches the oracle equivalence exactly
+    for nu1 in sign_points:
+        for nu2 in sign_points:
+            assert (classes[nu1] == classes[nu2]) == oracle.same_class(nu1, nu2)
+    # every class is hit by a sign point
+    assert len(set(classes.values())) == group.order
+
+    for xhat in oracle.fixed_half_characters():
+        kap = kappa_from_s(xhat, torus)
         for nu in sign_points:
-            point = TorusPoint.from_signs([1 if b == 0 else -1 for b in nu])
-            assert is_cocycle(torus, point)
-            classes[nu] = cocycle_class(torus, point, group).coordinates
-        # the class map matches the oracle equivalence exactly
-        for nu1 in sign_points:
-            for nu2 in sign_points:
-                assert (classes[nu1] == classes[nu2]) == oracle.same_class(nu1, nu2)
-        # every class is hit by a sign point
-        assert len(set(classes.values())) == group.order
+            cls = CohomologyClass(torus, group, classes[nu])
+            assert tate_nakayama_pair(cls, kap) == oracle.pairing(nu, xhat)
 
-        for xhat in oracle.fixed_half_characters():
-            kap = kappa_from_s(xhat, torus)
-            for nu in sign_points:
-                cls = CohomologyClass(torus, group, classes[nu])
-                assert tate_nakayama_pair(cls, kap) == oracle.pairing(nu, xhat)
+    n = len(sigma)
+    for coords in itertools.product(*(range(d) for d in group.divisors)):
+        lam = group.representative(coords)
+        assert all(lam[i] + sum(sigma[i][j] * lam[j] for j in range(n)) == 0 for i in range(n))
+        assert group.reduce(lam) == coords
+    return torus, group
+
+
+def test_brute_force_oracle_agreement_full_zoo():
+    """All 27 involution lattices of the zoo against the oracle."""
+    for sigma in involution_zoo():
+        _check_against_oracle(sigma)
 
 
 def test_oracle_pairing_nondegenerate_on_circle_product():

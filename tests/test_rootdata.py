@@ -3,6 +3,7 @@ import pytest
 from endotransfer.lattice import dot, mat_mul
 from endotransfer.rootdata import (
     RootDatumError,
+    WeylElement,
     build_root_datum,
     coset_representatives,
     enumerate_weyl,
@@ -109,6 +110,17 @@ def test_reduced_words_and_inverse():
         assert len(d.reduced_word(w.matrix)) == d.length(w)
         winv = weyl_inverse(d, w)
         assert mat_mul(w.matrix, winv.matrix) == enumerate_weyl(d)[0].matrix
+
+
+def test_weyl_inverse_refuses_word_that_does_not_give_the_matrix():
+    d = build_root_datum("C2")
+    s0 = d.simple_reflection(0)
+    with pytest.raises(RootDatumError, match="word"):
+        weyl_inverse(d, WeylElement(s0.matrix, ()))
+    with pytest.raises(RootDatumError, match="word"):
+        weyl_inverse(d, WeylElement(s0.matrix, (1,)))
+    # a longer word that still gives the matrix is accepted
+    assert weyl_inverse(d, WeylElement(s0.matrix, (0, 1, 1))).matrix == s0.matrix
 
 
 def test_coset_representatives_partition():

@@ -112,6 +112,12 @@ def test_run_verify_zero_samples_vacuous_pass():
     assert parsed["records"] == []
 
 
+def test_run_verify_refuses_negative_samples():
+    sc = load_builtin("sl2_endoscopy")
+    with pytest.raises(ValueError, match="samples"):
+        run_verify(sc, -3, 1)
+
+
 def test_reports_deterministic_and_roundtrip():
     sc = load_builtin("sl2_endoscopy")
     r1 = run_verify(sc, 7, 42)
