@@ -7,7 +7,10 @@ rational and theta a rational phase, so every computation in this module is
 exact.
 
 H^1(R, T) is computed on the lattice as ker(1 + sigma) / im(1 - sigma); the
-class of a cocycle t = e(x + iy) is the image of (1 - sigma) x.  The duality
+class of a cocycle t = e(x + iy) is the image of (1 - sigma) x.  Phases and
+character vectors are held as integer numerators over one common
+denominator, so the per-class work is integer arithmetic; Fractions appear
+where points and characters are built from them or read back.  The duality
 pairing evaluates a class lambda against a character vector xhat as
 exp(2 pi i <xhat, lambda>); this sign convention is fixed here once and is
 echoed in every report header.
@@ -17,13 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .lattice import (
-    FracVec,
     IntMat,
     IntVec,
+    common_denominator,
     coordinate_map,
     coordinates,
     dot,
@@ -57,6 +60,17 @@ class RealTorus:
             raise CohomologyError("involution size does not match the rank")
         if mat_mul(self.involution, self.involution) != identity(self.lattice_rank):
             raise CohomologyError("involution does not square to the identity")
+        object.__setattr__(self, "_rows", _nonzero_entries(self.involution))
+        object.__setattr__(self, "_cols", _nonzero_entries(transpose(self.involution)))
+
+    def one_minus_sigma(self, v: Sequence[int]) -> IntVec:
+        """(1 - sigma) v."""
+        return tuple(x - sum(e * v[k] for k, e in row) for x, row in zip(v, self._rows))
+
+
+def _nonzero_entries(m: IntMat) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each row of m, its nonzero entries as (column, entry) pairs."""
+    return tuple(tuple((k, e) for k, e in enumerate(row) if e) for row in m)
 
 
 def elliptic_torus(rank: int) -> RealTorus:
@@ -64,67 +78,94 @@ def elliptic_torus(rank: int) -> RealTorus:
     return RealTorus(rank, minus)
 
 
-@dataclass(frozen=True)
+_ONE = Fraction(1)
+
+
+@dataclass(frozen=True, init=False)
 class TorusPoint:
-    """Exact point of T(C): coordinate j is magnitudes[j] * e(phases[j])."""
+    """Exact point of T(C): coordinate j is magnitudes[j] * e(phases[j]).
+
+    The phases are kept as integer numerators over one common denominator,
+    reduced mod 1 and to lowest terms."""
 
     magnitudes: tuple[Fraction, ...]
-    phases: tuple[Fraction, ...]
+    numerators: IntVec
+    denominator: int
 
-    def __post_init__(self):
-        if any(m <= 0 for m in self.magnitudes):
+    def __init__(self, magnitudes: Sequence[Fraction], phases: Sequence[Fraction]):
+        self._fill(vec_frac(magnitudes), *common_denominator(phases))
+
+    @classmethod
+    def over(
+        cls, numerators: Sequence[int], denominator: int, magnitudes: Optional[Sequence[Fraction]] = None
+    ) -> "TorusPoint":
+        """The point with phases numerators[j] / denominator; magnitudes 1 unless given."""
+        point = cls.__new__(cls)
+        point._fill((_ONE,) * len(numerators) if magnitudes is None else magnitudes, numerators, denominator)
+        return point
+
+    def _fill(self, magnitudes, numerators, denominator) -> None:
+        magnitudes = tuple(magnitudes)
+        if any(m <= 0 for m in magnitudes):
             raise CohomologyError("magnitudes must be positive rationals")
-        object.__setattr__(self, "phases", tuple(p % 1 for p in self.phases))
+        g = gcd(denominator, *numerators)
+        den = denominator // g
+        object.__setattr__(self, "magnitudes", magnitudes)
+        object.__setattr__(self, "numerators", tuple(x // g % den for x in numerators))
+        object.__setattr__(self, "denominator", den)
+
+    @property
+    def phases(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.denominator) for x in self.numerators)
 
     @staticmethod
     def from_signs(signs: Sequence[int]) -> "TorusPoint":
-        phases = [Fraction(1, 2) if s < 0 else Fraction(0) for s in signs]
-        return TorusPoint(tuple(Fraction(1) for _ in signs), tuple(phases))
+        return TorusPoint.over([1 if s < 0 else 0 for s in signs], 2)
 
     @staticmethod
     def from_phases(phases: Sequence[Fraction]) -> "TorusPoint":
-        return TorusPoint(tuple(Fraction(1) for _ in phases), vec_frac(phases))
+        return TorusPoint((_ONE,) * len(phases), phases)
 
     @staticmethod
     def one(rank: int) -> "TorusPoint":
-        return TorusPoint(tuple(Fraction(1) for _ in range(rank)), tuple(Fraction(0) for _ in range(rank)))
+        return TorusPoint.over((0,) * rank, 1)
 
     def __mul__(self, other: "TorusPoint") -> "TorusPoint":
-        return TorusPoint(
-            tuple(a * b for a, b in zip(self.magnitudes, other.magnitudes)),
-            tuple(a + b for a, b in zip(self.phases, other.phases)),
+        den = lcm(self.denominator, other.denominator)
+        a, b = den // self.denominator, den // other.denominator
+        return TorusPoint.over(
+            [a * x + b * y for x, y in zip(self.numerators, other.numerators)],
+            den,
+            [x * y for x, y in zip(self.magnitudes, other.magnitudes)],
         )
 
     def inverse(self) -> "TorusPoint":
-        return TorusPoint(
-            tuple(1 / m for m in self.magnitudes),
-            tuple(-p for p in self.phases),
-        )
+        return TorusPoint.over([-x for x in self.numerators], self.denominator, [1 / m for m in self.magnitudes])
 
     def is_one(self) -> bool:
-        return all(m == 1 for m in self.magnitudes) and all(p == 0 for p in self.phases)
+        return all(m == 1 for m in self.magnitudes) and not any(self.numerators)
 
 
 def galois_act(torus: RealTorus, t: TorusPoint) -> TorusPoint:
     """sigma_T(t)_j = prod_k conj(t_k)^{sigma[j][k]}."""
-    sigma = torus.involution
     mags = []
-    phases = []
-    for j in range(torus.lattice_rank):
-        m = Fraction(1)
-        ph = Fraction(0)
-        for k in range(torus.lattice_rank):
-            e = sigma[j][k]
-            if e:
-                m *= t.magnitudes[k] ** e
-                ph += -t.phases[k] * e
+    for row in torus._rows:
+        m = _ONE
+        for k, e in row:
+            m *= t.magnitudes[k] ** e
         mags.append(m)
-        phases.append(ph)
-    return TorusPoint(tuple(mags), tuple(phases))
+    nums = [-sum(e * t.numerators[k] for k, e in row) for row in torus._rows]
+    return TorusPoint.over(nums, t.denominator, mags)
 
 
 def is_cocycle(torus: RealTorus, t: TorusPoint) -> bool:
-    return (t * galois_act(torus, t)).is_one()
+    """t * sigma(t) = 1: (1 - sigma) x is integral, and the magnitudes, when
+    one differs from 1, cancel against their Galois image."""
+    if any(m != 1 for m in t.magnitudes):
+        for m, g in zip(t.magnitudes, galois_act(torus, t).magnitudes):
+            if m * g != 1:
+                return False
+    return not any(v % t.denominator for v in torus.one_minus_sigma(t.numerators))
 
 
 def boundary(torus: RealTorus, s: TorusPoint) -> TorusPoint:
@@ -161,17 +202,20 @@ class H1Group:
                 raise CohomologyError("vector is not in ker(1 + sigma)")
             return ()
         coords = coordinates(self.kernel_basis, self._to_kernel, lam)
-        if coords is None or any(c.denominator != 1 for c in coords):
+        den = self._to_kernel[1]
+        if coords is None or any(c % den for c in coords):
             raise CohomologyError("vector is not in ker(1 + sigma)")
-        coords = vec_int(coords)
+        coords = tuple(c // den for c in coords)
         return tuple(dot(row, coords) % d for row, d in zip(self._class_rows, self.divisors))
 
     def representative(self, coords: Sequence[int]) -> IntVec:
         """A lattice representative of the class with the given coordinates."""
-        return tuple(
-            sum(c * g[j] for c, g in zip(coords, self._generators))
-            for j in range(self.torus.lattice_rank)
-        )
+        out = [0] * self.torus.lattice_rank
+        for c, g in zip(coords, self._generators):
+            if c:
+                for j, x in enumerate(g):
+                    out[j] += c * x
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -209,9 +253,9 @@ def h1(torus: RealTorus) -> H1Group:
     relations = []
     for col in transpose(one_minus):
         coords = coordinates(kernel, to_kernel, col)
-        if coords is None or any(c.denominator != 1 for c in coords):
+        if coords is None or any(c % to_kernel[1] for c in coords):
             raise CohomologyError("im(1 - sigma) is not inside ker(1 + sigma)")
-        relations.append(vec_int(coords))
+        relations.append(tuple(c // to_kernel[1] for c in coords))
     d, _, q = smith_normal_form(mat_int(relations))
     diag = [d[i][i] if i < len(d) else 0 for i in range(k)]
     if any(x == 0 for x in diag):
@@ -239,47 +283,44 @@ def cocycle_class(torus: RealTorus, t: TorusPoint, group: Optional[H1Group] = No
         raise CohomologyError("point does not satisfy the cocycle condition")
     if group is None:
         group = h1(torus)
-    x = t.phases
-    one_minus_x = tuple(
-        x[i] - sum(torus.involution[i][j] * x[j] for j in range(torus.lattice_rank))
-        for i in range(torus.lattice_rank)
-    )
-    if any(v.denominator != 1 for v in one_minus_x):
+    lam = torus.one_minus_sigma(t.numerators)
+    if any(v % t.denominator for v in lam):
         raise CohomologyError("cocycle phases are not half-integral against sigma")
-    lam = vec_int(one_minus_x)
-    return CohomologyClass(torus, group, group.reduce(lam))
+    return CohomologyClass(torus, group, group.reduce(tuple(v // t.denominator for v in lam)))
 
 
 @dataclass(frozen=True)
 class DualComponentCharacter:
     """Class in pi_0 of the sigma^T-fixed points of the dual torus,
-    represented by an exact character vector xhat."""
+    represented by the character vector xhat = numerators / denominator."""
 
     torus: RealTorus
-    xhat: FracVec
+    numerators: IntVec
+    denominator: int
 
     def __post_init__(self):
-        sigma_t = transpose(self.torus.involution)
-        moved = mat_vec(sigma_t, self.xhat)
-        diff = tuple(a - b for a, b in zip(moved, self.xhat))
-        if any(d.denominator != 1 for d in diff):
+        moved = (sum(e * self.numerators[k] for k, e in col) for col in self.torus._cols)
+        if any((a - b) % self.denominator for a, b in zip(moved, self.numerators)):
             raise CohomologyError("character vector is not Galois-fixed in pi_0")
+
+    @property
+    def xhat(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.denominator) for x in self.numerators)
 
     def is_trivial_on(self, group: H1Group) -> bool:
         gens = [group.representative(_unit(i, len(group.divisors))) for i in range(len(group.divisors))]
-        return all(_pair_value(self.xhat, g) == 1 for g in gens)
+        return all(_pair_value(self, g) == 1 for g in gens)
 
 
 def _unit(i: int, n: int) -> tuple[int, ...]:
     return tuple(1 if j == i else 0 for j in range(n))
 
 
-def _pair_value(xhat: FracVec, lam: Sequence[int]) -> int:
-    r = dot(xhat, lam)
-    doubled = 2 * r
-    if doubled.denominator != 1:
+def _pair_value(kappa: DualComponentCharacter, lam: Sequence[int]) -> int:
+    r = dot(kappa.numerators, lam)
+    if 2 * r % kappa.denominator:
         raise CohomologyError("pairing value is not a sign; incompatible data")
-    return 1 if r.denominator == 1 else -1
+    return 1 if r % kappa.denominator == 0 else -1
 
 
 def tate_nakayama_pair(cls: CohomologyClass, kappa: DualComponentCharacter) -> int:
@@ -287,36 +328,49 @@ def tate_nakayama_pair(cls: CohomologyClass, kappa: DualComponentCharacter) -> i
     if kappa.torus != cls.torus:
         raise CohomologyError("class and character live on different tori")
     lam = cls.group.representative(cls.coordinates)
-    return _pair_value(kappa.xhat, lam)
+    return _pair_value(kappa, lam)
 
 
 def kappa_from_s(xhat: Sequence[Fraction], torus: RealTorus) -> DualComponentCharacter:
     """Component-group character of the dual torus attached to an order-2
     character vector; validates the Galois-fixedness of the class."""
-    xhat = vec_frac(xhat)
-    if any((2 * x).denominator != 1 for x in xhat):
+    return kappa_over(*common_denominator(xhat), torus)
+
+
+def kappa_over(numerators: Sequence[int], denominator: int, torus: RealTorus) -> DualComponentCharacter:
+    """kappa_from_s of the vector numerators / denominator."""
+    if any(2 * x % denominator for x in numerators):
         raise CohomologyError("character must have order dividing 2")
-    return DualComponentCharacter(torus, xhat)
+    return DualComponentCharacter(torus, tuple(numerators), denominator)
 
 
 @dataclass(frozen=True)
 class QuotientTorus:
     """Enlarged-lattice torus T' together with the basis of the new
-    cocharacter lattice written in the coordinates of the old one."""
+    cocharacter lattice written in the coordinates of the old one: the
+    integer rows over one denominator."""
 
     torus: RealTorus
-    basis: tuple[FracVec, ...]      # rows: new basis vectors in old coordinates
-    _to_new: tuple[IntMat, int]     # coordinate_map(basis)
+    rows: IntMat                    # basis vector i is rows[i] / denominator
+    denominator: int
+    _to_new: tuple[IntMat, int]     # coordinate_map(rows)
 
-    def to_new_coordinates(self, v_old: Sequence[Fraction]) -> FracVec:
-        sol = coordinates(self.basis, self._to_new, vec_frac(v_old))
+    @property
+    def basis(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(x, self.denominator) for x in row) for row in self.rows)
+
+    def to_new_coordinates(self, numerators: Sequence[int], denominator: int) -> tuple[IntVec, int]:
+        """New coordinates of the old vector numerators / denominator, as
+        numerators over the returned denominator."""
+        sol = coordinates(self.rows, self._to_new, numerators)
         if sol is None:
             raise CohomologyError("vector is outside the span of the lattice")
-        return sol
+        return tuple(self.denominator * x for x in sol), self._to_new[1] * denominator
 
-    def functional_to_new(self, f_old: Sequence[Fraction]) -> FracVec:
-        """Pull a functional through: <f_new, v_new> = <f_old, v_old>."""
-        return tuple(dot(f_old, row) for row in self.basis)
+    def functional_to_new(self, numerators: Sequence[int], denominator: int) -> tuple[IntVec, int]:
+        """Pull the functional numerators / denominator through:
+        <f_new, v_new> = <f_old, v_old>."""
+        return tuple(dot(numerators, row) for row in self.rows), denominator * self.denominator
 
 
 def quotient_torus_lattice(
@@ -350,20 +404,21 @@ def quotient_torus_lattice(
         rows.append(tuple(int(x * denom) for x in p))
     # The lattice contains denom * Z^n, so its echelon form leads with n nonzero rows.
     h, _ = hermite_normal_form(mat_int(rows))
-    basis = tuple(tuple(Fraction(x, denom) for x in h[i]) for i in range(n))
-    to_new = coordinate_map(basis)
-    sigma_new = _conjugate_involution(torus.involution, basis, to_new)
-    return QuotientTorus(RealTorus(n, sigma_new), basis, to_new)
+    basis_rows = h[:n]
+    to_new = coordinate_map(basis_rows)
+    sigma_new = _conjugate_involution(torus.involution, basis_rows, to_new)
+    return QuotientTorus(RealTorus(n, sigma_new), basis_rows, denom, to_new)
 
 
-def _conjugate_involution(
-    sigma: IntMat, basis: tuple[FracVec, ...], to_new: tuple[IntMat, int]
-) -> IntMat:
-    """Involution in the new basis: columns of sigma' = coords of sigma(b_i)."""
+def _conjugate_involution(sigma: IntMat, rows: IntMat, to_new: tuple[IntMat, int]) -> IntMat:
+    """Involution in the new basis rows / d: column i of sigma' holds the
+    coordinates of sigma(rows[i] / d), which are those of sigma(rows[i])
+    over the rows."""
+    den = to_new[1]
     cols = []
-    for row in basis:
-        sol = coordinates(basis, to_new, mat_vec(sigma, row))
-        if sol is None or any(x.denominator != 1 for x in sol):
+    for row in rows:
+        sol = coordinates(rows, to_new, mat_vec(sigma, row))
+        if sol is None or any(x % den for x in sol):
             raise CohomologyError("involution does not preserve the enlarged lattice")
-        cols.append(vec_int(sol))
-    return transpose(mat_int(cols))
+        cols.append(tuple(x // den for x in sol))
+    return transpose(cols)

@@ -32,7 +32,7 @@ from .cohomology import (
     cocycle_class,
     elliptic_torus,
     h1,
-    kappa_from_s,
+    kappa_over,
     quotient_torus_lattice,
     tate_nakayama_pair,
 )
@@ -42,6 +42,7 @@ from .lattice import (
     dot,
     integer_kernel,
     mat_int,
+    mat_vec,
     solve_rational,
     transpose,
     vec_frac,
@@ -259,6 +260,14 @@ def require_regular(g_datum: RootDatum, x: EllipticElement, wall_eps: float = WA
                 raise EndoscopyError(f"element is numerically on the wall of root {alpha}")
 
 
+def a_signs(roots: Sequence[IntVec], a: ADatum) -> int:
+    """Product of the signs of the a-datum ratios over the given roots."""
+    out = 1
+    for alpha in roots:
+        out *= sign_of(a.ratio(alpha))
+    return out
+
+
 def root_signs(roots: Sequence[IntVec], coords: Coords) -> int:
     """Product of the signs of <alpha, v> over the given roots."""
     out = 1
@@ -277,7 +286,11 @@ class TransferFactorEngine:
     """Evaluates the normalized transfer factor for one endoscopic scenario.
 
     Carries the ambient Weyl group, both real Weyl groups, the base diagram,
-    and the exact cohomological data entering the first and third factors.
+    and the exact cohomological data entering the first and third factors:
+    2 rho_check and 2 xhat_s as integer vectors, and w^{-1} with its
+    transpose for every w, which moves roots and functionals, w . f =
+    (w^{-1})^T f.  The factors then work on integer numerators over fixed
+    denominators.
     """
 
     def __init__(
@@ -308,7 +321,12 @@ class TransferFactorEngine:
                 "scenario is not elliptic"
             )
         self.omega = omega
-        self.rho_check = _half_sum_positive_coroots(self.g_datum)
+        self.two_rho_check = _sum_positive_coroots(self.g_datum)
+        self.two_xhat_s = tuple(int(2 * x) for x in datum.xhat_s)
+        self._inverse = {}
+        for w in self.weyl_g:
+            inv = weyl_inverse(self.g_datum, w)
+            self._inverse[w.matrix] = (inv, transpose(inv.matrix))
         self.torus = elliptic_torus(self.g_datum.rank)
         self._h1 = h1(self.torus)
         self._check_tits_central()
@@ -359,56 +377,55 @@ class TransferFactorEngine:
     # -- the three factors ---------------------------------------------------
 
     def kappa_for(self, w: WeylElement):
-        moved = self.g_datum.act_on_functional(w, self.datum.xhat_s)
-        return kappa_from_s(moved, self.torus)
+        return kappa_over(self._act_on_functional(w, self.two_xhat_s), 2, self.torus)
 
     def inverse_of(self, w: WeylElement) -> WeylElement:
-        return self.g_datum.element_from_matrix(weyl_inverse(self.g_datum, w).matrix)
+        return self.g_datum.element_from_matrix(self._inverse[w.matrix][0].matrix)
+
+    def _act_on_functional(self, w: WeylElement, f: IntVec) -> IntVec:
+        """w . f = (w^{-1})^T f, for roots and integer functionals alike."""
+        return mat_vec(self._inverse[w.matrix][1], f)
 
     def delta_i(self, diagram: Diagram, a: ADatum) -> int:
         """Pairing of the splitting-cocycle class with the transported
         endoscopic character; exact, via the cohomology layer.  The value
-        depends only on the torus identification, that is on w."""
+        depends only on the torus identification, that is on w.  The phases
+        are numerators over 4: (w rho_check + rho_check)/2 + w delta(w)/2,
+        plus coroot/2 for every root w beta, beta > 0, of negative ratio."""
         d = self.g_datum
         w = diagram.w
-        phases = [Fraction(0)] * d.rank
-        mags = [Fraction(1)] * d.rank
-
-        w_rho = w.act(self.rho_check)
-        delta_vec = self.tits_delta(w)
-        w_delta = w.act(delta_vec)
-        for j in range(d.rank):
-            phases[j] += Fraction(w_rho[j] + self.rho_check[j], 2) + Fraction(w_delta[j], 2)
+        w_two_rho = w.act(self.two_rho_check)
+        w_delta = w.act(self.tits_delta(w))
+        phases = [x + y + 2 * z for x, y, z in zip(w_two_rho, self.two_rho_check, w_delta)]
+        mags = None
 
         for beta in d.positive_roots:
-            alpha = d.act_on_root(w, beta)
+            alpha = self._act_on_functional(w, beta)
             r = a.ratio(alpha)
             coroot = d.coroot(alpha)
             if r < 0:
                 for j in range(d.rank):
-                    phases[j] += Fraction(coroot[j], 2)
-            mag = abs(r)
-            if mag != 1:
+                    phases[j] += 2 * coroot[j]
+            if r != 1 and r != -1:
+                mag = abs(r)
+                if mags is None:
+                    mags = [Fraction(1)] * d.rank
                 for j in range(d.rank):
                     mags[j] *= mag ** coroot[j]
 
-        tau = TorusPoint(tuple(mags), tuple(phases))
+        tau = TorusPoint.over(phases, 4, mags)
         cls = cocycle_class(self.torus, tau, self._h1)
         return tate_nakayama_pair(cls, self.kappa_for(w))
 
     def delta_ii_roots(self, w: WeylElement) -> tuple[IntVec, ...]:
         """The positive roots outside w Phi_H, over which delta_II runs."""
-        d = self.g_datum
-        h_image = {d.act_on_root(w, beta) for beta in self.datum.h_roots}
-        return tuple(alpha for alpha in d.positive_roots if alpha not in h_image)
+        h_image = {self._act_on_functional(w, beta) for beta in self.datum.h_roots}
+        return tuple(alpha for alpha in self.g_datum.positive_roots if alpha not in h_image)
 
     def delta_ii(self, diagram: Diagram, a: ADatum) -> int:
         """Sign product over positive roots outside the image of H."""
         roots = self.delta_ii_roots(diagram.w)
-        out = root_signs(roots, diagram.x_g.coords)
-        for alpha in roots:
-            out *= sign_of(a.ratio(alpha))
-        return out
+        return root_signs(roots, diagram.x_g.coords) * a_signs(roots, a)
 
     def delta_iii(self, diagram: Diagram, base: Optional[Diagram] = None) -> int:
         """Duality pairing on the doubled torus of the two diagrams.  The
@@ -420,34 +437,32 @@ class TransferFactorEngine:
         u = self._u_torus()
         slot, f = self._delta_iii_half(diagram.w, +1)
         base_slot, base_f = self._delta_iii_half(base.w, -1)
-        x_new = u.to_new_coordinates(slot + base_slot)
-        point = TorusPoint.from_phases(x_new)
+        point = TorusPoint.over(*u.to_new_coordinates(slot + base_slot, 4))
         cls = cocycle_class(u.torus, point, self._u_h1)
-
-        f_new = u.functional_to_new(f + base_f)
-        kappa_u = kappa_from_s(f_new, u.torus)
+        kappa_u = kappa_over(*u.functional_to_new(f + base_f, 2), u.torus)
         return tate_nakayama_pair(cls, kappa_u)
 
-    def _delta_iii_half(self, w: WeylElement, sign: int) -> tuple[FracVec, FracVec]:
-        """One diagram's half of the doubled-torus point and of the character."""
-        d = self.g_datum
-        rho_back = weyl_inverse(d, w).act(self.rho_check)
+    def _delta_iii_half(self, w: WeylElement, sign: int) -> tuple[IntVec, IntVec]:
+        """One diagram's half of the doubled-torus point, as numerators over
+        4 of sign * (delta(w) - w^{-1} rho_check)/2, and of the character,
+        as numerators over 2 of w . xhat_s."""
+        rho_back = self._inverse[w.matrix][0].act(self.two_rho_check)
         delta_vec = self.tits_delta(w)
-        slot = tuple(
-            sign * (-Fraction(rho_back[j]) / 2 + Fraction(delta_vec[j], 2)) for j in range(d.rank)
-        )
-        return slot, d.act_on_functional(w, self.datum.xhat_s)
+        slot = tuple(sign * (2 * dl - rb) for rb, dl in zip(rho_back, delta_vec))
+        return slot, self._act_on_functional(w, self.two_xhat_s)
 
     # -- normalized transfer factor ---------------------------------------
 
     def transfer_table(self, a: ADatum) -> TransferTable:
         """The pair-independent part of relative_factor for every w of
         weyl_g, taken from the factors at the diagram (w, x_h, w x_h) of
-        the base point's x_h."""
+        the base point's x_h.  delta_I and delta_III depend on w alone, so
+        that diagram is taken in floats."""
         base = self.base_diagram
         position = {w.matrix: i for i, w in enumerate(self.weyl_g)}
+        x_h = EllipticElement(base.x_h.floats(), "H")
         diagrams = [
-            Diagram(self.datum, w, base.x_h, EllipticElement(tuple(w.act(base.x_h.coords)), "G"))
+            Diagram(self.datum, w, x_h, EllipticElement(tuple(w.act(x_h.coords)), "G"))
             for w in self.weyl_g
         ]
         d1 = [self.delta_i(diagram, a) for diagram in diagrams]
@@ -456,15 +471,10 @@ class TransferFactorEngine:
         entries = []
         for diagram, d1_w in zip(diagrams, d1):
             roots = self.delta_ii_roots(diagram.w)
-            # delta_II times the root signs at its own point leaves the a-signs.
-            sign = (
-                d1_w
-                * base_sign
-                * self.delta_iii(diagram, base)
-                * self.delta_ii(diagram, a)
-                * root_signs(roots, diagram.x_g.coords)
-            )
-            inverse = position[weyl_inverse(self.g_datum, diagram.w).matrix]
+            # delta_II's root signs at x_g cancel against the route's, which
+            # leaves its a-signs.
+            sign = d1_w * base_sign * self.delta_iii(diagram, base) * a_signs(roots, a)
+            inverse = position[self._inverse[diagram.w.matrix][0].matrix]
             entries.append(WeylWeight(diagram.w, inverse, sign, roots))
         return TransferTable(tuple(entries))
 
@@ -526,24 +536,16 @@ class TransferFactorEngine:
         )
         if lhs.w != w:
             raise EndoscopyError("minus-one element is not central in the Weyl group")
-        w_rho = w.act(self.rho_check)
-        vec = [self.rho_check[j] - w_rho[j] + lhs.eps[j] for j in range(d.rank)]
-        out = []
-        for x in vec:
-            fx = Fraction(x)
-            if fx.denominator != 1:
-                raise EndoscopyError("stable invariant is not integral")
-            out.append(int(fx))
-        return tuple(out)
+        w_two_rho = w.act(self.two_rho_check)
+        doubled = [x - y + 2 * e for x, y, e in zip(self.two_rho_check, w_two_rho, lhs.eps)]
+        if any(x % 2 for x in doubled):
+            raise EndoscopyError("stable invariant is not integral")
+        return tuple(x // 2 for x in doubled)
 
 
-def _half_sum_positive_coroots(datum: RootDatum) -> FracVec:
-    total = [Fraction(0)] * datum.rank
-    for r in datum.positive_roots:
-        c = datum.coroot(r)
-        for j in range(datum.rank):
-            total[j] += Fraction(c[j])
-    return tuple(t / 2 for t in total)
+def _sum_positive_coroots(datum: RootDatum) -> IntVec:
+    """2 rho_check, the sum of the positive coroots."""
+    return tuple(sum(col) for col in zip(*(datum.coroot(r) for r in datum.positive_roots)))
 
 
 def _coweight_classes(datum: RootDatum) -> list[FracVec]:

@@ -25,6 +25,14 @@ def vec_frac(v: Iterable) -> FracVec:
     return tuple(Fraction(x) for x in v)
 
 
+def common_denominator(v: Iterable) -> tuple[IntVec, int]:
+    """Integer numerators of the rationals in v over their least common
+    denominator, and that denominator."""
+    v = vec_frac(v)
+    den = lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (den // x.denominator) for x in v), den
+
+
 def mat_int(rows: Iterable[Iterable]) -> IntMat:
     return tuple(vec_int(r) for r in rows)
 
@@ -271,12 +279,15 @@ def coordinate_map(rows: Sequence[Sequence]) -> tuple[IntMat, int]:
     return mat_int(tuple(x * den for x in row) for row in p), den
 
 
-def coordinates(rows: Sequence[Sequence], cmap: tuple[IntMat, int], v: Sequence) -> Optional[FracVec]:
-    """Coordinates of v over the rows, with cmap = coordinate_map(rows), or
-    None when v is outside the span of the rows.  With fewer rows than
-    columns, P v is a solution only for v in the span, so it is checked."""
+def coordinates(rows: Sequence[Sequence], cmap: tuple[IntMat, int], v: Sequence) -> Optional[IntVec]:
+    """Numerators, over cmap's denominator, of the coordinates of v over the
+    rows, with cmap = coordinate_map(rows), or None when v is outside the
+    span of the rows.  v holds integers, or numerators over one common
+    denominator of the caller's; the coordinates then share it.  With fewer
+    rows than columns, P v is a solution only for v in the span, so it is
+    checked."""
     m, den = cmap
-    c = tuple(Fraction(dot(row, v), den) for row in m)
-    if len(rows) < len(v) and mat_vec(transpose(rows), c) != tuple(v):
+    c = tuple(dot(row, v) for row in m)
+    if len(rows) < len(v) and mat_vec(transpose(rows), c) != tuple(den * x for x in v):
         return None
     return c

@@ -28,7 +28,6 @@ from .lattice import (
     mat_mul,
     mat_vec,
     solve_rational,
-    vec_frac,
     vec_int,
 )
 
@@ -175,13 +174,6 @@ class RootDatum:
         out = f
         for i in reversed(w.word):
             out = self.reflect_root(i, out)
-        return out
-
-    def act_on_functional(self, w: WeylElement, f: FracVec) -> FracVec:
-        out = vec_frac(f)
-        for i in reversed(w.word):
-            pairing = dot(out, self.simple_coroots[i])
-            out = tuple(x - pairing * a for x, a in zip(out, self.simple_roots[i]))
         return out
 
     def root_is_negative_under(self, w: WeylElement, root: IntVec) -> bool:

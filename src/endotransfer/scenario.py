@@ -42,20 +42,44 @@ class Scenario:
     base_x_g: tuple[Fraction, ...]
     extras_g: list[tuple[int, ...]] = field(default_factory=list)
     extras_h: list[tuple[int, ...]] = field(default_factory=list)
+    # line numbers of the g and h words in [real_weyl_extras], 0 when absent
+    extras_lines: dict[str, int] = field(default_factory=dict)
+
+
+def _rational(text: str) -> Fraction:
+    """Fraction(text); a zero denominator, or a value too large for the
+    float the routes take of it, is a ValueError as well."""
+    try:
+        value = Fraction(text)
+        float(value)
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError(f"{text!r} has a zero denominator or is too large for a float")
+    return value
 
 
 def _parse_vector(text: str) -> tuple[Fraction, ...]:
     items = [p for chunk in text.split(",") for p in chunk.split()]
-    return tuple(Fraction(p) for p in items)
+    return tuple(_rational(p) for p in items)
 
 
-def _parse_words(text: str) -> list[tuple[int, ...]]:
+def _parse_words(key: str, lineno: int, text: str, problems: list) -> list[tuple[int, ...]]:
+    """Comma-separated words in the simple reflections, letters numbered
+    from 1, as 0-based index tuples; a bad word is a problem at its line."""
     words = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
-        words.append(tuple(int(p) - 1 for p in chunk.split()))
+        try:
+            letters = tuple(int(p) for p in chunk.split())
+        except ValueError:
+            letters = ()
+        if not letters or min(letters) < 1:
+            problems.append(
+                (lineno, f"real_weyl_extras {key}: word {chunk!r} must be simple root numbers 1, 2, ...")
+            )
+            continue
+        words.append(tuple(i - 1 for i in letters))
     return words
 
 
@@ -94,7 +118,7 @@ def parse_scenario(text: str) -> Scenario:
     if "form_scale" in top:
         lineno, value = top["form_scale"]
         try:
-            form_scale = Fraction(value)
+            form_scale = _rational(value)
             if form_scale <= 0:
                 problems.append((lineno, "form_scale must be positive"))
         except ValueError:
@@ -149,8 +173,9 @@ def parse_scenario(text: str) -> Scenario:
                 base_x_g = vec
 
     extras = sections.get("real_weyl_extras", {})
-    extras_g = _parse_words(extras.get("g", (0, ""))[1])
-    extras_h = _parse_words(extras.get("h", (0, ""))[1])
+    extras_lines = {key: extras[key][0] for key in ("g", "h") if key in extras}
+    extras_g = _parse_words("g", *extras.get("g", (0, "")), problems)
+    extras_h = _parse_words("h", *extras.get("h", (0, "")), problems)
 
     if problems:
         raise ScenarioError(problems)
@@ -165,6 +190,7 @@ def parse_scenario(text: str) -> Scenario:
         base_x_g=base_x_g,
         extras_g=extras_g,
         extras_h=extras_h,
+        extras_lines=extras_lines,
     )
 
 
@@ -195,6 +221,15 @@ def build_scenario(config: Scenario, base_value: complex = 1.0) -> EllipticScena
         )
     grading_h = build_grading(datum.h_datum, config.grading_h)
 
+    for key, words, side in (("g", config.extras_g, g_datum), ("h", config.extras_h, datum.h_datum)):
+        n_simple = len(side.simple_roots)
+        for word in words:
+            if any(i >= n_simple for i in word):
+                raise ScenarioError([(
+                    config.extras_lines.get(key, 0),
+                    f"real_weyl_extras {key}: word {' '.join(str(i + 1) for i in word)!r} "
+                    f"uses a simple root number above {n_simple}",
+                )])
     try:
         extras_g = tuple(g_datum.element_from_word(word) for word in config.extras_g)
         extras_h = tuple(datum.h_datum.element_from_word(word) for word in config.extras_h)

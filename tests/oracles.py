@@ -4,7 +4,8 @@ Nothing here imports the package's normal-form or cocycle machinery: the
 cohomology oracle enumerates sign points directly, and the rank-one matrix
 oracle works with literal 2x2 complex matrices.  The route oracle takes its
 transfer factors from the engine and recomputes everything else per term;
-the set-up oracle is the engine with its per-w set-up done literally.
+the set-up oracle is the engine with its per-w set-up done literally, in
+Fractions, without the package's cohomology layer.
 """
 
 from __future__ import annotations
@@ -14,8 +15,17 @@ import functools
 import itertools
 from fractions import Fraction
 
-from endotransfer.endoscopy import EndoscopyError, TransferFactorEngine
-from endotransfer.lattice import invert_rational
+from endotransfer.endoscopy import (
+    Diagram,
+    EllipticElement,
+    EndoscopyError,
+    TransferFactorEngine,
+    TransferTable,
+    WeylWeight,
+    root_signs,
+    sign_of,
+)
+from endotransfer.lattice import invert_rational, solve_rational, transpose
 from endotransfer.rootdata import RootDatumError, WeylElement
 from endotransfer.tits import inverse as tits_inverse, multiply as tits_multiply, n_of
 
@@ -355,13 +365,55 @@ def literal_tits_delta(datum, omega, w) -> tuple[int, ...]:
     return lhs.eps
 
 
-class LiteralSetup(TransferFactorEngine):
-    """The engine of a scenario with delta(w) from the triple product for
-    each w.
+def literal_act_on_functional(datum, w, f) -> tuple[Fraction, ...]:
+    """w . f, one simple reflection of w's word at a time, in Fractions."""
+    out = tuple(Fraction(x) for x in f)
+    for i in reversed(w.word):
+        pairing = sum(x * c for x, c in zip(out, datum.simple_coroots[i]))
+        out = tuple(x - pairing * a for x, a in zip(out, datum.simple_roots[i]))
+    return out
 
-    The engine takes delta(w) = 0 once n(omega) commutes with every n_i;
-    everything else is the engine's own code, so their transfer tables must
-    agree entry by entry.
+
+def literal_pairing(sigma, magnitudes, phases, xhat) -> int:
+    """The class of the point (magnitudes, phases) paired with xhat, in
+    Fractions, after the checks of the cohomology layer: t sigma(t) = 1,
+    (1 - sigma) x integral, xhat of order 2 and Galois-fixed in pi_0.
+
+    The pairing is exp(2 pi i <xhat, (1 - sigma) x>) with no H^1 reduction:
+    the class's representative differs from (1 - sigma) x by some
+    (1 - sigma) y, y integral, and <xhat, (1 - sigma) y> =
+    <(1 - sigma^T) xhat, y> is an integer for a Galois-fixed xhat."""
+    n = len(sigma)
+    for j in range(n):
+        m = magnitudes[j]
+        for k in range(n):
+            if sigma[j][k]:
+                m *= magnitudes[k] ** sigma[j][k]
+        if m != 1:
+            raise AssertionError("magnitudes violate the cocycle condition")
+    lam = [phases[i] - sum(sigma[i][k] * phases[k] for k in range(n)) for i in range(n)]
+    if any(v.denominator != 1 for v in lam):
+        raise AssertionError("(1 - sigma) x is not integral")
+    if any((2 * x).denominator != 1 for x in xhat):
+        raise AssertionError("character is not of order 2")
+    moved = [sum(sigma[k][j] * xhat[k] for k in range(n)) for j in range(n)]
+    if any((a - b).denominator != 1 for a, b in zip(moved, xhat)):
+        raise AssertionError("character is not Galois-fixed in pi_0")
+    r = sum(x * v for x, v in zip(xhat, lam))
+    if (2 * r).denominator != 1:
+        raise AssertionError("pairing is not a sign")
+    return 1 if r.denominator == 1 else -1
+
+
+class LiteralSetup(TransferFactorEngine):
+    """The engine of a scenario with its per-w set-up as it was written in
+    Fractions: delta(w) from the triple product for each w, w^{-1} by
+    rational elimination, w acting along its word, the doubled torus's
+    coordinates by elimination over its basis, and the pairings of
+    literal_pairing.  delta_I, delta_II and delta_III and the transfer table
+    are frozen copies; the rest (Weyl groups, base diagram, the doubled
+    torus's basis) is the engine's, so the two transfer tables must agree
+    entry by entry.
     """
 
     def __init__(self, engine: TransferFactorEngine):
@@ -376,6 +428,98 @@ class LiteralSetup(TransferFactorEngine):
             base.x_g,
             engine.base_value,
         )
+        d = self.g_datum
+        coroots = [d.coroot(r) for r in d.positive_roots]
+        self.rho = tuple(Fraction(sum(c[j] for c in coroots), 2) for j in range(d.rank))
+        self.u_basis = self._u_torus().basis
+        # The doubled torus's -1, in its basis: column i holds the
+        # coordinates of -basis[i].
+        columns = [self._u_coordinates(tuple(-x for x in b)) for b in self.u_basis]
+        self.u_sigma = tuple(tuple(int(c[i]) for c in columns) for i in range(len(columns)))
+
+    def _u_coordinates(self, v):
+        sol = solve_rational(transpose(self.u_basis), v)
+        if sol is None:
+            raise AssertionError("vector is outside the span of the doubled torus's lattice")
+        return sol
 
     def tits_delta(self, w):
         return literal_tits_delta(self.g_datum, self.omega, w)
+
+    def kappa_for(self, w):
+        return literal_act_on_functional(self.g_datum, w, self.datum.xhat_s)
+
+    def delta_i(self, diagram, a):
+        d = self.g_datum
+        w = diagram.w
+        phases = [Fraction(0)] * d.rank
+        mags = [Fraction(1)] * d.rank
+        w_rho = w.act(self.rho)
+        w_delta = w.act(self.tits_delta(w))
+        for j in range(d.rank):
+            phases[j] += Fraction(w_rho[j] + self.rho[j], 2) + Fraction(w_delta[j], 2)
+        for beta in d.positive_roots:
+            alpha = d.act_on_root(w, beta)
+            r = a.ratio(alpha)
+            coroot = d.coroot(alpha)
+            if r < 0:
+                for j in range(d.rank):
+                    phases[j] += Fraction(coroot[j], 2)
+            mag = abs(r)
+            if mag != 1:
+                for j in range(d.rank):
+                    mags[j] *= mag ** coroot[j]
+        return literal_pairing(self.torus.involution, mags, phases, self.kappa_for(w))
+
+    def delta_ii_roots(self, w):
+        d = self.g_datum
+        h_image = {d.act_on_root(w, beta) for beta in self.datum.h_roots}
+        return tuple(alpha for alpha in d.positive_roots if alpha not in h_image)
+
+    def delta_ii(self, diagram, a):
+        roots = self.delta_ii_roots(diagram.w)
+        out = root_signs(roots, diagram.x_g.coords)
+        for alpha in roots:
+            out *= sign_of(a.ratio(alpha))
+        return out
+
+    def delta_iii(self, diagram, base=None):
+        if base is None:
+            base = self.base_diagram
+        slot, f = self._delta_iii_half(diagram.w, +1)
+        base_slot, base_f = self._delta_iii_half(base.w, -1)
+        x_new = self._u_coordinates(slot + base_slot)
+        f_new = tuple(sum(x * b for x, b in zip(f + base_f, row)) for row in self.u_basis)
+        return literal_pairing(self.u_sigma, (Fraction(1),) * len(x_new), x_new, f_new)
+
+    def _delta_iii_half(self, w, sign):
+        d = self.g_datum
+        rho_back = literal_weyl_inverse(d, w).act(self.rho)
+        delta_vec = self.tits_delta(w)
+        slot = tuple(
+            sign * (-Fraction(rho_back[j]) / 2 + Fraction(delta_vec[j], 2)) for j in range(d.rank)
+        )
+        return slot, self.kappa_for(w)
+
+    def transfer_table(self, a):
+        base = self.base_diagram
+        position = {w.matrix: i for i, w in enumerate(self.weyl_g)}
+        diagrams = [
+            Diagram(self.datum, w, base.x_h, EllipticElement(tuple(w.act(base.x_h.coords)), "G"))
+            for w in self.weyl_g
+        ]
+        d1 = [self.delta_i(diagram, a) for diagram in diagrams]
+        base_sign = d1[position[base.w.matrix]] * self.delta_ii(base, a)
+        entries = []
+        for diagram, d1_w in zip(diagrams, d1):
+            roots = self.delta_ii_roots(diagram.w)
+            sign = (
+                d1_w
+                * base_sign
+                * self.delta_iii(diagram, base)
+                * self.delta_ii(diagram, a)
+                * root_signs(roots, diagram.x_g.coords)
+            )
+            inverse = position[literal_weyl_inverse(self.g_datum, diagram.w).matrix]
+            entries.append(WeylWeight(diagram.w, inverse, sign, roots))
+        return TransferTable(tuple(entries))

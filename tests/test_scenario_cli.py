@@ -270,6 +270,44 @@ def test_run_verify_refuses_non_elliptic_datum():
         run_verify(sc, 1, 0)
 
 
+MIXED = builtin_scenario_path("sl2xsl2_mixed").read_text(encoding="utf-8")
+
+
+def _with_extras(line):
+    return MIXED.replace("[base_point]", f"[real_weyl_extras]\n{line}\n\n[base_point]")
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        (MIXED.replace("form_scale = 1", "form_scale = 1/0"), "form_scale = 1/0"),
+        (MIXED.replace("x_h = 1, 1/2", "x_h = 1, 1/0"), "x_h = 1, 1/0"),
+        (MIXED.replace("form_scale = 1", "form_scale = 1e400"), "form_scale = 1e400"),
+        (MIXED.replace("x_g = 1, 1/2", "x_g = 1e400, 1/2"), "x_g = 1e400, 1/2"),
+        (_with_extras("g = a b"), "g = a b"),
+        (_with_extras("g = 0"), "g = 0"),
+        (_with_extras("g = -1"), "g = -1"),
+        (_with_extras("g = 3"), "g = 3"),
+        (_with_extras("h = 0"), "h = 0"),
+        (_with_extras("h = 2"), "h = 2"),
+        (_with_extras("h = 1 x"), "h = 1 x"),
+    ],
+)
+def test_bad_scenario_values_name_their_line(tmp_path, text, line):
+    """A zero denominator, a value too large for a float, and a real-Weyl
+    word whose letters are not simple root numbers of G (two) or of H (one),
+    are refused at their own line, in process and by verify with exit 2."""
+    lineno = text.splitlines().index(line) + 1
+    with pytest.raises(ScenarioError) as exc:
+        build_scenario(parse_scenario(text))
+    assert [n for n, _ in exc.value.problems] == [lineno]
+    scn = tmp_path / "bad.scn"
+    scn.write_text(text, encoding="utf-8")
+    res = _run_cli("verify", str(scn), "--samples", "1")
+    assert res.returncode == 2
+    assert f"line {lineno}:" in res.stderr and "Traceback" not in res.stderr
+
+
 def test_scenario_with_identity_extras():
     text = GOLDEN.replace(
         "[base_point]", "[real_weyl_extras]\ng = 1 1\n\n[base_point]"

@@ -1,9 +1,11 @@
 """The engine's exact set-up -- delta(w) = 0 after the check on the simple
-reflections, w^{-1} along the reversed word -- must equal the literal per-w
-path of oracles.LiteralSetup on every nontrivial character of ten Cartan
-types of rank <= 3."""
+reflections, w^{-1} along the reversed word, delta_I and delta_III on
+integer numerators over fixed denominators -- must equal the literal per-w
+Fraction path of oracles.LiteralSetup on every nontrivial character of ten
+Cartan types of rank <= 3, and on a-data with negative and non-unit ratios."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,11 +26,12 @@ from oracles import LiteralSetup, literal_weyl_inverse
 TYPES = ("A1", "A1xA1", "B2", "C2", "G2", "A1xA1xA1", "A1xB2", "A1xG2", "B3", "C3")
 
 
-def _engine(g_type, signs):
-    """All roots noncompact; base point (1/2, 2/3, 3/4, ...) on both sides."""
+def _engine(g_type, signs, grades=None):
+    """All roots noncompact unless the simple grades are given; base point
+    (1/2, 2/3, 3/4, ...) on both sides."""
     g = build_root_datum(g_type)
     datum = build_endoscopic_datum(g, signs)
-    grading_g = build_grading(g, [1] * g.rank)
+    grading_g = build_grading(g, [1] * g.rank if grades is None else grades)
     grading_h = build_grading(datum.h_datum, [1] * len(datum.h_datum.simple_roots))
     point = tuple(Fraction(k + 1, k + 2) for k in range(g.rank))
     return TransferFactorEngine(
@@ -61,6 +64,52 @@ def test_setup_matches_literal_path(g_type):
             expected = literal_weyl_inverse(g, w)
             assert (inv.matrix, inv.word) == (expected.matrix, expected.word), w.word
         assert _entries(eng.transfer_table(a)) == _entries(literal.transfer_table(a)), signs
+
+
+def _a_datum(g, seed):
+    """Seeded ratios of either sign and of magnitude 1, 2, 1/3 or 5/2."""
+    rng = random.Random(seed)
+    sizes = (Fraction(1), Fraction(2), Fraction(1, 3), Fraction(5, 2))
+    return ADatum(tuple((r, rng.choice((1, -1)) * rng.choice(sizes)) for r in g.positive_roots))
+
+
+@pytest.mark.parametrize("seed", (11, 12, 13))
+@pytest.mark.parametrize("g_type", ("C2", "G2", "B3"))
+def test_setup_matches_literal_path_on_other_a_data(g_type, seed):
+    """Negative ratios move delta_I's phases; non-unit ones take its
+    magnitude branch."""
+    g = build_root_datum(g_type)
+    a = _a_datum(g, seed)
+    ratios = [r for _, r in a.ratios]
+    assert any(r < 0 for r in ratios) and any(abs(r) != 1 for r in ratios)
+    for signs in itertools.product((1, -1), repeat=g.rank):
+        if all(s == 1 for s in signs):
+            continue
+        eng = _engine(g_type, signs)
+        assert _entries(eng.transfer_table(a)) == _entries(LiteralSetup(eng).transfer_table(a)), signs
+
+
+def test_transfer_table_goes_through_the_cohomology_layer(monkeypatch):
+    """On B3, s = (+1, +1, -1), alpha1 and alpha2 compact, one table build
+    classifies and pairs exactly once per w for delta_I and once for
+    delta_III: 2 |W| = 96 calls of each."""
+    calls = {"cocycle_class": 0, "tate_nakayama_pair": 0}
+
+    def counted(name):
+        original = getattr(endoscopy, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    eng = _engine("B3", (1, 1, -1), grades=(0, 0, 1))
+    assert len(eng.weyl_g) == 48
+    for name in calls:
+        monkeypatch.setattr(endoscopy, name, counted(name))
+    eng.transfer_table(ADatum.default(eng.g_datum))
+    assert calls == {"cocycle_class": 96, "tate_nakayama_pair": 96}
 
 
 def test_engine_refuses_nonzero_delta_of_a_simple_reflection(monkeypatch):
