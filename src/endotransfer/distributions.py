@@ -104,7 +104,8 @@ class Side:
 
     def form_image(self, v) -> tuple[float, ...]:
         """B v before the scale: each row of the form paired with v."""
-        return tuple(sum(b * float(x) for b, x in zip(row, v)) for row in self._form)
+        v = tuple(map(float, v))
+        return tuple(sum(map(mul, row, v)) for row in self._form)
 
     def bform(self, u, v) -> float:
         return self._scale * _contract(map(float, u), self.form_image(v))
@@ -127,13 +128,22 @@ class Side:
         """What a kernel needs of its second argument: [D/pi](y) and B y."""
         return self.d_over_pi(y), self.form_image(y.floats())
 
-    def weyl_sum(self, front: complex, orbit, bv, terms=None) -> complex:
-        """Sum over the orbit of front * det(w) * exp(-i B(w u, v)), given
-        the orbit of u from x_part and B v from y_part."""
+    def exponential(self, image, bv) -> complex:
+        """exp(-i B(u, v)) for the float image u, given B v from y_part."""
+        return cmath.exp(1j * -(self._scale * _contract(image, bv)))
+
+    @staticmethod
+    def index(orbit, images: dict):
+        """The orbit as (w, k, det w), k the position of w u among the
+        distinct float images collected so far in images."""
+        return tuple((w, images.setdefault(image, len(images)), det) for w, image, det in orbit)
+
+    def weyl_sum(self, front: complex, orbit, phases, terms=None) -> complex:
+        """Sum over an indexed orbit of front * det(w) * phases[k], where
+        phases[k] is the exponential of the k-th image."""
         total = complex(0.0)
-        for w, image, det in orbit:
-            phase = -(self._scale * _contract(image, bv))
-            contrib = front * det * cmath.exp(1j * phase)
+        for w, k, det in orbit:
+            contrib = front * det * phases[k]
             if terms is not None:
                 terms.append((w, contrib))
             total += contrib
@@ -218,8 +228,11 @@ def rossmann_kernel(side: Side, x: EllipticElement, y: EllipticElement) -> Kerne
     det(w) exp(-i B(w u, v)); the form convention is <iu, iv> = -B(u, v)."""
     front_x, orbit = side.x_part(x)
     d_y, bv = side.y_part(y)
+    images: dict = {}
+    orbit = side.index(orbit, images)
+    phases = [side.exponential(image, bv) for image in images]
     terms: list = []
-    total = side.weyl_sum(front_x * d_y, orbit, bv, terms)
+    total = side.weyl_sum(front_x * d_y, orbit, phases, terms)
     return KernelValue(total, tuple(terms))
 
 
@@ -235,7 +248,10 @@ def _gstar_regular_or_zero(scenario: EllipticScenario, x_h: EllipticElement) -> 
 
 
 def d_gh(scenario: EllipticScenario, x_h: EllipticElement, x_g: EllipticElement) -> complex:
-    """Transfer route: Weyl-group sum of ambient kernels with factor weights."""
+    """Transfer route: Weyl-group sum of ambient kernels with factor weights.
+
+    B x_g is fixed, so each distinct float image of the moved orbits gets
+    its exponential once per call."""
     if not _gstar_regular_or_zero(scenario, x_h):
         return complex(0.0)
     require_regular(scenario.engine.g_datum, x_g)
@@ -243,27 +259,39 @@ def d_gh(scenario: EllipticScenario, x_h: EllipticElement, x_g: EllipticElement)
     side = scenario.g_side
     d_y, bv = side.y_part(x_g)
     mu = x_h.coords
-    total = complex(0.0)
+    images: dict = {}
+    kernels = []
     for entry in scenario.transfer_table.entries:
         target = scenario.g_element(entry.w.act(mu))
         weight = entry.factor(target.coords) * eng.base_value
         if weight == 0:
             continue
         front_x, orbit = side.x_part(target)
-        total += weight * side.weyl_sum(front_x * d_y, orbit, bv)
+        kernels.append((weight, front_x * d_y, side.index(orbit, images)))
+    phases = [side.exponential(image, bv) for image in images]
+    total = complex(0.0)
+    for weight, front, orbit in kernels:
+        total += weight * side.weyl_sum(front, orbit, phases)
     gamma = complex(side.gamma)
     return gamma * total / len(eng.real_weyl_g)
 
 
 def d_tilde_gh(scenario: EllipticScenario, x_h: EllipticElement, x_g: EllipticElement) -> complex:
-    """Transform route: doubled endoscopic sum against pulled-back elements."""
+    """Transform route: doubled endoscopic sum against pulled-back elements.
+
+    The W_H-moved orbits of x_h are the same for every w, so each distinct
+    float image among them gets its exponential once per w."""
     if not _gstar_regular_or_zero(scenario, x_h):
         return complex(0.0)
     require_regular(scenario.engine.g_datum, x_g)
     eng = scenario.engine
     side = scenario.h_side
     entries = scenario.transfer_table.entries
-    moved = [side.x_part(scenario.h_element(wp.act(x_h.coords))) for wp in eng.weyl_h]
+    images: dict = {}
+    moved = []
+    for wp in eng.weyl_h:
+        front_x, orbit = side.x_part(scenario.h_element(wp.act(x_h.coords)))
+        moved.append((front_x, side.index(orbit, images)))
     nu = x_g.coords
     total = complex(0.0)
     for entry in entries:
@@ -272,45 +300,55 @@ def d_tilde_gh(scenario: EllipticScenario, x_h: EllipticElement, x_g: EllipticEl
         if weight == 0:
             continue
         d_y, bv = side.y_part(pulled)
+        phases = [side.exponential(image, bv) for image in images]
         inner = complex(0.0)
         for front_x, orbit in moved:
-            inner += side.weyl_sum(front_x * d_y, orbit, bv)
+            inner += side.weyl_sum(front_x * d_y, orbit, phases)
         total += weight * inner
     gamma = complex(side.gamma)
     return gamma * total / (len(eng.real_weyl_h) * len(eng.weyl_h))
+
+
+def _g_constants(scenario: EllipticScenario, x_g: EllipticElement):
+    """gamma * prefactor * [D/pi](x_g) and B x_g: what every G-term shares."""
+    s = scenario.g_side
+    return complex(s.gamma) * complex(s.prefactor) * s.d_over_pi(x_g), s.form_image(x_g.floats())
+
+
+def _h_constants(scenario: EllipticScenario, x_h: EllipticElement):
+    """gamma * prefactor * [D/pi](x_h) and x_h as floats: what every H-term shares."""
+    s = scenario.h_side
+    return complex(s.gamma) * complex(s.prefactor) * s.d_over_pi(x_h), x_h.floats()
+
+
+def _g_term(scenario: EllipticScenario, front: complex, bx_g, entry, x_h: EllipticElement) -> complex:
+    """The w-term of the transfer route, w = entry.w, from _g_constants."""
+    s = scenario.g_side
+    target = scenario.g_element(entry.w.act(x_h.coords))
+    weight = entry.factor(target.coords) * scenario.engine.base_value
+    return front * weight * s.d_over_pi(target) * s.exponential(target.floats(), bx_g)
+
+
+def _h_term(
+    scenario: EllipticScenario, front: complex, u_h, w: WeylElement, inverse_entry, x_g: EllipticElement
+) -> complex:
+    """The w-term of the transform route, from _h_constants; its weight is
+    the table entry of w^{-1} at x_g."""
+    s = scenario.h_side
+    pulled = scenario.h_element(w.act(x_g.coords))
+    weight = inverse_entry.factor(x_g.coords) * scenario.engine.base_value
+    return front * weight * s.d_over_pi(pulled) * s.exponential(u_h, s.form_image(pulled.floats()))
 
 
 def explicit_term(
     scenario: EllipticScenario, w: WeylElement, x_h: EllipticElement, x_g: EllipticElement, side: str
 ) -> complex:
     """Single-exponential w-term of the closed-form expansion of either route."""
-    eng = scenario.engine
     table = scenario.transfer_table
     if side == "G":
-        s = scenario.g_side
-        target = scenario.g_element(w.act(x_h.coords))
-        weight = table.entry(w).factor(target.coords) * eng.base_value
-        phase = -s.bform(target.floats(), x_g.floats())
-        return (
-            complex(s.gamma)
-            * complex(s.prefactor)
-            * s.d_over_pi(x_g)
-            * weight
-            * s.d_over_pi(target)
-            * cmath.exp(1j * phase)
-        )
-    s = scenario.h_side
-    pulled = scenario.h_element(w.act(x_g.coords))
-    weight = table.entries[table.entry(w).inverse].factor(x_g.coords) * eng.base_value
-    phase = -s.bform(x_h.floats(), pulled.floats())
-    return (
-        complex(s.gamma)
-        * complex(s.prefactor)
-        * s.d_over_pi(x_h)
-        * weight
-        * s.d_over_pi(pulled)
-        * cmath.exp(1j * phase)
-    )
+        return _g_term(scenario, *_g_constants(scenario, x_g), table.entry(w), x_h)
+    inverse_entry = table.entries[table.entry(w).inverse]
+    return _h_term(scenario, *_h_constants(scenario, x_h), w, inverse_entry, x_g)
 
 
 def verify_identity(
@@ -330,10 +368,13 @@ def verify_identity(
     regular = _gstar_regular_or_zero(scenario, x_h)
     if regular:
         entries = scenario.transfer_table.entries
+        g_front, bx_g = _g_constants(scenario, x_g)
+        h_front, u_h = _h_constants(scenario, x_h)
         h_terms = [complex(0.0)] * len(entries)
         for entry in entries:
-            t_lhs = explicit_term(scenario, entry.w, x_h, x_g, "G")
-            t_rhs = explicit_term(scenario, entries[entry.inverse].w, x_h, x_g, "H")
+            paired = entries[entry.inverse]
+            t_lhs = _g_term(scenario, g_front, bx_g, entry, x_h)
+            t_rhs = _h_term(scenario, h_front, u_h, paired.w, entries[paired.inverse], x_g)
             h_terms[entry.inverse] = t_rhs
             comparisons.append(
                 TermComparison(entry.w.word, t_lhs, t_rhs, abs(t_lhs - t_rhs))

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from .cohomology import (
@@ -272,7 +273,11 @@ def root_signs(roots: Sequence[IntVec], coords: Coords) -> int:
     """Product of the signs of <alpha, v> over the given roots."""
     out = 1
     for alpha in roots:
-        out *= sign_of(dot(alpha, coords))
+        value = sum(map(mul, alpha, coords))
+        if not value > 0:
+            if value == 0:
+                raise EndoscopyError("sign of zero requested; regularity leak")
+            out = -out
     return out
 
 

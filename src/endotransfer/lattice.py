@@ -49,7 +49,7 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]):
 
 
 def mat_vec(a: Sequence[Sequence], v: Sequence):
-    return tuple(sum(a[i][k] * v[k] for k in range(len(v))) for i in range(len(a)))
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def dot(u: Sequence, v: Sequence):

@@ -9,6 +9,7 @@ violated invariant.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from .distributions import EllipticScenario, make_scenario
@@ -46,9 +47,20 @@ class Scenario:
     extras_lines: dict[str, int] = field(default_factory=dict)
 
 
+# Fraction(text) builds 10**e for a decimal exponent e, so e is bounded
+# from the text first.  A mantissa has at most 4300 digits (int's limit on
+# conversions from str), so beyond this bound a nonzero value is always
+# above the float range or below it; a zero mantissa is refused there too.
+_MAX_EXPONENT = 5000
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
 def _rational(text: str) -> Fraction:
     """Fraction(text); a zero denominator, or a value too large for the
     float the routes take of it, is a ValueError as well."""
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent.group(1))) > _MAX_EXPONENT:
+        raise ValueError(f"{text!r} has an exponent beyond {_MAX_EXPONENT}, out of a float's range")
     try:
         value = Fraction(text)
         float(value)
@@ -233,10 +245,21 @@ def build_scenario(config: Scenario, base_value: complex = 1.0) -> EllipticScena
     try:
         extras_g = tuple(g_datum.element_from_word(word) for word in config.extras_g)
         extras_h = tuple(datum.h_datum.element_from_word(word) for word in config.extras_h)
-        rw_g = real_weyl_group(grading_g, extras_g)
+        rw_g = real_weyl_group(grading_g)
         rw_h = real_weyl_group(grading_h, extras_h)
     except (GradingError, RootDatumError) as e:
         raise ScenarioError([(0, f"real Weyl group: {e}")])
+    # G is simply connected, so its real Weyl group is W_K, which the compact
+    # reflections generate; an extra for G can only restate a member of it.
+    w_k = {w.matrix for w in rw_g}
+    for word, w in zip(config.extras_g, extras_g):
+        if w.matrix not in w_k:
+            raise ScenarioError([(
+                config.extras_lines.get("g", 0),
+                f"real_weyl_extras g: word {' '.join(str(i + 1) for i in word)!r} is not in W_K, "
+                "the group generated by the compact reflections, which is the whole real Weyl "
+                "group of the simply connected G",
+            )])
 
     if len(config.base_x_h) != g_datum.rank or len(config.base_x_g) != g_datum.rank:
         raise ScenarioError([(0, "base_point vectors must have length equal to the rank")])

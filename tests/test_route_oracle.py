@@ -1,11 +1,13 @@
 """The routes read per-scenario tables; the literal term-by-term routes of
 oracles.LiteralRoutes must give the same reports to the last bit."""
 
+import cmath
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from endotransfer import distributions
 from endotransfer.distributions import verify_identity
 from endotransfer.endoscopy import EllipticElement
 from endotransfer.scenario import build_scenario, builtin_scenario_path, parse_scenario
@@ -64,14 +66,75 @@ x_h = 1/2, 2/3
 x_g = 1/2, 2/3
 """
 
+# Two data of the cold sweep (split-count grading, base point 1/2, 2/3, 3/4)
+# on which the float images of the routes' orbits collide only in part, so
+# that an exponential shared by image is read by some terms and not others.
+C3_SWEEP = """
+name = C3_-+-
+g_type = C3
+form_scale = 1
+
+[grading_g]
+alpha1 = compact
+alpha2 = noncompact
+alpha3 = compact
+
+[s_character]
+alpha1 = -1
+alpha2 = +1
+alpha3 = -1
+
+[grading_h]
+alpha1 = noncompact
+alpha2 = noncompact
+
+[base_point]
+x_h = 1/2, 2/3, 3/4
+x_g = 1/2, 2/3, 3/4
+"""
+
+A1XG2_SWEEP = """
+name = A1xG2_---
+g_type = A1xG2
+form_scale = 1
+
+[grading_g]
+alpha1 = noncompact
+alpha2 = compact
+alpha3 = noncompact
+
+[s_character]
+alpha1 = -1
+alpha2 = -1
+alpha3 = -1
+
+[grading_h]
+alpha1 = noncompact
+alpha2 = noncompact
+
+[base_point]
+x_h = 1/2, 2/3, 3/4
+x_g = 1/2, 2/3, 3/4
+"""
+
 SHIPPED = ("sl2_endoscopy", "sl2_compact", "sl2xsl2_mixed", "sl2xsl2_double", "sp4_endoscopy")
-CASES = [(name, 4) for name in SHIPPED] + [("b3_kernel", 2), ("g2_failing", 3)]
+GENERATED = {
+    "b3_kernel": B3_KERNEL,
+    "g2_failing": G2_FAILING,
+    "c3_sweep": C3_SWEEP,
+    "a1xg2_sweep": A1XG2_SWEEP,
+}
+CASES = [(name, 4) for name in SHIPPED] + [
+    ("b3_kernel", 2),
+    ("g2_failing", 3),
+    ("c3_sweep", 2),
+    ("a1xg2_sweep", 2),
+]
 
 
 def _text(name: str) -> str:
-    generated = {"b3_kernel": B3_KERNEL, "g2_failing": G2_FAILING}
-    if name in generated:
-        return generated[name]
+    if name in GENERATED:
+        return GENERATED[name]
     return builtin_scenario_path(name).read_text(encoding="utf-8")
 
 
@@ -111,3 +174,47 @@ def test_exact_points_match_literal_oracle():
     x_h = EllipticElement((F(3, 2), F(-2, 7)), "H")
     x_g = EllipticElement((F(5, 3), F(1, 5)), "G")
     assert repr(verify_identity(scenario, x_h, x_g)) == repr(oracle.verify_identity(x_h, x_g))
+
+
+class _CountingCmath:
+    """Stands in for the distributions module's cmath and counts exp calls."""
+
+    def __init__(self):
+        self.exp_calls = 0
+
+    def exp(self, z):
+        self.exp_calls += 1
+        return cmath.exp(z)
+
+
+def _images(real_weyl, points) -> set:
+    """The distinct float images w u over the real Weyl group and the points."""
+    return {
+        tuple(sum(float(m) * x for m, x in zip(row, u)) for row in w.matrix)
+        for u in points
+        for w in real_weyl
+    }
+
+
+def test_routes_compute_each_distinct_exponential_once(monkeypatch):
+    """On the b3_kernel datum d_gh takes one exponential per distinct float
+    image w_r w x_h (w in W, w_r in W_real(G)), and d_tilde_gh one per w in
+    W and distinct image w_r w' x_h (w' in W_H, w_r in W_real(H)), fewer
+    than their terms."""
+    scenario = build_scenario(parse_scenario(B3_KERNEL))
+    eng = scenario.engine
+    rng = random.Random(5)
+    x_h = EllipticElement(sample_regular_vector(scenario, rng), "H")
+    x_g = EllipticElement(sample_regular_vector(scenario, rng), "G")
+    g_images = _images(eng.real_weyl_g, [tuple(map(float, w.act(x_h.coords))) for w in eng.weyl_g])
+    h_images = _images(eng.real_weyl_h, [tuple(map(float, w.act(x_h.coords))) for w in eng.weyl_h])
+    assert len(g_images) < len(eng.weyl_g) * len(eng.real_weyl_g)
+    assert len(h_images) < len(eng.weyl_h) * len(eng.real_weyl_h)
+
+    counter = _CountingCmath()
+    monkeypatch.setattr(distributions, "cmath", counter)
+    distributions.d_gh(scenario, x_h, x_g)
+    assert counter.exp_calls == len(g_images)
+    counter.exp_calls = 0
+    distributions.d_tilde_gh(scenario, x_h, x_g)
+    assert counter.exp_calls == len(eng.weyl_g) * len(h_images)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -291,21 +292,40 @@ def _with_extras(line):
         (_with_extras("h = 0"), "h = 0"),
         (_with_extras("h = 2"), "h = 2"),
         (_with_extras("h = 1 x"), "h = 1 x"),
+        (MIXED.replace("x_h = 1, 1/2", "x_h = 1e10000000, 1/2"), "x_h = 1e10000000, 1/2"),
+        (MIXED.replace("form_scale = 1", "form_scale = 1e-10000000"), "form_scale = 1e-10000000"),
+        (_with_extras("g = 1"), "g = 1"),
     ],
 )
 def test_bad_scenario_values_name_their_line(tmp_path, text, line):
-    """A zero denominator, a value too large for a float, and a real-Weyl
+    """A zero denominator, a value out of a float's range (an exponent too
+    large to build is refused from the text, within a second), a real-Weyl
     word whose letters are not simple root numbers of G (two) or of H (one),
-    are refused at their own line, in process and by verify with exit 2."""
+    and a G word outside W_K are refused at their own line, in process and
+    by verify with exit 2."""
     lineno = text.splitlines().index(line) + 1
+    start = time.perf_counter()
     with pytest.raises(ScenarioError) as exc:
         build_scenario(parse_scenario(text))
+    assert time.perf_counter() - start < 1.0
     assert [n for n, _ in exc.value.problems] == [lineno]
     scn = tmp_path / "bad.scn"
     scn.write_text(text, encoding="utf-8")
     res = _run_cli("verify", str(scn), "--samples", "1")
     assert res.returncode == 2
     assert f"line {lineno}:" in res.stderr and "Traceback" not in res.stderr
+
+
+def test_g_extra_outside_w_k_is_refused_with_its_reason(tmp_path):
+    """sl2xsl2_mixed is split, so W_K is trivial and s1 is no real Weyl
+    element of G; identity words stay accepted."""
+    scn = tmp_path / "extra.scn"
+    scn.write_text(_with_extras("g = 1 1, 1"), encoding="utf-8")
+    res = _run_cli("verify", str(scn), "--samples", "1")
+    assert res.returncode == 2 and "Traceback" not in res.stderr
+    assert "word '1' is not in W_K" in res.stderr and "compact reflections" in res.stderr
+    sc = build_scenario(parse_scenario(_with_extras("g = 1 1, 2 2")))
+    assert len(sc.engine.real_weyl_g) == 1
 
 
 def test_scenario_with_identity_extras():
