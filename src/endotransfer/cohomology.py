@@ -142,9 +142,6 @@ class TorusPoint:
     def inverse(self) -> "TorusPoint":
         return TorusPoint.over([-x for x in self.numerators], self.denominator, [1 / m for m in self.magnitudes])
 
-    def is_one(self) -> bool:
-        return all(m == 1 for m in self.magnitudes) and not any(self.numerators)
-
 
 def galois_act(torus: RealTorus, t: TorusPoint) -> TorusPoint:
     """sigma_T(t)_j = prod_k conj(t_k)^{sigma[j][k]}."""
@@ -226,14 +223,6 @@ class CohomologyClass:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coordinates)
-
-    def __add__(self, other: "CohomologyClass") -> "CohomologyClass":
-        if other.torus != self.torus:
-            raise CohomologyError("classes on different tori")
-        coords = tuple(
-            (a + b) % d for a, b, d in zip(self.coordinates, other.coordinates, self.group.divisors)
-        )
-        return CohomologyClass(self.torus, self.group, coords)
 
 
 def h1(torus: RealTorus) -> H1Group:

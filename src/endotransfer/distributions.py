@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Optional
 
 from .endoscopy import (
     ADatum,
@@ -181,7 +180,6 @@ class EllipticScenario:
     engine: TransferFactorEngine
     g_side: Side
     h_side: Side
-    a_datum: ADatum
 
     @property
     def weyl_g(self):
@@ -194,32 +192,19 @@ class EllipticScenario:
     @cached_property
     def transfer_table(self) -> TransferTable:
         """The routes' per-w transfer data, built on first use."""
-        return self.engine.transfer_table(self.a_datum)
-
-    def h_element(self, coords) -> EllipticElement:
-        return EllipticElement(tuple(coords), "H")
-
-    def g_element(self, coords) -> EllipticElement:
-        return EllipticElement(tuple(coords), "G")
+        return self.engine.transfer_table()
 
 
 def make_scenario(
     name: str,
     engine: TransferFactorEngine,
     form_scale=Fraction(1),
-    a_datum: Optional[ADatum] = None,
 ) -> EllipticScenario:
     g = engine.g_datum
     h = engine.datum.h_datum
     g_side = Side(g, engine.grading_g, engine.real_weyl_g, g.invariant_form, form_scale)
     h_side = Side(h, engine.grading_h, engine.real_weyl_h, g.invariant_form, form_scale)
-    return EllipticScenario(
-        name=name,
-        engine=engine,
-        g_side=g_side,
-        h_side=h_side,
-        a_datum=a_datum or ADatum.default(g),
-    )
+    return EllipticScenario(name=name, engine=engine, g_side=g_side, h_side=h_side)
 
 
 def rossmann_kernel(side: Side, x: EllipticElement, y: EllipticElement) -> KernelValue:
@@ -262,7 +247,7 @@ def d_gh(scenario: EllipticScenario, x_h: EllipticElement, x_g: EllipticElement)
     images: dict = {}
     kernels = []
     for entry in scenario.transfer_table.entries:
-        target = scenario.g_element(entry.w.act(mu))
+        target = EllipticElement(entry.w.act(mu))
         weight = entry.factor(target.coords) * eng.base_value
         if weight == 0:
             continue
@@ -290,12 +275,12 @@ def d_tilde_gh(scenario: EllipticScenario, x_h: EllipticElement, x_g: EllipticEl
     images: dict = {}
     moved = []
     for wp in eng.weyl_h:
-        front_x, orbit = side.x_part(scenario.h_element(wp.act(x_h.coords)))
+        front_x, orbit = side.x_part(EllipticElement(wp.act(x_h.coords)))
         moved.append((front_x, side.index(orbit, images)))
     nu = x_g.coords
     total = complex(0.0)
     for entry in entries:
-        pulled = scenario.h_element(entry.w.act(nu))
+        pulled = EllipticElement(entry.w.act(nu))
         weight = entries[entry.inverse].factor(nu) * eng.base_value
         if weight == 0:
             continue
@@ -324,7 +309,7 @@ def _h_constants(scenario: EllipticScenario, x_h: EllipticElement):
 def _g_term(scenario: EllipticScenario, front: complex, bx_g, entry, x_h: EllipticElement) -> complex:
     """The w-term of the transfer route, w = entry.w, from _g_constants."""
     s = scenario.g_side
-    target = scenario.g_element(entry.w.act(x_h.coords))
+    target = EllipticElement(entry.w.act(x_h.coords))
     weight = entry.factor(target.coords) * scenario.engine.base_value
     return front * weight * s.d_over_pi(target) * s.exponential(target.floats(), bx_g)
 
@@ -335,7 +320,7 @@ def _h_term(
     """The w-term of the transform route, from _h_constants; its weight is
     the table entry of w^{-1} at x_g."""
     s = scenario.h_side
-    pulled = scenario.h_element(w.act(x_g.coords))
+    pulled = EllipticElement(w.act(x_g.coords))
     weight = inverse_entry.factor(x_g.coords) * scenario.engine.base_value
     return front * weight * s.d_over_pi(pulled) * s.exponential(u_h, s.form_image(pulled.floats()))
 
@@ -412,12 +397,12 @@ def delta_ii_ratio_check(
     value identities on the endoscopic subsystem."""
     eng = scenario.engine
     d = eng.g_datum
-    a = scenario.a_datum
+    a = ADatum.default(d)
 
-    target = scenario.g_element(w.act(x_h.coords))
+    target = EllipticElement(w.act(x_h.coords))
     d1 = Diagram(eng.datum, w, x_h, target)
     winv = eng.inverse_of(w)
-    pulled = scenario.h_element(winv.act(x_g.coords))
+    pulled = EllipticElement(winv.act(x_g.coords))
     d2 = Diagram(eng.datum, w, pulled, x_g)
     lhs_ratio = eng.delta_ii(d1, a) * eng.delta_ii(d2, a)
 

@@ -41,8 +41,6 @@ from .lattice import (
     FracVec,
     IntVec,
     dot,
-    integer_kernel,
-    mat_int,
     mat_vec,
     solve_rational,
     transpose,
@@ -76,7 +74,6 @@ class EndoscopicDatum:
     xhat_s: FracVec                      # functional with e^{2 pi i <xhat,coroot>} = s
     h_roots: tuple[IntVec, ...]
     h_datum: RootDatum
-    elliptic: bool
 
     def s_value(self, coroot: IntVec) -> int:
         r = dot(self.xhat_s, coroot)
@@ -87,10 +84,9 @@ class EndoscopicDatum:
 
 @dataclass(frozen=True)
 class EllipticElement:
-    """X = i v on the compact Cartan, tagged by the side it lives on."""
+    """X = i v on the compact Cartan, for either group of the pair."""
 
     coords: Coords
-    side: str = "G"
 
     def is_exact(self) -> bool:
         return all(isinstance(c, Fraction) for c in self.coords)
@@ -139,9 +135,9 @@ class WeylWeight:
 
         relative_factor(diagram) = sign * root_signs(roots, x_g).
 
-    sign is delta_I(w) delta_I(base) delta_III(w, base) delta_II(base) times
-    the a-datum signs of delta_II(w); roots are the positive roots outside
-    w Phi_H; inverse is the position of w^{-1} in the ambient Weyl group.
+    sign is delta_I(w) delta_I(base) delta_III(w, base) delta_II(base) for
+    the default a-datum; roots are the positive roots outside w Phi_H;
+    inverse is the position of w^{-1} in the ambient Weyl group.
     """
 
     w: WeylElement
@@ -179,14 +175,12 @@ def build_endoscopic_datum(g_datum: RootDatum, s_simple_signs: Sequence[int]) ->
     _check_coroot_closed(g_datum, h_roots)
     h_label = f"{g_datum.cartan_label}|s={''.join('+' if s == 1 else '-' for s in s_simple_signs)}"
     h_datum = build_sub_datum(g_datum, h_roots, h_label)
-    elliptic = is_elliptic_datum(g_datum, h_roots)
     return EndoscopicDatum(
         g_datum=g_datum,
         s_simple_signs=tuple(int(s) for s in s_simple_signs),
         xhat_s=vec_frac(xhat),
         h_roots=h_roots,
         h_datum=h_datum,
-        elliptic=elliptic,
     )
 
 
@@ -204,37 +198,16 @@ def _check_coroot_closed(g_datum: RootDatum, h_roots: tuple[IntVec, ...]) -> Non
                 raise EndoscopyError("endoscopic coroot system is not closed")
 
 
-def is_elliptic_datum(
-    g_datum: RootDatum,
-    h_roots: tuple[IntVec, ...],
-    involution: Optional[tuple[tuple[int, ...], ...]] = None,
-) -> bool:
-    """[Z_Hhat^Gamma]^0 is trivial: no nonzero Galois-fixed rational direction
-    orthogonal to every coroot of H.  The default involution is the compact
-    Cartan's -1, for which the check can only fail on degenerate input."""
-    n = g_datum.rank
-    if involution is None:
-        involution = tuple(tuple(-1 if i == j else 0 for j in range(n)) for i in range(n))
-    rows = [g_datum.coroot(r) for r in h_roots]
-    # (sigma^T - 1) vhat = 0 and <vhat, coroot> = 0 for all h-coroots
-    sigma_t = transpose(involution)
-    stacked = [tuple(sigma_t[i][j] - (1 if i == j else 0) for j in range(n)) for i in range(n)]
-    stacked.extend(tuple(r) for r in rows)
-    fixed_perp = integer_kernel(mat_int(stacked))
-    return len(fixed_perp) == 0
-
-
 def build_diagram(
     datum: EndoscopicDatum,
     weyl_group: tuple[WeylElement, ...],
     x_h: EllipticElement,
     x_g: EllipticElement,
-    wall_eps: float = WALL_EPS,
 ) -> Optional[Diagram]:
     """Diagram with the minimal Weyl element w satisfying w . eta(x_h) = x_g,
     or None when the orbits do not match (the factor is then zero)."""
-    require_regular(datum.g_datum, x_h, wall_eps)
-    require_regular(datum.g_datum, x_g, wall_eps)
+    require_regular(datum.g_datum, x_h)
+    require_regular(datum.g_datum, x_g)
     exact = x_h.is_exact() and x_g.is_exact()
     target = x_g.coords
     for w in weyl_group:
@@ -249,7 +222,7 @@ def build_diagram(
     return None
 
 
-def require_regular(g_datum: RootDatum, x: EllipticElement, wall_eps: float = WALL_EPS) -> None:
+def require_regular(g_datum: RootDatum, x: EllipticElement) -> None:
     for alpha in g_datum.positive_roots:
         val = dot(alpha, x.coords)
         if x.is_exact():
@@ -257,7 +230,7 @@ def require_regular(g_datum: RootDatum, x: EllipticElement, wall_eps: float = WA
                 raise EndoscopyError(f"element is on the wall of root {alpha}")
         else:
             norm = max(1.0, sum(float(c) * float(c) for c in x.coords) ** 0.5)
-            if abs(float(val)) < wall_eps * norm:
+            if abs(float(val)) < WALL_EPS * norm:
                 raise EndoscopyError(f"element is numerically on the wall of root {alpha}")
 
 
@@ -344,21 +317,15 @@ class TransferFactorEngine:
 
     # -- auxiliary lattice data -------------------------------------------
 
-    def tits_delta(self, w: WeylElement) -> IntVec:
-        """delta(w) with n(w)^{-1} n(omega) n(w) = (-1)^{delta(w)} n(omega).
-
-        It is 0 for every w: n(w) is a product of the n_i, and the
-        constructor checks that n(omega) commutes with each of them."""
-        return (0,) * self.g_datum.rank
-
     def _check_tits_central(self) -> None:
         """Check, by the literal product n_i^{-1} n(omega) n_i, that n(omega)
         commutes with every n_i.
 
         Conjugation by n(w0) sends n_i to n_{i*}, where i -> i* is the diagram
         automorphism -w0.  Here w0 = omega = -1, so i* = i and every product
-        must be n(omega) itself; a nonzero sign vector would mean delta(s_i)
-        is not 0, which tits_delta does not allow for."""
+        must be n(omega) itself.  n(w) is a product of the n_i, so then
+        delta(w) in n(w)^{-1} n(omega) n(w) = (-1)^{delta(w)} n(omega) is 0
+        for every w, and delta_I and delta_III leave it out."""
         d = self.g_datum
         n_omega = n_of(d, self.omega)
         for i in range(len(d.simple_roots)):
@@ -395,13 +362,13 @@ class TransferFactorEngine:
         """Pairing of the splitting-cocycle class with the transported
         endoscopic character; exact, via the cohomology layer.  The value
         depends only on the torus identification, that is on w.  The phases
-        are numerators over 4: (w rho_check + rho_check)/2 + w delta(w)/2,
-        plus coroot/2 for every root w beta, beta > 0, of negative ratio."""
+        are numerators over 4: (w rho_check + rho_check)/2, plus coroot/2 for
+        every root w beta, beta > 0, of negative ratio; delta(w) = 0 adds
+        nothing (see _check_tits_central)."""
         d = self.g_datum
         w = diagram.w
         w_two_rho = w.act(self.two_rho_check)
-        w_delta = w.act(self.tits_delta(w))
-        phases = [x + y + 2 * z for x, y, z in zip(w_two_rho, self.two_rho_check, w_delta)]
+        phases = [x + y for x, y in zip(w_two_rho, self.two_rho_check)]
         mags = None
 
         for beta in d.positive_roots:
@@ -449,25 +416,27 @@ class TransferFactorEngine:
 
     def _delta_iii_half(self, w: WeylElement, sign: int) -> tuple[IntVec, IntVec]:
         """One diagram's half of the doubled-torus point, as numerators over
-        4 of sign * (delta(w) - w^{-1} rho_check)/2, and of the character,
-        as numerators over 2 of w . xhat_s."""
+        4 of -sign * w^{-1} rho_check / 2 (delta(w) = 0), and of the
+        character, as numerators over 2 of w . xhat_s."""
         rho_back = self._inverse[w.matrix][0].act(self.two_rho_check)
-        delta_vec = self.tits_delta(w)
-        slot = tuple(sign * (2 * dl - rb) for rb, dl in zip(rho_back, delta_vec))
+        slot = tuple(-sign * rb for rb in rho_back)
         return slot, self._act_on_functional(w, self.two_xhat_s)
 
     # -- normalized transfer factor ---------------------------------------
 
-    def transfer_table(self, a: ADatum) -> TransferTable:
+    def transfer_table(self) -> TransferTable:
         """The pair-independent part of relative_factor for every w of
         weyl_g, taken from the factors at the diagram (w, x_h, w x_h) of
         the base point's x_h.  delta_I and delta_III depend on w alone, so
-        that diagram is taken in floats."""
+        that diagram is taken in floats.  delta_I delta_II does not depend
+        on the a-datum (Langlands-Shelstad 1987, section 3), so the table
+        is that of the default one."""
+        a = ADatum.default(self.g_datum)
         base = self.base_diagram
         position = {w.matrix: i for i, w in enumerate(self.weyl_g)}
-        x_h = EllipticElement(base.x_h.floats(), "H")
+        x_h = EllipticElement(base.x_h.floats())
         diagrams = [
-            Diagram(self.datum, w, x_h, EllipticElement(tuple(w.act(x_h.coords)), "G"))
+            Diagram(self.datum, w, x_h, EllipticElement(w.act(x_h.coords)))
             for w in self.weyl_g
         ]
         d1 = [self.delta_i(diagram, a) for diagram in diagrams]
@@ -476,9 +445,9 @@ class TransferFactorEngine:
         entries = []
         for diagram, d1_w in zip(diagrams, d1):
             roots = self.delta_ii_roots(diagram.w)
-            # delta_II's root signs at x_g cancel against the route's, which
-            # leaves its a-signs.
-            sign = d1_w * base_sign * self.delta_iii(diagram, base) * a_signs(roots, a)
+            # delta_II's root signs at x_g cancel against the route's, and
+            # its a-signs are +1 for the default a-datum.
+            sign = d1_w * base_sign * self.delta_iii(diagram, base)
             inverse = position[self._inverse[diagram.w.matrix][0].matrix]
             entries.append(WeylWeight(diagram.w, inverse, sign, roots))
         return TransferTable(tuple(entries))
@@ -488,12 +457,9 @@ class TransferFactorEngine:
         x_h: EllipticElement,
         x_g: EllipticElement,
         a: Optional[ADatum] = None,
-        wall_eps: float = WALL_EPS,
     ):
         """Normalized factor: base_value on the base diagram, 0 off-orbit."""
-        if a is None:
-            a = ADatum.default(self.g_datum)
-        diagram = build_diagram(self.datum, self.weyl_g, x_h, x_g, wall_eps)
+        diagram = build_diagram(self.datum, self.weyl_g, x_h, x_g)
         if diagram is None:
             return 0
         return self.relative_factor(diagram, a) * self.base_value
@@ -516,12 +482,12 @@ class TransferFactorEngine:
     def stable_orbit_representatives(self, x_g: EllipticElement) -> tuple[EllipticElement, ...]:
         require_regular(self.g_datum, x_g)
         reps = right_coset_representatives(self.weyl_g, self.real_weyl_g)
-        return tuple(EllipticElement(tuple(w.act(x_g.coords)), "G") for w in reps)
+        return tuple(EllipticElement(w.act(x_g.coords)) for w in reps)
 
     def matching_h_orbits(self, x_g: EllipticElement) -> tuple[EllipticElement, ...]:
         require_regular(self.g_datum, x_g)
         reps = right_coset_representatives(self.weyl_g, self.real_weyl_h)
-        return tuple(EllipticElement(tuple(w.act(x_g.coords)), "H") for w in reps)
+        return tuple(EllipticElement(w.act(x_g.coords)) for w in reps)
 
     def stable_class_size_h(self, x_h: EllipticElement) -> int:
         require_regular(self.g_datum, x_h)

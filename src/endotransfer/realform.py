@@ -37,9 +37,6 @@ class EighthRoot:
     def __mul__(self, other: "EighthRoot") -> "EighthRoot":
         return EighthRoot(self.k + other.k)
 
-    def __truediv__(self, other: "EighthRoot") -> "EighthRoot":
-        return EighthRoot(self.k - other.k)
-
     def __complex__(self) -> complex:
         from cmath import exp, pi
 
@@ -47,10 +44,6 @@ class EighthRoot:
 
     def __repr__(self) -> str:
         return f"exp(i*pi*{self.k}/4)"
-
-
-ONE = EighthRoot(0)
-MINUS_I = EighthRoot(-2)
 
 
 @dataclass(frozen=True)

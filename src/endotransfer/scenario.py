@@ -2,9 +2,9 @@
 
 A scenario fixes the ambient Cartan type, the real form gradings for both
 groups, the order-2 character cutting out the endoscopic group, a base
-point with an identity diagram, and optional extra real-Weyl generators.
-Parsing reports every violation with its line number and the name of the
-violated invariant.
+point with an identity diagram, and optional extra real-Weyl generators
+for H.  Parsing reports every violation, an unknown key or section among
+them, with its line number and the name of the violated invariant.
 """
 
 from __future__ import annotations
@@ -14,14 +14,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from .distributions import EllipticScenario, make_scenario
 from .endoscopy import (
-    ADatum,
     EllipticElement,
     EndoscopyError,
     TransferFactorEngine,
     build_endoscopic_datum,
 )
 from .realform import GradingError, build_grading, parse_grade, real_weyl_group
-from .rootdata import RootDatum, RootDatumError, build_root_datum
+from .rootdata import RootDatumError, build_root_datum
 
 
 class ScenarioError(ValueError):
@@ -41,10 +40,9 @@ class Scenario:
     grading_h: list[int]
     base_x_h: tuple[Fraction, ...]
     base_x_g: tuple[Fraction, ...]
-    extras_g: list[tuple[int, ...]] = field(default_factory=list)
     extras_h: list[tuple[int, ...]] = field(default_factory=list)
-    # line numbers of the g and h words in [real_weyl_extras], 0 when absent
-    extras_lines: dict[str, int] = field(default_factory=dict)
+    # line number of the h words in [real_weyl_extras], 0 when absent
+    extras_h_line: int = 0
 
 
 # Fraction(text) builds 10**e for a decimal exponent e, so e is bounded
@@ -54,18 +52,31 @@ class Scenario:
 _MAX_EXPONENT = 5000
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
+# The keys each section reads; the sections of simple-root entries read
+# alpha1, alpha2, ... instead.
+_KEYS = {
+    "": ("name", "g_type", "form_scale"),
+    "base_point": ("x_h", "x_g"),
+    "real_weyl_extras": ("h",),
+}
+_SIMPLE_ROOT_SECTIONS = ("grading_g", "s_character", "grading_h")
+_ALPHA = re.compile(r"alpha[1-9][0-9]*\Z")
+
 
 def _rational(text: str) -> Fraction:
-    """Fraction(text); a zero denominator, or a value too large for the
-    float the routes take of it, is a ValueError as well."""
+    """Fraction(text); a zero denominator, or a value out of the range of
+    the float the routes take of it (too large, or nonzero but 0.0), is a
+    ValueError as well."""
     exponent = _EXPONENT.search(text)
     if exponent and abs(int(exponent.group(1))) > _MAX_EXPONENT:
         raise ValueError(f"{text!r} has an exponent beyond {_MAX_EXPONENT}, out of a float's range")
     try:
         value = Fraction(text)
-        float(value)
+        as_float = float(value)
     except (ZeroDivisionError, OverflowError):
         raise ValueError(f"{text!r} has a zero denominator or is too large for a float")
+    if value and not as_float:
+        raise ValueError(f"{text!r} is too small for a float")
     return value
 
 
@@ -74,7 +85,7 @@ def _parse_vector(text: str) -> tuple[Fraction, ...]:
     return tuple(_rational(p) for p in items)
 
 
-def _parse_words(key: str, lineno: int, text: str, problems: list) -> list[tuple[int, ...]]:
+def _parse_words(lineno: int, text: str, problems: list) -> list[tuple[int, ...]]:
     """Comma-separated words in the simple reflections, letters numbered
     from 1, as 0-based index tuples; a bad word is a problem at its line."""
     words = []
@@ -88,31 +99,48 @@ def _parse_words(key: str, lineno: int, text: str, problems: list) -> list[tuple
             letters = ()
         if not letters or min(letters) < 1:
             problems.append(
-                (lineno, f"real_weyl_extras {key}: word {chunk!r} must be simple root numbers 1, 2, ...")
+                (lineno, f"real_weyl_extras h: word {chunk!r} must be simple root numbers 1, 2, ...")
             )
             continue
         words.append(tuple(i - 1 for i in letters))
     return words
 
 
+def _unknown_key(section: str, key: str) -> str:
+    if section == "real_weyl_extras" and key == "g":
+        return "real_weyl_extras g: G's real Weyl group is W_K; only h extras are read"
+    where = f"[{section}]" if section else "the top section"
+    return f"unknown key {key!r} in {where}"
+
+
 def parse_scenario(text: str) -> Scenario:
     problems: list[tuple[int, str]] = []
-    section = ""
-    top: dict[str, tuple[int, str]] = {}
-    sections: dict[str, dict[str, tuple[int, str]]] = {}
+    # The top section is "", and None an unknown section, whose header is
+    # the problem reported and whose keys are not read.
+    section: str | None = ""
+    sections: dict[str, dict[str, tuple[int, str]]] = {"": {}}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            sections.setdefault(section, {})
+            if section and (section in _KEYS or section in _SIMPLE_ROOT_SECTIONS):
+                sections.setdefault(section, {})
+            else:
+                problems.append((lineno, f"unknown section {line!r}"))
+                section = None
             continue
         if "=" not in line:
             problems.append((lineno, f"expected 'key = value', got {line!r}"))
             continue
+        if section is None:
+            continue
         key, value = (p.strip() for p in line.split("=", 1))
-        store = sections.setdefault(section, {}) if section else top
+        if not (_ALPHA.match(key) if section in _SIMPLE_ROOT_SECTIONS else key in _KEYS[section]):
+            problems.append((lineno, _unknown_key(section, key)))
+            continue
+        store = sections[section]
         if key in store:
             problems.append((lineno, f"duplicate key {key!r}"))
         store[key] = (lineno, value)
@@ -123,6 +151,7 @@ def parse_scenario(text: str) -> Scenario:
             return None
         return store[key]
 
+    top = sections[""]
     name = top.get("name", (0, "unnamed"))[1]
     g_entry = need(top, "g_type", "the top section")
     g_type = g_entry[1] if g_entry else "A1"
@@ -136,36 +165,33 @@ def parse_scenario(text: str) -> Scenario:
         except ValueError:
             problems.append((lineno, f"bad rational {value!r}"))
 
-    def parse_graded(section_name) -> list[int]:
-        out = []
+    def simple_root_entries(section_name, parse) -> list:
+        """parse of the values of alpha1, alpha2, ..., alphaN, N the number
+        of entries; an entry numbered above N is a problem at its line."""
         store = sections.get(section_name, {})
-        for idx in range(1, len(store) + 1):
-            key = f"alpha{idx}"
-            if key not in store:
-                problems.append((0, f"missing {key!r} in [{section_name}]"))
-                return out
-            lineno, value = store[key]
-            try:
-                out.append(parse_grade(value))
-            except GradingError as e:
-                problems.append((lineno, str(e)))
+        keys = [f"alpha{k}" for k in range(1, len(store) + 1)]
+        missing = [key for key in keys if key not in store]
+        for key, (lineno, _) in store.items():
+            if key not in keys:
+                problems.append((lineno, f"{key!r} in [{section_name}] without {missing[0]!r}"))
+        out = []
+        for key in keys:
+            if key in store:
+                lineno, value = store[key]
+                try:
+                    out.append(parse(value))
+                except ValueError as e:
+                    problems.append((lineno, str(e)))
         return out
 
-    grading_g = parse_graded("grading_g")
-    grading_h = parse_graded("grading_h")
-
-    s_character = []
-    for idx in range(1, len(sections.get("s_character", {})) + 1):
-        key = f"alpha{idx}"
-        store = sections.get("s_character", {})
-        if key not in store:
-            problems.append((0, f"missing {key!r} in [s_character]"))
-            break
-        lineno, value = store[key]
+    def character_sign(value: str) -> int:
         if value not in ("1", "+1", "-1"):
-            problems.append((lineno, f"character sign must be +1 or -1, got {value!r}"))
-        else:
-            s_character.append(1 if value in ("1", "+1") else -1)
+            raise ValueError(f"character sign must be +1 or -1, got {value!r}")
+        return 1 if value in ("1", "+1") else -1
+
+    grading_g = simple_root_entries("grading_g", parse_grade)
+    s_character = simple_root_entries("s_character", character_sign)
+    grading_h = simple_root_entries("grading_h", parse_grade)
 
     base = sections.get("base_point", {})
     base_x_h: tuple[Fraction, ...] = ()
@@ -184,10 +210,8 @@ def parse_scenario(text: str) -> Scenario:
             else:
                 base_x_g = vec
 
-    extras = sections.get("real_weyl_extras", {})
-    extras_lines = {key: extras[key][0] for key in ("g", "h") if key in extras}
-    extras_g = _parse_words("g", *extras.get("g", (0, "")), problems)
-    extras_h = _parse_words("h", *extras.get("h", (0, "")), problems)
+    extras_h_line, words = sections.get("real_weyl_extras", {}).get("h", (0, ""))
+    extras_h = _parse_words(extras_h_line, words, problems)
 
     if problems:
         raise ScenarioError(problems)
@@ -200,9 +224,8 @@ def parse_scenario(text: str) -> Scenario:
         grading_h=grading_h,
         base_x_h=base_x_h,
         base_x_g=base_x_g,
-        extras_g=extras_g,
         extras_h=extras_h,
-        extras_lines=extras_lines,
+        extras_h_line=extras_h_line,
     )
 
 
@@ -223,8 +246,6 @@ def build_scenario(config: Scenario, base_value: complex = 1.0) -> EllipticScena
 
     grading_g = build_grading(g_datum, config.grading_g)
     datum = build_endoscopic_datum(g_datum, config.s_character)
-    if not datum.elliptic:
-        raise ScenarioError([(0, "violated invariant: ellipticity of the endoscopic datum")])
 
     n_h_simple = len(datum.h_datum.simple_roots)
     if len(config.grading_h) != n_h_simple:
@@ -233,38 +254,24 @@ def build_scenario(config: Scenario, base_value: complex = 1.0) -> EllipticScena
         )
     grading_h = build_grading(datum.h_datum, config.grading_h)
 
-    for key, words, side in (("g", config.extras_g, g_datum), ("h", config.extras_h, datum.h_datum)):
-        n_simple = len(side.simple_roots)
-        for word in words:
-            if any(i >= n_simple for i in word):
-                raise ScenarioError([(
-                    config.extras_lines.get(key, 0),
-                    f"real_weyl_extras {key}: word {' '.join(str(i + 1) for i in word)!r} "
-                    f"uses a simple root number above {n_simple}",
-                )])
+    for word in config.extras_h:
+        if any(i >= n_h_simple for i in word):
+            raise ScenarioError([(
+                config.extras_h_line,
+                f"real_weyl_extras h: word {' '.join(str(i + 1) for i in word)!r} "
+                f"uses a simple root number above {n_h_simple}",
+            )])
+    # G is simply connected, so its real Weyl group is W_K, which the compact
+    # reflections generate; only H takes extras.
     try:
-        extras_g = tuple(g_datum.element_from_word(word) for word in config.extras_g)
         extras_h = tuple(datum.h_datum.element_from_word(word) for word in config.extras_h)
         rw_g = real_weyl_group(grading_g)
         rw_h = real_weyl_group(grading_h, extras_h)
     except (GradingError, RootDatumError) as e:
         raise ScenarioError([(0, f"real Weyl group: {e}")])
-    # G is simply connected, so its real Weyl group is W_K, which the compact
-    # reflections generate; an extra for G can only restate a member of it.
-    w_k = {w.matrix for w in rw_g}
-    for word, w in zip(config.extras_g, extras_g):
-        if w.matrix not in w_k:
-            raise ScenarioError([(
-                config.extras_lines.get("g", 0),
-                f"real_weyl_extras g: word {' '.join(str(i + 1) for i in word)!r} is not in W_K, "
-                "the group generated by the compact reflections, which is the whole real Weyl "
-                "group of the simply connected G",
-            )])
 
     if len(config.base_x_h) != g_datum.rank or len(config.base_x_g) != g_datum.rank:
         raise ScenarioError([(0, "base_point vectors must have length equal to the rank")])
-    base_x_h = EllipticElement(tuple(config.base_x_h), "H")
-    base_x_g = EllipticElement(tuple(config.base_x_g), "G")
     try:
         engine = TransferFactorEngine(
             datum,
@@ -272,8 +279,8 @@ def build_scenario(config: Scenario, base_value: complex = 1.0) -> EllipticScena
             grading_h,
             rw_g,
             rw_h,
-            base_x_h,
-            base_x_g,
+            EllipticElement(config.base_x_h),
+            EllipticElement(config.base_x_g),
             base_value=base_value,
         )
     except EndoscopyError as e:

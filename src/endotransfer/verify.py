@@ -30,10 +30,6 @@ CONVENTIONS = (
 )
 
 
-class VerificationRefused(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True)
 class PairRecord:
     index: int
@@ -95,17 +91,11 @@ def run_verify(
 ) -> RunReport:
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
-    engine = scenario.engine
-    if not engine.datum.elliptic:
-        raise VerificationRefused(
-            "scenario refused: the endoscopic datum fails the ellipticity "
-            "precondition of the elliptic reduction"
-        )
     rng = random.Random(seed)
     records = []
     for idx in range(samples):
-        x_h = EllipticElement(sample_regular_vector(scenario, rng), "H")
-        x_g = EllipticElement(sample_regular_vector(scenario, rng), "G")
+        x_h = EllipticElement(sample_regular_vector(scenario, rng))
+        x_g = EllipticElement(sample_regular_vector(scenario, rng))
         report = verify_identity(scenario, x_h, x_g, tolerance)
         records.append(PairRecord(idx, x_h.floats(), x_g.floats(), report))
     base = scenario.engine.base_diagram

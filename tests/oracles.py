@@ -25,11 +25,29 @@ from endotransfer.endoscopy import (
     root_signs,
     sign_of,
 )
-from endotransfer.lattice import invert_rational, solve_rational, transpose
+from endotransfer.lattice import integer_kernel, invert_rational, mat_int, solve_rational, transpose
 from endotransfer.rootdata import RootDatumError, WeylElement
 from endotransfer.tits import inverse as tits_inverse, multiply as tits_multiply, n_of
 
 Sign = tuple[int, ...]  # vectors over GF(2)
+
+# Cartan types of rank <= 3 with -1 in the Weyl group.
+TYPES = ("A1", "A1xA1", "B2", "C2", "G2", "A1xA1xA1", "A1xB2", "A1xG2", "B3", "C3")
+
+
+def is_elliptic_datum(g_datum, h_roots, involution=None) -> bool:
+    """[Z_Hhat^Gamma]^0 is trivial: no nonzero Galois-fixed rational
+    direction orthogonal to every coroot of H.  The default involution is
+    the compact Cartan's -1, for which sigma^T - 1 = -2 and the check
+    holds on every datum."""
+    n = g_datum.rank
+    if involution is None:
+        involution = tuple(tuple(-1 if i == j else 0 for j in range(n)) for i in range(n))
+    # (sigma^T - 1) vhat = 0 and <vhat, coroot> = 0 for all h-coroots
+    sigma_t = transpose(involution)
+    stacked = [tuple(sigma_t[i][j] - (1 if i == j else 0) for j in range(n)) for i in range(n)]
+    stacked.extend(tuple(g_datum.coroot(r)) for r in h_roots)
+    return not integer_kernel(mat_int(stacked))
 
 
 def _gf2_row_reduce(rows: list[Sign]) -> list[Sign]:
@@ -243,7 +261,7 @@ class LiteralRoutes:
     def weight(self, w, x_h, x_g):
         from endotransfer.endoscopy import Diagram
 
-        return self.eng.relative_factor(Diagram(self.eng.datum, w, x_h, x_g), self.sc.a_datum) * self.eng.base_value
+        return self.eng.relative_factor(Diagram(self.eng.datum, w, x_h, x_g)) * self.eng.base_value
 
     def regular(self, x_h) -> bool:
         from endotransfer.endoscopy import EndoscopyError, require_regular
@@ -263,7 +281,7 @@ class LiteralRoutes:
         require_regular(self.eng.g_datum, x_g)
         total = complex(0.0)
         for w in self.eng.weyl_g:
-            target = EllipticElement(tuple(w.act(x_h.coords)), "G")
+            target = EllipticElement(tuple(w.act(x_h.coords)))
             weight = self.weight(w, x_h, target)
             if weight == 0:
                 continue
@@ -278,13 +296,13 @@ class LiteralRoutes:
         require_regular(self.eng.g_datum, x_g)
         total = complex(0.0)
         for w in self.eng.weyl_g:
-            pulled = EllipticElement(tuple(w.act(x_g.coords)), "H")
+            pulled = EllipticElement(tuple(w.act(x_g.coords)))
             weight = self.weight(self.eng.inverse_of(w), pulled, x_g)
             if weight == 0:
                 continue
             inner = complex(0.0)
             for wp in self.eng.weyl_h:
-                moved = EllipticElement(tuple(wp.act(x_h.coords)), "H")
+                moved = EllipticElement(tuple(wp.act(x_h.coords)))
                 inner += self.kernel(self.sc.h_side, moved, pulled)
             total += weight * inner
         return complex(self.sc.h_side.gamma) * total / (len(self.eng.real_weyl_h) * len(self.eng.weyl_h))
@@ -294,7 +312,7 @@ class LiteralRoutes:
 
         if side == "G":
             s = self.sc.g_side
-            target = EllipticElement(tuple(w.act(x_h.coords)), "G")
+            target = EllipticElement(tuple(w.act(x_h.coords)))
             weight = self.weight(w, x_h, target)
             phase = -self.bform(target.floats(), x_g.floats())
             return (
@@ -302,7 +320,7 @@ class LiteralRoutes:
                 * weight * self.d_over_pi(s, target.coords) * cmath.exp(1j * phase)
             )
         s = self.sc.h_side
-        pulled = EllipticElement(tuple(w.act(x_g.coords)), "H")
+        pulled = EllipticElement(tuple(w.act(x_g.coords)))
         weight = self.weight(self.eng.inverse_of(w), pulled, x_g)
         phase = -self.bform(x_h.floats(), pulled.floats())
         return (
@@ -505,7 +523,7 @@ class LiteralSetup(TransferFactorEngine):
         base = self.base_diagram
         position = {w.matrix: i for i, w in enumerate(self.weyl_g)}
         diagrams = [
-            Diagram(self.datum, w, base.x_h, EllipticElement(tuple(w.act(base.x_h.coords)), "G"))
+            Diagram(self.datum, w, base.x_h, EllipticElement(tuple(w.act(base.x_h.coords))))
             for w in self.weyl_g
         ]
         d1 = [self.delta_i(diagram, a) for diagram in diagrams]

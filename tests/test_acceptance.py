@@ -69,8 +69,8 @@ def test_criterion_2_termwise_exchange(name):
     rng = random.Random(2024)
     worst = 0.0
     for _ in range(30):
-        x_h = EllipticElement(sample_regular_vector(scenario, rng), "H")
-        x_g = EllipticElement(sample_regular_vector(scenario, rng), "G")
+        x_h = EllipticElement(sample_regular_vector(scenario, rng))
+        x_g = EllipticElement(sample_regular_vector(scenario, rng))
         for w in eng.weyl_g:
             lhs = explicit_term(scenario, w, x_h, x_g, "G")
             rhs = explicit_term(scenario, eng.inverse_of(w), x_h, x_g, "H")
@@ -84,8 +84,8 @@ def test_criterion_3_delta_ii_ratio_law(name):
     rng = random.Random(99)
     ok = True
     for _ in range(100):
-        x_h = EllipticElement(sample_regular_vector(scenario, rng), "H")
-        x_g = EllipticElement(sample_regular_vector(scenario, rng), "G")
+        x_h = EllipticElement(sample_regular_vector(scenario, rng))
+        x_g = EllipticElement(sample_regular_vector(scenario, rng))
         for w in scenario.engine.weyl_g:
             ok = ok and delta_ii_ratio_check(scenario, x_h, x_g, w).passed
     assert _line(f"criterion 3 (middle-factor ratio law, {name})", ok)
@@ -99,8 +99,8 @@ def test_criterion_4_kernel_properties(name):
     bound = len(side.real_weyl) + 1e-9
     ok = True
     for _ in range(10_000):
-        x = EllipticElement(sample_regular_vector(scenario, rng), "G")
-        y = EllipticElement(sample_regular_vector(scenario, rng), "G")
+        x = EllipticElement(sample_regular_vector(scenario, rng))
+        y = EllipticElement(sample_regular_vector(scenario, rng))
         kxy = rossmann_kernel(side, x, y).value
         if abs(kxy - rossmann_kernel(side, y, x).value) > TOL:
             ok = False
@@ -109,7 +109,7 @@ def test_criterion_4_kernel_properties(name):
             ok = False
             break
         w = side.real_weyl[rng.randrange(len(side.real_weyl))]
-        moved = EllipticElement(w.act(x.coords), "G")
+        moved = EllipticElement(w.act(x.coords))
         if abs(rossmann_kernel(side, moved, y).value - kxy) > TOL:
             ok = False
             break
@@ -175,8 +175,8 @@ def test_criterion_7_normalization_independence():
         base = load_builtin("sl2_endoscopy")
         scaled = load_builtin("sl2_endoscopy", base_value=c)
         for _ in range(10):
-            x_h = EllipticElement(sample_regular_vector(base, rng), "H")
-            x_g = EllipticElement(sample_regular_vector(base, rng), "G")
+            x_h = EllipticElement(sample_regular_vector(base, rng))
+            x_g = EllipticElement(sample_regular_vector(base, rng))
             r0 = verify_identity(base, x_h, x_g, TOL)
             r1 = verify_identity(scaled, x_h, x_g, TOL)
             scale = max(1.0, abs(c))
@@ -189,8 +189,8 @@ def test_criterion_7_normalization_independence():
 def test_criterion_8_orbit_counts():
     endo = load_builtin("sl2_endoscopy").engine
     comp = load_builtin("sl2_compact").engine
-    xg = EllipticElement((Fraction(1),), "G")
-    xh = EllipticElement((Fraction(1),), "H")
+    xg = EllipticElement((Fraction(1),))
+    xh = EllipticElement((Fraction(1),))
     ok = (
         len(endo.stable_orbit_representatives(xg)) == 2
         and len(endo.matching_h_orbits(xg)) == 2
@@ -210,8 +210,8 @@ def test_criterion_9_a_datum_independence(name):
     eng = scenario.engine
     rng = random.Random(55)
     rank = eng.g_datum.rank
-    x_h = EllipticElement(tuple(Fraction(3 * k + 4, 3 * k + 3) for k in range(rank)), "H")
-    targets = [EllipticElement(tuple(w.act(x_h.coords)), "G") for w in eng.weyl_g]
+    x_h = EllipticElement(tuple(Fraction(3 * k + 4, 3 * k + 3) for k in range(rank)))
+    targets = [EllipticElement(tuple(w.act(x_h.coords))) for w in eng.weyl_g]
     baseline = [eng.transfer_factor(x_h, t) for t in targets]
     ok = True
     for _ in range(20):

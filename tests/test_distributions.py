@@ -21,22 +21,22 @@ from endotransfer.verify import sample_regular_vector
 
 
 def _rand_regular(scenario, rng):
-    return EllipticElement(sample_regular_vector(scenario, rng), "G")
+    return EllipticElement(sample_regular_vector(scenario, rng))
 
 
 def test_discriminant_and_pi_examples():
     sc = load_builtin("sl2_endoscopy")
     side = sc.g_side
-    x = EllipticElement((Fraction(1),), "G")  # <alpha, v> = 2
+    x = EllipticElement((Fraction(1),))  # <alpha, v> = 2
     assert side.discriminant_sqrt(x) == 2.0
     assert abs(side.pi_positive(x) - 2j) < 1e-15
-    flipped = EllipticElement((Fraction(-1),), "G")
+    flipped = EllipticElement((Fraction(-1),))
     assert abs(side.pi_positive(flipped) + 2j) < 1e-15
     # Weyl moves leave the discriminant unchanged
     sc2 = load_builtin("sp4_endoscopy")
-    y = EllipticElement((0.8, 0.3), "G")
+    y = EllipticElement((0.8, 0.3))
     for w in sc2.engine.weyl_g:
-        moved = EllipticElement(w.act(y.coords), "G")
+        moved = EllipticElement(w.act(y.coords))
         assert abs(sc2.g_side.discriminant_sqrt(moved) - sc2.g_side.discriminant_sqrt(y)) < 1e-12
 
 
@@ -48,7 +48,7 @@ def test_pi_positive_a2_phase():
     d = build_root_datum("A2")
     g = build_grading(d, [NONCOMPACT, NONCOMPACT])
     side = Side(d, g, (), d.invariant_form, 1)
-    x = EllipticElement((Fraction(3), Fraction(1)), "G")
+    x = EllipticElement((Fraction(3), Fraction(1)))
     val = side.pi_positive(x)
     # i^3 times a real product: purely imaginary
     assert abs(val.real) < 1e-12
@@ -68,8 +68,8 @@ def test_rossmann_kernel_sl2r_unimodular():
 def test_rossmann_kernel_su2_sine_form():
     sc = load_builtin("sl2_compact")
     side = sc.g_side
-    x = EllipticElement((0.7,), "G")
-    y = EllipticElement((0.4,), "G")
+    x = EllipticElement((0.7,))
+    y = EllipticElement((0.4,))
     k = rossmann_kernel(side, x, y)
     b = side.bform(x.floats(), y.floats())
     expected = complex(side.prefactor) * side.d_over_pi(x) * side.d_over_pi(y) * (
@@ -91,7 +91,7 @@ def test_rossmann_kernel_symmetry_and_invariance():
             kyx = rossmann_kernel(sc.g_side, y, x).value
             assert abs(kxy - kyx) < 1e-12
             for w in sc.g_side.real_weyl:
-                moved = EllipticElement(w.act(x.coords), "G")
+                moved = EllipticElement(w.act(x.coords))
                 assert abs(rossmann_kernel(sc.g_side, moved, y).value - kxy) < 1e-12
             assert abs(kxy) <= len(sc.g_side.real_weyl) + 1e-12
 
@@ -111,10 +111,10 @@ def test_d_gh_trivial_datum_matches_stable_sum():
     rng = random.Random(6)
     xh = _rand_regular(sc, rng)
     xg = _rand_regular(sc, rng)
-    val = d_gh(sc, EllipticElement(xh.coords, "H"), xg)
+    val = d_gh(sc, EllipticElement(xh.coords), xg)
     eng = sc.engine
     expected = complex(0.0)
-    for rep in eng.stable_orbit_representatives(EllipticElement(xh.coords, "G")):
+    for rep in eng.stable_orbit_representatives(EllipticElement(xh.coords)):
         expected += rossmann_kernel(sc.g_side, rep, xg).value
     expected *= complex(sc.g_side.gamma)
     assert abs(val - expected) < 1e-12
@@ -124,12 +124,12 @@ def test_d_tilde_torus_side_is_pure_exponentials():
     """For a torus endoscopic group the inner kernel is a single exponential."""
     sc = load_builtin("sl2_endoscopy")
     rng = random.Random(7)
-    xh = EllipticElement(sample_regular_vector(sc, rng), "H")
+    xh = EllipticElement(sample_regular_vector(sc, rng))
     xg = _rand_regular(sc, rng)
     eng = sc.engine
     total = complex(0.0)
     for w in eng.weyl_g:
-        pulled = EllipticElement(w.act(xg.coords), "H")
+        pulled = EllipticElement(w.act(xg.coords))
         diagram_w = eng.inverse_of(w)
         from endotransfer.endoscopy import Diagram
 
@@ -144,7 +144,7 @@ def test_routes_agree_when_h_equals_g():
     sc = load_builtin("sl2_compact")
     rng = random.Random(8)
     for _ in range(20):
-        xh = EllipticElement(sample_regular_vector(sc, rng), "H")
+        xh = EllipticElement(sample_regular_vector(sc, rng))
         xg = _rand_regular(sc, rng)
         lhs = d_gh(sc, xh, xg)
         rhs = d_tilde_gh(sc, xh, xg)
@@ -162,7 +162,7 @@ def test_verify_identity_random_pairs_all_scenarios():
     ):
         sc = load_builtin(name)
         for _ in range(10):
-            xh = EllipticElement(sample_regular_vector(sc, rng), "H")
+            xh = EllipticElement(sample_regular_vector(sc, rng))
             xg = _rand_regular(sc, rng)
             report = verify_identity(sc, xh, xg, 1e-12)
             assert report.passed, f"{name}: error {report.abs_error}"
@@ -171,9 +171,9 @@ def test_verify_identity_random_pairs_all_scenarios():
 
 def test_verify_identity_rejects_wall_input():
     sc = load_builtin("sl2_endoscopy")
-    wall = EllipticElement((1e-13,), "G")
+    wall = EllipticElement((1e-13,))
     with pytest.raises(EndoscopyError):
-        verify_identity(sc, EllipticElement((1.0,), "H"), wall)
+        verify_identity(sc, EllipticElement((1.0,)), wall)
 
 
 def test_termwise_exchange_pairs_w_with_inverse():
@@ -181,7 +181,7 @@ def test_termwise_exchange_pairs_w_with_inverse():
     for name in ("sl2_endoscopy", "sp4_endoscopy"):
         sc = load_builtin(name)
         eng = sc.engine
-        xh = EllipticElement(sample_regular_vector(sc, rng), "H")
+        xh = EllipticElement(sample_regular_vector(sc, rng))
         xg = _rand_regular(sc, rng)
         for w in eng.weyl_g:
             lhs = explicit_term(sc, w, xh, xg, "G")
@@ -195,7 +195,7 @@ def test_explicit_terms_sum_to_routes():
     for name in ("sl2_endoscopy", "sl2xsl2_double", "sp4_endoscopy"):
         sc = load_builtin(name)
         eng = sc.engine
-        xh = EllipticElement(sample_regular_vector(sc, rng), "H")
+        xh = EllipticElement(sample_regular_vector(sc, rng))
         xg = _rand_regular(sc, rng)
         lhs_sum = sum(explicit_term(sc, w, xh, xg, "G") for w in eng.weyl_g)
         rhs_sum = sum(explicit_term(sc, w, xh, xg, "H") for w in eng.weyl_g)
@@ -206,8 +206,8 @@ def test_explicit_terms_sum_to_routes():
 def test_delta_ii_ratio_check_examples():
     sc = load_builtin("sl2_endoscopy")
     eng = sc.engine
-    xh = EllipticElement((Fraction(1),), "H")
-    xg = EllipticElement((Fraction(2),), "G")
+    xh = EllipticElement((Fraction(1),))
+    xg = EllipticElement((Fraction(2),))
     rep_id = delta_ii_ratio_check(sc, xh, xg, eng.weyl_g[0])
     assert rep_id.passed and rep_id.lhs_ratio == 1
     rep_s = delta_ii_ratio_check(sc, xh, xg, eng.weyl_g[1])
@@ -223,7 +223,7 @@ def test_delta_ii_ratio_check_randomized():
     for name in ("sl2xsl2_mixed", "sp4_endoscopy"):
         sc = load_builtin(name)
         for _ in range(25):
-            xh = EllipticElement(sample_regular_vector(sc, rng), "H")
+            xh = EllipticElement(sample_regular_vector(sc, rng))
             xg = _rand_regular(sc, rng)
             for w in sc.engine.weyl_g:
                 assert delta_ii_ratio_check(sc, xh, xg, w).passed
@@ -237,8 +237,8 @@ def test_normalization_independence():
     for _ in range(5):
         c = complex(rng.uniform(0.2, 2.0), rng.uniform(-1.0, 1.0))
         scaled = load("sl2_endoscopy", base_value=c)
-        xh = EllipticElement(sample_regular_vector(base, rng), "H")
-        xg = EllipticElement(sample_regular_vector(base, rng), "G")
+        xh = EllipticElement(sample_regular_vector(base, rng))
+        xg = EllipticElement(sample_regular_vector(base, rng))
         r0 = verify_identity(base, xh, xg)
         r1 = verify_identity(scaled, xh, xg)
         assert r0.passed == r1.passed
@@ -268,13 +268,13 @@ def test_routes_vanish_for_ambient_wall_h_regular_element():
     """An endoscopic-side element on an ambient wall (but regular for the
     endoscopic system) matches no diagram: both routes return zero."""
     sc = load_builtin("sp4_endoscopy")
-    xh = EllipticElement((Fraction(0), Fraction(1)), "H")  # on the long-root wall
-    xg = EllipticElement((Fraction(1), Fraction(1, 3)), "G")
+    xh = EllipticElement((Fraction(0), Fraction(1)))  # on the long-root wall
+    xg = EllipticElement((Fraction(1), Fraction(1, 3)))
     assert d_gh(sc, xh, xg) == 0
     assert d_tilde_gh(sc, xh, xg) == 0
     assert verify_identity(sc, xh, xg).passed
 
     torus_side = load_builtin("sl2_endoscopy")
-    wall = EllipticElement((Fraction(0),), "H")
-    target = EllipticElement((Fraction(1),), "G")
+    wall = EllipticElement((Fraction(0),))
+    target = EllipticElement((Fraction(1),))
     assert d_gh(torus_side, wall, target) == 0

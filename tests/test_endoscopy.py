@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from endotransfer.endoscopy import (
     EndoscopyError,
     build_diagram,
     build_endoscopic_datum,
-    is_elliptic_datum,
     require_regular,
     _check_coroot_closed,
 )
@@ -22,6 +22,7 @@ from oracles import (
     CAYLEY,
     IDENT,
     N_S,
+    TYPES,
     compact_point_coordinate,
     e_compact,
     e_split,
@@ -29,6 +30,7 @@ from oracles import (
     m_conj,
     m_inv,
     m_mul,
+    is_elliptic_datum,
 )
 
 
@@ -39,7 +41,6 @@ def test_a1_nontrivial_datum_is_torus():
     datum = build_endoscopic_datum(d, [-1])
     assert datum.h_roots == ()
     assert len(enumerate_weyl(datum.h_datum)) == 1
-    assert datum.elliptic
 
 
 def test_trivial_character_gives_h_equal_g():
@@ -109,11 +110,16 @@ def test_embedding_equivariance():
 
 
 def test_ellipticity_check_with_split_involution():
-    d = build_root_datum("A1xA1")
-    datum = build_endoscopic_datum(d, [-1, 1])
-    split = ((1, 0), (0, 1))
-    assert not is_elliptic_datum(d, datum.h_roots, split)
-    assert is_elliptic_datum(d, datum.h_roots)
+    """Every datum of rank <= 3 is elliptic for the compact Cartan's -1;
+    for the split involution, exactly those whose H has the full rank."""
+    for g_type in TYPES:
+        d = build_root_datum(g_type)
+        split = tuple(tuple(int(i == j) for j in range(d.rank)) for i in range(d.rank))
+        for signs in itertools.product((1, -1), repeat=d.rank):
+            datum = build_endoscopic_datum(d, signs)
+            assert is_elliptic_datum(d, datum.h_roots), (g_type, signs)
+            full_rank = len(datum.h_datum.simple_roots) == d.rank
+            assert is_elliptic_datum(d, datum.h_roots, split) == full_rank, (g_type, signs)
 
 
 # -- diagrams ---------------------------------------------------------------
@@ -121,24 +127,24 @@ def test_ellipticity_check_with_split_involution():
 def test_diagram_identity_and_reflection():
     sc = load_builtin("sl2_endoscopy")
     eng = sc.engine
-    xh = EllipticElement((Fraction(2),), "H")
-    same = EllipticElement((Fraction(2),), "G")
-    flipped = EllipticElement((Fraction(-2),), "G")
+    xh = EllipticElement((Fraction(2),))
+    same = EllipticElement((Fraction(2),))
+    flipped = EllipticElement((Fraction(-2),))
     d1 = build_diagram(eng.datum, eng.weyl_g, xh, same)
     assert d1 is not None and d1.w.is_identity()
     d2 = build_diagram(eng.datum, eng.weyl_g, xh, flipped)
     assert d2 is not None and d2.w.word == (0,)
-    off = EllipticElement((Fraction(3),), "G")
+    off = EllipticElement((Fraction(3),))
     assert build_diagram(eng.datum, eng.weyl_g, xh, off) is None
 
 
 def test_diagram_rejects_non_regular():
     sc = load_builtin("sl2_endoscopy")
     eng = sc.engine
-    wall = EllipticElement((Fraction(0),), "H")
+    wall = EllipticElement((Fraction(0),))
     with pytest.raises(EndoscopyError):
         build_diagram(eng.datum, eng.weyl_g, wall, wall)
-    near_wall = EllipticElement((1e-12,), "G")
+    near_wall = EllipticElement((1e-12,))
     with pytest.raises(EndoscopyError):
         require_regular(eng.g_datum, near_wall)
 
@@ -149,9 +155,9 @@ def test_delta_ii_single_factor_signs():
     sc = load_builtin("sl2_endoscopy")
     eng = sc.engine
     a = ADatum.default(eng.g_datum)
-    xh = EllipticElement((Fraction(1),), "H")
-    pos = Diagram(eng.datum, eng.weyl_g[0], xh, EllipticElement((Fraction(1),), "G"))
-    neg = Diagram(eng.datum, eng.weyl_g[1], xh, EllipticElement((Fraction(-1),), "G"))
+    xh = EllipticElement((Fraction(1),))
+    pos = Diagram(eng.datum, eng.weyl_g[0], xh, EllipticElement((Fraction(1),)))
+    neg = Diagram(eng.datum, eng.weyl_g[1], xh, EllipticElement((Fraction(-1),)))
     assert eng.delta_ii(pos, a) == 1
     assert eng.delta_ii(neg, a) == -1
 
@@ -160,8 +166,8 @@ def test_delta_ii_trivial_character_empty_product():
     sc = load_builtin("sl2_compact")
     eng = sc.engine
     a = ADatum.default(eng.g_datum)
-    xh = EllipticElement((Fraction(1),), "H")
-    d = Diagram(eng.datum, eng.weyl_g[0], xh, EllipticElement((Fraction(1),), "G"))
+    xh = EllipticElement((Fraction(1),))
+    d = Diagram(eng.datum, eng.weyl_g[0], xh, EllipticElement((Fraction(1),)))
     assert eng.delta_ii(d, a) == 1
 
 
@@ -170,8 +176,8 @@ def test_delta_i_trivial_kappa_gives_plus_one():
     eng = sc.engine
     a = ADatum.default(eng.g_datum)
     for w in eng.weyl_g:
-        xh = EllipticElement((Fraction(1),), "H")
-        d = Diagram(eng.datum, w, xh, EllipticElement(tuple(w.act(xh.coords)), "G"))
+        xh = EllipticElement((Fraction(1),))
+        d = Diagram(eng.datum, w, xh, EllipticElement(tuple(w.act(xh.coords))))
         assert eng.delta_i(d, a) == 1
         assert eng.delta_iii(d, eng.base_diagram) == 1
 
@@ -188,14 +194,14 @@ def test_first_and_third_factor_depend_only_on_identification():
     a = ADatum.default(eng.g_datum)
     w = eng.weyl_g[1]
     for val in (Fraction(1), Fraction(7, 3), Fraction(1, 5)):
-        xh = EllipticElement((val,), "H")
-        d = Diagram(eng.datum, w, xh, EllipticElement(tuple(w.act(xh.coords)), "G"))
+        xh = EllipticElement((val,))
+        d = Diagram(eng.datum, w, xh, EllipticElement(tuple(w.act(xh.coords))))
         assert eng.delta_i(d, a) == eng.delta_i(
-            Diagram(eng.datum, w, EllipticElement((Fraction(1),), "H"),
-                    EllipticElement(tuple(w.act((Fraction(1),))), "G")), a)
+            Diagram(eng.datum, w, EllipticElement((Fraction(1),)),
+                    EllipticElement(tuple(w.act((Fraction(1),))))), a)
         assert eng.delta_iii(d, eng.base_diagram) == eng.delta_iii(
-            Diagram(eng.datum, w, EllipticElement((Fraction(1),), "H"),
-                    EllipticElement(tuple(w.act((Fraction(1),))), "G")),
+            Diagram(eng.datum, w, EllipticElement((Fraction(1),)),
+                    EllipticElement(tuple(w.act((Fraction(1),))))),
             eng.base_diagram,
         )
 
@@ -203,10 +209,10 @@ def test_first_and_third_factor_depend_only_on_identification():
 def test_transfer_factor_classical_sl2_signs():
     sc = load_builtin("sl2_endoscopy")
     eng = sc.engine
-    xh = EllipticElement((Fraction(3, 2),), "H")
-    assert eng.transfer_factor(xh, EllipticElement((Fraction(3, 2),), "G")) == 1
-    assert eng.transfer_factor(xh, EllipticElement((Fraction(-3, 2),), "G")) == -1
-    assert eng.transfer_factor(xh, EllipticElement((Fraction(4),), "G")) == 0
+    xh = EllipticElement((Fraction(3, 2),))
+    assert eng.transfer_factor(xh, EllipticElement((Fraction(3, 2),))) == 1
+    assert eng.transfer_factor(xh, EllipticElement((Fraction(-3, 2),))) == -1
+    assert eng.transfer_factor(xh, EllipticElement((Fraction(4),))) == 0
 
 
 def test_transfer_factor_base_pair_is_one():
@@ -223,12 +229,12 @@ def test_stable_conjugacy_character_property():
         sc = load_builtin(name)
         eng = sc.engine
         rank = eng.g_datum.rank
-        xh = EllipticElement(tuple(Fraction(2 * k + 3, 2 * k + 2) for k in range(rank)), "H")
-        base_g = EllipticElement(tuple(xh.coords), "G")
+        xh = EllipticElement(tuple(Fraction(2 * k + 3, 2 * k + 2) for k in range(rank)))
+        base_g = EllipticElement(tuple(xh.coords))
         den = eng.transfer_factor(xh, base_g)
         kappa = eng.kappa_for(eng.weyl_g[0])
         for w in eng.weyl_g:
-            num = eng.transfer_factor(xh, EllipticElement(tuple(w.act(xh.coords)), "G"))
+            num = eng.transfer_factor(xh, EllipticElement(tuple(w.act(xh.coords))))
             inv_vec = eng.stable_invariant_class(w)
             cls = CohomologyClass(eng.torus, eng._h1, eng._h1.reduce(inv_vec))
             assert num / den == tate_nakayama_pair(cls, kappa)
@@ -239,26 +245,26 @@ def test_transfer_factor_constant_on_rational_orbits():
         sc = load_builtin(name)
         eng = sc.engine
         rank = eng.g_datum.rank
-        xh = EllipticElement(tuple(Fraction(k + 2, k + 1) for k in range(rank)), "H")
+        xh = EllipticElement(tuple(Fraction(k + 2, k + 1) for k in range(rank)))
         for w in eng.weyl_g:
-            xg = EllipticElement(tuple(w.act(xh.coords)), "G")
+            xg = EllipticElement(tuple(w.act(xh.coords)))
             val = eng.transfer_factor(xh, xg)
             for wr in eng.real_weyl_g:
-                moved = EllipticElement(tuple(wr.act(xg.coords)), "G")
+                moved = EllipticElement(tuple(wr.act(xg.coords)))
                 assert eng.transfer_factor(xh, moved) == val
 
 
 def test_transfer_factor_stable_under_in_chamber_motion():
     sc = load_builtin("sp4_endoscopy")
     eng = sc.engine
-    xh = EllipticElement((1.0, 0.35), "H")
-    xg = EllipticElement((1.0, 0.35), "G")
+    xh = EllipticElement((1.0, 0.35))
+    xg = EllipticElement((1.0, 0.35))
     v0 = eng.transfer_factor(xh, xg)
-    nudged = EllipticElement((1.0 + 1e-6, 0.35 - 1e-6), "G")
+    nudged = EllipticElement((1.0 + 1e-6, 0.35 - 1e-6))
     # same chamber pattern but no exact diagram: factor becomes 0
     assert eng.transfer_factor(xh, nudged) == 0
     # moving both points together keeps the diagram and the value
-    xh2 = EllipticElement((1.0 + 1e-6, 0.35 - 1e-6), "H")
+    xh2 = EllipticElement((1.0 + 1e-6, 0.35 - 1e-6))
     assert eng.transfer_factor(xh2, nudged) == v0
 
 
@@ -268,8 +274,8 @@ def test_a_datum_independence_exact():
         sc = load_builtin(name)
         eng = sc.engine
         rank = eng.g_datum.rank
-        xh = EllipticElement(tuple(Fraction(2 * k + 3, 2 * k + 2) for k in range(rank)), "H")
-        targets = [EllipticElement(tuple(w.act(xh.coords)), "G") for w in eng.weyl_g]
+        xh = EllipticElement(tuple(Fraction(2 * k + 3, 2 * k + 2) for k in range(rank)))
+        targets = [EllipticElement(tuple(w.act(xh.coords))) for w in eng.weyl_g]
         baseline = [eng.transfer_factor(xh, t) for t in targets]
         for _ in range(20):
             ratios = tuple(
@@ -295,8 +301,8 @@ def test_a_datum_validation():
 
 def test_orbit_counts_sl2_and_su2():
     endo = load_builtin("sl2_endoscopy").engine
-    xg = EllipticElement((Fraction(1),), "G")
-    xh = EllipticElement((Fraction(1),), "H")
+    xg = EllipticElement((Fraction(1),))
+    xh = EllipticElement((Fraction(1),))
     assert len(endo.stable_orbit_representatives(xg)) == 2
     assert len(endo.matching_h_orbits(xg)) == 2
     assert endo.stable_class_size_h(xh) == 1
@@ -309,16 +315,16 @@ def test_orbit_counts_sl2_and_su2():
 
 def test_h_stable_class_sizes():
     assert load_builtin("sl2xsl2_mixed").engine.stable_class_size_h(
-        EllipticElement((Fraction(1), Fraction(1, 2)), "H")
+        EllipticElement((Fraction(1), Fraction(1, 2)))
     ) == 2
     assert load_builtin("sp4_endoscopy").engine.stable_class_size_h(
-        EllipticElement((Fraction(1), Fraction(1, 3)), "H")
+        EllipticElement((Fraction(1), Fraction(1, 3)))
     ) == 2
 
 
 def test_orbit_representatives_partition_stable_class():
     eng = load_builtin("sp4_endoscopy").engine
-    xg = EllipticElement((Fraction(1), Fraction(1, 3)), "G")
+    xg = EllipticElement((Fraction(1), Fraction(1, 3)))
     reps = eng.stable_orbit_representatives(xg)
     # distinct modulo the real Weyl group, and their real-Weyl orbits cover W xg
     real_orbits = set()
@@ -371,8 +377,8 @@ def test_matrix_oracle_reflection_diagram_cocycle():
 
     eng = load_builtin("sl2_endoscopy").engine
     a = ADatum.default(eng.g_datum)
-    xh = EllipticElement((Fraction(1),), "H")
-    refl = Diagram(eng.datum, eng.weyl_g[1], xh, EllipticElement((Fraction(-1),), "G"))
+    xh = EllipticElement((Fraction(1),))
+    refl = Diagram(eng.datum, eng.weyl_g[1], xh, EllipticElement((Fraction(-1),)))
     assert eng.delta_i(refl, a) == eng.delta_i(eng.base_diagram, a)
 
 

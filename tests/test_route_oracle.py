@@ -149,8 +149,8 @@ def test_routes_match_literal_oracle_bit_for_bit(name, samples):
     rng = random.Random(seed)
     records = []
     for rec in got.records:
-        x_h = EllipticElement(sample_regular_vector(scenario, rng), "H")
-        x_g = EllipticElement(sample_regular_vector(scenario, rng), "G")
+        x_h = EllipticElement(sample_regular_vector(scenario, rng))
+        x_g = EllipticElement(sample_regular_vector(scenario, rng))
         want = oracle.verify_identity(x_h, x_g)
         assert rec.report == want
         assert repr(rec.report) == repr(want)  # signed zeros too
@@ -171,8 +171,8 @@ def test_exact_points_match_literal_oracle():
     config = parse_scenario(_text("sp4_endoscopy"))
     scenario = build_scenario(config)
     oracle = LiteralRoutes(scenario, config.form_scale)
-    x_h = EllipticElement((F(3, 2), F(-2, 7)), "H")
-    x_g = EllipticElement((F(5, 3), F(1, 5)), "G")
+    x_h = EllipticElement((F(3, 2), F(-2, 7)))
+    x_g = EllipticElement((F(5, 3), F(1, 5)))
     assert repr(verify_identity(scenario, x_h, x_g)) == repr(oracle.verify_identity(x_h, x_g))
 
 
@@ -204,8 +204,8 @@ def test_routes_compute_each_distinct_exponential_once(monkeypatch):
     scenario = build_scenario(parse_scenario(B3_KERNEL))
     eng = scenario.engine
     rng = random.Random(5)
-    x_h = EllipticElement(sample_regular_vector(scenario, rng), "H")
-    x_g = EllipticElement(sample_regular_vector(scenario, rng), "G")
+    x_h = EllipticElement(sample_regular_vector(scenario, rng))
+    x_g = EllipticElement(sample_regular_vector(scenario, rng))
     g_images = _images(eng.real_weyl_g, [tuple(map(float, w.act(x_h.coords))) for w in eng.weyl_g])
     h_images = _images(eng.real_weyl_h, [tuple(map(float, w.act(x_h.coords))) for w in eng.weyl_h])
     assert len(g_images) < len(eng.weyl_g) * len(eng.real_weyl_g)

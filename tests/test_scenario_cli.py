@@ -16,8 +16,8 @@ from endotransfer.scenario import (
     load_builtin,
     parse_scenario,
 )
+from endotransfer import cli
 from endotransfer.verify import (
-    VerificationRefused,
     emit_report,
     parse_machine_report,
     run_verify,
@@ -229,10 +229,18 @@ def test_cli_verify_zero_samples_still_passes():
         ("factors", ("--xh", "1, 2", "--xg", "abc"), "--xg"),
         ("factors", ("--xh", "1", "--xg", "1, 2"), "--xh"),
         ("orbits", ("--xg", "1, 2, 3"), "--xg"),
+        ("orbits", ("--xg", "1e-10000000, 1"), "--xg"),
+        ("factors", ("--xh", "1e10000000, 1", "--xg", "1e10000000, 1"), "--xh"),
+        ("orbits", ("--xg", "1e-4500, 1"), "--xg"),
     ],
 )
 def test_cli_vectors_are_checked(command, args, named):
+    """A vector option is read by the loader's rational parser: a value out
+    of a float's range, above or below it, is refused within a second."""
     scn = str(builtin_scenario_path("sp4_endoscopy"))
+    start = time.perf_counter()
+    assert cli.main([command, scn, *args]) == 2
+    assert time.perf_counter() - start < 1.0
     res = _run_cli(command, scn, *args)
     assert res.returncode == 2
     assert named in res.stderr and "Traceback" not in res.stderr
@@ -262,20 +270,11 @@ def test_cli_missing_files_exit_2(tmp_path):
     assert res.returncode == 2 and "absent.lat" in res.stderr
 
 
-def test_run_verify_refuses_non_elliptic_datum():
-    import dataclasses
-
-    sc = load_builtin("sl2_endoscopy")
-    sc.engine.datum = dataclasses.replace(sc.engine.datum, elliptic=False)
-    with pytest.raises(VerificationRefused):
-        run_verify(sc, 1, 0)
-
-
 MIXED = builtin_scenario_path("sl2xsl2_mixed").read_text(encoding="utf-8")
 
 
-def _with_extras(line):
-    return MIXED.replace("[base_point]", f"[real_weyl_extras]\n{line}\n\n[base_point]")
+def _with_extras(line, section="real_weyl_extras"):
+    return MIXED.replace("[base_point]", f"[{section}]\n{line}\n\n[base_point]")
 
 
 @pytest.mark.parametrize(
@@ -295,14 +294,21 @@ def _with_extras(line):
         (MIXED.replace("x_h = 1, 1/2", "x_h = 1e10000000, 1/2"), "x_h = 1e10000000, 1/2"),
         (MIXED.replace("form_scale = 1", "form_scale = 1e-10000000"), "form_scale = 1e-10000000"),
         (_with_extras("g = 1"), "g = 1"),
+        (_with_extras("g = 1 1"), "g = 1 1"),
+        (MIXED.replace("form_scale = 1", "form_scal = 2"), "form_scal = 2"),
+        (_with_extras("h = 1 1", "real_weyl_extra"), "[real_weyl_extra]"),
+        (MIXED.replace("x_g = 1, 1/2", "x_g = 1, 1/2\nx_k = 5"), "x_k = 5"),
+        (_with_extras("k = 1"), "k = 1"),
+        (MIXED.replace("[grading_h]\n", "[grading_h]\nbeta = compact\n"), "beta = compact"),
+        (MIXED.replace("x_h = 1, 1/2", "x_h = 1, 1e-400"), "x_h = 1, 1e-400"),
     ],
 )
 def test_bad_scenario_values_name_their_line(tmp_path, text, line):
     """A zero denominator, a value out of a float's range (an exponent too
     large to build is refused from the text, within a second), a real-Weyl
-    word whose letters are not simple root numbers of G (two) or of H (one),
-    and a G word outside W_K are refused at their own line, in process and
-    by verify with exit 2."""
+    word whose letters are not simple root numbers of H, any word for G,
+    and an unknown key or section are refused at their own line, once, in
+    process and by verify with exit 2."""
     lineno = text.splitlines().index(line) + 1
     start = time.perf_counter()
     with pytest.raises(ScenarioError) as exc:
@@ -316,24 +322,20 @@ def test_bad_scenario_values_name_their_line(tmp_path, text, line):
     assert f"line {lineno}:" in res.stderr and "Traceback" not in res.stderr
 
 
-def test_g_extra_outside_w_k_is_refused_with_its_reason(tmp_path):
-    """sl2xsl2_mixed is split, so W_K is trivial and s1 is no real Weyl
-    element of G; identity words stay accepted."""
+def test_g_extra_is_refused_with_its_reason(tmp_path):
+    """G is simply connected, so its real Weyl group is W_K, which the
+    compact reflections generate; a word for G, even the identity, is
+    refused with that reason."""
     scn = tmp_path / "extra.scn"
-    scn.write_text(_with_extras("g = 1 1, 1"), encoding="utf-8")
+    scn.write_text(_with_extras("g = 1 1, 2 2"), encoding="utf-8")
     res = _run_cli("verify", str(scn), "--samples", "1")
     assert res.returncode == 2 and "Traceback" not in res.stderr
-    assert "word '1' is not in W_K" in res.stderr and "compact reflections" in res.stderr
-    sc = build_scenario(parse_scenario(_with_extras("g = 1 1, 2 2")))
-    assert len(sc.engine.real_weyl_g) == 1
+    assert "G's real Weyl group is W_K; only h extras are read" in res.stderr
 
 
 def test_scenario_with_identity_extras():
-    text = GOLDEN.replace(
-        "[base_point]", "[real_weyl_extras]\ng = 1 1\n\n[base_point]"
-    )
-    sc = build_scenario(parse_scenario(text))
-    assert len(sc.engine.real_weyl_g) == 1  # s1 s1 = identity adds nothing
+    sc = build_scenario(parse_scenario(_with_extras("h = 1 1")))
+    assert len(sc.engine.real_weyl_h) == 1  # s1 s1 = identity adds nothing
 
 
 def test_console_entry_point_help():

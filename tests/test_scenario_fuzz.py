@@ -17,10 +17,9 @@ from endotransfer.scenario import (
     parse_scenario,
 )
 
-# A shipped file with identity words for the real Weyl extras of G and H.
+# A shipped file with an identity word for the real Weyl extras of H.
 LINES = builtin_scenario_path("sl2xsl2_mixed").read_text(encoding="utf-8").splitlines() + [
     "[real_weyl_extras]",
-    "g = 1 1",
     "h = 1 1",
 ]
 
