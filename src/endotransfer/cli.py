@@ -141,12 +141,23 @@ def _cmd_orbits(args) -> int:
     except EndoscopyError as e:
         print(f"non-regular input: {e}", file=sys.stderr)
         return 2
+    try:
+        g_reps = [" ".join(str(c) for c in el.coords) for el in stable]
+        h_reps = [" ".join(str(c) for c in el.coords) for el in matching]
+    except ValueError:
+        # str of an int beyond Python's int-to-str digit limit
+        print(
+            f"invalid input: --xg has orbit representatives with integers of more than "
+            f"{sys.get_int_max_str_digits()} digits, too long to print",
+            file=sys.stderr,
+        )
+        return 2
     print(f"stable class of x_g splits into {len(stable)} rational classes:")
-    for el in stable:
-        print("  G-side rep:", " ".join(str(c) for c in el.coords))
+    for rep in g_reps:
+        print("  G-side rep:", rep)
     print(f"matching endoscopic orbits: {len(matching)}")
-    for el in matching:
-        print("  H-side rep:", " ".join(str(c) for c in el.coords))
+    for rep in h_reps:
+        print("  H-side rep:", rep)
     print(f"stable class size on the endoscopic side: {eng.stable_class_size_h(x_g)}")
     return 0
 

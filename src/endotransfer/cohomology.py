@@ -33,14 +33,13 @@ from .lattice import (
     hermite_normal_form,
     identity,
     integer_kernel,
-    invert_rational,
+    inverse_over,
     mat_int,
     mat_mul,
     mat_vec,
     smith_normal_form,
     transpose,
     vec_frac,
-    vec_int,
 )
 
 DUALITY_CONVENTION = "pairing(<class>, <character>) = exp(2*pi*i*<xhat,lambda>)"
@@ -256,13 +255,13 @@ def h1(torus: RealTorus) -> H1Group:
     # A class's Smith coordinates are its kernel coordinates times q; the
     # generator at slot p has kernel coordinates e_p q^{-1}.
     class_rows = tuple(tuple(q[j][p] for j in range(k)) for p in positions)
-    qinv = invert_rational(q)
+    qinv, den = inverse_over(q)
     generators = []
     for p in positions:
         lam = mat_vec(transpose(kernel), qinv[p])
-        if any(x.denominator != 1 for x in lam):
+        if any(x % den for x in lam):
             raise CohomologyError("non-integral representative")
-        generators.append(vec_int(lam))
+        generators.append(tuple(x // den for x in lam))
     return H1Group(torus, kernel, divisors, to_kernel, class_rows, tuple(generators))
 
 
@@ -368,29 +367,21 @@ def quotient_torus_lattice(
     """Torus with cocharacter lattice enlarged by a finite central subgroup.
 
     The subgroup is given by rational cocharacter-space points modulo the
-    lattice; it must be closed under addition and stable under sigma.
+    lattice; it must be closed under addition and stable under sigma.  Both
+    are checked on integer numerators over the points' common denominator.
     """
     n = torus.lattice_rank
-    pts = [tuple(Fraction(x) % 1 for x in p) for p in subgroup]
-    pset = {tuple(x % 1 for x in p) for p in pts}
-    pset.add(tuple(Fraction(0) for _ in range(n)))
+    flat, denom = common_denominator(x for p in subgroup for x in p)
+    pset = {tuple(x % denom for x in flat[k:k + n]) for k in range(0, len(flat), n)}
+    pset.add((0,) * n)
     for p in pset:
-        moved = tuple(x % 1 for x in mat_vec(torus.involution, p))
-        if moved not in pset:
+        if tuple(x % denom for x in mat_vec(torus.involution, p)) not in pset:
             raise CohomologyError("subgroup is not sigma-stable")
         for q in pset:
-            s = tuple((a + b) % 1 for a, b in zip(p, q))
-            if s not in pset:
+            if tuple((a + b) % denom for a, b in zip(p, q)) not in pset:
                 raise CohomologyError("subgroup is not closed under the group law")
-    denom = 1
-    for p in pset:
-        for x in p:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-    rows = []
-    for i in range(n):
-        rows.append(tuple(denom if j == i else 0 for j in range(n)))
-    for p in pset:
-        rows.append(tuple(int(x * denom) for x in p))
+    rows = [tuple(denom if j == i else 0 for j in range(n)) for i in range(n)]
+    rows.extend(pset)
     # The lattice contains denom * Z^n, so its echelon form leads with n nonzero rows.
     h, _ = hermite_normal_form(mat_int(rows))
     basis_rows = h[:n]

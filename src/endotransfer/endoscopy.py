@@ -41,8 +41,8 @@ from .lattice import (
     FracVec,
     IntVec,
     dot,
+    inverse_over,
     mat_vec,
-    solve_rational,
     transpose,
     vec_frac,
 )
@@ -54,7 +54,7 @@ from .rootdata import (
     build_sub_datum,
     enumerate_weyl,
     right_coset_representatives,
-    weyl_inverse,
+    weyl_inverses,
 )
 from .tits import inverse as tits_inverse, multiply as tits_multiply, n_of
 
@@ -301,10 +301,10 @@ class TransferFactorEngine:
         self.omega = omega
         self.two_rho_check = _sum_positive_coroots(self.g_datum)
         self.two_xhat_s = tuple(int(2 * x) for x in datum.xhat_s)
-        self._inverse = {}
-        for w in self.weyl_g:
-            inv = weyl_inverse(self.g_datum, w)
-            self._inverse[w.matrix] = (inv, transpose(inv.matrix))
+        self._inverse = {
+            w.matrix: (inv, transpose(inv.matrix))
+            for w, inv in zip(self.weyl_g, weyl_inverses(self.g_datum, self.weyl_g))
+        }
         self.torus = elliptic_torus(self.g_datum.rank)
         self._h1 = h1(self.torus)
         self._check_tits_central()
@@ -340,8 +340,8 @@ class TransferFactorEngine:
         if self._u is None:
             n = self.g_datum.rank
             big = elliptic_torus(2 * n)
-            reps = _coweight_classes(self.g_datum)
-            subgroup = [tuple(list(p) + [(-x) % 1 for x in p]) for p in reps]
+            reps, d = _coweight_classes(self.g_datum)
+            subgroup = [tuple(Fraction(x, d) for x in p + tuple(-x % d for x in p)) for p in reps]
             self._u = quotient_torus_lattice(big, subgroup)
             self._u_h1 = h1(self._u.torus)
         return self._u
@@ -519,26 +519,24 @@ def _sum_positive_coroots(datum: RootDatum) -> IntVec:
     return tuple(sum(col) for col in zip(*(datum.coroot(r) for r in datum.positive_roots)))
 
 
-def _coweight_classes(datum: RootDatum) -> list[FracVec]:
-    """Representatives of the coweight lattice modulo the coroot lattice."""
-    simple_root_rows = datum.simple_roots
-    coweights = []
-    n = datum.rank
-    for i in range(n):
-        e = tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
-        sol = solve_rational(simple_root_rows, e)
-        if sol is None:
-            raise EndoscopyError("simple roots are degenerate")
-        coweights.append(sol)
-    seen = {tuple(Fraction(0) for _ in range(n))}
+def _coweight_classes(datum: RootDatum) -> tuple[list[IntVec], int]:
+    """Representatives of the coweight lattice modulo the coroot lattice, as
+    numerators over one denominator d, sorted.  The fundamental coweights
+    are the columns of the inverse of the simple-root matrix."""
+    try:
+        inverse, d = inverse_over(datum.simple_roots)
+    except ValueError:
+        raise EndoscopyError("simple roots are degenerate")
+    coweights = transpose(inverse)
+    seen = {(0,) * datum.rank}
     frontier = list(seen)
     while frontier:
         new = []
         for p in frontier:
             for cw in coweights:
-                q = tuple((a + b) % 1 for a, b in zip(p, cw))
+                q = tuple((a + b) % d for a, b in zip(p, cw))
                 if q not in seen:
                     seen.add(q)
                     new.append(q)
         frontier = new
-    return sorted(seen)
+    return sorted(seen), d

@@ -1,14 +1,16 @@
-"""Exact integer and rational linear algebra on small matrices.
+"""Exact integer linear algebra on small matrices.
 
-Everything here works on tuples of tuples with int or Fraction entries;
-matrices are row-major.  Sizes stay below ~10x10 in this package, so the
-classical elimination algorithms are used without any pivot-size tricks.
+Matrices are row-major tuples of tuples of ints.  Every exact solve goes
+through one fraction-free elimination (Bareiss 1968), which keeps every
+entry an integer; rationals are integer numerators over one denominator.
+Sizes stay below ~10x10 in this package, so the classical elimination
+algorithms are used without any pivot-size tricks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -62,60 +64,53 @@ def transpose(a: Sequence[Sequence]):
     return tuple(tuple(row[i] for row in a) for i in range(len(a[0])))
 
 
+def _eliminate(m: list[list[int]], n: int) -> tuple[int, int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of the first n
+    columns of the n rows m, in place.  Step c replaces every row r != c by
+    (p m[r] - m[r][c] m[c]) / p', with p = m[c][c] and p' the previous
+    pivot; the division is exact, so m stays T m0 with T integer.  When the
+    n x n block is nonsingular it ends as D times the identity, with D =
+    sign * det of the block of m0 and sign that of the row swaps.  Returns
+    (D, sign), with D = 0 as soon as the block is found singular."""
+    prev, sign = 1, 1
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if m[r][c]), None)
+        if pivot is None:
+            return 0, sign
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            sign = -sign
+        top = m[c]
+        p = top[c]
+        for r in range(n):
+            if r != c:
+                f = m[r][c]
+                m[r] = [(p * x - f * y) // prev for x, y in zip(m[r], top)]
+        prev = p
+    return prev, sign
+
+
 def det_int(a: IntMat) -> int:
     """Determinant of an integer matrix by fraction-free elimination."""
+    d, sign = _eliminate([list(row) for row in a], len(a))
+    return sign * d
+
+
+def inverse_over(a: IntMat) -> tuple[IntMat, int]:
+    """The inverse of a square integer matrix as (M, d) with a M = d 1,
+    d > 0 and gcd(d, entries of M) = 1: d is the least common denominator
+    of the inverse.  ValueError when a is singular."""
     n = len(a)
-    m = [list(map(Fraction, row)) for row in a]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor:
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    assert det.denominator == 1
-    return int(det)
-
-
-def solve_rational(a: Sequence[Sequence], b: Sequence) -> Optional[FracVec]:
-    """One exact solution of a x = b, or None if inconsistent.
-
-    Free variables are set to zero, so the result is deterministic.
-    """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    m = [[Fraction(x) for x in a[i]] + [Fraction(b[i])] for i in range(rows)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if m[i][cols] != 0:
-            return None
-    x = [Fraction(0)] * cols
-    for row, col in pivots:
-        x[col] = m[row][cols]
-    return tuple(x)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix is not square")
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    d, _ = _eliminate(m, n)
+    if d == 0:
+        raise ValueError("matrix is singular")
+    g = gcd(d, *(x for row in m for x in row[n:]))
+    if d < 0:
+        g = -g
+    return tuple(tuple(x // g for x in row[n:]) for row in m), d // g
 
 
 def hermite_normal_form(rows: IntMat) -> tuple[IntMat, IntMat]:
@@ -238,45 +233,18 @@ def smith_normal_form(a: IntMat) -> tuple[IntMat, IntMat, IntMat]:
     return mat_int(m), mat_int(p), mat_int(q)
 
 
-def in_lattice(basis_rows: IntMat, v: Sequence[Fraction]) -> bool:
-    """Whether v lies in the integer row-span of basis_rows.
-
-    The rows must be linearly independent (a basis, not a generating set);
-    the coordinates of v are then unique and integrality is decidable.
-    """
-    if not basis_rows:
-        return all(Fraction(x) == 0 for x in v)
-    sol = solve_rational(transpose(basis_rows), v)
-    if sol is None:
-        return False
-    return all(x.denominator == 1 for x in sol)
-
-
-def invert_rational(a: Sequence[Sequence]) -> tuple[FracVec, ...]:
-    """Exact inverse by Gauss-Jordan elimination of [a | 1]."""
-    n = len(a)
-    m = [[Fraction(x) for x in a[i]] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        m[c], m[pivot] = m[pivot], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[c])]
-    return tuple(tuple(row[n:]) for row in m)
-
-
-def coordinate_map(rows: Sequence[Sequence]) -> tuple[IntMat, int]:
+def coordinate_map(rows: Sequence[Sequence[int]]) -> tuple[IntMat, int]:
     """The matrix P = (R R^T)^{-1} R, for which P v = c whenever
-    v = sum_i c_i R[i], as an integer matrix and a common denominator.  The
-    rows of R must be linearly independent."""
-    p = mat_mul(invert_rational(mat_mul(rows, transpose(rows))), rows)
-    den = lcm(*(Fraction(x).denominator for row in p for x in row))
-    return mat_int(tuple(x * den for x in row) for row in p), den
+    v = sum_i c_i R[i], as an integer matrix and the least common
+    denominator of its entries.  The rows of R must be linearly
+    independent; ValueError otherwise.  For square R, P = R^{-T}."""
+    if rows and len(rows) == len(rows[0]):
+        m, den = inverse_over(rows)
+        return transpose(m), den
+    m, den = inverse_over(mat_mul(rows, transpose(rows)))
+    p = mat_mul(m, rows)
+    g = gcd(den, *(x for row in p for x in row))
+    return tuple(tuple(x // g for x in row) for row in p), den // g
 
 
 def coordinates(rows: Sequence[Sequence], cmap: tuple[IntMat, int], v: Sequence) -> Optional[IntVec]:

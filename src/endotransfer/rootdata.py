@@ -21,14 +21,14 @@ from .lattice import (
     FracVec,
     IntMat,
     IntVec,
+    coordinate_map,
+    coordinates,
     det_int,
     dot,
     identity,
     mat_int,
     mat_mul,
     mat_vec,
-    solve_rational,
-    vec_int,
 )
 
 WEYL_ORDER_CAP = 10**6
@@ -106,9 +106,11 @@ class RootDatum:
         object.__setattr__(self, "_root_of", dict(zip(self.coroots, self.roots)))
         object.__setattr__(self, "_root_set", frozenset(self.roots))
         object.__setattr__(self, "_coeff_cache", {})
+        # The one left inverse of the simple roots, over its denominator.
+        object.__setattr__(self, "_coeff_map", coordinate_map(self.simple_roots))
         positive = []
         for r in self.roots:
-            coeffs = self.simple_root_coefficients(r)
+            coeffs = self._coefficient_numerators(r)
             if all(c >= 0 for c in coeffs) and any(c > 0 for c in coeffs):
                 positive.append(r)
         positive = tuple(positive)
@@ -132,18 +134,22 @@ class RootDatum:
     def coroot(self, root: IntVec) -> IntVec:
         return self._coroot_of[root]
 
-    def root_for_coroot(self, coroot: IntVec) -> IntVec:
-        return self._root_of[coroot]
-
     def simple_root_coefficients(self, root: IntVec) -> FracVec:
         """Coefficients of a root over the simple roots (exact, memoized)."""
         cached = self._coeff_cache.get(root)
         if cached is None:
-            cached = solve_rational(tuple(zip(*self.simple_roots)), root)
-            if cached is None:
-                raise RootDatumError(f"{root} is not in the span of the simple roots")
+            den = self._coeff_map[1]
+            cached = tuple(Fraction(c, den) for c in self._coefficient_numerators(root))
             self._coeff_cache[root] = cached
         return cached
+
+    def _coefficient_numerators(self, root: IntVec) -> IntVec:
+        """The simple-root coefficients of root, over the left inverse's
+        denominator."""
+        coeffs = coordinates(self.simple_roots, self._coeff_map, root)
+        if coeffs is None:
+            raise RootDatumError(f"{root} is not in the span of the simple roots")
+        return coeffs
 
     def is_positive(self, root: IntVec) -> bool:
         """Membership in the positive roots, which are found once, at
@@ -165,6 +171,32 @@ class RootDatum:
     def simple_reflection(self, i: int) -> WeylElement:
         return WeylElement(self._reflections[i], (i,))
 
+    def times_simple(self, matrix: IntMat, i: int) -> IntMat:
+        """matrix * s_i = matrix - (matrix coalpha_i) alpha_i^T."""
+        alpha, coalpha = self.simple_roots[i], self.simple_coroots[i]
+        out = []
+        for row in matrix:
+            p = dot(row, coalpha)
+            out.append(tuple(x - p * a for x, a in zip(row, alpha)) if p else row)
+        return tuple(out)
+
+    def simple_times(self, i: int, matrix: IntMat) -> IntMat:
+        """s_i * matrix = matrix - coalpha_i (alpha_i^T matrix)."""
+        alpha, coalpha = self.simple_roots[i], self.simple_coroots[i]
+        f = [0] * len(matrix[0])
+        for a, row in zip(alpha, matrix):
+            if a:
+                f = [x + a * y for x, y in zip(f, row)]
+        return tuple(tuple(x - c * y for x, y in zip(row, f)) if c else row for row, c in zip(matrix, coalpha))
+
+    def simple_root_image(self, matrix: IntMat, i: int) -> IntVec:
+        """w . alpha_i for the w with this matrix: the root whose coroot is
+        w coalpha_i.  RootDatumError when that is not a coroot."""
+        root = self._root_of.get(mat_vec(matrix, self.simple_coroots[i]))
+        if root is None:
+            raise RootDatumError("matrix does not define a Weyl element")
+        return root
+
     def reflect_root(self, i: int, f: IntVec) -> IntVec:
         pairing = dot(f, self.simple_coroots[i])
         return tuple(x - pairing * a for x, a in zip(f, self.simple_roots[i]))
@@ -183,37 +215,34 @@ class RootDatum:
         return sum(1 for r in self.positive_roots if self.root_is_negative_under(w, r))
 
     def reduced_word(self, matrix: IntMat) -> tuple[int, ...]:
-        """A reduced word for the Weyl element with the given matrix."""
+        """A reduced word for the Weyl element with the given matrix: strip
+        an s_i with w . alpha_i < 0 from the right until w = 1.  Each step
+        shortens an element of W by one, so more steps than positive roots,
+        or none available, mean the matrix is not in W."""
         suffix: list[int] = []
         current = matrix
         one = identity(self.rank)
-        guard = 0
         while current != one:
-            guard += 1
-            if guard > 10 * WEYL_ORDER_CAP:
+            if len(suffix) == len(self._positive):
                 raise RootDatumError("matrix does not define a Weyl element")
             for i in range(len(self.simple_roots)):
-                image = self._act_root_via_matrix(current, self.simple_roots[i])
-                if not self.is_positive(image):
+                if self.simple_root_image(current, i) not in self._positive_set:
                     suffix.append(i)
-                    current = mat_mul(current, self._reflections[i])
+                    current = self.times_simple(current, i)
                     break
             else:
                 raise RootDatumError("matrix does not define a Weyl element")
         return tuple(reversed(suffix))
 
-    def _act_root_via_matrix(self, matrix: IntMat, root: IntVec) -> IntVec:
-        image_coroot = mat_vec(matrix, self.coroot(root))
-        return self.root_for_coroot(vec_int(image_coroot))
-
     def element_from_matrix(self, matrix: IntMat) -> WeylElement:
-        return WeylElement(mat_int(matrix), self.reduced_word(mat_int(matrix)))
+        matrix = mat_int(matrix)
+        return WeylElement(matrix, self.reduced_word(matrix))
 
     def element_from_word(self, word: tuple[int, ...]) -> WeylElement:
-        w = WeylElement(identity(self.rank), ())
+        matrix = identity(self.rank)
         for i in word:
-            w = w * self.simple_reflection(i)
-        return self.element_from_matrix(w.matrix)
+            matrix = self.times_simple(matrix, i)
+        return self.element_from_matrix(matrix)
 
     def minus_one_element(self):
         """The Weyl element acting by -1, if it exists."""
@@ -340,22 +369,18 @@ def _close_root_system(label, rank, simple_roots, simple_coroots, invariant_form
 def _build_form(rank: int, roots, coroots) -> tuple[FracVec, ...]:
     """Weyl-invariant positive form: sum over roots of alpha(u) alpha(v),
     scaled so the shortest coroot has squared length 2."""
-    raw = [[Fraction(0)] * rank for _ in range(rank)]
+    raw = [[0] * rank for _ in range(rank)]
     for f in roots:
         for i in range(rank):
-            for j in range(rank):
-                raw[i][j] += Fraction(f[i] * f[j])
-    lengths = []
-    for c in coroots:
-        val = sum(c[i] * raw[i][j] * c[j] for i in range(rank) for j in range(rank))
-        lengths.append(val)
-    scale = Fraction(2) / min(lengths)
-    return tuple(tuple(scale * raw[i][j] for j in range(rank)) for i in range(rank))
+            if f[i]:
+                for j in range(rank):
+                    raw[i][j] += f[i] * f[j]
+    shortest = min(dot(c, mat_vec(raw, c)) for c in coroots)
+    return tuple(tuple(Fraction(2 * x, shortest) for x in row) for row in raw)
 
 
 def enumerate_weyl(datum: RootDatum, cap: int = WEYL_ORDER_CAP) -> tuple[WeylElement, ...]:
     """The full Weyl group, breadth-first, identity first, deterministic order."""
-    gens = [datum.simple_reflection(i) for i in range(len(datum.simple_roots))]
     ident = WeylElement(identity(datum.rank), ())
     seen = {ident.matrix: ident}
     order: list[WeylElement] = [ident]
@@ -363,10 +388,11 @@ def enumerate_weyl(datum: RootDatum, cap: int = WEYL_ORDER_CAP) -> tuple[WeylEle
     while frontier:
         new: list[WeylElement] = []
         for w in sorted(frontier, key=lambda e: (e.word, e.matrix)):
-            for i, g in enumerate(gens):
-                cand = WeylElement(mat_mul(w.matrix, g.matrix), w.word + (i,))
-                if cand.matrix not in seen:
-                    seen[cand.matrix] = cand
+            for i in range(len(datum.simple_roots)):
+                matrix = datum.times_simple(w.matrix, i)
+                if matrix not in seen:
+                    cand = WeylElement(matrix, w.word + (i,))
+                    seen[matrix] = cand
                     new.append(cand)
                     if len(seen) > cap:
                         raise RootDatumError(f"Weyl group order exceeds cap {cap}")
@@ -382,12 +408,40 @@ def weyl_inverse(datum: RootDatum, w: WeylElement) -> WeylElement:
     enumerate_weyl, element_from_matrix or WeylElement.__mul__ returns;
     RootDatumError otherwise."""
     word = tuple(reversed(w.word))
-    matrix = identity(datum.rank)
+    matrix, check = identity(datum.rank), w.matrix
     for i in word:
-        matrix = mat_mul(matrix, datum.simple_reflection(i).matrix)
-    if mat_mul(w.matrix, matrix) != identity(datum.rank):
+        matrix = datum.times_simple(matrix, i)
+        check = datum.times_simple(check, i)
+    if check != identity(datum.rank):
         raise RootDatumError("the word of the Weyl element does not give its matrix")
     return WeylElement(matrix, word)
+
+
+def weyl_inverses(datum: RootDatum, group: tuple[WeylElement, ...]) -> tuple[WeylElement, ...]:
+    """weyl_inverse of every element of enumerate_weyl(datum), in its
+    order, each from its breadth-first parent p, the element whose word is
+    w's without its last letter i: w = p s_i, so w^{-1} = s_i p^{-1}.  As
+    in weyl_inverse, each word must give its element's matrix, here
+    checked as w = p s_i; RootDatumError otherwise."""
+    one = identity(datum.rank)
+    done: dict[tuple[int, ...], tuple[IntMat, WeylElement]] = {}
+    out = []
+    for w in group:
+        if not w.word:
+            if w.matrix != one:
+                raise RootDatumError("the word of the Weyl element does not give its matrix")
+            inv = w
+        else:
+            parent = done.get(w.word[:-1])
+            if parent is None:
+                raise RootDatumError("a Weyl element comes before its breadth-first parent")
+            i = w.word[-1]
+            if datum.times_simple(parent[0], i) != w.matrix:
+                raise RootDatumError("the word of the Weyl element does not give its matrix")
+            inv = WeylElement(datum.simple_times(i, parent[1].matrix), (i,) + parent[1].word)
+        done[w.word] = (w.matrix, inv)
+        out.append(inv)
+    return tuple(out)
 
 
 def coset_representatives(

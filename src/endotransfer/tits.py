@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import IntVec, identity, mat_mul, vec_int
+from .lattice import IntMat, IntVec, identity, mat_vec, vec_int
 from .rootdata import RootDatum, WeylElement, weyl_inverse
 
 
@@ -39,31 +39,26 @@ def torus_part(datum: RootDatum, eps: IntVec) -> TitsElement:
     return TitsElement(vec_int(eps), ident)
 
 
-def _fold_generator(datum: RootDatum, eps: IntVec, w: WeylElement, i: int) -> tuple[IntVec, WeylElement]:
-    """Right-multiply (eps, n(w)) by n_i."""
-    s_i = datum.simple_reflection(i)
-    alpha_i = datum.simple_roots[i]
-    image = datum.act_on_root(w, alpha_i)
-    target = WeylElement(mat_mul(w.matrix, s_i.matrix), w.word + (i,))
-    if datum.is_positive(image):
+def _fold_generator(datum: RootDatum, eps: IntVec, matrix: IntMat, i: int) -> tuple[IntVec, IntMat]:
+    """Right-multiply (eps, n(w)) by n_i, for the w with this matrix."""
+    target = datum.times_simple(matrix, i)
+    if datum.is_positive(datum.simple_root_image(matrix, i)):
         # length goes up: concatenation of reduced words stays reduced
         return eps, target
     # length drop: n(w) n_i = n(w s_i) (-1)^{(w s_i) coroot_i}
-    shorter = datum.element_from_matrix(target.matrix)
-    sign_vec = shorter.act(datum.simple_coroots[i])
-    new_eps = tuple((a + b) % 2 for a, b in zip(eps, sign_vec))
-    return new_eps, shorter
+    sign_vec = mat_vec(target, datum.simple_coroots[i])
+    return tuple((a + b) % 2 for a, b in zip(eps, sign_vec)), target
 
 
 def multiply(datum: RootDatum, a: TitsElement, b: TitsElement) -> TitsElement:
     # (-1)^{eps_b} moves left through n(w_a) by the lattice action of w_a.
     moved = a.w.act(b.eps)
     eps = tuple((x + y) % 2 for x, y in zip(a.eps, moved))
-    w = a.w
+    matrix = a.w.matrix
     # fold a reduced word of w_b; n(w_b) is independent of which one
     for i in datum.element_from_matrix(b.w.matrix).word:
-        eps, w = _fold_generator(datum, eps, w, i)
-    return TitsElement(eps, datum.element_from_matrix(w.matrix))
+        eps, matrix = _fold_generator(datum, eps, matrix, i)
+    return TitsElement(eps, datum.element_from_matrix(matrix))
 
 
 def inverse(datum: RootDatum, a: TitsElement) -> TitsElement:

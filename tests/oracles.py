@@ -5,7 +5,9 @@ cohomology oracle enumerates sign points directly, and the rank-one matrix
 oracle works with literal 2x2 complex matrices.  The route oracle takes its
 transfer factors from the engine and recomputes everything else per term;
 the set-up oracle is the engine with its per-w set-up done literally, in
-Fractions, without the package's cohomology layer.
+Fractions, without the package's cohomology layer.  The Fraction
+elimination is the reference for the package's integer kernel, and
+LiteralWords, with generic matrix products, for its Weyl words and orders.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import cmath
 import functools
 import itertools
 from fractions import Fraction
+from math import lcm
 
 from endotransfer.endoscopy import (
     Diagram,
@@ -25,9 +28,9 @@ from endotransfer.endoscopy import (
     root_signs,
     sign_of,
 )
-from endotransfer.lattice import integer_kernel, invert_rational, mat_int, solve_rational, transpose
-from endotransfer.rootdata import RootDatumError, WeylElement
-from endotransfer.tits import inverse as tits_inverse, multiply as tits_multiply, n_of
+from endotransfer.lattice import identity, integer_kernel, mat_int, mat_mul, transpose
+from endotransfer.rootdata import WEYL_ORDER_CAP, RootDatumError, WeylElement
+from endotransfer.tits import TitsElement, inverse as tits_inverse, multiply as tits_multiply, n_of
 
 Sign = tuple[int, ...]  # vectors over GF(2)
 
@@ -151,6 +154,104 @@ class BruteForceH1:
             if all((a - b).denominator == 1 for a, b in zip(moved, xhat)):
                 out.append(xhat)
         return out
+
+
+# ---------------------------------------------------------------------------
+# Fraction elimination: the reference for the package's integer kernel
+# ---------------------------------------------------------------------------
+
+
+def solve_rational(a, b):
+    """One exact solution of a x = b, or None if inconsistent.
+
+    Free variables are set to zero, so the result is deterministic.
+    """
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    m = [[Fraction(x) for x in a[i]] + [Fraction(b[i])] for i in range(rows)]
+    pivots: list[tuple[int, int]] = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = Fraction(1) / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                factor = m[i][c]
+                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+        pivots.append((r, c))
+        r += 1
+        if r == rows:
+            break
+    for i in range(r, rows):
+        if m[i][cols] != 0:
+            return None
+    x = [Fraction(0)] * cols
+    for row, col in pivots:
+        x[col] = m[row][cols]
+    return tuple(x)
+
+
+def invert_rational(a):
+    """Exact inverse by Gauss-Jordan elimination of [a | 1]."""
+    n = len(a)
+    m = [[Fraction(x) for x in a[i]] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        m[c], m[pivot] = m[pivot], m[c]
+        inv = 1 / m[c][c]
+        m[c] = [x * inv for x in m[c]]
+        for i in range(n):
+            if i != c and m[i][c] != 0:
+                factor = m[i][c]
+                m[i] = [x - factor * y for x, y in zip(m[i], m[c])]
+    return tuple(tuple(row[n:]) for row in m)
+
+
+def det_rational(a) -> int:
+    """Determinant by Fraction elimination."""
+    n = len(a)
+    m = [list(map(Fraction, row)) for row in a]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = Fraction(1) / m[col][col]
+        for r in range(col + 1, n):
+            factor = m[r][col] * inv
+            if factor:
+                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+    assert det.denominator == 1
+    return int(det)
+
+
+def coordinate_map_rational(rows):
+    """(R R^T)^{-1} R by Fraction elimination, as an integer matrix over the
+    least common denominator of its entries."""
+    p = mat_mul(invert_rational(mat_mul(rows, transpose(rows))), rows)
+    den = lcm(*(Fraction(x).denominator for row in p for x in row))
+    return mat_int(tuple(x * den for x in row) for row in p), den
+
+
+def in_lattice(basis_rows, v) -> bool:
+    """Whether v lies in the integer row-span of the linearly independent
+    basis_rows."""
+    if not basis_rows:
+        return all(Fraction(x) == 0 for x in v)
+    sol = solve_rational(transpose(basis_rows), v)
+    if sol is None:
+        return False
+    return all(x.denominator == 1 for x in sol)
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +456,123 @@ class LiteralRoutes:
         )
         passed = abs_error <= tolerance and termwise_max <= tolerance and consistent
         return IdentityReport(lhs, rhs, abs_error, tuple(comparisons), termwise_max, passed)
+
+
+# ---------------------------------------------------------------------------
+# literal Weyl words: generic matrix products, as before the O(n^2) updates
+# ---------------------------------------------------------------------------
+
+
+class LiteralWords:
+    """Weyl words, orders and the Tits fold written with generic matrix
+    products: each step multiplies by the simple reflection's matrix, the
+    image of a root walks the word, and positivity comes from Fraction
+    coefficients over the simple roots.  The package's words, orders and
+    products must equal these exactly, since the order of W and of the real
+    Weyl groups fixes the routes' summation order."""
+
+    def __init__(self, datum):
+        self.datum = datum
+        self.one = identity(datum.rank)
+        self.reflections = [datum.simple_reflection(i).matrix for i in range(len(datum.simple_roots))]
+        self.root_of = dict(zip(datum.coroots, datum.roots))
+        columns = tuple(zip(*datum.simple_roots))
+        self.positive = set()
+        for r in datum.roots:
+            coeffs = solve_rational(columns, r)
+            if all(c >= 0 for c in coeffs) and any(c > 0 for c in coeffs):
+                self.positive.add(r)
+
+    def reduced_word(self, matrix):
+        suffix = []
+        current = matrix
+        guard = 0
+        while current != self.one:
+            guard += 1
+            if guard > 10 * WEYL_ORDER_CAP:
+                raise RootDatumError("matrix does not define a Weyl element")
+            for i in range(len(self.reflections)):
+                image = self.root_of[tuple(
+                    sum(a * c for a, c in zip(row, self.datum.simple_coroots[i])) for row in current
+                )]
+                if image not in self.positive:
+                    suffix.append(i)
+                    current = mat_mul(current, self.reflections[i])
+                    break
+            else:
+                raise RootDatumError("matrix does not define a Weyl element")
+        return tuple(reversed(suffix))
+
+    def element_from_matrix(self, matrix):
+        return WeylElement(mat_int(matrix), self.reduced_word(mat_int(matrix)))
+
+    def enumerate_weyl(self):
+        ident = WeylElement(self.one, ())
+        seen = {ident.matrix: ident}
+        order = [ident]
+        frontier = [ident]
+        while frontier:
+            new = []
+            for w in sorted(frontier, key=lambda e: (e.word, e.matrix)):
+                for i, g in enumerate(self.reflections):
+                    cand = WeylElement(mat_mul(w.matrix, g), w.word + (i,))
+                    if cand.matrix not in seen:
+                        seen[cand.matrix] = cand
+                        new.append(cand)
+            order.extend(sorted(new, key=lambda e: (e.word, e.matrix)))
+            frontier = new
+        return tuple(order)
+
+    def weyl_inverse(self, w):
+        word = tuple(reversed(w.word))
+        matrix = self.one
+        for i in word:
+            matrix = mat_mul(matrix, self.reflections[i])
+        if mat_mul(w.matrix, matrix) != self.one:
+            raise RootDatumError("the word of the Weyl element does not give its matrix")
+        return WeylElement(matrix, word)
+
+    def closure(self, generators):
+        ident = WeylElement(self.one, ())
+        seen = {ident.matrix: ident}
+        frontier = [ident]
+        while frontier:
+            new = []
+            for w in frontier:
+                for g in generators:
+                    cand = WeylElement(mat_mul(w.matrix, g.matrix), w.word + g.word)
+                    if cand.matrix not in seen:
+                        cand = self.element_from_matrix(cand.matrix)
+                        seen[cand.matrix] = cand
+                        new.append(cand)
+            frontier = new
+        return tuple(sorted(seen.values(), key=lambda e: (len(e.word), e.word, e.matrix)))
+
+    def act_on_root(self, w, f):
+        out = f
+        for i in reversed(w.word):
+            alpha, coalpha = self.datum.simple_roots[i], self.datum.simple_coroots[i]
+            pairing = sum(x * c for x, c in zip(out, coalpha))
+            out = tuple(x - pairing * a for x, a in zip(out, alpha))
+        return out
+
+    def _fold_generator(self, eps, w, i):
+        """Right-multiply (eps, n(w)) by n_i."""
+        image = self.act_on_root(w, self.datum.simple_roots[i])
+        target = WeylElement(mat_mul(w.matrix, self.reflections[i]), w.word + (i,))
+        if image in self.positive:
+            return eps, target
+        shorter = self.element_from_matrix(target.matrix)
+        sign_vec = shorter.act(self.datum.simple_coroots[i])
+        return tuple((a + b) % 2 for a, b in zip(eps, sign_vec)), shorter
+
+    def tits_multiply(self, a, b):
+        moved = a.w.act(b.eps)
+        eps = tuple((x + y) % 2 for x, y in zip(a.eps, moved))
+        w = a.w
+        for i in self.element_from_matrix(b.w.matrix).word:
+            eps, w = self._fold_generator(eps, w, i)
+        return TitsElement(eps, self.element_from_matrix(w.matrix))
 
 
 # ---------------------------------------------------------------------------

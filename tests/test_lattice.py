@@ -1,20 +1,24 @@
 import random
 from fractions import Fraction
+from math import gcd
+
+import pytest
 
 from endotransfer.lattice import (
+    coordinate_map,
     det_int,
     hermite_normal_form,
     identity,
-    in_lattice,
     integer_kernel,
-    invert_rational,
+    inverse_over,
     mat_int,
     mat_mul,
     mat_vec,
     smith_normal_form,
-    solve_rational,
     transpose,
 )
+
+from oracles import coordinate_map_rational, det_rational, in_lattice, invert_rational, solve_rational
 
 
 def random_matrix(rng, rows, cols, lo=-5, hi=5):
@@ -89,3 +93,54 @@ def test_transpose_and_identity_edges():
     assert transpose(()) == ()
     assert identity(0) == ()
     assert identity(2) == ((1, 0), (0, 1))
+
+
+def _random_square(rng, n, singular):
+    """A seeded n x n integer matrix with some zero entries; a singular one
+    has a row that is a combination of the others (zero at n = 1)."""
+    a = [[rng.randint(-5, 5) if rng.random() < 0.8 else 0 for _ in range(n)] for _ in range(n)]
+    if singular:
+        i = rng.randrange(n)
+        a[i] = [0] * n
+        for j in range(n):
+            if j != i:
+                c = rng.randint(-2, 2)
+                a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+    return mat_int(a)
+
+
+def test_integer_kernel_matches_the_fraction_reference():
+    """inverse_over, det_int and coordinate_map against the Fraction
+    elimination of tests/oracles.py, on seeded matrices of size 1-8, every
+    fourth of them singular, and on square and non-square R."""
+    rng = random.Random(8)
+    singular_seen = 0
+    for k in range(240):
+        n = 1 + k % 8
+        a = _random_square(rng, n, singular=k % 4 == 3)
+        det = det_rational(a)
+        assert det_int(a) == det
+        if det == 0:
+            singular_seen += 1
+            with pytest.raises(ValueError, match="singular"):
+                inverse_over(a)
+            with pytest.raises(ValueError, match="singular"):
+                coordinate_map(a)
+            continue
+        inv, den = inverse_over(a)
+        expected = invert_rational(a)
+        assert den > 0 and gcd(den, *(x for row in inv for x in row)) == 1
+        assert tuple(tuple(Fraction(x, den) for x in row) for row in inv) == expected
+        assert mat_mul(a, inv) == tuple(tuple(den * int(i == j) for j in range(n)) for i in range(n))
+        for rows in (a, a[: rng.randint(1, n)]):
+            assert coordinate_map(rows) == coordinate_map_rational(rows)
+    assert singular_seen >= 60
+
+
+def test_coordinate_map_refuses_dependent_rows():
+    with pytest.raises(ValueError, match="singular"):
+        coordinate_map(((1, 2, 3), (2, 4, 6)))
+    with pytest.raises(ValueError, match="square"):
+        inverse_over(((1, 2),))
+    assert inverse_over(()) == ((), 1)
+    assert det_int(()) == 1

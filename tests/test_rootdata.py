@@ -123,6 +123,20 @@ def test_weyl_inverse_refuses_word_that_does_not_give_the_matrix():
     assert weyl_inverse(d, WeylElement(s0.matrix, (0, 1, 1))).matrix == s0.matrix
 
 
+def test_element_from_matrix_refuses_integer_matrices_outside_w():
+    """A matrix sending a simple coroot off the coroots, or permuting the
+    simple roots without being 1, is not in W: RootDatumError, which
+    minus_one_element reads as "no -1"."""
+    a2 = build_root_datum("A2")
+    for matrix in (((2, 0), (0, 1)), ((0, 1), (1, 0)), ((-1, 0), (0, -1)), ((1, 1), (0, 1))):
+        with pytest.raises(RootDatumError, match="does not define a Weyl element"):
+            a2.element_from_matrix(matrix)
+    assert a2.minus_one_element() is None
+    c2 = build_root_datum("C2")
+    with pytest.raises(RootDatumError, match="does not define a Weyl element"):
+        c2.element_from_matrix(((3, 0), (0, -1)))
+
+
 def test_coset_representatives_partition():
     a1 = build_root_datum("A1")
     w = enumerate_weyl(a1)

@@ -232,6 +232,8 @@ def test_cli_verify_zero_samples_still_passes():
         ("orbits", ("--xg", "1e-10000000, 1"), "--xg"),
         ("factors", ("--xh", "1e10000000, 1", "--xg", "1e10000000, 1"), "--xh"),
         ("orbits", ("--xg", "1e-4500, 1"), "--xg"),
+        # in a float's range, but w x has ~8000-digit denominators
+        ("orbits", ("--xg", f"{10**4000}/{10**4000 + 1}, {10**4000}/{10**4000 + 3}"), "--xg"),
     ],
 )
 def test_cli_vectors_are_checked(command, args, named):
