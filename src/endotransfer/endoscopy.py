@@ -54,7 +54,7 @@ from .rootdata import (
     build_sub_datum,
     enumerate_weyl,
     right_coset_representatives,
-    weyl_inverses,
+    weyl_inverse,
 )
 from .tits import inverse as tits_inverse, multiply as tits_multiply, n_of
 
@@ -301,10 +301,10 @@ class TransferFactorEngine:
         self.omega = omega
         self.two_rho_check = _sum_positive_coroots(self.g_datum)
         self.two_xhat_s = tuple(int(2 * x) for x in datum.xhat_s)
-        self._inverse = {
-            w.matrix: (inv, transpose(inv.matrix))
-            for w, inv in zip(self.weyl_g, weyl_inverses(self.g_datum, self.weyl_g))
-        }
+        self._inverse = {}
+        for w in self.weyl_g:
+            inv = weyl_inverse(self.g_datum, w)
+            self._inverse[w.matrix] = (inv, transpose(inv.matrix))
         self.torus = elliptic_torus(self.g_datum.rank)
         self._h1 = h1(self.torus)
         self._check_tits_central()
@@ -340,8 +340,8 @@ class TransferFactorEngine:
         if self._u is None:
             n = self.g_datum.rank
             big = elliptic_torus(2 * n)
-            reps, d = _coweight_classes(self.g_datum)
-            subgroup = [tuple(Fraction(x, d) for x in p + tuple(-x % d for x in p)) for p in reps]
+            reps = _coweight_classes(self.g_datum)
+            subgroup = [tuple(list(p) + [(-x) % 1 for x in p]) for p in reps]
             self._u = quotient_torus_lattice(big, subgroup)
             self._u_h1 = h1(self._u.torus)
         return self._u
@@ -519,10 +519,11 @@ def _sum_positive_coroots(datum: RootDatum) -> IntVec:
     return tuple(sum(col) for col in zip(*(datum.coroot(r) for r in datum.positive_roots)))
 
 
-def _coweight_classes(datum: RootDatum) -> tuple[list[IntVec], int]:
-    """Representatives of the coweight lattice modulo the coroot lattice, as
-    numerators over one denominator d, sorted.  The fundamental coweights
-    are the columns of the inverse of the simple-root matrix."""
+def _coweight_classes(datum: RootDatum) -> list[FracVec]:
+    """Representatives of the coweight lattice modulo the coroot lattice,
+    sorted.  The fundamental coweights are the columns of the inverse of
+    the simple-root matrix; the classes are found on their numerators over
+    its denominator d."""
     try:
         inverse, d = inverse_over(datum.simple_roots)
     except ValueError:
@@ -539,4 +540,4 @@ def _coweight_classes(datum: RootDatum) -> tuple[list[IntVec], int]:
                     seen.add(q)
                     new.append(q)
         frontier = new
-    return sorted(seen), d
+    return sorted(tuple(Fraction(x, d) for x in p) for p in seen)

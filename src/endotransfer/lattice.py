@@ -237,10 +237,7 @@ def coordinate_map(rows: Sequence[Sequence[int]]) -> tuple[IntMat, int]:
     """The matrix P = (R R^T)^{-1} R, for which P v = c whenever
     v = sum_i c_i R[i], as an integer matrix and the least common
     denominator of its entries.  The rows of R must be linearly
-    independent; ValueError otherwise.  For square R, P = R^{-T}."""
-    if rows and len(rows) == len(rows[0]):
-        m, den = inverse_over(rows)
-        return transpose(m), den
+    independent; ValueError otherwise."""
     m, den = inverse_over(mat_mul(rows, transpose(rows)))
     p = mat_mul(m, rows)
     g = gcd(den, *(x for row in p for x in row))

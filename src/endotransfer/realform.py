@@ -87,10 +87,10 @@ def build_grading(datum: RootDatum, simple_grades: Sequence[int]) -> RealFormGra
         )
     grade = {}
     for root in datum.roots:
-        coeffs = datum.simple_root_coefficients(root)
-        total = sum(int(c) * g for c, g in zip(coeffs, simple_grades))
-        if any(c.denominator != 1 for c in coeffs):
+        coeffs, den = datum.simple_root_coefficients(root)
+        if any(c % den for c in coeffs):
             raise GradingError(f"root {root} has non-integer simple coefficients")
+        total = sum(c // den * g for c, g in zip(coeffs, simple_grades))
         grade[root] = total % 2
     grading = RealFormGrading(datum=datum, grade=grade)
     _check_grading(grading)

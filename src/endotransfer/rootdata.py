@@ -105,12 +105,11 @@ class RootDatum:
         object.__setattr__(self, "_coroot_of", dict(zip(self.roots, self.coroots)))
         object.__setattr__(self, "_root_of", dict(zip(self.coroots, self.roots)))
         object.__setattr__(self, "_root_set", frozenset(self.roots))
-        object.__setattr__(self, "_coeff_cache", {})
         # The one left inverse of the simple roots, over its denominator.
         object.__setattr__(self, "_coeff_map", coordinate_map(self.simple_roots))
         positive = []
         for r in self.roots:
-            coeffs = self._coefficient_numerators(r)
+            coeffs, _ = self.simple_root_coefficients(r)
             if all(c >= 0 for c in coeffs) and any(c > 0 for c in coeffs):
                 positive.append(r)
         positive = tuple(positive)
@@ -134,22 +133,14 @@ class RootDatum:
     def coroot(self, root: IntVec) -> IntVec:
         return self._coroot_of[root]
 
-    def simple_root_coefficients(self, root: IntVec) -> FracVec:
-        """Coefficients of a root over the simple roots (exact, memoized)."""
-        cached = self._coeff_cache.get(root)
-        if cached is None:
-            den = self._coeff_map[1]
-            cached = tuple(Fraction(c, den) for c in self._coefficient_numerators(root))
-            self._coeff_cache[root] = cached
-        return cached
-
-    def _coefficient_numerators(self, root: IntVec) -> IntVec:
-        """The simple-root coefficients of root, over the left inverse's
-        denominator."""
+    def simple_root_coefficients(self, root: IntVec) -> tuple[IntVec, int]:
+        """Coefficients of a root over the simple roots, exact: integer
+        numerators over the denominator of the simple roots' left inverse,
+        which is the same for every root."""
         coeffs = coordinates(self.simple_roots, self._coeff_map, root)
         if coeffs is None:
             raise RootDatumError(f"{root} is not in the span of the simple roots")
-        return coeffs
+        return coeffs, self._coeff_map[1]
 
     def is_positive(self, root: IntVec) -> bool:
         """Membership in the positive roots, which are found once, at
@@ -179,15 +170,6 @@ class RootDatum:
             p = dot(row, coalpha)
             out.append(tuple(x - p * a for x, a in zip(row, alpha)) if p else row)
         return tuple(out)
-
-    def simple_times(self, i: int, matrix: IntMat) -> IntMat:
-        """s_i * matrix = matrix - coalpha_i (alpha_i^T matrix)."""
-        alpha, coalpha = self.simple_roots[i], self.simple_coroots[i]
-        f = [0] * len(matrix[0])
-        for a, row in zip(alpha, matrix):
-            if a:
-                f = [x + a * y for x, y in zip(f, row)]
-        return tuple(tuple(x - c * y for x, y in zip(row, f)) if c else row for row, c in zip(matrix, coalpha))
 
     def simple_root_image(self, matrix: IntMat, i: int) -> IntVec:
         """w . alpha_i for the w with this matrix: the root whose coroot is
@@ -415,33 +397,6 @@ def weyl_inverse(datum: RootDatum, w: WeylElement) -> WeylElement:
     if check != identity(datum.rank):
         raise RootDatumError("the word of the Weyl element does not give its matrix")
     return WeylElement(matrix, word)
-
-
-def weyl_inverses(datum: RootDatum, group: tuple[WeylElement, ...]) -> tuple[WeylElement, ...]:
-    """weyl_inverse of every element of enumerate_weyl(datum), in its
-    order, each from its breadth-first parent p, the element whose word is
-    w's without its last letter i: w = p s_i, so w^{-1} = s_i p^{-1}.  As
-    in weyl_inverse, each word must give its element's matrix, here
-    checked as w = p s_i; RootDatumError otherwise."""
-    one = identity(datum.rank)
-    done: dict[tuple[int, ...], tuple[IntMat, WeylElement]] = {}
-    out = []
-    for w in group:
-        if not w.word:
-            if w.matrix != one:
-                raise RootDatumError("the word of the Weyl element does not give its matrix")
-            inv = w
-        else:
-            parent = done.get(w.word[:-1])
-            if parent is None:
-                raise RootDatumError("a Weyl element comes before its breadth-first parent")
-            i = w.word[-1]
-            if datum.times_simple(parent[0], i) != w.matrix:
-                raise RootDatumError("the word of the Weyl element does not give its matrix")
-            inv = WeylElement(datum.simple_times(i, parent[1].matrix), (i,) + parent[1].word)
-        done[w.word] = (w.matrix, inv)
-        out.append(inv)
-    return tuple(out)
 
 
 def coset_representatives(
