@@ -49,7 +49,6 @@ from .rootdata import (
     RootDatum,
     WeylElement,
     build_root_datum,
-    coset_representatives,
     enumerate_weyl,
     weyl_sign,
 )

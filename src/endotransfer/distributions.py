@@ -406,7 +406,7 @@ def delta_ii_ratio_check(
     d2 = Diagram(eng.datum, w, pulled, x_g)
     lhs_ratio = eng.delta_ii(d1, a) * eng.delta_ii(d2, a)
 
-    h_image = {d.act_on_root(w, beta) for beta in eng.datum.h_roots}
+    h_image = {d.root_image(w.matrix, beta) for beta in eng.datum.h_roots}
     rhs = 1
     for alpha in d.positive_roots:
         if alpha in h_image:
@@ -415,7 +415,7 @@ def delta_ii_ratio_check(
 
     restriction_ok = True
     for beta in eng.datum.h_roots:
-        alpha = d.act_on_root(w, beta)
+        alpha = d.root_image(w.matrix, beta)
         lhs_1 = dot(alpha, target.coords)
         rhs_1 = dot(beta, x_h.coords)
         lhs_2 = dot(beta, pulled.coords)

@@ -266,9 +266,9 @@ class TransferFactorEngine:
     Carries the ambient Weyl group, both real Weyl groups, the base diagram,
     and the exact cohomological data entering the first and third factors:
     2 rho_check and 2 xhat_s as integer vectors, and w^{-1} with its
-    transpose for every w, which moves roots and functionals, w . f =
-    (w^{-1})^T f.  The factors then work on integer numerators over fixed
-    denominators.
+    transpose for every w, which moves the functional xhat_s, w . f =
+    (w^{-1})^T f; roots move by RootDatum.root_image.  The factors then
+    work on integer numerators over fixed denominators.
     """
 
     def __init__(
@@ -352,10 +352,10 @@ class TransferFactorEngine:
         return kappa_over(self._act_on_functional(w, self.two_xhat_s), 2, self.torus)
 
     def inverse_of(self, w: WeylElement) -> WeylElement:
-        return self.g_datum.element_from_matrix(self._inverse[w.matrix][0].matrix)
+        return self._inverse[w.matrix][0]
 
     def _act_on_functional(self, w: WeylElement, f: IntVec) -> IntVec:
-        """w . f = (w^{-1})^T f, for roots and integer functionals alike."""
+        """w . f = (w^{-1})^T f for an integer functional f."""
         return mat_vec(self._inverse[w.matrix][1], f)
 
     def delta_i(self, diagram: Diagram, a: ADatum) -> int:
@@ -372,7 +372,7 @@ class TransferFactorEngine:
         mags = None
 
         for beta in d.positive_roots:
-            alpha = self._act_on_functional(w, beta)
+            alpha = d.root_image(w.matrix, beta)
             r = a.ratio(alpha)
             coroot = d.coroot(alpha)
             if r < 0:
@@ -391,7 +391,7 @@ class TransferFactorEngine:
 
     def delta_ii_roots(self, w: WeylElement) -> tuple[IntVec, ...]:
         """The positive roots outside w Phi_H, over which delta_II runs."""
-        h_image = {self._act_on_functional(w, beta) for beta in self.datum.h_roots}
+        h_image = {self.g_datum.root_image(w.matrix, beta) for beta in self.datum.h_roots}
         return tuple(alpha for alpha in self.g_datum.positive_roots if alpha not in h_image)
 
     def delta_ii(self, diagram: Diagram, a: ADatum) -> int:
@@ -418,7 +418,7 @@ class TransferFactorEngine:
         """One diagram's half of the doubled-torus point, as numerators over
         4 of -sign * w^{-1} rho_check / 2 (delta(w) = 0), and of the
         character, as numerators over 2 of w . xhat_s."""
-        rho_back = self._inverse[w.matrix][0].act(self.two_rho_check)
+        rho_back = self.inverse_of(w).act(self.two_rho_check)
         slot = tuple(-sign * rb for rb in rho_back)
         return slot, self._act_on_functional(w, self.two_xhat_s)
 
@@ -448,7 +448,7 @@ class TransferFactorEngine:
             # delta_II's root signs at x_g cancel against the route's, and
             # its a-signs are +1 for the default a-datum.
             sign = d1_w * base_sign * self.delta_iii(diagram, base)
-            inverse = position[self._inverse[diagram.w.matrix][0].matrix]
+            inverse = position[self.inverse_of(diagram.w).matrix]
             entries.append(WeylWeight(diagram.w, inverse, sign, roots))
         return TransferTable(tuple(entries))
 

@@ -129,7 +129,7 @@ def dimension_profile(grading: RealFormGrading) -> DimensionProfile:
 def preserves_grading(grading: RealFormGrading, w: WeylElement) -> bool:
     datum = grading.datum
     return all(
-        grading.grade[datum.act_on_root(w, r)] == grading.grade[r] for r in datum.roots
+        grading.grade[datum.root_image(w.matrix, r)] == grading.grade[r] for r in datum.roots
     )
 
 
@@ -139,24 +139,11 @@ def real_weyl_group(
 ) -> tuple[WeylElement, ...]:
     """Subgroup generated by compact-root reflections and validated extras."""
     datum = grading.datum
-    gens = []
-    for root in grading.compact_roots:
-        if datum.is_positive(root):
-            gens.append(_reflection_in_root(datum, root))
     for w in extra_generators:
         if not preserves_grading(grading, w):
             raise GradingError("extra generator does not preserve the grading")
-        gens.append(w)
-    return closure(datum, tuple(gens))
-
-
-def _reflection_in_root(datum: RootDatum, root: IntVec) -> WeylElement:
-    coroot = datum.coroot(root)
-    matrix = tuple(
-        tuple((1 if r == c else 0) - root[c] * coroot[r] for c in range(datum.rank))
-        for r in range(datum.rank)
-    )
-    return datum.element_from_matrix(matrix)
+    roots = tuple(r for r in grading.compact_roots if datum.is_positive(r))
+    return closure(datum, roots, tuple(extra_generators))
 
 
 def weil_constant(p: int, q: int) -> EighthRoot:

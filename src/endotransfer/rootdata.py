@@ -70,9 +70,6 @@ class WeylElement:
     matrix: IntMat
     word: tuple[int, ...]
 
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        return WeylElement(mat_mul(self.matrix, other.matrix), self.word + other.word)
-
     def __hash__(self) -> int:
         return hash(self.matrix)
 
@@ -115,15 +112,6 @@ class RootDatum:
         positive = tuple(positive)
         object.__setattr__(self, "_positive", positive)
         object.__setattr__(self, "_positive_set", frozenset(positive))
-        # s_i(v) = v - <alpha_i, v> coalpha_i, so M[r][c] = d_rc - alpha_i[c] coalpha_i[r].
-        reflections = tuple(
-            tuple(
-                tuple((1 if r == c else 0) - alpha[c] * coalpha[r] for c in range(self.rank))
-                for r in range(self.rank)
-            )
-            for alpha, coalpha in zip(self.simple_roots, self.simple_coroots)
-        )
-        object.__setattr__(self, "_reflections", reflections)
 
     # -- basic queries ----------------------------------------------------
 
@@ -160,41 +148,34 @@ class RootDatum:
     # -- Weyl action -------------------------------------------------------
 
     def simple_reflection(self, i: int) -> WeylElement:
-        return WeylElement(self._reflections[i], (i,))
+        return WeylElement(self.times_reflection(identity(self.rank), self.simple_roots[i]), (i,))
 
-    def times_simple(self, matrix: IntMat, i: int) -> IntMat:
-        """matrix * s_i = matrix - (matrix coalpha_i) alpha_i^T."""
-        alpha, coalpha = self.simple_roots[i], self.simple_coroots[i]
+    def times_reflection(self, matrix: IntMat, root: IntVec) -> IntMat:
+        """matrix * s_root = matrix - (matrix coroot) root^T: the one kernel
+        for every product with a reflection."""
+        coroot = self._coroot_of[root]
         out = []
         for row in matrix:
-            p = dot(row, coalpha)
-            out.append(tuple(x - p * a for x, a in zip(row, alpha)) if p else row)
+            p = dot(row, coroot)
+            out.append(tuple(x - p * a for x, a in zip(row, root)) if p else row)
         return tuple(out)
 
-    def simple_root_image(self, matrix: IntMat, i: int) -> IntVec:
-        """w . alpha_i for the w with this matrix: the root whose coroot is
-        w coalpha_i.  RootDatumError when that is not a coroot."""
-        root = self._root_of.get(mat_vec(matrix, self.simple_coroots[i]))
-        if root is None:
+    def times_simple(self, matrix: IntMat, i: int) -> IntMat:
+        """matrix * s_i, for the letters of a word."""
+        return self.times_reflection(matrix, self.simple_roots[i])
+
+    def root_image(self, matrix: IntMat, root: IntVec) -> IntVec:
+        """w . root for the w with this matrix: the root whose coroot is
+        w coroot(root).  RootDatumError when that is not a coroot."""
+        image = self._root_of.get(mat_vec(matrix, self._coroot_of[root]))
+        if image is None:
             raise RootDatumError("matrix does not define a Weyl element")
-        return root
-
-    def reflect_root(self, i: int, f: IntVec) -> IntVec:
-        pairing = dot(f, self.simple_coroots[i])
-        return tuple(x - pairing * a for x, a in zip(f, self.simple_roots[i]))
-
-    def act_on_root(self, w: WeylElement, f: IntVec) -> IntVec:
-        """w . f as a functional: (w.f)(v) = f(w^{-1} v)."""
-        out = f
-        for i in reversed(w.word):
-            out = self.reflect_root(i, out)
-        return out
-
-    def root_is_negative_under(self, w: WeylElement, root: IntVec) -> bool:
-        return not self.is_positive(self.act_on_root(w, root))
+        return image
 
     def length(self, w: WeylElement) -> int:
-        return sum(1 for r in self.positive_roots if self.root_is_negative_under(w, r))
+        return sum(
+            1 for r in self._positive if self.root_image(w.matrix, r) not in self._positive_set
+        )
 
     def reduced_word(self, matrix: IntMat) -> tuple[int, ...]:
         """A reduced word for the Weyl element with the given matrix: strip
@@ -207,10 +188,10 @@ class RootDatum:
         while current != one:
             if len(suffix) == len(self._positive):
                 raise RootDatumError("matrix does not define a Weyl element")
-            for i in range(len(self.simple_roots)):
-                if self.simple_root_image(current, i) not in self._positive_set:
+            for i, alpha in enumerate(self.simple_roots):
+                if self.root_image(current, alpha) not in self._positive_set:
                     suffix.append(i)
-                    current = self.times_simple(current, i)
+                    current = self.times_reflection(current, alpha)
                     break
             else:
                 raise RootDatumError("matrix does not define a Weyl element")
@@ -361,7 +342,7 @@ def _build_form(rank: int, roots, coroots) -> tuple[FracVec, ...]:
     return tuple(tuple(Fraction(2 * x, shortest) for x in row) for row in raw)
 
 
-def enumerate_weyl(datum: RootDatum, cap: int = WEYL_ORDER_CAP) -> tuple[WeylElement, ...]:
+def enumerate_weyl(datum: RootDatum) -> tuple[WeylElement, ...]:
     """The full Weyl group, breadth-first, identity first, deterministic order."""
     ident = WeylElement(identity(datum.rank), ())
     seen = {ident.matrix: ident}
@@ -376,8 +357,8 @@ def enumerate_weyl(datum: RootDatum, cap: int = WEYL_ORDER_CAP) -> tuple[WeylEle
                     cand = WeylElement(matrix, w.word + (i,))
                     seen[matrix] = cand
                     new.append(cand)
-                    if len(seen) > cap:
-                        raise RootDatumError(f"Weyl group order exceeds cap {cap}")
+                    if len(seen) > WEYL_ORDER_CAP:
+                        raise RootDatumError(f"Weyl group order exceeds cap {WEYL_ORDER_CAP}")
         order.extend(sorted(new, key=lambda e: (e.word, e.matrix)))
         frontier = new
     return tuple(order)
@@ -387,8 +368,8 @@ def weyl_inverse(datum: RootDatum, w: WeylElement) -> WeylElement:
     """w^{-1} as the product of simple reflections along w's word reversed.
 
     The word must give w's matrix, as it does for every element that
-    enumerate_weyl, element_from_matrix or WeylElement.__mul__ returns;
-    RootDatumError otherwise."""
+    enumerate_weyl, element_from_matrix or closure returns; RootDatumError
+    otherwise."""
     word = tuple(reversed(w.word))
     matrix, check = identity(datum.rank), w.matrix
     for i in word:
@@ -397,32 +378,6 @@ def weyl_inverse(datum: RootDatum, w: WeylElement) -> WeylElement:
     if check != identity(datum.rank):
         raise RootDatumError("the word of the Weyl element does not give its matrix")
     return WeylElement(matrix, word)
-
-
-def coset_representatives(
-    group: tuple[WeylElement, ...], subgroup: tuple[WeylElement, ...]
-) -> tuple[WeylElement, ...]:
-    """Minimal representatives of the left cosets w . subgroup."""
-    sub = {w.matrix for w in subgroup}
-    grp = {w.matrix for w in group}
-    if not sub <= grp:
-        raise RootDatumError("subgroup is not contained in the group")
-    for a in subgroup:
-        for b in subgroup:
-            if mat_mul(a.matrix, b.matrix) not in sub:
-                raise RootDatumError("subgroup is not closed under composition")
-    if len(grp) % len(sub) != 0:
-        raise RootDatumError("subgroup order does not divide the group order")
-    reps: list[WeylElement] = []
-    covered: set[IntMat] = set()
-    for w in group:  # group is in (length, word) order, so reps are minimal
-        if w.matrix in covered:
-            continue
-        reps.append(w)
-        for s in subgroup:
-            covered.add(mat_mul(w.matrix, s.matrix))
-    assert len(reps) * len(sub) == len(grp)
-    return tuple(reps)
 
 
 def right_coset_representatives(
@@ -447,20 +402,33 @@ def right_coset_representatives(
     return tuple(reps)
 
 
-def closure(datum: RootDatum, generators: tuple[WeylElement, ...]) -> tuple[WeylElement, ...]:
-    """Subgroup generated by the given elements, deterministic order."""
-    ident = WeylElement(identity(datum.rank), ())
-    seen = {ident.matrix: ident}
-    frontier = [ident]
+def closure(
+    datum: RootDatum, roots: tuple[IntVec, ...], extras: tuple[WeylElement, ...] = ()
+) -> tuple[WeylElement, ...]:
+    """Subgroup generated by the reflections in the given roots and by the
+    extra elements, in (length, word, matrix) order.  A product with a
+    reflection is one rank-one update; a product with an extra folds the
+    extra's word, which must give its matrix (RootDatumError otherwise)."""
+    one = identity(datum.rank)
+
+    def fold(matrix: IntMat, word: tuple[int, ...]) -> IntMat:
+        for i in word:
+            matrix = datum.times_simple(matrix, i)
+        return matrix
+
+    if any(fold(one, e.word) != e.matrix for e in extras):
+        raise RootDatumError("the word of the Weyl element does not give its matrix")
+    seen = {one: WeylElement(one, ())}
+    frontier = [one]
     while frontier:
         new = []
-        for w in frontier:
-            for g in generators:
-                cand = w * g
-                if cand.matrix not in seen:
-                    cand = datum.element_from_matrix(cand.matrix)
-                    seen[cand.matrix] = cand
-                    new.append(cand)
+        for matrix in frontier:
+            products = [datum.times_reflection(matrix, r) for r in roots]
+            products += [fold(matrix, e.word) for e in extras]
+            for product in products:
+                if product not in seen:
+                    seen[product] = datum.element_from_matrix(product)
+                    new.append(product)
         frontier = new
         if len(seen) > WEYL_ORDER_CAP:
             raise RootDatumError("subgroup closure exceeds cap")

@@ -42,7 +42,7 @@ def torus_part(datum: RootDatum, eps: IntVec) -> TitsElement:
 def _fold_generator(datum: RootDatum, eps: IntVec, matrix: IntMat, i: int) -> tuple[IntVec, IntMat]:
     """Right-multiply (eps, n(w)) by n_i, for the w with this matrix."""
     target = datum.times_simple(matrix, i)
-    if datum.is_positive(datum.simple_root_image(matrix, i)):
+    if datum.is_positive(datum.root_image(matrix, datum.simple_roots[i])):
         # length goes up: concatenation of reduced words stays reduced
         return eps, target
     # length drop: n(w) n_i = n(w s_i) (-1)^{(w s_i) coroot_i}
@@ -64,7 +64,6 @@ def multiply(datum: RootDatum, a: TitsElement, b: TitsElement) -> TitsElement:
 def inverse(datum: RootDatum, a: TitsElement) -> TitsElement:
     """Inverse of (eps, w): compute n(w) n(w^{-1}) = (-1)^{e0} and unwind."""
     winv = weyl_inverse(datum, a.w)
-    winv = datum.element_from_matrix(winv.matrix)
     prod = multiply(datum, n_of(datum, a.w), n_of(datum, winv))
     if not prod.w.is_identity():
         raise AssertionError("n(w) n(w^{-1}) is not torus-valued")

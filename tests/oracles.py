@@ -465,23 +465,31 @@ class LiteralRoutes:
 
 class LiteralWords:
     """Weyl words, orders and the Tits fold written with generic matrix
-    products: each step multiplies by the simple reflection's matrix, the
-    image of a root walks the word, and positivity comes from Fraction
-    coefficients over the simple roots.  The package's words, orders and
-    products must equal these exactly, since the order of W and of the real
-    Weyl groups fixes the routes' summation order."""
+    products: a reflection's matrix comes from its formula, each step
+    multiplies by the simple reflection's matrix, the image of a root walks
+    the word, and positivity comes from Fraction coefficients over the
+    simple roots.  The package's words, orders and products must equal
+    these exactly, since the order of W and of the real Weyl groups fixes
+    the routes' summation order."""
 
     def __init__(self, datum):
         self.datum = datum
         self.one = identity(datum.rank)
-        self.reflections = [datum.simple_reflection(i).matrix for i in range(len(datum.simple_roots))]
         self.root_of = dict(zip(datum.coroots, datum.roots))
+        self.coroot_of = dict(zip(datum.roots, datum.coroots))
+        self.reflections = [self.reflection(alpha) for alpha in datum.simple_roots]
         columns = tuple(zip(*datum.simple_roots))
         self.positive = set()
         for r in datum.roots:
             coeffs = solve_rational(columns, r)
             if all(c >= 0 for c in coeffs) and any(c > 0 for c in coeffs):
                 self.positive.add(r)
+
+    def reflection(self, root):
+        """s(v) = v - <root, v> coroot, so M[r][c] = d_rc - root[c] coroot[r]."""
+        coroot = self.coroot_of[root]
+        n = self.datum.rank
+        return tuple(tuple(int(r == c) - root[c] * coroot[r] for c in range(n)) for r in range(n))
 
     def reduced_word(self, matrix):
         suffix = []
@@ -672,6 +680,7 @@ class LiteralSetup(TransferFactorEngine):
         # coordinates of -basis[i].
         columns = [self._u_coordinates(tuple(-x for x in b)) for b in self.u_basis]
         self.u_sigma = tuple(tuple(int(c[i]) for c in columns) for i in range(len(columns)))
+        self.words = LiteralWords(d)
 
     def _u_coordinates(self, v):
         sol = solve_rational(transpose(self.u_basis), v)
@@ -695,7 +704,7 @@ class LiteralSetup(TransferFactorEngine):
         for j in range(d.rank):
             phases[j] += Fraction(w_rho[j] + self.rho[j], 2) + Fraction(w_delta[j], 2)
         for beta in d.positive_roots:
-            alpha = d.act_on_root(w, beta)
+            alpha = self.words.act_on_root(w, beta)
             r = a.ratio(alpha)
             coroot = d.coroot(alpha)
             if r < 0:
@@ -709,7 +718,7 @@ class LiteralSetup(TransferFactorEngine):
 
     def delta_ii_roots(self, w):
         d = self.g_datum
-        h_image = {d.act_on_root(w, beta) for beta in self.datum.h_roots}
+        h_image = {self.words.act_on_root(w, beta) for beta in self.datum.h_roots}
         return tuple(alpha for alpha in d.positive_roots if alpha not in h_image)
 
     def delta_ii(self, diagram, a):

@@ -79,10 +79,12 @@ def test_real_weyl_group_rejects_bad_extra():
     d = build_root_datum("A1xA1")
     g = build_grading(d, [NONCOMPACT, COMPACT])
     swapless = d.element_from_word((0,))  # reflection in the noncompact factor
-    assert not preserves_grading(g, swapless) or True  # reflection preserves grades here
-    # an extra that genuinely mixes grades: reflection of factor 1 composed with factor 2
-    w = d.element_from_word((0, 1))
+    # no Weyl element of A1xA1 moves a root to the other factor, so every
+    # element preserves this grading, the noncompact reflection included
+    assert preserves_grading(g, swapless)
+    w = d.element_from_word((0, 1))  # the reflections of both factors
     assert preserves_grading(g, w)
+    assert len(real_weyl_group(g, (swapless,))) == 4
     # build a fake grading-violating generator on C2
     c2 = build_root_datum("C2")
     gc = build_grading(c2, [COMPACT, NONCOMPACT])

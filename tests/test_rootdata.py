@@ -1,12 +1,14 @@
 import pytest
 
+from endotransfer import rootdata
 from endotransfer.lattice import dot, mat_mul
 from endotransfer.rootdata import (
     RootDatumError,
     WeylElement,
     build_root_datum,
-    coset_representatives,
+    closure,
     enumerate_weyl,
+    right_coset_representatives,
     weyl_inverse,
     weyl_sign,
 )
@@ -81,7 +83,7 @@ def test_weyl_group_closed_and_roots_permuted():
                 assert mat_mul(a.matrix, b.matrix) in mats
         for w in group:
             for r in d.roots:
-                assert d.is_root(d.act_on_root(w, r))
+                assert d.is_root(d.root_image(w.matrix, r))
 
 
 def test_weyl_sign_examples_and_multiplicativity():
@@ -99,7 +101,8 @@ def test_weyl_sign_examples_and_multiplicativity():
         group = enumerate_weyl(d)
         for a in group:
             for b in group:
-                assert weyl_sign(a * b) == weyl_sign(a) * weyl_sign(b)
+                ab = WeylElement(mat_mul(a.matrix, b.matrix), a.word + b.word)
+                assert weyl_sign(ab) == weyl_sign(a) * weyl_sign(b)
 
 
 def test_reduced_words_and_inverse():
@@ -123,6 +126,16 @@ def test_weyl_inverse_refuses_word_that_does_not_give_the_matrix():
     assert weyl_inverse(d, WeylElement(s0.matrix, (0, 1, 1))).matrix == s0.matrix
 
 
+def test_closure_refuses_an_extra_whose_word_does_not_give_its_matrix():
+    """closure multiplies by an extra along its word, so a word that does
+    not give the extra's matrix is refused rather than folded."""
+    d = build_root_datum("C2")
+    s0 = d.simple_reflection(0)
+    with pytest.raises(RootDatumError, match="word"):
+        closure(d, (), (WeylElement(s0.matrix, (1,)),))
+    assert [w.word for w in closure(d, (), (s0,))] == [(), (0,)]
+
+
 def test_element_from_matrix_refuses_integer_matrices_outside_w():
     """A matrix sending a simple coroot off the coroots, or permuting the
     simple roots without being 1, is not in W: RootDatumError, which
@@ -141,21 +154,21 @@ def test_coset_representatives_partition():
     a1 = build_root_datum("A1")
     w = enumerate_weyl(a1)
     trivial = (w[0],)
-    assert len(coset_representatives(w, trivial)) == 2
-    assert len(coset_representatives(w, w)) == 1
+    assert len(right_coset_representatives(w, trivial)) == 2
+    assert len(right_coset_representatives(w, w)) == 1
 
     c2 = build_root_datum("C2")
     wc = enumerate_weyl(c2)
     # order-2 subgroup generated by the reflection in the short simple root
     refl = c2.element_from_word((0,))
     sub = (wc[0], refl)
-    reps = coset_representatives(wc, sub)
+    reps = right_coset_representatives(wc, sub)
     assert len(reps) == 4
     # translates partition the group
     seen = set()
     for r in reps:
         for s in sub:
-            m = mat_mul(r.matrix, s.matrix)
+            m = mat_mul(s.matrix, r.matrix)
             assert m not in seen
             seen.add(m)
     assert len(seen) == len(wc)
@@ -166,10 +179,10 @@ def test_coset_representative_errors():
     wc = enumerate_weyl(c2)
     not_closed = (wc[0], wc[1], wc[2])
     with pytest.raises(RootDatumError):
-        coset_representatives(wc, not_closed)
+        right_coset_representatives(wc, not_closed)
     a1 = build_root_datum("A1")
     with pytest.raises(RootDatumError):
-        coset_representatives(enumerate_weyl(a1), (wc[1],))
+        right_coset_representatives(enumerate_weyl(a1), (wc[1],))
 
 
 def test_invariant_form_weyl_invariant_all_ranks():
@@ -195,7 +208,8 @@ def test_minus_one_element_presence():
     assert build_root_datum("A2").minus_one_element() is None
 
 
-def test_enumerate_weyl_order_cap():
+def test_enumerate_weyl_order_cap(monkeypatch):
     d = build_root_datum("C2")
+    monkeypatch.setattr(rootdata, "WEYL_ORDER_CAP", 3)
     with pytest.raises(RootDatumError):
-        enumerate_weyl(d, cap=3)
+        enumerate_weyl(d)

@@ -340,6 +340,19 @@ def test_scenario_with_identity_extras():
     assert len(sc.engine.real_weyl_h) == 1  # s1 s1 = identity adds nothing
 
 
+def test_sp4_scenario_with_a_reflection_extra():
+    """An extra that enlarges W_real(H): on sp4_endoscopy, H's second
+    simple root is compact, and s1, the reflection in its noncompact first
+    simple root, preserves H's grading.  The two generate W_H, of order 4,
+    and the identity still holds."""
+    text = builtin_scenario_path("sp4_endoscopy").read_text(encoding="utf-8")
+    text = text.replace("[base_point]", "[real_weyl_extras]\nh = 1\n\n[base_point]")
+    sc = build_scenario(parse_scenario(text))
+    assert [w.word for w in sc.engine.real_weyl_h] == [(), (0,), (1,), (1, 0)]
+    report = run_verify(sc, 5, 0)
+    assert report.all_passed and report.max_abs_error < 1e-12
+
+
 def test_console_entry_point_help():
     import shutil
     import subprocess

@@ -29,8 +29,8 @@ def _key(group):
 
 
 def _check_group(datum) -> None:
-    """enumerate_weyl, reduced_word, element_from_word and weyl_inverse
-    against the literal copies."""
+    """enumerate_weyl, reduced_word, element_from_word, weyl_inverse and
+    root_image against the literal copies."""
     literal = LiteralWords(datum)
     group = enumerate_weyl(datum)
     assert _key(group) == _key(literal.enumerate_weyl())
@@ -39,24 +39,29 @@ def _check_group(datum) -> None:
         assert datum.reduced_word(w.matrix) == word
         assert _key([datum.element_from_word(w.word)]) == [(word, w.matrix)]
         assert _key([weyl_inverse(datum, w)]) == _key([literal.weyl_inverse(w)])
+        for beta in datum.roots:
+            assert datum.root_image(w.matrix, beta) == literal.act_on_root(w, beta), (w.word, beta)
 
 
 def _check_real_weyl_groups(datum, gradings) -> None:
     """real_weyl_group's closure against the literal closure of the same
-    compact reflections."""
+    compact reflections, without extras and with every simple reflection
+    that preserves the grading as an extra."""
     literal = LiteralWords(datum)
+    simple = [literal.element_from_matrix(m) for m in literal.reflections]
     for grades in gradings:
         grading = build_grading(datum, grades)
-        gens = []
-        for root in grading.compact_roots:
-            if root in literal.positive:
-                coroot = datum.coroot(root)
-                matrix = tuple(
-                    tuple(int(r == c) - root[c] * coroot[r] for c in range(datum.rank))
-                    for r in range(datum.rank)
-                )
-                gens.append(literal.element_from_matrix(matrix))
-        assert _key(real_weyl_group(grading)) == _key(literal.closure(tuple(gens))), grades
+        gens = tuple(
+            literal.element_from_matrix(literal.reflection(root))
+            for root in grading.compact_roots
+            if root in literal.positive
+        )
+        assert _key(real_weyl_group(grading)) == _key(literal.closure(gens)), grades
+        extras = tuple(
+            s for s in simple
+            if all(grading.grade[literal.act_on_root(s, r)] == grading.grade[r] for r in datum.roots)
+        )
+        assert _key(real_weyl_group(grading, extras)) == _key(literal.closure(gens + extras)), grades
 
 
 def _gradings(k):
