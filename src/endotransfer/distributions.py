@@ -25,8 +25,8 @@ from .endoscopy import (
     EndoscopyError,
     TransferFactorEngine,
     TransferTable,
+    parity_sign,
     require_regular,
-    root_signs,
     sign_of,
 )
 from .lattice import dot
@@ -110,18 +110,28 @@ class Side:
         return self._scale * _contract(map(float, u), self.form_image(v))
 
     def d_over_pi(self, x: EllipticElement) -> complex:
-        """D^{1/2}(X)/pi(X) on the compact Cartan: (-i)^m sign(prod <alpha,v>)."""
-        return self._d_over_pi_unit * root_signs(self.datum.positive_roots, x.coords)
+        """D^{1/2}(X)/pi(X) on the compact Cartan: (-i)^m sign(prod <alpha,v>),
+        the sign read from require_regular's mask of negative roots."""
+        return self.d_over_pi_at(parity_sign(require_regular(self.datum, x).bit_count()))
 
-    def x_part(self, x: EllipticElement):
-        """What a kernel needs of its first argument: the prefactor times
-        [D/pi](x), and the real Weyl orbit of x as (w, w x, det w)."""
-        u = x.floats()
-        orbit = tuple(
+    def d_over_pi_at(self, sign: int) -> complex:
+        """D^{1/2}/pi at a point where prod <alpha, v> over the positive
+        roots has this sign."""
+        return self._d_over_pi_unit * sign
+
+    def orbit(self, v):
+        """The real Weyl orbit of the point with coordinates v, in floats,
+        as (w, w v, det w)."""
+        u = tuple(map(float, v))
+        return tuple(
             (w, tuple(sum(map(mul, row, u)) for row in matrix), det)
             for w, matrix, det in self.weyl_table
         )
-        return self._prefactor * self.d_over_pi(x), orbit
+
+    def x_part(self, x: EllipticElement):
+        """What a kernel needs of its first argument: the prefactor times
+        [D/pi](x), and the real Weyl orbit of x."""
+        return self._prefactor * self.d_over_pi(x), self.orbit(x.coords)
 
     def y_part(self, y: EllipticElement):
         """What a kernel needs of its second argument: [D/pi](y) and B y."""
@@ -221,38 +231,40 @@ def rossmann_kernel(side: Side, x: EllipticElement, y: EllipticElement) -> Kerne
     return KernelValue(total, tuple(terms))
 
 
-def _gstar_regular_or_zero(scenario: EllipticScenario, x_h: EllipticElement) -> bool:
-    """True when x_h is regular for the ambient system.  H-regular elements
-    sitting on an ambient wall match no diagram, so both sums vanish."""
+def _gstar_negative(scenario: EllipticScenario, x_h: EllipticElement):
+    """require_regular's mask of x_h for the ambient system, or None when
+    x_h sits on an ambient wall: H-regular elements there match no diagram,
+    so both sums vanish."""
     try:
-        require_regular(scenario.engine.g_datum, x_h)
-        return True
+        return require_regular(scenario.engine.g_datum, x_h)
     except EndoscopyError:
         require_regular(scenario.engine.datum.h_datum, x_h)
-        return False
+        return None
 
 
 def d_gh(scenario: EllipticScenario, x_h: EllipticElement, x_g: EllipticElement) -> complex:
     """Transfer route: Weyl-group sum of ambient kernels with factor weights.
 
     B x_g is fixed, so each distinct float image of the moved orbits gets
-    its exponential once per call."""
-    if not _gstar_regular_or_zero(scenario, x_h):
+    its exponential once per call.  Weights and [D/pi] at w x_h come from
+    the masks of x_h and x_g."""
+    neg_h = _gstar_negative(scenario, x_h)
+    if neg_h is None:
         return complex(0.0)
-    require_regular(scenario.engine.g_datum, x_g)
+    neg_g = require_regular(scenario.engine.g_datum, x_g)
     eng = scenario.engine
     side = scenario.g_side
-    d_y, bv = side.y_part(x_g)
+    d_y = side.d_over_pi_at(parity_sign(neg_g.bit_count()))
+    bv = side.form_image(x_g.coords)
     mu = x_h.coords
     images: dict = {}
     kernels = []
     for entry in scenario.transfer_table.entries:
-        target = EllipticElement(entry.w.act(mu))
-        weight = entry.factor(target.coords) * eng.base_value
+        weight = entry.weight_moved(neg_h) * eng.base_value
         if weight == 0:
             continue
-        front_x, orbit = side.x_part(target)
-        kernels.append((weight, front_x * d_y, side.index(orbit, images)))
+        front_x = side._prefactor * side.d_over_pi_at(entry.g_sign(neg_h))
+        kernels.append((weight, front_x * d_y, side.index(side.orbit(entry.w.act(mu)), images)))
     phases = [side.exponential(image, bv) for image in images]
     total = complex(0.0)
     for weight, front, orbit in kernels:
@@ -265,26 +277,28 @@ def d_tilde_gh(scenario: EllipticScenario, x_h: EllipticElement, x_g: EllipticEl
     """Transform route: doubled endoscopic sum against pulled-back elements.
 
     The W_H-moved orbits of x_h are the same for every w, so each distinct
-    float image among them gets its exponential once per w."""
-    if not _gstar_regular_or_zero(scenario, x_h):
+    float image among them gets its exponential once per w.  Weights and
+    [D/pi] at moved points come from the masks of x_h and x_g."""
+    neg_h = _gstar_negative(scenario, x_h)
+    if neg_h is None:
         return complex(0.0)
-    require_regular(scenario.engine.g_datum, x_g)
+    neg_g = require_regular(scenario.engine.g_datum, x_g)
     eng = scenario.engine
     side = scenario.h_side
     entries = scenario.transfer_table.entries
     images: dict = {}
     moved = []
-    for wp in eng.weyl_h:
-        front_x, orbit = side.x_part(EllipticElement(wp.act(x_h.coords)))
-        moved.append((front_x, side.index(orbit, images)))
+    for wp, k in zip(eng.weyl_h, eng.h_positions):
+        front_x = side._prefactor * side.d_over_pi_at(entries[k].h_sign(neg_h))
+        moved.append((front_x, side.index(side.orbit(wp.act(x_h.coords)), images)))
     nu = x_g.coords
     total = complex(0.0)
     for entry in entries:
-        pulled = EllipticElement(entry.w.act(nu))
-        weight = entries[entry.inverse].factor(nu) * eng.base_value
+        weight = entries[entry.inverse].weight_at(neg_g) * eng.base_value
         if weight == 0:
             continue
-        d_y, bv = side.y_part(pulled)
+        d_y = side.d_over_pi_at(entry.h_sign(neg_g))
+        bv = side.form_image(entry.w.act(nu))
         phases = [side.exponential(image, bv) for image in images]
         inner = complex(0.0)
         for front_x, orbit in moved:
@@ -294,46 +308,56 @@ def d_tilde_gh(scenario: EllipticScenario, x_h: EllipticElement, x_g: EllipticEl
     return gamma * total / (len(eng.real_weyl_h) * len(eng.weyl_h))
 
 
-def _g_constants(scenario: EllipticScenario, x_g: EllipticElement):
+def _g_constants(scenario: EllipticScenario, x_g: EllipticElement, neg_g: int):
     """gamma * prefactor * [D/pi](x_g) and B x_g: what every G-term shares."""
     s = scenario.g_side
-    return complex(s.gamma) * complex(s.prefactor) * s.d_over_pi(x_g), s.form_image(x_g.floats())
+    front = complex(s.gamma) * complex(s.prefactor) * s.d_over_pi_at(parity_sign(neg_g.bit_count()))
+    return front, s.form_image(x_g.coords)
 
 
-def _h_constants(scenario: EllipticScenario, x_h: EllipticElement):
-    """gamma * prefactor * [D/pi](x_h) and x_h as floats: what every H-term shares."""
+def _h_constants(scenario: EllipticScenario, x_h: EllipticElement, neg_h: int):
+    """gamma * prefactor * [D/pi](x_h) and x_h as floats: what every H-term
+    shares.  The table's first entry is the identity's."""
     s = scenario.h_side
-    return complex(s.gamma) * complex(s.prefactor) * s.d_over_pi(x_h), x_h.floats()
+    d_x = s.d_over_pi_at(scenario.transfer_table.entries[0].h_sign(neg_h))
+    return complex(s.gamma) * complex(s.prefactor) * d_x, x_h.floats()
 
 
-def _g_term(scenario: EllipticScenario, front: complex, bx_g, entry, x_h: EllipticElement) -> complex:
+def _g_term(
+    scenario: EllipticScenario, front: complex, bx_g, entry, x_h: EllipticElement, neg_h: int
+) -> complex:
     """The w-term of the transfer route, w = entry.w, from _g_constants."""
     s = scenario.g_side
-    target = EllipticElement(entry.w.act(x_h.coords))
-    weight = entry.factor(target.coords) * scenario.engine.base_value
-    return front * weight * s.d_over_pi(target) * s.exponential(target.floats(), bx_g)
+    target = tuple(map(float, entry.w.act(x_h.coords)))
+    weight = entry.weight_moved(neg_h) * scenario.engine.base_value
+    return front * weight * s.d_over_pi_at(entry.g_sign(neg_h)) * s.exponential(target, bx_g)
 
 
 def _h_term(
-    scenario: EllipticScenario, front: complex, u_h, w: WeylElement, inverse_entry, x_g: EllipticElement
+    scenario: EllipticScenario, front: complex, u_h, entry, inverse_entry, x_g: EllipticElement,
+    neg_g: int,
 ) -> complex:
-    """The w-term of the transform route, from _h_constants; its weight is
-    the table entry of w^{-1} at x_g."""
+    """The w-term of the transform route, w = entry.w, from _h_constants;
+    its weight is the table entry of w^{-1} at x_g."""
     s = scenario.h_side
-    pulled = EllipticElement(w.act(x_g.coords))
-    weight = inverse_entry.factor(x_g.coords) * scenario.engine.base_value
-    return front * weight * s.d_over_pi(pulled) * s.exponential(u_h, s.form_image(pulled.floats()))
+    weight = inverse_entry.weight_at(neg_g) * scenario.engine.base_value
+    bv = s.form_image(entry.w.act(x_g.coords))
+    return front * weight * s.d_over_pi_at(entry.h_sign(neg_g)) * s.exponential(u_h, bv)
 
 
 def explicit_term(
     scenario: EllipticScenario, w: WeylElement, x_h: EllipticElement, x_g: EllipticElement, side: str
 ) -> complex:
     """Single-exponential w-term of the closed-form expansion of either route."""
+    g = scenario.engine.g_datum
+    neg_h = require_regular(g, x_h)
+    neg_g = require_regular(g, x_g)
     table = scenario.transfer_table
+    entry = table.entry(w)
     if side == "G":
-        return _g_term(scenario, *_g_constants(scenario, x_g), table.entry(w), x_h)
-    inverse_entry = table.entries[table.entry(w).inverse]
-    return _h_term(scenario, *_h_constants(scenario, x_h), w, inverse_entry, x_g)
+        return _g_term(scenario, *_g_constants(scenario, x_g, neg_g), entry, x_h, neg_h)
+    inverse_entry = table.entries[entry.inverse]
+    return _h_term(scenario, *_h_constants(scenario, x_h, neg_h), entry, inverse_entry, x_g, neg_g)
 
 
 def verify_identity(
@@ -350,16 +374,18 @@ def verify_identity(
     comparisons = []
     lhs_sum = complex(0.0)
     rhs_sum = complex(0.0)
-    regular = _gstar_regular_or_zero(scenario, x_h)
+    neg_h = _gstar_negative(scenario, x_h)
+    regular = neg_h is not None
     if regular:
+        neg_g = require_regular(scenario.engine.g_datum, x_g)
         entries = scenario.transfer_table.entries
-        g_front, bx_g = _g_constants(scenario, x_g)
-        h_front, u_h = _h_constants(scenario, x_h)
+        g_front, bx_g = _g_constants(scenario, x_g, neg_g)
+        h_front, u_h = _h_constants(scenario, x_h, neg_h)
         h_terms = [complex(0.0)] * len(entries)
         for entry in entries:
             paired = entries[entry.inverse]
-            t_lhs = _g_term(scenario, g_front, bx_g, entry, x_h)
-            t_rhs = _h_term(scenario, h_front, u_h, paired.w, entries[paired.inverse], x_g)
+            t_lhs = _g_term(scenario, g_front, bx_g, entry, x_h, neg_h)
+            t_rhs = _h_term(scenario, h_front, u_h, paired, entries[paired.inverse], x_g, neg_g)
             h_terms[entry.inverse] = t_rhs
             comparisons.append(
                 TermComparison(entry.w.word, t_lhs, t_rhs, abs(t_lhs - t_rhs))

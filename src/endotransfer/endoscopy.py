@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import Optional, Sequence, Union
 
@@ -54,9 +55,8 @@ from .rootdata import (
     build_sub_datum,
     enumerate_weyl,
     right_coset_representatives,
-    weyl_inverse,
 )
-from .tits import inverse as tits_inverse, multiply as tits_multiply, n_of
+from .tits import fold as tits_fold, inverse as tits_inverse, multiply as tits_multiply, n_of
 
 WALL_EPS = 1e-9
 
@@ -138,15 +138,43 @@ class WeylWeight:
     sign is delta_I(w) delta_I(base) delta_III(w, base) delta_II(base) for
     the default a-datum; roots are the positive roots outside w Phi_H;
     inverse is the position of w^{-1} in the ambient Weyl group.
+
+    The routes take every root-sign product from the mask of positive roots
+    of G negative at a point, which require_regular returns (bit k for the
+    k-th positive root).  sign<alpha, w x> = sign<w^{-1} alpha, x>, so the
+    product over a set S of roots at w x is (-1)^(parity + |mask & neg(x)|),
+    mask holding the positive roots +-w^{-1} alpha and parity counting the
+    alpha in S with w^{-1} alpha < 0.  at is the mask of roots itself (at x);
+    moved and h_moved are (mask, parity) of roots and of Phi+_H at w x;
+    length is the parity of Phi+_G at w x, whose mask holds every bit.
     """
 
     w: WeylElement
     inverse: int
     sign: int
     roots: tuple[IntVec, ...]
+    at: int
+    moved: tuple[int, int]
+    h_moved: tuple[int, int]
+    length: int
 
-    def factor(self, coords: Coords) -> int:
-        return self.sign * root_signs(self.roots, coords)
+    def weight_at(self, negative: int) -> int:
+        """The factor at the diagram (w, w^{-1} x, x), from x's mask."""
+        return self.sign * parity_sign((self.at & negative).bit_count())
+
+    def weight_moved(self, negative: int) -> int:
+        """The factor at the diagram (w, x, w x), from x's mask."""
+        mask, parity = self.moved
+        return self.sign * parity_sign(parity + (mask & negative).bit_count())
+
+    def h_sign(self, negative: int) -> int:
+        """The sign of the product of <beta, w x> over Phi+_H, from x's mask."""
+        mask, parity = self.h_moved
+        return parity_sign(parity + (mask & negative).bit_count())
+
+    def g_sign(self, negative: int) -> int:
+        """The sign of the product of <alpha, w x> over Phi+_G, from x's mask."""
+        return parity_sign(self.length + negative.bit_count())
 
 
 class TransferTable:
@@ -222,16 +250,31 @@ def build_diagram(
     return None
 
 
-def require_regular(g_datum: RootDatum, x: EllipticElement) -> None:
-    for alpha in g_datum.positive_roots:
-        val = dot(alpha, x.coords)
-        if x.is_exact():
+def require_regular(g_datum: RootDatum, x: EllipticElement) -> int:
+    """The positive roots of g_datum negative at x, as a mask with bit k for
+    the k-th; EndoscopyError when x is on the wall of one, or, for a float
+    point, within WALL_EPS * max(1, |x|) of it."""
+    coords = x.coords
+    if x.is_exact():
+        margin = None
+    else:
+        margin = WALL_EPS * max(1.0, sum(float(c) * float(c) for c in coords) ** 0.5)
+    negative = 0
+    for k, alpha in enumerate(g_datum.positive_roots):
+        val = dot(alpha, coords)
+        if margin is None:
             if val == 0:
                 raise EndoscopyError(f"element is on the wall of root {alpha}")
-        else:
-            norm = max(1.0, sum(float(c) * float(c) for c in x.coords) ** 0.5)
-            if abs(float(val)) < WALL_EPS * norm:
-                raise EndoscopyError(f"element is numerically on the wall of root {alpha}")
+        elif abs(float(val)) < margin:
+            raise EndoscopyError(f"element is numerically on the wall of root {alpha}")
+        if val < 0:
+            negative |= 1 << k
+    return negative
+
+
+def parity_sign(n: int) -> int:
+    """(-1)^n."""
+    return -1 if n & 1 else 1
 
 
 def a_signs(roots: Sequence[IntVec], a: ADatum) -> int:
@@ -301,10 +344,13 @@ class TransferFactorEngine:
         self.omega = omega
         self.two_rho_check = _sum_positive_coroots(self.g_datum)
         self.two_xhat_s = tuple(int(2 * x) for x in datum.xhat_s)
-        self._inverse = {}
-        for w in self.weyl_g:
-            inv = weyl_inverse(self.g_datum, w)
-            self._inverse[w.matrix] = (inv, transpose(inv.matrix))
+        self._position = {w: k for k, w in enumerate(self.weyl_g)}
+        self._root_sets()
+        self._perms = _root_permutations(self.g_datum, self.weyl_g)
+        by_perm = {p: k for k, p in enumerate(self._perms)}
+        self._inverse = tuple(by_perm[_inverse_permutation(p)] for p in self._perms)
+        self._inverse_t = tuple(transpose(self.weyl_g[k].matrix) for k in self._inverse)
+        self.h_positions = tuple(self._position[w] for w in self.weyl_h)
         self.torus = elliptic_torus(self.g_datum.rank)
         self._h1 = h1(self.torus)
         self._check_tits_central()
@@ -317,23 +363,38 @@ class TransferFactorEngine:
 
     # -- auxiliary lattice data -------------------------------------------
 
+    def _root_sets(self) -> None:
+        """Indices into g_datum.roots of the positive roots and of H's roots,
+        the positive ones among the latter (Phi+_H = Phi_H n Phi+_G), and for
+        each root the bit of the positive root +-it with 1 when it is
+        negative."""
+        d = self.g_datum
+        index = {r: j for j, r in enumerate(d.roots)}
+        self._positive_index = tuple(index[r] for r in d.positive_roots)
+        self._h_index = tuple(index[r] for r in self.datum.h_roots)
+        self._h_positive_index = tuple(index[r] for r in self.datum.h_datum.positive_roots)
+        bit = {r: k for k, r in enumerate(d.positive_roots)}
+        self._bits = tuple(
+            (bit[r], 0) if r in bit else (bit[tuple(-x for x in r)], 1) for r in d.roots
+        )
+
     def _check_tits_central(self) -> None:
-        """Check, by the literal product n_i^{-1} n(omega) n_i, that n(omega)
-        commutes with every n_i.
+        """Check that n(omega) n_i = n_i n(omega) for every i, folding n_i
+        onto n(omega) and omega's reduced word onto n_i.
 
         Conjugation by n(w0) sends n_i to n_{i*}, where i -> i* is the diagram
-        automorphism -w0.  Here w0 = omega = -1, so i* = i and every product
-        must be n(omega) itself.  n(w) is a product of the n_i, so then
+        automorphism -w0.  Here w0 = omega = -1, so i* = i and every n_i must
+        commute with n(omega).  n(w) is a product of the n_i, so then
         delta(w) in n(w)^{-1} n(omega) n(w) = (-1)^{delta(w)} n(omega) is 0
         for every w, and delta_I and delta_III leave it out."""
         d = self.g_datum
-        n_omega = n_of(d, self.omega)
+        zero = (0,) * d.rank
         for i in range(len(d.simple_roots)):
-            n_i = n_of(d, d.simple_reflection(i))
-            lhs = tits_multiply(d, tits_multiply(d, tits_inverse(d, n_i), n_omega), n_i)
-            if lhs.w != self.omega:
+            left = tits_fold(d, zero, self.omega.matrix, (i,))
+            right = tits_fold(d, zero, d.simple_reflection(i).matrix, self.omega.word)
+            if left[1] != right[1]:
                 raise EndoscopyError("minus-one element is not central in the Weyl group")
-            if any(lhs.eps):
+            if left[0] != right[0]:
                 raise EndoscopyError(f"n(omega) does not commute with the Tits lift n_{i}")
 
     def _u_torus(self) -> QuotientTorus:
@@ -352,11 +413,11 @@ class TransferFactorEngine:
         return kappa_over(self._act_on_functional(w, self.two_xhat_s), 2, self.torus)
 
     def inverse_of(self, w: WeylElement) -> WeylElement:
-        return self._inverse[w.matrix][0]
+        return self.weyl_g[self._inverse[self._position[w]]]
 
     def _act_on_functional(self, w: WeylElement, f: IntVec) -> IntVec:
         """w . f = (w^{-1})^T f for an integer functional f."""
-        return mat_vec(self._inverse[w.matrix][1], f)
+        return mat_vec(self._inverse_t[self._position[w]], f)
 
     def delta_i(self, diagram: Diagram, a: ADatum) -> int:
         """Pairing of the splitting-cocycle class with the transported
@@ -371,8 +432,9 @@ class TransferFactorEngine:
         phases = [x + y for x, y in zip(w_two_rho, self.two_rho_check)]
         mags = None
 
-        for beta in d.positive_roots:
-            alpha = d.root_image(w.matrix, beta)
+        perm = self._perms[self._position[w]]
+        for j in self._positive_index:
+            alpha = d.roots[perm[j]]
             r = a.ratio(alpha)
             coroot = d.coroot(alpha)
             if r < 0:
@@ -391,8 +453,14 @@ class TransferFactorEngine:
 
     def delta_ii_roots(self, w: WeylElement) -> tuple[IntVec, ...]:
         """The positive roots outside w Phi_H, over which delta_II runs."""
-        h_image = {self.g_datum.root_image(w.matrix, beta) for beta in self.datum.h_roots}
-        return tuple(alpha for alpha in self.g_datum.positive_roots if alpha not in h_image)
+        roots = self.g_datum.roots
+        return tuple(roots[j] for j in self._outside_h(self._position[w]))
+
+    def _outside_h(self, k: int) -> tuple[int, ...]:
+        """Indices of the positive roots outside w Phi_H, w = weyl_g[k]."""
+        perm = self._perms[k]
+        h_image = {perm[j] for j in self._h_index}
+        return tuple(j for j in self._positive_index if j not in h_image)
 
     def delta_ii(self, diagram: Diagram, a: ADatum) -> int:
         """Sign product over positive roots outside the image of H."""
@@ -408,7 +476,10 @@ class TransferFactorEngine:
             raise EndoscopyError("diagrams come from different endoscopic data")
         u = self._u_torus()
         slot, f = self._delta_iii_half(diagram.w, +1)
-        base_slot, base_f = self._delta_iii_half(base.w, -1)
+        if base.w == self.base_diagram.w:
+            base_slot, base_f = self._base_iii_half
+        else:
+            base_slot, base_f = self._delta_iii_half(base.w, -1)
         point = TorusPoint.over(*u.to_new_coordinates(slot + base_slot, 4))
         cls = cocycle_class(u.torus, point, self._u_h1)
         kappa_u = kappa_over(*u.functional_to_new(f + base_f, 2), u.torus)
@@ -422,6 +493,11 @@ class TransferFactorEngine:
         slot = tuple(-sign * rb for rb in rho_back)
         return slot, self._act_on_functional(w, self.two_xhat_s)
 
+    @cached_property
+    def _base_iii_half(self) -> tuple[IntVec, IntVec]:
+        """The base diagram's half of delta_III, the same for every w."""
+        return self._delta_iii_half(self.base_diagram.w, -1)
+
     # -- normalized transfer factor ---------------------------------------
 
     def transfer_table(self) -> TransferTable:
@@ -433,7 +509,6 @@ class TransferFactorEngine:
         is that of the default one."""
         a = ADatum.default(self.g_datum)
         base = self.base_diagram
-        position = {w.matrix: i for i, w in enumerate(self.weyl_g)}
         x_h = EllipticElement(base.x_h.floats())
         diagrams = [
             Diagram(self.datum, w, x_h, EllipticElement(w.act(x_h.coords)))
@@ -441,16 +516,38 @@ class TransferFactorEngine:
         ]
         d1 = [self.delta_i(diagram, a) for diagram in diagrams]
         # delta_I depends on w alone, so the base diagram takes its w's value.
-        base_sign = d1[position[base.w.matrix]] * self.delta_ii(base, a)
+        base_sign = d1[self._position[base.w]] * self.delta_ii(base, a)
+        roots = self.g_datum.roots
         entries = []
-        for diagram, d1_w in zip(diagrams, d1):
-            roots = self.delta_ii_roots(diagram.w)
+        for k, (diagram, d1_w) in enumerate(zip(diagrams, d1)):
+            outside = self._outside_h(k)
             # delta_II's root signs at x_g cancel against the route's, and
             # its a-signs are +1 for the default a-datum.
             sign = d1_w * base_sign * self.delta_iii(diagram, base)
-            inverse = position[self.inverse_of(diagram.w).matrix]
-            entries.append(WeylWeight(diagram.w, inverse, sign, roots))
+            inverse = self._inverse[k]
+            back = self._perms[inverse]
+            entries.append(WeylWeight(
+                diagram.w,
+                inverse,
+                sign,
+                tuple(roots[j] for j in outside),
+                at=sum(1 << self._bits[j][0] for j in outside),
+                moved=self._pullback(back, outside),
+                h_moved=self._pullback(back, self._h_positive_index),
+                length=self._pullback(back, self._positive_index)[1],
+            ))
         return TransferTable(tuple(entries))
+
+    def _pullback(self, back: tuple[int, ...], indices) -> tuple[int, int]:
+        """(mask, parity) of the roots with these indices at w x, where back
+        is w^{-1}'s root permutation: the bits of the positive roots
+        +-w^{-1} alpha, and the parity of the count of w^{-1} alpha < 0."""
+        mask = parity = 0
+        for j in indices:
+            bit, negative = self._bits[back[j]]
+            mask |= 1 << bit
+            parity ^= negative
+        return mask, parity
 
     def transfer_factor(
         self,
@@ -512,6 +609,35 @@ class TransferFactorEngine:
         if any(x % 2 for x in doubled):
             raise EndoscopyError("stable invariant is not integral")
         return tuple(x // 2 for x in doubled)
+
+
+def _root_permutations(datum: RootDatum, weyl: tuple[WeylElement, ...]) -> list[tuple[int, ...]]:
+    """For each element of weyl, in its order, the permutation p of
+    datum.roots with w . roots[j] = roots[p[j]].  weyl is enumerate_weyl's:
+    every w but the first, the identity, is w' s_i for the earlier w' whose
+    word is w's word without its last letter i, so p_w = p_w' o p_{s_i}."""
+    index = {r: j for j, r in enumerate(datum.roots)}
+    simple = []
+    for i in range(len(datum.simple_roots)):
+        s_i = datum.simple_reflection(i).matrix
+        simple.append(tuple(index[datum.root_image(s_i, r)] for r in datum.roots))
+    position: dict[tuple[int, ...], int] = {}
+    perms: list[tuple[int, ...]] = []
+    for k, w in enumerate(weyl):
+        if w.word:
+            parent = perms[position[w.word[:-1]]]
+            perms.append(tuple(parent[j] for j in simple[w.word[-1]]))
+        else:
+            perms.append(tuple(range(len(datum.roots))))
+        position[w.word] = k
+    return perms
+
+
+def _inverse_permutation(p: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * len(p)
+    for j, image in enumerate(p):
+        out[image] = j
+    return tuple(out)
 
 
 def _sum_positive_coroots(datum: RootDatum) -> IntVec:

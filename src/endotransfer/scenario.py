@@ -9,9 +9,12 @@ them, with its line number and the name of the violated invariant.
 
 from __future__ import annotations
 
+import itertools
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from .distributions import EllipticScenario, make_scenario
 from .endoscopy import (
     EllipticElement,
@@ -20,7 +23,8 @@ from .endoscopy import (
     build_endoscopic_datum,
 )
 from .realform import GradingError, build_grading, parse_grade, real_weyl_group
-from .rootdata import RootDatumError, build_root_datum
+from .rootdata import RootDatum, RootDatumError, build_root_datum
+from .verify import SAMPLING_BOX
 
 
 class ScenarioError(ValueError):
@@ -43,6 +47,8 @@ class Scenario:
     extras_h: list[tuple[int, ...]] = field(default_factory=list)
     # line number of the h words in [real_weyl_extras], 0 when absent
     extras_h_line: int = 0
+    # line number of form_scale, 0 when absent
+    form_scale_line: int = 0
 
 
 # Fraction(text) builds 10**e for a decimal exponent e, so e is bounded
@@ -51,6 +57,10 @@ class Scenario:
 # above the float range or below it; a zero mantissa is refused there too.
 _MAX_EXPONENT = 5000
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+# The largest scale * B(u, v) the routes may meet: half the largest float,
+# so that rounding in the float contraction cannot carry it past.
+_MAX_PHASE = sys.float_info.max / 2
 
 # The keys each section reads; the sections of simple-root entries read
 # alpha1, alpha2, ... instead.
@@ -156,8 +166,10 @@ def parse_scenario(text: str) -> Scenario:
     g_entry = need(top, "g_type", "the top section")
     g_type = g_entry[1] if g_entry else "A1"
     form_scale = Fraction(1)
+    form_scale_line = 0
     if "form_scale" in top:
         lineno, value = top["form_scale"]
+        form_scale_line = lineno
         try:
             form_scale = _rational(value)
             if form_scale <= 0:
@@ -226,7 +238,24 @@ def parse_scenario(text: str) -> Scenario:
         base_x_g=base_x_g,
         extras_h=extras_h,
         extras_h_line=extras_h_line,
+        form_scale_line=form_scale_line,
     )
+
+
+def _phase_bound(datum: RootDatum, points) -> float:
+    """A bound on |B(u, v)| for u and v on verify's sampling box, among the
+    given points, or Weyl images of these.  B is Weyl-invariant and positive
+    definite, so by Cauchy-Schwarz the largest B(u, u) bounds it; on the
+    box, a convex function, B(u, u) is largest at a corner.  In floats: a
+    bound that overflows is inf, which refuses every scale."""
+    form = [[float(b) for b in row] for row in datum.invariant_form]
+
+    def square(u) -> float:
+        u = [float(c) for c in u]
+        return sum(x * sum(map(mul, row, u)) for x, row in zip(u, form))
+
+    corners = itertools.product((-SAMPLING_BOX, SAMPLING_BOX), repeat=datum.rank)
+    return max(square(u) for u in itertools.chain(corners, points))
 
 
 def build_scenario(config: Scenario, base_value: complex = 1.0) -> EllipticScenario:
@@ -272,6 +301,13 @@ def build_scenario(config: Scenario, base_value: complex = 1.0) -> EllipticScena
 
     if len(config.base_x_h) != g_datum.rank or len(config.base_x_g) != g_datum.rank:
         raise ScenarioError([(0, "base_point vectors must have length equal to the rank")])
+    bound = _phase_bound(g_datum, (config.base_x_h, config.base_x_g))
+    if float(config.form_scale) * bound > _MAX_PHASE:
+        raise ScenarioError([(
+            config.form_scale_line,
+            f"form_scale {float(config.form_scale):.3g} can overflow a float: "
+            f"|B(u, v)| reaches {float(bound):.3g} on the sampling box and the base points",
+        )])
     try:
         engine = TransferFactorEngine(
             datum,

@@ -50,14 +50,21 @@ def _fold_generator(datum: RootDatum, eps: IntVec, matrix: IntMat, i: int) -> tu
     return tuple((a + b) % 2 for a, b in zip(eps, sign_vec)), target
 
 
+def fold(datum: RootDatum, eps: IntVec, matrix: IntMat, word) -> tuple[IntVec, IntMat]:
+    """(-1)^eps n(w) n_{i_1} ... n_{i_k} as (eps, matrix), for the w with
+    this matrix and the word (i_1, ..., i_k); a reduced word of v gives
+    (-1)^eps n(w) n(v)."""
+    for i in word:
+        eps, matrix = _fold_generator(datum, eps, matrix, i)
+    return eps, matrix
+
+
 def multiply(datum: RootDatum, a: TitsElement, b: TitsElement) -> TitsElement:
     # (-1)^{eps_b} moves left through n(w_a) by the lattice action of w_a.
     moved = a.w.act(b.eps)
     eps = tuple((x + y) % 2 for x, y in zip(a.eps, moved))
-    matrix = a.w.matrix
     # fold a reduced word of w_b; n(w_b) is independent of which one
-    for i in datum.element_from_matrix(b.w.matrix).word:
-        eps, matrix = _fold_generator(datum, eps, matrix, i)
+    eps, matrix = fold(datum, eps, a.w.matrix, datum.element_from_matrix(b.w.matrix).word)
     return TitsElement(eps, datum.element_from_matrix(matrix))
 
 

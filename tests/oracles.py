@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import functools
 import itertools
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
@@ -24,7 +25,6 @@ from endotransfer.endoscopy import (
     EndoscopyError,
     TransferFactorEngine,
     TransferTable,
-    WeylWeight,
     root_signs,
     sign_of,
 )
@@ -766,5 +766,10 @@ class LiteralSetup(TransferFactorEngine):
                 * root_signs(roots, diagram.x_g.coords)
             )
             inverse = position[literal_weyl_inverse(self.g_datum, diagram.w).matrix]
-            entries.append(WeylWeight(diagram.w, inverse, sign, roots))
+            entries.append(LiteralWeight(diagram.w, inverse, sign, roots))
         return TransferTable(tuple(entries))
+
+
+# The fields of endoscopy.WeylWeight that the set-up fixes; its sign masks
+# are checked against literal root signs in tests/test_sign_masks.py.
+LiteralWeight = namedtuple("LiteralWeight", "w inverse sign roots")

@@ -303,14 +303,16 @@ def _with_extras(line, section="real_weyl_extras"):
         (_with_extras("k = 1"), "k = 1"),
         (MIXED.replace("[grading_h]\n", "[grading_h]\nbeta = compact\n"), "beta = compact"),
         (MIXED.replace("x_h = 1, 1/2", "x_h = 1, 1e-400"), "x_h = 1, 1e-400"),
+        (MIXED.replace("form_scale = 1", "form_scale = 1e308"), "form_scale = 1e308"),
     ],
 )
 def test_bad_scenario_values_name_their_line(tmp_path, text, line):
     """A zero denominator, a value out of a float's range (an exponent too
-    large to build is refused from the text, within a second), a real-Weyl
-    word whose letters are not simple root numbers of H, any word for G,
-    and an unknown key or section are refused at their own line, once, in
-    process and by verify with exit 2."""
+    large to build is refused from the text, within a second), a form_scale
+    at which the phases can overflow a float, a real-Weyl word whose letters
+    are not simple root numbers of H, any word for G, and an unknown key or
+    section are refused at their own line, once, in process and by verify
+    with exit 2."""
     lineno = text.splitlines().index(line) + 1
     start = time.perf_counter()
     with pytest.raises(ScenarioError) as exc:
@@ -322,6 +324,26 @@ def test_bad_scenario_values_name_their_line(tmp_path, text, line):
     res = _run_cli("verify", str(scn), "--samples", "1")
     assert res.returncode == 2
     assert f"line {lineno}:" in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize(
+    "name", ["sl2_compact", "sl2_endoscopy", "sl2xsl2_double", "sl2xsl2_mixed", "sp4_endoscopy"]
+)
+def test_form_scale_that_can_overflow_is_refused_by_name(tmp_path, name):
+    """At form_scale 1e308, scale * B(u, v) overflows a float on the
+    sampling box, and verify reported nan errors; the loader refuses the
+    scale at its line and names it.  The bound is no tighter than needed:
+    the A1 and A1xA1 files, which verify at 1e200, still load there."""
+    text = builtin_scenario_path(name).read_text(encoding="utf-8")
+    scn = tmp_path / "big.scn"
+    scn.write_text(text.replace("form_scale = 1", "form_scale = 1e308"), encoding="utf-8")
+    res = _run_cli("verify", str(scn), "--samples", "1")
+    assert res.returncode == 2 and "Traceback" not in res.stderr
+    lineno = text.splitlines().index("form_scale = 1") + 1
+    assert f"line {lineno}: form_scale" in res.stderr
+    if name != "sp4_endoscopy":
+        sc = build_scenario(parse_scenario(text.replace("form_scale = 1", "form_scale = 1e200")))
+        assert run_verify(sc, 3, 1).all_passed
 
 
 def test_g_extra_is_refused_with_its_reason(tmp_path):

@@ -115,17 +115,16 @@ def test_transfer_table_goes_through_the_cohomology_layer(monkeypatch):
 
 def test_engine_refuses_nonzero_delta_of_a_simple_reflection(monkeypatch):
     """delta(w) is 0, and left out of delta_I and delta_III, only because
-    every n_i^{-1} n(omega) n_i is n(omega); a product off by a sign must
-    stop the engine."""
-    multiply = endoscopy.tits_multiply
+    every n_i commutes with n(omega); a product off by a sign must stop the
+    engine.  The check folds omega's word onto n_i, and n_i onto n(omega)."""
+    fold = endoscopy.tits_fold
 
-    def off_by_a_sign(datum, a, b):
-        out = multiply(datum, a, b)
-        n = datum.rank
-        if out.w.matrix == tuple(tuple(-int(i == j) for j in range(n)) for i in range(n)):
-            out = type(out)((1,) + out.eps[1:], out.w)
-        return out
+    def off_by_a_sign(datum, eps, matrix, word):
+        eps, matrix = fold(datum, eps, matrix, word)
+        if len(word) > 1:
+            eps = ((eps[0] + 1) % 2,) + eps[1:]
+        return eps, matrix
 
-    monkeypatch.setattr(endoscopy, "tits_multiply", off_by_a_sign)
+    monkeypatch.setattr(endoscopy, "tits_fold", off_by_a_sign)
     with pytest.raises(EndoscopyError, match="does not commute"):
         _engine("B2", (1, -1))

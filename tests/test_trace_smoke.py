@@ -45,7 +45,7 @@ def test_traced_pass_runs_clean():
     layers = out["layers"]
     for name in (
         "endoscopy.delta_i_calls",
-        "tits.multiply_calls",
+        "endoscopy.delta_iii_calls",
         "distributions.verify_identity_calls",
     ):
         assert layers[name] > 0, name
