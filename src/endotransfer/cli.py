@@ -21,7 +21,7 @@ from fractions import Fraction
 from .cohomology import RealTorus, h1 as compute_h1, kappa_from_s, CohomologyError
 from .endoscopy import ADatum, EllipticElement, EndoscopyError, build_diagram
 from .scenario import ScenarioError, _parse_vector, load_scenario_file
-from .verify import emit_report, run_verify
+from .verify import PrecisionError, emit_report, run_verify
 
 
 DEFAULT_TOL = 1e-12
@@ -87,7 +87,11 @@ def _cmd_verify(args) -> int:
     scenario = _load_scenario(args.scenario)
     if scenario is None:
         return 2
-    report = run_verify(scenario, args.samples, args.seed, tol)
+    try:
+        report = run_verify(scenario, args.samples, args.seed, tol)
+    except PrecisionError as e:
+        print(f"refused: {e}", file=sys.stderr)
+        return 2
     sys.stdout.write(emit_report(report, args.format))
     return 0 if report.all_passed else 1
 

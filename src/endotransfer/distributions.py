@@ -1,13 +1,15 @@
 """Weyl-sum kernels of Fourier-transformed orbital integrals and the
 two-route identity check between the endoscopic sum and its transform.
 
-Both routes are assembled from the same kernel evaluator applied to
-different groups, but the summation structures are independent: the first
-sums the ambient kernel over the full Weyl group against transfer-factor
-weights, the second runs the doubled sum over the endoscopic group.  The
-term-by-term comparison pairs the w-term of the first route with the
-w^{-1}-term of the second, each carrying its own Weil constant and
-dimension prefactor.
+The two routes are independent summation structures.  The transfer route
+sums the ambient kernel over W and W_real(G) against transfer-factor
+weights; the transform route runs the doubled sum over W, W_H and
+W_real(H).  Each regroups its terms by the group law of its own side
+(GroupLaw), so that each group element takes one exponential; neither reads
+the other's table, and neither uses the invariance of the factors under
+W_real(G) or W_H, or the W-invariance of B.  The term-by-term comparison
+pairs the w-term of the first route with the w^{-1}-term of the second,
+each carrying its own Weil constant and dimension prefactor.
 """
 
 from __future__ import annotations
@@ -82,10 +84,13 @@ class Side:
 
     The invariant form is held as floats, and each real Weyl element with
     its float matrix and determinant, so that kernel evaluation does no
-    exact arithmetic.
+    exact arithmetic.  The side's group law, which its route regroups by,
+    is built by build_law on first use.
     """
 
-    def __init__(self, datum: RootDatum, grading: RealFormGrading, real_weyl, form, form_scale):
+    def __init__(
+        self, datum: RootDatum, grading: RealFormGrading, real_weyl, form, form_scale, build_law
+    ):
         self.datum = datum
         self.grading = grading
         self.real_weyl = tuple(real_weyl)
@@ -95,11 +100,17 @@ class Side:
         )
         self._form = tuple(tuple(float(b) for b in row) for row in form)
         self._scale = float(form_scale)
+        self._build_law = build_law
         self.profile = dimension_profile(grading)
         self.gamma: EighthRoot = gamma_psi(grading)
         self.prefactor: EighthRoot = prefactor(self.profile)
         self._prefactor = complex(self.prefactor)
         self._d_over_pi_unit = complex(EighthRoot(-2 * len(datum.positive_roots)))
+
+    @cached_property
+    def law(self) -> "GroupLaw":
+        """The side's GroupLaw, built on first use."""
+        return self._build_law()
 
     def form_image(self, v) -> tuple[float, ...]:
         """B v before the scale: each row of the form paired with v."""
@@ -119,59 +130,44 @@ class Side:
         roots has this sign."""
         return self._d_over_pi_unit * sign
 
-    def orbit(self, v):
-        """The real Weyl orbit of the point with coordinates v, in floats,
-        as (w, w v, det w)."""
-        u = tuple(map(float, v))
-        return tuple(
-            (w, tuple(sum(map(mul, row, u)) for row in matrix), det)
-            for w, matrix, det in self.weyl_table
-        )
-
-    def x_part(self, x: EllipticElement):
-        """What a kernel needs of its first argument: the prefactor times
-        [D/pi](x), and the real Weyl orbit of x."""
-        return self._prefactor * self.d_over_pi(x), self.orbit(x.coords)
-
-    def y_part(self, y: EllipticElement):
-        """What a kernel needs of its second argument: [D/pi](y) and B y."""
-        return self.d_over_pi(y), self.form_image(y.floats())
+    def exponentials(self, images, bv) -> list[complex]:
+        """exp(-i B(u, v)) for each float image u, given B v from form_image.
+        The contractions sum_i u_i (B v)_i are taken a coordinate at a time
+        over all images, each accumulated in order from 0.0."""
+        phases = [0.0] * len(images)
+        for column, b in zip(zip(*images), bv):
+            phases = [p + c * b for p, c in zip(phases, column)]
+        scale = self._scale
+        return [cmath.exp(1j * -(scale * p)) for p in phases]
 
     def exponential(self, image, bv) -> complex:
-        """exp(-i B(u, v)) for the float image u, given B v from y_part."""
+        """exp(-i B(u, v)) for one float image u, to the bit the value that
+        exponentials gives it."""
         return cmath.exp(1j * -(self._scale * _contract(image, bv)))
 
-    @staticmethod
-    def index(orbit, images: dict):
-        """The orbit as (w, k, det w), k the position of w u among the
-        distinct float images collected so far in images."""
-        return tuple((w, images.setdefault(image, len(images)), det) for w, image, det in orbit)
 
-    def weyl_sum(self, front: complex, orbit, phases, terms=None) -> complex:
-        """Sum over an indexed orbit of front * det(w) * phases[k], where
-        phases[k] is the exponential of the k-th image."""
-        total = complex(0.0)
-        for w, k, det in orbit:
-            contrib = front * det * phases[k]
-            if terms is not None:
-                terms.append((w, contrib))
-            total += contrib
-        return total
+@dataclass(frozen=True)
+class GroupLaw:
+    """A side's Weyl group W_S (W for G, W_H for H) under left
+    multiplication by its real Weyl group: the float matrix of each element
+    of W_S, in its order, and for the r-th real Weyl element u the row
+    products[r], whose k-th entry is the index of u w_k in W_S."""
 
-    def discriminant_sqrt(self, x: EllipticElement) -> float:
-        out = 1.0
-        for alpha in self.datum.positive_roots:
-            val = float(dot(alpha, x.coords))
-            if val == 0.0:
-                raise EndoscopyError("zero discriminant factor; element is not regular")
-            out *= abs(val)
-        return out
+    matrices: tuple[tuple[tuple[float, ...], ...], ...]
+    products: tuple[tuple[int, ...], ...]
 
-    def pi_positive(self, x: EllipticElement) -> complex:
-        out = complex(1.0)
-        for alpha in self.datum.positive_roots:
-            out *= 1j * float(dot(alpha, x.coords))
-        return out
+
+def group_law(engine: TransferFactorEngine, group, real_weyl) -> GroupLaw:
+    """The GroupLaw of the subgroup of weyl_g at the positions group."""
+    matrices = tuple(
+        tuple(tuple(float(x) for x in row) for row in engine.weyl_g[k].matrix) for k in group
+    )
+    return GroupLaw(matrices, engine.group_products(group, real_weyl))
+
+
+def _apply(matrix, u) -> tuple[float, ...]:
+    """The float matrix applied to the float vector u."""
+    return tuple(sum(map(mul, row, u)) for row in matrix)
 
 
 def _contract(u, bv) -> float:
@@ -190,6 +186,7 @@ class EllipticScenario:
     engine: TransferFactorEngine
     g_side: Side
     h_side: Side
+    form_scale: Fraction = Fraction(1)
 
     @property
     def weyl_g(self):
@@ -212,22 +209,32 @@ def make_scenario(
 ) -> EllipticScenario:
     g = engine.g_datum
     h = engine.datum.h_datum
-    g_side = Side(g, engine.grading_g, engine.real_weyl_g, g.invariant_form, form_scale)
-    h_side = Side(h, engine.grading_h, engine.real_weyl_h, g.invariant_form, form_scale)
-    return EllipticScenario(name=name, engine=engine, g_side=g_side, h_side=h_side)
+    g_side = Side(
+        g, engine.grading_g, engine.real_weyl_g, g.invariant_form, form_scale,
+        lambda: group_law(engine, range(len(engine.weyl_g)), engine.real_weyl_g),
+    )
+    h_side = Side(
+        h, engine.grading_h, engine.real_weyl_h, g.invariant_form, form_scale,
+        lambda: group_law(engine, engine.h_positions, engine.real_weyl_h),
+    )
+    return EllipticScenario(
+        name=name, engine=engine, g_side=g_side, h_side=h_side, form_scale=Fraction(form_scale)
+    )
 
 
 def rossmann_kernel(side: Side, x: EllipticElement, y: EllipticElement) -> KernelValue:
     """Normalized Fourier kernel of the orbital integral:
     prefactor * [D/pi](x) [D/pi](y) * sum over the real Weyl group of
     det(w) exp(-i B(w u, v)); the form convention is <iu, iv> = -B(u, v)."""
-    front_x, orbit = side.x_part(x)
-    d_y, bv = side.y_part(y)
-    images: dict = {}
-    orbit = side.index(orbit, images)
-    phases = [side.exponential(image, bv) for image in images]
-    terms: list = []
-    total = side.weyl_sum(front_x * d_y, orbit, phases, terms)
+    front = side._prefactor * side.d_over_pi(x) * side.d_over_pi(y)
+    bv = side.form_image(y.floats())
+    u = x.floats()
+    terms = []
+    total = complex(0.0)
+    for w, matrix, det in side.weyl_table:
+        contrib = front * det * side.exponential(_apply(matrix, u), bv)
+        terms.append((w, contrib))
+        total += contrib
     return KernelValue(total, tuple(terms))
 
 
@@ -242,12 +249,24 @@ def _gstar_negative(scenario: EllipticScenario, x_h: EllipticElement):
         return None
 
 
+def _fold(law: GroupLaw, weyl_table, fronts) -> list[complex]:
+    """The multiplicities c_z = sum over u w = z of fronts[w] * det(u), for
+    z in the side's Weyl group, each summed over u in the real Weyl group's
+    order."""
+    counts = [complex(0.0)] * len(law.matrices)
+    for (_, _, det), row in zip(weyl_table, law.products):
+        for front, z in zip(fronts, row):
+            counts[z] += front * det
+    return counts
+
+
 def d_gh(scenario: EllipticScenario, x_h: EllipticElement, x_g: EllipticElement) -> complex:
     """Transfer route: Weyl-group sum of ambient kernels with factor weights.
 
-    B x_g is fixed, so each distinct float image of the moved orbits gets
-    its exponential once per call.  Weights and [D/pi] at w x_h come from
-    the masks of x_h and x_g."""
+    The terms weight(w) [D/pi](w x_h) [D/pi](x_g) det(u) exp(-i B(u w x_h,
+    x_g)) over w in W and u in W_real(G) are regrouped by z = u w, the
+    product of G's group law, so each z takes one exponential.  Weights and
+    [D/pi] at w x_h come from the masks of x_h and x_g."""
     neg_h = _gstar_negative(scenario, x_h)
     if neg_h is None:
         return complex(0.0)
@@ -255,20 +274,18 @@ def d_gh(scenario: EllipticScenario, x_h: EllipticElement, x_g: EllipticElement)
     eng = scenario.engine
     side = scenario.g_side
     d_y = side.d_over_pi_at(parity_sign(neg_g.bit_count()))
-    bv = side.form_image(x_g.coords)
-    mu = x_h.coords
-    images: dict = {}
-    kernels = []
-    for entry in scenario.transfer_table.entries:
-        weight = entry.weight_moved(neg_h) * eng.base_value
-        if weight == 0:
-            continue
-        front_x = side._prefactor * side.d_over_pi_at(entry.g_sign(neg_h))
-        kernels.append((weight, front_x * d_y, side.index(side.orbit(entry.w.act(mu)), images)))
-    phases = [side.exponential(image, bv) for image in images]
+    fronts = [
+        entry.weight_moved(neg_h) * eng.base_value
+        * (side._prefactor * side.d_over_pi_at(entry.g_sign(neg_h))) * d_y
+        for entry in scenario.transfer_table.entries
+    ]
+    law = side.law
+    counts = _fold(law, side.weyl_table, fronts)
+    u = x_h.floats()
+    images = [_apply(matrix, u) for matrix in law.matrices]
     total = complex(0.0)
-    for weight, front, orbit in kernels:
-        total += weight * side.weyl_sum(front, orbit, phases)
+    for count, phase in zip(counts, side.exponentials(images, side.form_image(x_g.coords))):
+        total += count * phase
     gamma = complex(side.gamma)
     return gamma * total / len(eng.real_weyl_g)
 
@@ -276,9 +293,11 @@ def d_gh(scenario: EllipticScenario, x_h: EllipticElement, x_g: EllipticElement)
 def d_tilde_gh(scenario: EllipticScenario, x_h: EllipticElement, x_g: EllipticElement) -> complex:
     """Transform route: doubled endoscopic sum against pulled-back elements.
 
-    The W_H-moved orbits of x_h are the same for every w, so each distinct
-    float image among them gets its exponential once per w.  Weights and
-    [D/pi] at moved points come from the masks of x_h and x_g."""
+    The inner kernels' terms [D/pi](w' x_h) det(u') exp(-i B(u' w' x_h,
+    w x_g)) over w' in W_H and u' in W_real(H) are regrouped by z = u' w',
+    the product of H's group law, once per pair; each w then takes one
+    exponential per z.  Weights and [D/pi] at moved points come from the
+    masks of x_h and x_g."""
     neg_h = _gstar_negative(scenario, x_h)
     if neg_h is None:
         return complex(0.0)
@@ -286,24 +305,23 @@ def d_tilde_gh(scenario: EllipticScenario, x_h: EllipticElement, x_g: EllipticEl
     eng = scenario.engine
     side = scenario.h_side
     entries = scenario.transfer_table.entries
-    images: dict = {}
-    moved = []
-    for wp, k in zip(eng.weyl_h, eng.h_positions):
-        front_x = side._prefactor * side.d_over_pi_at(entries[k].h_sign(neg_h))
-        moved.append((front_x, side.index(side.orbit(wp.act(x_h.coords)), images)))
+    fronts = [
+        side._prefactor * side.d_over_pi_at(entries[k].h_sign(neg_h)) for k in eng.h_positions
+    ]
+    law = side.law
+    counts = _fold(law, side.weyl_table, fronts)
+    u = x_h.floats()
+    images = [_apply(matrix, u) for matrix in law.matrices]
     nu = x_g.coords
     total = complex(0.0)
     for entry in entries:
         weight = entries[entry.inverse].weight_at(neg_g) * eng.base_value
-        if weight == 0:
-            continue
         d_y = side.d_over_pi_at(entry.h_sign(neg_g))
         bv = side.form_image(entry.w.act(nu))
-        phases = [side.exponential(image, bv) for image in images]
         inner = complex(0.0)
-        for front_x, orbit in moved:
-            inner += side.weyl_sum(front_x * d_y, orbit, phases)
-        total += weight * inner
+        for count, phase in zip(counts, side.exponentials(images, bv)):
+            inner += count * phase
+        total += weight * d_y * inner
     gamma = complex(side.gamma)
     return gamma * total / (len(eng.real_weyl_h) * len(eng.weyl_h))
 

@@ -364,12 +364,13 @@ class TransferFactorEngine:
     # -- auxiliary lattice data -------------------------------------------
 
     def _root_sets(self) -> None:
-        """Indices into g_datum.roots of the positive roots and of H's roots,
-        the positive ones among the latter (Phi+_H = Phi_H n Phi+_G), and for
-        each root the bit of the positive root +-it with 1 when it is
-        negative."""
+        """Indices into g_datum.roots of the simple roots, the positive
+        roots and H's roots, the positive ones among the latter (Phi+_H =
+        Phi_H n Phi+_G), and for each root the bit of the positive root
+        +-it with 1 when it is negative."""
         d = self.g_datum
         index = {r: j for j, r in enumerate(d.roots)}
+        self._simple_index = tuple(index[r] for r in d.simple_roots)
         self._positive_index = tuple(index[r] for r in d.positive_roots)
         self._h_index = tuple(index[r] for r in self.datum.h_roots)
         self._h_positive_index = tuple(index[r] for r in self.datum.h_datum.positive_roots)
@@ -537,6 +538,23 @@ class TransferFactorEngine:
                 length=self._pullback(back, self._positive_index)[1],
             ))
         return TransferTable(tuple(entries))
+
+    def group_products(
+        self, group: Sequence[int], real: Sequence[WeylElement]
+    ) -> tuple[tuple[int, ...], ...]:
+        """Left multiplication by real on group, a subgroup of weyl_g given
+        by positions in it: for each u of real, in its order, the row whose
+        k-th entry is the index in group of u w, w = weyl_g[group[k]].
+        Each element is keyed by its images of the simple roots, which fix
+        it, so one product costs rank lookups: p_uw = p_u o p_w."""
+        perms = self._perms
+        keys = [tuple(perms[k][j] for j in self._simple_index) for k in group]
+        index = {key: i for i, key in enumerate(keys)}
+        rows = []
+        for u in real:
+            p = perms[self._position[u]]
+            rows.append(tuple(index[tuple(p[j] for j in key)] for key in keys))
+        return tuple(rows)
 
     def _pullback(self, back: tuple[int, ...], indices) -> tuple[int, int]:
         """(mask, parity) of the roots with these indices at w x, where back

@@ -9,12 +9,10 @@ them, with its line number and the name of the violated invariant.
 
 from __future__ import annotations
 
-import itertools
 import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
 from .distributions import EllipticScenario, make_scenario
 from .endoscopy import (
     EllipticElement,
@@ -23,8 +21,8 @@ from .endoscopy import (
     build_endoscopic_datum,
 )
 from .realform import GradingError, build_grading, parse_grade, real_weyl_group
-from .rootdata import RootDatum, RootDatumError, build_root_datum
-from .verify import SAMPLING_BOX
+from .rootdata import RootDatumError, build_root_datum
+from .verify import phase_bound
 
 
 class ScenarioError(ValueError):
@@ -242,22 +240,6 @@ def parse_scenario(text: str) -> Scenario:
     )
 
 
-def _phase_bound(datum: RootDatum, points) -> float:
-    """A bound on |B(u, v)| for u and v on verify's sampling box, among the
-    given points, or Weyl images of these.  B is Weyl-invariant and positive
-    definite, so by Cauchy-Schwarz the largest B(u, u) bounds it; on the
-    box, a convex function, B(u, u) is largest at a corner.  In floats: a
-    bound that overflows is inf, which refuses every scale."""
-    form = [[float(b) for b in row] for row in datum.invariant_form]
-
-    def square(u) -> float:
-        u = [float(c) for c in u]
-        return sum(x * sum(map(mul, row, u)) for x, row in zip(u, form))
-
-    corners = itertools.product((-SAMPLING_BOX, SAMPLING_BOX), repeat=datum.rank)
-    return max(square(u) for u in itertools.chain(corners, points))
-
-
 def build_scenario(config: Scenario, base_value: complex = 1.0) -> EllipticScenario:
     """Assemble and validate the full verification scenario."""
     problems: list[tuple[int, str]] = []
@@ -301,7 +283,7 @@ def build_scenario(config: Scenario, base_value: complex = 1.0) -> EllipticScena
 
     if len(config.base_x_h) != g_datum.rank or len(config.base_x_g) != g_datum.rank:
         raise ScenarioError([(0, "base_point vectors must have length equal to the rank")])
-    bound = _phase_bound(g_datum, (config.base_x_h, config.base_x_g))
+    bound = phase_bound(g_datum, (config.base_x_h, config.base_x_g))
     if float(config.form_scale) * bound > _MAX_PHASE:
         raise ScenarioError([(
             config.form_scale_line,

@@ -8,12 +8,15 @@ produce byte-identical machine reports.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
+from operator import mul
 
 from .cohomology import DUALITY_CONVENTION
 from .distributions import EllipticScenario, IdentityReport, verify_identity
 from .endoscopy import EllipticElement
+from .rootdata import RootDatum
 
 FORMAT_VERSION = 1
 SAMPLING_BOX = 3.0
@@ -83,6 +86,35 @@ def sample_regular_vector(scenario: EllipticScenario, rng: random.Random) -> tup
             return v
 
 
+def phase_bound(datum: RootDatum, points) -> float:
+    """A bound on |B(u, v)| for u and v on verify's sampling box, among the
+    given points, or Weyl images of these.  B is Weyl-invariant and positive
+    definite, so by Cauchy-Schwarz the largest B(u, u) bounds it; on the
+    box, a convex function, B(u, u) is largest at a corner.  In floats: a
+    bound that overflows is inf, which refuses every scale."""
+    form = [[float(b) for b in row] for row in datum.invariant_form]
+
+    def square(u) -> float:
+        u = [float(c) for c in u]
+        return sum(x * sum(map(mul, row, u)) for x, row in zip(u, form))
+
+    corners = itertools.product((-SAMPLING_BOX, SAMPLING_BOX), repeat=datum.rank)
+    return max(square(u) for u in itertools.chain(corners, points))
+
+
+class PrecisionError(ValueError):
+    """The scenario's form_scale is too large for its phases to be computed
+    in floats to within the tolerance."""
+
+
+def precision_floor(scenario: EllipticScenario) -> float:
+    """scale * B_max * 2^-52, B_max the loader's phase_bound: the size of
+    the last bit of the largest phase scale * B(u, v) that verify meets."""
+    base = scenario.engine.base_diagram
+    bound = phase_bound(scenario.engine.g_datum, (base.x_h.coords, base.x_g.coords))
+    return float(scenario.form_scale) * bound * 2.0**-52
+
+
 def run_verify(
     scenario: EllipticScenario,
     samples: int,
@@ -91,6 +123,13 @@ def run_verify(
 ) -> RunReport:
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
+    floor = precision_floor(scenario)
+    if floor > tolerance / 4:
+        raise PrecisionError(
+            f"form_scale {float(scenario.form_scale):.3g} cannot meet the tolerance "
+            f"{tolerance:.3g}: the phases it gives round by up to {floor:.3g}, "
+            f"above tolerance/4"
+        )
     rng = random.Random(seed)
     records = []
     for idx in range(samples):

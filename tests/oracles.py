@@ -2,8 +2,9 @@
 
 Nothing here imports the package's normal-form or cocycle machinery: the
 cohomology oracle enumerates sign points directly, and the rank-one matrix
-oracle works with literal 2x2 complex matrices.  The route oracle takes its
-transfer factors from the engine and recomputes everything else per term;
+oracle works with literal 2x2 complex matrices.  The route oracles take
+their transfer factors from the engine and recompute everything else, term
+by term or regrouped by literal group products;
 the set-up oracle is the engine with its per-w set-up done literally, in
 Fractions, without the package's cohomology layer.  The Fraction
 elimination is the reference for the package's integer kernel, and
@@ -308,6 +309,32 @@ def compact_point_coordinate(t: Mat) -> complex:
 
 
 # ---------------------------------------------------------------------------
+# discriminant and root product
+# ---------------------------------------------------------------------------
+
+
+def discriminant_sqrt(datum, x) -> float:
+    """|D(X)|^{1/2} on the compact Cartan: the product of |<alpha, v>| over
+    the positive roots; EndoscopyError when a factor is zero."""
+    out = 1.0
+    for alpha in datum.positive_roots:
+        val = float(sum(a * c for a, c in zip(alpha, x.coords)))
+        if val == 0.0:
+            raise EndoscopyError("zero discriminant factor; element is not regular")
+        out *= abs(val)
+    return out
+
+
+def pi_positive(datum, x) -> complex:
+    """pi(X), the product of <alpha, X> = i <alpha, v> over the positive
+    roots."""
+    out = complex(1.0)
+    for alpha in datum.positive_roots:
+        out *= 1j * float(sum(a * c for a, c in zip(alpha, x.coords)))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # literal routes
 # ---------------------------------------------------------------------------
 
@@ -347,16 +374,21 @@ class LiteralRoutes:
         m = len(side.datum.positive_roots)
         return complex(EighthRoot(-2 * m)) * prod_sign
 
-    def kernel(self, side, x, y) -> complex:
+    def kernel_terms(self, side, x, y) -> list[complex]:
         from endotransfer.lattice import det_int
 
         front = complex(side.prefactor) * self.d_over_pi(side, x.coords) * self.d_over_pi(side, y.coords)
         u = x.floats()
         v = y.floats()
+        return [
+            front * det_int(w.matrix) * cmath.exp(1j * -self.bform(w.act(u), v))
+            for w in side.real_weyl
+        ]
+
+    def kernel(self, side, x, y) -> complex:
         total = complex(0.0)
-        for w in side.real_weyl:
-            phase = -self.bform(w.act(u), v)
-            total += front * det_int(w.matrix) * cmath.exp(1j * phase)
+        for term in self.kernel_terms(side, x, y):
+            total += term
         return total
 
     def weight(self, w, x_h, x_g):
@@ -408,6 +440,30 @@ class LiteralRoutes:
             total += weight * inner
         return complex(self.sc.h_side.gamma) * total / (len(self.eng.real_weyl_h) * len(self.eng.weyl_h))
 
+    def term_sizes(self, x_h, x_g) -> tuple[float, float]:
+        """The sums of |term| over the terms of d_gh and of d_tilde_gh, each
+        term times its route's gamma over its normalization: the scale of
+        the rounding that a different summation order of a route can move."""
+        from endotransfer.endoscopy import EllipticElement
+
+        if not self.regular(x_h):
+            return 0.0, 0.0
+        g, h = self.sc.g_side, self.sc.h_side
+        lhs = rhs = 0.0
+        for w in self.eng.weyl_g:
+            target = EllipticElement(tuple(w.act(x_h.coords)))
+            weight = self.weight(w, x_h, target)
+            lhs += sum(abs(weight * t) for t in self.kernel_terms(g, target, x_g))
+            pulled = EllipticElement(tuple(w.act(x_g.coords)))
+            weight = self.weight(self.eng.inverse_of(w), pulled, x_g)
+            for wp in self.eng.weyl_h:
+                moved = EllipticElement(tuple(wp.act(x_h.coords)))
+                rhs += sum(abs(weight * t) for t in self.kernel_terms(h, moved, pulled))
+        return (
+            lhs * abs(complex(g.gamma)) / len(self.eng.real_weyl_g),
+            rhs * abs(complex(h.gamma)) / (len(self.eng.real_weyl_h) * len(self.eng.weyl_h)),
+        )
+
     def explicit_term(self, w, x_h, x_g, side: str) -> complex:
         from endotransfer.endoscopy import EllipticElement
 
@@ -456,6 +512,81 @@ class LiteralRoutes:
         )
         passed = abs_error <= tolerance and termwise_max <= tolerance and consistent
         return IdentityReport(lhs, rhs, abs_error, tuple(comparisons), termwise_max, passed)
+
+
+class GroupedRoutes(LiteralRoutes):
+    """The two routes regrouped by each side's group law, written out
+    literally.  Each product z = u w of a real Weyl element u and an element
+    w of the side's Weyl group is found by the integer matrix product and a
+    search of that group, each determinant is an exact one, each weight the
+    engine's full relative factor, and each z x_h the product of z's matrix
+    with x_h in floats.  The term pairing is LiteralRoutes'.
+
+    The package's routes read the group-law tables instead; they must agree
+    with this oracle to the last bit.
+    """
+
+    @staticmethod
+    def fold(side, group, fronts) -> list[complex]:
+        """c_z = sum over u w = z of fronts[w] * det(u), for z in group, each
+        summed over u in the order of the side's real Weyl group."""
+        from endotransfer.lattice import det_int
+
+        counts = [complex(0.0)] * len(group)
+        for u in side.real_weyl:
+            det = det_int(u.matrix)
+            for front, w in zip(fronts, group):
+                product = mat_mul(u.matrix, w.matrix)
+                z = next(k for k, v in enumerate(group) if v.matrix == product)
+                counts[z] += front * det
+        return counts
+
+    @staticmethod
+    def image(z, x) -> tuple[float, ...]:
+        u = x.floats()
+        return tuple(sum(float(m) * c for m, c in zip(row, u)) for row in z.matrix)
+
+    def d_gh(self, x_h, x_g) -> complex:
+        from endotransfer.endoscopy import EllipticElement, require_regular
+
+        if not self.regular(x_h):
+            return complex(0.0)
+        require_regular(self.eng.g_datum, x_g)
+        s = self.sc.g_side
+        group = self.eng.weyl_g
+        d_y = self.d_over_pi(s, x_g.coords)
+        fronts = []
+        for w in group:
+            target = EllipticElement(tuple(w.act(x_h.coords)))
+            front_x = complex(s.prefactor) * self.d_over_pi(s, target.coords)
+            fronts.append(self.weight(w, x_h, target) * front_x * d_y)
+        total = complex(0.0)
+        for count, z in zip(self.fold(s, group, fronts), group):
+            total += count * cmath.exp(1j * -self.bform(self.image(z, x_h), x_g.floats()))
+        return complex(s.gamma) * total / len(self.eng.real_weyl_g)
+
+    def d_tilde_gh(self, x_h, x_g) -> complex:
+        from endotransfer.endoscopy import EllipticElement, require_regular
+
+        if not self.regular(x_h):
+            return complex(0.0)
+        require_regular(self.eng.g_datum, x_g)
+        s = self.sc.h_side
+        group = self.eng.weyl_h
+        fronts = [
+            complex(s.prefactor) * self.d_over_pi(s, tuple(wp.act(x_h.coords))) for wp in group
+        ]
+        counts = self.fold(s, group, fronts)
+        total = complex(0.0)
+        for w in self.eng.weyl_g:
+            pulled = EllipticElement(tuple(w.act(x_g.coords)))
+            weight = self.weight(self.eng.inverse_of(w), pulled, x_g)
+            d_y = self.d_over_pi(s, pulled.coords)
+            inner = complex(0.0)
+            for count, z in zip(counts, group):
+                inner += count * cmath.exp(1j * -self.bform(self.image(z, x_h), pulled.coords))
+            total += weight * d_y * inner
+        return complex(s.gamma) * total / (len(self.eng.real_weyl_h) * len(group))
 
 
 # ---------------------------------------------------------------------------

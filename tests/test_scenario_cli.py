@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -18,8 +19,10 @@ from endotransfer.scenario import (
 )
 from endotransfer import cli
 from endotransfer.verify import (
+    PrecisionError,
     emit_report,
     parse_machine_report,
+    precision_floor,
     run_verify,
 )
 
@@ -333,7 +336,8 @@ def test_form_scale_that_can_overflow_is_refused_by_name(tmp_path, name):
     """At form_scale 1e308, scale * B(u, v) overflows a float on the
     sampling box, and verify reported nan errors; the loader refuses the
     scale at its line and names it.  The bound is no tighter than needed:
-    the A1 and A1xA1 files, which verify at 1e200, still load there."""
+    the A1 and A1xA1 files still load at 1e200, where run_verify refuses
+    them for precision instead."""
     text = builtin_scenario_path(name).read_text(encoding="utf-8")
     scn = tmp_path / "big.scn"
     scn.write_text(text.replace("form_scale = 1", "form_scale = 1e308"), encoding="utf-8")
@@ -343,7 +347,63 @@ def test_form_scale_that_can_overflow_is_refused_by_name(tmp_path, name):
     assert f"line {lineno}: form_scale" in res.stderr
     if name != "sp4_endoscopy":
         sc = build_scenario(parse_scenario(text.replace("form_scale = 1", "form_scale = 1e200")))
-        assert run_verify(sc, 3, 1).all_passed
+        with pytest.raises(PrecisionError):
+            run_verify(sc, 3, 1)
+
+
+@pytest.mark.parametrize(
+    "name,scale,tol,refused",
+    [
+        ("sp4_endoscopy", "1e2", None, True),
+        ("sp4_endoscopy", "1e2", "1e-9", False),
+        ("sp4_endoscopy", "1e1", None, False),
+        ("sl2_endoscopy", "1e2", None, True),
+        ("sl2xsl2_double", "20", None, False),
+        ("sl2xsl2_double", "40", None, True),
+    ],
+)
+def test_form_scale_beyond_the_tolerance_is_refused(tmp_path, name, scale, tol, refused):
+    """Phases scale * B(u, v) round by up to scale * B_max * 2^-52, B_max
+    the loader's phase_bound; verify refuses, with exit 2 and a message
+    naming form_scale and the tolerance, when that exceeds tolerance / 4.
+    sp4_endoscopy at 1e2 failed its pairs before (7.2e-13 at 10 pairs)."""
+    text = builtin_scenario_path(name).read_text(encoding="utf-8")
+    text = text.replace("form_scale = 1", f"form_scale = {scale}")
+    tolerance = 1e-12 if tol is None else float(tol)
+    sc = build_scenario(parse_scenario(text))
+    assert (precision_floor(sc) > tolerance / 4) == refused
+    if refused:
+        with pytest.raises(PrecisionError):
+            run_verify(sc, 0, 1, tolerance)
+    else:
+        assert run_verify(sc, 5, 1, tolerance).all_passed
+    if name == "sp4_endoscopy" and scale == "1e2":
+        scn = tmp_path / "scaled.scn"
+        scn.write_text(text, encoding="utf-8")
+        res = _run_cli("verify", str(scn), "--samples", "3", *(("--tol", tol) if tol else ()))
+        assert "Traceback" not in res.stderr
+        if refused:
+            assert res.returncode == 2 and "status" not in res.stdout
+            assert "form_scale 100" in res.stderr and "tolerance 1e-12" in res.stderr
+        else:
+            assert res.returncode == 0 and "PASS" in res.stdout
+
+
+def test_no_benchmark_scenario_is_refused_for_precision():
+    """Every scenario of every perfbench workload is verified at the
+    default tolerance: its precision floor stays below tolerance / 4."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    floors = []
+    for generate, _ in workloads.WORKLOADS.values():
+        for item in generate(0, root):
+            sc = build_scenario(parse_scenario(item["text"]))
+            floors.append(precision_floor(sc))
+            run_verify(sc, 0, item["seed"])
+    assert len(floors) == 5 + 1 + 45
+    assert max(floors) <= 1e-12 / 4
 
 
 def test_g_extra_is_refused_with_its_reason(tmp_path):

@@ -8,49 +8,16 @@ float points and one exact point.  The table's inverse positions are
 checked against weyl_inverse, and a point 1e-10 |x| from a wall gets the
 regularity check's message from every route."""
 
-import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from endotransfer.distributions import d_gh, d_tilde_gh, make_scenario, verify_identity
-from endotransfer.endoscopy import (
-    EllipticElement,
-    EndoscopyError,
-    TransferFactorEngine,
-    build_endoscopic_datum,
-    require_regular,
-    root_signs,
-)
-from endotransfer.realform import build_grading, real_weyl_group
+from endotransfer.distributions import d_gh, d_tilde_gh, verify_identity
+from endotransfer.endoscopy import EllipticElement, EndoscopyError, require_regular, root_signs
 from endotransfer.rootdata import build_root_datum, weyl_inverse
 
-from oracles import TYPES, LiteralRoutes
-
-
-@pytest.fixture(scope="module", params=TYPES)
-def scenarios(request):
-    """A Cartan type of TYPES, and its scenarios for every simple grading of
-    G and every nontrivial s, H quasi-split, base point (1/2, 2/3, 3/4, ...)
-    on both sides; built once for both tests."""
-    g_type = request.param
-    g = build_root_datum(g_type)
-    point = EllipticElement(tuple(Fraction(k + 1, k + 2) for k in range(g.rank)))
-    out = []
-    for grades in itertools.product((0, 1), repeat=g.rank):
-        grading_g = build_grading(g, grades)
-        rw_g = real_weyl_group(grading_g)
-        for signs in itertools.product((1, -1), repeat=g.rank):
-            if all(s == 1 for s in signs):
-                continue
-            datum = build_endoscopic_datum(g, signs)
-            grading_h = build_grading(datum.h_datum, [1] * len(datum.h_datum.simple_roots))
-            eng = TransferFactorEngine(
-                datum, grading_g, grading_h, rw_g, real_weyl_group(grading_h), point, point
-            )
-            out.append(((grades, signs), make_scenario(f"{g_type}{grades}{signs}", eng)))
-    return g_type, out
+from oracles import LiteralRoutes
 
 
 def _regular_point(g, rng, exact=False):
