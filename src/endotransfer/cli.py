@@ -18,13 +18,23 @@ import os
 import sys
 from fractions import Fraction
 
-from .cohomology import RealTorus, h1 as compute_h1, kappa_from_s, CohomologyError
+from .cohomology import (
+    CohomologyClass,
+    CohomologyError,
+    RealTorus,
+    h1 as compute_h1,
+    kappa_from_s,
+    tate_nakayama_pair,
+)
 from .endoscopy import ADatum, EllipticElement, EndoscopyError, build_diagram
 from .scenario import ScenarioError, _parse_vector, load_scenario_file
 from .verify import PrecisionError, emit_report, run_verify
 
 
 DEFAULT_TOL = 1e-12
+
+# `h1` prints its pairing table only for groups of at most this many classes.
+H1_TABLE_LIMIT = 256
 
 
 class InputError(ValueError):
@@ -187,19 +197,15 @@ def _cmd_h1(args) -> int:
     else:
         desc = "trivial"
     print(f"H^1(R, T) = {desc}  (order {group.order})")
-    n = torus.lattice_rank
-    classes = _all_classes(group)
-    characters = _character_reps(torus, group)
-    if classes and characters:
-        print("pairing table (rows: classes, columns: characters):")
-        header = "        " + "  ".join(f"k{j:<4d}" for j in range(len(characters)))
-        print(header)
-        from .cohomology import CohomologyClass, tate_nakayama_pair
-
-        for i, coords in enumerate(classes):
-            cls = CohomologyClass(torus, group, coords)
-            row = [tate_nakayama_pair(cls, kap) for kap in characters]
-            print(f"  c{i:<4d} " + "  ".join(f"{v:+d}   " for v in row))
+    if group.order > H1_TABLE_LIMIT:
+        print(f"pairing table left out: more than {H1_TABLE_LIMIT} classes")
+        return 0
+    classes = [CohomologyClass(torus, group, coords) for coords in _all_classes(group)]
+    columns = _character_columns(torus, classes, group.order)
+    print("pairing table (rows: classes, columns: characters):")
+    print("        " + "  ".join(f"k{j:<4d}" for j in range(len(columns))))
+    for i in range(len(classes)):
+        print(f"  c{i:<4d} " + "  ".join(f"{column[i]:+d}   " for column in columns))
     return 0
 
 
@@ -230,30 +236,27 @@ def _all_classes(group):
     out = [()]
     for d in group.divisors:
         out = [c + (k,) for c in out for k in range(d)]
-    return [c for c in out if len(c) == len(group.divisors)]
+    return out
 
 
-def _character_reps(torus, group):
-    """Distinct component-group characters among half-integral vectors."""
+def _character_columns(torus, classes, order):
+    """The pairings with the classes of each distinct component-group
+    character among the half-integral vectors, in the order of their first
+    vector.  The characters of H^1 number its order, so the search stops
+    once it has found that many."""
     n = torus.lattice_rank
-    reps = []
-    seen_rows = set()
+    columns = {}
     for mask in range(2 ** n):
+        if len(columns) == order:
+            break
         xhat = tuple(Fraction(1, 2) if (mask >> j) & 1 else Fraction(0) for j in range(n))
         try:
             kap = kappa_from_s(xhat, torus)
         except CohomologyError:
             continue
-        from .cohomology import CohomologyClass, tate_nakayama_pair
-
-        row = tuple(
-            tate_nakayama_pair(CohomologyClass(torus, group, coords), kap)
-            for coords in _all_classes(group)
-        )
-        if row not in seen_rows:
-            seen_rows.add(row)
-            reps.append(kap)
-    return reps
+        column = tuple(tate_nakayama_pair(cls, kap) for cls in classes)
+        columns.setdefault(column, None)
+    return list(columns)
 
 
 def main(argv=None) -> int:

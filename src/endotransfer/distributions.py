@@ -117,9 +117,6 @@ class Side:
         v = tuple(map(float, v))
         return tuple(sum(map(mul, row, v)) for row in self._form)
 
-    def bform(self, u, v) -> float:
-        return self._scale * _contract(map(float, u), self.form_image(v))
-
     def d_over_pi(self, x: EllipticElement) -> complex:
         """D^{1/2}(X)/pi(X) on the compact Cartan: (-i)^m sign(prod <alpha,v>),
         the sign read from require_regular's mask of negative roots."""
@@ -131,19 +128,15 @@ class Side:
         return self._d_over_pi_unit * sign
 
     def exponentials(self, images, bv) -> list[complex]:
-        """exp(-i B(u, v)) for each float image u, given B v from form_image.
-        The contractions sum_i u_i (B v)_i are taken a coordinate at a time
-        over all images, each accumulated in order from 0.0."""
+        """exp(-i B(u, v)) for each float image u, given B v from form_image;
+        or, with images B v from form_image and u as bv, for each v.  The
+        contractions sum_i u_i (B v)_i are taken a coordinate at a time over
+        all images, each accumulated in order from 0.0."""
         phases = [0.0] * len(images)
         for column, b in zip(zip(*images), bv):
             phases = [p + c * b for p, c in zip(phases, column)]
         scale = self._scale
         return [cmath.exp(1j * -(scale * p)) for p in phases]
-
-    def exponential(self, image, bv) -> complex:
-        """exp(-i B(u, v)) for one float image u, to the bit the value that
-        exponentials gives it."""
-        return cmath.exp(1j * -(self._scale * _contract(image, bv)))
 
 
 @dataclass(frozen=True)
@@ -168,14 +161,6 @@ def group_law(engine: TransferFactorEngine, group, real_weyl) -> GroupLaw:
 def _apply(matrix, u) -> tuple[float, ...]:
     """The float matrix applied to the float vector u."""
     return tuple(sum(map(mul, row, u)) for row in matrix)
-
-
-def _contract(u, bv) -> float:
-    """sum_i u_i (B v)_i, accumulated in order from 0.0."""
-    out = 0.0
-    for ui, bi in zip(u, bv):
-        out += ui * bi
-    return out
 
 
 @dataclass
@@ -227,12 +212,13 @@ def rossmann_kernel(side: Side, x: EllipticElement, y: EllipticElement) -> Kerne
     prefactor * [D/pi](x) [D/pi](y) * sum over the real Weyl group of
     det(w) exp(-i B(w u, v)); the form convention is <iu, iv> = -B(u, v)."""
     front = side._prefactor * side.d_over_pi(x) * side.d_over_pi(y)
-    bv = side.form_image(y.floats())
     u = x.floats()
+    images = [_apply(matrix, u) for _, matrix, _ in side.weyl_table]
+    phases = side.exponentials(images, side.form_image(y.floats()))
     terms = []
     total = complex(0.0)
-    for w, matrix, det in side.weyl_table:
-        contrib = front * det * side.exponential(_apply(matrix, u), bv)
+    for (w, _, det), phase in zip(side.weyl_table, phases):
+        contrib = front * det * phase
         terms.append((w, contrib))
         total += contrib
     return KernelValue(total, tuple(terms))
@@ -326,41 +312,38 @@ def d_tilde_gh(scenario: EllipticScenario, x_h: EllipticElement, x_g: EllipticEl
     return gamma * total / (len(eng.real_weyl_h) * len(eng.weyl_h))
 
 
-def _g_constants(scenario: EllipticScenario, x_g: EllipticElement, neg_g: int):
-    """gamma * prefactor * [D/pi](x_g) and B x_g: what every G-term shares."""
-    s = scenario.g_side
-    front = complex(s.gamma) * complex(s.prefactor) * s.d_over_pi_at(parity_sign(neg_g.bit_count()))
-    return front, s.form_image(x_g.coords)
-
-
-def _h_constants(scenario: EllipticScenario, x_h: EllipticElement, neg_h: int):
-    """gamma * prefactor * [D/pi](x_h) and x_h as floats: what every H-term
-    shares.  The table's first entry is the identity's."""
+def _terms(
+    scenario: EllipticScenario, side: str, x_h: EllipticElement, x_g: EllipticElement,
+    neg_h: int, neg_g: int,
+) -> list[complex]:
+    """The w-terms of the closed-form expansion of one route, for w in the
+    order of W, from the masks of x_h and x_g.  Side "G" gives the transfer
+    route's gamma prefactor [D/pi](x_g) weight(w) [D/pi](w x_h) exp(-i B(w
+    x_h, x_g)); side "H" the transform route's gamma prefactor [D/pi](x_h)
+    weight(w^{-1}) [D/pi](w x_g) exp(-i B(x_h, w x_g)), its weight the table
+    entry of w^{-1} at x_g.  Each side takes its exponentials in one batch:
+    images w x_h against B x_g, or B w x_g against x_h."""
+    entries = scenario.transfer_table.entries
+    base_value = scenario.engine.base_value
+    if side == "G":
+        s = scenario.g_side
+        front = complex(s.gamma) * complex(s.prefactor) * s.d_over_pi_at(parity_sign(neg_g.bit_count()))
+        images = [tuple(map(float, e.w.act(x_h.coords))) for e in entries]
+        phases = s.exponentials(images, s.form_image(x_g.coords))
+        return [
+            front * (e.weight_moved(neg_h) * base_value) * s.d_over_pi_at(e.g_sign(neg_h)) * phase
+            for e, phase in zip(entries, phases)
+        ]
     s = scenario.h_side
-    d_x = s.d_over_pi_at(scenario.transfer_table.entries[0].h_sign(neg_h))
-    return complex(s.gamma) * complex(s.prefactor) * d_x, x_h.floats()
-
-
-def _g_term(
-    scenario: EllipticScenario, front: complex, bx_g, entry, x_h: EllipticElement, neg_h: int
-) -> complex:
-    """The w-term of the transfer route, w = entry.w, from _g_constants."""
-    s = scenario.g_side
-    target = tuple(map(float, entry.w.act(x_h.coords)))
-    weight = entry.weight_moved(neg_h) * scenario.engine.base_value
-    return front * weight * s.d_over_pi_at(entry.g_sign(neg_h)) * s.exponential(target, bx_g)
-
-
-def _h_term(
-    scenario: EllipticScenario, front: complex, u_h, entry, inverse_entry, x_g: EllipticElement,
-    neg_g: int,
-) -> complex:
-    """The w-term of the transform route, w = entry.w, from _h_constants;
-    its weight is the table entry of w^{-1} at x_g."""
-    s = scenario.h_side
-    weight = inverse_entry.weight_at(neg_g) * scenario.engine.base_value
-    bv = s.form_image(entry.w.act(x_g.coords))
-    return front * weight * s.d_over_pi_at(entry.h_sign(neg_g)) * s.exponential(u_h, bv)
+    # The table's first entry is the identity's.
+    front = complex(s.gamma) * complex(s.prefactor) * s.d_over_pi_at(entries[0].h_sign(neg_h))
+    images = [s.form_image(e.w.act(x_g.coords)) for e in entries]
+    phases = s.exponentials(images, x_h.floats())
+    return [
+        front * (entries[e.inverse].weight_at(neg_g) * base_value) * s.d_over_pi_at(e.h_sign(neg_g))
+        * phase
+        for e, phase in zip(entries, phases)
+    ]
 
 
 def explicit_term(
@@ -368,14 +351,8 @@ def explicit_term(
 ) -> complex:
     """Single-exponential w-term of the closed-form expansion of either route."""
     g = scenario.engine.g_datum
-    neg_h = require_regular(g, x_h)
-    neg_g = require_regular(g, x_g)
-    table = scenario.transfer_table
-    entry = table.entry(w)
-    if side == "G":
-        return _g_term(scenario, *_g_constants(scenario, x_g, neg_g), entry, x_h, neg_h)
-    inverse_entry = table.entries[entry.inverse]
-    return _h_term(scenario, *_h_constants(scenario, x_h, neg_h), entry, inverse_entry, x_g, neg_g)
+    terms = _terms(scenario, side, x_h, x_g, require_regular(g, x_h), require_regular(g, x_g))
+    return terms[scenario.transfer_table.index(w)]
 
 
 def verify_identity(
@@ -396,15 +373,10 @@ def verify_identity(
     regular = neg_h is not None
     if regular:
         neg_g = require_regular(scenario.engine.g_datum, x_g)
-        entries = scenario.transfer_table.entries
-        g_front, bx_g = _g_constants(scenario, x_g, neg_g)
-        h_front, u_h = _h_constants(scenario, x_h, neg_h)
-        h_terms = [complex(0.0)] * len(entries)
-        for entry in entries:
-            paired = entries[entry.inverse]
-            t_lhs = _g_term(scenario, g_front, bx_g, entry, x_h, neg_h)
-            t_rhs = _h_term(scenario, h_front, u_h, paired, entries[paired.inverse], x_g, neg_g)
-            h_terms[entry.inverse] = t_rhs
+        g_terms = _terms(scenario, "G", x_h, x_g, neg_h, neg_g)
+        h_terms = _terms(scenario, "H", x_h, x_g, neg_h, neg_g)
+        for entry, t_lhs in zip(scenario.transfer_table.entries, g_terms):
+            t_rhs = h_terms[entry.inverse]
             comparisons.append(
                 TermComparison(entry.w.word, t_lhs, t_rhs, abs(t_lhs - t_rhs))
             )

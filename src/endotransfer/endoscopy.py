@@ -6,8 +6,11 @@ endoscopic datum is cut out by an order-2 character s of the coroot lattice;
 the endoscopic group H has roots {alpha : s(coroot(alpha)) = +1}, a closed
 subsystem on the coroot side, with Weyl group included in W^G on the nose.
 
-Transfer factors are normalized relative to a base diagram.  The cocycle
-constructions fix these auxiliary choices, recorded in every report:
+Transfer factors are normalized relative to a base diagram.  The first and
+third factor are Tate-Nakayama pairings on H^1(R, T) of the compact Cartan T
+itself; the third pairs kappa = xhat_s with the single class b^{-2} rho_check
+- w^{-2} rho_check of the diagram's Weyl element w and the base's b.  The
+cocycle constructions fix these auxiliary choices, recorded in every report:
 
 * canonical reflection representatives n(w) built from the pinning;
 * the compact-Cartan realization with torus twist t_q = e(-rho_check / 2);
@@ -22,31 +25,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from operator import mul
 from typing import Optional, Sequence, Union
 
 from .cohomology import (
     CohomologyError,
-    QuotientTorus,
     RealTorus,
     TorusPoint,
     cocycle_class,
     elliptic_torus,
     h1,
     kappa_over,
-    quotient_torus_lattice,
     tate_nakayama_pair,
 )
-from .lattice import (
-    FracVec,
-    IntVec,
-    dot,
-    inverse_over,
-    mat_vec,
-    transpose,
-    vec_frac,
-)
+# Unused here: perfbench/tracing.py wraps endoscopy.quotient_torus_lattice,
+# so the name stays until that layer is dropped.
+from .cohomology import quotient_torus_lattice  # noqa: F401
+from .lattice import FracVec, IntVec, dot, mat_vec, transpose, vec_frac
 from .realform import RealFormGrading
 from .rootdata import (
     RootDatum,
@@ -184,8 +179,9 @@ class TransferTable:
         self.entries = entries
         self._position = {e.w.matrix: i for i, e in enumerate(entries)}
 
-    def entry(self, w: WeylElement) -> WeylWeight:
-        return self.entries[self._position[w.matrix]]
+    def index(self, w: WeylElement) -> int:
+        """The position of w, and of its entry."""
+        return self._position[w.matrix]
 
 
 def build_endoscopic_datum(g_datum: RootDatum, s_simple_signs: Sequence[int]) -> EndoscopicDatum:
@@ -353,9 +349,8 @@ class TransferFactorEngine:
         self.h_positions = tuple(self._position[w] for w in self.weyl_h)
         self.torus = elliptic_torus(self.g_datum.rank)
         self._h1 = h1(self.torus)
+        self._kappa_s = kappa_over(self.two_xhat_s, 2, self.torus)
         self._check_tits_central()
-        self._u = None
-        self._u_h1 = None
 
         self.base_diagram = build_diagram(datum, self.weyl_g, base_x_h, base_x_g)
         if self.base_diagram is None or not self.base_diagram.w.is_identity():
@@ -397,16 +392,6 @@ class TransferFactorEngine:
                 raise EndoscopyError("minus-one element is not central in the Weyl group")
             if left[0] != right[0]:
                 raise EndoscopyError(f"n(omega) does not commute with the Tits lift n_{i}")
-
-    def _u_torus(self) -> QuotientTorus:
-        if self._u is None:
-            n = self.g_datum.rank
-            big = elliptic_torus(2 * n)
-            reps = _coweight_classes(self.g_datum)
-            subgroup = [tuple(list(p) + [(-x) % 1 for x in p]) for p in reps]
-            self._u = quotient_torus_lattice(big, subgroup)
-            self._u_h1 = h1(self._u.torus)
-        return self._u
 
     # -- the three factors ---------------------------------------------------
 
@@ -469,35 +454,20 @@ class TransferFactorEngine:
         return root_signs(roots, diagram.x_g.coords) * a_signs(roots, a)
 
     def delta_iii(self, diagram: Diagram, base: Optional[Diagram] = None) -> int:
-        """Duality pairing on the doubled torus of the two diagrams.  The
-        value depends only on the two torus identifications."""
+        """kappa = xhat_s paired with the class b^{-2} rho_check - w^{-2}
+        rho_check on T, w and b the diagrams' Weyl elements: on the doubled
+        torus of the two diagrams the point is (-w^{-1} rho_check / 2,
+        b^{-1} rho_check / 2) and the character (w . xhat_s, b . xhat_s),
+        and w . f = (w^{-1})^T f.  The value depends only on w and b."""
         if base is None:
             base = self.base_diagram
         if base.datum is not self.datum or diagram.datum is not self.datum:
             raise EndoscopyError("diagrams come from different endoscopic data")
-        u = self._u_torus()
-        slot, f = self._delta_iii_half(diagram.w, +1)
-        if base.w == self.base_diagram.w:
-            base_slot, base_f = self._base_iii_half
-        else:
-            base_slot, base_f = self._delta_iii_half(base.w, -1)
-        point = TorusPoint.over(*u.to_new_coordinates(slot + base_slot, 4))
-        cls = cocycle_class(u.torus, point, self._u_h1)
-        kappa_u = kappa_over(*u.functional_to_new(f + base_f, 2), u.torus)
-        return tate_nakayama_pair(cls, kappa_u)
-
-    def _delta_iii_half(self, w: WeylElement, sign: int) -> tuple[IntVec, IntVec]:
-        """One diagram's half of the doubled-torus point, as numerators over
-        4 of -sign * w^{-1} rho_check / 2 (delta(w) = 0), and of the
-        character, as numerators over 2 of w . xhat_s."""
-        rho_back = self.inverse_of(w).act(self.two_rho_check)
-        slot = tuple(-sign * rb for rb in rho_back)
-        return slot, self._act_on_functional(w, self.two_xhat_s)
-
-    @cached_property
-    def _base_iii_half(self) -> tuple[IntVec, IntVec]:
-        """The base diagram's half of delta_III, the same for every w."""
-        return self._delta_iii_half(self.base_diagram.w, -1)
+        w_back, b_back = self.inverse_of(diagram.w), self.inverse_of(base.w)
+        b_rho = b_back.act(b_back.act(self.two_rho_check))
+        w_rho = w_back.act(w_back.act(self.two_rho_check))
+        point = TorusPoint.over([x - y for x, y in zip(b_rho, w_rho)], 4)
+        return tate_nakayama_pair(cocycle_class(self.torus, point, self._h1), self._kappa_s)
 
     # -- normalized transfer factor ---------------------------------------
 
@@ -661,27 +631,3 @@ def _inverse_permutation(p: tuple[int, ...]) -> tuple[int, ...]:
 def _sum_positive_coroots(datum: RootDatum) -> IntVec:
     """2 rho_check, the sum of the positive coroots."""
     return tuple(sum(col) for col in zip(*(datum.coroot(r) for r in datum.positive_roots)))
-
-
-def _coweight_classes(datum: RootDatum) -> list[FracVec]:
-    """Representatives of the coweight lattice modulo the coroot lattice,
-    sorted.  The fundamental coweights are the columns of the inverse of
-    the simple-root matrix; the classes are found on their numerators over
-    its denominator d."""
-    try:
-        inverse, d = inverse_over(datum.simple_roots)
-    except ValueError:
-        raise EndoscopyError("simple roots are degenerate")
-    coweights = transpose(inverse)
-    seen = {(0,) * datum.rank}
-    frontier = list(seen)
-    while frontier:
-        new = []
-        for p in frontier:
-            for cw in coweights:
-                q = tuple((a + b) % d for a, b in zip(p, cw))
-                if q not in seen:
-                    seen.add(q)
-                    new.append(q)
-        frontier = new
-    return sorted(tuple(Fraction(x, d) for x in p) for p in seen)

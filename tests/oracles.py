@@ -780,15 +780,50 @@ def literal_pairing(sigma, magnitudes, phases, xhat) -> int:
     return 1 if r.denominator == 1 else -1
 
 
+def literal_coweight_classes(coweights) -> list[tuple[Fraction, ...]]:
+    """Representatives in [0, 1)^n of the coweight lattice modulo the
+    cocharacter lattice, closed under addition from the fundamental
+    coweights."""
+    seen = {(Fraction(0),) * len(coweights)}
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for p in frontier:
+            for cw in coweights:
+                q = tuple((a + b) % 1 for a, b in zip(p, cw))
+                if q not in seen:
+                    seen.add(q)
+                    new.append(q)
+        frontier = new
+    return sorted(seen)
+
+
+def literal_doubled_basis(datum) -> tuple[tuple[Fraction, ...], ...]:
+    """A basis of the cocharacter lattice of the doubled torus (T x T)/Z,
+    Z the classes (p, -p) of literal_coweight_classes: (omega_i, -omega_i)
+    for the fundamental coweights, the columns of the inverse of the
+    simple-root matrix, and (0, e_j).  A point (x, y) of the
+    lattice has x in the coweight lattice and x + y integral, so it is
+    sum c_i (omega_i, -omega_i) + (0, x + y); every class must lie in it."""
+    n = datum.rank
+    coweights = transpose(invert_rational(datum.simple_roots))
+    basis = tuple(tuple(cw) + tuple(-x for x in cw) for cw in coweights)
+    basis += tuple((Fraction(0),) * n + tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+    for p in literal_coweight_classes(coweights):
+        if not in_lattice(basis, p + tuple(-x for x in p)):
+            raise AssertionError(f"coweight class {p} is outside the doubled lattice")
+    return basis
+
+
 class LiteralSetup(TransferFactorEngine):
     """The engine of a scenario with its per-w set-up as it was written in
     Fractions: delta(w) from the triple product for each w, w^{-1} by
-    rational elimination, w acting along its word, the doubled torus's
-    coordinates by elimination over its basis, and the pairings of
-    literal_pairing.  delta_I, delta_II and delta_III and the transfer table
-    are frozen copies; the rest (Weyl groups, base diagram, the doubled
-    torus's basis) is the engine's, so the two transfer tables must agree
-    entry by entry.
+    rational elimination, w acting along its word, delta_III on the doubled
+    torus of literal_doubled_basis with coordinates by elimination over its
+    basis, and the pairings of literal_pairing.  delta_I, delta_II and
+    delta_III and the transfer table are frozen copies; the rest (Weyl
+    groups, base diagram) is the engine's, so the two transfer tables must
+    agree entry by entry.
     """
 
     def __init__(self, engine: TransferFactorEngine):
@@ -806,7 +841,7 @@ class LiteralSetup(TransferFactorEngine):
         d = self.g_datum
         coroots = [d.coroot(r) for r in d.positive_roots]
         self.rho = tuple(Fraction(sum(c[j] for c in coroots), 2) for j in range(d.rank))
-        self.u_basis = self._u_torus().basis
+        self.u_basis = literal_doubled_basis(d)
         # The doubled torus's -1, in its basis: column i holds the
         # coordinates of -basis[i].
         columns = [self._u_coordinates(tuple(-x for x in b)) for b in self.u_basis]

@@ -19,7 +19,7 @@ from endotransfer.endoscopy import EllipticElement, EndoscopyError
 from endotransfer.scenario import load_builtin
 from endotransfer.verify import sample_regular_vector
 
-from oracles import discriminant_sqrt, pi_positive
+from oracles import LiteralRoutes, discriminant_sqrt, pi_positive
 
 
 def _rand_regular(scenario, rng):
@@ -70,7 +70,7 @@ def test_rossmann_kernel_su2_sine_form():
     x = EllipticElement((0.7,))
     y = EllipticElement((0.4,))
     k = rossmann_kernel(side, x, y)
-    b = side.bform(x.floats(), y.floats())
+    b = LiteralRoutes(sc, sc.form_scale).bform(x.floats(), y.floats())
     expected = complex(side.prefactor) * side.d_over_pi(x) * side.d_over_pi(y) * (
         cmath.exp(-1j * b) - cmath.exp(1j * b)
     )
@@ -133,7 +133,7 @@ def test_d_tilde_torus_side_is_pure_exponentials():
         from endotransfer.endoscopy import Diagram
 
         weight = eng.relative_factor(Diagram(eng.datum, diagram_w, pulled, xg)) * eng.base_value
-        phase = -sc.h_side.bform(xh.floats(), pulled.floats())
+        phase = -LiteralRoutes(sc, sc.form_scale).bform(xh.floats(), pulled.floats())
         total += weight * cmath.exp(1j * phase)
     total *= complex(sc.h_side.gamma)
     assert abs(total - d_tilde_gh(sc, xh, xg)) < 1e-12

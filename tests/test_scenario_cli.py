@@ -193,6 +193,28 @@ def test_cli_h1_command(tmp_path):
     assert "Z/2" in res.stdout
 
 
+@pytest.mark.parametrize("rank, table", [(8, True), (9, False), (12, False)])
+def test_cli_h1_table_limit(tmp_path, capsys, rank, table):
+    """-1 on Z^rank has H^1 of order 2^rank.  The pairing table is printed
+    up to 256 classes and left out above; either way the command returns
+    within seconds."""
+    lat = tmp_path / "minus.lat"
+    lat.write_text(
+        "".join(" ".join("-1" if i == j else "0" for j in range(rank)) + "\n" for i in range(rank)),
+        encoding="utf-8",
+    )
+    start = time.perf_counter()
+    assert cli.main(["h1", str(lat)]) == 0
+    assert time.perf_counter() - start < 10.0
+    out = capsys.readouterr().out
+    assert f"(order {2 ** rank})" in out
+    if table:
+        assert out.count("\n  c") == 2 ** rank and f"k{2 ** rank - 1} " in out
+    else:
+        assert "pairing table left out: more than 256 classes" in out
+        assert "\n  c" not in out
+
+
 def test_cli_env_tolerance(tmp_path):
     scn = str(builtin_scenario_path("sl2_endoscopy"))
     res = _run_cli(

@@ -13,6 +13,7 @@ import pytest
 from endotransfer import endoscopy
 from endotransfer.endoscopy import (
     ADatum,
+    Diagram,
     EndoscopyError,
     EllipticElement,
     TransferFactorEngine,
@@ -88,6 +89,29 @@ def test_setup_matches_literal_path_on_other_a_data(g_type, seed):
             continue
         eng = _engine(g_type, signs)
         assert _entries(LiteralSetup(eng).transfer_table(a)) == _entries(eng.transfer_table()), signs
+
+
+@pytest.mark.parametrize("g_type", ("B4", "C4", "D4"))
+def test_delta_iii_on_rank_4_against_other_bases(g_type):
+    """delta_III against a base diagram other than the base point's, on
+    rank 4, where the coweights modulo the coroots, which the literal
+    doubled torus divides out, are Z/2 (B4, C4) or (Z/2)^2 (D4): twelve
+    seeded w for every nontrivial s, each against a seeded random b."""
+    g = build_root_datum(g_type)
+    rng = random.Random(g_type)
+    for signs in itertools.product((1, -1), repeat=g.rank):
+        if all(s == 1 for s in signs):
+            continue
+        eng = _engine(g_type, signs)
+        literal = LiteralSetup(eng)
+        x_h = eng.base_diagram.x_h
+
+        def diagram(w):
+            return Diagram(eng.datum, w, x_h, EllipticElement(w.act(x_h.coords)))
+
+        for _ in range(12):
+            d, b = diagram(rng.choice(eng.weyl_g)), diagram(rng.choice(eng.weyl_g))
+            assert eng.delta_iii(d, b) == literal.delta_iii(d, b), (signs, d.w.word, b.w.word)
 
 
 def test_transfer_table_goes_through_the_cohomology_layer(monkeypatch):
