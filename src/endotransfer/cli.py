@@ -7,7 +7,9 @@ Commands:
   h1      <lattice-file>
 
 The default tolerance can be set through the ENDOTRANSFER_TOL environment
-variable.  Exit status of `verify` is 0 exactly when every pair passes.
+variable.  Exit status of `verify` is 0 exactly when every pair passes.  A
+command whose standard output is closed early stops with status 1 and no
+message.
 """
 
 from __future__ import annotations
@@ -201,7 +203,7 @@ def _cmd_h1(args) -> int:
         print(f"pairing table left out: more than {H1_TABLE_LIMIT} classes")
         return 0
     classes = [CohomologyClass(torus, group, coords) for coords in _all_classes(group)]
-    columns = _character_columns(torus, classes, group.order)
+    columns = _character_columns(group, classes)
     print("pairing table (rows: classes, columns: characters):")
     print("        " + "  ".join(f"k{j:<4d}" for j in range(len(columns))))
     for i in range(len(classes)):
@@ -239,24 +241,77 @@ def _all_classes(group):
     return out
 
 
-def _character_columns(torus, classes, order):
+def _character_columns(group, classes):
     """The pairings with the classes of each distinct component-group
-    character among the half-integral vectors, in the order of their first
-    vector.  The characters of H^1 number its order, so the search stops
-    once it has found that many."""
+    character among the half-integral vectors, in the order of the first
+    vector of each.  A vector xhat = m/2, m read as a bit mask, is accepted
+    by kappa_from_s when sigma^T m = m mod 2: the masks form a GF(2) space
+    A.  The pairing of m with a class is (-1)^(m . lambda), lambda the
+    class's representative, so m's column is fixed by the parities of
+    m . g at the generators g, a linear map on A.  The masks of one column
+    are a coset of its kernel K, and the first is the coset's reduction by
+    an echelon basis of K with pivots at the highest bits."""
+    torus = group.torus
     n = torus.lattice_rank
-    columns = {}
-    for mask in range(2 ** n):
-        if len(columns) == order:
-            break
-        xhat = tuple(Fraction(1, 2) if (mask >> j) & 1 else Fraction(0) for j in range(n))
-        try:
-            kap = kappa_from_s(xhat, torus)
-        except CohomologyError:
-            continue
-        column = tuple(tate_nakayama_pair(cls, kap) for cls in classes)
-        columns.setdefault(column, None)
-    return list(columns)
+    sigma = torus.involution
+    k = len(group.divisors)
+    generators = [group.representative(tuple(int(i == p) for i in range(k))) for p in range(k)]
+
+    def moved(j):
+        """The bits of (sigma^T - 1) e_j mod 2."""
+        return sum(1 << i for i in range(n) if (sigma[j][i] - (i == j)) % 2)
+
+    def character(m):
+        """The bits of m . g mod 2 over the generators g."""
+        return sum(
+            1 << p for p, g in enumerate(generators)
+            if sum(g[j] for j in range(n) if m >> j & 1) % 2
+        )
+
+    admissible, _ = _gf2_split([(moved(j), 1 << j) for j in range(n)])
+    kernel, complement = _gf2_split([(character(m), m) for m in admissible])
+    pivots = {}
+    for m in kernel:
+        m = _gf2_reduce(m, pivots)
+        pivots[m.bit_length() - 1] = m
+    cosets = [0]
+    for c in complement:
+        cosets += [m ^ c for m in cosets]
+    columns = []
+    for m in sorted(_gf2_reduce(m, pivots) for m in cosets):
+        xhat = tuple(Fraction(1, 2) if m >> j & 1 else Fraction(0) for j in range(n))
+        kap = kappa_from_s(xhat, torus)
+        columns.append(tuple(tate_nakayama_pair(cls, kap) for cls in classes))
+    return columns
+
+
+def _gf2_split(pairs):
+    """Elimination over GF(2) of (key, mask) pairs, both bit sets, the masks
+    independent: the masks of a basis of the combinations whose keys cancel,
+    and those of pairs completing it to a basis of all combinations."""
+    pivots = {}
+    kernel = []
+    for key, mask in pairs:
+        while key:
+            top = key.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = (key, mask)
+                break
+            pivot_key, pivot_mask = pivots[top]
+            key ^= pivot_key
+            mask ^= pivot_mask
+        else:
+            kernel.append(mask)
+    return kernel, [mask for _, mask in pivots.values()]
+
+
+def _gf2_reduce(m, pivots):
+    """m reduced by the basis {highest bit: vector}: clear, from the top,
+    every pivot bit.  The result is the smallest element of m's coset."""
+    for top in sorted(pivots, reverse=True):
+        if m >> top & 1:
+            m ^= pivots[top]
+    return m
 
 
 def main(argv=None) -> int:
@@ -287,7 +342,15 @@ def main(argv=None) -> int:
     p_h1.set_defaults(func=_cmd_h1)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed standard output, as `| head` does.  Point it at
+        # devnull, so that the flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

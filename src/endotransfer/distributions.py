@@ -5,11 +5,13 @@ The two routes are independent summation structures.  The transfer route
 sums the ambient kernel over W and W_real(G) against transfer-factor
 weights; the transform route runs the doubled sum over W, W_H and
 W_real(H).  Each regroups its terms by the group law of its own side
-(GroupLaw), so that each group element takes one exponential; neither reads
-the other's table, and neither uses the invariance of the factors under
-W_real(G) or W_H, or the W-invariance of B.  The term-by-term comparison
-pairs the w-term of the first route with the w^{-1}-term of the second,
-each carrying its own Weil constant and dimension prefactor.
+(Side.law), so that each group element takes one exponential; neither reads
+the other's group law or anything the other computes for a pair, and
+neither uses the invariance of the factors under W_real(G) or W_H, or the
+W-invariance of B.  Both take their Weyl images from the scenario's column
+tables of W and W_H.  The term-by-term comparison pairs the w-term of the
+first route with the w^{-1}-term of the second, each carrying its own Weil
+constant and dimension prefactor.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 
 from .endoscopy import (
     ADatum,
@@ -31,7 +32,7 @@ from .endoscopy import (
     require_regular,
     sign_of,
 )
-from .lattice import dot
+from .lattice import column_table, dot, dot_in_order, images_in_order
 from .realform import (
     DimensionProfile,
     EighthRoot,
@@ -83,9 +84,9 @@ class Side:
     """Evaluation data for one group of the pair (ambient or endoscopic).
 
     The invariant form is held as floats, and each real Weyl element with
-    its float matrix and determinant, so that kernel evaluation does no
-    exact arithmetic.  The side's group law, which its route regroups by,
-    is built by build_law on first use.
+    its determinant, so that kernel evaluation does no exact arithmetic.
+    The side's group law, which its route regroups by, is built by build_law
+    on first use.
     """
 
     def __init__(
@@ -94,10 +95,7 @@ class Side:
         self.datum = datum
         self.grading = grading
         self.real_weyl = tuple(real_weyl)
-        self.weyl_table = tuple(
-            (w, tuple(tuple(float(x) for x in row) for row in w.matrix), weyl_sign(w))
-            for w in self.real_weyl
-        )
+        self.weyl_table = tuple((w, weyl_sign(w)) for w in self.real_weyl)
         self._form = tuple(tuple(float(b) for b in row) for row in form)
         self._scale = float(form_scale)
         self._build_law = build_law
@@ -108,14 +106,36 @@ class Side:
         self._d_over_pi_unit = complex(EighthRoot(-2 * len(datum.positive_roots)))
 
     @cached_property
-    def law(self) -> "GroupLaw":
-        """The side's GroupLaw, built on first use."""
+    def law(self) -> tuple[tuple[int, ...], ...]:
+        """The side's Weyl group W_S (W for G, W_H for H) under left
+        multiplication by its real Weyl group, built on first use: for the
+        r-th real Weyl element u, the row whose k-th entry is the index of
+        u w_k in W_S, both in W_S's order."""
         return self._build_law()
+
+    @cached_property
+    def real_columns(self):
+        """The column table of the real Weyl group's matrices, in its order."""
+        return column_table([w.matrix for w in self.real_weyl])
 
     def form_image(self, v) -> tuple[float, ...]:
         """B v before the scale: each row of the form paired with v."""
         v = tuple(map(float, v))
-        return tuple(sum(map(mul, row, v)) for row in self._form)
+        return tuple(dot_in_order(row, v) for row in self._form)
+
+    def form_columns(self, columns) -> list[list[float]]:
+        """B u before the scale for every u of the image columns, as image
+        columns: coordinate i of each is form_image's row i paired with u,
+        accumulated left to right from 0 over all u at once.  An exact
+        coordinate of u meets the float form at a float multiply, which
+        converts it as form_image does."""
+        out = []
+        for row in self._form:
+            acc = [0] * len(columns[0])
+            for b, column in zip(row, columns):
+                acc = [a + b * c for a, c in zip(acc, column)]
+            out.append(acc)
+        return out
 
     def d_over_pi(self, x: EllipticElement) -> complex:
         """D^{1/2}(X)/pi(X) on the compact Cartan: (-i)^m sign(prod <alpha,v>),
@@ -127,40 +147,18 @@ class Side:
         roots has this sign."""
         return self._d_over_pi_unit * sign
 
-    def exponentials(self, images, bv) -> list[complex]:
-        """exp(-i B(u, v)) for each float image u, given B v from form_image;
-        or, with images B v from form_image and u as bv, for each v.  The
-        contractions sum_i u_i (B v)_i are taken a coordinate at a time over
-        all images, each accumulated in order from 0.0."""
-        phases = [0.0] * len(images)
-        for column, b in zip(zip(*images), bv):
+    def exponentials(self, columns, bv) -> list[complex]:
+        """exp(-i B(u, v)) for each image u of the image columns (columns[i][k]
+        coordinate i of the k-th), given B v from form_image; or, with the
+        columns of the images B v and u as bv, for each v.  The contractions
+        sum_i u_i (B v)_i are taken a coordinate at a time over all images,
+        each accumulated in order from 0.0.  An exact image coordinate meets
+        the float at a float multiply, which converts it as float() does."""
+        phases = [0.0] * len(columns[0])
+        for column, b in zip(columns, bv):
             phases = [p + c * b for p, c in zip(phases, column)]
         scale = self._scale
         return [cmath.exp(1j * -(scale * p)) for p in phases]
-
-
-@dataclass(frozen=True)
-class GroupLaw:
-    """A side's Weyl group W_S (W for G, W_H for H) under left
-    multiplication by its real Weyl group: the float matrix of each element
-    of W_S, in its order, and for the r-th real Weyl element u the row
-    products[r], whose k-th entry is the index of u w_k in W_S."""
-
-    matrices: tuple[tuple[tuple[float, ...], ...], ...]
-    products: tuple[tuple[int, ...], ...]
-
-
-def group_law(engine: TransferFactorEngine, group, real_weyl) -> GroupLaw:
-    """The GroupLaw of the subgroup of weyl_g at the positions group."""
-    matrices = tuple(
-        tuple(tuple(float(x) for x in row) for row in engine.weyl_g[k].matrix) for k in group
-    )
-    return GroupLaw(matrices, engine.group_products(group, real_weyl))
-
-
-def _apply(matrix, u) -> tuple[float, ...]:
-    """The float matrix applied to the float vector u."""
-    return tuple(sum(map(mul, row, u)) for row in matrix)
 
 
 @dataclass
@@ -186,6 +184,19 @@ class EllipticScenario:
         """The routes' per-w transfer data, built on first use."""
         return self.engine.transfer_table()
 
+    @cached_property
+    def weyl_g_columns(self):
+        """The column table (lattice.column_table) of W's integer matrices,
+        in the order of weyl_g, which is the transfer table's; built on
+        first use."""
+        return column_table([w.matrix for w in self.engine.weyl_g])
+
+    @cached_property
+    def weyl_h_columns(self):
+        """The column table of W_H's integer matrices, in the order of
+        weyl_h, which is H's group law's; built on first use."""
+        return column_table([w.matrix for w in self.engine.weyl_h])
+
 
 def make_scenario(
     name: str,
@@ -196,11 +207,11 @@ def make_scenario(
     h = engine.datum.h_datum
     g_side = Side(
         g, engine.grading_g, engine.real_weyl_g, g.invariant_form, form_scale,
-        lambda: group_law(engine, range(len(engine.weyl_g)), engine.real_weyl_g),
+        lambda: engine.group_products(range(len(engine.weyl_g)), engine.real_weyl_g),
     )
     h_side = Side(
         h, engine.grading_h, engine.real_weyl_h, g.invariant_form, form_scale,
-        lambda: group_law(engine, engine.h_positions, engine.real_weyl_h),
+        lambda: engine.group_products(engine.h_positions, engine.real_weyl_h),
     )
     return EllipticScenario(
         name=name, engine=engine, g_side=g_side, h_side=h_side, form_scale=Fraction(form_scale)
@@ -212,51 +223,57 @@ def rossmann_kernel(side: Side, x: EllipticElement, y: EllipticElement) -> Kerne
     prefactor * [D/pi](x) [D/pi](y) * sum over the real Weyl group of
     det(w) exp(-i B(w u, v)); the form convention is <iu, iv> = -B(u, v)."""
     front = side._prefactor * side.d_over_pi(x) * side.d_over_pi(y)
-    u = x.floats()
-    images = [_apply(matrix, u) for _, matrix, _ in side.weyl_table]
+    images = images_in_order(side.real_columns, x.floats())
     phases = side.exponentials(images, side.form_image(y.floats()))
     terms = []
     total = complex(0.0)
-    for (w, _, det), phase in zip(side.weyl_table, phases):
+    for (w, det), phase in zip(side.weyl_table, phases):
         contrib = front * det * phase
         terms.append((w, contrib))
         total += contrib
     return KernelValue(total, tuple(terms))
 
 
-def _gstar_negative(scenario: EllipticScenario, x_h: EllipticElement):
-    """require_regular's mask of x_h for the ambient system, or None when
-    x_h sits on an ambient wall: H-regular elements there match no diagram,
-    so both sums vanish."""
+def pair_masks(scenario: EllipticScenario, x_h: EllipticElement, x_g: EllipticElement):
+    """require_regular's masks (of x_h, of x_g) for the ambient system; None
+    when x_h sits on an ambient wall: H-regular elements there match no
+    diagram, so both sums vanish, and x_g is not looked at."""
+    g = scenario.engine.g_datum
     try:
-        return require_regular(scenario.engine.g_datum, x_h)
+        neg_h = require_regular(g, x_h)
     except EndoscopyError:
         require_regular(scenario.engine.datum.h_datum, x_h)
         return None
+    return neg_h, require_regular(g, x_g)
 
 
-def _fold(law: GroupLaw, weyl_table, fronts) -> list[complex]:
+def _fold(law, weyl_table, fronts) -> list[complex]:
     """The multiplicities c_z = sum over u w = z of fronts[w] * det(u), for
     z in the side's Weyl group, each summed over u in the real Weyl group's
     order."""
-    counts = [complex(0.0)] * len(law.matrices)
-    for (_, _, det), row in zip(weyl_table, law.products):
+    counts = [complex(0.0)] * len(fronts)
+    for (_, det), row in zip(weyl_table, law):
         for front, z in zip(fronts, row):
             counts[z] += front * det
     return counts
 
 
-def d_gh(scenario: EllipticScenario, x_h: EllipticElement, x_g: EllipticElement) -> complex:
+def d_gh(
+    scenario: EllipticScenario, x_h: EllipticElement, x_g: EllipticElement, masks=None
+) -> complex:
     """Transfer route: Weyl-group sum of ambient kernels with factor weights.
 
     The terms weight(w) [D/pi](w x_h) [D/pi](x_g) det(u) exp(-i B(u w x_h,
     x_g)) over w in W and u in W_real(G) are regrouped by z = u w, the
-    product of G's group law, so each z takes one exponential.  Weights and
-    [D/pi] at w x_h come from the masks of x_h and x_g."""
-    neg_h = _gstar_negative(scenario, x_h)
-    if neg_h is None:
-        return complex(0.0)
-    neg_g = require_regular(scenario.engine.g_datum, x_g)
+    product of G's group law, so each z takes one exponential; the images
+    z x_h come from one pass over W's column table.  Weights and
+    [D/pi] at w x_h come from the masks of x_h and x_g, pair_masks' (taken
+    here when not given)."""
+    if masks is None:
+        masks = pair_masks(scenario, x_h, x_g)
+        if masks is None:
+            return complex(0.0)
+    neg_h, neg_g = masks
     eng = scenario.engine
     side = scenario.g_side
     d_y = side.d_over_pi_at(parity_sign(neg_g.bit_count()))
@@ -265,10 +282,8 @@ def d_gh(scenario: EllipticScenario, x_h: EllipticElement, x_g: EllipticElement)
         * (side._prefactor * side.d_over_pi_at(entry.g_sign(neg_h))) * d_y
         for entry in scenario.transfer_table.entries
     ]
-    law = side.law
-    counts = _fold(law, side.weyl_table, fronts)
-    u = x_h.floats()
-    images = [_apply(matrix, u) for matrix in law.matrices]
+    counts = _fold(side.law, side.weyl_table, fronts)
+    images = images_in_order(scenario.weyl_g_columns, x_h.floats())
     total = complex(0.0)
     for count, phase in zip(counts, side.exponentials(images, side.form_image(x_g.coords))):
         total += count * phase
@@ -276,34 +291,37 @@ def d_gh(scenario: EllipticScenario, x_h: EllipticElement, x_g: EllipticElement)
     return gamma * total / len(eng.real_weyl_g)
 
 
-def d_tilde_gh(scenario: EllipticScenario, x_h: EllipticElement, x_g: EllipticElement) -> complex:
+def d_tilde_gh(
+    scenario: EllipticScenario, x_h: EllipticElement, x_g: EllipticElement, masks=None
+) -> complex:
     """Transform route: doubled endoscopic sum against pulled-back elements.
 
     The inner kernels' terms [D/pi](w' x_h) det(u') exp(-i B(u' w' x_h,
     w x_g)) over w' in W_H and u' in W_real(H) are regrouped by z = u' w',
     the product of H's group law, once per pair; each w then takes one
-    exponential per z.  Weights and [D/pi] at moved points come from the
-    masks of x_h and x_g."""
-    neg_h = _gstar_negative(scenario, x_h)
-    if neg_h is None:
-        return complex(0.0)
-    neg_g = require_regular(scenario.engine.g_datum, x_g)
+    exponential per z.  The images z x_h come from one pass over W_H's
+    column table, and B w x_g for every w from a pass over W's, then one
+    over B.
+    Weights and [D/pi] at moved points come from the masks of x_h and x_g,
+    pair_masks' (taken here when not given)."""
+    if masks is None:
+        masks = pair_masks(scenario, x_h, x_g)
+        if masks is None:
+            return complex(0.0)
+    neg_h, neg_g = masks
     eng = scenario.engine
     side = scenario.h_side
     entries = scenario.transfer_table.entries
     fronts = [
         side._prefactor * side.d_over_pi_at(entries[k].h_sign(neg_h)) for k in eng.h_positions
     ]
-    law = side.law
-    counts = _fold(law, side.weyl_table, fronts)
-    u = x_h.floats()
-    images = [_apply(matrix, u) for matrix in law.matrices]
-    nu = x_g.coords
+    counts = _fold(side.law, side.weyl_table, fronts)
+    images = images_in_order(scenario.weyl_h_columns, x_h.floats())
+    moved = side.form_columns(images_in_order(scenario.weyl_g_columns, x_g.coords))
     total = complex(0.0)
-    for entry in entries:
+    for entry, bv in zip(entries, zip(*moved)):
         weight = entries[entry.inverse].weight_at(neg_g) * eng.base_value
         d_y = side.d_over_pi_at(entry.h_sign(neg_g))
-        bv = side.form_image(entry.w.act(nu))
         inner = complex(0.0)
         for count, phase in zip(counts, side.exponentials(images, bv)):
             inner += count * phase
@@ -321,14 +339,16 @@ def _terms(
     route's gamma prefactor [D/pi](x_g) weight(w) [D/pi](w x_h) exp(-i B(w
     x_h, x_g)); side "H" the transform route's gamma prefactor [D/pi](x_h)
     weight(w^{-1}) [D/pi](w x_g) exp(-i B(x_h, w x_g)), its weight the table
-    entry of w^{-1} at x_g.  Each side takes its exponentials in one batch:
-    images w x_h against B x_g, or B w x_g against x_h."""
+    entry of w^{-1} at x_g.  Each side takes its images from its own pass
+    over W's column table, and its exponentials in one batch: images w x_h
+    against B x_g, or B w x_g against x_h."""
     entries = scenario.transfer_table.entries
     base_value = scenario.engine.base_value
+    columns = scenario.weyl_g_columns
     if side == "G":
         s = scenario.g_side
         front = complex(s.gamma) * complex(s.prefactor) * s.d_over_pi_at(parity_sign(neg_g.bit_count()))
-        images = [tuple(map(float, e.w.act(x_h.coords))) for e in entries]
+        images = images_in_order(columns, x_h.coords)
         phases = s.exponentials(images, s.form_image(x_g.coords))
         return [
             front * (e.weight_moved(neg_h) * base_value) * s.d_over_pi_at(e.g_sign(neg_h)) * phase
@@ -337,7 +357,7 @@ def _terms(
     s = scenario.h_side
     # The table's first entry is the identity's.
     front = complex(s.gamma) * complex(s.prefactor) * s.d_over_pi_at(entries[0].h_sign(neg_h))
-    images = [s.form_image(e.w.act(x_g.coords)) for e in entries]
+    images = s.form_columns(images_in_order(columns, x_g.coords))
     phases = s.exponentials(images, x_h.floats())
     return [
         front * (entries[e.inverse].weight_at(neg_g) * base_value) * s.d_over_pi_at(e.h_sign(neg_g))
@@ -361,20 +381,17 @@ def verify_identity(
     x_g: EllipticElement,
     tolerance: float = 1e-12,
 ) -> IdentityReport:
-    """Both routes, their difference, and the w vs w^{-1} term pairing."""
-    lhs = d_gh(scenario, x_h, x_g)
-    rhs = d_tilde_gh(scenario, x_h, x_g)
-    abs_error = abs(lhs - rhs)
-
+    """Both routes, their difference, and the w vs w^{-1} term pairing.  The
+    masks of x_h and x_g are taken once, for both routes and the pairing."""
+    masks = pair_masks(scenario, x_h, x_g)
+    regular = masks is not None
     comparisons = []
-    lhs_sum = complex(0.0)
-    rhs_sum = complex(0.0)
-    neg_h = _gstar_negative(scenario, x_h)
-    regular = neg_h is not None
+    lhs = rhs = lhs_sum = rhs_sum = complex(0.0)
     if regular:
-        neg_g = require_regular(scenario.engine.g_datum, x_g)
-        g_terms = _terms(scenario, "G", x_h, x_g, neg_h, neg_g)
-        h_terms = _terms(scenario, "H", x_h, x_g, neg_h, neg_g)
+        lhs = d_gh(scenario, x_h, x_g, masks)
+        rhs = d_tilde_gh(scenario, x_h, x_g, masks)
+        g_terms = _terms(scenario, "G", x_h, x_g, *masks)
+        h_terms = _terms(scenario, "H", x_h, x_g, *masks)
         for entry, t_lhs in zip(scenario.transfer_table.entries, g_terms):
             t_rhs = h_terms[entry.inverse]
             comparisons.append(
@@ -384,6 +401,7 @@ def verify_identity(
         # The H-terms of the pairing, summed in the order of the Weyl group.
         for t_rhs in h_terms:
             rhs_sum += t_rhs
+    abs_error = abs(lhs - rhs)
     termwise_max = max((c.abs_error for c in comparisons), default=0.0)
     consistent = (
         abs(lhs_sum - lhs) <= 64 * max(tolerance, 1e-15) * max(1.0, abs(lhs))

@@ -41,7 +41,7 @@ from .cohomology import (
 # Unused here: perfbench/tracing.py wraps endoscopy.quotient_torus_lattice,
 # so the name stays until that layer is dropped.
 from .cohomology import quotient_torus_lattice  # noqa: F401
-from .lattice import FracVec, IntVec, dot, mat_vec, transpose, vec_frac
+from .lattice import FracVec, IntVec, dot, dot_in_order, mat_vec, transpose, vec_frac
 from .realform import RealFormGrading
 from .rootdata import (
     RootDatum,
@@ -254,10 +254,11 @@ def require_regular(g_datum: RootDatum, x: EllipticElement) -> int:
     if x.is_exact():
         margin = None
     else:
-        margin = WALL_EPS * max(1.0, sum(float(c) * float(c) for c in coords) ** 0.5)
+        floats = x.floats()
+        margin = WALL_EPS * max(1.0, dot_in_order(floats, floats) ** 0.5)
     negative = 0
     for k, alpha in enumerate(g_datum.positive_roots):
-        val = dot(alpha, coords)
+        val = dot_in_order(alpha, coords)
         if margin is None:
             if val == 0:
                 raise EndoscopyError(f"element is on the wall of root {alpha}")

@@ -58,6 +58,40 @@ def dot(u: Sequence, v: Sequence):
     return sum(map(mul, u, v))
 
 
+def dot_in_order(u: Sequence, v: Sequence):
+    """sum u_i v_i, accumulated left to right from the integer 0.  For ints
+    and Fractions this is dot; for floats it fixes the rounding, which sum()
+    does not: from Python 3.12 on, sum() of floats is compensated."""
+    acc = 0
+    for a, b in zip(u, v):
+        acc += a * b
+    return acc
+
+
+def column_table(matrices: Sequence[Sequence[Sequence]]):
+    """Square matrices M_0, M_1, ... of one size in column layout:
+    cols[i][j][k] = M_k[i][j]."""
+    n = len(matrices[0])
+    return tuple(tuple(tuple(m[i][j] for m in matrices) for j in range(n)) for i in range(n))
+
+
+def images_in_order(cols, v) -> list[list]:
+    """Every M_k v at once, from the column table of the M_k, as image
+    columns: out[i][k] is coordinate i of M_k v, the sum over j of
+    cols[i][j][k] v_j accumulated left to right from the integer 0 as
+    dot_in_order does.  An exact v gives exact images; a float v gives the
+    rounding of dot_in_order on each row, and +0.0 where that gives it."""
+    out = []
+    for row in cols:
+        pairs = zip(row, v)
+        col, x = next(pairs)
+        acc = [0 + m * x for m in col]
+        for col, x in pairs:
+            acc = [a + m * x for a, m in zip(acc, col)]
+        out.append(acc)
+    return out
+
+
 def transpose(a: Sequence[Sequence]):
     if not a:
         return ()

@@ -11,11 +11,11 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from operator import mul
 
 from .cohomology import DUALITY_CONVENTION
 from .distributions import EllipticScenario, IdentityReport, verify_identity
 from .endoscopy import EllipticElement
+from .lattice import dot_in_order
 from .rootdata import RootDatum
 
 FORMAT_VERSION = 1
@@ -75,10 +75,10 @@ def sample_regular_vector(scenario: EllipticScenario, rng: random.Random) -> tup
     datum = scenario.engine.g_datum
     while True:
         v = tuple(rng.uniform(-SAMPLING_BOX, SAMPLING_BOX) for _ in range(datum.rank))
-        norm = max(1e-30, sum(x * x for x in v) ** 0.5)
+        norm = max(1e-30, dot_in_order(v, v) ** 0.5)
         ok = True
         for alpha in datum.positive_roots:
-            val = sum(a * x for a, x in zip(alpha, v))
+            val = dot_in_order(alpha, v)
             if abs(val) < WALL_MARGIN * norm:
                 ok = False
                 break
@@ -96,7 +96,7 @@ def phase_bound(datum: RootDatum, points) -> float:
 
     def square(u) -> float:
         u = [float(c) for c in u]
-        return sum(x * sum(map(mul, row, u)) for x, row in zip(u, form))
+        return dot_in_order(u, [dot_in_order(row, u) for row in form])
 
     corners = itertools.product((-SAMPLING_BOX, SAMPLING_BOX), repeat=datum.rank)
     return max(square(u) for u in itertools.chain(corners, points))

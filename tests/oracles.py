@@ -39,6 +39,16 @@ Sign = tuple[int, ...]  # vectors over GF(2)
 TYPES = ("A1", "A1xA1", "B2", "C2", "G2", "A1xA1xA1", "A1xB2", "A1xG2", "B3", "C3")
 
 
+def in_order(terms):
+    """The terms summed left to right from the integer 0.  sum() of floats
+    is compensated from Python 3.12 on, so it would round differently from
+    the package's contractions there."""
+    total = 0
+    for t in terms:
+        total = total + t
+    return total
+
+
 def is_elliptic_datum(g_datum, h_roots, involution=None) -> bool:
     """[Z_Hhat^Gamma]^0 is trivial: no nonzero Galois-fixed rational
     direction orthogonal to every coroot of H.  The default involution is
@@ -360,7 +370,7 @@ class LiteralRoutes:
         for i, row in enumerate(self.form):
             ui = float(u[i])
             if ui:
-                out += ui * sum(float(b) * float(x) for b, x in zip(row, v))
+                out += ui * in_order(float(b) * float(x) for b, x in zip(row, v))
         return self.scale * out
 
     @staticmethod
@@ -544,7 +554,7 @@ class GroupedRoutes(LiteralRoutes):
     @staticmethod
     def image(z, x) -> tuple[float, ...]:
         u = x.floats()
-        return tuple(sum(float(m) * c for m, c in zip(row, u)) for row in z.matrix)
+        return tuple(in_order(float(m) * c for m, c in zip(row, u)) for row in z.matrix)
 
     def d_gh(self, x_h, x_g) -> complex:
         from endotransfer.endoscopy import EllipticElement, require_regular

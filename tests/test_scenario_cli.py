@@ -215,6 +215,55 @@ def test_cli_h1_table_limit(tmp_path, capsys, rank, table):
         assert "\n  c" not in out
 
 
+def _diagonal_lattice(path, plus, minus):
+    """diag(+1 x plus, -1 x minus), written to path."""
+    n = plus + minus
+    signs = ["1"] * plus + ["-1"] * minus
+    path.write_text(
+        "".join(" ".join(signs[i] if i == j else "0" for j in range(n)) + "\n" for i in range(n)),
+        encoding="utf-8",
+    )
+    return path
+
+
+@pytest.mark.parametrize("plus, minus", [(4, 8), (8, 8)])
+def test_cli_h1_characters_without_scanning_every_vector(tmp_path, capsys, plus, minus):
+    """diag(+1 x plus, -1 x minus) has H^1 of order 2^minus and every one of
+    its 2^(plus + minus) half-integral vectors is a character; the leading
+    +1 coordinates do not change a column.  All 256 columns come within
+    seconds, from one vector per column."""
+    lat = _diagonal_lattice(tmp_path / "diag.lat", plus, minus)
+    start = time.perf_counter()
+    assert cli.main(["h1", str(lat)]) == 0
+    assert time.perf_counter() - start < 10.0
+    out = capsys.readouterr().out
+    assert "(order 256)" in out
+    header = out.splitlines()[2].split()
+    assert header == [f"k{j}" for j in range(256)]
+    rows = [line.split() for line in out.splitlines()[3:]]
+    assert len(rows) == 256 and all(len(row) == 257 for row in rows)
+    assert len(set(zip(*(row[1:] for row in rows)))) == 256
+
+
+def test_cli_closed_stdout_gives_no_traceback(tmp_path):
+    """A reader that stops after one line, as `| head -1` does, ends the
+    command with status 1 and nothing on stderr."""
+    lat = _diagonal_lattice(tmp_path / "diag.lat", 2, 8)
+    src = str(Path(endotransfer.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "endotransfer.cli", "h1", str(lat)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"H^1(R, T) = ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b"", err.decode()
+
+
 def test_cli_env_tolerance(tmp_path):
     scn = str(builtin_scenario_path("sl2_endoscopy"))
     res = _run_cli(
