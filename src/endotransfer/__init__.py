@@ -20,7 +20,6 @@ from .distributions import (
     KernelValue,
     d_gh,
     d_tilde_gh,
-    delta_ii_ratio_check,
     make_scenario,
     rossmann_kernel,
     verify_identity,

@@ -18,7 +18,6 @@ echoed in every report header.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
@@ -41,6 +40,7 @@ from .lattice import (
     transpose,
     vec_frac,
 )
+from .record import Record, set_attribute
 
 DUALITY_CONVENTION = "pairing(<class>, <character>) = exp(2*pi*i*<xhat,lambda>)"
 
@@ -49,18 +49,19 @@ class CohomologyError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RealTorus:
-    lattice_rank: int
-    involution: IntMat
+class RealTorus(Record):
+    _fields = ("lattice_rank", "involution")
+    __slots__ = _fields + ("_rows", "_cols")
 
-    def __post_init__(self):
-        if len(self.involution) != self.lattice_rank:
+    def __init__(self, lattice_rank: int, involution: IntMat):
+        if len(involution) != lattice_rank:
             raise CohomologyError("involution size does not match the rank")
-        if mat_mul(self.involution, self.involution) != identity(self.lattice_rank):
+        if mat_mul(involution, involution) != identity(lattice_rank):
             raise CohomologyError("involution does not square to the identity")
-        object.__setattr__(self, "_rows", _nonzero_entries(self.involution))
-        object.__setattr__(self, "_cols", _nonzero_entries(transpose(self.involution)))
+        set_attribute(self, "lattice_rank", lattice_rank)
+        set_attribute(self, "involution", involution)
+        set_attribute(self, "_rows", _nonzero_entries(involution))
+        set_attribute(self, "_cols", _nonzero_entries(transpose(involution)))
 
     def one_minus_sigma(self, v: Sequence[int]) -> IntVec:
         """(1 - sigma) v."""
@@ -80,16 +81,14 @@ def elliptic_torus(rank: int) -> RealTorus:
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True, init=False)
-class TorusPoint:
+class TorusPoint(Record):
     """Exact point of T(C): coordinate j is magnitudes[j] * e(phases[j]).
 
     The phases are kept as integer numerators over one common denominator,
-    reduced mod 1 and to lowest terms."""
+    reduced mod 1 and to lowest terms.  The fields are magnitudes (a tuple
+    of Fractions), numerators and denominator."""
 
-    magnitudes: tuple[Fraction, ...]
-    numerators: IntVec
-    denominator: int
+    __slots__ = _fields = ("magnitudes", "numerators", "denominator")
 
     def __init__(self, magnitudes: Sequence[Fraction], phases: Sequence[Fraction]):
         self._fill(vec_frac(magnitudes), *common_denominator(phases))
@@ -109,9 +108,9 @@ class TorusPoint:
             raise CohomologyError("magnitudes must be positive rationals")
         g = gcd(denominator, *numerators)
         den = denominator // g
-        object.__setattr__(self, "magnitudes", magnitudes)
-        object.__setattr__(self, "numerators", tuple(x // g % den for x in numerators))
-        object.__setattr__(self, "denominator", den)
+        set_attribute(self, "magnitudes", magnitudes)
+        set_attribute(self, "numerators", tuple(x // g % den for x in numerators))
+        set_attribute(self, "denominator", den)
 
     @property
     def phases(self) -> tuple[Fraction, ...]:
@@ -164,25 +163,30 @@ def is_cocycle(torus: RealTorus, t: TorusPoint) -> bool:
     return not any(v % t.denominator for v in torus.one_minus_sigma(t.numerators))
 
 
-def boundary(torus: RealTorus, s: TorusPoint) -> TorusPoint:
-    """The coboundary s * sigma(s)^{-1}."""
-    return s * galois_act(torus, s).inverse()
-
-
-@dataclass(frozen=True)
-class H1Group:
+class H1Group(Record):
     """ker(1 + sigma)/im(1 - sigma) in canonical Smith coordinates.
 
     h1 builds, once, the maps every class goes through: kernel vector ->
     kernel coordinates -> Smith coordinates, and back through one lattice
     representative per generator."""
 
-    torus: RealTorus
-    kernel_basis: IntMat               # rows: basis of ker(1 + sigma) in Z^n
-    divisors: tuple[int, ...]          # elementary divisors > 1 (each equals 2)
-    _to_kernel: tuple[IntMat, int]     # coordinate_map(kernel_basis)
-    _class_rows: IntMat                # columns of the Smith transform q at the divisor slots
-    _generators: IntMat                # lattice representatives of the unit classes
+    __slots__ = _fields = ("torus", "kernel_basis", "divisors", "_to_kernel", "_class_rows", "_generators")
+
+    def __init__(
+        self,
+        torus: RealTorus,
+        kernel_basis: IntMat,               # rows: basis of ker(1 + sigma) in Z^n
+        divisors: tuple[int, ...],          # elementary divisors > 1 (each equals 2)
+        _to_kernel: tuple[IntMat, int],     # coordinate_map(kernel_basis)
+        _class_rows: IntMat,                # columns of the Smith transform q at the divisor slots
+        _generators: IntMat,                # lattice representatives of the unit classes
+    ):
+        set_attribute(self, "torus", torus)
+        set_attribute(self, "kernel_basis", kernel_basis)
+        set_attribute(self, "divisors", divisors)
+        set_attribute(self, "_to_kernel", _to_kernel)
+        set_attribute(self, "_class_rows", _class_rows)
+        set_attribute(self, "_generators", _generators)
 
     @property
     def order(self) -> int:
@@ -214,11 +218,13 @@ class H1Group:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class CohomologyClass:
-    torus: RealTorus
-    group: H1Group
-    coordinates: tuple[int, ...]
+class CohomologyClass(Record):
+    __slots__ = _fields = ("torus", "group", "coordinates")
+
+    def __init__(self, torus: RealTorus, group: H1Group, coordinates: tuple[int, ...]):
+        set_attribute(self, "torus", torus)
+        set_attribute(self, "group", group)
+        set_attribute(self, "coordinates", coordinates)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coordinates)
@@ -277,19 +283,19 @@ def cocycle_class(torus: RealTorus, t: TorusPoint, group: Optional[H1Group] = No
     return CohomologyClass(torus, group, group.reduce(tuple(v // t.denominator for v in lam)))
 
 
-@dataclass(frozen=True)
-class DualComponentCharacter:
+class DualComponentCharacter(Record):
     """Class in pi_0 of the sigma^T-fixed points of the dual torus,
     represented by the character vector xhat = numerators / denominator."""
 
-    torus: RealTorus
-    numerators: IntVec
-    denominator: int
+    __slots__ = _fields = ("torus", "numerators", "denominator")
 
-    def __post_init__(self):
-        moved = (sum(e * self.numerators[k] for k, e in col) for col in self.torus._cols)
-        if any((a - b) % self.denominator for a, b in zip(moved, self.numerators)):
+    def __init__(self, torus: RealTorus, numerators: IntVec, denominator: int):
+        moved = (sum(e * numerators[k] for k, e in col) for col in torus._cols)
+        if any((a - b) % denominator for a, b in zip(moved, numerators)):
             raise CohomologyError("character vector is not Galois-fixed in pi_0")
+        set_attribute(self, "torus", torus)
+        set_attribute(self, "numerators", numerators)
+        set_attribute(self, "denominator", denominator)
 
     @property
     def xhat(self) -> tuple[Fraction, ...]:
@@ -332,16 +338,24 @@ def kappa_over(numerators: Sequence[int], denominator: int, torus: RealTorus) ->
     return DualComponentCharacter(torus, tuple(numerators), denominator)
 
 
-@dataclass(frozen=True)
-class QuotientTorus:
+class QuotientTorus(Record):
     """Enlarged-lattice torus T' together with the basis of the new
     cocharacter lattice written in the coordinates of the old one: the
     integer rows over one denominator."""
 
-    torus: RealTorus
-    rows: IntMat                    # basis vector i is rows[i] / denominator
-    denominator: int
-    _to_new: tuple[IntMat, int]     # coordinate_map(rows)
+    __slots__ = _fields = ("torus", "rows", "denominator", "_to_new")
+
+    def __init__(
+        self,
+        torus: RealTorus,
+        rows: IntMat,                    # basis vector i is rows[i] / denominator
+        denominator: int,
+        _to_new: tuple[IntMat, int],     # coordinate_map(rows)
+    ):
+        set_attribute(self, "torus", torus)
+        set_attribute(self, "rows", rows)
+        set_attribute(self, "denominator", denominator)
+        set_attribute(self, "_to_new", _to_new)
 
     @property
     def basis(self) -> tuple[tuple[Fraction, ...], ...]:

@@ -17,22 +17,18 @@ constant and dimension prefactor.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .endoscopy import (
-    ADatum,
-    Diagram,
     EllipticElement,
     EndoscopyError,
     TransferFactorEngine,
     TransferTable,
     parity_sign,
     require_regular,
-    sign_of,
 )
-from .lattice import column_table, dot, dot_in_order, images_in_order
+from .lattice import column_table, dot_in_order, images_in_order
 from .realform import (
     DimensionProfile,
     EighthRoot,
@@ -41,43 +37,46 @@ from .realform import (
     gamma_psi,
     prefactor,
 )
+from .record import MutableRecord, Record, set_attribute
 from .rootdata import RootDatum, WeylElement, weyl_sign
 
 
-@dataclass(frozen=True)
-class KernelValue:
-    value: complex
-    terms: tuple[tuple[WeylElement, complex], ...]
+class KernelValue(Record):
+    __slots__ = _fields = ("value", "terms")
+
+    def __init__(self, value: complex, terms: tuple[tuple[WeylElement, complex], ...]):
+        set_attribute(self, "value", value)
+        set_attribute(self, "terms", terms)
 
 
-@dataclass(frozen=True)
-class TermComparison:
-    word: tuple[int, ...]
-    lhs_term: complex
-    rhs_term: complex
-    abs_error: float
+class TermComparison(Record):
+    __slots__ = _fields = ("word", "lhs_term", "rhs_term", "abs_error")
+
+    def __init__(self, word: tuple[int, ...], lhs_term: complex, rhs_term: complex, abs_error: float):
+        set_attribute(self, "word", word)
+        set_attribute(self, "lhs_term", lhs_term)
+        set_attribute(self, "rhs_term", rhs_term)
+        set_attribute(self, "abs_error", abs_error)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    lhs: complex
-    rhs: complex
-    abs_error: float
-    termwise: tuple[TermComparison, ...]
-    termwise_max: float
-    passed: bool
+class IdentityReport(Record):
+    __slots__ = _fields = ("lhs", "rhs", "abs_error", "termwise", "termwise_max", "passed")
 
-
-@dataclass(frozen=True)
-class RatioCheckReport:
-    word: tuple[int, ...]
-    lhs_ratio: int
-    rhs_product: int
-    restriction_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.lhs_ratio == self.rhs_product and self.restriction_ok
+    def __init__(
+        self,
+        lhs: complex,
+        rhs: complex,
+        abs_error: float,
+        termwise: tuple[TermComparison, ...],
+        termwise_max: float,
+        passed: bool,
+    ):
+        set_attribute(self, "lhs", lhs)
+        set_attribute(self, "rhs", rhs)
+        set_attribute(self, "abs_error", abs_error)
+        set_attribute(self, "termwise", termwise)
+        set_attribute(self, "termwise_max", termwise_max)
+        set_attribute(self, "passed", passed)
 
 
 class Side:
@@ -161,15 +160,25 @@ class Side:
         return [cmath.exp(1j * -(scale * p)) for p in phases]
 
 
-@dataclass
-class EllipticScenario:
-    """A fully assembled elliptic verification scenario."""
+class EllipticScenario(MutableRecord):
+    """A fully assembled elliptic verification scenario.  Its tables are
+    cached_property values, kept in the instance's __dict__."""
 
-    name: str
-    engine: TransferFactorEngine
-    g_side: Side
-    h_side: Side
-    form_scale: Fraction = Fraction(1)
+    _fields = ("name", "engine", "g_side", "h_side", "form_scale")
+
+    def __init__(
+        self,
+        name: str,
+        engine: TransferFactorEngine,
+        g_side: Side,
+        h_side: Side,
+        form_scale: Fraction = Fraction(1),
+    ):
+        self.name = name
+        self.engine = engine
+        self.g_side = g_side
+        self.h_side = h_side
+        self.form_scale = form_scale
 
     @property
     def weyl_g(self):
@@ -418,66 +427,3 @@ def verify_identity(
         termwise_max=termwise_max,
         passed=passed,
     )
-
-
-def delta_ii_ratio_check(
-    scenario: EllipticScenario,
-    x_h: EllipticElement,
-    x_g: EllipticElement,
-    w: WeylElement,
-) -> RatioCheckReport:
-    """Exact sign identity between the middle-factor ratio of the paired
-    terms and the root-sign mismatch product, plus the root-restriction
-    value identities on the endoscopic subsystem."""
-    eng = scenario.engine
-    d = eng.g_datum
-    a = ADatum.default(d)
-
-    target = EllipticElement(w.act(x_h.coords))
-    d1 = Diagram(eng.datum, w, x_h, target)
-    winv = eng.inverse_of(w)
-    pulled = EllipticElement(winv.act(x_g.coords))
-    d2 = Diagram(eng.datum, w, pulled, x_g)
-    lhs_ratio = eng.delta_ii(d1, a) * eng.delta_ii(d2, a)
-
-    h_image = {d.root_image(w.matrix, beta) for beta in eng.datum.h_roots}
-    rhs = 1
-    for alpha in d.positive_roots:
-        if alpha in h_image:
-            continue
-        rhs *= sign_of(dot(alpha, target.coords)) * sign_of(dot(alpha, x_g.coords))
-
-    restriction_ok = True
-    for beta in eng.datum.h_roots:
-        alpha = d.root_image(w.matrix, beta)
-        lhs_1 = dot(alpha, target.coords)
-        rhs_1 = dot(beta, x_h.coords)
-        lhs_2 = dot(beta, pulled.coords)
-        rhs_2 = dot(alpha, x_g.coords)
-        if x_h.is_exact() and x_g.is_exact():
-            ok = lhs_1 == rhs_1 and lhs_2 == rhs_2
-        else:
-            ok = (
-                abs(float(lhs_1) - float(rhs_1)) <= 1e-9
-                and abs(float(lhs_2) - float(rhs_2)) <= 1e-9
-            )
-        restriction_ok = restriction_ok and ok
-
-    return RatioCheckReport(w.word, lhs_ratio, rhs, restriction_ok)
-
-
-def weil_prefactor_sides(scenario: EllipticScenario) -> tuple[EighthRoot, EighthRoot]:
-    """gamma_psi * prefactor for the two sides, as exact eighth roots."""
-    g = scenario.g_side
-    h = scenario.h_side
-    return g.gamma * g.prefactor, h.gamma * h.prefactor
-
-
-def weil_prefactor_balanced_invariant(scenario: EllipticScenario) -> tuple[EighthRoot, EighthRoot]:
-    """The sharp constant identity: gamma * prefactor * (-1)^{#pos roots}
-    equals (-i)^{rank/2-ish} on both sides.  This is the version that the
-    term pairing actually uses; both sides agree for every elliptic datum."""
-    g_val, h_val = weil_prefactor_sides(scenario)
-    m_g = len(scenario.g_side.datum.positive_roots)
-    m_h = len(scenario.h_side.datum.positive_roots)
-    return g_val * EighthRoot(4 * m_g), h_val * EighthRoot(4 * m_h)

@@ -23,7 +23,6 @@ stable-conjugacy invariant (tested against an independent matrix model).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence, Union
@@ -43,6 +42,7 @@ from .cohomology import (
 from .cohomology import quotient_torus_lattice  # noqa: F401
 from .lattice import FracVec, IntVec, dot, dot_in_order, mat_vec, transpose, vec_frac
 from .realform import RealFormGrading
+from .record import Record, set_attribute
 from .rootdata import (
     RootDatum,
     RootDatumError,
@@ -62,13 +62,22 @@ class EndoscopyError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class EndoscopicDatum:
-    g_datum: RootDatum
-    s_simple_signs: tuple[int, ...]
-    xhat_s: FracVec                      # functional with e^{2 pi i <xhat,coroot>} = s
-    h_roots: tuple[IntVec, ...]
-    h_datum: RootDatum
+class EndoscopicDatum(Record):
+    __slots__ = _fields = ("g_datum", "s_simple_signs", "xhat_s", "h_roots", "h_datum")
+
+    def __init__(
+        self,
+        g_datum: RootDatum,
+        s_simple_signs: tuple[int, ...],
+        xhat_s: FracVec,                     # functional with e^{2 pi i <xhat,coroot>} = s
+        h_roots: tuple[IntVec, ...],
+        h_datum: RootDatum,
+    ):
+        set_attribute(self, "g_datum", g_datum)
+        set_attribute(self, "s_simple_signs", s_simple_signs)
+        set_attribute(self, "xhat_s", xhat_s)
+        set_attribute(self, "h_roots", h_roots)
+        set_attribute(self, "h_datum", h_datum)
 
     def s_value(self, coroot: IntVec) -> int:
         r = dot(self.xhat_s, coroot)
@@ -77,11 +86,13 @@ class EndoscopicDatum:
         return 1 if r.denominator == 1 else -1
 
 
-@dataclass(frozen=True)
-class EllipticElement:
+class EllipticElement(Record):
     """X = i v on the compact Cartan, for either group of the pair."""
 
-    coords: Coords
+    __slots__ = _fields = ("coords",)
+
+    def __init__(self, coords: Coords):
+        set_attribute(self, "coords", coords)
 
     def is_exact(self) -> bool:
         return all(isinstance(c, Fraction) for c in self.coords)
@@ -90,17 +101,18 @@ class EllipticElement:
         return tuple(float(c) for c in self.coords)
 
 
-@dataclass(frozen=True)
-class ADatum:
+class ADatum(Record):
     """a_alpha = i * ratio(alpha) on positive roots; a(-alpha) = -a(alpha)."""
 
-    ratios: tuple[tuple[IntVec, Fraction], ...]
+    _fields = ("ratios",)
+    __slots__ = _fields + ("_map",)
 
-    def __post_init__(self):
-        for _, r in self.ratios:
+    def __init__(self, ratios: tuple[tuple[IntVec, Fraction], ...]):
+        for _, r in ratios:
             if r == 0:
                 raise EndoscopyError("a-datum ratio must be nonzero")
-        object.__setattr__(self, "_map", dict(self.ratios))
+        set_attribute(self, "ratios", ratios)
+        set_attribute(self, "_map", dict(ratios))
 
     def ratio(self, root: IntVec) -> Fraction:
         if root in self._map:
@@ -115,16 +127,17 @@ class ADatum:
         return ADatum(tuple((r, Fraction(1)) for r in datum.positive_roots))
 
 
-@dataclass(frozen=True)
-class Diagram:
-    datum: EndoscopicDatum
-    w: WeylElement
-    x_h: EllipticElement
-    x_g: EllipticElement
+class Diagram(Record):
+    __slots__ = _fields = ("datum", "w", "x_h", "x_g")
+
+    def __init__(self, datum: EndoscopicDatum, w: WeylElement, x_h: EllipticElement, x_g: EllipticElement):
+        set_attribute(self, "datum", datum)
+        set_attribute(self, "w", w)
+        set_attribute(self, "x_h", x_h)
+        set_attribute(self, "x_g", x_g)
 
 
-@dataclass(frozen=True)
-class WeylWeight:
+class WeylWeight(Record):
     """The relative transfer factor of the diagrams (w, x_h, x_g), split
     into a sign fixed by the scenario and root signs at x_g:
 
@@ -144,14 +157,27 @@ class WeylWeight:
     length is the parity of Phi+_G at w x, whose mask holds every bit.
     """
 
-    w: WeylElement
-    inverse: int
-    sign: int
-    roots: tuple[IntVec, ...]
-    at: int
-    moved: tuple[int, int]
-    h_moved: tuple[int, int]
-    length: int
+    __slots__ = _fields = ("w", "inverse", "sign", "roots", "at", "moved", "h_moved", "length")
+
+    def __init__(
+        self,
+        w: WeylElement,
+        inverse: int,
+        sign: int,
+        roots: tuple[IntVec, ...],
+        at: int,
+        moved: tuple[int, int],
+        h_moved: tuple[int, int],
+        length: int,
+    ):
+        set_attribute(self, "w", w)
+        set_attribute(self, "inverse", inverse)
+        set_attribute(self, "sign", sign)
+        set_attribute(self, "roots", roots)
+        set_attribute(self, "at", at)
+        set_attribute(self, "moved", moved)
+        set_attribute(self, "h_moved", h_moved)
+        set_attribute(self, "length", length)
 
     def weight_at(self, negative: int) -> int:
         """The factor at the diagram (w, w^{-1} x, x), from x's mask."""
@@ -537,18 +563,6 @@ class TransferFactorEngine:
             mask |= 1 << bit
             parity ^= negative
         return mask, parity
-
-    def transfer_factor(
-        self,
-        x_h: EllipticElement,
-        x_g: EllipticElement,
-        a: Optional[ADatum] = None,
-    ):
-        """Normalized factor: base_value on the base diagram, 0 off-orbit."""
-        diagram = build_diagram(self.datum, self.weyl_g, x_h, x_g)
-        if diagram is None:
-            return 0
-        return self.relative_factor(diagram, a) * self.base_value
 
     def relative_factor(self, diagram: Diagram, a: Optional[ADatum] = None) -> int:
         if a is None:

@@ -9,10 +9,10 @@ invariant form, which is negative definite on the compact part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .lattice import IntVec
+from .record import Record, set_attribute
 from .rootdata import RootDatum, WeylElement, closure
 
 COMPACT = 0
@@ -25,14 +25,13 @@ class GradingError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class EighthRoot:
-    """Exact eighth root of unity exp(i pi k / 4)."""
+class EighthRoot(Record):
+    """Exact eighth root of unity exp(i pi k / 4), k reduced mod 8."""
 
-    k: int
+    __slots__ = _fields = ("k",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "k", self.k % 8)
+    def __init__(self, k: int):
+        set_attribute(self, "k", k % 8)
 
     def __mul__(self, other: "EighthRoot") -> "EighthRoot":
         return EighthRoot(self.k + other.k)
@@ -46,10 +45,12 @@ class EighthRoot:
         return f"exp(i*pi*{self.k}/4)"
 
 
-@dataclass(frozen=True)
-class RealFormGrading:
-    datum: RootDatum
-    grade: Mapping[IntVec, int]
+class RealFormGrading(Record):
+    __slots__ = _fields = ("datum", "grade")
+
+    def __init__(self, datum: RootDatum, grade: Mapping[IntVec, int]):
+        set_attribute(self, "datum", datum)
+        set_attribute(self, "grade", grade)
 
     def grade_of(self, root: IntVec) -> int:
         return self.grade[root]
@@ -63,13 +64,15 @@ class RealFormGrading:
         return tuple(r for r in self.datum.roots if self.grade[r] == NONCOMPACT)
 
 
-@dataclass(frozen=True)
-class DimensionProfile:
-    dim_g: int
-    dim_t: int
-    dim_k: int
-    dim_g_over_t: int
-    dim_g_over_k: int
+class DimensionProfile(Record):
+    __slots__ = _fields = ("dim_g", "dim_t", "dim_k", "dim_g_over_t", "dim_g_over_k")
+
+    def __init__(self, dim_g: int, dim_t: int, dim_k: int, dim_g_over_t: int, dim_g_over_k: int):
+        set_attribute(self, "dim_g", dim_g)
+        set_attribute(self, "dim_t", dim_t)
+        set_attribute(self, "dim_k", dim_k)
+        set_attribute(self, "dim_g_over_t", dim_g_over_t)
+        set_attribute(self, "dim_g_over_k", dim_g_over_k)
 
 
 def parse_grade(name: str) -> int:

@@ -13,7 +13,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -30,6 +29,7 @@ from .lattice import (
     mat_mul,
     mat_vec,
 )
+from .record import Record, set_attribute
 
 WEYL_ORDER_CAP = 10**6
 
@@ -63,12 +63,15 @@ class RootDatumError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class WeylElement:
-    """Element of a Weyl group, acting on the cocharacter lattice."""
+class WeylElement(Record):
+    """Element of a Weyl group, acting on the cocharacter lattice; equal to
+    and hashed as its matrix alone."""
 
-    matrix: IntMat
-    word: tuple[int, ...]
+    __slots__ = _fields = ("matrix", "word")
+
+    def __init__(self, matrix: IntMat, word: tuple[int, ...]):
+        set_attribute(self, "matrix", matrix)
+        set_attribute(self, "word", word)
 
     def __hash__(self) -> int:
         return hash(self.matrix)
@@ -88,30 +91,42 @@ class WeylElement:
         return mat_vec(self.matrix, v)
 
 
-@dataclass(frozen=True)
-class RootDatum:
-    rank: int
-    cartan_label: str
-    simple_roots: tuple[IntVec, ...]
-    simple_coroots: tuple[IntVec, ...]
-    roots: tuple[IntVec, ...]
-    coroots: tuple[IntVec, ...]
-    invariant_form: tuple[FracVec, ...]
+class RootDatum(Record):
+    _fields = (
+        "rank", "cartan_label", "simple_roots", "simple_coroots", "roots", "coroots", "invariant_form"
+    )
+    __slots__ = _fields + ("_coroot_of", "_root_of", "_root_set", "_coeff_map", "_positive", "_positive_set")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_coroot_of", dict(zip(self.roots, self.coroots)))
-        object.__setattr__(self, "_root_of", dict(zip(self.coroots, self.roots)))
-        object.__setattr__(self, "_root_set", frozenset(self.roots))
+    def __init__(
+        self,
+        rank: int,
+        cartan_label: str,
+        simple_roots: tuple[IntVec, ...],
+        simple_coroots: tuple[IntVec, ...],
+        roots: tuple[IntVec, ...],
+        coroots: tuple[IntVec, ...],
+        invariant_form: tuple[FracVec, ...],
+    ):
+        set_attribute(self, "rank", rank)
+        set_attribute(self, "cartan_label", cartan_label)
+        set_attribute(self, "simple_roots", simple_roots)
+        set_attribute(self, "simple_coroots", simple_coroots)
+        set_attribute(self, "roots", roots)
+        set_attribute(self, "coroots", coroots)
+        set_attribute(self, "invariant_form", invariant_form)
+        set_attribute(self, "_coroot_of", dict(zip(roots, coroots)))
+        set_attribute(self, "_root_of", dict(zip(coroots, roots)))
+        set_attribute(self, "_root_set", frozenset(roots))
         # The one left inverse of the simple roots, over its denominator.
-        object.__setattr__(self, "_coeff_map", coordinate_map(self.simple_roots))
+        set_attribute(self, "_coeff_map", coordinate_map(simple_roots))
         positive = []
         for r in self.roots:
             coeffs, _ = self.simple_root_coefficients(r)
             if all(c >= 0 for c in coeffs) and any(c > 0 for c in coeffs):
                 positive.append(r)
         positive = tuple(positive)
-        object.__setattr__(self, "_positive", positive)
-        object.__setattr__(self, "_positive_set", frozenset(positive))
+        set_attribute(self, "_positive", positive)
+        set_attribute(self, "_positive_set", frozenset(positive))
 
     # -- basic queries ----------------------------------------------------
 

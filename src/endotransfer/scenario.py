@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
+
 from .distributions import EllipticScenario, make_scenario
 from .endoscopy import (
     EllipticElement,
@@ -21,6 +21,7 @@ from .endoscopy import (
     build_endoscopic_datum,
 )
 from .realform import GradingError, build_grading, parse_grade, real_weyl_group
+from .record import MutableRecord
 from .rootdata import RootDatumError, build_root_datum
 from .verify import phase_bound
 
@@ -32,21 +33,40 @@ class ScenarioError(ValueError):
         super().__init__(lines)
 
 
-@dataclass
-class Scenario:
-    name: str
-    g_type: str
-    form_scale: Fraction
-    grading_g: list[int]
-    s_character: list[int]
-    grading_h: list[int]
-    base_x_h: tuple[Fraction, ...]
-    base_x_g: tuple[Fraction, ...]
-    extras_h: list[tuple[int, ...]] = field(default_factory=list)
-    # line number of the h words in [real_weyl_extras], 0 when absent
-    extras_h_line: int = 0
-    # line number of form_scale, 0 when absent
-    form_scale_line: int = 0
+class Scenario(MutableRecord):
+    __slots__ = _fields = (
+        "name", "g_type", "form_scale", "grading_g", "s_character", "grading_h",
+        "base_x_h", "base_x_g", "extras_h", "extras_h_line", "form_scale_line",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        g_type: str,
+        form_scale: Fraction,
+        grading_g: list[int],
+        s_character: list[int],
+        grading_h: list[int],
+        base_x_h: tuple[Fraction, ...],
+        base_x_g: tuple[Fraction, ...],
+        extras_h: list[tuple[int, ...]] | None = None,
+        # line number of the h words in [real_weyl_extras], 0 when absent
+        extras_h_line: int = 0,
+        # line number of form_scale, 0 when absent
+        form_scale_line: int = 0,
+    ):
+        self.name = name
+        self.g_type = g_type
+        self.form_scale = form_scale
+        self.grading_g = grading_g
+        self.s_character = s_character
+        self.grading_h = grading_h
+        self.base_x_h = base_x_h
+        self.base_x_g = base_x_g
+        # A fresh list for each scenario, so that no two share their extras.
+        self.extras_h = [] if extras_h is None else extras_h
+        self.extras_h_line = extras_h_line
+        self.form_scale_line = form_scale_line
 
 
 # Fraction(text) builds 10**e for a decimal exponent e, so e is bounded

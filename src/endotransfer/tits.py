@@ -14,19 +14,18 @@ length-descent fold, which is reduced-word independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .lattice import IntMat, IntVec, identity, mat_vec, vec_int
+from .record import Record, set_attribute
 from .rootdata import RootDatum, WeylElement, weyl_inverse
 
 
-@dataclass(frozen=True)
-class TitsElement:
-    eps: IntVec  # exponent vector of the (-1)-torus part, reduced mod 2
-    w: WeylElement
+class TitsElement(Record):
+    __slots__ = _fields = ("eps", "w")
 
-    def __post_init__(self):
-        object.__setattr__(self, "eps", tuple(x % 2 for x in self.eps))
+    def __init__(self, eps: IntVec, w: WeylElement):
+        # eps: exponent vector of the (-1)-torus part, reduced mod 2
+        set_attribute(self, "eps", tuple(x % 2 for x in eps))
+        set_attribute(self, "w", w)
 
 
 def n_of(datum: RootDatum, w: WeylElement) -> TitsElement:

@@ -16,6 +16,7 @@ from .cohomology import DUALITY_CONVENTION
 from .distributions import EllipticScenario, IdentityReport, verify_identity
 from .endoscopy import EllipticElement
 from .lattice import dot_in_order
+from .record import Record, set_attribute
 from .rootdata import RootDatum
 
 FORMAT_VERSION = 1
@@ -33,14 +34,19 @@ CONVENTIONS = (
 )
 
 
-@dataclass(frozen=True)
-class PairRecord:
-    index: int
-    x_h: tuple[float, ...]
-    x_g: tuple[float, ...]
-    report: IdentityReport
+class PairRecord(Record):
+    __slots__ = _fields = ("index", "x_h", "x_g", "report")
+
+    def __init__(self, index: int, x_h: tuple[float, ...], x_g: tuple[float, ...], report: IdentityReport):
+        set_attribute(self, "index", index)
+        set_attribute(self, "x_h", x_h)
+        set_attribute(self, "x_g", x_g)
+        set_attribute(self, "report", report)
 
 
+# The one dataclass the CLI imports: perfbench/pass_runner.py shortens a
+# RunReport with dataclasses.replace.  Every other record is a Record,
+# whose class generates no code when the package is imported.
 @dataclass(frozen=True)
 class RunReport:
     scenario: str
@@ -211,15 +217,26 @@ def _emit_human(report: RunReport) -> str:
     return "\n".join(rows) + "\n"
 
 
-@dataclass(frozen=True)
-class ParsedRecord:
-    index: int
-    x_h: tuple[float, ...]
-    x_g: tuple[float, ...]
-    lhs: complex
-    rhs: complex
-    abs_error: float
-    termwise_max: float
+class ParsedRecord(Record):
+    __slots__ = _fields = ("index", "x_h", "x_g", "lhs", "rhs", "abs_error", "termwise_max")
+
+    def __init__(
+        self,
+        index: int,
+        x_h: tuple[float, ...],
+        x_g: tuple[float, ...],
+        lhs: complex,
+        rhs: complex,
+        abs_error: float,
+        termwise_max: float,
+    ):
+        set_attribute(self, "index", index)
+        set_attribute(self, "x_h", x_h)
+        set_attribute(self, "x_g", x_g)
+        set_attribute(self, "lhs", lhs)
+        set_attribute(self, "rhs", rhs)
+        set_attribute(self, "abs_error", abs_error)
+        set_attribute(self, "termwise_max", termwise_max)
 
 
 def parse_machine_report(text: str) -> dict:

@@ -9,6 +9,10 @@ the set-up oracle is the engine with its per-w set-up done literally, in
 Fractions, without the package's cohomology layer.  The Fraction
 elimination is the reference for the package's integer kernel, and
 LiteralWords, with generic matrix products, for its Weyl words and orders.
+
+The helpers at the end of this module only tests call: the normalized
+transfer factor, the coboundary, the Delta_II ratio check and the literal
+Weil-constant products.  They are built on the package's public API.
 """
 
 from __future__ import annotations
@@ -17,19 +21,24 @@ import cmath
 import functools
 import itertools
 from collections import namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from endotransfer.cohomology import galois_act
 from endotransfer.endoscopy import (
+    ADatum,
     Diagram,
     EllipticElement,
     EndoscopyError,
     TransferFactorEngine,
     TransferTable,
+    build_diagram,
     root_signs,
     sign_of,
 )
-from endotransfer.lattice import identity, integer_kernel, mat_int, mat_mul, transpose
+from endotransfer.lattice import dot, identity, integer_kernel, mat_int, mat_mul, transpose
+from endotransfer.realform import EighthRoot
 from endotransfer.rootdata import WEYL_ORDER_CAP, RootDatumError, WeylElement
 from endotransfer.tits import TitsElement, inverse as tits_inverse, multiply as tits_multiply, n_of
 
@@ -949,3 +958,89 @@ class LiteralSetup(TransferFactorEngine):
 # The fields of endoscopy.WeylWeight that the set-up fixes; its sign masks
 # are checked against literal root signs in tests/test_sign_masks.py.
 LiteralWeight = namedtuple("LiteralWeight", "w inverse sign roots")
+
+
+# -- helpers only tests call ------------------------------------------------
+
+
+def transfer_factor(engine: TransferFactorEngine, x_h, x_g, a=None):
+    """Normalized factor: base_value on the base diagram, 0 off-orbit."""
+    diagram = build_diagram(engine.datum, engine.weyl_g, x_h, x_g)
+    if diagram is None:
+        return 0
+    return engine.relative_factor(diagram, a) * engine.base_value
+
+
+def boundary(torus, s):
+    """The coboundary s * sigma(s)^{-1}."""
+    return s * galois_act(torus, s).inverse()
+
+
+@dataclass(frozen=True)
+class RatioCheckReport:
+    word: tuple[int, ...]
+    lhs_ratio: int
+    rhs_product: int
+    restriction_ok: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.lhs_ratio == self.rhs_product and self.restriction_ok
+
+
+def delta_ii_ratio_check(scenario, x_h, x_g, w) -> RatioCheckReport:
+    """Exact sign identity between the middle-factor ratio of the paired
+    terms and the root-sign mismatch product, plus the root-restriction
+    value identities on the endoscopic subsystem."""
+    eng = scenario.engine
+    d = eng.g_datum
+    a = ADatum.default(d)
+
+    target = EllipticElement(w.act(x_h.coords))
+    d1 = Diagram(eng.datum, w, x_h, target)
+    winv = eng.inverse_of(w)
+    pulled = EllipticElement(winv.act(x_g.coords))
+    d2 = Diagram(eng.datum, w, pulled, x_g)
+    lhs_ratio = eng.delta_ii(d1, a) * eng.delta_ii(d2, a)
+
+    h_image = {d.root_image(w.matrix, beta) for beta in eng.datum.h_roots}
+    rhs = 1
+    for alpha in d.positive_roots:
+        if alpha in h_image:
+            continue
+        rhs *= sign_of(dot(alpha, target.coords)) * sign_of(dot(alpha, x_g.coords))
+
+    restriction_ok = True
+    for beta in eng.datum.h_roots:
+        alpha = d.root_image(w.matrix, beta)
+        lhs_1 = dot(alpha, target.coords)
+        rhs_1 = dot(beta, x_h.coords)
+        lhs_2 = dot(beta, pulled.coords)
+        rhs_2 = dot(alpha, x_g.coords)
+        if x_h.is_exact() and x_g.is_exact():
+            ok = lhs_1 == rhs_1 and lhs_2 == rhs_2
+        else:
+            ok = (
+                abs(float(lhs_1) - float(rhs_1)) <= 1e-9
+                and abs(float(lhs_2) - float(rhs_2)) <= 1e-9
+            )
+        restriction_ok = restriction_ok and ok
+
+    return RatioCheckReport(w.word, lhs_ratio, rhs, restriction_ok)
+
+
+def weil_prefactor_sides(scenario) -> tuple[EighthRoot, EighthRoot]:
+    """gamma_psi * prefactor for the two sides, as exact eighth roots."""
+    g = scenario.g_side
+    h = scenario.h_side
+    return g.gamma * g.prefactor, h.gamma * h.prefactor
+
+
+def weil_prefactor_balanced_invariant(scenario) -> tuple[EighthRoot, EighthRoot]:
+    """The sharp constant identity: gamma * prefactor * (-1)^{#pos roots}
+    equals (-i)^{rank/2-ish} on both sides.  This is the version that the
+    term pairing actually uses; both sides agree for every elliptic datum."""
+    g_val, h_val = weil_prefactor_sides(scenario)
+    m_g = len(scenario.g_side.datum.positive_roots)
+    m_h = len(scenario.h_side.datum.positive_roots)
+    return g_val * EighthRoot(4 * m_g), h_val * EighthRoot(4 * m_h)

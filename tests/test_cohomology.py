@@ -9,7 +9,6 @@ from endotransfer.cohomology import (
     CohomologyError,
     RealTorus,
     TorusPoint,
-    boundary,
     cocycle_class,
     elliptic_torus,
     galois_act,
@@ -20,7 +19,7 @@ from endotransfer.cohomology import (
     tate_nakayama_pair,
 )
 
-from oracles import BruteForceH1
+from oracles import BruteForceH1, boundary
 
 
 def _conj(sigma, u, uinv):

@@ -8,18 +8,22 @@ import pytest
 from endotransfer.distributions import (
     d_gh,
     d_tilde_gh,
-    delta_ii_ratio_check,
     explicit_term,
     rossmann_kernel,
     verify_identity,
-    weil_prefactor_balanced_invariant,
-    weil_prefactor_sides,
 )
 from endotransfer.endoscopy import EllipticElement, EndoscopyError
 from endotransfer.scenario import load_builtin
 from endotransfer.verify import sample_regular_vector
 
-from oracles import LiteralRoutes, discriminant_sqrt, pi_positive
+from oracles import (
+    LiteralRoutes,
+    delta_ii_ratio_check,
+    discriminant_sqrt,
+    pi_positive,
+    weil_prefactor_balanced_invariant,
+    weil_prefactor_sides,
+)
 
 
 def _rand_regular(scenario, rng):
