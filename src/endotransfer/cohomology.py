@@ -297,10 +297,6 @@ class DualComponentCharacter(Record):
         set_attribute(self, "numerators", numerators)
         set_attribute(self, "denominator", denominator)
 
-    @property
-    def xhat(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(x, self.denominator) for x in self.numerators)
-
     def is_trivial_on(self, group: H1Group) -> bool:
         gens = [group.representative(_unit(i, len(group.divisors))) for i in range(len(group.divisors))]
         return all(_pair_value(self, g) == 1 for g in gens)
@@ -360,19 +356,6 @@ class QuotientTorus(Record):
     @property
     def basis(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(tuple(Fraction(x, self.denominator) for x in row) for row in self.rows)
-
-    def to_new_coordinates(self, numerators: Sequence[int], denominator: int) -> tuple[IntVec, int]:
-        """New coordinates of the old vector numerators / denominator, as
-        numerators over the returned denominator."""
-        sol = coordinates(self.rows, self._to_new, numerators)
-        if sol is None:
-            raise CohomologyError("vector is outside the span of the lattice")
-        return tuple(self.denominator * x for x in sol), self._to_new[1] * denominator
-
-    def functional_to_new(self, numerators: Sequence[int], denominator: int) -> tuple[IntVec, int]:
-        """Pull the functional numerators / denominator through:
-        <f_new, v_new> = <f_old, v_old>."""
-        return tuple(dot(numerators, row) for row in self.rows), denominator * self.denominator
 
 
 def quotient_torus_lattice(

@@ -5,13 +5,14 @@ The two routes are independent summation structures.  The transfer route
 sums the ambient kernel over W and W_real(G) against transfer-factor
 weights; the transform route runs the doubled sum over W, W_H and
 W_real(H).  Each regroups its terms by the group law of its own side
-(Side.law), so that each group element takes one exponential; neither reads
-the other's group law or anything the other computes for a pair, and
-neither uses the invariance of the factors under W_real(G) or W_H, or the
-W-invariance of B.  Both take their Weyl images from the scenario's column
-tables of W and W_H.  The term-by-term comparison pairs the w-term of the
-first route with the w^{-1}-term of the second, each carrying its own Weil
-constant and dimension prefactor.
+(PairTable.g_law or h_law), so that each group element takes one
+exponential; neither reads the other's group law or anything the other
+computes for a pair, and neither uses the invariance of the factors under
+W_real(G) or W_H, or the W-invariance of B.  Both take their Weyl images
+from the column tables of W and W_H in the scenario's pair table.  The
+term-by-term comparison pairs the w-term of the first route with the
+w^{-1}-term of the second, each carrying its own Weil constant and
+dimension prefactor.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .endoscopy import (
     EllipticElement,
     EndoscopyError,
     TransferFactorEngine,
-    TransferTable,
+    WeylWeight,
     parity_sign,
     require_regular,
 )
@@ -84,38 +85,20 @@ class Side:
 
     The invariant form is held as floats, and each real Weyl element with
     its determinant, so that kernel evaluation does no exact arithmetic.
-    The side's group law, which its route regroups by, is built by build_law
-    on first use.
     """
 
-    def __init__(
-        self, datum: RootDatum, grading: RealFormGrading, real_weyl, form, form_scale, build_law
-    ):
+    def __init__(self, datum: RootDatum, grading: RealFormGrading, real_weyl, form, form_scale):
         self.datum = datum
         self.grading = grading
         self.real_weyl = tuple(real_weyl)
         self.weyl_table = tuple((w, weyl_sign(w)) for w in self.real_weyl)
         self._form = tuple(tuple(float(b) for b in row) for row in form)
         self._scale = float(form_scale)
-        self._build_law = build_law
         self.profile = dimension_profile(grading)
         self.gamma: EighthRoot = gamma_psi(grading)
         self.prefactor: EighthRoot = prefactor(self.profile)
         self._prefactor = complex(self.prefactor)
         self._d_over_pi_unit = complex(EighthRoot(-2 * len(datum.positive_roots)))
-
-    @cached_property
-    def law(self) -> tuple[tuple[int, ...], ...]:
-        """The side's Weyl group W_S (W for G, W_H for H) under left
-        multiplication by its real Weyl group, built on first use: for the
-        r-th real Weyl element u, the row whose k-th entry is the index of
-        u w_k in W_S, both in W_S's order."""
-        return self._build_law()
-
-    @cached_property
-    def real_columns(self):
-        """The column table of the real Weyl group's matrices, in its order."""
-        return column_table([w.matrix for w in self.real_weyl])
 
     def form_image(self, v) -> tuple[float, ...]:
         """B v before the scale: each row of the form paired with v."""
@@ -160,9 +143,37 @@ class Side:
         return [cmath.exp(1j * -(scale * p)) for p in phases]
 
 
+class PairTable(Record):
+    """Everything a pair reads besides its two points, fixed per scenario.
+
+    entries holds the engine's transfer table, one WeylWeight per element
+    of W in the order of weyl_g.  g_columns and h_columns are the column
+    tables (lattice.column_table) of the integer matrices of W and of W_H,
+    in the order of weyl_g and of weyl_h.  g_law and h_law are the group
+    laws each route regroups by: for the r-th element u of the side's real
+    Weyl group, the row whose k-th entry is the index of u w_k in the
+    side's Weyl group (W for G, W_H for H), both in that group's order."""
+
+    __slots__ = _fields = ("entries", "g_columns", "h_columns", "g_law", "h_law")
+
+    def __init__(
+        self,
+        entries: tuple[WeylWeight, ...],
+        g_columns,
+        h_columns,
+        g_law: tuple[tuple[int, ...], ...],
+        h_law: tuple[tuple[int, ...], ...],
+    ):
+        set_attribute(self, "entries", entries)
+        set_attribute(self, "g_columns", g_columns)
+        set_attribute(self, "h_columns", h_columns)
+        set_attribute(self, "g_law", g_law)
+        set_attribute(self, "h_law", h_law)
+
+
 class EllipticScenario(MutableRecord):
-    """A fully assembled elliptic verification scenario.  Its tables are
-    cached_property values, kept in the instance's __dict__."""
+    """A fully assembled elliptic verification scenario.  Its pair table is
+    a cached_property value, kept in the instance's __dict__."""
 
     _fields = ("name", "engine", "g_side", "h_side", "form_scale")
 
@@ -180,31 +191,17 @@ class EllipticScenario(MutableRecord):
         self.h_side = h_side
         self.form_scale = form_scale
 
-    @property
-    def weyl_g(self):
-        return self.engine.weyl_g
-
-    @property
-    def weyl_h(self):
-        return self.engine.weyl_h
-
     @cached_property
-    def transfer_table(self) -> TransferTable:
-        """The routes' per-w transfer data, built on first use."""
-        return self.engine.transfer_table()
-
-    @cached_property
-    def weyl_g_columns(self):
-        """The column table (lattice.column_table) of W's integer matrices,
-        in the order of weyl_g, which is the transfer table's; built on
-        first use."""
-        return column_table([w.matrix for w in self.engine.weyl_g])
-
-    @cached_property
-    def weyl_h_columns(self):
-        """The column table of W_H's integer matrices, in the order of
-        weyl_h, which is H's group law's; built on first use."""
-        return column_table([w.matrix for w in self.engine.weyl_h])
+    def table(self) -> PairTable:
+        """The scenario's pair table, built on the first pair."""
+        eng = self.engine
+        return PairTable(
+            eng.transfer_table(),
+            column_table([w.matrix for w in eng.weyl_g]),
+            column_table([w.matrix for w in eng.weyl_h]),
+            eng.group_products(range(len(eng.weyl_g)), eng.real_weyl_g),
+            eng.group_products(eng.h_positions, eng.real_weyl_h),
+        )
 
 
 def make_scenario(
@@ -214,14 +211,8 @@ def make_scenario(
 ) -> EllipticScenario:
     g = engine.g_datum
     h = engine.datum.h_datum
-    g_side = Side(
-        g, engine.grading_g, engine.real_weyl_g, g.invariant_form, form_scale,
-        lambda: engine.group_products(range(len(engine.weyl_g)), engine.real_weyl_g),
-    )
-    h_side = Side(
-        h, engine.grading_h, engine.real_weyl_h, g.invariant_form, form_scale,
-        lambda: engine.group_products(engine.h_positions, engine.real_weyl_h),
-    )
+    g_side = Side(g, engine.grading_g, engine.real_weyl_g, g.invariant_form, form_scale)
+    h_side = Side(h, engine.grading_h, engine.real_weyl_h, g.invariant_form, form_scale)
     return EllipticScenario(
         name=name, engine=engine, g_side=g_side, h_side=h_side, form_scale=Fraction(form_scale)
     )
@@ -232,7 +223,8 @@ def rossmann_kernel(side: Side, x: EllipticElement, y: EllipticElement) -> Kerne
     prefactor * [D/pi](x) [D/pi](y) * sum over the real Weyl group of
     det(w) exp(-i B(w u, v)); the form convention is <iu, iv> = -B(u, v)."""
     front = side._prefactor * side.d_over_pi(x) * side.d_over_pi(y)
-    images = images_in_order(side.real_columns, x.floats())
+    columns = column_table([w.matrix for w in side.real_weyl])
+    images = images_in_order(columns, x.floats())
     phases = side.exponentials(images, side.form_image(y.floats()))
     terms = []
     total = complex(0.0)
@@ -284,15 +276,16 @@ def d_gh(
             return complex(0.0)
     neg_h, neg_g = masks
     eng = scenario.engine
+    table = scenario.table
     side = scenario.g_side
     d_y = side.d_over_pi_at(parity_sign(neg_g.bit_count()))
     fronts = [
         entry.weight_moved(neg_h) * eng.base_value
         * (side._prefactor * side.d_over_pi_at(entry.g_sign(neg_h))) * d_y
-        for entry in scenario.transfer_table.entries
+        for entry in table.entries
     ]
-    counts = _fold(side.law, side.weyl_table, fronts)
-    images = images_in_order(scenario.weyl_g_columns, x_h.floats())
+    counts = _fold(table.g_law, side.weyl_table, fronts)
+    images = images_in_order(table.g_columns, x_h.floats())
     total = complex(0.0)
     for count, phase in zip(counts, side.exponentials(images, side.form_image(x_g.coords))):
         total += count * phase
@@ -319,14 +312,15 @@ def d_tilde_gh(
             return complex(0.0)
     neg_h, neg_g = masks
     eng = scenario.engine
+    table = scenario.table
     side = scenario.h_side
-    entries = scenario.transfer_table.entries
+    entries = table.entries
     fronts = [
         side._prefactor * side.d_over_pi_at(entries[k].h_sign(neg_h)) for k in eng.h_positions
     ]
-    counts = _fold(side.law, side.weyl_table, fronts)
-    images = images_in_order(scenario.weyl_h_columns, x_h.floats())
-    moved = side.form_columns(images_in_order(scenario.weyl_g_columns, x_g.coords))
+    counts = _fold(table.h_law, side.weyl_table, fronts)
+    images = images_in_order(table.h_columns, x_h.floats())
+    moved = side.form_columns(images_in_order(table.g_columns, x_g.coords))
     total = complex(0.0)
     for entry, bv in zip(entries, zip(*moved)):
         weight = entries[entry.inverse].weight_at(neg_g) * eng.base_value
@@ -351,9 +345,9 @@ def _terms(
     entry of w^{-1} at x_g.  Each side takes its images from its own pass
     over W's column table, and its exponentials in one batch: images w x_h
     against B x_g, or B w x_g against x_h."""
-    entries = scenario.transfer_table.entries
+    entries = scenario.table.entries
     base_value = scenario.engine.base_value
-    columns = scenario.weyl_g_columns
+    columns = scenario.table.g_columns
     if side == "G":
         s = scenario.g_side
         front = complex(s.gamma) * complex(s.prefactor) * s.d_over_pi_at(parity_sign(neg_g.bit_count()))
@@ -381,7 +375,7 @@ def explicit_term(
     """Single-exponential w-term of the closed-form expansion of either route."""
     g = scenario.engine.g_datum
     terms = _terms(scenario, side, x_h, x_g, require_regular(g, x_h), require_regular(g, x_g))
-    return terms[scenario.transfer_table.index(w)]
+    return terms[scenario.engine.weyl_g.index(w)]
 
 
 def verify_identity(
@@ -401,7 +395,7 @@ def verify_identity(
         rhs = d_tilde_gh(scenario, x_h, x_g, masks)
         g_terms = _terms(scenario, "G", x_h, x_g, *masks)
         h_terms = _terms(scenario, "H", x_h, x_g, *masks)
-        for entry, t_lhs in zip(scenario.transfer_table.entries, g_terms):
+        for entry, t_lhs in zip(scenario.table.entries, g_terms):
             t_rhs = h_terms[entry.inverse]
             comparisons.append(
                 TermComparison(entry.w.word, t_lhs, t_rhs, abs(t_lhs - t_rhs))

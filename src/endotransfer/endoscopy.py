@@ -79,12 +79,6 @@ class EndoscopicDatum(Record):
         set_attribute(self, "h_roots", h_roots)
         set_attribute(self, "h_datum", h_datum)
 
-    def s_value(self, coroot: IntVec) -> int:
-        r = dot(self.xhat_s, coroot)
-        if (2 * r).denominator != 1:
-            raise EndoscopyError("character is not of order 2 on this coroot")
-        return 1 if r.denominator == 1 else -1
-
 
 class EllipticElement(Record):
     """X = i v on the compact Cartan, for either group of the pair."""
@@ -196,18 +190,6 @@ class WeylWeight(Record):
     def g_sign(self, negative: int) -> int:
         """The sign of the product of <alpha, w x> over Phi+_G, from x's mask."""
         return parity_sign(self.length + negative.bit_count())
-
-
-class TransferTable:
-    """One WeylWeight per element of the ambient Weyl group, in its order."""
-
-    def __init__(self, entries: tuple[WeylWeight, ...]):
-        self.entries = entries
-        self._position = {e.w.matrix: i for i, e in enumerate(entries)}
-
-    def index(self, w: WeylElement) -> int:
-        """The position of w, and of its entry."""
-        return self._position[w.matrix]
 
 
 def build_endoscopic_datum(g_datum: RootDatum, s_simple_signs: Sequence[int]) -> EndoscopicDatum:
@@ -438,29 +420,23 @@ class TransferFactorEngine:
         depends only on the torus identification, that is on w.  The phases
         are numerators over 4: (w rho_check + rho_check)/2, plus coroot/2 for
         every root w beta, beta > 0, of negative ratio; delta(w) = 0 adds
-        nothing (see _check_tits_central)."""
+        nothing (see _check_tits_central).  The ratios' magnitudes would give
+        the point magnitudes, which on this torus (sigma = -1) always pass
+        the cocycle test and never reach the class, so they are left out."""
         d = self.g_datum
         w = diagram.w
         w_two_rho = w.act(self.two_rho_check)
         phases = [x + y for x, y in zip(w_two_rho, self.two_rho_check)]
-        mags = None
 
         perm = self._perms[self._position[w]]
         for j in self._positive_index:
             alpha = d.roots[perm[j]]
-            r = a.ratio(alpha)
-            coroot = d.coroot(alpha)
-            if r < 0:
-                for j in range(d.rank):
-                    phases[j] += 2 * coroot[j]
-            if r != 1 and r != -1:
-                mag = abs(r)
-                if mags is None:
-                    mags = [Fraction(1)] * d.rank
-                for j in range(d.rank):
-                    mags[j] *= mag ** coroot[j]
+            if a.ratio(alpha) < 0:
+                coroot = d.coroot(alpha)
+                for i in range(d.rank):
+                    phases[i] += 2 * coroot[i]
 
-        tau = TorusPoint.over(phases, 4, mags)
+        tau = TorusPoint.over(phases, 4)
         cls = cocycle_class(self.torus, tau, self._h1)
         return tate_nakayama_pair(cls, self.kappa_for(w))
 
@@ -498,11 +474,11 @@ class TransferFactorEngine:
 
     # -- normalized transfer factor ---------------------------------------
 
-    def transfer_table(self) -> TransferTable:
+    def transfer_table(self) -> tuple[WeylWeight, ...]:
         """The pair-independent part of relative_factor for every w of
-        weyl_g, taken from the factors at the diagram (w, x_h, w x_h) of
-        the base point's x_h.  delta_I and delta_III depend on w alone, so
-        that diagram is taken in floats.  delta_I delta_II does not depend
+        weyl_g, in its order, taken from the factors at the diagram (w, x_h,
+        w x_h) of the base point's x_h.  delta_I and delta_III depend on w
+        alone, so that diagram is taken in floats.  delta_I delta_II does not depend
         on the a-datum (Langlands-Shelstad 1987, section 3), so the table
         is that of the default one."""
         a = ADatum.default(self.g_datum)
@@ -534,7 +510,7 @@ class TransferFactorEngine:
                 h_moved=self._pullback(back, self._h_positive_index),
                 length=self._pullback(back, self._positive_index)[1],
             ))
-        return TransferTable(tuple(entries))
+        return tuple(entries)
 
     def group_products(
         self, group: Sequence[int], real: Sequence[WeylElement]

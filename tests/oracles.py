@@ -32,7 +32,6 @@ from endotransfer.endoscopy import (
     EllipticElement,
     EndoscopyError,
     TransferFactorEngine,
-    TransferTable,
     build_diagram,
     root_signs,
     sign_of,
@@ -952,7 +951,7 @@ class LiteralSetup(TransferFactorEngine):
             )
             inverse = position[literal_weyl_inverse(self.g_datum, diagram.w).matrix]
             entries.append(LiteralWeight(diagram.w, inverse, sign, roots))
-        return TransferTable(tuple(entries))
+        return tuple(entries)
 
 
 # The fields of endoscopy.WeylWeight that the set-up fixes; its sign masks

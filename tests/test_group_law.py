@@ -13,17 +13,18 @@ def test_group_law_is_the_integer_product(scenarios):
     for key, sc in data:
         eng = sc.engine
         assert {u.matrix for u in eng.real_weyl_h} <= {w.matrix for w in eng.weyl_h}, key
-        for side, group, columns in (
-            (sc.g_side, eng.weyl_g, sc.weyl_g_columns),
-            (sc.h_side, eng.weyl_h, sc.weyl_h_columns),
+        table = sc.table
+        for side, group, columns, law in (
+            (sc.g_side, eng.weyl_g, table.g_columns, table.g_law),
+            (sc.h_side, eng.weyl_h, table.h_columns, table.h_law),
         ):
             rank = len(group[0].matrix)
             assert columns == tuple(
                 tuple(tuple(w.matrix[i][j] for w in group) for j in range(rank))
                 for i in range(rank)
             ), key
-            assert len(side.law) == len(side.real_weyl), key
-            for u, row in zip(side.real_weyl, side.law):
+            assert len(law) == len(side.real_weyl), key
+            for u, row in zip(side.real_weyl, law):
                 assert sorted(row) == list(range(len(group))), (key, u.word)
                 for w, z in zip(group, row):
                     assert group[z].matrix == mat_mul(u.matrix, w.matrix), (key, u.word, w.word)

@@ -27,7 +27,13 @@ from endotransfer.cohomology import (
     h1,
     quotient_torus_lattice,
 )
-from endotransfer.distributions import EllipticScenario, IdentityReport, KernelValue, TermComparison
+from endotransfer.distributions import (
+    EllipticScenario,
+    IdentityReport,
+    KernelValue,
+    PairTable,
+    TermComparison,
+)
 from endotransfer.endoscopy import (
     ADatum,
     Diagram,
@@ -51,6 +57,8 @@ QUOTIENT = quotient_torus_lattice(TORUS, [(Fraction(1, 2),)])
 DATUM = build_endoscopic_datum(A1, [-1])
 X = EllipticElement((Fraction(1),))
 TERM = TermComparison((0,), 1j, 1j, 0.0)
+WEIGHT = WeylWeight(S, 1, -1, ((2,),), 1, (1, 0), (0, 0), 1)
+COLUMNS = (((1, -1),),)
 REPORT = IdentityReport(1j, 1j, 0.0, (TERM,), 0.0, True)
 SCENARIO_FIELDS = dict(
     name="a1", g_type="A1", form_scale=Fraction(1), grading_g=[1], s_character=[-1],
@@ -105,6 +113,11 @@ CASES = [
         WeylWeight,
         dict(w=S, inverse=1, sign=-1, roots=((2,),), at=1, moved=(1, 0), h_moved=(0, 0), length=1),
         (S, 1, -1, ((2,),), 1, (1, 0), (0, 0), 1),
+    ),
+    (
+        PairTable,
+        dict(entries=(WEIGHT,), g_columns=COLUMNS, h_columns=(((1,),),), g_law=((0, 1),), h_law=((0,),)),
+        ((WEIGHT,), COLUMNS, (((1,),),), ((0, 1),), ((0,),)),
     ),
     (EighthRoot, dict(k=11), (3,)),
     (RealFormGrading, dict(datum=A1, grade={(2,): 1, (-2,): 1}), (A1, {(2,): 1, (-2,): 1})),
@@ -215,8 +228,8 @@ def test_elliptic_scenario_default_scale_and_caches():
     built = load_builtin("sl2_endoscopy")
     sc = EllipticScenario(name="copy", engine=built.engine, g_side=built.g_side, h_side=built.h_side)
     assert sc.form_scale == Fraction(1)
-    # The cached tables live in the instance; they are not fields.
-    assert sc.transfer_table is sc.transfer_table
+    # The cached pair table lives in the instance; it is not a field.
+    assert sc.table is sc.table
     assert sc == EllipticScenario("copy", built.engine, built.g_side, built.h_side, Fraction(1))
     sc.name = "renamed"
     assert sc.name == "renamed"

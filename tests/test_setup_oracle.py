@@ -45,7 +45,7 @@ def _engine(g_type, signs, grades=None):
 
 
 def _entries(table):
-    return [(e.w.word, e.inverse, e.sign, e.roots) for e in table.entries]
+    return [(e.w.word, e.inverse, e.sign, e.roots) for e in table]
 
 
 @pytest.mark.parametrize("g_type", TYPES)
@@ -76,8 +76,9 @@ def _a_datum(g, seed):
 @pytest.mark.parametrize("seed", (11, 12, 13))
 @pytest.mark.parametrize("g_type", ("C2", "G2", "B3"))
 def test_setup_matches_literal_path_on_other_a_data(g_type, seed):
-    """Negative ratios move delta_I's phases; non-unit ones take its
-    magnitude branch.  delta_I delta_II does not depend on the a-datum, so
+    """Negative ratios move delta_I's phases; non-unit ones give the
+    literal path's point magnitudes, which on the compact Cartan cannot
+    move the class.  delta_I delta_II does not depend on the a-datum, so
     the literal table on these a-data is the engine's table, which reads
     the default one."""
     g = build_root_datum(g_type)

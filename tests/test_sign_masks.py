@@ -54,7 +54,7 @@ def test_sign_masks_match_literal_signs_at_moved_points(scenarios):
 
     for key, sc in data:
         eng = sc.engine
-        entries = sc.transfer_table.entries
+        entries = sc.table.entries
         if not inverses:
             inverses = {w.matrix: weyl_inverse(g, w).matrix for w in eng.weyl_g}
             moved = {(k, w.matrix): w.act(x.coords) for k, x in enumerate(points) for w in eng.weyl_g}

@@ -37,7 +37,7 @@ def test_images_in_order_match_each_weyl_element(scenarios):
     for key, sc in data:
         eng = sc.engine
         exact, *floats = _points(eng.g_datum.rank, rng)
-        for columns, group in ((sc.weyl_g_columns, eng.weyl_g), (sc.weyl_h_columns, eng.weyl_h)):
+        for columns, group in ((sc.table.g_columns, eng.weyl_g), (sc.table.h_columns, eng.weyl_h)):
             images = images_in_order(columns, exact)
             assert [tuple(c[k] for c in images) for k in range(len(group))] == [
                 w.act(exact) for w in group
