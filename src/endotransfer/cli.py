@@ -187,6 +187,9 @@ def _cmd_h1(args) -> int:
     except OSError as e:
         print(f"cannot read lattice file: {e}", file=sys.stderr)
         return 2
+    except UnicodeDecodeError as e:
+        print(f"invalid lattice file: {args.lattice} is not UTF-8 text: {e.reason}", file=sys.stderr)
+        return 2
     try:
         torus = RealTorus(len(rows), tuple(rows))
         group = compute_h1(torus)

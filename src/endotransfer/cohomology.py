@@ -339,19 +339,17 @@ class QuotientTorus(Record):
     cocharacter lattice written in the coordinates of the old one: the
     integer rows over one denominator."""
 
-    __slots__ = _fields = ("torus", "rows", "denominator", "_to_new")
+    __slots__ = _fields = ("torus", "rows", "denominator")
 
     def __init__(
         self,
         torus: RealTorus,
         rows: IntMat,                    # basis vector i is rows[i] / denominator
         denominator: int,
-        _to_new: tuple[IntMat, int],     # coordinate_map(rows)
     ):
         set_attribute(self, "torus", torus)
         set_attribute(self, "rows", rows)
         set_attribute(self, "denominator", denominator)
-        set_attribute(self, "_to_new", _to_new)
 
     @property
     def basis(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -382,9 +380,8 @@ def quotient_torus_lattice(
     # The lattice contains denom * Z^n, so its echelon form leads with n nonzero rows.
     h, _ = hermite_normal_form(mat_int(rows))
     basis_rows = h[:n]
-    to_new = coordinate_map(basis_rows)
-    sigma_new = _conjugate_involution(torus.involution, basis_rows, to_new)
-    return QuotientTorus(RealTorus(n, sigma_new), basis_rows, denom, to_new)
+    sigma_new = _conjugate_involution(torus.involution, basis_rows, coordinate_map(basis_rows))
+    return QuotientTorus(RealTorus(n, sigma_new), basis_rows, denom)
 
 
 def _conjugate_involution(sigma: IntMat, rows: IntMat, to_new: tuple[IntMat, int]) -> IntMat:

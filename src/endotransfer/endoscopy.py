@@ -8,9 +8,16 @@ subsystem on the coroot side, with Weyl group included in W^G on the nose.
 
 Transfer factors are normalized relative to a base diagram.  The first and
 third factor are Tate-Nakayama pairings on H^1(R, T) of the compact Cartan T
-itself; the third pairs kappa = xhat_s with the single class b^{-2} rho_check
-- w^{-2} rho_check of the diagram's Weyl element w and the base's b.  The
-cocycle constructions fix these auxiliary choices, recorded in every report:
+itself.  There sigma = -1 on X_*, so H^1(R, T) = X_*/2X_*: the class of a
+cocycle e(x) is (1 - sigma) x = 2x mod 2X_*, and its pairing with a character
+kappa = xhat is (-1)^<2 xhat, 2x> (Langlands-Shelstad 1987, section 3).  So
+each factor is the parity of one integer dot product, taken from the Weyl
+element's root permutation; the third pairs xhat_s with the single class
+b^{-2} rho_check - w^{-2} rho_check of the diagram's Weyl element w and the
+base's b.  The module cohomology computes the same pairings through
+cocycle_class and tate_nakayama_pair on any real torus; the tests check the
+factors against it, and it is the engine of endotransfer h1.  The cocycle
+constructions fix these auxiliary choices, recorded in every report:
 
 * canonical reflection representatives n(w) built from the pinning;
 * the compact-Cartan realization with torus twist t_q = e(-rho_check / 2);
@@ -27,20 +34,11 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence, Union
 
-from .cohomology import (
-    CohomologyError,
-    RealTorus,
-    TorusPoint,
-    cocycle_class,
-    elliptic_torus,
-    h1,
-    kappa_over,
-    tate_nakayama_pair,
-)
-# Unused here: perfbench/tracing.py wraps endoscopy.quotient_torus_lattice,
-# so the name stays until that layer is dropped.
-from .cohomology import quotient_torus_lattice  # noqa: F401
-from .lattice import FracVec, IntVec, dot, dot_in_order, mat_vec, transpose, vec_frac
+from .cohomology import elliptic_torus
+# Unused here: perfbench/tracing.py wraps these names in this module, so they
+# stay until its cohomology layers are dropped.
+from .cohomology import cocycle_class, h1, quotient_torus_lattice, tate_nakayama_pair  # noqa: F401
+from .lattice import FracVec, IntVec, dot, dot_in_order
 from .realform import RealFormGrading
 from .record import Record, set_attribute
 from .rootdata import (
@@ -96,10 +94,11 @@ class EllipticElement(Record):
 
 
 class ADatum(Record):
-    """a_alpha = i * ratio(alpha) on positive roots; a(-alpha) = -a(alpha)."""
+    """a_alpha = i * ratio(alpha) on positive roots; a(-alpha) = -a(alpha).
+    negative holds the roots, of either sign, whose ratio is negative."""
 
     _fields = ("ratios",)
-    __slots__ = _fields + ("_map",)
+    __slots__ = _fields + ("_map", "negative")
 
     def __init__(self, ratios: tuple[tuple[IntVec, Fraction], ...]):
         for _, r in ratios:
@@ -107,6 +106,9 @@ class ADatum(Record):
                 raise EndoscopyError("a-datum ratio must be nonzero")
         set_attribute(self, "ratios", ratios)
         set_attribute(self, "_map", dict(ratios))
+        set_attribute(self, "negative", frozenset(
+            root if r < 0 else tuple(-x for x in root) for root, r in ratios
+        ))
 
     def ratio(self, root: IntVec) -> Fraction:
         if root in self._map:
@@ -197,20 +199,16 @@ def build_endoscopic_datum(g_datum: RootDatum, s_simple_signs: Sequence[int]) ->
         raise EndoscopyError("one sign per simple coroot is required")
     if any(s not in (1, -1) for s in s_simple_signs):
         raise EndoscopyError("character signs must be +1 or -1")
-    xhat = tuple(Fraction(1, 2) if s == -1 else Fraction(0) for s in s_simple_signs)
-
-    def s_value(coroot: IntVec) -> int:
-        r = dot(vec_frac(xhat), coroot)
-        return 1 if r.denominator == 1 else -1
-
-    h_roots = tuple(r for r in g_datum.roots if s_value(g_datum.coroot(r)) == 1)
+    two_xhat = tuple(1 if s == -1 else 0 for s in s_simple_signs)
+    # s(coroot) = (-1)^<2 xhat_s, coroot>
+    h_roots = tuple(r for r in g_datum.roots if not dot(two_xhat, g_datum.coroot(r)) & 1)
     _check_coroot_closed(g_datum, h_roots)
     h_label = f"{g_datum.cartan_label}|s={''.join('+' if s == 1 else '-' for s in s_simple_signs)}"
     h_datum = build_sub_datum(g_datum, h_roots, h_label)
     return EndoscopicDatum(
         g_datum=g_datum,
         s_simple_signs=tuple(int(s) for s in s_simple_signs),
-        xhat_s=vec_frac(xhat),
+        xhat_s=tuple(Fraction(x, 2) for x in two_xhat),
         h_roots=h_roots,
         h_datum=h_datum,
     )
@@ -312,11 +310,11 @@ class TransferFactorEngine:
     """Evaluates the normalized transfer factor for one endoscopic scenario.
 
     Carries the ambient Weyl group, both real Weyl groups, the base diagram,
-    and the exact cohomological data entering the first and third factors:
-    2 rho_check and 2 xhat_s as integer vectors, and w^{-1} with its
-    transpose for every w, which moves the functional xhat_s, w . f =
-    (w^{-1})^T f; roots move by RootDatum.root_image.  The factors then
-    work on integer numerators over fixed denominators.
+    and the exact data entering the first and third factors: 2 rho_check and
+    2 xhat_s as integer vectors, the root permutation of every w with the
+    position of w^{-1}, w . 2 rho_check for every w, and for every root the
+    parity of <2 xhat_s, its coroot>.  The factors are then parities of
+    integer dot products on X_*/2X_*.
     """
 
     def __init__(
@@ -347,18 +345,27 @@ class TransferFactorEngine:
                 "scenario is not elliptic"
             )
         self.omega = omega
-        self.two_rho_check = _sum_positive_coroots(self.g_datum)
+        self.two_rho_check = _vector_sum(self.g_datum.coroot(r) for r in self.g_datum.positive_roots)
         self.two_xhat_s = tuple(int(2 * x) for x in datum.xhat_s)
         self._position = {w: k for k, w in enumerate(self.weyl_g)}
         self._root_sets()
         self._perms = _root_permutations(self.g_datum, self.weyl_g)
         by_perm = {p: k for k, p in enumerate(self._perms)}
         self._inverse = tuple(by_perm[_inverse_permutation(p)] for p in self._perms)
-        self._inverse_t = tuple(transpose(self.weyl_g[k].matrix) for k in self._inverse)
+        # An element is fixed by its images of the simple roots; w^2 has the
+        # permutation p o p, and the position of w^{-2} is that of its inverse.
+        simple = self._simple_index
+        by_simple = {tuple(p[j] for j in simple): k for k, p in enumerate(self._perms)}
+        self._inverse_square = tuple(
+            self._inverse[by_simple[tuple(p[p[j]] for j in simple)]] for p in self._perms
+        )
+        # w 2 rho_check is the sum of the coroots (w alpha)^vee, alpha > 0.
+        coroots = self.g_datum.coroots
+        self._two_rho_images = tuple(
+            _vector_sum(coroots[p[j]] for j in self._positive_index) for p in self._perms
+        )
         self.h_positions = tuple(self._position[w] for w in self.weyl_h)
         self.torus = elliptic_torus(self.g_datum.rank)
-        self._h1 = h1(self.torus)
-        self._kappa_s = kappa_over(self.two_xhat_s, 2, self.torus)
         self._check_tits_central()
 
         self.base_diagram = build_diagram(datum, self.weyl_g, base_x_h, base_x_g)
@@ -370,8 +377,9 @@ class TransferFactorEngine:
     def _root_sets(self) -> None:
         """Indices into g_datum.roots of the simple roots, the positive
         roots and H's roots, the positive ones among the latter (Phi+_H =
-        Phi_H n Phi+_G), and for each root the bit of the positive root
-        +-it with 1 when it is negative."""
+        Phi_H n Phi+_G), for each root the bit of the positive root +-it
+        with 1 when it is negative, and for each root the parity of
+        <2 xhat_s, its coroot>, which is 1 exactly off Phi_H."""
         d = self.g_datum
         index = {r: j for j, r in enumerate(d.roots)}
         self._simple_index = tuple(index[r] for r in d.simple_roots)
@@ -382,6 +390,7 @@ class TransferFactorEngine:
         self._bits = tuple(
             (bit[r], 0) if r in bit else (bit[tuple(-x for x in r)], 1) for r in d.roots
         )
+        self._s_parity = tuple(dot(self.two_xhat_s, c) & 1 for c in d.coroots)
 
     def _check_tits_central(self) -> None:
         """Check that n(omega) n_i = n_i n(omega) for every i, folding n_i
@@ -404,41 +413,32 @@ class TransferFactorEngine:
 
     # -- the three factors ---------------------------------------------------
 
-    def kappa_for(self, w: WeylElement):
-        return kappa_over(self._act_on_functional(w, self.two_xhat_s), 2, self.torus)
-
     def inverse_of(self, w: WeylElement) -> WeylElement:
         return self.weyl_g[self._inverse[self._position[w]]]
 
-    def _act_on_functional(self, w: WeylElement, f: IntVec) -> IntVec:
-        """w . f = (w^{-1})^T f for an integer functional f."""
-        return mat_vec(self._inverse_t[self._position[w]], f)
-
     def delta_i(self, diagram: Diagram, a: ADatum) -> int:
         """Pairing of the splitting-cocycle class with the transported
-        endoscopic character; exact, via the cohomology layer.  The value
-        depends only on the torus identification, that is on w.  The phases
-        are numerators over 4: (w rho_check + rho_check)/2, plus coroot/2 for
-        every root w beta, beta > 0, of negative ratio; delta(w) = 0 adds
-        nothing (see _check_tits_central).  The ratios' magnitudes would give
-        the point magnitudes, which on this torus (sigma = -1) always pass
-        the cocycle test and never reach the class, so they are left out."""
-        d = self.g_datum
-        w = diagram.w
-        w_two_rho = w.act(self.two_rho_check)
-        phases = [x + y for x, y in zip(w_two_rho, self.two_rho_check)]
-
-        perm = self._perms[self._position[w]]
+        endoscopic character.  The value depends only on the torus
+        identification, that is on w.  The cocycle is e(P / 4) with
+        P = w 2 rho_check + 2 rho_check + 2 (w beta)^vee summed over the
+        beta > 0 with a(w beta) < 0; delta(w) = 0 adds nothing (see
+        _check_tits_central), and the ratios' magnitudes, which on this
+        torus (sigma = -1) always pass the cocycle test, never reach the
+        class.  Its class is P / 2 in X_*/2X_*, and the character is
+        w . xhat_s = (w^{-1})^T xhat_s, whose i-th coordinate doubled is
+        <2 xhat_s, (w^{-1} alpha_i)^vee>: the value is (-1)^<(w^{-1})^T
+        2 xhat_s, P / 2>."""
+        k = self._position[diagram.w]
+        doubled = [x + y for x, y in zip(self._two_rho_images[k], self.two_rho_check)]
+        perm = self._perms[k]
+        roots, coroots = self.g_datum.roots, self.g_datum.coroots
         for j in self._positive_index:
-            alpha = d.roots[perm[j]]
-            if a.ratio(alpha) < 0:
-                coroot = d.coroot(alpha)
-                for i in range(d.rank):
-                    phases[i] += 2 * coroot[i]
-
-        tau = TorusPoint.over(phases, 4)
-        cls = cocycle_class(self.torus, tau, self._h1)
-        return tate_nakayama_pair(cls, self.kappa_for(w))
+            if roots[perm[j]] in a.negative:
+                for i, c in enumerate(coroots[perm[j]]):
+                    doubled[i] += 2 * c
+        back = self._perms[self._inverse[k]]
+        moved = [self._s_parity[back[j]] for j in self._simple_index]
+        return _half_pairing("delta_I", moved, doubled)
 
     def delta_ii_roots(self, w: WeylElement) -> tuple[IntVec, ...]:
         """The positive roots outside w Phi_H, over which delta_II runs."""
@@ -458,19 +458,17 @@ class TransferFactorEngine:
 
     def delta_iii(self, diagram: Diagram, base: Optional[Diagram] = None) -> int:
         """kappa = xhat_s paired with the class b^{-2} rho_check - w^{-2}
-        rho_check on T, w and b the diagrams' Weyl elements: on the doubled
-        torus of the two diagrams the point is (-w^{-1} rho_check / 2,
-        b^{-1} rho_check / 2) and the character (w . xhat_s, b . xhat_s),
-        and w . f = (w^{-1})^T f.  The value depends only on w and b."""
+        rho_check on T, w and b the diagrams' Weyl elements: the value is
+        (-1)^<2 xhat_s, (b^{-2} 2 rho_check - w^{-2} 2 rho_check) / 2>.  It
+        depends only on w and b."""
         if base is None:
             base = self.base_diagram
         if base.datum is not self.datum or diagram.datum is not self.datum:
             raise EndoscopyError("diagrams come from different endoscopic data")
-        w_back, b_back = self.inverse_of(diagram.w), self.inverse_of(base.w)
-        b_rho = b_back.act(b_back.act(self.two_rho_check))
-        w_rho = w_back.act(w_back.act(self.two_rho_check))
-        point = TorusPoint.over([x - y for x, y in zip(b_rho, w_rho)], 4)
-        return tate_nakayama_pair(cocycle_class(self.torus, point, self._h1), self._kappa_s)
+        images, square = self._two_rho_images, self._inverse_square
+        b_rho = images[square[self._position[base.w]]]
+        w_rho = images[square[self._position[diagram.w]]]
+        return _half_pairing("delta_III", self.two_xhat_s, [x - y for x, y in zip(b_rho, w_rho)])
 
     # -- normalized transfer factor ---------------------------------------
 
@@ -619,6 +617,19 @@ def _inverse_permutation(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _sum_positive_coroots(datum: RootDatum) -> IntVec:
-    """2 rho_check, the sum of the positive coroots."""
-    return tuple(sum(col) for col in zip(*(datum.coroot(r) for r in datum.positive_roots)))
+def _half_pairing(factor: str, functional: Sequence[int], doubled: Sequence[int]) -> int:
+    """(-1)^<functional, doubled / 2>, the pairing of a class of X_*/2X_*
+    with a character given by twice its vector; EndoscopyError naming the
+    factor when doubled / 2, the class (1 - sigma) x of its cocycle, is not
+    integral."""
+    if any(x & 1 for x in doubled):
+        raise EndoscopyError(
+            f"{factor}: (1 - sigma) x = {tuple(doubled)} / 2 is not integral; not a cocycle"
+        )
+    return parity_sign(sum(f * (x >> 1) for f, x in zip(functional, doubled)))
+
+
+def _vector_sum(vectors) -> IntVec:
+    """The sum of one or more integer vectors."""
+    return tuple(map(sum, zip(*vectors)))
+

@@ -328,8 +328,13 @@ def build_scenario(config: Scenario, base_value: complex = 1.0) -> EllipticScena
 
 
 def load_scenario_file(path, base_value: complex = 1.0) -> EllipticScenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return build_scenario(parse_scenario(fh.read()), base_value=base_value)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        line = e.object.count(b"\n", 0, e.start) + 1
+        raise ScenarioError([(line, f"{path} is not UTF-8 text: {e.reason} at byte {e.start}")]) from None
+    return build_scenario(parse_scenario(text), base_value=base_value)
 
 
 def builtin_scenario_path(name: str):

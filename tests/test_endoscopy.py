@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from endotransfer.cohomology import CohomologyClass, tate_nakayama_pair
+from endotransfer.cohomology import CohomologyClass, h1, kappa_over, tate_nakayama_pair
 from endotransfer.endoscopy import (
     ADatum,
     Diagram,
@@ -233,11 +233,12 @@ def test_stable_conjugacy_character_property():
         xh = EllipticElement(tuple(Fraction(2 * k + 3, 2 * k + 2) for k in range(rank)))
         base_g = EllipticElement(tuple(xh.coords))
         den = transfer_factor(eng, xh, base_g)
-        kappa = eng.kappa_for(eng.weyl_g[0])
+        kappa = kappa_over(eng.two_xhat_s, 2, eng.torus)
+        group = h1(eng.torus)
         for w in eng.weyl_g:
             num = transfer_factor(eng, xh, EllipticElement(tuple(w.act(xh.coords))))
             inv_vec = eng.stable_invariant_class(w)
-            cls = CohomologyClass(eng.torus, eng._h1, eng._h1.reduce(inv_vec))
+            cls = CohomologyClass(eng.torus, group, group.reduce(inv_vec))
             assert num / den == tate_nakayama_pair(cls, kappa)
 
 
@@ -398,5 +399,7 @@ def test_matrix_oracle_stable_invariant():
     s = eng.weyl_g[1]
     inv_vec = eng.stable_invariant_class(s)
     assert tuple(x % 2 for x in inv_vec) == (1,)
-    cls = CohomologyClass(eng.torus, eng._h1, eng._h1.reduce(inv_vec))
-    assert tate_nakayama_pair(cls, eng.kappa_for(eng.weyl_g[0])) == -1
+    group = h1(eng.torus)
+    cls = CohomologyClass(eng.torus, group, group.reduce(inv_vec))
+    kappa = kappa_over(eng.two_xhat_s, 2, eng.torus)
+    assert tate_nakayama_pair(cls, kappa) == -1

@@ -85,8 +85,8 @@ CASES = [
     (DualComponentCharacter, dict(torus=TORUS, numerators=(1,), denominator=2), (TORUS, (1,), 2)),
     (
         QuotientTorus,
-        dict(torus=QUOTIENT.torus, rows=QUOTIENT.rows, denominator=QUOTIENT.denominator, _to_new=QUOTIENT._to_new),
-        (QUOTIENT.torus, QUOTIENT.rows, QUOTIENT.denominator, QUOTIENT._to_new),
+        dict(torus=QUOTIENT.torus, rows=QUOTIENT.rows, denominator=QUOTIENT.denominator),
+        (QUOTIENT.torus, QUOTIENT.rows, QUOTIENT.denominator),
     ),
     (KernelValue, dict(value=1j, terms=((S, 1j),)), (1j, ((S, 1j),))),
     (

@@ -346,6 +346,26 @@ def test_cli_missing_files_exit_2(tmp_path):
     assert res.returncode == 2 and "absent.lat" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "command,suffix,args",
+    [
+        ("verify", ".scn", ()),
+        ("factors", ".scn", ("--xh", "1", "--xg", "1")),
+        ("orbits", ".scn", ("--xg", "1")),
+        ("h1", ".lat", ()),
+    ],
+)
+def test_cli_non_utf8_files_exit_2(tmp_path, command, suffix, args):
+    """Bytes that are not UTF-8 (here a UTF-16 byte-order mark) are refused
+    with the file's path, not a UnicodeDecodeError traceback."""
+    path = tmp_path / f"not_utf8{suffix}"
+    path.write_bytes(b"\xff\xfe" + GOLDEN.encode("utf-16-le"))
+    res = _run_cli(command, str(path), *args)
+    assert res.returncode == 2
+    assert str(path) in res.stderr and "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
 MIXED = builtin_scenario_path("sl2xsl2_mixed").read_text(encoding="utf-8")
 
 

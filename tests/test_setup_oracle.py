@@ -1,8 +1,10 @@
 """The engine's exact set-up -- delta(w) = 0 after the check on the simple
-reflections, w^{-1} along the reversed word, delta_I and delta_III on
-integer numerators over fixed denominators -- must equal the literal per-w
+reflections, w^{-1} along the reversed word, delta_I and delta_III as
+parities of integer dot products on X_*/2X_* -- must equal the literal per-w
 Fraction path of oracles.LiteralSetup on every nontrivial character of ten
-Cartan types of rank <= 3, and on a-data with negative and non-unit ratios."""
+Cartan types of rank <= 3, and on a-data with negative and non-unit ratios.
+The two factors must also equal the pairings the cohomology module computes
+through cocycle_class and tate_nakayama_pair, which the engine no longer calls."""
 
 import itertools
 import random
@@ -10,7 +12,15 @@ from fractions import Fraction
 
 import pytest
 
-from endotransfer import endoscopy
+from endotransfer import cohomology, endoscopy
+from endotransfer.cohomology import (
+    TorusPoint,
+    cocycle_class,
+    elliptic_torus,
+    h1,
+    kappa_over,
+    tate_nakayama_pair,
+)
 from endotransfer.endoscopy import (
     ADatum,
     Diagram,
@@ -19,6 +29,7 @@ from endotransfer.endoscopy import (
     TransferFactorEngine,
     build_endoscopic_datum,
 )
+from endotransfer.lattice import mat_vec, transpose
 from endotransfer.realform import build_grading, real_weyl_group
 from endotransfer.rootdata import build_root_datum, weyl_inverse
 
@@ -115,15 +126,80 @@ def test_delta_iii_on_rank_4_against_other_bases(g_type):
             assert eng.delta_iii(d, b) == literal.delta_iii(d, b), (signs, d.w.word, b.w.word)
 
 
-def test_transfer_table_goes_through_the_cohomology_layer(monkeypatch):
+def _cohomology_delta_i(d, w, a, two_xhat, torus, group):
+    """delta_I through the cohomology layer: the class of the splitting
+    cocycle e(P / 4), P = w 2 rho_check + 2 rho_check + 2 (w beta)^vee over
+    the beta > 0 with a(w beta) < 0, paired with w . xhat_s = (w^{-1})^T xhat_s."""
+    two_rho = _two_rho_check(d)
+    phases = [x + y for x, y in zip(w.act(two_rho), two_rho)]
+    for beta in d.positive_roots:
+        alpha = d.root_image(w.matrix, beta)
+        if a.ratio(alpha) < 0:
+            phases = [p + 2 * c for p, c in zip(phases, d.coroot(alpha))]
+    back = weyl_inverse(d, w)
+    kappa = kappa_over(mat_vec(transpose(back.matrix), two_xhat), 2, torus)
+    return tate_nakayama_pair(cocycle_class(torus, TorusPoint.over(phases, 4), group), kappa)
+
+
+def _cohomology_delta_iii(d, w, b, two_xhat, torus, group):
+    """delta_III through the cohomology layer: the class of e((b^{-2} 2
+    rho_check - w^{-2} 2 rho_check) / 4) paired with xhat_s."""
+    two_rho = _two_rho_check(d)
+
+    def back_twice(v):
+        u = weyl_inverse(d, v)
+        return u.act(u.act(two_rho))
+
+    point = TorusPoint.over([x - y for x, y in zip(back_twice(b), back_twice(w))], 4)
+    return tate_nakayama_pair(cocycle_class(torus, point, group), kappa_over(two_xhat, 2, torus))
+
+
+def _two_rho_check(d):
+    return tuple(sum(col) for col in zip(*(d.coroot(r) for r in d.positive_roots)))
+
+
+@pytest.mark.parametrize("g_type", TYPES)
+def test_factors_are_the_cohomology_pairings(g_type):
+    """The engine's parities on X_*/2X_* equal the Tate-Nakayama pairings
+    that cohomology computes on the elliptic torus through cocycle_class and
+    h1: delta_I for every w on the default a-datum and on a seeded one with
+    negative ratios, delta_III for every w against the base diagram and
+    against a seeded other one, for every nontrivial s."""
+    g = build_root_datum(g_type)
+    torus = elliptic_torus(g.rank)
+    group = h1(torus)
+    a_data = (ADatum.default(g), _a_datum(g, 11))
+    assert any(r < 0 for _, r in a_data[1].ratios)
+    rng = random.Random(g_type)
+    for signs in itertools.product((1, -1), repeat=g.rank):
+        if all(s == 1 for s in signs):
+            continue
+        eng = _engine(g_type, signs)
+        two_xhat = tuple(1 if s == -1 else 0 for s in signs)
+        x_h = eng.base_diagram.x_h
+
+        def diagram(w):
+            return Diagram(eng.datum, w, x_h, EllipticElement(w.act(x_h.coords)))
+
+        base, other = eng.base_diagram, diagram(rng.choice(eng.weyl_g))
+        for w in eng.weyl_g:
+            dw = diagram(w)
+            for a in a_data:
+                expected = _cohomology_delta_i(g, w, a, two_xhat, torus, group)
+                assert eng.delta_i(dw, a) == expected, (signs, w.word, a is a_data[0])
+            for b in (base, other):
+                expected = _cohomology_delta_iii(g, w, b.w, two_xhat, torus, group)
+                assert eng.delta_iii(dw, b) == expected, (signs, w.word, b.w.word)
+
+
+def test_transfer_table_makes_no_cohomology_calls(monkeypatch):
     """On B3, s = (+1, +1, -1), alpha1 and alpha2 compact, one table build
-    classifies and pairs exactly once per w for delta_I and once for
-    delta_III: 2 |W| = 96 calls of each."""
-    calls = {"cocycle_class": 0, "tate_nakayama_pair": 0}
+    evaluates delta_I and delta_III once per w, |W| = 48 calls of each, as
+    integer parities: no class is classified and nothing is paired in the
+    cohomology layer."""
+    calls = {name: 0 for name in ("delta_i", "delta_iii", "cocycle_class", "tate_nakayama_pair", "h1")}
 
-    def counted(name):
-        original = getattr(endoscopy, name)
-
+    def counted(name, original):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
@@ -132,10 +208,43 @@ def test_transfer_table_goes_through_the_cohomology_layer(monkeypatch):
 
     eng = _engine("B3", (1, 1, -1), grades=(0, 0, 1))
     assert len(eng.weyl_g) == 48
-    for name in calls:
-        monkeypatch.setattr(endoscopy, name, counted(name))
+    for name in ("delta_i", "delta_iii"):
+        monkeypatch.setattr(TransferFactorEngine, name, counted(name, getattr(TransferFactorEngine, name)))
+    for module in (endoscopy, cohomology):
+        for name in ("cocycle_class", "tate_nakayama_pair", "h1"):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     eng.transfer_table()
-    assert calls == {"cocycle_class": 96, "tate_nakayama_pair": 96}
+    assert calls == {"delta_i": 48, "delta_iii": 48, "cocycle_class": 0, "tate_nakayama_pair": 0, "h1": 0}
+
+
+def test_factors_refuse_a_class_that_is_not_integral(monkeypatch):
+    """The class (1 - sigma) x of each factor's cocycle is P / 2 or (b^{-2}
+    2 rho_check - w^{-2} 2 rho_check) / 2; an odd coordinate, here from a
+    2 rho_check or a w . 2 rho_check off by a simple coroot, must stop the
+    factor by name instead of flooring to a parity."""
+    eng = _engine("B2", (1, -1))
+    a = ADatum.default(eng.g_datum)
+    x_h = eng.base_diagram.x_h
+    s1 = eng.weyl_g[1]
+    assert s1.word == (0,)
+    reflection = Diagram(eng.datum, s1, x_h, EllipticElement(s1.act(x_h.coords)))
+    two_rho = eng.two_rho_check
+    monkeypatch.setattr(eng, "two_rho_check", (two_rho[0] + 1,) + two_rho[1:])
+    with pytest.raises(EndoscopyError, match="delta_I"):
+        eng.delta_i(reflection, a)
+    monkeypatch.setattr(eng, "two_rho_check", two_rho)
+    eng.delta_i(reflection, a)
+
+    # s1 s2 has order 4, so (s1 s2)^{-2} = -1 and its image of 2 rho_check
+    # differs from the identity's, against which the base diagram pairs.
+    rotation = next(w for w in eng.weyl_g if w.word == (0, 1))
+    turned = Diagram(eng.datum, rotation, x_h, EllipticElement(rotation.act(x_h.coords)))
+    eng.delta_iii(turned)
+    images = list(eng._two_rho_images)
+    images[0] = (images[0][0] + 1,) + images[0][1:]
+    monkeypatch.setattr(eng, "_two_rho_images", tuple(images))
+    with pytest.raises(EndoscopyError, match="delta_III"):
+        eng.delta_iii(turned)
 
 
 def test_engine_refuses_nonzero_delta_of_a_simple_reflection(monkeypatch):
