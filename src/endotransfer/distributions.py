@@ -97,6 +97,7 @@ class Side:
         self.profile = dimension_profile(grading)
         self.gamma: EighthRoot = gamma_psi(grading)
         self.prefactor: EighthRoot = prefactor(self.profile)
+        self._gamma = complex(self.gamma)
         self._prefactor = complex(self.prefactor)
         self._d_over_pi_unit = complex(EighthRoot(-2 * len(datum.positive_roots)))
 
@@ -289,8 +290,7 @@ def d_gh(
     total = complex(0.0)
     for count, phase in zip(counts, side.exponentials(images, side.form_image(x_g.coords))):
         total += count * phase
-    gamma = complex(side.gamma)
-    return gamma * total / len(eng.real_weyl_g)
+    return side._gamma * total / len(eng.real_weyl_g)
 
 
 def d_tilde_gh(
@@ -329,8 +329,7 @@ def d_tilde_gh(
         for count, phase in zip(counts, side.exponentials(images, bv)):
             inner += count * phase
         total += weight * d_y * inner
-    gamma = complex(side.gamma)
-    return gamma * total / (len(eng.real_weyl_h) * len(eng.weyl_h))
+    return side._gamma * total / (len(eng.real_weyl_h) * len(eng.weyl_h))
 
 
 def _terms(
@@ -350,7 +349,7 @@ def _terms(
     columns = scenario.table.g_columns
     if side == "G":
         s = scenario.g_side
-        front = complex(s.gamma) * complex(s.prefactor) * s.d_over_pi_at(parity_sign(neg_g.bit_count()))
+        front = s._gamma * s._prefactor * s.d_over_pi_at(parity_sign(neg_g.bit_count()))
         images = images_in_order(columns, x_h.coords)
         phases = s.exponentials(images, s.form_image(x_g.coords))
         return [
@@ -359,7 +358,7 @@ def _terms(
         ]
     s = scenario.h_side
     # The table's first entry is the identity's.
-    front = complex(s.gamma) * complex(s.prefactor) * s.d_over_pi_at(entries[0].h_sign(neg_h))
+    front = s._gamma * s._prefactor * s.d_over_pi_at(entries[0].h_sign(neg_h))
     images = s.form_columns(images_in_order(columns, x_g.coords))
     phases = s.exponentials(images, x_h.floats())
     return [

@@ -34,16 +34,14 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence, Union
 
-from .cohomology import elliptic_torus
 # Unused here: perfbench/tracing.py wraps these names in this module, so they
 # stay until its cohomology layers are dropped.
 from .cohomology import cocycle_class, h1, quotient_torus_lattice, tate_nakayama_pair  # noqa: F401
-from .lattice import FracVec, IntVec, dot, dot_in_order
+from .lattice import FracVec, IntVec, common_denominator, dot, dot_in_order
 from .realform import RealFormGrading
 from .record import Record, set_attribute
 from .rootdata import (
     RootDatum,
-    RootDatumError,
     WeylElement,
     build_sub_datum,
     enumerate_weyl,
@@ -255,20 +253,23 @@ def build_diagram(
 def require_regular(g_datum: RootDatum, x: EllipticElement) -> int:
     """The positive roots of g_datum negative at x, as a mask with bit k for
     the k-th; EndoscopyError when x is on the wall of one, or, for a float
-    point, within WALL_EPS * max(1, |x|) of it."""
-    coords = x.coords
-    if x.is_exact():
-        margin = None
-    else:
-        floats = x.floats()
-        margin = WALL_EPS * max(1.0, dot_in_order(floats, floats) ** 0.5)
+    point, within WALL_EPS * max(1, |x|) of it.  An exact point is read as
+    integer numerators over its common denominator."""
     negative = 0
-    for k, alpha in enumerate(g_datum.positive_roots):
-        val = dot_in_order(alpha, coords)
-        if margin is None:
+    if x.is_exact():
+        numerators, _ = common_denominator(x.coords)
+        for k, alpha in enumerate(g_datum.positive_roots):
+            val = dot(alpha, numerators)
             if val == 0:
                 raise EndoscopyError(f"element is on the wall of root {alpha}")
-        elif abs(float(val)) < margin:
+            if val < 0:
+                negative |= 1 << k
+        return negative
+    floats = x.floats()
+    margin = WALL_EPS * max(1.0, dot_in_order(floats, floats) ** 0.5)
+    for k, alpha in enumerate(g_datum.positive_roots):
+        val = dot_in_order(alpha, x.coords)
+        if abs(float(val)) < margin:
             raise EndoscopyError(f"element is numerically on the wall of root {alpha}")
         if val < 0:
             negative |= 1 << k
@@ -338,26 +339,27 @@ class TransferFactorEngine:
         self.real_weyl_h = real_weyl_h
         self.base_value = base_value
 
-        omega = self.g_datum.minus_one_element()
-        if omega is None:
-            raise EndoscopyError(
-                "the split form has no compact Cartan (-1 is not in the Weyl group); "
-                "scenario is not elliptic"
-            )
-        self.omega = omega
         self.two_rho_check = _vector_sum(self.g_datum.coroot(r) for r in self.g_datum.positive_roots)
         self.two_xhat_s = tuple(int(2 * x) for x in datum.xhat_s)
         self._position = {w: k for k, w in enumerate(self.weyl_g)}
         self._root_sets()
-        self._perms = _root_permutations(self.g_datum, self.weyl_g)
-        by_perm = {p: k for k, p in enumerate(self._perms)}
-        self._inverse = tuple(by_perm[_inverse_permutation(p)] for p in self._perms)
-        # An element is fixed by its images of the simple roots; w^2 has the
-        # permutation p o p, and the position of w^{-2} is that of its inverse.
+        self._perms = perms = self.weyl_g.perms
+        # An element is fixed by its images of the simple roots, its key.
+        key = self.g_datum.key
+        by_key = {key(p): k for k, p in enumerate(perms)}
+        minus_one = by_key.get(key(self._negation))
+        if minus_one is None:
+            raise EndoscopyError(
+                "the split form has no compact Cartan (-1 is not in the Weyl group); "
+                "scenario is not elliptic"
+            )
+        self.omega = self.weyl_g[minus_one]
+        self._inverse = tuple(by_key[key(_inverse_permutation(p))] for p in perms)
+        # w^2 has the permutation p o p, and the position of w^{-2} is that
+        # of its inverse.
         simple = self._simple_index
-        by_simple = {tuple(p[j] for j in simple): k for k, p in enumerate(self._perms)}
         self._inverse_square = tuple(
-            self._inverse[by_simple[tuple(p[p[j]] for j in simple)]] for p in self._perms
+            self._inverse[by_key[tuple([p[p[j]] for j in simple])]] for p in perms
         )
         # w 2 rho_check is the sum of the coroots (w alpha)^vee, alpha > 0.
         coroots = self.g_datum.coroots
@@ -365,7 +367,6 @@ class TransferFactorEngine:
             _vector_sum(coroots[p[j]] for j in self._positive_index) for p in self._perms
         )
         self.h_positions = tuple(self._position[w] for w in self.weyl_h)
-        self.torus = elliptic_torus(self.g_datum.rank)
         self._check_tits_central()
 
         self.base_diagram = build_diagram(datum, self.weyl_g, base_x_h, base_x_g)
@@ -377,11 +378,13 @@ class TransferFactorEngine:
     def _root_sets(self) -> None:
         """Indices into g_datum.roots of the simple roots, the positive
         roots and H's roots, the positive ones among the latter (Phi+_H =
-        Phi_H n Phi+_G), for each root the bit of the positive root +-it
-        with 1 when it is negative, and for each root the parity of
-        <2 xhat_s, its coroot>, which is 1 exactly off Phi_H."""
+        Phi_H n Phi+_G), the root permutation of -1, for each root the bit
+        of the positive root +-it with 1 when it is negative, and for each
+        root the parity of <2 xhat_s, its coroot>, which is 1 exactly off
+        Phi_H."""
         d = self.g_datum
         index = {r: j for j, r in enumerate(d.roots)}
+        self._negation = tuple(index[tuple(-x for x in r)] for r in d.roots)
         self._simple_index = tuple(index[r] for r in d.simple_roots)
         self._positive_index = tuple(index[r] for r in d.positive_roots)
         self._h_index = tuple(index[r] for r in self.datum.h_roots)
@@ -476,30 +479,30 @@ class TransferFactorEngine:
         """The pair-independent part of relative_factor for every w of
         weyl_g, in its order, taken from the factors at the diagram (w, x_h,
         w x_h) of the base point's x_h.  delta_I and delta_III depend on w
-        alone, so that diagram is taken in floats.  delta_I delta_II does not depend
-        on the a-datum (Langlands-Shelstad 1987, section 3), so the table
-        is that of the default one."""
+        alone, so that diagram is taken in floats.  delta_I delta_II does
+        not depend on the a-datum (Langlands-Shelstad 1987, section 3), so
+        the table is that of the default one.  There delta_I is the same for
+        every w: a(w beta) < 0 exactly when w beta < 0, so P = w 2 rho_check
+        + 2 rho_check + 2 (w beta)^vee over the beta > 0 with w beta < 0 is
+        2 w 2 rho_check, and the value is (-1)^<2 xhat_s, 2 rho_check>; it
+        is evaluated once, at the base."""
         a = ADatum.default(self.g_datum)
         base = self.base_diagram
+        d1 = self.delta_i(base, a)
+        base_sign = d1 * self.delta_ii(base, a)
         x_h = EllipticElement(base.x_h.floats())
-        diagrams = [
-            Diagram(self.datum, w, x_h, EllipticElement(w.act(x_h.coords)))
-            for w in self.weyl_g
-        ]
-        d1 = [self.delta_i(diagram, a) for diagram in diagrams]
-        # delta_I depends on w alone, so the base diagram takes its w's value.
-        base_sign = d1[self._position[base.w]] * self.delta_ii(base, a)
         roots = self.g_datum.roots
         entries = []
-        for k, (diagram, d1_w) in enumerate(zip(diagrams, d1)):
+        for k, w in enumerate(self.weyl_g):
+            diagram = Diagram(self.datum, w, x_h, EllipticElement(w.act(x_h.coords)))
             outside = self._outside_h(k)
             # delta_II's root signs at x_g cancel against the route's, and
             # its a-signs are +1 for the default a-datum.
-            sign = d1_w * base_sign * self.delta_iii(diagram, base)
+            sign = d1 * base_sign * self.delta_iii(diagram, base)
             inverse = self._inverse[k]
             back = self._perms[inverse]
             entries.append(WeylWeight(
-                diagram.w,
+                w,
                 inverse,
                 sign,
                 tuple(roots[j] for j in outside),
@@ -519,12 +522,12 @@ class TransferFactorEngine:
         Each element is keyed by its images of the simple roots, which fix
         it, so one product costs rank lookups: p_uw = p_u o p_w."""
         perms = self._perms
-        keys = [tuple(perms[k][j] for j in self._simple_index) for k in group]
+        keys = [self.g_datum.key(perms[k]) for k in group]
         index = {key: i for i, key in enumerate(keys)}
         rows = []
         for u in real:
             p = perms[self._position[u]]
-            rows.append(tuple(index[tuple(p[j] for j in key)] for key in keys))
+            rows.append(tuple([index[tuple([p[j] for j in key])] for key in keys]))
         return tuple(rows)
 
     def _pullback(self, back: tuple[int, ...], indices) -> tuple[int, int]:
@@ -586,28 +589,6 @@ class TransferFactorEngine:
         if any(x % 2 for x in doubled):
             raise EndoscopyError("stable invariant is not integral")
         return tuple(x // 2 for x in doubled)
-
-
-def _root_permutations(datum: RootDatum, weyl: tuple[WeylElement, ...]) -> list[tuple[int, ...]]:
-    """For each element of weyl, in its order, the permutation p of
-    datum.roots with w . roots[j] = roots[p[j]].  weyl is enumerate_weyl's:
-    every w but the first, the identity, is w' s_i for the earlier w' whose
-    word is w's word without its last letter i, so p_w = p_w' o p_{s_i}."""
-    index = {r: j for j, r in enumerate(datum.roots)}
-    simple = []
-    for i in range(len(datum.simple_roots)):
-        s_i = datum.simple_reflection(i).matrix
-        simple.append(tuple(index[datum.root_image(s_i, r)] for r in datum.roots))
-    position: dict[tuple[int, ...], int] = {}
-    perms: list[tuple[int, ...]] = []
-    for k, w in enumerate(weyl):
-        if w.word:
-            parent = perms[position[w.word[:-1]]]
-            perms.append(tuple(parent[j] for j in simple[w.word[-1]]))
-        else:
-            perms.append(tuple(range(len(datum.roots))))
-        position[w.word] = k
-    return perms
 
 
 def _inverse_permutation(p: tuple[int, ...]) -> tuple[int, ...]:

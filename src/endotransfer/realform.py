@@ -101,17 +101,23 @@ def build_grading(datum: RootDatum, simple_grades: Sequence[int]) -> RealFormGra
 
 
 def _check_grading(grading: RealFormGrading) -> None:
+    """The grade must be symmetric under negation and additive on root sums.
+    Additivity is checked on the sums with a simple root alone, which is
+    equivalent: every positive root is reached from a simple root through
+    roots by adding simple roots, so the grade is then sum c_i g_i mod 2 on
+    the positive roots, by the symmetry on every root, and so additive on
+    every sum."""
     datum = grading.datum
+    grade = grading.grade
     for root in datum.roots:
         neg = tuple(-x for x in root)
-        if grading.grade[root] != grading.grade[neg]:
+        if grade[root] != grade[neg]:
             raise GradingError("grading is not symmetric under negation")
     for a in datum.roots:
-        for b in datum.roots:
-            s = tuple(x + y for x, y in zip(a, b))
-            if datum.is_root(s):
-                if grading.grade[s] != (grading.grade[a] + grading.grade[b]) % 2:
-                    raise GradingError("grading is not additive on root sums")
+        for alpha in datum.simple_roots:
+            s = tuple(x + y for x, y in zip(a, alpha))
+            if datum.is_root(s) and grade[s] != (grade[a] + grade[alpha]) % 2:
+                raise GradingError("grading is not additive on root sums")
 
 
 def dimension_profile(grading: RealFormGrading) -> DimensionProfile:

@@ -14,7 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .lattice import (
     FracVec,
@@ -95,7 +95,10 @@ class RootDatum(Record):
     _fields = (
         "rank", "cartan_label", "simple_roots", "simple_coroots", "roots", "coroots", "invariant_form"
     )
-    __slots__ = _fields + ("_coroot_of", "_root_of", "_root_set", "_coeff_map", "_positive", "_positive_set")
+    __slots__ = _fields + (
+        "_coroot_of", "_root_of", "_root_set", "_coefficients", "_denominator", "_positive", "_positive_set",
+        "_index", "_simple_index", "_negative_index", "_reflections",
+    )
 
     def __init__(
         self,
@@ -117,16 +120,32 @@ class RootDatum(Record):
         set_attribute(self, "_coroot_of", dict(zip(roots, coroots)))
         set_attribute(self, "_root_of", dict(zip(coroots, roots)))
         set_attribute(self, "_root_set", frozenset(roots))
-        # The one left inverse of the simple roots, over its denominator.
-        set_attribute(self, "_coeff_map", coordinate_map(simple_roots))
-        positive = []
-        for r in self.roots:
-            coeffs, _ = self.simple_root_coefficients(r)
-            if all(c >= 0 for c in coeffs) and any(c > 0 for c in coeffs):
-                positive.append(r)
-        positive = tuple(positive)
+        # Each root's coefficients over the simple roots, found once through
+        # the one left inverse of the simple roots, over its denominator.
+        cmap = coordinate_map(simple_roots)
+        coefficients = {}
+        for r in roots:
+            coeffs = coordinates(simple_roots, cmap, r)
+            if coeffs is None:
+                raise RootDatumError(f"{r} is not in the span of the simple roots")
+            coefficients[r] = coeffs
+        set_attribute(self, "_coefficients", coefficients)
+        set_attribute(self, "_denominator", cmap[1])
+        positive = tuple(
+            r for r, coeffs in coefficients.items()
+            if all(c >= 0 for c in coeffs) and any(c > 0 for c in coeffs)
+        )
         set_attribute(self, "_positive", positive)
         set_attribute(self, "_positive_set", frozenset(positive))
+        # Root permutations index self.roots: the positions of the simple
+        # roots, those of the negative roots, and s_i's permutation.
+        index = {r: j for j, r in enumerate(roots)}
+        set_attribute(self, "_index", index)
+        set_attribute(self, "_simple_index", tuple(index[r] for r in simple_roots))
+        set_attribute(self, "_negative_index", frozenset(
+            j for j, r in enumerate(roots) if r not in self._positive_set
+        ))
+        set_attribute(self, "_reflections", tuple(self.reflection_permutation(r) for r in simple_roots))
 
     # -- basic queries ----------------------------------------------------
 
@@ -139,11 +158,8 @@ class RootDatum(Record):
     def simple_root_coefficients(self, root: IntVec) -> tuple[IntVec, int]:
         """Coefficients of a root over the simple roots, exact: integer
         numerators over the denominator of the simple roots' left inverse,
-        which is the same for every root."""
-        coeffs = coordinates(self.simple_roots, self._coeff_map, root)
-        if coeffs is None:
-            raise RootDatumError(f"{root} is not in the span of the simple roots")
-        return coeffs, self._coeff_map[1]
+        which is the same for every root; found at construction."""
+        return self._coefficients[root], self._denominator
 
     def is_positive(self, root: IntVec) -> bool:
         """Membership in the positive roots, which are found once, at
@@ -187,30 +203,56 @@ class RootDatum(Record):
             raise RootDatumError("matrix does not define a Weyl element")
         return image
 
+    def reflection_permutation(self, root: IntVec) -> tuple[int, ...]:
+        """The root permutation of s_root: the p with s_root . roots[j] =
+        roots[p[j]], from s_root beta = beta - <beta, coroot(root)> root."""
+        coroot = self._coroot_of[root]
+        index = self._index
+        out = []
+        for j, beta in enumerate(self.roots):
+            p = dot(beta, coroot)
+            out.append(index[tuple(b - p * a for b, a in zip(beta, root))] if p else j)
+        return tuple(out)
+
+    def key(self, perm: tuple[int, ...]) -> tuple[int, ...]:
+        """The positions of the images of the simple roots under a root
+        permutation, which fix its Weyl element."""
+        return tuple([perm[j] for j in self._simple_index])
+
+    def permutation_word(self, perm: tuple[int, ...]) -> tuple[int, ...]:
+        """A reduced word for the Weyl element with this root permutation,
+        read from it: strip an s_i with w . alpha_i < 0, a lookup, from the
+        right until none is left; w s_i has the permutation perm o s_i.  Each
+        step sends one positive root fewer to a negative one, so it ends
+        for the permutation of any linear map of the roots."""
+        suffix: list[int] = []
+        while True:
+            for i, j in enumerate(self._simple_index):
+                if perm[j] in self._negative_index:
+                    suffix.append(i)
+                    perm = tuple([perm[x] for x in self._reflections[i]])
+                    break
+            else:
+                return tuple(reversed(suffix))
+
     def length(self, w: WeylElement) -> int:
         return sum(
             1 for r in self._positive if self.root_image(w.matrix, r) not in self._positive_set
         )
 
     def reduced_word(self, matrix: IntMat) -> tuple[int, ...]:
-        """A reduced word for the Weyl element with the given matrix: strip
-        an s_i with w . alpha_i < 0 from the right until w = 1.  Each step
-        shortens an element of W by one, so more steps than positive roots,
-        or none available, mean the matrix is not in W."""
-        suffix: list[int] = []
-        current = matrix
-        one = identity(self.rank)
-        while current != one:
-            if len(suffix) == len(self._positive):
-                raise RootDatumError("matrix does not define a Weyl element")
-            for i, alpha in enumerate(self.simple_roots):
-                if self.root_image(current, alpha) not in self._positive_set:
-                    suffix.append(i)
-                    current = self.times_reflection(current, alpha)
-                    break
-            else:
-                raise RootDatumError("matrix does not define a Weyl element")
-        return tuple(reversed(suffix))
+        """A reduced word for the Weyl element with the given matrix: the
+        word permutation_word reads from its root permutation, which must
+        give the matrix back.  RootDatumError when a root's image is not a
+        root, or the word does not give the matrix: the matrix is not in W."""
+        perm = tuple([self._index[self.root_image(matrix, r)] for r in self.roots])
+        word = self.permutation_word(perm)
+        product = identity(self.rank)
+        for i in word:
+            product = self.times_simple(product, i)
+        if product != matrix:
+            raise RootDatumError("matrix does not define a Weyl element")
+        return word
 
     def element_from_matrix(self, matrix: IntMat) -> WeylElement:
         matrix = mat_int(matrix)
@@ -357,26 +399,44 @@ def _build_form(rank: int, roots, coroots) -> tuple[FracVec, ...]:
     return tuple(tuple(Fraction(2 * x, shortest) for x in row) for row in raw)
 
 
-def enumerate_weyl(datum: RootDatum) -> tuple[WeylElement, ...]:
-    """The full Weyl group, breadth-first, identity first, deterministic order."""
-    ident = WeylElement(identity(datum.rank), ())
-    seen = {ident.matrix: ident}
-    order: list[WeylElement] = [ident]
-    frontier = [ident]
-    while frontier:
-        new: list[WeylElement] = []
-        for w in sorted(frontier, key=lambda e: (e.word, e.matrix)):
-            for i in range(len(datum.simple_roots)):
-                matrix = datum.times_simple(w.matrix, i)
-                if matrix not in seen:
-                    cand = WeylElement(matrix, w.word + (i,))
-                    seen[matrix] = cand
-                    new.append(cand)
-                    if len(seen) > WEYL_ORDER_CAP:
-                        raise RootDatumError(f"Weyl group order exceeds cap {WEYL_ORDER_CAP}")
-        order.extend(sorted(new, key=lambda e: (e.word, e.matrix)))
-        frontier = new
-    return tuple(order)
+class WeylGroup(tuple):
+    """A Weyl group as enumerate_weyl gives it: the tuple of its elements,
+    and perms, the root permutation of each, in the same order: the k-th
+    element w sends roots[j] to roots[perms[k][j]]."""
+
+    def __new__(cls, elements, perms):
+        group = super().__new__(cls, elements)
+        group.perms = perms
+        return group
+
+
+def enumerate_weyl(datum: RootDatum) -> WeylGroup:
+    """The full Weyl group, breadth-first, identity first, deterministic order.
+
+    The search takes the elements in order and appends the children w s_0,
+    w s_1, ... of each that are new, so every level comes in the
+    lexicographic order of the words, each element with the first word that
+    reaches it.  An element is keyed by its images of the simple roots,
+    which fix it; w s_i has the root permutation p_w o p_{s_i}, so a child's
+    key costs rank lookups, and only a new child takes its permutation and
+    its matrix, one rank-one update of w's."""
+    reflections = datum._reflections
+    # The positions of s_i alpha_j: p_{w s_i} sends alpha_j to p_w of these.
+    moved = [datum.key(s) for s in reflections]
+    order = [WeylElement(identity(datum.rank), ())]
+    perms = [tuple(range(len(datum.roots)))]
+    seen = {datum._simple_index}
+    # Both lists grow as the search runs, so the loop reaches every element.
+    for w, p in zip(order, perms):
+        for i, s in enumerate(reflections):
+            key = tuple([p[j] for j in moved[i]])
+            if key not in seen:
+                seen.add(key)
+                if len(seen) > WEYL_ORDER_CAP:
+                    raise RootDatumError(f"Weyl group order exceeds cap {WEYL_ORDER_CAP}")
+                perms.append(tuple([p[j] for j in s]))
+                order.append(WeylElement(datum.times_simple(w.matrix, i), w.word + (i,)))
+    return WeylGroup(tuple(order), tuple(perms))
 
 
 def weyl_inverse(datum: RootDatum, w: WeylElement) -> WeylElement:
@@ -421,9 +481,12 @@ def closure(
     datum: RootDatum, roots: tuple[IntVec, ...], extras: tuple[WeylElement, ...] = ()
 ) -> tuple[WeylElement, ...]:
     """Subgroup generated by the reflections in the given roots and by the
-    extra elements, in (length, word, matrix) order.  A product with a
-    reflection is one rank-one update; a product with an extra folds the
-    extra's word, which must give its matrix (RootDatumError otherwise)."""
+    extra elements, in (length, word, matrix) order.  Elements are composed
+    as root permutations and keyed by their images of the simple roots; a
+    new element's word is read from its permutation (permutation_word), and
+    its matrix is one rank-one update of the element it was reached from,
+    or, for an extra, the fold of the extra's word, which must give its
+    matrix (RootDatumError otherwise)."""
     one = identity(datum.rank)
 
     def fold(matrix: IntMat, word: tuple[int, ...]) -> IntMat:
@@ -431,19 +494,32 @@ def closure(
             matrix = datum.times_simple(matrix, i)
         return matrix
 
+    def word_permutation(word: tuple[int, ...]) -> tuple[int, ...]:
+        perm = tuple(range(len(datum.roots)))
+        for i in word:
+            perm = tuple([perm[j] for j in datum._reflections[i]])
+        return perm
+
     if any(fold(one, e.word) != e.matrix for e in extras):
         raise RootDatumError("the word of the Weyl element does not give its matrix")
-    seen = {one: WeylElement(one, ())}
-    frontier = [one]
+    # Each generator as its root permutation, the positions of its images of
+    # the simple roots, and its right action on matrices.
+    steps = [(datum.reflection_permutation(r), partial(datum.times_reflection, root=r)) for r in roots]
+    steps += [(word_permutation(e.word), partial(fold, word=e.word)) for e in extras]
+    steps = [(step, datum.key(step), times) for step, times in steps]
+    start = tuple(range(len(datum.roots)))
+    seen = {datum.key(start): WeylElement(one, ())}
+    frontier = [(start, one)]
     while frontier:
         new = []
-        for matrix in frontier:
-            products = [datum.times_reflection(matrix, r) for r in roots]
-            products += [fold(matrix, e.word) for e in extras]
-            for product in products:
-                if product not in seen:
-                    seen[product] = datum.element_from_matrix(product)
-                    new.append(product)
+        for perm, matrix in frontier:
+            for step, moved, times in steps:
+                key = tuple([perm[j] for j in moved])
+                if key not in seen:
+                    product = tuple([perm[j] for j in step])
+                    image = times(matrix)
+                    seen[key] = WeylElement(image, datum.permutation_word(product))
+                    new.append((product, image))
         frontier = new
         if len(seen) > WEYL_ORDER_CAP:
             raise RootDatumError("subgroup closure exceeds cap")

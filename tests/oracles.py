@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from endotransfer.cohomology import galois_act
+from endotransfer.cohomology import elliptic_torus, galois_act
 from endotransfer.endoscopy import (
     ADatum,
     Diagram,
@@ -732,6 +732,21 @@ class LiteralWords:
         return TitsElement(eps, self.element_from_matrix(w.matrix))
 
 
+def pairwise_grading_refuses(grading) -> bool:
+    """The grading check on every pair of roots: True when the grade is not
+    symmetric under negation, or not additive on a sum of two roots that is
+    a root."""
+    datum, grade = grading.datum, grading.grade
+    if any(grade[r] != grade[tuple(-x for x in r)] for r in datum.roots):
+        return True
+    for a in datum.roots:
+        for b in datum.roots:
+            s = tuple(x + y for x, y in zip(a, b))
+            if datum.is_root(s) and grade[s] != (grade[a] + grade[b]) % 2:
+                return True
+    return False
+
+
 # ---------------------------------------------------------------------------
 # literal per-w set-up
 # ---------------------------------------------------------------------------
@@ -865,6 +880,8 @@ class LiteralSetup(TransferFactorEngine):
         columns = [self._u_coordinates(tuple(-x for x in b)) for b in self.u_basis]
         self.u_sigma = tuple(tuple(int(c[i]) for c in columns) for i in range(len(columns)))
         self.words = LiteralWords(d)
+        # The Galois action on the cocharacters of the compact Cartan, -1.
+        self.sigma = elliptic_torus(d.rank).involution
 
     def _u_coordinates(self, v):
         sol = solve_rational(transpose(self.u_basis), v)
@@ -898,7 +915,7 @@ class LiteralSetup(TransferFactorEngine):
             if mag != 1:
                 for j in range(d.rank):
                     mags[j] *= mag ** coroot[j]
-        return literal_pairing(self.torus.involution, mags, phases, self.kappa_for(w))
+        return literal_pairing(self.sigma, mags, phases, self.kappa_for(w))
 
     def delta_ii_roots(self, w):
         d = self.g_datum

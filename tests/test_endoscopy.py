@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from endotransfer.cohomology import CohomologyClass, h1, kappa_over, tate_nakayama_pair
+from endotransfer.cohomology import CohomologyClass, elliptic_torus, h1, kappa_over, tate_nakayama_pair
 from endotransfer.endoscopy import (
     ADatum,
     Diagram,
@@ -233,12 +233,13 @@ def test_stable_conjugacy_character_property():
         xh = EllipticElement(tuple(Fraction(2 * k + 3, 2 * k + 2) for k in range(rank)))
         base_g = EllipticElement(tuple(xh.coords))
         den = transfer_factor(eng, xh, base_g)
-        kappa = kappa_over(eng.two_xhat_s, 2, eng.torus)
-        group = h1(eng.torus)
+        torus = elliptic_torus(rank)
+        kappa = kappa_over(eng.two_xhat_s, 2, torus)
+        group = h1(torus)
         for w in eng.weyl_g:
             num = transfer_factor(eng, xh, EllipticElement(tuple(w.act(xh.coords))))
             inv_vec = eng.stable_invariant_class(w)
-            cls = CohomologyClass(eng.torus, group, group.reduce(inv_vec))
+            cls = CohomologyClass(torus, group, group.reduce(inv_vec))
             assert num / den == tate_nakayama_pair(cls, kappa)
 
 
@@ -399,7 +400,8 @@ def test_matrix_oracle_stable_invariant():
     s = eng.weyl_g[1]
     inv_vec = eng.stable_invariant_class(s)
     assert tuple(x % 2 for x in inv_vec) == (1,)
-    group = h1(eng.torus)
-    cls = CohomologyClass(eng.torus, group, group.reduce(inv_vec))
-    kappa = kappa_over(eng.two_xhat_s, 2, eng.torus)
+    torus = elliptic_torus(eng.g_datum.rank)
+    group = h1(torus)
+    cls = CohomologyClass(torus, group, group.reduce(inv_vec))
+    kappa = kappa_over(eng.two_xhat_s, 2, torus)
     assert tate_nakayama_pair(cls, kappa) == -1

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 
 import pytest
 
@@ -7,6 +8,8 @@ from endotransfer.realform import (
     NONCOMPACT,
     EighthRoot,
     GradingError,
+    RealFormGrading,
+    _check_grading,
     build_grading,
     dimension_profile,
     gamma_psi,
@@ -17,6 +20,8 @@ from endotransfer.realform import (
     weil_constant,
 )
 from endotransfer.rootdata import build_root_datum, enumerate_weyl
+
+from oracles import TYPES, pairwise_grading_refuses
 
 
 def test_sl2r_grading_dimensions():
@@ -58,6 +63,36 @@ def test_grading_symmetric_and_additive():
             s = tuple(x + y for x, y in zip(a, b))
             if d.is_root(s):
                 assert g.grade_of(s) == (g.grade_of(a) + g.grade_of(b)) % 2
+
+
+@pytest.mark.parametrize("g_type", TYPES)
+def test_grading_check_refuses_what_the_pairwise_check_refuses(g_type):
+    """_check_grading, additive on the sums with a simple root, refuses
+    exactly the gradings that the check on every pair of roots refuses: each
+    simple grading, and each with the grade of one root beta flipped, of
+    beta alone (not symmetric) or of beta and -beta together."""
+    d = build_root_datum(g_type)
+    outcomes = set()
+    for grades in itertools.product((0, 1), repeat=d.rank):
+        grade = build_grading(d, grades).grade
+        flips = [()] + [
+            flip for beta in d.positive_roots for flip in ((beta,), (beta, tuple(-x for x in beta)))
+        ]
+        for flip in flips:
+            flipped = dict(grade)
+            for r in flip:
+                flipped[r] ^= 1
+            grading = RealFormGrading(d, flipped)
+            try:
+                _check_grading(grading)
+                refused = False
+            except GradingError:
+                refused = True
+            assert refused == pairwise_grading_refuses(grading), (grades, flip)
+            outcomes.add((len(flip), refused))
+    assert (0, False) in outcomes and (1, True) in outcomes
+    if g_type not in ("A1", "A1xA1", "A1xA1xA1"):
+        assert (2, True) in outcomes
 
 
 def test_real_weyl_group_sl2r_trivial_su2_full():

@@ -31,7 +31,8 @@ from endotransfer.endoscopy import (
 )
 from endotransfer.lattice import mat_vec, transpose
 from endotransfer.realform import build_grading, real_weyl_group
-from endotransfer.rootdata import build_root_datum, weyl_inverse
+from endotransfer.rootdata import RootDatum, build_root_datum, enumerate_weyl, weyl_inverse
+from endotransfer.scenario import build_scenario, parse_scenario
 
 from oracles import TYPES, LiteralSetup, literal_weyl_inverse
 
@@ -194,9 +195,10 @@ def test_factors_are_the_cohomology_pairings(g_type):
 
 def test_transfer_table_makes_no_cohomology_calls(monkeypatch):
     """On B3, s = (+1, +1, -1), alpha1 and alpha2 compact, one table build
-    evaluates delta_I and delta_III once per w, |W| = 48 calls of each, as
-    integer parities: no class is classified and nothing is paired in the
-    cohomology layer."""
+    evaluates delta_I once, at the base, since under the default a-datum it
+    is the same for every w (test_delta_i_is_the_same_for_every_w), and
+    delta_III once per w, |W| = 48 calls, as integer parities: no class is
+    classified and nothing is paired in the cohomology layer."""
     calls = {name: 0 for name in ("delta_i", "delta_iii", "cocycle_class", "tate_nakayama_pair", "h1")}
 
     def counted(name, original):
@@ -214,7 +216,108 @@ def test_transfer_table_makes_no_cohomology_calls(monkeypatch):
         for name in ("cocycle_class", "tate_nakayama_pair", "h1"):
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     eng.transfer_table()
-    assert calls == {"delta_i": 48, "delta_iii": 48, "cocycle_class": 0, "tate_nakayama_pair": 0, "h1": 0}
+    assert calls == {"delta_i": 1, "delta_iii": 48, "cocycle_class": 0, "tate_nakayama_pair": 0, "h1": 0}
+
+
+@pytest.mark.parametrize("g_type", TYPES)
+def test_delta_i_is_the_same_for_every_w(g_type):
+    """Under the default a-datum P = 2 w 2 rho_check, so delta_I(w) =
+    (-1)^<2 xhat_s, 2 rho_check> for every w: each w's value equals the
+    base's, for every nontrivial s, which lets the table evaluate it once."""
+    g = build_root_datum(g_type)
+    a = ADatum.default(g)
+    for signs in itertools.product((1, -1), repeat=g.rank):
+        if all(s == 1 for s in signs):
+            continue
+        eng = _engine(g_type, signs)
+        base = eng.base_diagram
+        expected = eng.delta_i(base, a)
+        for w in eng.weyl_g:
+            diagram = Diagram(eng.datum, w, base.x_h, EllipticElement(w.act(base.x_h.coords)))
+            assert eng.delta_i(diagram, a) == expected, (signs, w.word)
+
+
+@pytest.mark.parametrize("g_type", TYPES)
+def test_permutations_are_the_root_images(g_type):
+    """The root permutation that enumerate_weyl gives each w, which the
+    engine reads, is the literal one, roots[j] -> root_image(w's matrix,
+    roots[j]), for G and for the endoscopic group of every nontrivial s;
+    the engine's -1, found by its key, and its positions of w^{-1} agree
+    with the matrices."""
+    g = build_root_datum(g_type)
+    for signs in itertools.product((1, -1), repeat=g.rank):
+        if all(s == 1 for s in signs):
+            continue
+        eng = _engine(g_type, signs)
+        for d, group in ((g, eng.weyl_g), (eng.datum.h_datum, enumerate_weyl(eng.datum.h_datum))):
+            index = {r: j for j, r in enumerate(d.roots)}
+            assert len(group.perms) == len(group)
+            for w, perm in zip(group, group.perms):
+                assert perm == tuple(index[d.root_image(w.matrix, r)] for r in d.roots), w.word
+        assert eng.omega.matrix == g.minus_one_element().matrix
+        for k, w in enumerate(eng.weyl_g):
+            assert eng.weyl_g[eng._inverse[k]].matrix == weyl_inverse(g, w).matrix
+
+
+B3_TEXT = """\
+name = b3
+g_type = B3
+[grading_g]
+alpha1 = compact
+alpha2 = compact
+alpha3 = noncompact
+[s_character]
+alpha1 = +1
+alpha2 = +1
+alpha3 = -1
+[grading_h]
+alpha1 = noncompact
+alpha2 = noncompact
+alpha3 = noncompact
+[base_point]
+x_h = 1/2, 2/3, 3/4
+x_g = 1/2, 2/3, 3/4
+"""
+
+
+def test_b3_setup_call_counts(monkeypatch):
+    """One cold B3 scenario build and its pair table do matrix work only
+    for what is new: one rank-one update (times_reflection) per element of
+    each of the four Weyl groups but the identity, the rank simple
+    reflections of the Tits check, and its folds, one letter onto n(omega)
+    and omega's reduced word, of length |Phi+|, onto each n_i, each letter
+    one update and one root_image.  No word is read from a matrix, and
+    delta_I is evaluated once."""
+    calls = dict.fromkeys(("times_reflection", "root_image", "reduced_word", "delta_i"), 0)
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for owner, name in (
+        (RootDatum, "times_reflection"),
+        (RootDatum, "root_image"),
+        (RootDatum, "reduced_word"),
+        (TransferFactorEngine, "delta_i"),
+    ):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    build_root_datum.cache_clear()
+    sc = build_scenario(parse_scenario(B3_TEXT))
+    assert len(sc.table.entries) == 48
+    eng = sc.engine
+    rank, positive = eng.g_datum.rank, len(eng.g_datum.positive_roots)
+    groups = (eng.weyl_g, eng.weyl_h, eng.real_weyl_g, eng.real_weyl_h)
+    assert [len(g) for g in groups] == [48, 24, 6, 4]
+    folds = rank * (1 + positive)
+    assert calls == {
+        "times_reflection": sum(len(g) - 1 for g in groups) + rank + folds,
+        "root_image": folds,
+        "reduced_word": 0,
+        "delta_i": 1,
+    }
 
 
 def test_factors_refuse_a_class_that_is_not_integral(monkeypatch):

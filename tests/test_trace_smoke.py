@@ -1,7 +1,8 @@
 """One traced pass of the benchmark's pass runner on a shipped scenario.
 test_trace_names.py only resolves the traced entry points; this runs their
 wrappers and the tracer's observe hooks, which read the diagrams handed to
-delta_i and delta_iii.  No span file is asked for and no bytecode is
+delta_i and delta_iii, and checks that the set-up still goes through the
+names the tracer patches.  No span file is asked for and no bytecode is
 written, so the pass leaves no file behind."""
 
 import json
@@ -47,5 +48,9 @@ def test_traced_pass_runs_clean():
         "endoscopy.delta_i_calls",
         "endoscopy.delta_iii_calls",
         "distributions.verify_identity_calls",
+        "rootdata.build_root_datum_s",
+        "rootdata.enumerate_weyl_s",
+        "realform.real_weyl_group_s",
+        "endoscopy.engine_init_s",
     ):
         assert layers[name] > 0, name
