@@ -2,9 +2,8 @@
 
 A real torus is modelled by its cocharacter lattice Z^n together with the
 integer involution sigma giving the Galois action.  Points of T(C) carry
-exact coordinates: each coordinate is m * e^{2 pi i theta} with m a positive
-rational and theta a rational phase, so every computation in this module is
-exact.
+exact coordinates: each coordinate is e^{2 pi i theta} with theta a rational
+phase, so every computation in this module is exact.
 
 H^1(R, T) is computed on the lattice as ker(1 + sigma) / im(1 - sigma); the
 class of a cocycle t = e(x + iy) is the image of (1 - sigma) x.  Phases and
@@ -38,7 +37,6 @@ from .lattice import (
     mat_vec,
     smith_normal_form,
     transpose,
-    vec_frac,
 )
 from .record import Record, set_attribute
 
@@ -58,8 +56,7 @@ class RealTorus(Record):
             raise CohomologyError("involution size does not match the rank")
         if mat_mul(involution, involution) != identity(lattice_rank):
             raise CohomologyError("involution does not square to the identity")
-        set_attribute(self, "lattice_rank", lattice_rank)
-        set_attribute(self, "involution", involution)
+        super().__init__(lattice_rank, involution)
         set_attribute(self, "_rows", _nonzero_entries(involution))
         set_attribute(self, "_cols", _nonzero_entries(transpose(involution)))
 
@@ -78,39 +75,29 @@ def elliptic_torus(rank: int) -> RealTorus:
     return RealTorus(rank, minus)
 
 
-_ONE = Fraction(1)
-
-
 class TorusPoint(Record):
-    """Exact point of T(C): coordinate j is magnitudes[j] * e(phases[j]).
+    """Exact point of the compact torus (S^1)^n in T(C): coordinate j is e(phases[j]).
 
     The phases are kept as integer numerators over one common denominator,
-    reduced mod 1 and to lowest terms.  The fields are magnitudes (a tuple
-    of Fractions), numerators and denominator."""
+    reduced mod 1 and to lowest terms: the fields numerators and
+    denominator."""
 
-    __slots__ = _fields = ("magnitudes", "numerators", "denominator")
+    __slots__ = _fields = ("numerators", "denominator")
 
-    def __init__(self, magnitudes: Sequence[Fraction], phases: Sequence[Fraction]):
-        self._fill(vec_frac(magnitudes), *common_denominator(phases))
+    def __init__(self, phases: Sequence[Fraction]):
+        self._fill(*common_denominator(phases))
 
     @classmethod
-    def over(
-        cls, numerators: Sequence[int], denominator: int, magnitudes: Optional[Sequence[Fraction]] = None
-    ) -> "TorusPoint":
-        """The point with phases numerators[j] / denominator; magnitudes 1 unless given."""
+    def over(cls, numerators: Sequence[int], denominator: int) -> "TorusPoint":
+        """The point with phases numerators[j] / denominator."""
         point = cls.__new__(cls)
-        point._fill((_ONE,) * len(numerators) if magnitudes is None else magnitudes, numerators, denominator)
+        point._fill(numerators, denominator)
         return point
 
-    def _fill(self, magnitudes, numerators, denominator) -> None:
-        magnitudes = tuple(magnitudes)
-        if any(m <= 0 for m in magnitudes):
-            raise CohomologyError("magnitudes must be positive rationals")
+    def _fill(self, numerators, denominator) -> None:
         g = gcd(denominator, *numerators)
         den = denominator // g
-        set_attribute(self, "magnitudes", magnitudes)
-        set_attribute(self, "numerators", tuple(x // g % den for x in numerators))
-        set_attribute(self, "denominator", den)
+        super().__init__(tuple(x // g % den for x in numerators), den)
 
     @property
     def phases(self) -> tuple[Fraction, ...]:
@@ -121,45 +108,25 @@ class TorusPoint(Record):
         return TorusPoint.over([1 if s < 0 else 0 for s in signs], 2)
 
     @staticmethod
-    def from_phases(phases: Sequence[Fraction]) -> "TorusPoint":
-        return TorusPoint((_ONE,) * len(phases), phases)
-
-    @staticmethod
     def one(rank: int) -> "TorusPoint":
         return TorusPoint.over((0,) * rank, 1)
 
     def __mul__(self, other: "TorusPoint") -> "TorusPoint":
         den = lcm(self.denominator, other.denominator)
         a, b = den // self.denominator, den // other.denominator
-        return TorusPoint.over(
-            [a * x + b * y for x, y in zip(self.numerators, other.numerators)],
-            den,
-            [x * y for x, y in zip(self.magnitudes, other.magnitudes)],
-        )
+        return TorusPoint.over([a * x + b * y for x, y in zip(self.numerators, other.numerators)], den)
 
     def inverse(self) -> "TorusPoint":
-        return TorusPoint.over([-x for x in self.numerators], self.denominator, [1 / m for m in self.magnitudes])
+        return TorusPoint.over([-x for x in self.numerators], self.denominator)
 
 
 def galois_act(torus: RealTorus, t: TorusPoint) -> TorusPoint:
     """sigma_T(t)_j = prod_k conj(t_k)^{sigma[j][k]}."""
-    mags = []
-    for row in torus._rows:
-        m = _ONE
-        for k, e in row:
-            m *= t.magnitudes[k] ** e
-        mags.append(m)
-    nums = [-sum(e * t.numerators[k] for k, e in row) for row in torus._rows]
-    return TorusPoint.over(nums, t.denominator, mags)
+    return TorusPoint.over([-sum(e * t.numerators[k] for k, e in row) for row in torus._rows], t.denominator)
 
 
 def is_cocycle(torus: RealTorus, t: TorusPoint) -> bool:
-    """t * sigma(t) = 1: (1 - sigma) x is integral, and the magnitudes, when
-    one differs from 1, cancel against their Galois image."""
-    if any(m != 1 for m in t.magnitudes):
-        for m, g in zip(t.magnitudes, galois_act(torus, t).magnitudes):
-            if m * g != 1:
-                return False
+    """t * sigma(t) = 1: (1 - sigma) x is integral."""
     return not any(v % t.denominator for v in torus.one_minus_sigma(t.numerators))
 
 
@@ -168,25 +135,13 @@ class H1Group(Record):
 
     h1 builds, once, the maps every class goes through: kernel vector ->
     kernel coordinates -> Smith coordinates, and back through one lattice
-    representative per generator."""
+    representative per generator.  The fields: kernel_basis, whose rows
+    are a basis of ker(1 + sigma) in Z^n; divisors, the elementary divisors
+    > 1 (each equals 2); _to_kernel, coordinate_map(kernel_basis);
+    _class_rows, the columns of the Smith transform q at the divisor slots;
+    and _generators, lattice representatives of the unit classes."""
 
     __slots__ = _fields = ("torus", "kernel_basis", "divisors", "_to_kernel", "_class_rows", "_generators")
-
-    def __init__(
-        self,
-        torus: RealTorus,
-        kernel_basis: IntMat,               # rows: basis of ker(1 + sigma) in Z^n
-        divisors: tuple[int, ...],          # elementary divisors > 1 (each equals 2)
-        _to_kernel: tuple[IntMat, int],     # coordinate_map(kernel_basis)
-        _class_rows: IntMat,                # columns of the Smith transform q at the divisor slots
-        _generators: IntMat,                # lattice representatives of the unit classes
-    ):
-        set_attribute(self, "torus", torus)
-        set_attribute(self, "kernel_basis", kernel_basis)
-        set_attribute(self, "divisors", divisors)
-        set_attribute(self, "_to_kernel", _to_kernel)
-        set_attribute(self, "_class_rows", _class_rows)
-        set_attribute(self, "_generators", _generators)
 
     @property
     def order(self) -> int:
@@ -220,11 +175,6 @@ class H1Group(Record):
 
 class CohomologyClass(Record):
     __slots__ = _fields = ("torus", "group", "coordinates")
-
-    def __init__(self, torus: RealTorus, group: H1Group, coordinates: tuple[int, ...]):
-        set_attribute(self, "torus", torus)
-        set_attribute(self, "group", group)
-        set_attribute(self, "coordinates", coordinates)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coordinates)
@@ -278,8 +228,6 @@ def cocycle_class(torus: RealTorus, t: TorusPoint, group: Optional[H1Group] = No
     if group is None:
         group = h1(torus)
     lam = torus.one_minus_sigma(t.numerators)
-    if any(v % t.denominator for v in lam):
-        raise CohomologyError("cocycle phases are not half-integral against sigma")
     return CohomologyClass(torus, group, group.reduce(tuple(v // t.denominator for v in lam)))
 
 
@@ -293,9 +241,7 @@ class DualComponentCharacter(Record):
         moved = (sum(e * numerators[k] for k, e in col) for col in torus._cols)
         if any((a - b) % denominator for a, b in zip(moved, numerators)):
             raise CohomologyError("character vector is not Galois-fixed in pi_0")
-        set_attribute(self, "torus", torus)
-        set_attribute(self, "numerators", numerators)
-        set_attribute(self, "denominator", denominator)
+        super().__init__(torus, numerators, denominator)
 
     def is_trivial_on(self, group: H1Group) -> bool:
         gens = [group.representative(_unit(i, len(group.divisors))) for i in range(len(group.divisors))]
@@ -337,19 +283,10 @@ def kappa_over(numerators: Sequence[int], denominator: int, torus: RealTorus) ->
 class QuotientTorus(Record):
     """Enlarged-lattice torus T' together with the basis of the new
     cocharacter lattice written in the coordinates of the old one: the
-    integer rows over one denominator."""
+    integer rows over one denominator, basis vector i being rows[i] /
+    denominator."""
 
     __slots__ = _fields = ("torus", "rows", "denominator")
-
-    def __init__(
-        self,
-        torus: RealTorus,
-        rows: IntMat,                    # basis vector i is rows[i] / denominator
-        denominator: int,
-    ):
-        set_attribute(self, "torus", torus)
-        set_attribute(self, "rows", rows)
-        set_attribute(self, "denominator", denominator)
 
     @property
     def basis(self) -> tuple[tuple[Fraction, ...], ...]:

@@ -25,59 +25,31 @@ from .endoscopy import (
     EllipticElement,
     EndoscopyError,
     TransferFactorEngine,
-    WeylWeight,
     parity_sign,
     require_regular,
 )
 from .lattice import column_table, dot_in_order, images_in_order
 from .realform import (
-    DimensionProfile,
     EighthRoot,
     RealFormGrading,
     dimension_profile,
     gamma_psi,
     prefactor,
 )
-from .record import MutableRecord, Record, set_attribute
+from .record import MutableRecord, Record
 from .rootdata import RootDatum, WeylElement, weyl_sign
 
 
 class KernelValue(Record):
     __slots__ = _fields = ("value", "terms")
 
-    def __init__(self, value: complex, terms: tuple[tuple[WeylElement, complex], ...]):
-        set_attribute(self, "value", value)
-        set_attribute(self, "terms", terms)
-
 
 class TermComparison(Record):
     __slots__ = _fields = ("word", "lhs_term", "rhs_term", "abs_error")
 
-    def __init__(self, word: tuple[int, ...], lhs_term: complex, rhs_term: complex, abs_error: float):
-        set_attribute(self, "word", word)
-        set_attribute(self, "lhs_term", lhs_term)
-        set_attribute(self, "rhs_term", rhs_term)
-        set_attribute(self, "abs_error", abs_error)
-
 
 class IdentityReport(Record):
     __slots__ = _fields = ("lhs", "rhs", "abs_error", "termwise", "termwise_max", "passed")
-
-    def __init__(
-        self,
-        lhs: complex,
-        rhs: complex,
-        abs_error: float,
-        termwise: tuple[TermComparison, ...],
-        termwise_max: float,
-        passed: bool,
-    ):
-        set_attribute(self, "lhs", lhs)
-        set_attribute(self, "rhs", rhs)
-        set_attribute(self, "abs_error", abs_error)
-        set_attribute(self, "termwise", termwise)
-        set_attribute(self, "termwise_max", termwise_max)
-        set_attribute(self, "passed", passed)
 
 
 class Side:
@@ -156,20 +128,6 @@ class PairTable(Record):
     side's Weyl group (W for G, W_H for H), both in that group's order."""
 
     __slots__ = _fields = ("entries", "g_columns", "h_columns", "g_law", "h_law")
-
-    def __init__(
-        self,
-        entries: tuple[WeylWeight, ...],
-        g_columns,
-        h_columns,
-        g_law: tuple[tuple[int, ...], ...],
-        h_law: tuple[tuple[int, ...], ...],
-    ):
-        set_attribute(self, "entries", entries)
-        set_attribute(self, "g_columns", g_columns)
-        set_attribute(self, "h_columns", h_columns)
-        set_attribute(self, "g_law", g_law)
-        set_attribute(self, "h_law", h_law)
 
 
 class EllipticScenario(MutableRecord):
@@ -412,11 +370,4 @@ def verify_identity(
         else True
     )
     passed = abs_error <= tolerance and termwise_max <= tolerance and consistent
-    return IdentityReport(
-        lhs=lhs,
-        rhs=rhs,
-        abs_error=abs_error,
-        termwise=tuple(comparisons),
-        termwise_max=termwise_max,
-        passed=passed,
-    )
+    return IdentityReport(lhs, rhs, abs_error, tuple(comparisons), termwise_max, passed)

@@ -37,7 +37,7 @@ from typing import Optional, Sequence, Union
 # Unused here: perfbench/tracing.py wraps these names in this module, so they
 # stay until its cohomology layers are dropped.
 from .cohomology import cocycle_class, h1, quotient_torus_lattice, tate_nakayama_pair  # noqa: F401
-from .lattice import FracVec, IntVec, common_denominator, dot, dot_in_order
+from .lattice import IntVec, common_denominator, dot, dot_in_order
 from .realform import RealFormGrading
 from .record import Record, set_attribute
 from .rootdata import (
@@ -59,21 +59,12 @@ class EndoscopyError(ValueError):
 
 
 class EndoscopicDatum(Record):
-    __slots__ = _fields = ("g_datum", "s_simple_signs", "xhat_s", "h_roots", "h_datum")
+    """The endoscopic datum of G given by the signs of s on the simple
+    coroots.  xhat_s is the functional with e^{2 pi i <xhat_s, coroot>} = s
+    on every coroot; h_roots and h_datum are the roots and the root datum
+    of H."""
 
-    def __init__(
-        self,
-        g_datum: RootDatum,
-        s_simple_signs: tuple[int, ...],
-        xhat_s: FracVec,                     # functional with e^{2 pi i <xhat,coroot>} = s
-        h_roots: tuple[IntVec, ...],
-        h_datum: RootDatum,
-    ):
-        set_attribute(self, "g_datum", g_datum)
-        set_attribute(self, "s_simple_signs", s_simple_signs)
-        set_attribute(self, "xhat_s", xhat_s)
-        set_attribute(self, "h_roots", h_roots)
-        set_attribute(self, "h_datum", h_datum)
+    __slots__ = _fields = ("g_datum", "s_simple_signs", "xhat_s", "h_roots", "h_datum")
 
 
 class EllipticElement(Record):
@@ -81,14 +72,11 @@ class EllipticElement(Record):
 
     __slots__ = _fields = ("coords",)
 
-    def __init__(self, coords: Coords):
-        set_attribute(self, "coords", coords)
-
     def is_exact(self) -> bool:
         return all(isinstance(c, Fraction) for c in self.coords)
 
     def floats(self) -> tuple[float, ...]:
-        return tuple(float(c) for c in self.coords)
+        return tuple(map(float, self.coords))
 
 
 class ADatum(Record):
@@ -102,7 +90,7 @@ class ADatum(Record):
         for _, r in ratios:
             if r == 0:
                 raise EndoscopyError("a-datum ratio must be nonzero")
-        set_attribute(self, "ratios", ratios)
+        super().__init__(ratios)
         set_attribute(self, "_map", dict(ratios))
         set_attribute(self, "negative", frozenset(
             root if r < 0 else tuple(-x for x in root) for root, r in ratios
@@ -123,12 +111,6 @@ class ADatum(Record):
 
 class Diagram(Record):
     __slots__ = _fields = ("datum", "w", "x_h", "x_g")
-
-    def __init__(self, datum: EndoscopicDatum, w: WeylElement, x_h: EllipticElement, x_g: EllipticElement):
-        set_attribute(self, "datum", datum)
-        set_attribute(self, "w", w)
-        set_attribute(self, "x_h", x_h)
-        set_attribute(self, "x_g", x_g)
 
 
 class WeylWeight(Record):
@@ -152,26 +134,6 @@ class WeylWeight(Record):
     """
 
     __slots__ = _fields = ("w", "inverse", "sign", "roots", "at", "moved", "h_moved", "length")
-
-    def __init__(
-        self,
-        w: WeylElement,
-        inverse: int,
-        sign: int,
-        roots: tuple[IntVec, ...],
-        at: int,
-        moved: tuple[int, int],
-        h_moved: tuple[int, int],
-        length: int,
-    ):
-        set_attribute(self, "w", w)
-        set_attribute(self, "inverse", inverse)
-        set_attribute(self, "sign", sign)
-        set_attribute(self, "roots", roots)
-        set_attribute(self, "at", at)
-        set_attribute(self, "moved", moved)
-        set_attribute(self, "h_moved", h_moved)
-        set_attribute(self, "length", length)
 
     def weight_at(self, negative: int) -> int:
         """The factor at the diagram (w, w^{-1} x, x), from x's mask."""
@@ -478,8 +440,8 @@ class TransferFactorEngine:
     def transfer_table(self) -> tuple[WeylWeight, ...]:
         """The pair-independent part of relative_factor for every w of
         weyl_g, in its order, taken from the factors at the diagram (w, x_h,
-        w x_h) of the base point's x_h.  delta_I and delta_III depend on w
-        alone, so that diagram is taken in floats.  delta_I delta_II does
+        w x_h) of the base point's x_h.  delta_III depends on w alone, so
+        it is handed w's diagram without its points.  delta_I delta_II does
         not depend on the a-datum (Langlands-Shelstad 1987, section 3), so
         the table is that of the default one.  There delta_I is the same for
         every w: a(w beta) < 0 exactly when w beta < 0, so P = w 2 rho_check
@@ -490,11 +452,10 @@ class TransferFactorEngine:
         base = self.base_diagram
         d1 = self.delta_i(base, a)
         base_sign = d1 * self.delta_ii(base, a)
-        x_h = EllipticElement(base.x_h.floats())
         roots = self.g_datum.roots
         entries = []
         for k, w in enumerate(self.weyl_g):
-            diagram = Diagram(self.datum, w, x_h, EllipticElement(w.act(x_h.coords)))
+            diagram = Diagram(self.datum, w, None, None)
             outside = self._outside_h(k)
             # delta_II's root signs at x_g cancel against the route's, and
             # its a-signs are +1 for the default a-datum.

@@ -9,10 +9,10 @@ invariant form, which is negative definite on the compact part.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .lattice import IntVec
-from .record import Record, set_attribute
+from .record import Record
 from .rootdata import RootDatum, WeylElement, closure
 
 COMPACT = 0
@@ -31,7 +31,7 @@ class EighthRoot(Record):
     __slots__ = _fields = ("k",)
 
     def __init__(self, k: int):
-        set_attribute(self, "k", k % 8)
+        super().__init__(k % 8)
 
     def __mul__(self, other: "EighthRoot") -> "EighthRoot":
         return EighthRoot(self.k + other.k)
@@ -48,10 +48,6 @@ class EighthRoot(Record):
 class RealFormGrading(Record):
     __slots__ = _fields = ("datum", "grade")
 
-    def __init__(self, datum: RootDatum, grade: Mapping[IntVec, int]):
-        set_attribute(self, "datum", datum)
-        set_attribute(self, "grade", grade)
-
     def grade_of(self, root: IntVec) -> int:
         return self.grade[root]
 
@@ -66,13 +62,6 @@ class RealFormGrading(Record):
 
 class DimensionProfile(Record):
     __slots__ = _fields = ("dim_g", "dim_t", "dim_k", "dim_g_over_t", "dim_g_over_k")
-
-    def __init__(self, dim_g: int, dim_t: int, dim_k: int, dim_g_over_t: int, dim_g_over_k: int):
-        set_attribute(self, "dim_g", dim_g)
-        set_attribute(self, "dim_t", dim_t)
-        set_attribute(self, "dim_k", dim_k)
-        set_attribute(self, "dim_g_over_t", dim_g_over_t)
-        set_attribute(self, "dim_g_over_k", dim_g_over_k)
 
 
 def parse_grade(name: str) -> int:

@@ -69,10 +69,6 @@ class WeylElement(Record):
 
     __slots__ = _fields = ("matrix", "word")
 
-    def __init__(self, matrix: IntMat, word: tuple[int, ...]):
-        set_attribute(self, "matrix", matrix)
-        set_attribute(self, "word", word)
-
     def __hash__(self) -> int:
         return hash(self.matrix)
 
@@ -110,13 +106,7 @@ class RootDatum(Record):
         coroots: tuple[IntVec, ...],
         invariant_form: tuple[FracVec, ...],
     ):
-        set_attribute(self, "rank", rank)
-        set_attribute(self, "cartan_label", cartan_label)
-        set_attribute(self, "simple_roots", simple_roots)
-        set_attribute(self, "simple_coroots", simple_coroots)
-        set_attribute(self, "roots", roots)
-        set_attribute(self, "coroots", coroots)
-        set_attribute(self, "invariant_form", invariant_form)
+        super().__init__(rank, cartan_label, simple_roots, simple_coroots, roots, coroots, invariant_form)
         set_attribute(self, "_coroot_of", dict(zip(roots, coroots)))
         set_attribute(self, "_root_of", dict(zip(coroots, roots)))
         set_attribute(self, "_root_set", frozenset(roots))

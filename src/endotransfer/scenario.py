@@ -55,18 +55,11 @@ class Scenario(MutableRecord):
         # line number of form_scale, 0 when absent
         form_scale_line: int = 0,
     ):
-        self.name = name
-        self.g_type = g_type
-        self.form_scale = form_scale
-        self.grading_g = grading_g
-        self.s_character = s_character
-        self.grading_h = grading_h
-        self.base_x_h = base_x_h
-        self.base_x_g = base_x_g
         # A fresh list for each scenario, so that no two share their extras.
-        self.extras_h = [] if extras_h is None else extras_h
-        self.extras_h_line = extras_h_line
-        self.form_scale_line = form_scale_line
+        super().__init__(
+            name, g_type, form_scale, grading_g, s_character, grading_h, base_x_h, base_x_g,
+            [] if extras_h is None else extras_h, extras_h_line, form_scale_line,
+        )
 
 
 # Fraction(text) builds 10**e for a decimal exponent e, so e is bounded

@@ -15,17 +15,18 @@ length-descent fold, which is reduced-word independent.
 from __future__ import annotations
 
 from .lattice import IntMat, IntVec, identity, mat_vec, vec_int
-from .record import Record, set_attribute
+from .record import Record
 from .rootdata import RootDatum, WeylElement, weyl_inverse
 
 
 class TitsElement(Record):
+    """(-1)^eps n(w): eps is the exponent vector of the torus part, reduced
+    mod 2."""
+
     __slots__ = _fields = ("eps", "w")
 
     def __init__(self, eps: IntVec, w: WeylElement):
-        # eps: exponent vector of the (-1)-torus part, reduced mod 2
-        set_attribute(self, "eps", tuple(x % 2 for x in eps))
-        set_attribute(self, "w", w)
+        super().__init__(tuple(x % 2 for x in eps), w)
 
 
 def n_of(datum: RootDatum, w: WeylElement) -> TitsElement:

@@ -13,10 +13,10 @@ import random
 from dataclasses import dataclass
 
 from .cohomology import DUALITY_CONVENTION
-from .distributions import EllipticScenario, IdentityReport, verify_identity
+from .distributions import EllipticScenario, verify_identity
 from .endoscopy import EllipticElement
 from .lattice import dot_in_order
-from .record import Record, set_attribute
+from .record import Record
 from .rootdata import RootDatum
 
 FORMAT_VERSION = 1
@@ -36,12 +36,6 @@ CONVENTIONS = (
 
 class PairRecord(Record):
     __slots__ = _fields = ("index", "x_h", "x_g", "report")
-
-    def __init__(self, index: int, x_h: tuple[float, ...], x_g: tuple[float, ...], report: IdentityReport):
-        set_attribute(self, "index", index)
-        set_attribute(self, "x_h", x_h)
-        set_attribute(self, "x_g", x_g)
-        set_attribute(self, "report", report)
 
 
 # The one dataclass the CLI imports: perfbench/pass_runner.py shortens a
@@ -139,10 +133,10 @@ def run_verify(
     rng = random.Random(seed)
     records = []
     for idx in range(samples):
-        x_h = EllipticElement(sample_regular_vector(scenario, rng))
-        x_g = EllipticElement(sample_regular_vector(scenario, rng))
-        report = verify_identity(scenario, x_h, x_g, tolerance)
-        records.append(PairRecord(idx, x_h.floats(), x_g.floats(), report))
+        x_h = sample_regular_vector(scenario, rng)
+        x_g = sample_regular_vector(scenario, rng)
+        report = verify_identity(scenario, EllipticElement(x_h), EllipticElement(x_g), tolerance)
+        records.append(PairRecord(idx, x_h, x_g, report))
     base = scenario.engine.base_diagram
     return RunReport(
         scenario=scenario.name,
@@ -219,24 +213,6 @@ def _emit_human(report: RunReport) -> str:
 
 class ParsedRecord(Record):
     __slots__ = _fields = ("index", "x_h", "x_g", "lhs", "rhs", "abs_error", "termwise_max")
-
-    def __init__(
-        self,
-        index: int,
-        x_h: tuple[float, ...],
-        x_g: tuple[float, ...],
-        lhs: complex,
-        rhs: complex,
-        abs_error: float,
-        termwise_max: float,
-    ):
-        set_attribute(self, "index", index)
-        set_attribute(self, "x_h", x_h)
-        set_attribute(self, "x_g", x_g)
-        set_attribute(self, "lhs", lhs)
-        set_attribute(self, "rhs", rhs)
-        set_attribute(self, "abs_error", abs_error)
-        set_attribute(self, "termwise_max", termwise_max)
 
 
 def parse_machine_report(text: str) -> dict:

@@ -104,12 +104,12 @@ def test_cocycle_class_examples():
 
 
 def test_cocycle_condition_enforced():
-    split = RealTorus(1, ((1,),))
-    # a magnitude-2 point violates t * sigma(t) = 1 on the split torus
+    # e(1/3) violates t * sigma(t) = 1 on the elliptic torus: (1 - sigma) x = 2/3
     with pytest.raises(CohomologyError):
-        cocycle_class(split, TorusPoint((Fraction(2),), (Fraction(0),)))
-    # while e(1/4) is a genuine (boundary) cocycle there
-    assert cocycle_class(split, TorusPoint.from_phases([Fraction(1, 4)])).is_zero()
+        cocycle_class(elliptic_torus(1), TorusPoint([Fraction(1, 3)]))
+    # while e(1/4) is a genuine (boundary) cocycle on the split torus
+    split = RealTorus(1, ((1,),))
+    assert cocycle_class(split, TorusPoint([Fraction(1, 4)])).is_zero()
 
 
 def test_boundary_invariance_randomized():
@@ -119,9 +119,8 @@ def test_boundary_invariance_randomized():
     base = TorusPoint.from_signs([-1, -1])
     cls0 = cocycle_class(t, base, group).coordinates
     for _ in range(25):
-        mags = tuple(Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(2))
         phases = tuple(Fraction(rng.randint(0, 7), 8) for _ in range(2))
-        s = TorusPoint(mags, phases)
+        s = TorusPoint(phases)
         shifted = base * boundary(t, s)
         assert is_cocycle(t, shifted)
         assert cocycle_class(t, shifted, group).coordinates == cls0
@@ -262,9 +261,8 @@ def test_oracle_pairing_nondegenerate_on_circle_product():
 
 def test_galois_act_exactness():
     sw = RealTorus(2, ((0, 1), (1, 0)))
-    p = TorusPoint((Fraction(2), Fraction(3)), (Fraction(1, 3), Fraction(1, 5)))
+    p = TorusPoint((Fraction(1, 3), Fraction(1, 5)))
     q = galois_act(sw, p)
-    assert q.magnitudes == (Fraction(3), Fraction(2))
     assert q.phases == (Fraction(4, 5), Fraction(2, 3))
 
 
