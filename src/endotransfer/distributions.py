@@ -9,10 +9,13 @@ W_real(H).  Each regroups its terms by the group law of its own side
 exponential; neither reads the other's group law or anything the other
 computes for a pair, and neither uses the invariance of the factors under
 W_real(G) or W_H, or the W-invariance of B.  Both take their Weyl images
-from the column tables of W and W_H in the scenario's pair table.  The
-term-by-term comparison pairs the w-term of the first route with the
-w^{-1}-term of the second, each carrying its own Weil constant and
-dimension prefactor.
+from the column tables of W and W_H in the scenario's pair table.  Each
+route returns its value with its closed-form w-terms, built from its own
+exponentials and signs: the transfer route's exponential of z = w, the
+transform route's of z = 1 against w x_g.  The term-by-term comparison
+pairs the w-term of the first route with the w^{-1}-term of the second,
+each carrying its own Weil constant and dimension prefactor; it computes
+nothing of either route again.
 """
 
 from __future__ import annotations
@@ -41,6 +44,9 @@ from .rootdata import RootDatum, WeylElement, weyl_sign
 
 
 class KernelValue(Record):
+    """A Weyl sum with its terms: rossmann_kernel's (w, term) pairs over the
+    real Weyl group, or a route's w-terms in the order of W."""
+
     __slots__ = _fields = ("value", "terms")
 
 
@@ -220,7 +226,7 @@ def _fold(law, weyl_table, fronts) -> list[complex]:
 
 def d_gh(
     scenario: EllipticScenario, x_h: EllipticElement, x_g: EllipticElement, masks=None
-) -> complex:
+) -> KernelValue:
     """Transfer route: Weyl-group sum of ambient kernels with factor weights.
 
     The terms weight(w) [D/pi](w x_h) [D/pi](x_g) det(u) exp(-i B(u w x_h,
@@ -228,32 +234,39 @@ def d_gh(
     product of G's group law, so each z takes one exponential; the images
     z x_h come from one pass over W's column table.  Weights and
     [D/pi] at w x_h come from the masks of x_h and x_g, pair_masks' (taken
-    here when not given)."""
+    here when not given).
+
+    The value comes with the route's closed-form w-terms, in the order of
+    W: gamma prefactor [D/pi](x_g) weight(w) [D/pi](w x_h) times the
+    exponential of z = w; no terms when x_h sits on an ambient wall."""
     if masks is None:
         masks = pair_masks(scenario, x_h, x_g)
         if masks is None:
-            return complex(0.0)
+            return KernelValue(complex(0.0), ())
     neg_h, neg_g = masks
     eng = scenario.engine
     table = scenario.table
     side = scenario.g_side
     d_y = side.d_over_pi_at(parity_sign(neg_g.bit_count()))
-    fronts = [
-        entry.weight_moved(neg_h) * eng.base_value
-        * (side._prefactor * side.d_over_pi_at(entry.g_sign(neg_h))) * d_y
+    factors = [
+        (entry.weight_moved(neg_h) * eng.base_value, side.d_over_pi_at(entry.g_sign(neg_h)))
         for entry in table.entries
     ]
+    fronts = [weight * (side._prefactor * d_x) * d_y for weight, d_x in factors]
     counts = _fold(table.g_law, side.weyl_table, fronts)
     images = images_in_order(table.g_columns, x_h.floats())
+    phases = side.exponentials(images, side.form_image(x_g.coords))
     total = complex(0.0)
-    for count, phase in zip(counts, side.exponentials(images, side.form_image(x_g.coords))):
+    for count, phase in zip(counts, phases):
         total += count * phase
-    return side._gamma * total / len(eng.real_weyl_g)
+    front = side._gamma * side._prefactor * d_y
+    terms = tuple(front * weight * d_x * phase for (weight, d_x), phase in zip(factors, phases))
+    return KernelValue(side._gamma * total / len(eng.real_weyl_g), terms)
 
 
 def d_tilde_gh(
     scenario: EllipticScenario, x_h: EllipticElement, x_g: EllipticElement, masks=None
-) -> complex:
+) -> KernelValue:
     """Transform route: doubled endoscopic sum against pulled-back elements.
 
     The inner kernels' terms [D/pi](w' x_h) det(u') exp(-i B(u' w' x_h,
@@ -263,11 +276,16 @@ def d_tilde_gh(
     column table, and B w x_g for every w from a pass over W's, then one
     over B.
     Weights and [D/pi] at moved points come from the masks of x_h and x_g,
-    pair_masks' (taken here when not given)."""
+    pair_masks' (taken here when not given).
+
+    The value comes with the route's closed-form w-terms, in the order of
+    W: gamma prefactor [D/pi](x_h) weight(w^{-1}) [D/pi](w x_g), the weight
+    the table entry of w^{-1} at x_g, times w's exponential of z = 1, the
+    first element of W_H; no terms when x_h sits on an ambient wall."""
     if masks is None:
         masks = pair_masks(scenario, x_h, x_g)
         if masks is None:
-            return complex(0.0)
+            return KernelValue(complex(0.0), ())
     neg_h, neg_g = masks
     eng = scenario.engine
     table = scenario.table
@@ -279,60 +297,32 @@ def d_tilde_gh(
     counts = _fold(table.h_law, side.weyl_table, fronts)
     images = images_in_order(table.h_columns, x_h.floats())
     moved = side.form_columns(images_in_order(table.g_columns, x_g.coords))
+    # The table's first entry is the identity's.
+    front = side._gamma * side._prefactor * side.d_over_pi_at(entries[0].h_sign(neg_h))
+    terms = []
     total = complex(0.0)
     for entry, bv in zip(entries, zip(*moved)):
         weight = entries[entry.inverse].weight_at(neg_g) * eng.base_value
         d_y = side.d_over_pi_at(entry.h_sign(neg_g))
+        phases = side.exponentials(images, bv)
         inner = complex(0.0)
-        for count, phase in zip(counts, side.exponentials(images, bv)):
+        for count, phase in zip(counts, phases):
             inner += count * phase
         total += weight * d_y * inner
-    return side._gamma * total / (len(eng.real_weyl_h) * len(eng.weyl_h))
-
-
-def _terms(
-    scenario: EllipticScenario, side: str, x_h: EllipticElement, x_g: EllipticElement,
-    neg_h: int, neg_g: int,
-) -> list[complex]:
-    """The w-terms of the closed-form expansion of one route, for w in the
-    order of W, from the masks of x_h and x_g.  Side "G" gives the transfer
-    route's gamma prefactor [D/pi](x_g) weight(w) [D/pi](w x_h) exp(-i B(w
-    x_h, x_g)); side "H" the transform route's gamma prefactor [D/pi](x_h)
-    weight(w^{-1}) [D/pi](w x_g) exp(-i B(x_h, w x_g)), its weight the table
-    entry of w^{-1} at x_g.  Each side takes its images from its own pass
-    over W's column table, and its exponentials in one batch: images w x_h
-    against B x_g, or B w x_g against x_h."""
-    entries = scenario.table.entries
-    base_value = scenario.engine.base_value
-    columns = scenario.table.g_columns
-    if side == "G":
-        s = scenario.g_side
-        front = s._gamma * s._prefactor * s.d_over_pi_at(parity_sign(neg_g.bit_count()))
-        images = images_in_order(columns, x_h.coords)
-        phases = s.exponentials(images, s.form_image(x_g.coords))
-        return [
-            front * (e.weight_moved(neg_h) * base_value) * s.d_over_pi_at(e.g_sign(neg_h)) * phase
-            for e, phase in zip(entries, phases)
-        ]
-    s = scenario.h_side
-    # The table's first entry is the identity's.
-    front = s._gamma * s._prefactor * s.d_over_pi_at(entries[0].h_sign(neg_h))
-    images = s.form_columns(images_in_order(columns, x_g.coords))
-    phases = s.exponentials(images, x_h.floats())
-    return [
-        front * (entries[e.inverse].weight_at(neg_g) * base_value) * s.d_over_pi_at(e.h_sign(neg_g))
-        * phase
-        for e, phase in zip(entries, phases)
-    ]
+        terms.append(front * weight * d_y * phases[0])
+    return KernelValue(side._gamma * total / (len(eng.real_weyl_h) * len(eng.weyl_h)), tuple(terms))
 
 
 def explicit_term(
     scenario: EllipticScenario, w: WeylElement, x_h: EllipticElement, x_g: EllipticElement, side: str
 ) -> complex:
-    """Single-exponential w-term of the closed-form expansion of either route."""
+    """Single-exponential w-term of the closed-form expansion of either
+    route: side "G" reads it from d_gh's terms, side "H" from d_tilde_gh's.
+    x_h on an ambient wall is refused, as x_g is."""
     g = scenario.engine.g_datum
-    terms = _terms(scenario, side, x_h, x_g, require_regular(g, x_h), require_regular(g, x_g))
-    return terms[scenario.engine.weyl_g.index(w)]
+    route = d_gh if side == "G" else d_tilde_gh
+    masks = require_regular(g, x_h), require_regular(g, x_g)
+    return route(scenario, x_h, x_g, masks).terms[scenario.engine.weyl_g.index(w)]
 
 
 def verify_identity(
@@ -341,18 +331,18 @@ def verify_identity(
     x_g: EllipticElement,
     tolerance: float = 1e-12,
 ) -> IdentityReport:
-    """Both routes, their difference, and the w vs w^{-1} term pairing.  The
-    masks of x_h and x_g are taken once, for both routes and the pairing."""
+    """Both routes, their difference, and the w vs w^{-1} pairing of the
+    terms each route returns with its value.  The masks of x_h and x_g are
+    taken once, for both routes."""
     masks = pair_masks(scenario, x_h, x_g)
     regular = masks is not None
     comparisons = []
     lhs = rhs = lhs_sum = rhs_sum = complex(0.0)
     if regular:
-        lhs = d_gh(scenario, x_h, x_g, masks)
-        rhs = d_tilde_gh(scenario, x_h, x_g, masks)
-        g_terms = _terms(scenario, "G", x_h, x_g, *masks)
-        h_terms = _terms(scenario, "H", x_h, x_g, *masks)
-        for entry, t_lhs in zip(scenario.table.entries, g_terms):
+        g_route = d_gh(scenario, x_h, x_g, masks)
+        h_route = d_tilde_gh(scenario, x_h, x_g, masks)
+        lhs, rhs, h_terms = g_route.value, h_route.value, h_route.terms
+        for entry, t_lhs in zip(scenario.table.entries, g_route.terms):
             t_rhs = h_terms[entry.inverse]
             comparisons.append(
                 TermComparison(entry.w.word, t_lhs, t_rhs, abs(t_lhs - t_rhs))

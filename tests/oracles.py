@@ -482,6 +482,14 @@ class LiteralRoutes:
             rhs * abs(complex(h.gamma)) / (len(self.eng.real_weyl_h) * len(self.eng.weyl_h)),
         )
 
+    @staticmethod
+    def image(w, x) -> tuple[float, ...]:
+        """The floats of the exact image w x, at which a G-term takes its
+        phase."""
+        from endotransfer.endoscopy import EllipticElement
+
+        return EllipticElement(tuple(w.act(x.coords))).floats()
+
     def explicit_term(self, w, x_h, x_g, side: str) -> complex:
         from endotransfer.endoscopy import EllipticElement
 
@@ -489,7 +497,7 @@ class LiteralRoutes:
             s = self.sc.g_side
             target = EllipticElement(tuple(w.act(x_h.coords)))
             weight = self.weight(w, x_h, target)
-            phase = -self.bform(target.floats(), x_g.floats())
+            phase = -self.bform(self.image(w, x_h), x_g.floats())
             return (
                 complex(s.gamma) * complex(s.prefactor) * self.d_over_pi(s, x_g.coords)
                 * weight * self.d_over_pi(s, target.coords) * cmath.exp(1j * phase)
@@ -538,7 +546,9 @@ class GroupedRoutes(LiteralRoutes):
     w of the side's Weyl group is found by the integer matrix product and a
     search of that group, each determinant is an exact one, each weight the
     engine's full relative factor, and each z x_h the product of z's matrix
-    with x_h in floats.  The term pairing is LiteralRoutes'.
+    with x_h in floats.  The term pairing is LiteralRoutes', its G-term of w
+    taking its phase at this float image w x_h, as d_gh's exponential of
+    z = w does.
 
     The package's routes read the group-law tables instead; they must agree
     with this oracle to the last bit.

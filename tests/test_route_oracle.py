@@ -231,3 +231,19 @@ def test_routes_compute_each_distinct_exponential_once(monkeypatch):
     counter.exp_calls = 0
     distributions.d_tilde_gh(scenario, x_h, x_g)
     assert counter.exp_calls == len(eng.weyl_g) * len(eng.weyl_h)
+
+
+def test_pair_computes_each_exponential_once(monkeypatch):
+    """One whole verify_identity on the b3_kernel datum takes the routes'
+    exponentials and no more: |W| for d_gh and |W| |W_H| for d_tilde_gh,
+    since the term pairing reads each route's own."""
+    scenario = build_scenario(parse_scenario(B3_KERNEL))
+    eng = scenario.engine
+    rng = random.Random(5)
+    x_h = EllipticElement(sample_regular_vector(scenario, rng))
+    x_g = EllipticElement(sample_regular_vector(scenario, rng))
+
+    counter = _CountingCmath()
+    monkeypatch.setattr(distributions, "cmath", counter)
+    verify_identity(scenario, x_h, x_g)
+    assert counter.exp_calls == len(eng.weyl_g) + len(eng.weyl_g) * len(eng.weyl_h) == 1200

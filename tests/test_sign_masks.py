@@ -119,6 +119,6 @@ def test_near_wall_points_get_the_regularity_message_from_every_route(scenarios)
                         route(sc, near_h, x_g)
                     assert str(exc.value) == message, (key, route.__name__)
             else:
-                assert d_gh(sc, near_h, x_g) == 0 and d_tilde_gh(sc, near_h, x_g) == 0, key
+                assert d_gh(sc, near_h, x_g).value == 0 == d_tilde_gh(sc, near_h, x_g).value, key
                 report = verify_identity(sc, near_h, x_g)
                 assert report.passed and report.termwise == (), key

@@ -48,6 +48,8 @@ def test_traced_pass_runs_clean():
         "endoscopy.delta_i_calls",
         "endoscopy.delta_iii_calls",
         "distributions.verify_identity_calls",
+        "distributions.d_gh_s",
+        "distributions.d_tilde_gh_s",
         "rootdata.build_root_datum_s",
         "rootdata.enumerate_weyl_s",
         "realform.real_weyl_group_s",
