@@ -15,7 +15,13 @@ exponentials and signs: the transfer route's exponential of z = w, the
 transform route's of z = 1 against w x_g.  The term-by-term comparison
 pairs the w-term of the first route with the w^{-1}-term of the second,
 each carrying its own Weil constant and dimension prefactor; it computes
-nothing of either route again.
+nothing of either route again, and keeps only the largest difference.
+
+Every unit phase exp(-i scale p) is cmath.rect(1.0, 0.0 - scale * p),
+which gives the bits of cmath.exp(1j * -(scale * p)), signed zeros
+included: the real part of 1j * t is a zero, so exp takes e^0 = 1.0 and
+returns (cos t, sin t) with t = 0.0 + t, and 0.0 - scale * p turns a zero
+phase into +0.0 as that sum does.
 """
 
 from __future__ import annotations
@@ -50,12 +56,8 @@ class KernelValue(Record):
     __slots__ = _fields = ("value", "terms")
 
 
-class TermComparison(Record):
-    __slots__ = _fields = ("word", "lhs_term", "rhs_term", "abs_error")
-
-
 class IdentityReport(Record):
-    __slots__ = _fields = ("lhs", "rhs", "abs_error", "termwise", "termwise_max", "passed")
+    __slots__ = _fields = ("lhs", "rhs", "abs_error", "termwise_max", "passed")
 
 
 class Side:
@@ -110,16 +112,17 @@ class Side:
 
     def exponentials(self, columns, bv) -> list[complex]:
         """exp(-i B(u, v)) for each image u of the image columns (columns[i][k]
-        coordinate i of the k-th), given B v from form_image; or, with the
-        columns of the images B v and u as bv, for each v.  The contractions
-        sum_i u_i (B v)_i are taken a coordinate at a time over all images,
-        each accumulated in order from 0.0.  An exact image coordinate meets
-        the float at a float multiply, which converts it as float() does."""
+        coordinate i of the k-th), given B v from form_image.  The
+        contractions sum_i u_i (B v)_i are taken a coordinate at a time over
+        all images, each accumulated in order from 0.0.  An exact image
+        coordinate meets the float at a float multiply, which converts it as
+        float() does."""
         phases = [0.0] * len(columns[0])
         for column, b in zip(columns, bv):
             phases = [p + c * b for p, c in zip(phases, column)]
         scale = self._scale
-        return [cmath.exp(1j * -(scale * p)) for p in phases]
+        rect = cmath.rect
+        return [rect(1.0, 0.0 - scale * p) for p in phases]
 
 
 class PairTable(Record):
@@ -274,7 +277,10 @@ def d_tilde_gh(
     the product of H's group law, once per pair; each w then takes one
     exponential per z.  The images z x_h come from one pass over W_H's
     column table, and B w x_g for every w from a pass over W's, then one
-    over B.
+    over B.  For each w, the contractions of the images with B w x_g are
+    taken as Side.exponentials takes them, and the last coordinate, the
+    exponential and the inner sum over z run in one loop, which keeps no
+    list of exponentials.
     Weights and [D/pi] at moved points come from the masks of x_h and x_g,
     pair_masks' (taken here when not given).
 
@@ -296,7 +302,11 @@ def d_tilde_gh(
     ]
     counts = _fold(table.h_law, side.weyl_table, fronts)
     images = images_in_order(table.h_columns, x_h.floats())
+    head, last = images[:-1], images[-1]
+    zeros = [0.0] * len(last)
     moved = side.form_columns(images_in_order(table.g_columns, x_g.coords))
+    scale = side._scale
+    rect = cmath.rect
     # The table's first entry is the identity's.
     front = side._gamma * side._prefactor * side.d_over_pi_at(entries[0].h_sign(neg_h))
     terms = []
@@ -304,12 +314,20 @@ def d_tilde_gh(
     for entry, bv in zip(entries, zip(*moved)):
         weight = entries[entry.inverse].weight_at(neg_g) * eng.base_value
         d_y = side.d_over_pi_at(entry.h_sign(neg_g))
-        phases = side.exponentials(images, bv)
+        phases = zeros
+        for column, b in zip(head, bv):
+            phases = [p + c * b for p, c in zip(phases, column)]
+        b = bv[-1]
+        # z = 1, the first element of W_H, is taken apart for its term.
+        inner_terms = zip(counts, phases, last)
+        count, p, c = next(inner_terms)
+        one = rect(1.0, 0.0 - scale * (p + c * b))
         inner = complex(0.0)
-        for count, phase in zip(counts, phases):
-            inner += count * phase
+        inner += count * one
+        for count, p, c in inner_terms:
+            inner += count * rect(1.0, 0.0 - scale * (p + c * b))
         total += weight * d_y * inner
-        terms.append(front * weight * d_y * phases[0])
+        terms.append(front * weight * d_y * one)
     return KernelValue(side._gamma * total / (len(eng.real_weyl_h) * len(eng.weyl_h)), tuple(terms))
 
 
@@ -331,28 +349,27 @@ def verify_identity(
     x_g: EllipticElement,
     tolerance: float = 1e-12,
 ) -> IdentityReport:
-    """Both routes, their difference, and the w vs w^{-1} pairing of the
-    terms each route returns with its value.  The masks of x_h and x_g are
-    taken once, for both routes."""
+    """Both routes, their difference, and the largest difference of the w
+    vs w^{-1} pairing of the terms each route returns with its value.  The
+    masks of x_h and x_g are taken once, for both routes."""
     masks = pair_masks(scenario, x_h, x_g)
     regular = masks is not None
-    comparisons = []
+    termwise_max = 0.0
     lhs = rhs = lhs_sum = rhs_sum = complex(0.0)
     if regular:
         g_route = d_gh(scenario, x_h, x_g, masks)
         h_route = d_tilde_gh(scenario, x_h, x_g, masks)
-        lhs, rhs, h_terms = g_route.value, h_route.value, h_route.terms
-        for entry, t_lhs in zip(scenario.table.entries, g_route.terms):
-            t_rhs = h_terms[entry.inverse]
-            comparisons.append(
-                TermComparison(entry.w.word, t_lhs, t_rhs, abs(t_lhs - t_rhs))
-            )
+        lhs, rhs, g_terms, h_terms = g_route.value, h_route.value, g_route.terms, h_route.terms
+        termwise_max = max(
+            (abs(t_lhs - h_terms[entry.inverse]) for entry, t_lhs in zip(scenario.table.entries, g_terms)),
+            default=0.0,
+        )
+        for t_lhs in g_terms:
             lhs_sum += t_lhs
         # The H-terms of the pairing, summed in the order of the Weyl group.
         for t_rhs in h_terms:
             rhs_sum += t_rhs
     abs_error = abs(lhs - rhs)
-    termwise_max = max((c.abs_error for c in comparisons), default=0.0)
     consistent = (
         abs(lhs_sum - lhs) <= 64 * max(tolerance, 1e-15) * max(1.0, abs(lhs))
         and abs(rhs_sum - rhs) <= 64 * max(tolerance, 1e-15) * max(1.0, abs(rhs))
@@ -360,4 +377,4 @@ def verify_identity(
         else True
     )
     passed = abs_error <= tolerance and termwise_max <= tolerance and consistent
-    return IdentityReport(lhs, rhs, abs_error, tuple(comparisons), termwise_max, passed)
+    return IdentityReport(lhs, rhs, abs_error, termwise_max, passed)

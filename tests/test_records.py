@@ -39,7 +39,6 @@ from endotransfer.distributions import (
     IdentityReport,
     KernelValue,
     PairTable,
-    TermComparison,
 )
 from endotransfer.endoscopy import (
     ADatum,
@@ -64,10 +63,9 @@ GROUP = h1(TORUS)
 QUOTIENT = quotient_torus_lattice(TORUS, [(Fraction(1, 2),)])
 DATUM = build_endoscopic_datum(A1, [-1])
 X = EllipticElement((Fraction(1),))
-TERM = TermComparison((0,), 1j, 1j, 0.0)
 WEIGHT = WeylWeight(S, 1, -1, ((2,),), 1, (1, 0), (0, 0), 1)
 COLUMNS = (((1, -1),),)
-REPORT = IdentityReport(1j, 1j, 0.0, (TERM,), 0.0, True)
+REPORT = IdentityReport(1j, 1j, 0.0, 0.0, True)
 SCENARIO_FIELDS = dict(
     name="a1", g_type="A1", form_scale=Fraction(1), grading_g=[1], s_character=[-1],
     grading_h=[], base_x_h=(Fraction(1),), base_x_g=(Fraction(1),),
@@ -94,14 +92,9 @@ CASES = [
     ),
     (KernelValue, dict(value=1j, terms=((S, 1j),)), (1j, ((S, 1j),))),
     (
-        TermComparison,
-        dict(word=(0,), lhs_term=1j, rhs_term=2j, abs_error=1.0),
-        ((0,), 1j, 2j, 1.0),
-    ),
-    (
         IdentityReport,
-        dict(lhs=1j, rhs=1j, abs_error=0.0, termwise=(TERM,), termwise_max=0.0, passed=True),
-        (1j, 1j, 0.0, (TERM,), 0.0, True),
+        dict(lhs=1j, rhs=1j, abs_error=0.0, termwise_max=0.0, passed=True),
+        (1j, 1j, 0.0, 0.0, True),
     ),
     (
         EndoscopicDatum,

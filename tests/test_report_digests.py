@@ -9,8 +9,10 @@ terms from the routes.  A report that changes in any byte fails here; a
 change meant to move a digest records the old and new value in CHANGES.md.
 
 Run as a script, with the package on the path and the standard library
-alone, it checks every digest and exits 1 naming each mismatch; that is how
-the reports are compared across interpreters that have no pytest:
+alone, it checks every digest, and the bits of the unit phases against the
+literal exponential (oracles.unit_phase_mismatches), and exits 1 naming
+each mismatch; that is how the reports are compared across interpreters
+that have no pytest:
 
     PYTHONPATH=src python tests/test_report_digests.py
 """
@@ -21,6 +23,8 @@ import sys
 
 from endotransfer.scenario import build_scenario, load_builtin, parse_scenario
 from endotransfer.verify import emit_report, run_verify
+
+from oracles import unit_phase_mismatches
 
 try:
     import pytest
@@ -305,8 +309,14 @@ def main() -> int:
     bad = [name for name, got, want in checks if got != want]
     for name in bad:
         print(f"digest mismatch: {name}", file=sys.stderr)
-    print(f"{len(checks) - len(bad)}/{len(checks)} digests match under Python {platform.python_version()}")
-    return 1 if bad else 0
+    phases = unit_phase_mismatches()
+    for scale, p, got, want in phases:
+        print(f"unit phase mismatch: scale {scale!r}, phase {p!r}: {got!r} != {want!r}", file=sys.stderr)
+    print(
+        f"{len(checks) - len(bad)}/{len(checks)} digests match and {len(phases)} unit phases differ"
+        f" under Python {platform.python_version()}"
+    )
+    return 1 if bad or phases else 0
 
 
 if __name__ == "__main__":
