@@ -312,8 +312,8 @@ class TransferFactorEngine:
         minus_one = by_key.get(key(self._negation))
         if minus_one is None:
             raise EndoscopyError(
-                "the split form has no compact Cartan (-1 is not in the Weyl group); "
-                "scenario is not elliptic"
+                f"-1 in the Weyl group: {self.g_datum.cartan_label} has no Weyl element acting by -1, "
+                "and the transfer factor is normalized through n(omega) with omega = -1"
             )
         self.omega = self.weyl_g[minus_one]
         self._inverse = tuple(by_key[key(_inverse_permutation(p))] for p in perms)
@@ -331,9 +331,12 @@ class TransferFactorEngine:
         self.h_positions = tuple(self._position[w] for w in self.weyl_h)
         self._check_tits_central()
 
-        self.base_diagram = build_diagram(datum, self.weyl_g, base_x_h, base_x_g)
+        try:
+            self.base_diagram = build_diagram(datum, self.weyl_g, base_x_h, base_x_g)
+        except EndoscopyError as e:
+            raise EndoscopyError(f"regularity/base diagram: {e}") from None
         if self.base_diagram is None or not self.base_diagram.w.is_identity():
-            raise EndoscopyError("base point does not admit an identity diagram")
+            raise EndoscopyError("regularity/base diagram: base point does not admit an identity diagram")
 
     # -- auxiliary lattice data -------------------------------------------
 
@@ -345,9 +348,9 @@ class TransferFactorEngine:
         root the parity of <2 xhat_s, its coroot>, which is 1 exactly off
         Phi_H."""
         d = self.g_datum
-        index = {r: j for j, r in enumerate(d.roots)}
+        index = d._index
         self._negation = tuple(index[tuple(-x for x in r)] for r in d.roots)
-        self._simple_index = tuple(index[r] for r in d.simple_roots)
+        self._simple_index = d._simple_index
         self._positive_index = tuple(index[r] for r in d.positive_roots)
         self._h_index = tuple(index[r] for r in self.datum.h_roots)
         self._h_positive_index = tuple(index[r] for r in self.datum.h_datum.positive_roots)
@@ -358,8 +361,8 @@ class TransferFactorEngine:
         self._s_parity = tuple(dot(self.two_xhat_s, c) & 1 for c in d.coroots)
 
     def _check_tits_central(self) -> None:
-        """Check that n(omega) n_i = n_i n(omega) for every i, folding n_i
-        onto n(omega) and omega's reduced word onto n_i.
+        """Check that n(omega) n_i = n_i n(omega) for every i, folding on root
+        permutations n_i onto n(omega) and omega's reduced word onto n_i.
 
         Conjugation by n(w0) sends n_i to n_{i*}, where i -> i* is the diagram
         automorphism -w0.  Here w0 = omega = -1, so i* = i and every n_i must
@@ -368,9 +371,10 @@ class TransferFactorEngine:
         for every w, and delta_I and delta_III leave it out."""
         d = self.g_datum
         zero = (0,) * d.rank
-        for i in range(len(d.simple_roots)):
-            left = tits_fold(d, zero, self.omega.matrix, (i,))
-            right = tits_fold(d, zero, d.simple_reflection(i).matrix, self.omega.word)
+        omega = self._perms[self._position[self.omega]]
+        for i, s in enumerate(d._reflections):
+            left = tits_fold(d, zero, omega, (i,))
+            right = tits_fold(d, zero, s, self.omega.word)
             if left[1] != right[1]:
                 raise EndoscopyError("minus-one element is not central in the Weyl group")
             if left[0] != right[0]:

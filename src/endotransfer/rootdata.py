@@ -9,6 +9,9 @@ Conventions used throughout the package:
   is the plain dot product.
 * A root is positive when it is a nonnegative rational combination of the
   simple roots; for the systems built here the coefficients are integers.
+* A Weyl element is also its root permutation p, w . roots[j] = roots[p[j]]:
+  groups are found by one search over permutations (_search), and words are
+  folded onto matrices by word_matrix and onto permutations by word_permutation.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ _CARTAN: dict[str, IntMat] = {
     "A2": ((2, -1), (-1, 2)),
     "A3": ((2, -1, 0), (-1, 2, -1), (0, -1, 2)),
     "A4": ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2)),
-    # B_n: last simple root short; C_n: last simple root long.
+    # Swapped names: the B_n rows build C_n (last simple root long), the C_n rows B_n.
     "B2": ((2, -1), (-2, 2)),
     "B3": ((2, -1, 0), (-1, 2, -1), (0, -2, 2)),
     "B4": ((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -2, 2)),
@@ -169,7 +172,7 @@ class RootDatum(Record):
     # -- Weyl action -------------------------------------------------------
 
     def simple_reflection(self, i: int) -> WeylElement:
-        return WeylElement(self.times_reflection(identity(self.rank), self.simple_roots[i]), (i,))
+        return WeylElement(self.word_matrix((i,)), (i,))
 
     def times_reflection(self, matrix: IntMat, root: IntVec) -> IntMat:
         """matrix * s_root = matrix - (matrix coroot) root^T: the one kernel
@@ -181,9 +184,24 @@ class RootDatum(Record):
             out.append(tuple(x - p * a for x, a in zip(row, root)) if p else row)
         return tuple(out)
 
-    def times_simple(self, matrix: IntMat, i: int) -> IntMat:
-        """matrix * s_i, for the letters of a word."""
-        return self.times_reflection(matrix, self.simple_roots[i])
+    def word_matrix(self, word: tuple[int, ...], matrix: IntMat | None = None) -> IntMat:
+        """matrix * s_{i_1} ... s_{i_k} for the word (i_1, ..., i_k), one
+        rank-one update per letter; the identity when no matrix is given."""
+        if matrix is None:
+            matrix = identity(self.rank)
+        for i in word:
+            matrix = self.times_reflection(matrix, self.simple_roots[i])
+        return matrix
+
+    def word_permutation(self, word: tuple[int, ...], perm: tuple[int, ...] | None = None) -> tuple[int, ...]:
+        """p o p_{s_{i_1}} o ... o p_{s_{i_k}}, the root permutation of
+        w s_{i_1} ... s_{i_k} for the w with permutation p (the identity's
+        by default)."""
+        if perm is None:
+            perm = tuple(range(len(self.roots)))
+        for i in word:
+            perm = tuple([perm[j] for j in self._reflections[i]])
+        return perm
 
     def root_image(self, matrix: IntMat, root: IntVec) -> IntVec:
         """w . root for the w with this matrix: the root whose coroot is
@@ -192,6 +210,11 @@ class RootDatum(Record):
         if image is None:
             raise RootDatumError("matrix does not define a Weyl element")
         return image
+
+    def permutation(self, matrix: IntMat) -> tuple[int, ...]:
+        """The root permutation of the w with this matrix, read root by root
+        (root_image): roots[j] -> roots[p[j]]."""
+        return tuple([self._index[self.root_image(matrix, r)] for r in self.roots])
 
     def reflection_permutation(self, root: IntVec) -> tuple[int, ...]:
         """The root permutation of s_root: the p with s_root . roots[j] =
@@ -212,15 +235,15 @@ class RootDatum(Record):
     def permutation_word(self, perm: tuple[int, ...]) -> tuple[int, ...]:
         """A reduced word for the Weyl element with this root permutation,
         read from it: strip an s_i with w . alpha_i < 0, a lookup, from the
-        right until none is left; w s_i has the permutation perm o s_i.  Each
-        step sends one positive root fewer to a negative one, so it ends
-        for the permutation of any linear map of the roots."""
+        right until none is left.  Each step sends one positive root fewer
+        to a negative one, so it ends for the permutation of any linear map
+        of the roots."""
         suffix: list[int] = []
         while True:
             for i, j in enumerate(self._simple_index):
                 if perm[j] in self._negative_index:
                     suffix.append(i)
-                    perm = tuple([perm[x] for x in self._reflections[i]])
+                    perm = self.word_permutation((i,), perm)
                     break
             else:
                 return tuple(reversed(suffix))
@@ -235,12 +258,8 @@ class RootDatum(Record):
         word permutation_word reads from its root permutation, which must
         give the matrix back.  RootDatumError when a root's image is not a
         root, or the word does not give the matrix: the matrix is not in W."""
-        perm = tuple([self._index[self.root_image(matrix, r)] for r in self.roots])
-        word = self.permutation_word(perm)
-        product = identity(self.rank)
-        for i in word:
-            product = self.times_simple(product, i)
-        if product != matrix:
+        word = self.permutation_word(self.permutation(matrix))
+        if self.word_matrix(word) != matrix:
             raise RootDatumError("matrix does not define a Weyl element")
         return word
 
@@ -249,10 +268,7 @@ class RootDatum(Record):
         return WeylElement(matrix, self.reduced_word(matrix))
 
     def element_from_word(self, word: tuple[int, ...]) -> WeylElement:
-        matrix = identity(self.rank)
-        for i in word:
-            matrix = self.times_simple(matrix, i)
-        return self.element_from_matrix(matrix)
+        return self.element_from_matrix(self.word_matrix(word))
 
     def minus_one_element(self):
         """The Weyl element acting by -1, if it exists."""
@@ -400,33 +416,38 @@ class WeylGroup(tuple):
         return group
 
 
-def enumerate_weyl(datum: RootDatum) -> WeylGroup:
-    """The full Weyl group, breadth-first, identity first, deterministic order.
-
-    The search takes the elements in order and appends the children w s_0,
-    w s_1, ... of each that are new, so every level comes in the
-    lexicographic order of the words, each element with the first word that
-    reaches it.  An element is keyed by its images of the simple roots,
-    which fix it; w s_i has the root permutation p_w o p_{s_i}, so a child's
-    key costs rank lookups, and only a new child takes its permutation and
-    its matrix, one rank-one update of w's."""
-    reflections = datum._reflections
-    # The positions of s_i alpha_j: p_{w s_i} sends alpha_j to p_w of these.
-    moved = [datum.key(s) for s in reflections]
-    order = [WeylElement(identity(datum.rank), ())]
-    perms = [tuple(range(len(datum.roots)))]
+def _search(datum: RootDatum, steps) -> list[tuple[tuple[int, ...], int, int]]:
+    """The elements reached from the identity by right multiplication by the
+    steps, root permutations, first in first out, as (permutation, parent's
+    position, step's position), the identity's -1 and -1.  An element is
+    keyed by its images of the simple roots, which fix it, so a child's key
+    costs rank lookups, and only a new child takes its permutation."""
+    # The positions of step . alpha_j: p o step sends alpha_j to p of these.
+    moved = [datum.key(step) for step in steps]
+    found = [(tuple(range(len(datum.roots))), -1, -1)]
     seen = {datum._simple_index}
-    # Both lists grow as the search runs, so the loop reaches every element.
-    for w, p in zip(order, perms):
-        for i, s in enumerate(reflections):
+    # The list grows as the search runs, so the loop reaches every element.
+    for k, (p, _, _) in enumerate(found):
+        for i, step in enumerate(steps):
             key = tuple([p[j] for j in moved[i]])
             if key not in seen:
                 seen.add(key)
                 if len(seen) > WEYL_ORDER_CAP:
                     raise RootDatumError(f"Weyl group order exceeds cap {WEYL_ORDER_CAP}")
-                perms.append(tuple([p[j] for j in s]))
-                order.append(WeylElement(datum.times_simple(w.matrix, i), w.word + (i,)))
-    return WeylGroup(tuple(order), tuple(perms))
+                found.append((tuple([p[j] for j in step]), k, i))
+    return found
+
+
+def enumerate_weyl(datum: RootDatum) -> WeylGroup:
+    """The full Weyl group, breadth-first, identity first: _search over the
+    simple reflections gives each level in the lexicographic order of the
+    words, each element with its parent's word and matrix times s_i."""
+    found = _search(datum, datum._reflections)
+    order = [WeylElement(identity(datum.rank), ())]
+    for _, parent, i in found[1:]:
+        w = order[parent]
+        order.append(WeylElement(datum.word_matrix((i,), w.matrix), w.word + (i,)))
+    return WeylGroup(tuple(order), tuple(p for p, _, _ in found))
 
 
 def weyl_inverse(datum: RootDatum, w: WeylElement) -> WeylElement:
@@ -436,13 +457,9 @@ def weyl_inverse(datum: RootDatum, w: WeylElement) -> WeylElement:
     enumerate_weyl, element_from_matrix or closure returns; RootDatumError
     otherwise."""
     word = tuple(reversed(w.word))
-    matrix, check = identity(datum.rank), w.matrix
-    for i in word:
-        matrix = datum.times_simple(matrix, i)
-        check = datum.times_simple(check, i)
-    if check != identity(datum.rank):
+    if datum.word_matrix(word, w.matrix) != identity(datum.rank):
         raise RootDatumError("the word of the Weyl element does not give its matrix")
-    return WeylElement(matrix, word)
+    return WeylElement(datum.word_matrix(word), word)
 
 
 def right_coset_representatives(
@@ -471,46 +488,20 @@ def closure(
     datum: RootDatum, roots: tuple[IntVec, ...], extras: tuple[WeylElement, ...] = ()
 ) -> tuple[WeylElement, ...]:
     """Subgroup generated by the reflections in the given roots and by the
-    extra elements, in (length, word, matrix) order.  Elements are composed
-    as root permutations and keyed by their images of the simple roots; a
-    new element's word is read from its permutation (permutation_word), and
-    its matrix is one rank-one update of the element it was reached from,
-    or, for an extra, the fold of the extra's word, which must give its
-    matrix (RootDatumError otherwise)."""
-    one = identity(datum.rank)
-
-    def fold(matrix: IntMat, word: tuple[int, ...]) -> IntMat:
-        for i in word:
-            matrix = datum.times_simple(matrix, i)
-        return matrix
-
-    def word_permutation(word: tuple[int, ...]) -> tuple[int, ...]:
-        perm = tuple(range(len(datum.roots)))
-        for i in word:
-            perm = tuple([perm[j] for j in datum._reflections[i]])
-        return perm
-
-    if any(fold(one, e.word) != e.matrix for e in extras):
+    extra elements, in (length, word, matrix) order: _search over their
+    root permutations.  A new element's word is read from its permutation
+    (permutation_word), and its matrix is one update of its parent's: a
+    rank-one update for a reflection, the fold of the word for an extra,
+    which must give the extra's matrix (RootDatumError otherwise)."""
+    if any(datum.word_matrix(e.word) != e.matrix for e in extras):
         raise RootDatumError("the word of the Weyl element does not give its matrix")
-    # Each generator as its root permutation, the positions of its images of
-    # the simple roots, and its right action on matrices.
-    steps = [(datum.reflection_permutation(r), partial(datum.times_reflection, root=r)) for r in roots]
-    steps += [(word_permutation(e.word), partial(fold, word=e.word)) for e in extras]
-    steps = [(step, datum.key(step), times) for step, times in steps]
-    start = tuple(range(len(datum.roots)))
-    seen = {datum.key(start): WeylElement(one, ())}
-    frontier = [(start, one)]
-    while frontier:
-        new = []
-        for perm, matrix in frontier:
-            for step, moved, times in steps:
-                key = tuple([perm[j] for j in moved])
-                if key not in seen:
-                    product = tuple([perm[j] for j in step])
-                    image = times(matrix)
-                    seen[key] = WeylElement(image, datum.permutation_word(product))
-                    new.append((product, image))
-        frontier = new
-        if len(seen) > WEYL_ORDER_CAP:
-            raise RootDatumError("subgroup closure exceeds cap")
-    return tuple(sorted(seen.values(), key=lambda e: (len(e.word), e.word, e.matrix)))
+    steps = [datum.reflection_permutation(r) for r in roots]
+    steps += [datum.word_permutation(e.word) for e in extras]
+    times = [partial(datum.times_reflection, root=r) for r in roots]
+    times += [partial(datum.word_matrix, e.word) for e in extras]
+    found = _search(datum, steps)
+    matrices = [identity(datum.rank)]
+    for _, parent, i in found[1:]:
+        matrices.append(times[i](matrices[parent]))
+    elements = [WeylElement(m, datum.permutation_word(p)) for m, (p, _, _) in zip(matrices, found)]
+    return tuple(sorted(elements, key=lambda e: (len(e.word), e.word, e.matrix)))

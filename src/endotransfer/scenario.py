@@ -315,7 +315,7 @@ def build_scenario(config: Scenario, base_value: complex = 1.0) -> EllipticScena
             base_value=base_value,
         )
     except EndoscopyError as e:
-        raise ScenarioError([(0, f"violated invariant: regularity/base diagram: {e}")])
+        raise ScenarioError([(0, f"violated invariant: {e}")])
 
     return make_scenario(config.name, engine, config.form_scale)
 

@@ -9,14 +9,15 @@ from any reduced word of w.  The two defining rules are
     n_i * (-1)^lam = (-1)^{s_i lam} * n_i
 
 and products of canonical representatives are reduced with the standard
-length-descent fold, which is reduced-word independent.
+length-descent fold, which is reduced-word independent.  The fold runs on
+root permutations: the descent test and the sign are root lookups.
 """
 
 from __future__ import annotations
 
-from .lattice import IntMat, IntVec, identity, mat_vec, vec_int
+from .lattice import IntVec, identity, mat_mul, vec_int
 from .record import Record
-from .rootdata import RootDatum, WeylElement, weyl_inverse
+from .rootdata import RootDatum, RootDatumError, WeylElement, weyl_inverse
 
 
 class TitsElement(Record):
@@ -39,24 +40,20 @@ def torus_part(datum: RootDatum, eps: IntVec) -> TitsElement:
     return TitsElement(vec_int(eps), ident)
 
 
-def _fold_generator(datum: RootDatum, eps: IntVec, matrix: IntMat, i: int) -> tuple[IntVec, IntMat]:
-    """Right-multiply (eps, n(w)) by n_i, for the w with this matrix."""
-    target = datum.times_simple(matrix, i)
-    if datum.is_positive(datum.root_image(matrix, datum.simple_roots[i])):
-        # length goes up: concatenation of reduced words stays reduced
-        return eps, target
-    # length drop: n(w) n_i = n(w s_i) (-1)^{(w s_i) coroot_i}
-    sign_vec = mat_vec(target, datum.simple_coroots[i])
-    return tuple((a + b) % 2 for a, b in zip(eps, sign_vec)), target
-
-
-def fold(datum: RootDatum, eps: IntVec, matrix: IntMat, word) -> tuple[IntVec, IntMat]:
-    """(-1)^eps n(w) n_{i_1} ... n_{i_k} as (eps, matrix), for the w with
-    this matrix and the word (i_1, ..., i_k); a reduced word of v gives
-    (-1)^eps n(w) n(v)."""
+def fold(datum: RootDatum, eps: IntVec, perm: tuple[int, ...], word) -> tuple[IntVec, tuple[int, ...]]:
+    """(-1)^eps n(w) n_{i_1} ... n_{i_k} as (eps, root permutation), for the
+    w with this root permutation and the word (i_1, ..., i_k); a reduced
+    word of v gives (-1)^eps n(w) n(v).  Each letter is two lookups: the
+    length of w s_i drops exactly when w . alpha_i < 0, and then
+    n(w) n_i = n(w s_i) (-1)^{(w s_i) coroot_i}, the coroot of the root
+    (w s_i) . alpha_i; otherwise the concatenated word stays reduced."""
     for i in word:
-        eps, matrix = _fold_generator(datum, eps, matrix, i)
-    return eps, matrix
+        j = datum._simple_index[i]
+        drop = perm[j] in datum._negative_index
+        perm = datum.word_permutation((i,), perm)
+        if drop:
+            eps = tuple((a + b) % 2 for a, b in zip(eps, datum.coroots[perm[j]]))
+    return eps, perm
 
 
 def multiply(datum: RootDatum, a: TitsElement, b: TitsElement) -> TitsElement:
@@ -64,8 +61,13 @@ def multiply(datum: RootDatum, a: TitsElement, b: TitsElement) -> TitsElement:
     moved = a.w.act(b.eps)
     eps = tuple((x + y) % 2 for x, y in zip(a.eps, moved))
     # fold a reduced word of w_b; n(w_b) is independent of which one
-    eps, matrix = fold(datum, eps, a.w.matrix, datum.element_from_matrix(b.w.matrix).word)
-    return TitsElement(eps, datum.element_from_matrix(matrix))
+    eps, perm = fold(datum, eps, datum.permutation(a.w.matrix), datum.element_from_matrix(b.w.matrix).word)
+    w = datum.permutation_word(perm)
+    matrix = datum.word_matrix(w)
+    # A w_a outside W, such as a diagram automorphism, still permutes the roots.
+    if matrix != mat_mul(a.w.matrix, b.w.matrix):
+        raise RootDatumError("matrix does not define a Weyl element")
+    return TitsElement(eps, WeylElement(matrix, w))
 
 
 def inverse(datum: RootDatum, a: TitsElement) -> TitsElement:

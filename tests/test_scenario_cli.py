@@ -79,31 +79,39 @@ def test_build_rejects_wrong_h_grading_count():
     assert any("grading_h" in msg for _, msg in exc.value.problems)
 
 
-def test_non_elliptic_scenario_refused():
-    text = """
-name = not_elliptic
-g_type = A2
-form_scale = 1
+def _all_noncompact_text(g_type, rank):
+    """A scenario of the given type with every simple root noncompact and
+    s trivial, so that H = G."""
+    simple = [f"alpha{k + 1}" for k in range(rank)]
+    point = ", ".join(f"1/{2 * k + 1}" for k in range(rank))
+    return "\n".join([
+        "name = no_minus_one",
+        f"g_type = {g_type}",
+        "[grading_g]", *(f"{a} = noncompact" for a in simple),
+        "[s_character]", *(f"{a} = 1" for a in simple),
+        "[grading_h]", *(f"{a} = noncompact" for a in simple),
+        "[base_point]", f"x_h = {point}", f"x_g = {point}",
+    ]) + "\n"
 
-[grading_g]
-alpha1 = noncompact
-alpha2 = noncompact
 
-[s_character]
-alpha1 = 1
-alpha2 = 1
-
-[grading_h]
-alpha1 = noncompact
-alpha2 = noncompact
-
-[base_point]
-x_h = 1, 1/3
-x_g = 1, 1/3
-"""
-    with pytest.raises(ScenarioError) as exc:
-        build_scenario(parse_scenario(text))
-    assert any("elliptic" in msg for _, msg in exc.value.problems)
+def test_non_elliptic_scenario_refused(tmp_path):
+    """A type without -1 in its Weyl group is refused by that invariant and
+    by name, since the engine normalizes through n(omega) with omega = -1;
+    its real forms, su(p, q) among them, do have a compact Cartan.  The CLI
+    exits 2 with the same reason."""
+    for g_type, rank in (("A2", 2), ("A3", 3), ("A4", 4), ("A1xA2", 3), ("A2xA2", 4)):
+        with pytest.raises(ScenarioError) as exc:
+            build_scenario(parse_scenario(_all_noncompact_text(g_type, rank)))
+        assert exc.value.problems == [(0, (
+            f"violated invariant: -1 in the Weyl group: {g_type} has no Weyl element acting by -1, "
+            "and the transfer factor is normalized through n(omega) with omega = -1"
+        ))], g_type
+    scn = tmp_path / "a2.scn"
+    scn.write_text(_all_noncompact_text("A2", 2), encoding="utf-8")
+    res = _run_cli("verify", str(scn), "--samples", "1")
+    assert res.returncode == 2 and "Traceback" not in res.stderr
+    assert "A2 has no Weyl element acting by -1" in res.stderr
+    assert "elliptic" not in res.stderr and "regularity" not in res.stderr
 
 
 def test_run_verify_zero_samples_vacuous_pass():

@@ -283,11 +283,9 @@ x_g = 1/2, 2/3, 3/4
 def test_b3_setup_call_counts(monkeypatch):
     """One cold B3 scenario build and its pair table do matrix work only
     for what is new: one rank-one update (times_reflection) per element of
-    each of the four Weyl groups but the identity, the rank simple
-    reflections of the Tits check, and its folds, one letter onto n(omega)
-    and omega's reduced word, of length |Phi+|, onto each n_i, each letter
-    one update and one root_image.  No word is read from a matrix, and
-    delta_I is evaluated once."""
+    each of the four Weyl groups but the identity.  The Tits check folds on
+    root permutations, so it makes no update and no root_image call; no
+    word is read from a matrix, and delta_I is evaluated once."""
     calls = dict.fromkeys(("times_reflection", "root_image", "reduced_word", "delta_i"), 0)
 
     def counted(name, original):
@@ -308,13 +306,11 @@ def test_b3_setup_call_counts(monkeypatch):
     sc = build_scenario(parse_scenario(B3_TEXT))
     assert len(sc.table.entries) == 48
     eng = sc.engine
-    rank, positive = eng.g_datum.rank, len(eng.g_datum.positive_roots)
     groups = (eng.weyl_g, eng.weyl_h, eng.real_weyl_g, eng.real_weyl_h)
     assert [len(g) for g in groups] == [48, 24, 6, 4]
-    folds = rank * (1 + positive)
     assert calls == {
-        "times_reflection": sum(len(g) - 1 for g in groups) + rank + folds,
-        "root_image": folds,
+        "times_reflection": sum(len(g) - 1 for g in groups),
+        "root_image": 0,
         "reduced_word": 0,
         "delta_i": 1,
     }

@@ -1,6 +1,8 @@
 import random
 
-from endotransfer.rootdata import build_root_datum, enumerate_weyl
+import pytest
+
+from endotransfer.rootdata import RootDatumError, WeylElement, build_root_datum, enumerate_weyl
 from endotransfer.tits import TitsElement, inverse, multiply, n_of, torus_part
 
 
@@ -76,3 +78,13 @@ def test_torus_part_moves_by_weyl_action():
             moved = tuple(x % 2 for x in w.act(vec))
             rhs = multiply(d, torus_part(d, moved), n_of(d, w))
             assert lhs == rhs
+
+
+def test_multiply_refuses_an_element_outside_w():
+    """The diagram automorphism of D4 that swaps the last two simple coroots
+    permutes the roots but is not in W, so no product with it is in W."""
+    d = build_root_datum("D4")
+    swap = WeylElement(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)), ())
+    for i in range(d.rank):
+        with pytest.raises(RootDatumError, match="does not define a Weyl element"):
+            multiply(d, TitsElement((0,) * d.rank, swap), n_of(d, d.simple_reflection(i)))

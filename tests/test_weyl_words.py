@@ -17,7 +17,7 @@ from endotransfer.rootdata import (
     enumerate_weyl,
     weyl_inverse,
 )
-from endotransfer.tits import TitsElement, inverse as tits_inverse, multiply, n_of
+from endotransfer.tits import TitsElement, fold, inverse as tits_inverse, multiply, n_of
 
 from oracles import TYPES, LiteralWords
 
@@ -108,3 +108,17 @@ def test_tits_products_match_the_word_walking_fold(g_type):
         assert multiply(d, left, lifts[-1]) == middle
         assert multiply(d, middle, n_i) == literal.tits_multiply(middle, n_i)
 
+
+
+@pytest.mark.parametrize("g_type", ("B4", "C4", "D4", "G2"))
+def test_permutation_fold_matches_the_matrix_fold(g_type):
+    """tits.fold on root permutations against the literal fold on matrices,
+    for every w and letter i, with the torus part of w's first row: the
+    same eps, and the permutation of the same element."""
+    d = build_root_datum(g_type)
+    literal = LiteralWords(d)
+    for w in enumerate_weyl(d):
+        eps = tuple(x % 2 for x in w.matrix[0])
+        for i in range(d.rank):
+            want_eps, want = literal._fold_generator(eps, w, i)
+            assert fold(d, eps, d.permutation(w.matrix), (i,)) == (want_eps, d.permutation(want.matrix)), (w.word, i)
