@@ -15,6 +15,7 @@ message.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -29,6 +30,7 @@ from .cohomology import (
     tate_nakayama_pair,
 )
 from .endoscopy import ADatum, EllipticElement, EndoscopyError, build_diagram
+from .lattice import gf2_basis
 from .scenario import ScenarioError, _parse_vector, load_scenario_file
 from .verify import PrecisionError, emit_report, run_verify
 
@@ -205,7 +207,10 @@ def _cmd_h1(args) -> int:
     if group.order > H1_TABLE_LIMIT:
         print(f"pairing table left out: more than {H1_TABLE_LIMIT} classes")
         return 0
-    classes = [CohomologyClass(torus, group, coords) for coords in _all_classes(group)]
+    classes = [
+        CohomologyClass(torus, group, coords)
+        for coords in itertools.product((0, 1), repeat=len(group.divisors))
+    ]
     columns = _character_columns(group, classes)
     print("pairing table (rows: classes, columns: characters):")
     print("        " + "  ".join(f"k{j:<4d}" for j in range(len(columns))))
@@ -237,13 +242,6 @@ def _read_lattice(path) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _all_classes(group):
-    out = [()]
-    for d in group.divisors:
-        out = [c + (k,) for c in out for k in range(d)]
-    return out
-
-
 def _character_columns(group, classes):
     """The pairings with the classes of each distinct component-group
     character among the half-integral vectors, in the order of the first
@@ -252,13 +250,13 @@ def _character_columns(group, classes):
     A.  The pairing of m with a class is (-1)^(m . lambda), lambda the
     class's representative, so m's column is fixed by the parities of
     m . g at the generators g, a linear map on A.  The masks of one column
-    are a coset of its kernel K, and the first is the coset's reduction by
-    an echelon basis of K with pivots at the highest bits."""
+    are a coset of its kernel K, and the first is the one with a 0 at every
+    pivot of K's reduced echelon basis.  The complement masks come from the
+    same reduced elimination, so they and their sums have those 0s."""
     torus = group.torus
     n = torus.lattice_rank
     sigma = torus.involution
-    k = len(group.divisors)
-    generators = [group.representative(tuple(int(i == p) for i in range(k))) for p in range(k)]
+    generators = group.generators
 
     def moved(j):
         """The bits of (sigma^T - 1) e_j mod 2."""
@@ -271,50 +269,29 @@ def _character_columns(group, classes):
             if sum(g[j] for j in range(n) if m >> j & 1) % 2
         )
 
-    admissible, _ = _gf2_split([(moved(j), 1 << j) for j in range(n)])
-    kernel, complement = _gf2_split([(character(m), m) for m in admissible])
-    pivots = {}
-    for m in kernel:
-        m = _gf2_reduce(m, pivots)
-        pivots[m.bit_length() - 1] = m
+    admissible, _ = _gf2_split([(moved(j), 1 << j) for j in range(n)], n)
+    _, complement = _gf2_split([(character(m), m) for m in admissible], n)
     cosets = [0]
     for c in complement:
         cosets += [m ^ c for m in cosets]
     columns = []
-    for m in sorted(_gf2_reduce(m, pivots) for m in cosets):
+    for m in sorted(cosets):
         xhat = tuple(Fraction(1, 2) if m >> j & 1 else Fraction(0) for j in range(n))
         kap = kappa_from_s(xhat, torus)
         columns.append(tuple(tate_nakayama_pair(cls, kap) for cls in classes))
     return columns
 
 
-def _gf2_split(pairs):
+def _gf2_split(pairs, width):
     """Elimination over GF(2) of (key, mask) pairs, both bit sets, the masks
-    independent: the masks of a basis of the combinations whose keys cancel,
-    and those of pairs completing it to a basis of all combinations."""
-    pivots = {}
-    kernel = []
-    for key, mask in pairs:
-        while key:
-            top = key.bit_length() - 1
-            if top not in pivots:
-                pivots[top] = (key, mask)
-                break
-            pivot_key, pivot_mask = pivots[top]
-            key ^= pivot_key
-            mask ^= pivot_mask
-        else:
-            kernel.append(mask)
-    return kernel, [mask for _, mask in pivots.values()]
-
-
-def _gf2_reduce(m, pivots):
-    """m reduced by the basis {highest bit: vector}: clear, from the top,
-    every pivot bit.  The result is the smallest element of m's coset."""
-    for top in sorted(pivots, reverse=True):
-        if m >> top & 1:
-            m ^= pivots[top]
-    return m
+    independent and below 2^width, as one reduced echelon basis of the
+    vectors key << width | mask: the masks of its vectors whose keys cancel,
+    a reduced echelon basis of those combinations, and the masks of the
+    others, which complete it to a basis of all combinations and have a 0
+    at each of its pivots."""
+    low = (1 << width) - 1
+    basis = gf2_basis(key << width | mask for key, mask in pairs)
+    return [b for b in basis if b <= low], [b & low for b in basis if b > low]
 
 
 def main(argv=None) -> int:

@@ -6,7 +6,9 @@ exact coordinates: each coordinate is e^{2 pi i theta} with theta a rational
 phase, so every computation in this module is exact.
 
 H^1(R, T) is computed on the lattice as ker(1 + sigma) / im(1 - sigma); the
-class of a cocycle t = e(x + iy) is the image of (1 - sigma) x.  Phases and
+class of a cocycle t = e(x + iy) is the image of (1 - sigma) x.  The group
+is killed by 2, since (1 - sigma) x = 2x for every x in ker(1 + sigma), so it
+is an F_2-space and is computed by elimination over GF(2).  Phases and
 character vectors are held as integer numerators over one common
 denominator, so the per-class work is integer arithmetic; Fractions appear
 where points and characters are built from them or read back.  The duality
@@ -28,14 +30,14 @@ from .lattice import (
     coordinate_map,
     coordinates,
     dot,
+    gf2_basis,
+    gf2_reduce,
     hermite_normal_form,
     identity,
     integer_kernel,
-    inverse_over,
     mat_int,
     mat_mul,
     mat_vec,
-    smith_normal_form,
     transpose,
 )
 from .record import Record, set_attribute
@@ -131,46 +133,60 @@ def is_cocycle(torus: RealTorus, t: TorusPoint) -> bool:
 
 
 class H1Group(Record):
-    """ker(1 + sigma)/im(1 - sigma) in canonical Smith coordinates.
+    """ker(1 + sigma)/im(1 - sigma) as an F_2-space.
 
     h1 builds, once, the maps every class goes through: kernel vector ->
-    kernel coordinates -> Smith coordinates, and back through one lattice
-    representative per generator.  The fields: kernel_basis, whose rows
-    are a basis of ker(1 + sigma) in Z^n; divisors, the elementary divisors
-    > 1 (each equals 2); _to_kernel, coordinate_map(kernel_basis);
-    _class_rows, the columns of the Smith transform q at the divisor slots;
-    and _generators, lattice representatives of the unit classes."""
+    kernel coordinates mod 2 -> their reduction modulo the image of
+    1 - sigma, read at the free slots.  The fields: kernel_basis, whose
+    rows K_i are a basis of ker(1 + sigma) in Z^n; _to_kernel,
+    coordinate_map(kernel_basis); _relations, the reduced echelon basis
+    (lattice.gf2_basis) of the kernel coordinates mod 2 of the columns of
+    1 - sigma, bit i for K_i; and _free, the slots i that are no pivot of
+    it.  The class of K_i, i the j-th free slot, is the j-th unit class."""
 
-    __slots__ = _fields = ("torus", "kernel_basis", "divisors", "_to_kernel", "_class_rows", "_generators")
+    __slots__ = _fields = ("torus", "kernel_basis", "_to_kernel", "_relations", "_free")
+
+    @property
+    def divisors(self) -> tuple[int, ...]:
+        """The orders of the cyclic factors: one 2 per free slot."""
+        return (2,) * len(self._free)
 
     @property
     def order(self) -> int:
-        out = 1
-        for d in self.divisors:
-            out *= d
-        return out
+        return 1 << len(self._free)
+
+    @property
+    def generators(self) -> tuple[IntVec, ...]:
+        """Lattice representatives of the unit classes, in order."""
+        return tuple(self.kernel_basis[i] for i in self._free)
 
     def reduce(self, lam: IntVec) -> tuple[int, ...]:
         """Canonical coordinates of a kernel vector modulo im(1 - sigma)."""
-        if not self.kernel_basis:
-            if any(x != 0 for x in lam):
-                raise CohomologyError("vector is not in ker(1 + sigma)")
-            return ()
-        coords = coordinates(self.kernel_basis, self._to_kernel, lam)
-        den = self._to_kernel[1]
-        if coords is None or any(c % den for c in coords):
-            raise CohomologyError("vector is not in ker(1 + sigma)")
-        coords = tuple(c // den for c in coords)
-        return tuple(dot(row, coords) % d for row, d in zip(self._class_rows, self.divisors))
+        bits = gf2_reduce(_kernel_parities(self.kernel_basis, self._to_kernel, lam), self._relations)
+        return tuple(bits >> i & 1 for i in self._free)
 
     def representative(self, coords: Sequence[int]) -> IntVec:
         """A lattice representative of the class with the given coordinates."""
         out = [0] * self.torus.lattice_rank
-        for c, g in zip(coords, self._generators):
+        for c, g in zip(coords, self.generators):
             if c:
                 for j, x in enumerate(g):
                     out[j] += c * x
         return tuple(out)
+
+
+def _kernel_parities(kernel: IntMat, to_kernel: tuple[IntMat, int], lam: Sequence[int]) -> int:
+    """The coordinates of lam over the kernel basis mod 2, as a bit set.
+    CohomologyError when lam is not in ker(1 + sigma)."""
+    if not kernel:
+        if any(lam):
+            raise CohomologyError("vector is not in ker(1 + sigma)")
+        return 0
+    coords = coordinates(kernel, to_kernel, lam)
+    den = to_kernel[1]
+    if coords is None or any(c % den for c in coords):
+        raise CohomologyError("vector is not in ker(1 + sigma)")
+    return sum(1 << i for i, c in enumerate(coords) if c // den % 2)
 
 
 class CohomologyClass(Record):
@@ -182,43 +198,15 @@ class CohomologyClass(Record):
 
 def h1(torus: RealTorus) -> H1Group:
     n = torus.lattice_rank
-    one_plus = tuple(
-        tuple((1 if i == j else 0) + torus.involution[i][j] for j in range(n)) for i in range(n)
-    )
-    one_minus = tuple(
-        tuple((1 if i == j else 0) - torus.involution[i][j] for j in range(n)) for i in range(n)
-    )
-    kernel = integer_kernel(one_plus)
-    k = len(kernel)
-    if k == 0:
-        return H1Group(torus, kernel, (), ((), 1), (), ())
-    to_kernel = coordinate_map(kernel)
-    # relations: columns (1 - sigma) e_i expressed in kernel coordinates
-    relations = []
-    for col in transpose(one_minus):
-        coords = coordinates(kernel, to_kernel, col)
-        if coords is None or any(c % to_kernel[1] for c in coords):
-            raise CohomologyError("im(1 - sigma) is not inside ker(1 + sigma)")
-        relations.append(tuple(c // to_kernel[1] for c in coords))
-    d, _, q = smith_normal_form(mat_int(relations))
-    diag = [d[i][i] if i < len(d) else 0 for i in range(k)]
-    if any(x == 0 for x in diag):
-        raise CohomologyError("H^1 is not finite; involution is inconsistent")
-    positions = tuple(i for i, x in enumerate(diag) if abs(x) > 1)
-    divisors = tuple(abs(diag[i]) for i in positions)
-    if any(dv != 2 for dv in divisors):
-        raise CohomologyError("H^1 has an elementary divisor different from 2")
-    # A class's Smith coordinates are its kernel coordinates times q; the
-    # generator at slot p has kernel coordinates e_p q^{-1}.
-    class_rows = tuple(tuple(q[j][p] for j in range(k)) for p in positions)
-    qinv, den = inverse_over(q)
-    generators = []
-    for p in positions:
-        lam = mat_vec(transpose(kernel), qinv[p])
-        if any(x % den for x in lam):
-            raise CohomologyError("non-integral representative")
-        generators.append(tuple(x // den for x in lam))
-    return H1Group(torus, kernel, divisors, to_kernel, class_rows, tuple(generators))
+    sigma = torus.involution
+    kernel = integer_kernel(tuple(tuple(int(i == j) + sigma[i][j] for j in range(n)) for i in range(n)))
+    to_kernel = coordinate_map(kernel) if kernel else ((), 1)
+    # (1 + sigma)(1 - sigma) = 0 and 2K lies in im(1 - sigma), so H^1 is
+    # K/2K modulo the columns (1 - sigma) e_j of 1 - sigma.
+    relations = gf2_basis(_kernel_parities(kernel, to_kernel, torus.one_minus_sigma(e)) for e in identity(n))
+    pivots = {b.bit_length() - 1 for b in relations}
+    free = tuple(i for i in range(len(kernel)) if i not in pivots)
+    return H1Group(torus, kernel, to_kernel, relations, free)
 
 
 def cocycle_class(torus: RealTorus, t: TorusPoint, group: Optional[H1Group] = None) -> CohomologyClass:
@@ -244,12 +232,7 @@ class DualComponentCharacter(Record):
         super().__init__(torus, numerators, denominator)
 
     def is_trivial_on(self, group: H1Group) -> bool:
-        gens = [group.representative(_unit(i, len(group.divisors))) for i in range(len(group.divisors))]
-        return all(_pair_value(self, g) == 1 for g in gens)
-
-
-def _unit(i: int, n: int) -> tuple[int, ...]:
-    return tuple(1 if j == i else 0 for j in range(n))
+        return all(_pair_value(self, g) == 1 for g in group.generators)
 
 
 def _pair_value(kappa: DualComponentCharacter, lam: Sequence[int]) -> int:

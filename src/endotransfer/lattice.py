@@ -4,7 +4,8 @@ Matrices are row-major tuples of tuples of ints.  Every exact solve goes
 through one fraction-free elimination (Bareiss 1968), which keeps every
 entry an integer; rationals are integer numerators over one denominator.
 Sizes stay below ~10x10 in this package, so the classical elimination
-algorithms are used without any pivot-size tricks.
+algorithms are used without any pivot-size tricks.  Vectors over GF(2) are
+ints read as bit sets, and one elimination, gf2_basis, serves them all.
 """
 
 from __future__ import annotations
@@ -201,70 +202,28 @@ def integer_kernel(a: IntMat) -> IntMat:
     return mat_int(basis)
 
 
-def smith_normal_form(a: IntMat) -> tuple[IntMat, IntMat, IntMat]:
-    """Smith form.  Returns (d, p, q) with d = p @ a @ q, p and q unimodular."""
-    m = [list(r) for r in a]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    p = [list(r) for r in identity(nrows)]
-    q = [list(r) for r in identity(ncols)]
+def gf2_basis(vectors: Iterable[int]) -> tuple[int, ...]:
+    """The reduced echelon basis over GF(2) of the span of the vectors, each
+    an int read as a bit set: the pivot of a basis vector is its highest
+    bit, and no other basis vector has that bit.  Sorted by decreasing
+    pivot."""
+    basis: list[int] = []
+    for v in vectors:
+        v = gf2_reduce(v, basis)
+        if v:
+            top = 1 << (v.bit_length() - 1)
+            basis = [b ^ v if b & top else b for b in basis]
+            basis.append(v)
+    return tuple(sorted(basis, reverse=True))
 
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        p[i], p[j] = p[j], p[i]
 
-    def swap_cols(i, j):
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-        for row in q:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, c):
-        m[dst] = [x + c * y for x, y in zip(m[dst], m[src])]
-        p[dst] = [x + c * y for x, y in zip(p[dst], p[src])]
-
-    def add_col(dst, src, c):
-        for row in m:
-            row[dst] += c * row[src]
-        for row in q:
-            row[dst] += c * row[src]
-
-    t = 0
-    while t < min(nrows, ncols):
-        entries = [(abs(m[i][j]), i, j) for i in range(t, nrows) for j in range(t, ncols) if m[i][j] != 0]
-        if not entries:
-            break
-        _, pi, pj = min(entries)
-        swap_rows(t, pi)
-        swap_cols(t, pj)
-        dirty = False
-        for i in range(t + 1, nrows):
-            if m[i][t] != 0:
-                add_row(i, t, -(m[i][t] // m[t][t]))
-                dirty = dirty or m[i][t] != 0
-        for j in range(t + 1, ncols):
-            if m[t][j] != 0:
-                add_col(j, t, -(m[t][j] // m[t][t]))
-                dirty = dirty or m[t][j] != 0
-        if dirty:
-            continue
-        # Ensure the pivot divides every remaining entry.
-        offender = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if m[i][j] % m[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            add_row(t, offender, 1)
-            continue
-        if m[t][t] < 0:
-            m[t] = [-x for x in m[t]]
-            p[t] = [-x for x in p[t]]
-        t += 1
-    return mat_int(m), mat_int(p), mat_int(q)
+def gf2_reduce(v: int, basis: Iterable[int]) -> int:
+    """v with every pivot bit of a reduced echelon basis cleared: the least
+    element of the coset of v modulo the span."""
+    for b in basis:
+        if v >> (b.bit_length() - 1) & 1:
+            v ^= b
+    return v
 
 
 def coordinate_map(rows: Sequence[Sequence[int]]) -> tuple[IntMat, int]:

@@ -286,8 +286,7 @@ def weyl_sign(w: WeylElement) -> int:
     return d
 
 
-def _simple_systems(spec: str) -> list[IntMat]:
-    parts = [p.strip() for p in spec.replace("x", "×").split("×")]
+def _simple_systems(parts: list[str]) -> list[IntMat]:
     systems = []
     for part in parts:
         if part not in _CARTAN:
@@ -298,8 +297,14 @@ def _simple_systems(spec: str) -> list[IntMat]:
 
 @lru_cache(maxsize=None)
 def build_root_datum(spec: str) -> RootDatum:
-    """Build the simply connected root datum for a Cartan type like 'A1' or 'A1xA1'."""
-    systems = _simple_systems(spec)
+    """Build the simply connected root datum for a Cartan type like 'A1' or
+    'A1xA1'.  Every spelling of a type, 'A1xA2' or ' A1 × A2 ', gives the
+    one datum cached under its label 'A1×A2'."""
+    parts = [p.strip() for p in spec.replace("x", "×").split("×")]
+    label = "×".join(parts)
+    if label != spec:
+        return build_root_datum(label)
+    systems = _simple_systems(parts)
     rank = sum(len(c) for c in systems)
     if rank > 4:
         raise RootDatumError(f"total rank {rank} exceeds the supported range (<= 4)")
@@ -315,12 +320,11 @@ def build_root_datum(spec: str) -> RootDatum:
         offset += k
     simple_coroots = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
 
-    datum = _close_root_system(spec, rank, tuple(simple_roots), tuple(simple_coroots))
-    label = spec.replace("x", "×")
-    expected = sum(_ROOT_COUNTS[p.strip()] for p in label.split("×"))
+    datum = _close_root_system(label, rank, tuple(simple_roots), tuple(simple_coroots))
+    expected = sum(_ROOT_COUNTS[p] for p in parts)
     if len(datum.roots) != expected:
         raise RootDatumError(
-            f"closure produced {len(datum.roots)} roots for {spec}, expected {expected}"
+            f"closure produced {len(datum.roots)} roots for {label}, expected {expected}"
         )
     return datum
 

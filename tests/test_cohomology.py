@@ -201,9 +201,16 @@ def test_kappa_validation():
 
 
 def test_h1_exponent_two_on_zoo():
+    """The premise of computing H^1 over GF(2): 2K lies in im(1 - sigma),
+    K = ker(1 + sigma), with the witness (1 - sigma) k = 2k for every row k
+    of the kernel basis, so twice every row is the zero class."""
     for sigma in involution_zoo():
-        group = h1(RealTorus(len(sigma), sigma))
-        assert all(d == 2 for d in group.divisors)
+        torus = RealTorus(len(sigma), sigma)
+        group = h1(torus)
+        for row in group.kernel_basis:
+            double = tuple(2 * x for x in row)
+            assert torus.one_minus_sigma(row) == double, sigma
+            assert group.reduce(double) == (0,) * len(group.divisors), sigma
 
 
 def _check_against_oracle(sigma):

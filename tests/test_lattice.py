@@ -7,6 +7,8 @@ import pytest
 from endotransfer.lattice import (
     coordinate_map,
     det_int,
+    gf2_basis,
+    gf2_reduce,
     hermite_normal_form,
     identity,
     integer_kernel,
@@ -14,7 +16,6 @@ from endotransfer.lattice import (
     mat_int,
     mat_mul,
     mat_vec,
-    smith_normal_form,
     transpose,
 )
 
@@ -34,22 +35,27 @@ def test_hnf_transform_is_unimodular_and_consistent():
         assert det_int(u) in (1, -1)
 
 
-def test_smith_form_diagonal_with_divisibility():
+def test_gf2_basis_and_reduce_against_enumeration():
+    """gf2_basis spans what its input spans, in reduced echelon form sorted
+    by decreasing pivot, and gf2_reduce gives the least element of each
+    coset; both checked by enumerating the span of seeded bit sets."""
     rng = random.Random(2)
-    for _ in range(50):
-        a = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-        d, p, q = smith_normal_form(a)
-        assert mat_mul(mat_mul(p, a), q) == d
-        assert det_int(p) in (1, -1)
-        assert det_int(q) in (1, -1)
-        diag = [d[i][i] for i in range(min(len(d), len(d[0])))]
-        for i in range(len(d)):
-            for j in range(len(d[0])):
-                if i != j:
-                    assert d[i][j] == 0
-        for x, y in zip(diag, diag[1:]):
-            if y != 0:
-                assert x != 0 and y % x == 0
+    for _ in range(60):
+        width = rng.randint(1, 7)
+        vectors = [rng.randrange(1 << width) for _ in range(rng.randint(0, 6))]
+        span = {0}
+        for v in vectors:
+            span |= {s ^ v for s in span}
+        basis = gf2_basis(vectors)
+        pivots = [b.bit_length() - 1 for b in basis]
+        assert pivots == sorted(set(pivots), reverse=True) and 1 << len(basis) == len(span)
+        assert all(b >> p & 1 == 0 for b in basis for p in pivots if p != b.bit_length() - 1)
+        reached = {0}
+        for b in basis:
+            reached |= {s ^ b for s in reached}
+        assert reached == span
+        for v in range(1 << width):
+            assert gf2_reduce(v, basis) == min(v ^ s for s in span)
 
 
 def test_integer_kernel_members_and_saturation():

@@ -78,10 +78,10 @@ CASES = [
     (
         H1Group,
         dict(
-            torus=TORUS, kernel_basis=GROUP.kernel_basis, divisors=GROUP.divisors,
-            _to_kernel=GROUP._to_kernel, _class_rows=GROUP._class_rows, _generators=GROUP._generators,
+            torus=TORUS, kernel_basis=GROUP.kernel_basis, _to_kernel=GROUP._to_kernel,
+            _relations=GROUP._relations, _free=GROUP._free,
         ),
-        (TORUS, GROUP.kernel_basis, GROUP.divisors, GROUP._to_kernel, GROUP._class_rows, GROUP._generators),
+        (TORUS, GROUP.kernel_basis, GROUP._to_kernel, GROUP._relations, GROUP._free),
     ),
     (CohomologyClass, dict(torus=TORUS, group=GROUP, coordinates=(1,)), (TORUS, GROUP, (1,))),
     (DualComponentCharacter, dict(torus=TORUS, numerators=(1,), denominator=2), (TORUS, (1,), 2)),

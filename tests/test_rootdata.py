@@ -56,6 +56,21 @@ def test_unknown_type_and_rank_cap():
         build_root_datum("A2xA3")  # rank 5
 
 
+def test_one_datum_per_type_whatever_the_spelling():
+    """Every spelling of a type gives one build, one object and the label
+    A1×A2; cache_clear empties every entry, so the next call builds anew."""
+    build_root_datum.cache_clear()
+    data = [build_root_datum(spec) for spec in ("A1xA2", "A1×A2", " A1 x A2 ", "A1 ×A2")]
+    assert all(d is data[0] for d in data)
+    assert data[0].cartan_label == "A1×A2"
+    assert build_root_datum.cache_info().currsize == 4
+    build_root_datum.cache_clear()
+    assert build_root_datum.cache_info().currsize == 0
+    fresh = build_root_datum("A1xA2")
+    assert fresh is not data[0] and fresh == data[0]
+    assert fresh is build_root_datum("A1×A2")
+
+
 def test_cartan_matrix_diagonal_two():
     for label in ("A1", "A2", "B2", "C2", "A1xA1", "D4"):
         d = build_root_datum(label)

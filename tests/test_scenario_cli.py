@@ -26,6 +26,9 @@ from endotransfer.verify import (
     run_verify,
 )
 
+from oracles import BruteForceH1
+from test_cohomology import involution_zoo
+
 GOLDEN = builtin_scenario_path("sl2_endoscopy").read_text(encoding="utf-8")
 
 
@@ -99,11 +102,13 @@ def test_non_elliptic_scenario_refused(tmp_path):
     by name, since the engine normalizes through n(omega) with omega = -1;
     its real forms, su(p, q) among them, do have a compact Cartan.  The CLI
     exits 2 with the same reason."""
-    for g_type, rank in (("A2", 2), ("A3", 3), ("A4", 4), ("A1xA2", 3), ("A2xA2", 4)):
+    for g_type, rank, label in (
+        ("A2", 2, "A2"), ("A3", 3, "A3"), ("A4", 4, "A4"), ("A1xA2", 3, "A1×A2"), ("A2xA2", 4, "A2×A2"),
+    ):
         with pytest.raises(ScenarioError) as exc:
             build_scenario(parse_scenario(_all_noncompact_text(g_type, rank)))
         assert exc.value.problems == [(0, (
-            f"violated invariant: -1 in the Weyl group: {g_type} has no Weyl element acting by -1, "
+            f"violated invariant: -1 in the Weyl group: {label} has no Weyl element acting by -1, "
             "and the transfer factor is normalized through n(omega) with omega = -1"
         ))], g_type
     scn = tmp_path / "a2.scn"
@@ -221,6 +226,43 @@ def test_cli_h1_table_limit(tmp_path, capsys, rank, table):
     else:
         assert "pairing table left out: more than 256 classes" in out
         assert "\n  c" not in out
+
+
+def _oracle_table(sigma):
+    """The h1 table by the sign-point oracle: one sign cocycle per class,
+    and the distinct character columns in increasing order of the mask
+    m = sum_j 2^j (2 xhat_j) of their first vector."""
+    oracle = BruteForceH1(sigma)
+    classes = []
+    for nu in sorted(oracle.cocycles):
+        if not any(oracle.same_class(nu, c) for c in classes):
+            classes.append(nu)
+    masks = {sum(int(2 * x) << j for j, x in enumerate(xhat)): xhat for xhat in oracle.fixed_half_characters()}
+    columns = []
+    for m in sorted(masks):
+        column = tuple(oracle.pairing(nu, masks[m]) for nu in classes)
+        if column not in columns:
+            columns.append(column)
+    return oracle.order, list(zip(*columns))
+
+
+@pytest.mark.parametrize("index", range(27))
+def test_cli_h1_table_matches_the_oracle(tmp_path, capsys, index):
+    """On each zoo lattice the printed group and table are the oracle's:
+    the same order, and the same rows as a multiset, over the same columns
+    in the same order; a row's label is free."""
+    sigma = involution_zoo()[index]
+    lat = tmp_path / "zoo.lat"
+    lat.write_text("".join(" ".join(map(str, row)) + "\n" for row in sigma), encoding="utf-8")
+    order, rows = _oracle_table(sigma)
+    assert cli.main(["h1", str(lat)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    group = " x ".join(["Z/2"] * (order.bit_length() - 1)) or "trivial"
+    assert lines[0] == f"H^1(R, T) = {group}  (order {order})"
+    assert lines[2].split() == [f"k{j}" for j in range(len(rows[0]))]
+    printed = [line.split() for line in lines[3:]]
+    assert [row[0] for row in printed] == [f"c{i}" for i in range(order)]
+    assert sorted(tuple(int(x) for x in row[1:]) for row in printed) == sorted(rows)
 
 
 def _diagonal_lattice(path, plus, minus):
