@@ -17,6 +17,20 @@ pairs the w-term of the first route with the w^{-1}-term of the second,
 each carrying its own Weil constant and dimension prefactor; it computes
 nothing of either route again, and keeps only the largest difference.
 
+Signs are computed once per Weyl chamber.  Every weight, [D/pi] sign and
+folded multiplicity a route multiplies in is read from require_regular's
+mask of the positive roots negative at x_h or x_g, and a regular point's
+mask names its chamber.  So each route keeps them in its own memo on the
+pair table, filled from its own table columns and group law the first time
+a chamber is seen: d_gh's under (mask of x_h, parity of x_g's mask),
+d_tilde_gh's under x_h's mask and under x_g's.  A pair in chambers already
+seen computes its images, form products, unit phases and sums, and nothing
+else.  The memos hold at most one entry per chamber (two for d_gh's key):
+about 0.76 MB on B3 and 45 MB on B4 once every chamber is visited
+(PairTable).  Each product the memos keep is taken in the order and
+association the pair would take it, so a warm pair gives the bits of a
+cold one.
+
 Every unit phase exp(-i scale p) is cmath.rect(1.0, 0.0 - scale * p),
 which gives the bits of cmath.exp(1j * -(scale * p)), signed zeros
 included: the real part of 1j * t is a zero, so exp takes e^0 = 1.0 and
@@ -45,7 +59,7 @@ from .realform import (
     gamma_psi,
     prefactor,
 )
-from .record import MutableRecord, Record
+from .record import MutableRecord, Record, set_attribute
 from .rootdata import RootDatum, WeylElement, weyl_sign
 
 
@@ -134,9 +148,33 @@ class PairTable(Record):
     in the order of weyl_g and of weyl_h.  g_law and h_law are the group
     laws each route regroups by: for the r-th element u of the side's real
     Weyl group, the row whose k-th entry is the index of u w_k in the
-    side's Weyl group (W for G, W_H for H), both in that group's order."""
+    side's Weyl group (W for G, W_H for H), both in that group's order.
 
-    __slots__ = _fields = ("entries", "g_columns", "h_columns", "g_law", "h_law")
+    Every sign a route multiplies in is read from require_regular's mask of
+    a point, and a regular point's mask names its Weyl chamber, so each
+    route keeps what it computes from the masks in a memo of its own,
+    filled the first time a chamber is seen; a pair in chambers already
+    seen computes only its phases.  g_memo, d_gh's, maps (mask of x_h,
+    parity of x_g's mask) to the folded multiplicities and the term fronts.
+    h_memo, d_tilde_gh's, is two dicts: x_h's mask to the multiplicities
+    folded over h_law with the sign of [D/pi](x_h), and x_g's mask to the
+    products weight(w^{-1}) [D/pi](w x_g) with the term fronts for either
+    sign of [D/pi](x_h).  Neither memo is a field.
+
+    The memos grow to at most one key per chamber in each dict, two in
+    g_memo, and hold 2|W| complex numbers under a key of g_memo, |W_H| or
+    3|W| under one of h_memo: at most about 280|W|^2 + 40|W||W_H| bytes on
+    CPython, 0.76 MB on B3 (|W| = 48) and 45 MB on B4 (|W| = 384), which a
+    run reaches only after pairs in both parities of every one of B4's 384
+    chambers, at about 34 ms a pair."""
+
+    _fields = ("entries", "g_columns", "h_columns", "g_law", "h_law")
+    __slots__ = _fields + ("g_memo", "h_memo")
+
+    def __init__(self, entries, g_columns, h_columns, g_law, h_law):
+        super().__init__(entries, g_columns, h_columns, g_law, h_law)
+        set_attribute(self, "g_memo", {})
+        set_attribute(self, "h_memo", ({}, {}))
 
 
 class EllipticScenario(MutableRecord):
@@ -237,7 +275,9 @@ def d_gh(
     product of G's group law, so each z takes one exponential; the images
     z x_h come from one pass over W's column table.  Weights and
     [D/pi] at w x_h come from the masks of x_h and x_g, pair_masks' (taken
-    here when not given).
+    here when not given).  They fix the multiplicities of the z and the
+    term fronts, which the table's g_memo keeps under x_h's mask and the
+    parity of x_g's: a pair in a chamber seen before reads them there.
 
     The value comes with the route's closed-form w-terms, in the order of
     W: gamma prefactor [D/pi](x_g) weight(w) [D/pi](w x_h) times the
@@ -250,20 +290,27 @@ def d_gh(
     eng = scenario.engine
     table = scenario.table
     side = scenario.g_side
-    d_y = side.d_over_pi_at(parity_sign(neg_g.bit_count()))
-    factors = [
-        (entry.weight_moved(neg_h) * eng.base_value, side.d_over_pi_at(entry.g_sign(neg_h)))
-        for entry in table.entries
-    ]
-    fronts = [weight * (side._prefactor * d_x) * d_y for weight, d_x in factors]
-    counts = _fold(table.g_law, side.weyl_table, fronts)
+    key = neg_h, neg_g.bit_count() & 1
+    chamber = table.g_memo.get(key)
+    if chamber is None:
+        d_y = side.d_over_pi_at(parity_sign(key[1]))
+        factors = [
+            (entry.weight_moved(neg_h) * eng.base_value, side.d_over_pi_at(entry.g_sign(neg_h)))
+            for entry in table.entries
+        ]
+        fronts = [weight * (side._prefactor * d_x) * d_y for weight, d_x in factors]
+        front = side._gamma * side._prefactor * d_y
+        chamber = table.g_memo[key] = (
+            _fold(table.g_law, side.weyl_table, fronts),
+            [front * weight * d_x for weight, d_x in factors],
+        )
+    counts, fronts = chamber
     images = images_in_order(table.g_columns, x_h.floats())
     phases = side.exponentials(images, side.form_image(x_g.coords))
     total = complex(0.0)
     for count, phase in zip(counts, phases):
         total += count * phase
-    front = side._gamma * side._prefactor * d_y
-    terms = tuple(front * weight * d_x * phase for (weight, d_x), phase in zip(factors, phases))
+    terms = tuple(front * phase for front, phase in zip(fronts, phases))
     return KernelValue(side._gamma * total / len(eng.real_weyl_g), terms)
 
 
@@ -274,15 +321,19 @@ def d_tilde_gh(
 
     The inner kernels' terms [D/pi](w' x_h) det(u') exp(-i B(u' w' x_h,
     w x_g)) over w' in W_H and u' in W_real(H) are regrouped by z = u' w',
-    the product of H's group law, once per pair; each w then takes one
-    exponential per z.  The images z x_h come from one pass over W_H's
-    column table, and B w x_g for every w from a pass over W's, then one
-    over B.  For each w, the contractions of the images with B w x_g are
-    taken as Side.exponentials takes them, and the last coordinate, the
-    exponential and the inner sum over z run in one loop, which keeps no
-    list of exponentials.
+    the product of H's group law; each w then takes one exponential per z.
+    The images z x_h come from one pass over W_H's column table, and
+    B w x_g for every w from a pass over W's, then one over B.  For each w,
+    the contractions of the images with B w x_g are taken as
+    Side.exponentials takes them, and the last coordinate, the exponential
+    and the inner sum over z run in one loop, which keeps no list of
+    exponentials.
     Weights and [D/pi] at moved points come from the masks of x_h and x_g,
-    pair_masks' (taken here when not given).
+    pair_masks' (taken here when not given).  The table's h_memo keeps what
+    they fix: under x_h's mask the multiplicities of the z and the sign of
+    [D/pi](x_h), under x_g's the per-w products weight(w^{-1}) [D/pi](w x_g)
+    and the term fronts for either sign; a pair in chambers seen before
+    reads them there.
 
     The value comes with the route's closed-form w-terms, in the order of
     W: gamma prefactor [D/pi](x_h) weight(w^{-1}) [D/pi](w x_g), the weight
@@ -297,23 +348,41 @@ def d_tilde_gh(
     table = scenario.table
     side = scenario.h_side
     entries = table.entries
-    fronts = [
-        side._prefactor * side.d_over_pi_at(entries[k].h_sign(neg_h)) for k in eng.h_positions
-    ]
-    counts = _fold(table.h_law, side.weyl_table, fronts)
+    at_h, at_g = table.h_memo
+    h_chamber = at_h.get(neg_h)
+    if h_chamber is None:
+        fronts = [
+            side._prefactor * side.d_over_pi_at(entries[k].h_sign(neg_h)) for k in eng.h_positions
+        ]
+        # The table's first entry is the identity's.
+        h_chamber = at_h[neg_h] = (
+            _fold(table.h_law, side.weyl_table, fronts), entries[0].h_sign(neg_h)
+        )
+    counts, sign = h_chamber
+    g_chamber = at_g.get(neg_g)
+    if g_chamber is None:
+        # The term fronts for each sign of [D/pi](x_h), which x_g's chamber
+        # does not fix.
+        plus = side._gamma * side._prefactor * side.d_over_pi_at(1)
+        minus = side._gamma * side._prefactor * side.d_over_pi_at(-1)
+        products, plus_fronts, minus_fronts = [], [], []
+        for entry in entries:
+            weight = entries[entry.inverse].weight_at(neg_g) * eng.base_value
+            d_y = side.d_over_pi_at(entry.h_sign(neg_g))
+            products.append(weight * d_y)
+            plus_fronts.append(plus * weight * d_y)
+            minus_fronts.append(minus * weight * d_y)
+        g_chamber = at_g[neg_g] = products, {1: plus_fronts, -1: minus_fronts}
+    products, by_sign = g_chamber
     images = images_in_order(table.h_columns, x_h.floats())
     head, last = images[:-1], images[-1]
     zeros = [0.0] * len(last)
     moved = side.form_columns(images_in_order(table.g_columns, x_g.coords))
     scale = side._scale
     rect = cmath.rect
-    # The table's first entry is the identity's.
-    front = side._gamma * side._prefactor * side.d_over_pi_at(entries[0].h_sign(neg_h))
     terms = []
     total = complex(0.0)
-    for entry, bv in zip(entries, zip(*moved)):
-        weight = entries[entry.inverse].weight_at(neg_g) * eng.base_value
-        d_y = side.d_over_pi_at(entry.h_sign(neg_g))
+    for product, front, bv in zip(products, by_sign[sign], zip(*moved)):
         phases = zeros
         for column, b in zip(head, bv):
             phases = [p + c * b for p, c in zip(phases, column)]
@@ -326,8 +395,8 @@ def d_tilde_gh(
         inner += count * one
         for count, p, c in inner_terms:
             inner += count * rect(1.0, 0.0 - scale * (p + c * b))
-        total += weight * d_y * inner
-        terms.append(front * weight * d_y * one)
+        total += product * inner
+        terms.append(front * one)
     return KernelValue(side._gamma * total / (len(eng.real_weyl_h) * len(eng.weyl_h)), tuple(terms))
 
 

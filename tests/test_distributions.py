@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from endotransfer.distributions import (
+    KernelValue,
     d_gh,
     d_tilde_gh,
     explicit_term,
@@ -269,13 +270,17 @@ def test_weil_prefactor_balance():
 
 def test_routes_vanish_for_ambient_wall_h_regular_element():
     """An endoscopic-side element on an ambient wall (but regular for the
-    endoscopic system) matches no diagram: both routes return zero."""
+    endoscopic system) matches no diagram: both routes return zero, read
+    no pair table and leave the routes' memos empty."""
     sc = load_builtin("sp4_endoscopy")
     xh = EllipticElement((Fraction(0), Fraction(1)))  # on the long-root wall
     xg = EllipticElement((Fraction(1), Fraction(1, 3)))
-    assert d_gh(sc, xh, xg).value == 0
-    assert d_tilde_gh(sc, xh, xg).value == 0
-    assert verify_identity(sc, xh, xg).passed
+    assert d_gh(sc, xh, xg) == KernelValue(complex(0.0), ())
+    assert d_tilde_gh(sc, xh, xg) == KernelValue(complex(0.0), ())
+    report = verify_identity(sc, xh, xg)
+    assert report.lhs == report.rhs == 0 and report.passed
+    assert "table" not in vars(sc)
+    assert sc.table.g_memo == {} and sc.table.h_memo == ({}, {})
 
     torus_side = load_builtin("sl2_endoscopy")
     wall = EllipticElement((Fraction(0),))

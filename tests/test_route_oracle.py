@@ -344,7 +344,9 @@ def test_pair_builds_no_record_per_w(monkeypatch, name):
 def test_rank_4_pair_keeps_no_batch_of_w_and_z(monkeypatch):
     """On B4_SPLIT, |W| = 384 and |W_H| = 192.  One pair takes
     |W| + |W| |W_H| unit phases, and since no list of |W| |W_H| exponentials
-    is built, its allocation peak stays under 1 MB."""
+    is built, its allocation peak stays under 1 MB: for a pair in chambers
+    already seen, and for one in new chambers, which adds one key to each of
+    the routes' memos."""
     scenario = build_scenario(parse_scenario(B4_SPLIT))
     eng = scenario.engine
     assert (len(eng.weyl_g), len(eng.weyl_h)) == (384, 192)
@@ -353,16 +355,31 @@ def test_rank_4_pair_keeps_no_batch_of_w_and_z(monkeypatch):
     x_g = EllipticElement(sample_regular_vector(scenario, rng))
     verify_identity(scenario, x_h, x_g)  # builds the pair table
 
-    tracemalloc.start()
-    try:
-        verify_identity(scenario, x_h, x_g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
+    def peak_of(x_h, x_g) -> int:
+        tracemalloc.start()
+        try:
+            verify_identity(scenario, x_h, x_g)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak_of(x_h, x_g) < 1_000_000
+
+    # Images under an element other than 1 lie in other chambers.
+    def moved(k: int, x: EllipticElement) -> EllipticElement:
+        return EllipticElement(eng.weyl_g[k].act(x.coords))
+
+    table = scenario.table
+    memos = (table.g_memo, *table.h_memo)
+    keys = [len(memo) for memo in memos]
+    assert peak_of(moved(1, x_h), moved(1, x_g)) < 1_000_000
+    assert [len(memo) for memo in memos] == [k + 1 for k in keys]
 
     counter = _CountingCmath()
     monkeypatch.setattr(distributions, "cmath", counter)
     verify_identity(scenario, x_h, x_g)
+    assert counter.rect_calls == 384 + 73_728
+    counter.rect_calls = 0
+    verify_identity(scenario, moved(2, x_h), moved(2, x_g))
     assert counter.rect_calls == 384 + 73_728
     assert counter.exp_calls == 0
