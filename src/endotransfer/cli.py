@@ -222,7 +222,8 @@ def _cmd_h1(args) -> int:
 def _read_lattice(path) -> tuple[tuple[int, ...], ...]:
     """Rows of an integer square matrix, one per non-comment line."""
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # A UTF-8 byte-order mark is not part of the first row.
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

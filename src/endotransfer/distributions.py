@@ -60,7 +60,10 @@ from .realform import (
     prefactor,
 )
 from .record import MutableRecord, Record, set_attribute
-from .rootdata import RootDatum, WeylElement, weyl_sign
+from .rootdata import RootDatum, WeylElement
+# Unused here: perfbench/tracing.py wraps this name in this module, so it
+# stays until that layer is dropped.
+from .rootdata import weyl_sign  # noqa: F401
 
 
 class KernelValue(Record):
@@ -79,13 +82,15 @@ class Side:
 
     The invariant form is held as floats, and each real Weyl element with
     its determinant, so that kernel evaluation does no exact arithmetic.
+    det w is (-1)^k for any word of k reflections that gives w, such as
+    the element's own word.
     """
 
     def __init__(self, datum: RootDatum, grading: RealFormGrading, real_weyl, form, form_scale):
         self.datum = datum
         self.grading = grading
         self.real_weyl = tuple(real_weyl)
-        self.weyl_table = tuple((w, weyl_sign(w)) for w in self.real_weyl)
+        self.weyl_table = tuple([(w, parity_sign(len(w.word))) for w in self.real_weyl])
         self._form = tuple(tuple(float(b) for b in row) for row in form)
         self._scale = float(form_scale)
         self.profile = dimension_profile(grading)
@@ -203,7 +208,7 @@ class EllipticScenario(MutableRecord):
         eng = self.engine
         return PairTable(
             eng.transfer_table(),
-            column_table([w.matrix for w in eng.weyl_g]),
+            eng.g_columns,
             column_table([w.matrix for w in eng.weyl_h]),
             eng.group_products(range(len(eng.weyl_g)), eng.real_weyl_g),
             eng.group_products(eng.h_positions, eng.real_weyl_h),

@@ -31,13 +31,13 @@ stable-conjugacy invariant (tested against an independent matrix model).
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
+from operator import add, itemgetter, mul
 from typing import Optional, Sequence, Union
 
 # Unused here: perfbench/tracing.py wraps these names in this module, so they
 # stay until its cohomology layers are dropped.
 from .cohomology import cocycle_class, h1, quotient_torus_lattice, tate_nakayama_pair  # noqa: F401
-from .lattice import IntVec, common_denominator, dot, dot_in_order
+from .lattice import IntVec, column_table, common_denominator, dot, dot_in_order, images_in_order
 from .realform import RealFormGrading
 from .record import Record, set_attribute
 from .rootdata import (
@@ -106,7 +106,8 @@ class ADatum(Record):
 
     @staticmethod
     def default(datum: RootDatum) -> "ADatum":
-        return ADatum(tuple((r, Fraction(1)) for r in datum.positive_roots))
+        one = Fraction(1)
+        return ADatum(tuple([(r, one) for r in datum.positive_roots]))
 
 
 class Diagram(Record):
@@ -137,21 +138,21 @@ class WeylWeight(Record):
 
     def weight_at(self, negative: int) -> int:
         """The factor at the diagram (w, w^{-1} x, x), from x's mask."""
-        return self.sign * parity_sign((self.at & negative).bit_count())
+        return -self.sign if (self.at & negative).bit_count() & 1 else self.sign
 
     def weight_moved(self, negative: int) -> int:
         """The factor at the diagram (w, x, w x), from x's mask."""
         mask, parity = self.moved
-        return self.sign * parity_sign(parity + (mask & negative).bit_count())
+        return -self.sign if (parity + (mask & negative).bit_count()) & 1 else self.sign
 
     def h_sign(self, negative: int) -> int:
         """The sign of the product of <beta, w x> over Phi+_H, from x's mask."""
         mask, parity = self.h_moved
-        return parity_sign(parity + (mask & negative).bit_count())
+        return -1 if (parity + (mask & negative).bit_count()) & 1 else 1
 
     def g_sign(self, negative: int) -> int:
         """The sign of the product of <alpha, w x> over Phi+_G, from x's mask."""
-        return parity_sign(self.length + negative.bit_count())
+        return -1 if (self.length + negative.bit_count()) & 1 else 1
 
 
 def build_endoscopic_datum(g_datum: RootDatum, s_simple_signs: Sequence[int]) -> EndoscopicDatum:
@@ -161,7 +162,7 @@ def build_endoscopic_datum(g_datum: RootDatum, s_simple_signs: Sequence[int]) ->
         raise EndoscopyError("character signs must be +1 or -1")
     two_xhat = tuple(1 if s == -1 else 0 for s in s_simple_signs)
     # s(coroot) = (-1)^<2 xhat_s, coroot>
-    h_roots = tuple(r for r in g_datum.roots if not dot(two_xhat, g_datum.coroot(r)) & 1)
+    h_roots = tuple([r for r, c in zip(g_datum.roots, g_datum.coroots) if not sum(map(mul, two_xhat, c)) & 1])
     _check_coroot_closed(g_datum, h_roots)
     h_label = f"{g_datum.cartan_label}|s={''.join('+' if s == 1 else '-' for s in s_simple_signs)}"
     h_datum = build_sub_datum(g_datum, h_roots, h_label)
@@ -177,14 +178,12 @@ def build_endoscopic_datum(g_datum: RootDatum, s_simple_signs: Sequence[int]) ->
 def _check_coroot_closed(g_datum: RootDatum, h_roots: tuple[IntVec, ...]) -> None:
     """Closedness of the coroot system of H inside the coroots of G."""
     h_coroots = {g_datum.coroot(r) for r in h_roots}
-    all_coroots = {g_datum.coroot(r) for r in g_datum.roots}
+    others = set(g_datum.coroots) - h_coroots
     for a in h_coroots:
-        neg = tuple(-x for x in a)
-        if neg not in h_coroots:
+        if tuple([-x for x in a]) not in h_coroots:
             raise EndoscopyError("endoscopic coroot system is not symmetric")
         for b in h_coroots:
-            s = tuple(x + y for x, y in zip(a, b))
-            if s in all_coroots and s not in h_coroots:
+            if tuple(map(add, a, b)) in others:
                 raise EndoscopyError("endoscopic coroot system is not closed")
 
 
@@ -195,20 +194,25 @@ def build_diagram(
     x_g: EllipticElement,
 ) -> Optional[Diagram]:
     """Diagram with the minimal Weyl element w satisfying w . eta(x_h) = x_g,
-    or None when the orbits do not match (the factor is then zero)."""
+    or None when the orbits do not match (the factor is then zero).  Exact
+    points are compared in integers: with x_h = h / h_den and x_g = g /
+    g_den over common denominators, w x_h = x_g is g_den w h = h_den g."""
     require_regular(datum.g_datum, x_h)
     require_regular(datum.g_datum, x_g)
-    exact = x_h.is_exact() and x_g.is_exact()
+    if x_h.is_exact() and x_g.is_exact():
+        h, h_den = common_denominator(x_h.coords)
+        g, g_den = common_denominator(x_g.coords)
+        target = tuple([h_den * x for x in g])
+        for w in weyl_group:
+            if tuple([g_den * sum(map(mul, row, h)) for row in w.matrix]) == target:
+                return Diagram(datum, w, x_h, x_g)
+        return None
     target = x_g.coords
+    scale = max(1.0, max(abs(float(t)) for t in target))
     for w in weyl_group:
         image = w.act(x_h.coords)
-        if exact:
-            if tuple(image) == tuple(target):
-                return Diagram(datum, w, x_h, x_g)
-        else:
-            scale = max(1.0, max(abs(float(t)) for t in target))
-            if all(abs(float(a) - float(b)) <= 1e-9 * scale for a, b in zip(image, target)):
-                return Diagram(datum, w, x_h, x_g)
+        if all(abs(float(a) - float(b)) <= 1e-9 * scale for a, b in zip(image, target)):
+            return Diagram(datum, w, x_h, x_g)
     return None
 
 
@@ -309,6 +313,7 @@ class TransferFactorEngine:
         # An element is fixed by its images of the simple roots, its key.
         key = self.g_datum.key
         by_key = {key(p): k for k, p in enumerate(perms)}
+        self._keys = tuple(by_key)
         minus_one = by_key.get(key(self._negation))
         if minus_one is None:
             raise EndoscopyError(
@@ -316,18 +321,18 @@ class TransferFactorEngine:
                 "and the transfer factor is normalized through n(omega) with omega = -1"
             )
         self.omega = self.weyl_g[minus_one]
-        self._inverse = tuple(by_key[key(_inverse_permutation(p))] for p in perms)
+        # w^{-1} sends alpha_j to the root that w sends to alpha_j.
+        simple = self._simple_index
+        self._inverse = tuple(by_key[tuple([p.index(j) for j in simple])] for p in perms)
         # w^2 has the permutation p o p, and the position of w^{-2} is that
         # of its inverse.
-        simple = self._simple_index
         self._inverse_square = tuple(
             self._inverse[by_key[tuple([p[p[j]] for j in simple])]] for p in perms
         )
-        # w 2 rho_check is the sum of the coroots (w alpha)^vee, alpha > 0.
-        coroots = self.g_datum.coroots
-        self._two_rho_images = tuple(
-            _vector_sum(coroots[p[j]] for j in self._positive_index) for p in self._perms
-        )
+        # The column table of W's matrices, which the pair table reads too,
+        # gives w 2 rho_check for every w at once.
+        self.g_columns = column_table([w.matrix for w in self.weyl_g])
+        self._two_rho_images = tuple(zip(*images_in_order(self.g_columns, self.two_rho_check)))
         self.h_positions = tuple(self._position[w] for w in self.weyl_h)
         self._check_tits_central()
 
@@ -342,23 +347,22 @@ class TransferFactorEngine:
 
     def _root_sets(self) -> None:
         """Indices into g_datum.roots of the simple roots, the positive
-        roots and H's roots, the positive ones among the latter (Phi+_H =
-        Phi_H n Phi+_G), the root permutation of -1, for each root the bit
-        of the positive root +-it with 1 when it is negative, and for each
-        root the parity of <2 xhat_s, its coroot>, which is 1 exactly off
-        Phi_H."""
+        roots and the positive roots of H (Phi+_H = Phi_H n Phi+_G), the
+        root permutation of -1, for each root the bit of the positive root
+        +-it with 1 when it is negative, and for each root the parity of
+        <2 xhat_s, its coroot>, which is 1 exactly off Phi_H."""
         d = self.g_datum
         index = d._index
         self._negation = tuple(index[tuple(-x for x in r)] for r in d.roots)
         self._simple_index = d._simple_index
         self._positive_index = tuple(index[r] for r in d.positive_roots)
-        self._h_index = tuple(index[r] for r in self.datum.h_roots)
         self._h_positive_index = tuple(index[r] for r in self.datum.h_datum.positive_roots)
-        bit = {r: k for k, r in enumerate(d.positive_roots)}
+        bit = {j: k for k, j in enumerate(self._positive_index)}
         self._bits = tuple(
-            (bit[r], 0) if r in bit else (bit[tuple(-x for x in r)], 1) for r in d.roots
+            (bit[j], 0) if j in bit else (bit[minus], 1) for j, minus in enumerate(self._negation)
         )
-        self._s_parity = tuple(dot(self.two_xhat_s, c) & 1 for c in d.coroots)
+        two_xhat = self.two_xhat_s
+        self._s_parity = tuple([sum(map(mul, two_xhat, c)) & 1 for c in d.coroots])
 
     def _check_tits_central(self) -> None:
         """Check that n(omega) n_i = n_i n(omega) for every i, folding on root
@@ -412,13 +416,15 @@ class TransferFactorEngine:
     def delta_ii_roots(self, w: WeylElement) -> tuple[IntVec, ...]:
         """The positive roots outside w Phi_H, over which delta_II runs."""
         roots = self.g_datum.roots
-        return tuple(roots[j] for j in self._outside_h(self._position[w]))
+        back = self._perms[self._inverse[self._position[w]]]
+        return tuple(roots[j] for j in self._outside_h(back))
 
-    def _outside_h(self, k: int) -> tuple[int, ...]:
-        """Indices of the positive roots outside w Phi_H, w = weyl_g[k]."""
-        perm = self._perms[k]
-        h_image = {perm[j] for j in self._h_index}
-        return tuple(j for j in self._positive_index if j not in h_image)
+    def _outside_h(self, back: tuple[int, ...]) -> list[int]:
+        """Indices of the positive roots outside w Phi_H, from w^{-1}'s root
+        permutation: alpha is in w Phi_H exactly when w^{-1} alpha is in
+        Phi_H, where <2 xhat_s, coroot> is even."""
+        parity = self._s_parity
+        return [j for j in self._positive_index if parity[back[j]]]
 
     def delta_ii(self, diagram: Diagram, a: ADatum) -> int:
         """Sign product over positive roots outside the image of H."""
@@ -451,30 +457,45 @@ class TransferFactorEngine:
         every w: a(w beta) < 0 exactly when w beta < 0, so P = w 2 rho_check
         + 2 rho_check + 2 (w beta)^vee over the beta > 0 with w beta < 0 is
         2 w 2 rho_check, and the value is (-1)^<2 xhat_s, 2 rho_check>; it
-        is evaluated once, at the base."""
+        is evaluated once, at the base.
+
+        The masks are read in one pass over each w's positions: a positive
+        root alpha outside w Phi_H sets its own bit in at, and in moved the
+        bit of +-w^{-1} alpha, whose sign the parity counts.  The parity of
+        Phi+_G at w x counts the alpha > 0 with w^{-1} alpha < 0, so it is
+        that of the length of w, the length of its reduced word."""
         a = ADatum.default(self.g_datum)
         base = self.base_diagram
         d1 = self.delta_i(base, a)
         base_sign = d1 * self.delta_ii(base, a)
-        roots = self.g_datum.roots
+        datum, delta_iii, outside_h = self.datum, self.delta_iii, self._outside_h
+        roots, perms, inverses = self.g_datum.roots, self._perms, self._inverse
+        h_positive = self._h_positive_index
+        # Each root's bit in a mask, and whether it is negative.
+        bits = [1 << bit for bit, _ in self._bits]
+        negative = [n for _, n in self._bits]
         entries = []
         for k, w in enumerate(self.weyl_g):
-            diagram = Diagram(self.datum, w, None, None)
-            outside = self._outside_h(k)
             # delta_II's root signs at x_g cancel against the route's, and
             # its a-signs are +1 for the default a-datum.
-            sign = d1 * base_sign * self.delta_iii(diagram, base)
-            inverse = self._inverse[k]
-            back = self._perms[inverse]
+            sign = d1 * base_sign * delta_iii(Diagram(datum, w, None, None), base)
+            inverse = inverses[k]
+            back = perms[inverse]
+            outside = outside_h(back)
+            at = mask = parity = 0
+            for j in outside:
+                at |= bits[j]
+                j = back[j]
+                mask |= bits[j]
+                parity ^= negative[j]
+            h_mask = h_parity = 0
+            for j in h_positive:
+                j = back[j]
+                h_mask |= bits[j]
+                h_parity ^= negative[j]
             entries.append(WeylWeight(
-                w,
-                inverse,
-                sign,
-                tuple(roots[j] for j in outside),
-                at=sum(1 << self._bits[j][0] for j in outside),
-                moved=self._pullback(back, outside),
-                h_moved=self._pullback(back, self._h_positive_index),
-                length=self._pullback(back, self._positive_index)[1],
+                w, inverse, sign, tuple([roots[j] for j in outside]), at,
+                (mask, parity), (h_mask, h_parity), len(w.word) & 1,
             ))
         return tuple(entries)
 
@@ -485,26 +506,18 @@ class TransferFactorEngine:
         by positions in it: for each u of real, in its order, the row whose
         k-th entry is the index in group of u w, w = weyl_g[group[k]].
         Each element is keyed by its images of the simple roots, which fix
-        it, so one product costs rank lookups: p_uw = p_u o p_w."""
+        it, so one product costs rank lookups: p_uw = p_u o p_w, read by
+        one itemgetter per key (a rank-1 key is then a bare position, in
+        the index as in every product)."""
         perms = self._perms
-        keys = [self.g_datum.key(perms[k]) for k in group]
-        index = {key: i for i, key in enumerate(keys)}
+        getters = [itemgetter(*self._keys[k]) for k in group]
+        identity = perms[0]  # weyl_g starts with the identity
+        index = {get(identity): i for i, get in enumerate(getters)}
         rows = []
         for u in real:
             p = perms[self._position[u]]
-            rows.append(tuple([index[tuple([p[j] for j in key])] for key in keys]))
+            rows.append(tuple([index[get(p)] for get in getters]))
         return tuple(rows)
-
-    def _pullback(self, back: tuple[int, ...], indices) -> tuple[int, int]:
-        """(mask, parity) of the roots with these indices at w x, where back
-        is w^{-1}'s root permutation: the bits of the positive roots
-        +-w^{-1} alpha, and the parity of the count of w^{-1} alpha < 0."""
-        mask = parity = 0
-        for j in indices:
-            bit, negative = self._bits[back[j]]
-            mask |= 1 << bit
-            parity ^= negative
-        return mask, parity
 
     def relative_factor(self, diagram: Diagram, a: Optional[ADatum] = None) -> int:
         if a is None:
@@ -556,23 +569,16 @@ class TransferFactorEngine:
         return tuple(x // 2 for x in doubled)
 
 
-def _inverse_permutation(p: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(p)
-    for j, image in enumerate(p):
-        out[image] = j
-    return tuple(out)
-
-
 def _half_pairing(factor: str, functional: Sequence[int], doubled: Sequence[int]) -> int:
     """(-1)^<functional, doubled / 2>, the pairing of a class of X_*/2X_*
     with a character given by twice its vector; EndoscopyError naming the
     factor when doubled / 2, the class (1 - sigma) x of its cocycle, is not
     integral."""
-    if any(x & 1 for x in doubled):
+    if any([x & 1 for x in doubled]):
         raise EndoscopyError(
             f"{factor}: (1 - sigma) x = {tuple(doubled)} / 2 is not integral; not a cocycle"
         )
-    return parity_sign(sum(f * (x >> 1) for f, x in zip(functional, doubled)))
+    return parity_sign(sum(map(mul, functional, [x >> 1 for x in doubled])))
 
 
 def _vector_sum(vectors) -> IntVec:

@@ -24,14 +24,11 @@ def vec_int(v: Iterable) -> IntVec:
     return tuple(int(x) for x in v)
 
 
-def vec_frac(v: Iterable) -> FracVec:
-    return tuple(Fraction(x) for x in v)
-
-
 def common_denominator(v: Iterable) -> tuple[IntVec, int]:
     """Integer numerators of the rationals in v over their least common
-    denominator, and that denominator."""
-    v = vec_frac(v)
+    denominator, and that denominator.  An int or a Fraction is read as it
+    is, anything else through Fraction()."""
+    v = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
     den = lcm(*(x.denominator for x in v))
     return tuple(x.numerator * (den // x.denominator) for x in v), den
 
@@ -45,14 +42,13 @@ def identity(n: int) -> IntMat:
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]):
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
-        for i in range(len(a))
-    )
+    """a b, each entry summed over k in order from the integer 0."""
+    columns = tuple(zip(*b))
+    return tuple(tuple([sum(map(mul, row, column)) for column in columns]) for row in a)
 
 
 def mat_vec(a: Sequence[Sequence], v: Sequence):
-    return tuple(sum(map(mul, row, v)) for row in a)
+    return tuple([sum(map(mul, row, v)) for row in a])
 
 
 def dot(u: Sequence, v: Sequence):
@@ -73,7 +69,7 @@ def column_table(matrices: Sequence[Sequence[Sequence]]):
     """Square matrices M_0, M_1, ... of one size in column layout:
     cols[i][j][k] = M_k[i][j]."""
     n = len(matrices[0])
-    return tuple(tuple(tuple(m[i][j] for m in matrices) for j in range(n)) for i in range(n))
+    return tuple(tuple(zip(*[m[i] for m in matrices])) for i in range(n))
 
 
 def images_in_order(cols, v) -> list[list]:
@@ -129,23 +125,6 @@ def det_int(a: IntMat) -> int:
     """Determinant of an integer matrix by fraction-free elimination."""
     d, sign = _eliminate([list(row) for row in a], len(a))
     return sign * d
-
-
-def inverse_over(a: IntMat) -> tuple[IntMat, int]:
-    """The inverse of a square integer matrix as (M, d) with a M = d 1,
-    d > 0 and gcd(d, entries of M) = 1: d is the least common denominator
-    of the inverse.  ValueError when a is singular."""
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix is not square")
-    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    d, _ = _eliminate(m, n)
-    if d == 0:
-        raise ValueError("matrix is singular")
-    g = gcd(d, *(x for row in m for x in row[n:]))
-    if d < 0:
-        g = -g
-    return tuple(tuple(x // g for x in row[n:]) for row in m), d // g
 
 
 def hermite_normal_form(rows: IntMat) -> tuple[IntMat, IntMat]:
@@ -229,12 +208,18 @@ def gf2_reduce(v: int, basis: Iterable[int]) -> int:
 def coordinate_map(rows: Sequence[Sequence[int]]) -> tuple[IntMat, int]:
     """The matrix P = (R R^T)^{-1} R, for which P v = c whenever
     v = sum_i c_i R[i], as an integer matrix and the least common
-    denominator of its entries.  The rows of R must be linearly
+    denominator of its entries: one elimination of [R R^T | R] leaves D 1
+    on the left and D P on the right.  The rows of R must be linearly
     independent; ValueError otherwise."""
-    m, den = inverse_over(mat_mul(rows, transpose(rows)))
-    p = mat_mul(m, rows)
-    g = gcd(den, *(x for row in p for x in row))
-    return tuple(tuple(x // g for x in row) for row in p), den // g
+    k = len(rows)
+    m = [list(gram) + list(row) for gram, row in zip(mat_mul(rows, transpose(rows)), rows)]
+    d, _ = _eliminate(m, k)
+    if d == 0:
+        raise ValueError("matrix is singular")
+    g = gcd(d, *(x for row in m for x in row[k:]))
+    if d < 0:
+        g = -g
+    return tuple(tuple(x // g for x in row[k:]) for row in m), d // g
 
 
 def coordinates(rows: Sequence[Sequence], cmap: tuple[IntMat, int], v: Sequence) -> Optional[IntVec]:
@@ -245,7 +230,7 @@ def coordinates(rows: Sequence[Sequence], cmap: tuple[IntMat, int], v: Sequence)
     rows than columns, P v is a solution only for v in the span, so it is
     checked."""
     m, den = cmap
-    c = tuple(dot(row, v) for row in m)
-    if len(rows) < len(v) and mat_vec(transpose(rows), c) != tuple(den * x for x in v):
+    c = mat_vec(m, v)
+    if len(rows) < len(v) and mat_vec(tuple(zip(*rows)), c) != tuple([den * x for x in v]):
         return None
     return c

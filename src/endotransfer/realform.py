@@ -9,6 +9,7 @@ invariant form, which is negative definite on the compact part.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Sequence
 
 from .lattice import IntVec
@@ -80,10 +81,9 @@ def build_grading(datum: RootDatum, simple_grades: Sequence[int]) -> RealFormGra
     grade = {}
     for root in datum.roots:
         coeffs, den = datum.simple_root_coefficients(root)
-        if any(c % den for c in coeffs):
+        if any([c % den for c in coeffs]):
             raise GradingError(f"root {root} has non-integer simple coefficients")
-        total = sum(c // den * g for c, g in zip(coeffs, simple_grades))
-        grade[root] = total % 2
+        grade[root] = sum([c // den * g for c, g in zip(coeffs, simple_grades)]) % 2
     grading = RealFormGrading(datum=datum, grade=grade)
     _check_grading(grading)
     return grading
@@ -95,17 +95,18 @@ def _check_grading(grading: RealFormGrading) -> None:
     equivalent: every positive root is reached from a simple root through
     roots by adding simple roots, so the grade is then sum c_i g_i mod 2 on
     the positive roots, by the symmetry on every root, and so additive on
-    every sum."""
+    every sum.  The grade's keys are the datum's roots, so a sum is a root
+    exactly when it has a grade."""
     datum = grading.datum
     grade = grading.grade
-    for root in datum.roots:
-        neg = tuple(-x for x in root)
-        if grade[root] != grade[neg]:
+    for root, g in grade.items():
+        if g != grade[tuple([-x for x in root])]:
             raise GradingError("grading is not symmetric under negation")
-    for a in datum.roots:
-        for alpha in datum.simple_roots:
-            s = tuple(x + y for x, y in zip(a, alpha))
-            if datum.is_root(s) and grade[s] != (grade[a] + grade[alpha]) % 2:
+    simple = [(alpha, grade[alpha]) for alpha in datum.simple_roots]
+    for a, g in grade.items():
+        for alpha, g_alpha in simple:
+            s = grade.get(tuple(map(add, a, alpha)))
+            if s is not None and s != (g + g_alpha) % 2:
                 raise GradingError("grading is not additive on root sums")
 
 

@@ -12,12 +12,18 @@ Conventions used throughout the package:
 * A Weyl element is also its root permutation p, w . roots[j] = roots[p[j]]:
   groups are found by one search over permutations (_search), and words are
   folded onto matrices by word_matrix and onto permutations by word_permutation.
+* Every datum has an ambient datum on the same lattice whose simple coroots
+  are the standard basis: itself for build_root_datum's, the parent for
+  build_sub_datum's.  A Weyl group search runs on the ambient's root
+  permutations, and each element's matrix is read from its permutation
+  (matrix_of): column i is w . coroot_i, the coroot of w . alpha_i.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
+from operator import itemgetter, mul, sub
 
 from .lattice import (
     FracVec,
@@ -97,6 +103,7 @@ class RootDatum(Record):
     __slots__ = _fields + (
         "_coroot_of", "_root_of", "_root_set", "_coefficients", "_denominator", "_positive", "_positive_set",
         "_index", "_simple_index", "_negative_index", "_reflections",
+        "ambient", "_ambient_index", "_own_position", "_ambient_reflections",
     )
 
     def __init__(
@@ -108,14 +115,33 @@ class RootDatum(Record):
         roots: tuple[IntVec, ...],
         coroots: tuple[IntVec, ...],
         invariant_form: tuple[FracVec, ...],
+        ambient: RootDatum | None = None,
     ):
+        """ambient is the parent of a subsystem on the same lattice, whose
+        roots must then hold these, with the same coroots; RootDatumError
+        when these roots are not a closed subsystem."""
         super().__init__(rank, cartan_label, simple_roots, simple_coroots, roots, coroots, invariant_form)
         set_attribute(self, "_coroot_of", dict(zip(roots, coroots)))
         set_attribute(self, "_root_of", dict(zip(coroots, roots)))
         set_attribute(self, "_root_set", frozenset(roots))
+        # Root permutations index self.roots: the positions of the simple
+        # roots, those of the negative roots, and s_i's permutation.
+        index = {r: j for j, r in enumerate(roots)}
+        set_attribute(self, "_index", index)
+        set_attribute(self, "_simple_index", tuple(index[r] for r in simple_roots))
+        if ambient is None:
+            set_attribute(self, "ambient", self)
+            reflections = tuple(self.reflection_permutation(r) for r in simple_roots)
+            set_attribute(self, "_reflections", reflections)
+            set_attribute(self, "_ambient_reflections", reflections)
+        else:
+            self._restrict_from(ambient.ambient)
         # Each root's coefficients over the simple roots, found once through
         # the one left inverse of the simple roots, over its denominator.
-        cmap = coordinate_map(simple_roots)
+        try:
+            cmap = coordinate_map(simple_roots)
+        except ValueError:
+            raise RootDatumError("the simple roots are linearly dependent") from None
         coefficients = {}
         for r in roots:
             coeffs = coordinates(simple_roots, cmap, r)
@@ -124,21 +150,36 @@ class RootDatum(Record):
             coefficients[r] = coeffs
         set_attribute(self, "_coefficients", coefficients)
         set_attribute(self, "_denominator", cmap[1])
-        positive = tuple(
-            r for r, coeffs in coefficients.items()
-            if all(c >= 0 for c in coeffs) and any(c > 0 for c in coeffs)
-        )
+        positive = tuple([r for r, coeffs in coefficients.items() if min(coeffs) >= 0 and max(coeffs) > 0])
         set_attribute(self, "_positive", positive)
         set_attribute(self, "_positive_set", frozenset(positive))
-        # Root permutations index self.roots: the positions of the simple
-        # roots, those of the negative roots, and s_i's permutation.
-        index = {r: j for j, r in enumerate(roots)}
-        set_attribute(self, "_index", index)
-        set_attribute(self, "_simple_index", tuple(index[r] for r in simple_roots))
         set_attribute(self, "_negative_index", frozenset(
             j for j, r in enumerate(roots) if r not in self._positive_set
         ))
-        set_attribute(self, "_reflections", tuple(self.reflection_permutation(r) for r in simple_roots))
+
+    def _restrict_from(self, ambient: RootDatum) -> None:
+        """Set the ambient, the positions of these roots among its roots,
+        and s_i's permutation of its roots and of these, after checking
+        that the roots are a closed subsystem: symmetric, and mapped into
+        themselves by each s_i.  With build_sub_datum's simple roots, the
+        indecomposable positive ones, that is the breadth-first closure's
+        test: each positive root is a sum of simple ones, and when these
+        are linearly independent (coordinate_map checks it) some s_i sends
+        a positive root that is not simple to a positive root of lower
+        height, so the s_i reach every root from the simple ones."""
+        set_attribute(self, "ambient", ambient)
+        positions = tuple(ambient._index[r] for r in self.roots)
+        own = dict(zip(positions, range(len(positions))))
+        if any(tuple(-x for x in r) not in self._root_set for r in self.roots):
+            raise RootDatumError("subsystem is not closed: the root set is not symmetric")
+        steps = tuple(ambient.reflection_permutation(r) for r in self.simple_roots)
+        for step in steps:
+            if any(step[a] not in own for a in positions):
+                raise RootDatumError("subsystem is not closed: a simple reflection maps a root outside the given root set")
+        set_attribute(self, "_ambient_index", positions)
+        set_attribute(self, "_own_position", own)
+        set_attribute(self, "_ambient_reflections", steps)
+        set_attribute(self, "_reflections", tuple(self.restrict(step) for step in steps))
 
     # -- basic queries ----------------------------------------------------
 
@@ -200,7 +241,7 @@ class RootDatum(Record):
         if perm is None:
             perm = tuple(range(len(self.roots)))
         for i in word:
-            perm = tuple([perm[j] for j in self._reflections[i]])
+            perm = itemgetter(*self._reflections[i])(perm)
         return perm
 
     def root_image(self, matrix: IntMat, root: IntVec) -> IntVec:
@@ -223,9 +264,25 @@ class RootDatum(Record):
         index = self._index
         out = []
         for j, beta in enumerate(self.roots):
-            p = dot(beta, coroot)
-            out.append(index[tuple(b - p * a for b, a in zip(beta, root))] if p else j)
+            p = sum(map(mul, beta, coroot))
+            out.append(index[tuple([b - p * a for b, a in zip(beta, root)])] if p else j)
         return tuple(out)
+
+    def restrict(self, perm: tuple[int, ...]) -> tuple[int, ...]:
+        """The permutation of these roots of the Weyl element with this
+        permutation of the ambient's roots."""
+        if self.ambient is self:
+            return perm
+        own = self._own_position
+        return tuple([own[perm[a]] for a in self._ambient_index])
+
+    def matrix_of(self, perm: tuple[int, ...]) -> IntMat:
+        """The matrix of the Weyl element with this permutation of the
+        ambient's roots: the ambient's simple coroots are the standard
+        basis, so column i is the coroot of w . alpha_i."""
+        ambient = self.ambient
+        coroots = ambient.coroots
+        return tuple(zip(*[coroots[perm[j]] for j in ambient._simple_index]))
 
     def key(self, perm: tuple[int, ...]) -> tuple[int, ...]:
         """The positions of the images of the simple roots under a root
@@ -330,45 +387,54 @@ def build_root_datum(spec: str) -> RootDatum:
 
 
 def build_sub_datum(parent: RootDatum, sub_roots: tuple[IntVec, ...], label: str) -> RootDatum:
-    """Root datum of a closed subsystem on the same lattice as the parent."""
-    positives = [r for r in sub_roots if parent.is_positive(r)]
-    simple = _indecomposable(positives)
-    return _close_root_system(
-        label,
+    """Root datum of a closed subsystem on the same lattice as the parent:
+    the given roots, sorted, with the parent's coroots, and the
+    indecomposable positive roots as simple roots.  RootDatum refuses a
+    root set that is not a closed subsystem."""
+    roots = tuple(sorted(sub_roots))
+    simple = tuple(_indecomposable([r for r in roots if parent.is_positive(r)]))
+    return RootDatum(
         parent.rank,
-        tuple(simple),
+        label,
+        simple,
         tuple(parent.coroot(r) for r in simple),
-        invariant_form=parent.invariant_form,
-        expected_roots=tuple(sorted(sub_roots)),
+        roots,
+        tuple(parent.coroot(r) for r in roots),
+        parent.invariant_form,
+        ambient=parent,
     )
 
 
 def _indecomposable(positives: list[IntVec]) -> list[IntVec]:
     pos = set(positives)
-    out = []
-    for a in sorted(pos):
-        if not any(tuple(x - y for x, y in zip(a, b)) in pos for b in pos if b != a):
-            out.append(a)
-    return out
+    return [a for a in sorted(pos) if not any(tuple(map(sub, a, b)) in pos for b in pos if b != a)]
 
 
-def _close_root_system(label, rank, simple_roots, simple_coroots, invariant_form=None, expected_roots=None) -> RootDatum:
+def _close_root_system(label, rank, simple_roots, simple_coroots) -> RootDatum:
+    """The (root, coroot) pairs reached from the simple ones by the simple
+    reflections, breadth-first.  The simple coroots are the standard basis,
+    so s_i changes coordinate i of a coroot alone, by <alpha_i, coroot>,
+    and <root, coroot_i> is coordinate i of the root.  The two pairings
+    vanish together, as the Cartan entries a_ij and a_ji do, and s_i then
+    fixes the pair."""
     for i, alpha in enumerate(simple_roots):
         if dot(alpha, simple_coroots[i]) != 2:
             raise RootDatumError("pairing of a simple root with its coroot is not 2")
 
     pairs = set(zip(simple_roots, simple_coroots))
-    pairs |= {(tuple(-x for x in r), tuple(-x for x in c)) for r, c in pairs}
+    pairs |= {(tuple([-x for x in r]), tuple([-x for x in c])) for r, c in pairs}
     frontier = set(pairs)
     while frontier:
         new = set()
         for root, coroot in frontier:
-            for i in range(len(simple_roots)):
-                pairing = dot(root, simple_coroots[i])
-                image_root = tuple(x - pairing * a for x, a in zip(root, simple_roots[i]))
-                pairing_co = dot(simple_roots[i], coroot)
-                image_coroot = tuple(x - pairing_co * a for x, a in zip(coroot, simple_coroots[i]))
-                pair = (image_root, image_coroot)
+            for i, alpha in enumerate(simple_roots):
+                pairing = root[i]
+                if not pairing:
+                    continue
+                image_root = tuple([x - pairing * a for x, a in zip(root, alpha)])
+                image_coroot = list(coroot)
+                image_coroot[i] -= sum(map(mul, alpha, coroot))
+                pair = (image_root, tuple(image_coroot))
                 if pair not in pairs:
                     new.add(pair)
         pairs |= new
@@ -379,33 +445,28 @@ def _close_root_system(label, rank, simple_roots, simple_coroots, invariant_form
     ordered = sorted(pairs)
     roots = tuple(r for r, _ in ordered)
     coroots = tuple(c for _, c in ordered)
-    if expected_roots is not None and tuple(sorted(roots)) != expected_roots:
-        raise RootDatumError("subsystem is not closed: closure escapes the given root set")
-
-    if invariant_form is None:
-        invariant_form = _build_form(rank, roots, coroots)
-    datum = RootDatum(
+    return RootDatum(
         rank=rank,
         cartan_label=label,
         simple_roots=tuple(simple_roots),
         simple_coroots=tuple(simple_coroots),
         roots=roots,
         coroots=coroots,
-        invariant_form=invariant_form,
+        invariant_form=_build_form(rank, roots, simple_coroots),
     )
-    return datum
 
 
-def _build_form(rank: int, roots, coroots) -> tuple[FracVec, ...]:
+def _build_form(rank: int, roots, simple_coroots) -> tuple[FracVec, ...]:
     """Weyl-invariant positive form: sum over roots of alpha(u) alpha(v),
-    scaled so the shortest coroot has squared length 2."""
+    scaled so the shortest coroot has squared length 2.  Every coroot is
+    W-conjugate to a simple one, so the shortest is among those."""
     raw = [[0] * rank for _ in range(rank)]
     for f in roots:
         for i in range(rank):
             if f[i]:
                 for j in range(rank):
                     raw[i][j] += f[i] * f[j]
-    shortest = min(dot(c, mat_vec(raw, c)) for c in coroots)
+    shortest = min(dot(c, mat_vec(raw, c)) for c in simple_coroots)
     return tuple(tuple(Fraction(2 * x, shortest) for x in row) for row in raw)
 
 
@@ -425,33 +486,43 @@ def _search(datum: RootDatum, steps) -> list[tuple[tuple[int, ...], int, int]]:
     steps, root permutations, first in first out, as (permutation, parent's
     position, step's position), the identity's -1 and -1.  An element is
     keyed by its images of the simple roots, which fix it, so a child's key
-    costs rank lookups, and only a new child takes its permutation."""
-    # The positions of step . alpha_j: p o step sends alpha_j to p of these.
-    moved = [datum.key(step) for step in steps]
-    found = [(tuple(range(len(datum.roots))), -1, -1)]
-    seen = {datum._simple_index}
+    costs rank lookups, and only a new child takes its permutation.  Both
+    are read by itemgetters: p o step is p read at step's entries, and its
+    key p read at the positions of step . alpha_j."""
+    identity = tuple(range(len(datum.roots)))
+    # One getter per step: a rank-1 key is a bare position, as the seed's.
+    keys = [itemgetter(*[step[j] for j in datum._simple_index]) for step in steps]
+    moves = [itemgetter(*step) for step in steps]
+    found = [(identity, -1, -1)]
+    seen = {itemgetter(*datum._simple_index)(identity)}
+    pairs = list(enumerate(zip(keys, moves)))
     # The list grows as the search runs, so the loop reaches every element.
     for k, (p, _, _) in enumerate(found):
-        for i, step in enumerate(steps):
-            key = tuple([p[j] for j in moved[i]])
-            if key not in seen:
-                seen.add(key)
+        for i, (key, move) in pairs:
+            child = key(p)
+            if child not in seen:
+                seen.add(child)
                 if len(seen) > WEYL_ORDER_CAP:
                     raise RootDatumError(f"Weyl group order exceeds cap {WEYL_ORDER_CAP}")
-                found.append((tuple([p[j] for j in step]), k, i))
+                found.append((move(p), k, i))
     return found
 
 
 def enumerate_weyl(datum: RootDatum) -> WeylGroup:
     """The full Weyl group, breadth-first, identity first: _search over the
-    simple reflections gives each level in the lexicographic order of the
-    words, each element with its parent's word and matrix times s_i."""
-    found = _search(datum, datum._reflections)
-    order = [WeylElement(identity(datum.rank), ())]
+    simple reflections, as permutations of the ambient's roots, gives each
+    level in the lexicographic order of the words, each element with its
+    parent's word and s_i.  Each matrix is read from the element's
+    permutation (matrix_of); perms holds them restricted to datum's roots."""
+    found = _search(datum.ambient, datum._ambient_reflections)
+    words = [()]
     for _, parent, i in found[1:]:
-        w = order[parent]
-        order.append(WeylElement(datum.word_matrix((i,), w.matrix), w.word + (i,)))
-    return WeylGroup(tuple(order), tuple(p for p, _, _ in found))
+        words.append(words[parent] + (i,))
+    matrix_of, restrict = datum.matrix_of, datum.restrict
+    return WeylGroup(
+        tuple([WeylElement(matrix_of(p), word) for (p, _, _), word in zip(found, words)]),
+        tuple([restrict(p) for p, _, _ in found]),
+    )
 
 
 def weyl_inverse(datum: RootDatum, w: WeylElement) -> WeylElement:
@@ -493,19 +564,17 @@ def closure(
 ) -> tuple[WeylElement, ...]:
     """Subgroup generated by the reflections in the given roots and by the
     extra elements, in (length, word, matrix) order: _search over their
-    root permutations.  A new element's word is read from its permutation
-    (permutation_word), and its matrix is one update of its parent's: a
-    rank-one update for a reflection, the fold of the word for an extra,
-    which must give the extra's matrix (RootDatumError otherwise)."""
+    permutations of the ambient's roots.  An element's matrix is read from
+    its permutation (matrix_of), and its word from the permutation of
+    datum's roots (permutation_word).  An extra's word must give its
+    matrix (RootDatumError otherwise)."""
     if any(datum.word_matrix(e.word) != e.matrix for e in extras):
         raise RootDatumError("the word of the Weyl element does not give its matrix")
-    steps = [datum.reflection_permutation(r) for r in roots]
-    steps += [datum.word_permutation(e.word) for e in extras]
-    times = [partial(datum.times_reflection, root=r) for r in roots]
-    times += [partial(datum.word_matrix, e.word) for e in extras]
-    found = _search(datum, steps)
-    matrices = [identity(datum.rank)]
-    for _, parent, i in found[1:]:
-        matrices.append(times[i](matrices[parent]))
-    elements = [WeylElement(m, datum.permutation_word(p)) for m, (p, _, _) in zip(matrices, found)]
+    ambient = datum.ambient
+    steps = [ambient.reflection_permutation(r) for r in roots]
+    steps += [ambient.permutation(e.matrix) for e in extras]
+    elements = [
+        WeylElement(datum.matrix_of(p), datum.permutation_word(datum.restrict(p)))
+        for p, _, _ in _search(ambient, steps)
+    ]
     return tuple(sorted(elements, key=lambda e: (len(e.word), e.word, e.matrix)))

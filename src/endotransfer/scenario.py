@@ -19,6 +19,7 @@ from .endoscopy import (
     EndoscopyError,
     TransferFactorEngine,
     build_endoscopic_datum,
+    require_regular,
 )
 from .realform import GradingError, build_grading, parse_grade, real_weyl_group
 from .record import MutableRecord
@@ -34,9 +35,14 @@ class ScenarioError(ValueError):
 
 
 class Scenario(MutableRecord):
+    """A parsed scenario file.  Each *_line field is the line number the
+    loader's refusals name: of the key, or of the section's header for the
+    simple-root sections; 0 when it is absent."""
+
     __slots__ = _fields = (
         "name", "g_type", "form_scale", "grading_g", "s_character", "grading_h",
         "base_x_h", "base_x_g", "extras_h", "extras_h_line", "form_scale_line",
+        "grading_g_line", "s_character_line", "grading_h_line", "base_x_h_line", "base_x_g_line",
     )
 
     def __init__(
@@ -50,15 +56,22 @@ class Scenario(MutableRecord):
         base_x_h: tuple[Fraction, ...],
         base_x_g: tuple[Fraction, ...],
         extras_h: list[tuple[int, ...]] | None = None,
-        # line number of the h words in [real_weyl_extras], 0 when absent
+        # line number of the h words in [real_weyl_extras]
         extras_h_line: int = 0,
-        # line number of form_scale, 0 when absent
         form_scale_line: int = 0,
+        # line numbers of the [grading_g], [s_character] and [grading_h] headers
+        grading_g_line: int = 0,
+        s_character_line: int = 0,
+        grading_h_line: int = 0,
+        # line numbers of x_h and x_g in [base_point]
+        base_x_h_line: int = 0,
+        base_x_g_line: int = 0,
     ):
         # A fresh list for each scenario, so that no two share their extras.
         super().__init__(
             name, g_type, form_scale, grading_g, s_character, grading_h, base_x_h, base_x_g,
             [] if extras_h is None else extras_h, extras_h_line, form_scale_line,
+            grading_g_line, s_character_line, grading_h_line, base_x_h_line, base_x_g_line,
         )
 
 
@@ -140,6 +153,8 @@ def parse_scenario(text: str) -> Scenario:
     # the problem reported and whose keys are not read.
     section: str | None = ""
     sections: dict[str, dict[str, tuple[int, str]]] = {"": {}}
+    # The line of each section's first header.
+    headers: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -148,6 +163,7 @@ def parse_scenario(text: str) -> Scenario:
             section = line[1:-1].strip()
             if section and (section in _KEYS or section in _SIMPLE_ROOT_SECTIONS):
                 sections.setdefault(section, {})
+                headers.setdefault(section, lineno)
             else:
                 problems.append((lineno, f"unknown section {line!r}"))
                 section = None
@@ -217,21 +233,17 @@ def parse_scenario(text: str) -> Scenario:
     grading_h = simple_root_entries("grading_h", parse_grade)
 
     base = sections.get("base_point", {})
-    base_x_h: tuple[Fraction, ...] = ()
-    base_x_g: tuple[Fraction, ...] = ()
+    points = {}
     for key in ("x_h", "x_g"):
         entry = need(base, key, "[base_point]")
         if entry:
             lineno, value = entry
             try:
-                vec = _parse_vector(value)
+                points[key] = (lineno, _parse_vector(value))
             except ValueError:
                 problems.append((lineno, f"bad rational vector {value!r}"))
-                continue
-            if key == "x_h":
-                base_x_h = vec
-            else:
-                base_x_g = vec
+    base_x_h_line, base_x_h = points.get("x_h", (0, ()))
+    base_x_g_line, base_x_g = points.get("x_g", (0, ()))
 
     extras_h_line, words = sections.get("real_weyl_extras", {}).get("h", (0, ""))
     extras_h = _parse_words(extras_h_line, words, problems)
@@ -250,6 +262,11 @@ def parse_scenario(text: str) -> Scenario:
         extras_h=extras_h,
         extras_h_line=extras_h_line,
         form_scale_line=form_scale_line,
+        grading_g_line=headers.get("grading_g", 0),
+        s_character_line=headers.get("s_character", 0),
+        grading_h_line=headers.get("grading_h", 0),
+        base_x_h_line=base_x_h_line,
+        base_x_g_line=base_x_g_line,
     )
 
 
@@ -262,9 +279,9 @@ def build_scenario(config: Scenario, base_value: complex = 1.0) -> EllipticScena
         raise ScenarioError([(0, f"g_type: {e}")])
 
     if len(config.grading_g) != len(g_datum.simple_roots):
-        problems.append((0, "grading_g does not match the number of simple roots"))
+        problems.append((config.grading_g_line, "grading_g does not match the number of simple roots"))
     if len(config.s_character) != len(g_datum.simple_roots):
-        problems.append((0, "s_character does not match the number of simple roots"))
+        problems.append((config.s_character_line, "s_character does not match the number of simple roots"))
     if problems:
         raise ScenarioError(problems)
 
@@ -273,9 +290,10 @@ def build_scenario(config: Scenario, base_value: complex = 1.0) -> EllipticScena
 
     n_h_simple = len(datum.h_datum.simple_roots)
     if len(config.grading_h) != n_h_simple:
-        raise ScenarioError(
-            [(0, f"grading_h needs {n_h_simple} entries for the derived endoscopic simple roots")]
-        )
+        raise ScenarioError([(
+            config.grading_h_line,
+            f"grading_h needs {n_h_simple} entries for the derived endoscopic simple roots",
+        )])
     grading_h = build_grading(datum.h_datum, config.grading_h)
 
     for word in config.extras_h:
@@ -294,8 +312,13 @@ def build_scenario(config: Scenario, base_value: complex = 1.0) -> EllipticScena
     except (GradingError, RootDatumError) as e:
         raise ScenarioError([(0, f"real Weyl group: {e}")])
 
-    if len(config.base_x_h) != g_datum.rank or len(config.base_x_g) != g_datum.rank:
-        raise ScenarioError([(0, "base_point vectors must have length equal to the rank")])
+    problems = [
+        (line, "base_point vectors must have length equal to the rank")
+        for point, line in ((config.base_x_h, config.base_x_h_line), (config.base_x_g, config.base_x_g_line))
+        if len(point) != g_datum.rank
+    ]
+    if problems:
+        raise ScenarioError(problems)
     bound = phase_bound(g_datum, (config.base_x_h, config.base_x_g))
     if float(config.form_scale) * bound > _MAX_PHASE:
         raise ScenarioError([(
@@ -315,18 +338,34 @@ def build_scenario(config: Scenario, base_value: complex = 1.0) -> EllipticScena
             base_value=base_value,
         )
     except EndoscopyError as e:
-        raise ScenarioError([(0, f"violated invariant: {e}")])
+        line = _base_point_line(config, g_datum) if str(e).startswith("regularity/base diagram") else 0
+        raise ScenarioError([(line, f"violated invariant: {e}")])
 
     return make_scenario(config.name, engine, config.form_scale)
 
 
-def load_scenario_file(path, base_value: complex = 1.0) -> EllipticScenario:
+def _base_point_line(config: Scenario, g_datum) -> int:
+    """The line of the base point a base-diagram refusal names: x_h's when
+    it lies on a wall, else x_g's, which lies on one or is not x_h."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        require_regular(g_datum, EllipticElement(config.base_x_h))
+    except EndoscopyError:
+        return config.base_x_h_line
+    return config.base_x_g_line
+
+
+def load_scenario_file(path, base_value: complex = 1.0) -> EllipticScenario:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        # A UTF-8 byte-order mark is read as the start of the text, not as
+        # part of its first line.
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as e:
-        line = e.object.count(b"\n", 0, e.start) + 1
-        raise ScenarioError([(line, f"{path} is not UTF-8 text: {e.reason} at byte {e.start}")]) from None
+        # The codec's offsets start after the mark it strips.
+        start = e.start + len(data) - len(e.object)
+        line = data.count(b"\n", 0, start) + 1
+        raise ScenarioError([(line, f"{path} is not UTF-8 text: {e.reason} at byte {start}")]) from None
     return build_scenario(parse_scenario(text), base_value=base_value)
 
 

@@ -919,7 +919,9 @@ class LiteralSetup(TransferFactorEngine):
     basis, and the pairings of literal_pairing.  delta_I, delta_II and
     delta_III and the transfer table are frozen copies; the rest (Weyl
     groups, base diagram) is the engine's, so the two transfer tables must
-    agree entry by entry.
+    agree entry by entry.  literal_lookups, literal_entries and
+    literal_columns_and_laws recompute from matrices and words what the
+    engine and the pair table read by lookup from root permutations.
     """
 
     def __init__(self, engine: TransferFactorEngine):
@@ -1032,6 +1034,66 @@ class LiteralSetup(TransferFactorEngine):
             inverse = position[literal_weyl_inverse(self.g_datum, diagram.w).matrix]
             entries.append(LiteralWeight(diagram.w, inverse, sign, roots))
         return tuple(entries)
+
+    def literal_lookups(self):
+        """The engine's per-w lookups recomputed from matrices and words:
+        the position in weyl_g of w^{-1} (rational inverse) and of w^{-2}
+        (its matrix squared), w . 2 rho_check as the sum of the coroots of
+        w alpha over alpha > 0 (each root walked along w's word), and the
+        position in weyl_g of each element of weyl_h."""
+        d = self.g_datum
+        position = {w.matrix: k for k, w in enumerate(self.weyl_g)}
+        inverse = tuple(position[literal_weyl_inverse(d, w).matrix] for w in self.weyl_g)
+        inverse_square = tuple(
+            position[literal_product(self.weyl_g[k].matrix, self.weyl_g[k].matrix)] for k in inverse
+        )
+        two_rho_images = tuple(
+            tuple(
+                sum(column)
+                for column in zip(*(d.coroot(self.words.act_on_root(w, alpha)) for alpha in d.positive_roots))
+            )
+            for w in self.weyl_g
+        )
+        h_positions = tuple(position[w.matrix] for w in self.weyl_h)
+        return inverse, inverse_square, two_rho_images, h_positions
+
+    def literal_entries(self):
+        """The pair table's entries from their definitions: (w, inverse,
+        sign, roots) of transfer_table on the default a-datum, and the
+        parity of w's length, read from a reduced word of its matrix."""
+        return tuple(
+            (e.w, e.inverse, e.sign, e.roots, len(self.words.reduced_word(e.w.matrix)) & 1)
+            for e in self.transfer_table(ADatum.default(self.g_datum))
+        )
+
+    def literal_columns_and_laws(self):
+        """The pair table's other fields from their definitions: the column
+        tables of W and W_H by explicit loops, and each group law from
+        matrix products, row u holding the position of u w for each w of
+        the side's Weyl group."""
+
+        def columns(group):
+            n = self.g_datum.rank
+            return tuple(tuple(tuple(w.matrix[i][j] for w in group) for j in range(n)) for i in range(n))
+
+        def law(group, real):
+            position = {w.matrix: k for k, w in enumerate(group)}
+            return tuple(
+                tuple(position[literal_product(u.matrix, w.matrix)] for w in group) for u in real
+            )
+
+        return (
+            columns(self.weyl_g),
+            columns(self.weyl_h),
+            law(self.weyl_g, self.real_weyl_g),
+            law(self.weyl_h, self.real_weyl_h),
+        )
+
+
+def literal_product(a, b):
+    """The matrix product a b by its definition, entry by entry."""
+    n, m = len(b), len(b[0])
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(m)) for i in range(len(a)))
 
 
 # The fields of endoscopy.WeylWeight that the set-up fixes; its sign masks

@@ -142,7 +142,7 @@ CASES = [
         dict(index=0, x_h=(1.0,), x_g=(2.0,), lhs=1j, rhs=1j, abs_error=0.0, termwise_max=0.0),
         (0, (1.0,), (2.0,), 1j, 1j, 0.0, 0.0),
     ),
-    (Scenario, SCENARIO_FIELDS, (*SCENARIO_FIELDS.values(), [], 0, 0)),
+    (Scenario, SCENARIO_FIELDS, (*SCENARIO_FIELDS.values(), [], 0, 0, 0, 0, 0, 0, 0)),
 ]
 
 IDS = [cls.__name__ for cls, _, _ in CASES]

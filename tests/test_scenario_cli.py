@@ -15,6 +15,7 @@ from endotransfer.scenario import (
     build_scenario,
     builtin_scenario_path,
     load_builtin,
+    load_scenario_file,
     parse_scenario,
 )
 from endotransfer import cli
@@ -417,6 +418,11 @@ def test_cli_non_utf8_files_exit_2(tmp_path, command, suffix, args):
 
 
 MIXED = builtin_scenario_path("sl2xsl2_mixed").read_text(encoding="utf-8")
+SP4 = builtin_scenario_path("sp4_endoscopy").read_text(encoding="utf-8")
+
+
+def _without(text, line):
+    return text.replace(f"{line}\n", "", 1)
 
 
 def _with_extras(line, section="real_weyl_extras"):
@@ -448,15 +454,28 @@ def _with_extras(line, section="real_weyl_extras"):
         (MIXED.replace("[grading_h]\n", "[grading_h]\nbeta = compact\n"), "beta = compact"),
         (MIXED.replace("x_h = 1, 1/2", "x_h = 1, 1e-400"), "x_h = 1, 1e-400"),
         (MIXED.replace("form_scale = 1", "form_scale = 1e308"), "form_scale = 1e308"),
+        # Count mismatches name their section's header.
+        (_without(SP4, "alpha2 = noncompact"), "[grading_g]"),
+        (SP4.replace("alpha2 = -1", "alpha2 = -1\nalpha3 = 1"), "[s_character]"),
+        (_without(SP4, "alpha2 = compact"), "[grading_h]"),
+        # A base point of the wrong length names its own line.
+        (SP4.replace("x_h = 1, 1/3", "x_h = 1"), "x_h = 1"),
+        (SP4.replace("x_g = 1, 1/3", "x_g = 1, 1/3, 1"), "x_g = 1, 1/3, 1"),
+        # The base diagram: x_h on a wall, x_g on a wall, x_g not x_h.
+        (SP4.replace("x_h = 1, 1/3", "x_h = 1, 1"), "x_h = 1, 1"),
+        (SP4.replace("x_g = 1, 1/3", "x_g = 1, 1"), "x_g = 1, 1"),
+        (SP4.replace("x_g = 1, 1/3", "x_g = 1, 1/4"), "x_g = 1, 1/4"),
     ],
 )
 def test_bad_scenario_values_name_their_line(tmp_path, text, line):
     """A zero denominator, a value out of a float's range (an exponent too
     large to build is refused from the text, within a second), a form_scale
     at which the phases can overflow a float, a real-Weyl word whose letters
-    are not simple root numbers of H, any word for G, and an unknown key or
-    section are refused at their own line, once, in process and by verify
-    with exit 2."""
+    are not simple root numbers of H, any word for G, an unknown key or
+    section, a simple-root section whose count does not match (at its
+    header), a base point of the wrong length, and a base point on a wall
+    or without an identity base diagram are refused at their own line,
+    once, in process and by verify with exit 2."""
     lineno = text.splitlines().index(line) + 1
     start = time.perf_counter()
     with pytest.raises(ScenarioError) as exc:
@@ -585,3 +604,52 @@ def test_console_entry_point_help():
         pytest.skip("console script not on PATH")
     res = subprocess.run([exe, "--help"], capture_output=True, text=True)
     assert res.returncode == 0 and "verify" in res.stdout
+
+
+def test_a_missing_section_keeps_line_0():
+    """Without a [grading_h] section there is no line to name."""
+    text = SP4[:SP4.index("[grading_h]")] + SP4[SP4.index("[base_point]"):]
+    with pytest.raises(ScenarioError) as exc:
+        build_scenario(parse_scenario(text))
+    assert [n for n, _ in exc.value.problems] == [0]
+    assert "grading_h needs 2 entries" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "name", ["sl2_compact", "sl2_endoscopy", "sl2xsl2_double", "sl2xsl2_mixed", "sp4_endoscopy"]
+)
+def test_a_utf8_byte_order_mark_is_read_past(tmp_path, capsys, name):
+    """A shipped file behind a UTF-8 byte-order mark gives the
+    byte-identical machine report, instead of a refusal of its first line."""
+    plain = builtin_scenario_path(name)
+    marked = tmp_path / f"{name}.scn"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    reports = []
+    for path in (plain, marked):
+        assert cli.main(["verify", str(path), "--samples", "3", "--seed", "7", "--format", "machine"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1] and "status" in reports[0]
+
+
+def test_a_bad_byte_behind_a_byte_order_mark_is_named_at_its_offset(tmp_path):
+    """The mark counts in the offset of the first byte that is not UTF-8."""
+    path = tmp_path / "marked.scn"
+    path.write_bytes(b"\xef\xbb\xbfname = x\n\xff\n")
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario_file(path)
+    assert exc.value.problems == [(2, f"{path} is not UTF-8 text: invalid start byte at byte 12")]
+
+
+def test_a_lattice_file_behind_a_byte_order_mark(tmp_path, capsys):
+    """h1 reads past a UTF-8 byte-order mark; bytes that are not UTF-8 stay
+    refused."""
+    outs = []
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        lat = tmp_path / "swap.lat"
+        lat.write_bytes(prefix + b"0 1\n1 0\n")
+        assert cli.main(["h1", str(lat)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and "H^1(R, T)" in outs[0]
+    lat.write_bytes(b"\xef\xbb\xbf0 1\n\xff 0\n")
+    assert cli.main(["h1", str(lat)]) == 2
+    assert "is not UTF-8 text" in capsys.readouterr().err

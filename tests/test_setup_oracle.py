@@ -282,11 +282,13 @@ x_g = 1/2, 2/3, 3/4
 
 def test_b3_setup_call_counts(monkeypatch):
     """One cold B3 scenario build and its pair table do matrix work only
-    for what is new: one rank-one update (times_reflection) per element of
-    each of the four Weyl groups but the identity.  The Tits check folds on
-    root permutations, so it makes no update and no root_image call; no
-    word is read from a matrix, and delta_I is evaluated once."""
-    calls = dict.fromkeys(("times_reflection", "root_image", "reduced_word", "delta_i"), 0)
+    for what is new: each element of the four Weyl groups has its matrix
+    read once from its root permutation (matrix_of), and no element is
+    folded from its word by rank-one updates (times_reflection).  The Tits
+    check folds on root permutations, so it makes no update and no
+    root_image call; no word is read from a matrix, and delta_I is
+    evaluated once."""
+    calls = dict.fromkeys(("times_reflection", "matrix_of", "root_image", "reduced_word", "delta_i"), 0)
 
     def counted(name, original):
         def wrapper(*args, **kwargs):
@@ -297,6 +299,7 @@ def test_b3_setup_call_counts(monkeypatch):
 
     for owner, name in (
         (RootDatum, "times_reflection"),
+        (RootDatum, "matrix_of"),
         (RootDatum, "root_image"),
         (RootDatum, "reduced_word"),
         (TransferFactorEngine, "delta_i"),
@@ -309,7 +312,8 @@ def test_b3_setup_call_counts(monkeypatch):
     groups = (eng.weyl_g, eng.weyl_h, eng.real_weyl_g, eng.real_weyl_h)
     assert [len(g) for g in groups] == [48, 24, 6, 4]
     assert calls == {
-        "times_reflection": sum(len(g) - 1 for g in groups),
+        "times_reflection": 0,
+        "matrix_of": sum(len(g) for g in groups),
         "root_image": 0,
         "reduced_word": 0,
         "delta_i": 1,
