@@ -302,7 +302,7 @@ def main(argv=None) -> int:
     p_verify = sub.add_parser("verify", help="run the identity verification on sampled pairs")
     p_verify.add_argument("scenario")
     p_verify.add_argument("--samples", type=_count, default=100)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_count, default=0)
     p_verify.add_argument("--tol", type=_tolerance, default=None)
     p_verify.add_argument("--format", choices=("human", "machine"), default="human")
     p_verify.set_defaults(func=_cmd_verify)

@@ -52,13 +52,7 @@ from .endoscopy import (
     require_regular,
 )
 from .lattice import column_table, dot_in_order, images_in_order
-from .realform import (
-    EighthRoot,
-    RealFormGrading,
-    dimension_profile,
-    gamma_psi,
-    prefactor,
-)
+from .realform import EighthRoot, RealFormGrading, dimension_profile, prefactor, weil_constant
 from .record import MutableRecord, Record, set_attribute
 from .rootdata import RootDatum, WeylElement
 # Unused here: perfbench/tracing.py wraps this name in this module, so it
@@ -83,7 +77,8 @@ class Side:
     The invariant form is held as floats, and each real Weyl element with
     its determinant, so that kernel evaluation does no exact arithmetic.
     det w is (-1)^k for any word of k reflections that gives w, such as
-    the element's own word.
+    the element's own word.  gamma and the prefactor are read from one
+    dimension profile, gamma at the form's signature (dim g/k, dim k).
     """
 
     def __init__(self, datum: RootDatum, grading: RealFormGrading, real_weyl, form, form_scale):
@@ -93,9 +88,9 @@ class Side:
         self.weyl_table = tuple([(w, parity_sign(len(w.word))) for w in self.real_weyl])
         self._form = tuple(tuple(float(b) for b in row) for row in form)
         self._scale = float(form_scale)
-        self.profile = dimension_profile(grading)
-        self.gamma: EighthRoot = gamma_psi(grading)
-        self.prefactor: EighthRoot = prefactor(self.profile)
+        self.profile = profile = dimension_profile(grading)
+        self.gamma: EighthRoot = weil_constant(profile.dim_g_over_k, profile.dim_k)
+        self.prefactor: EighthRoot = prefactor(profile)
         self._gamma = complex(self.gamma)
         self._prefactor = complex(self.prefactor)
         self._d_over_pi_unit = complex(EighthRoot(-2 * len(datum.positive_roots)))
@@ -183,8 +178,9 @@ class PairTable(Record):
 
 
 class EllipticScenario(MutableRecord):
-    """A fully assembled elliptic verification scenario.  Its pair table is
-    a cached_property value, kept in the instance's __dict__."""
+    """A fully assembled elliptic verification scenario.  Its pair table and
+    phase bound are cached_property values, kept in the instance's
+    __dict__; the loader sets the phase bound it checks form_scale against."""
 
     _fields = ("name", "engine", "g_side", "h_side", "form_scale")
 
@@ -213,6 +209,15 @@ class EllipticScenario(MutableRecord):
             eng.group_products(range(len(eng.weyl_g)), eng.real_weyl_g),
             eng.group_products(eng.h_positions, eng.real_weyl_h),
         )
+
+    @cached_property
+    def phase_bound(self) -> float:
+        """verify.phase_bound at the base points, computed on first use."""
+        # verify imports this module, so its function is looked up here.
+        from .verify import phase_bound
+
+        base = self.engine.base_diagram
+        return phase_bound(self.engine.g_datum, (base.x_h.coords, base.x_g.coords))
 
 
 def make_scenario(

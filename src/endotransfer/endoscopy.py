@@ -199,6 +199,11 @@ def build_diagram(
     g_den over common denominators, w x_h = x_g is g_den w h = h_den g."""
     require_regular(datum.g_datum, x_h)
     require_regular(datum.g_datum, x_g)
+    return _minimal_diagram(datum, weyl_group, x_h, x_g)
+
+
+def _minimal_diagram(datum, weyl_group, x_h, x_g) -> Optional[Diagram]:
+    """build_diagram's search, for points already found regular."""
     if x_h.is_exact() and x_g.is_exact():
         h, h_den = common_denominator(x_h.coords)
         g, g_den = common_denominator(x_g.coords)
@@ -336,10 +341,14 @@ class TransferFactorEngine:
         self.h_positions = tuple(self._position[w] for w in self.weyl_h)
         self._check_tits_central()
 
+        # build_diagram's checks, keeping x_g's mask: at the base diagram,
+        # whose w is 1, delta_II is read from it (transfer_table).
         try:
-            self.base_diagram = build_diagram(datum, self.weyl_g, base_x_h, base_x_g)
+            require_regular(self.g_datum, base_x_h)
+            self._base_negative = require_regular(self.g_datum, base_x_g)
         except EndoscopyError as e:
             raise EndoscopyError(f"regularity/base diagram: {e}") from None
+        self.base_diagram = _minimal_diagram(datum, self.weyl_g, base_x_h, base_x_g)
         if self.base_diagram is None or not self.base_diagram.w.is_identity():
             raise EndoscopyError("regularity/base diagram: base point does not admit an identity diagram")
 
@@ -463,11 +472,12 @@ class TransferFactorEngine:
         root alpha outside w Phi_H sets its own bit in at, and in moved the
         bit of +-w^{-1} alpha, whose sign the parity counts.  The parity of
         Phi+_G at w x counts the alpha > 0 with w^{-1} alpha < 0, so it is
-        that of the length of w, the length of its reduced word."""
+        that of the length of w, the length of its reduced word.  The base
+        diagram's w is 1, the first of weyl_g, so delta_II there is the
+        parity of the first at against x_g's mask (a-signs are +1)."""
         a = ADatum.default(self.g_datum)
         base = self.base_diagram
         d1 = self.delta_i(base, a)
-        base_sign = d1 * self.delta_ii(base, a)
         datum, delta_iii, outside_h = self.datum, self.delta_iii, self._outside_h
         roots, perms, inverses = self.g_datum.roots, self._perms, self._inverse
         h_positive = self._h_positive_index
@@ -476,9 +486,6 @@ class TransferFactorEngine:
         negative = [n for _, n in self._bits]
         entries = []
         for k, w in enumerate(self.weyl_g):
-            # delta_II's root signs at x_g cancel against the route's, and
-            # its a-signs are +1 for the default a-datum.
-            sign = d1 * base_sign * delta_iii(Diagram(datum, w, None, None), base)
             inverse = inverses[k]
             back = perms[inverse]
             outside = outside_h(back)
@@ -488,6 +495,11 @@ class TransferFactorEngine:
                 j = back[j]
                 mask |= bits[j]
                 parity ^= negative[j]
+            if not k:
+                base_sign = d1 * parity_sign((at & self._base_negative).bit_count())
+            # delta_II's root signs at x_g cancel against the route's, and
+            # its a-signs are +1 for the default a-datum.
+            sign = d1 * base_sign * delta_iii(Diagram(datum, w, None, None), base)
             h_mask = h_parity = 0
             for j in h_positive:
                 j = back[j]

@@ -9,6 +9,7 @@ invariant form, which is negative definite on the compact part.
 
 from __future__ import annotations
 
+import cmath
 from operator import add
 from typing import Sequence
 
@@ -38,9 +39,7 @@ class EighthRoot(Record):
         return EighthRoot(self.k + other.k)
 
     def __complex__(self) -> complex:
-        from cmath import exp, pi
-
-        return exp(1j * pi * self.k / 4)
+        return cmath.exp(1j * cmath.pi * self.k / 4)
 
     def __repr__(self) -> str:
         return f"exp(i*pi*{self.k}/4)"

@@ -35,44 +35,15 @@ class ScenarioError(ValueError):
 
 
 class Scenario(MutableRecord):
-    """A parsed scenario file.  Each *_line field is the line number the
-    loader's refusals name: of the key, or of the section's header for the
-    simple-root sections; 0 when it is absent."""
+    """A parsed scenario file.  lines maps each key of the top,
+    [base_point] and [real_weyl_extras] sections that the file sets, and
+    each section header in brackets, to its line; the loader's refusals
+    name these lines, 0 for an entry the file leaves out."""
 
     __slots__ = _fields = (
         "name", "g_type", "form_scale", "grading_g", "s_character", "grading_h",
-        "base_x_h", "base_x_g", "extras_h", "extras_h_line", "form_scale_line",
-        "grading_g_line", "s_character_line", "grading_h_line", "base_x_h_line", "base_x_g_line",
+        "base_x_h", "base_x_g", "extras_h", "lines",
     )
-
-    def __init__(
-        self,
-        name: str,
-        g_type: str,
-        form_scale: Fraction,
-        grading_g: list[int],
-        s_character: list[int],
-        grading_h: list[int],
-        base_x_h: tuple[Fraction, ...],
-        base_x_g: tuple[Fraction, ...],
-        extras_h: list[tuple[int, ...]] | None = None,
-        # line number of the h words in [real_weyl_extras]
-        extras_h_line: int = 0,
-        form_scale_line: int = 0,
-        # line numbers of the [grading_g], [s_character] and [grading_h] headers
-        grading_g_line: int = 0,
-        s_character_line: int = 0,
-        grading_h_line: int = 0,
-        # line numbers of x_h and x_g in [base_point]
-        base_x_h_line: int = 0,
-        base_x_g_line: int = 0,
-    ):
-        # A fresh list for each scenario, so that no two share their extras.
-        super().__init__(
-            name, g_type, form_scale, grading_g, s_character, grading_h, base_x_h, base_x_g,
-            [] if extras_h is None else extras_h, extras_h_line, form_scale_line,
-            grading_g_line, s_character_line, grading_h_line, base_x_h_line, base_x_g_line,
-        )
 
 
 # Fraction(text) builds 10**e for a decimal exponent e, so e is bounded
@@ -193,10 +164,8 @@ def parse_scenario(text: str) -> Scenario:
     g_entry = need(top, "g_type", "the top section")
     g_type = g_entry[1] if g_entry else "A1"
     form_scale = Fraction(1)
-    form_scale_line = 0
     if "form_scale" in top:
         lineno, value = top["form_scale"]
-        form_scale_line = lineno
         try:
             form_scale = _rational(value)
             if form_scale <= 0:
@@ -239,17 +208,21 @@ def parse_scenario(text: str) -> Scenario:
         if entry:
             lineno, value = entry
             try:
-                points[key] = (lineno, _parse_vector(value))
+                points[key] = _parse_vector(value)
             except ValueError:
                 problems.append((lineno, f"bad rational vector {value!r}"))
-    base_x_h_line, base_x_h = points.get("x_h", (0, ()))
-    base_x_g_line, base_x_g = points.get("x_g", (0, ()))
 
     extras_h_line, words = sections.get("real_weyl_extras", {}).get("h", (0, ""))
     extras_h = _parse_words(extras_h_line, words, problems)
 
     if problems:
         raise ScenarioError(problems)
+    # The keys of the simple-root sections, alpha1, alpha2, ..., repeat from
+    # section to section; refusals name those sections by their headers.
+    lines = {f"[{section}]": lineno for section, lineno in headers.items()}
+    for section, store in sections.items():
+        if section not in _SIMPLE_ROOT_SECTIONS:
+            lines.update((key, lineno) for key, (lineno, _) in store.items())
     return Scenario(
         name=name,
         g_type=g_type,
@@ -257,16 +230,10 @@ def parse_scenario(text: str) -> Scenario:
         grading_g=grading_g,
         s_character=s_character,
         grading_h=grading_h,
-        base_x_h=base_x_h,
-        base_x_g=base_x_g,
+        base_x_h=points.get("x_h", ()),
+        base_x_g=points.get("x_g", ()),
         extras_h=extras_h,
-        extras_h_line=extras_h_line,
-        form_scale_line=form_scale_line,
-        grading_g_line=headers.get("grading_g", 0),
-        s_character_line=headers.get("s_character", 0),
-        grading_h_line=headers.get("grading_h", 0),
-        base_x_h_line=base_x_h_line,
-        base_x_g_line=base_x_g_line,
+        lines=lines,
     )
 
 
@@ -278,10 +245,11 @@ def build_scenario(config: Scenario, base_value: complex = 1.0) -> EllipticScena
     except RootDatumError as e:
         raise ScenarioError([(0, f"g_type: {e}")])
 
+    line = config.lines.get
     if len(config.grading_g) != len(g_datum.simple_roots):
-        problems.append((config.grading_g_line, "grading_g does not match the number of simple roots"))
+        problems.append((line("[grading_g]", 0), "grading_g does not match the number of simple roots"))
     if len(config.s_character) != len(g_datum.simple_roots):
-        problems.append((config.s_character_line, "s_character does not match the number of simple roots"))
+        problems.append((line("[s_character]", 0), "s_character does not match the number of simple roots"))
     if problems:
         raise ScenarioError(problems)
 
@@ -291,7 +259,7 @@ def build_scenario(config: Scenario, base_value: complex = 1.0) -> EllipticScena
     n_h_simple = len(datum.h_datum.simple_roots)
     if len(config.grading_h) != n_h_simple:
         raise ScenarioError([(
-            config.grading_h_line,
+            line("[grading_h]", 0),
             f"grading_h needs {n_h_simple} entries for the derived endoscopic simple roots",
         )])
     grading_h = build_grading(datum.h_datum, config.grading_h)
@@ -299,7 +267,7 @@ def build_scenario(config: Scenario, base_value: complex = 1.0) -> EllipticScena
     for word in config.extras_h:
         if any(i >= n_h_simple for i in word):
             raise ScenarioError([(
-                config.extras_h_line,
+                line("h", 0),
                 f"real_weyl_extras h: word {' '.join(str(i + 1) for i in word)!r} "
                 f"uses a simple root number above {n_h_simple}",
             )])
@@ -313,8 +281,8 @@ def build_scenario(config: Scenario, base_value: complex = 1.0) -> EllipticScena
         raise ScenarioError([(0, f"real Weyl group: {e}")])
 
     problems = [
-        (line, "base_point vectors must have length equal to the rank")
-        for point, line in ((config.base_x_h, config.base_x_h_line), (config.base_x_g, config.base_x_g_line))
+        (line(key, 0), "base_point vectors must have length equal to the rank")
+        for key, point in (("x_h", config.base_x_h), ("x_g", config.base_x_g))
         if len(point) != g_datum.rank
     ]
     if problems:
@@ -322,7 +290,7 @@ def build_scenario(config: Scenario, base_value: complex = 1.0) -> EllipticScena
     bound = phase_bound(g_datum, (config.base_x_h, config.base_x_g))
     if float(config.form_scale) * bound > _MAX_PHASE:
         raise ScenarioError([(
-            config.form_scale_line,
+            line("form_scale", 0),
             f"form_scale {float(config.form_scale):.3g} can overflow a float: "
             f"|B(u, v)| reaches {float(bound):.3g} on the sampling box and the base points",
         )])
@@ -338,10 +306,12 @@ def build_scenario(config: Scenario, base_value: complex = 1.0) -> EllipticScena
             base_value=base_value,
         )
     except EndoscopyError as e:
-        line = _base_point_line(config, g_datum) if str(e).startswith("regularity/base diagram") else 0
-        raise ScenarioError([(line, f"violated invariant: {e}")])
+        lineno = _base_point_line(config, g_datum) if str(e).startswith("regularity/base diagram") else 0
+        raise ScenarioError([(lineno, f"violated invariant: {e}")])
 
-    return make_scenario(config.name, engine, config.form_scale)
+    scenario = make_scenario(config.name, engine, config.form_scale)
+    scenario.phase_bound = bound
+    return scenario
 
 
 def _base_point_line(config: Scenario, g_datum) -> int:
@@ -350,8 +320,8 @@ def _base_point_line(config: Scenario, g_datum) -> int:
     try:
         require_regular(g_datum, EllipticElement(config.base_x_h))
     except EndoscopyError:
-        return config.base_x_h_line
-    return config.base_x_g_line
+        return config.lines.get("x_h", 0)
+    return config.lines.get("x_g", 0)
 
 
 def load_scenario_file(path, base_value: complex = 1.0) -> EllipticScenario:

@@ -108,11 +108,9 @@ class PrecisionError(ValueError):
 
 
 def precision_floor(scenario: EllipticScenario) -> float:
-    """scale * B_max * 2^-52, B_max the loader's phase_bound: the size of
+    """scale * B_max * 2^-52, B_max the scenario's phase_bound: the size of
     the last bit of the largest phase scale * B(u, v) that verify meets."""
-    base = scenario.engine.base_diagram
-    bound = phase_bound(scenario.engine.g_datum, (base.x_h.coords, base.x_g.coords))
-    return float(scenario.form_scale) * bound * 2.0**-52
+    return float(scenario.form_scale) * scenario.phase_bound * 2.0**-52
 
 
 def run_verify(
@@ -123,6 +121,9 @@ def run_verify(
 ) -> RunReport:
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
+    # random.Random(seed) seeds with |seed|, so -n would draw the pairs of n.
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     floor = precision_floor(scenario)
     if floor > tolerance / 4:
         raise PrecisionError(

@@ -1185,3 +1185,31 @@ def weil_prefactor_balanced_invariant(scenario) -> tuple[EighthRoot, EighthRoot]
     m_g = len(scenario.g_side.datum.positive_roots)
     m_h = len(scenario.h_side.datum.positive_roots)
     return g_val * EighthRoot(4 * m_g), h_val * EighthRoot(4 * m_h)
+
+
+def closed_form_table(scenario) -> tuple[int, ...]:
+    """The sign the transfer table should hold for each entry, in its order,
+    by the character property (Langlands-Shelstad 1987, sections 3-4):
+    F(w) = kappa(w^{-1} lambda - lambda) prod sign<alpha, w x_h> over the
+    entry's roots, at the base point's x_h.  lambda is the grading
+    coweight, the sum of the fundamental coweights (the columns of the
+    inverse of the simple-root matrix) over the noncompact simple roots of
+    G, and kappa(mu) = (-1)^<2 xhat_s, mu>.  w^{-1} lambda is solved for by
+    Fraction elimination; the engine supplies only the entries' w and
+    roots."""
+    eng = scenario.engine
+    d = eng.g_datum
+    coweights = transpose(invert_rational(d.simple_roots))
+    grades = [eng.grading_g.grade[alpha] for alpha in d.simple_roots]
+    lam = [sum(g * cw[j] for g, cw in zip(grades, coweights)) for j in range(d.rank)]
+    two_xhat = [2 * x for x in eng.datum.xhat_s]
+    x_h = eng.base_diagram.x_h.coords
+    signs = []
+    for entry in scenario.table.entries:
+        moved = solve_rational(entry.w.matrix, lam)
+        mu = [x - y for x, y in zip(moved, lam)]
+        if any(x.denominator != 1 for x in mu):
+            raise AssertionError(f"w^-1 lambda - lambda = {mu} is not integral for w = {entry.w.word}")
+        kappa = -1 if sum(x * m for x, m in zip(two_xhat, mu)) % 2 else 1
+        signs.append(kappa * root_signs(entry.roots, entry.w.act(x_h)))
+    return tuple(signs)

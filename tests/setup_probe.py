@@ -50,7 +50,8 @@ STAGES = (
     ("real Weyl closure", 0, [(scenario, "real_weyl_group")]),
     ("TransferFactorEngine.__init__", 0, [(TransferFactorEngine, "__init__")]),
     ("enumerate_weyl, G and H", 1, [(endoscopy, "enumerate_weyl")]),
-    ("build_diagram", 1, [(endoscopy, "build_diagram")]),
+    ("base diagram: regularity and search", 1,
+     [(endoscopy, "require_regular"), (endoscopy, "_minimal_diagram")]),
     ("make_scenario (two Sides)", 0, [(scenario, "make_scenario")]),
     ("transfer_table", 0, [(TransferFactorEngine, "transfer_table")]),
     ("group_products and column_table", 0,

@@ -52,7 +52,7 @@ from endotransfer.endoscopy import (
 from endotransfer.realform import DimensionProfile, EighthRoot, RealFormGrading
 from endotransfer.record import Record
 from endotransfer.rootdata import RootDatum, WeylElement, build_root_datum
-from endotransfer.scenario import Scenario, load_builtin
+from endotransfer.scenario import Scenario, builtin_scenario_path, load_builtin, parse_scenario
 from endotransfer.tits import TitsElement
 from endotransfer.verify import ParsedRecord, PairRecord
 
@@ -68,7 +68,8 @@ COLUMNS = (((1, -1),),)
 REPORT = IdentityReport(1j, 1j, 0.0, 0.0, True)
 SCENARIO_FIELDS = dict(
     name="a1", g_type="A1", form_scale=Fraction(1), grading_g=[1], s_character=[-1],
-    grading_h=[], base_x_h=(Fraction(1),), base_x_g=(Fraction(1),),
+    grading_h=[], base_x_h=(Fraction(1),), base_x_g=(Fraction(1),), extras_h=[],
+    lines={"form_scale": 3, "[grading_g]": 4},
 )
 
 # (class, keyword arguments, the fields the record then holds, in order).
@@ -142,7 +143,7 @@ CASES = [
         dict(index=0, x_h=(1.0,), x_g=(2.0,), lhs=1j, rhs=1j, abs_error=0.0, termwise_max=0.0),
         (0, (1.0,), (2.0,), 1j, 1j, 0.0, 0.0),
     ),
-    (Scenario, SCENARIO_FIELDS, (*SCENARIO_FIELDS.values(), [], 0, 0, 0, 0, 0, 0, 0)),
+    (Scenario, SCENARIO_FIELDS, tuple(SCENARIO_FIELDS.values())),
 ]
 
 IDS = [cls.__name__ for cls, _, _ in CASES]
@@ -233,13 +234,17 @@ def test_weyl_element_is_its_matrix():
 
 
 def test_scenarios_do_not_share_extras():
-    a, b = Scenario(**SCENARIO_FIELDS), Scenario(**SCENARIO_FIELDS)
+    """Two scenarios parsed from one text share neither their extras nor
+    their line maps, and a scenario's fields may be assigned."""
+    text = builtin_scenario_path("sl2xsl2_mixed").read_text(encoding="utf-8")
+    a, b = parse_scenario(text), parse_scenario(text)
     assert a.extras_h == [] and a.extras_h is not b.extras_h
     a.extras_h.append((0,))
     assert b.extras_h == []
-    assert (a.extras_h_line, a.form_scale_line) == (0, 0)
-    a.form_scale_line = 3
-    assert a.form_scale_line == 3
+    assert a.lines == b.lines and a.lines is not b.lines
+    assert a.lines["form_scale"] == text.splitlines().index("form_scale = 1") + 1
+    a.lines = {}
+    assert a.lines == {} and b.lines["form_scale"]
 
 
 def test_elliptic_scenario_default_scale_and_caches():

@@ -136,6 +136,14 @@ def test_run_verify_refuses_negative_samples():
         run_verify(sc, -3, 1)
 
 
+def test_run_verify_refuses_a_negative_seed():
+    """random.Random seeds with |seed|, so seed -7 would draw the pairs of
+    seed 7 under another name in the report."""
+    sc = load_builtin("sl2_endoscopy")
+    with pytest.raises(ValueError, match="seed must be nonnegative, got -7"):
+        run_verify(sc, 2, -7)
+
+
 def test_reports_deterministic_and_roundtrip():
     sc = load_builtin("sl2_endoscopy")
     r1 = run_verify(sc, 7, 42)
@@ -329,6 +337,7 @@ def test_cli_env_tolerance(tmp_path):
     "args,env,named",
     [
         (("--samples", "-3"), None, "--samples"),
+        (("--seed", "-7"), None, "--seed"),
         (("--tol", "nan"), None, "--tol"),
         ((), {"ENDOTRANSFER_TOL": "abc"}, "ENDOTRANSFER_TOL"),
     ],

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from endotransfer import cohomology, endoscopy
+from endotransfer import cohomology, distributions, endoscopy, realform, scenario, verify
 from endotransfer.cohomology import (
     TorusPoint,
     cocycle_class,
@@ -287,8 +287,19 @@ def test_b3_setup_call_counts(monkeypatch):
     folded from its word by rank-one updates (times_reflection).  The Tits
     check folds on root permutations, so it makes no update and no
     root_image call; no word is read from a matrix, and delta_I is
-    evaluated once."""
-    calls = dict.fromkeys(("times_reflection", "matrix_of", "root_image", "reduced_word", "delta_i"), 0)
+    evaluated once.
+
+    Set-up keeps what it derives: with two pairs of run_verify besides,
+    the loader's phase bound is the one verify's precision floor reads
+    (one phase_bound call), the base delta_II is read from x_g's mask (no
+    root_signs call), and each Side reads gamma and its prefactor from one
+    dimension profile (two dimension_profile calls).  Each function is
+    counted under every module name it is looked up by."""
+    calls = dict.fromkeys(
+        ("times_reflection", "matrix_of", "root_image", "reduced_word", "delta_i",
+         "phase_bound", "root_signs", "dimension_profile"),
+        0,
+    )
 
     def counted(name, original):
         def wrapper(*args, **kwargs):
@@ -303,11 +314,17 @@ def test_b3_setup_call_counts(monkeypatch):
         (RootDatum, "root_image"),
         (RootDatum, "reduced_word"),
         (TransferFactorEngine, "delta_i"),
+        (scenario, "phase_bound"),
+        (verify, "phase_bound"),
+        (endoscopy, "root_signs"),
+        (distributions, "dimension_profile"),
+        (realform, "dimension_profile"),
     ):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     build_root_datum.cache_clear()
     sc = build_scenario(parse_scenario(B3_TEXT))
     assert len(sc.table.entries) == 48
+    verify.run_verify(sc, 2, 5)
     eng = sc.engine
     groups = (eng.weyl_g, eng.weyl_h, eng.real_weyl_g, eng.real_weyl_h)
     assert [len(g) for g in groups] == [48, 24, 6, 4]
@@ -317,6 +334,9 @@ def test_b3_setup_call_counts(monkeypatch):
         "root_image": 0,
         "reduced_word": 0,
         "delta_i": 1,
+        "phase_bound": 1,
+        "root_signs": 0,
+        "dimension_profile": 2,
     }
 
 
