@@ -31,11 +31,22 @@ about 0.76 MB on B3 and 45 MB on B4 once every chamber is visited
 association the pair would take it, so a warm pair gives the bits of a
 cold one.
 
-Every unit phase exp(-i scale p) is cmath.rect(1.0, 0.0 - scale * p),
-which gives the bits of cmath.exp(1j * -(scale * p)), signed zeros
-included: the real part of 1j * t is a zero, so exp takes e^0 = 1.0 and
-returns (cos t, sin t) with t = 0.0 + t, and 0.0 - scale * p turns a zero
-phase into +0.0 as that sum does.
+Every unit phase exp(-i scale p) of either route is one expression over
+a point tuple: with the image u and B v each padded with 0.0 to MAX_RANK
+(rootdata's rank cap, 4) coordinates,
+
+    rect(1.0, 0.0 - scale * ((((0.0 + a0*b0) + a1*b1) + a2*b2) + a3*b3))
+
+for u = (a0, a1, a2, a3) and B v = (b0, b1, b2, b3).  The padding keeps
+every bit of the contraction sum_i u_i (B v)_i accumulated in order from
+0.0 over the point's own rank: every float operation keeps its operands
+and its left-to-right order, a padded term is 0.0 * 0.0 = +0.0, and a
+partial sum that starts at 0.0 + is never -0.0 (an exact zero sum of two
+floats is -0.0 only when both are), so adding +0.0 to it changes no bit.
+cmath.rect(1.0, 0.0 - scale * p) gives the bits of cmath.exp(1j *
+-(scale * p)), signed zeros included: the real part of 1j * t is a zero,
+so exp takes e^0 = 1.0 and returns (cos t, sin t) with t = 0.0 + t, and
+0.0 - scale * p turns a zero phase into +0.0 as that sum does.
 """
 
 from __future__ import annotations
@@ -43,6 +54,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, repeat
 
 from .endoscopy import (
     EllipticElement,
@@ -54,7 +66,7 @@ from .endoscopy import (
 from .lattice import column_table, dot_in_order, images_in_order
 from .realform import EighthRoot, RealFormGrading, dimension_profile, prefactor, weil_constant
 from .record import MutableRecord, Record, set_attribute
-from .rootdata import RootDatum, WeylElement
+from .rootdata import MAX_RANK, RootDatum, WeylElement
 # Unused here: perfbench/tracing.py wraps this name in this module, so it
 # stays until that layer is dropped.
 from .rootdata import weyl_sign  # noqa: F401
@@ -126,17 +138,23 @@ class Side:
 
     def exponentials(self, columns, bv) -> list[complex]:
         """exp(-i B(u, v)) for each image u of the image columns (columns[i][k]
-        coordinate i of the k-th), given B v from form_image.  The
-        contractions sum_i u_i (B v)_i are taken a coordinate at a time over
-        all images, each accumulated in order from 0.0.  An exact image
-        coordinate meets the float at a float multiply, which converts it as
-        float() does."""
-        phases = [0.0] * len(columns[0])
-        for column, b in zip(columns, bv):
-            phases = [p + c * b for p, c in zip(phases, column)]
+        coordinate i of the k-th), given B v from form_image: one expression
+        per image, over u and B v zero-padded to MAX_RANK coordinates (see
+        the module docstring).  An exact image coordinate meets the float at
+        a float multiply, which converts it as float() does."""
+        b0, b1, b2, b3 = chain(bv, repeat(0.0, MAX_RANK - len(bv)))
         scale = self._scale
         rect = cmath.rect
-        return [rect(1.0, 0.0 - scale * p) for p in phases]
+        return [
+            rect(1.0, 0.0 - scale * ((((0.0 + a0 * b0) + a1 * b1) + a2 * b2) + a3 * b3))
+            for a0, a1, a2, a3 in padded_points(columns)
+        ]
+
+
+def padded_points(columns):
+    """The points of image columns (columns[i][k] coordinate i of the k-th),
+    each a tuple of its coordinates followed by 0.0 up to MAX_RANK of them."""
+    return zip(*columns, *repeat(repeat(0.0), MAX_RANK - len(columns)))
 
 
 class PairTable(Record):
@@ -333,11 +351,12 @@ def d_tilde_gh(
     w x_g)) over w' in W_H and u' in W_real(H) are regrouped by z = u' w',
     the product of H's group law; each w then takes one exponential per z.
     The images z x_h come from one pass over W_H's column table, and
-    B w x_g for every w from a pass over W's, then one over B.  For each w,
-    the contractions of the images with B w x_g are taken as
-    Side.exponentials takes them, and the last coordinate, the exponential
-    and the inner sum over z run in one loop, which keeps no list of
-    exponentials.
+    B w x_g for every w from a pass over W's, then one over B; both are
+    turned into point tuples zero-padded to MAX_RANK coordinates.  For each
+    w, one loop over z takes each unit phase as the one expression of the
+    module docstring and adds it, times the multiplicity of z, to the inner
+    sum: no list of exponentials and no list per coordinate is built.
+    z = 1, the first element of W_H, is taken apart for its term.
     Weights and [D/pi] at moved points come from the masks of x_h and x_g,
     pair_masks' (taken here when not given).  The table's h_memo keeps what
     they fix: under x_h's mask the multiplicities of the z and the sign of
@@ -384,27 +403,20 @@ def d_tilde_gh(
             minus_fronts.append(minus * weight * d_y)
         g_chamber = at_g[neg_g] = products, {1: plus_fronts, -1: minus_fronts}
     products, by_sign = g_chamber
-    images = images_in_order(table.h_columns, x_h.floats())
-    head, last = images[:-1], images[-1]
-    zeros = [0.0] * len(last)
+    (count_one, (o0, o1, o2, o3)), *rest = zip(
+        counts, padded_points(images_in_order(table.h_columns, x_h.floats()))
+    )
     moved = side.form_columns(images_in_order(table.g_columns, x_g.coords))
     scale = side._scale
     rect = cmath.rect
     terms = []
     total = complex(0.0)
-    for product, front, bv in zip(products, by_sign[sign], zip(*moved)):
-        phases = zeros
-        for column, b in zip(head, bv):
-            phases = [p + c * b for p, c in zip(phases, column)]
-        b = bv[-1]
-        # z = 1, the first element of W_H, is taken apart for its term.
-        inner_terms = zip(counts, phases, last)
-        count, p, c = next(inner_terms)
-        one = rect(1.0, 0.0 - scale * (p + c * b))
+    for product, front, (b0, b1, b2, b3) in zip(products, by_sign[sign], padded_points(moved)):
+        one = rect(1.0, 0.0 - scale * ((((0.0 + o0 * b0) + o1 * b1) + o2 * b2) + o3 * b3))
         inner = complex(0.0)
-        inner += count * one
-        for count, p, c in inner_terms:
-            inner += count * rect(1.0, 0.0 - scale * (p + c * b))
+        inner += count_one * one
+        for count, (a0, a1, a2, a3) in rest:
+            inner += count * rect(1.0, 0.0 - scale * ((((0.0 + a0 * b0) + a1 * b1) + a2 * b2) + a3 * b3))
         total += product * inner
         terms.append(front * one)
     return KernelValue(side._gamma * total / (len(eng.real_weyl_h) * len(eng.weyl_h)), tuple(terms))
@@ -414,10 +426,14 @@ def explicit_term(
     scenario: EllipticScenario, w: WeylElement, x_h: EllipticElement, x_g: EllipticElement, side: str
 ) -> complex:
     """Single-exponential w-term of the closed-form expansion of either
-    route: side "G" reads it from d_gh's terms, side "H" from d_tilde_gh's.
-    x_h on an ambient wall is refused, as x_g is."""
+    route: side "G" reads it from d_gh's terms, side "H" from d_tilde_gh's;
+    any other side is refused.  x_h on an ambient wall is refused, as x_g
+    is."""
+    routes = {"G": d_gh, "H": d_tilde_gh}
+    if side not in routes:
+        raise ValueError(f'side must be "G" or "H", got {side!r}')
+    route = routes[side]
     g = scenario.engine.g_datum
-    route = d_gh if side == "G" else d_tilde_gh
     masks = require_regular(g, x_h), require_regular(g, x_g)
     return route(scenario, x_h, x_g, masks).terms[scenario.engine.weyl_g.index(w)]
 

@@ -41,6 +41,9 @@ from .lattice import (
 from .record import Record, set_attribute
 
 WEYL_ORDER_CAP = 10**6
+# The largest total rank build_root_datum accepts; the routes pad every
+# point to this many coordinates.
+MAX_RANK = 4
 
 # Cartan matrices, row i = pairings of simple root i with the simple coroots.
 _CARTAN: dict[str, IntMat] = {
@@ -363,8 +366,8 @@ def build_root_datum(spec: str) -> RootDatum:
         return build_root_datum(label)
     systems = _simple_systems(parts)
     rank = sum(len(c) for c in systems)
-    if rank > 4:
-        raise RootDatumError(f"total rank {rank} exceeds the supported range (<= 4)")
+    if rank > MAX_RANK:
+        raise RootDatumError(f"total rank {rank} exceeds the supported range (<= {MAX_RANK})")
 
     simple_roots: list[IntVec] = []
     offset = 0

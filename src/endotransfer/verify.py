@@ -9,6 +9,7 @@ produce byte-identical machine reports.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -124,6 +125,9 @@ def run_verify(
     # random.Random(seed) seeds with |seed|, so -n would draw the pairs of n.
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
+    # inf would pass every pair and nan fail every pair, each without a message.
+    if not 0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be a nonnegative finite number, got {tolerance!r}")
     floor = precision_floor(scenario)
     if floor > tolerance / 4:
         raise PrecisionError(

@@ -634,17 +634,34 @@ UNIT_PHASE_POINTS = (
 UNIT_PHASE_SCALES = (1.0, 0.5, 3.0, 1e-300)
 
 
+# Image and form coordinates of the padding batches: signed zeros, and
+# values whose products cancel, as 1 * 2 + 2 * -1, to an exact zero that a
+# signed-zero product then meets.
+PADDING_IMAGE_COORDS = (0.0, -0.0, 1.0, 2.0)
+PADDING_FORM_COORDS = (-0.0, 2.0, -1.0)
+
+
 def unit_phase_mismatches() -> list[tuple]:
     """(scale, contraction, got, want) wherever Side.exponentials' unit
     phase differs in any bit from the literal cmath.exp(1j * -(scale * p)),
-    p the contraction sum_i columns[i][k] bv[i] taken in order from 0.0.
-    Rank-one batches put each point of UNIT_PHASE_POINTS and 2000 seeded
-    random phases in as contractions; the rank-two image u = (1, 2) against
-    B v = (2, -1) contracts to exactly 0.0; a rank-three batch mixes
-    random images."""
+    p = dot_in_order(u, B v), the contraction sum_i u_i (B v)_i taken in
+    order from 0 with no padding.  Rank-one batches put each point of
+    UNIT_PHASE_POINTS and 2000 seeded random phases in as contractions; the
+    rank-two image u = (1, 2) against B v = (2, -1) contracts to exactly
+    0.0; a rank-three batch mixes random images.
+
+    The padding batches, at each rank 1 to MAX_RANK, take every image u
+    with coordinates in PADDING_IMAGE_COORDS against every B v with
+    coordinates in PADDING_FORM_COORDS, so that partial sums cancel to an
+    exact zero and meet 0.0 and -0.0 products.  There the contraction of u
+    and B v zero-padded to MAX_RANK coordinates, accumulated from 0.0 as the
+    routes take it, must also have the bits of p, signed zeros included:
+    a mismatch reports it as (scale, p, padded contraction, p)."""
     from endotransfer import build_root_datum
     from endotransfer.distributions import Side
+    from endotransfer.lattice import dot_in_order
     from endotransfer.realform import build_grading
+    from endotransfer.rootdata import MAX_RANK
 
     datum = build_root_datum("A1")
     grading = build_grading(datum, (0,))
@@ -656,14 +673,21 @@ def unit_phase_mismatches() -> list[tuple]:
         ([[1.0], [2.0]], (2.0, -1.0)),
         ([[rng.uniform(-3.0, 3.0) for _ in range(200)] for _ in range(3)], (0.25, -1.5, 2.0)),
     ]
+    for rank in range(1, MAX_RANK + 1):
+        columns = [list(c) for c in zip(*itertools.product(PADDING_IMAGE_COORDS, repeat=rank))]
+        batches += [(columns, bv) for bv in itertools.product(PADDING_FORM_COORDS, repeat=rank)]
     bad = []
     for scale in UNIT_PHASE_SCALES:
         side = Side(datum, grading, (), datum.invariant_form, scale)
         for columns, bv in batches:
-            for k, got in enumerate(side.exponentials(columns, bv)):
-                p = 0.0
-                for column, b in zip(columns, bv):
-                    p += column[k] * b
+            pad = (0.0,) * (MAX_RANK - len(bv))
+            for u, got in zip(zip(*columns), side.exponentials(columns, bv)):
+                p = dot_in_order(u, bv)
+                padded = 0.0
+                for a, b in zip(u + pad, bv + pad):
+                    padded = padded + a * b
+                if bits(complex(padded)) != bits(complex(p)):
+                    bad.append((scale, p, padded, p))
                 want = cmath.exp(1j * -(scale * p))
                 if bits(got) != bits(want):
                     bad.append((scale, p, got, want))

@@ -193,6 +193,17 @@ def test_termwise_exchange_pairs_w_with_inverse():
             assert abs(lhs - rhs) < 1e-12
 
 
+@pytest.mark.parametrize("side", ["g", "h", "", "GH"])
+def test_explicit_term_refuses_an_unknown_side(side):
+    """Only "G" and "H" name a route; "g" would otherwise read the H-term."""
+    sc = load_builtin("sp4_endoscopy")
+    rng = random.Random(12)
+    xh = EllipticElement(sample_regular_vector(sc, rng))
+    xg = _rand_regular(sc, rng)
+    with pytest.raises(ValueError, match=f"side must be \"G\" or \"H\", got {side!r}"):
+        explicit_term(sc, sc.engine.weyl_g[1], xh, xg, side)
+
+
 def test_explicit_terms_sum_to_routes():
     """The closed-form expansion agrees with each route's evaluator."""
     rng = random.Random(11)

@@ -144,6 +144,18 @@ def test_run_verify_refuses_a_negative_seed():
         run_verify(sc, 2, -7)
 
 
+@pytest.mark.parametrize("tolerance", [float("inf"), float("nan"), -1.0])
+def test_run_verify_refuses_a_tolerance_outside_zero_to_infinity(tolerance):
+    """inf would pass every pair and nan fail every pair, each without a
+    message; -1 would be refused for a form_scale it does not depend on.
+    Each is refused by name, as the CLI's --tol refuses it."""
+    sc = load_builtin("sl2_compact")
+    message = f"tolerance must be a nonnegative finite number, got {tolerance!r}"
+    with pytest.raises(ValueError, match=message) as err:
+        run_verify(sc, 3, 1, tolerance)
+    assert not isinstance(err.value, PrecisionError)
+
+
 def test_reports_deterministic_and_roundtrip():
     sc = load_builtin("sl2_endoscopy")
     r1 = run_verify(sc, 7, 42)
