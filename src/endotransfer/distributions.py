@@ -21,7 +21,7 @@ Signs are computed once per Weyl chamber.  Every weight, [D/pi] sign and
 folded multiplicity a route multiplies in is read from require_regular's
 mask of the positive roots negative at x_h or x_g, and a regular point's
 mask names its chamber.  So each route keeps them in its own memo on the
-pair table, filled from its own table columns and group law the first time
+pair table, filled from its own sign columns and group law the first time
 a chamber is seen: d_gh's under (mask of x_h, parity of x_g's mask),
 d_tilde_gh's under x_h's mask and under x_g's.  A pair in chambers already
 seen computes its images, form products, unit phases and sums, and nothing
@@ -30,6 +30,24 @@ about 0.76 MB on B3 and 45 MB on B4 once every chamber is visited
 (PairTable).  Each product the memos keep is taken in the order and
 association the pair would take it, so a warm pair gives the bits of a
 cold one.
+
+A fill is a few lookups.  Each sign it needs is linear over GF(2) in the
+point's mask, so the table keeps, per sign kind, one |W|-bit integer per
+positive root (endoscopy.negative_entries): the signs of all w at once are
+the XOR of the columns of the roots negative at the point.  Two such bit
+rows, spread into hex digits, give each w a digit 0-3 (one alone gives a
+binary digit), and each front is
+read from a dict of at most four values, each computed once with the
+operands, in the order, that the pair's own term would take.  The fold
+multiplies each distinct (value, det) once and adds the products in the
+order of the real Weyl group.  d_gh reads the kinds weight_moved and
+g_sign, d_tilde_gh weight_at and h_sign; neither reads the other's.
+
+Weyl images of float points are taken over float copies of the column
+tables (PairTable.g_floats and h_floats): a small integer converts to a
+double exactly, so float(m) * x has the bits of m * x, and the sums from
+the integer 0 are the same sums.  An exact or mixed x_g still goes through
+the integer table of W, so its images stay exact until they meet the form.
 
 Every unit phase exp(-i scale p) of either route is one expression over
 a point tuple: with the image u and B v each padded with 0.0 to MAX_RANK
@@ -52,6 +70,7 @@ so exp takes e^0 = 1.0 and returns (cos t, sin t) with t = 0.0 + t, and
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
@@ -60,6 +79,7 @@ from .endoscopy import (
     EllipticElement,
     EndoscopyError,
     TransferFactorEngine,
+    negative_entries,
     parity_sign,
     require_regular,
 )
@@ -151,10 +171,11 @@ class Side:
         ]
 
 
-def padded_points(columns):
+def padded_points(columns, *leading):
     """The points of image columns (columns[i][k] coordinate i of the k-th),
-    each a tuple of its coordinates followed by 0.0 up to MAX_RANK of them."""
-    return zip(*columns, *repeat(repeat(0.0), MAX_RANK - len(columns)))
+    each a flat tuple of the k-th item of each leading sequence, then its
+    coordinates, then 0.0 up to MAX_RANK of them."""
+    return zip(*leading, *columns, *repeat(repeat(0.0), MAX_RANK - len(columns)))
 
 
 class PairTable(Record):
@@ -167,6 +188,14 @@ class PairTable(Record):
     laws each route regroups by: for the r-th element u of the side's real
     Weyl group, the row whose k-th entry is the index of u w_k in the
     side's Weyl group (W for G, W_H for H), both in that group's order.
+
+    Three attributes besides the fields are derived at set-up.  signs
+    holds the sign columns of the entries (endoscopy.negative_entries),
+    keyed by the sign they give: weight_moved, g_sign and h_sign of the
+    k-th entry at bit k, weight_at of the entry of w_k^{-1} at bit k
+    (TransferFactorEngine.transfer_table); a table built without them
+    serves no route.  g_floats and h_floats are float copies of the column
+    tables, which the routes read for the images of float points.
 
     Every sign a route multiplies in is read from require_regular's mask of
     a point, and a regular point's mask names its Weyl chamber, so each
@@ -184,15 +213,26 @@ class PairTable(Record):
     3|W| under one of h_memo: at most about 280|W|^2 + 40|W||W_H| bytes on
     CPython, 0.76 MB on B3 (|W| = 48) and 45 MB on B4 (|W| = 384), which a
     run reaches only after pairs in both parities of every one of B4's 384
-    chambers, at about 34 ms a pair."""
+    chambers, at about 34 ms a pair.  The sign columns are 4(|Phi+| + 1)
+    integers of |W| bits, 1.6 KB on B3 and 3.2 KB on B4 with their tuples;
+    the float tables take about 32 bytes per matrix entry over W and W_H,
+    22 KB on B3 and 0.30 MB on B4."""
 
     _fields = ("entries", "g_columns", "h_columns", "g_law", "h_law")
-    __slots__ = _fields + ("g_memo", "h_memo")
+    __slots__ = _fields + ("signs", "g_floats", "h_floats", "g_memo", "h_memo")
 
-    def __init__(self, entries, g_columns, h_columns, g_law, h_law):
+    def __init__(self, entries, g_columns, h_columns, g_law, h_law, *, signs=None):
         super().__init__(entries, g_columns, h_columns, g_law, h_law)
+        set_attribute(self, "signs", signs)
+        set_attribute(self, "g_floats", float_columns(g_columns))
+        set_attribute(self, "h_floats", float_columns(h_columns))
         set_attribute(self, "g_memo", {})
         set_attribute(self, "h_memo", ({}, {}))
+
+
+def float_columns(columns):
+    """A column table with every entry turned into a float."""
+    return tuple([tuple([tuple(map(float, entries)) for entries in row]) for row in columns])
 
 
 class EllipticScenario(MutableRecord):
@@ -220,12 +260,14 @@ class EllipticScenario(MutableRecord):
     def table(self) -> PairTable:
         """The scenario's pair table, built on the first pair."""
         eng = self.engine
+        entries, signs = eng.transfer_table()
         return PairTable(
-            eng.transfer_table(),
+            entries,
             eng.g_columns,
             column_table([w.matrix for w in eng.weyl_h]),
             eng.group_products(range(len(eng.weyl_g)), eng.real_weyl_g),
             eng.group_products(eng.h_positions, eng.real_weyl_h),
+            signs=signs,
         )
 
     @cached_property
@@ -282,15 +324,90 @@ def pair_masks(scenario: EllipticScenario, x_h: EllipticElement, x_g: EllipticEl
     return neg_h, require_regular(g, x_g)
 
 
-def _fold(law, weyl_table, fronts) -> list[complex]:
-    """The multiplicities c_z = sum over u w = z of fronts[w] * det(u), for
-    z in the side's Weyl group, each summed over u in the real Weyl group's
-    order."""
-    counts = [complex(0.0)] * len(fronts)
+def _digits(size: int, low: int, high: int) -> str:
+    """For each k < size, in order, the hex digit bit k of low plus twice
+    bit k of high: a binary numeral read in base 16 puts each bit in a
+    digit of its own."""
+    spread = int(f"{low:b}", 16) | int(f"{high:b}", 16) << 1
+    return f"{spread:0{size}x}"[::-1]
+
+
+# Each digit _digits writes, with the signs its low and high bits stand for.
+SIGN_DIGITS = (("0", 1, 1), ("1", -1, 1), ("2", 1, -1), ("3", -1, -1))
+
+
+def _fold(law, weyl_table, values, digits) -> list[complex]:
+    """The multiplicities c_z = sum over u w = z of values[digits[w]] *
+    det(u), for z in the side's Weyl group, each summed over u in the real
+    Weyl group's order; each product is taken once per value and det."""
+    counts = [complex(0.0)] * len(digits)
+    by_det = {}
     for (_, det), row in zip(weyl_table, law):
-        for front, z in zip(fronts, row):
-            counts[z] += front * det
+        terms = by_det.get(det)
+        if terms is None:
+            products = {}
+            for digit, value in values.items():
+                products[digit] = value * det
+            # [*map(...)] takes its list from CPython's free list, where
+            # list(map(...)) allocates one that counts towards a collection.
+            terms = by_det[det] = [*map(products.__getitem__, digits)]
+        for z, term in zip(row, terms):
+            counts[z] += term
     return counts
+
+
+def _g_chamber(scenario: EllipticScenario, neg_h: int, parity: int):
+    """d_gh's memo entry under (mask of x_h, parity of x_g's mask): the
+    multiplicities folded over g_law and the term fronts.  The weight and
+    the sign of [D/pi](w x_h) of every w are read from the sign columns,
+    and each front from the at most four values they select."""
+    eng, table, side = scenario.engine, scenario.table, scenario.g_side
+    weights = negative_entries(table.signs["weight_moved"], neg_h)
+    digits = _digits(len(table.entries), weights, negative_entries(table.signs["g_sign"], neg_h))
+    d_y = side.d_over_pi_at(parity_sign(parity))
+    front = side._gamma * side._prefactor * d_y
+    fronts, terms = {}, {}
+    for digit, sign, g_sign in SIGN_DIGITS:
+        weight, d_x = sign * eng.base_value, side.d_over_pi_at(g_sign)
+        fronts[digit] = weight * (side._prefactor * d_x) * d_y
+        terms[digit] = front * weight * d_x
+    return _fold(table.g_law, side.weyl_table, fronts, digits), [*map(terms.__getitem__, digits)]
+
+
+def _h_chamber(scenario: EllipticScenario, neg_h: int):
+    """d_tilde_gh's memo entry under x_h's mask: the multiplicities folded
+    over h_law and the sign of [D/pi](x_h), read from the h_sign digits of
+    the elements of W_H."""
+    eng, table, side = scenario.engine, scenario.table, scenario.h_side
+    # One sign kind: its binary digits, bit k the k-th.
+    digits = f"{negative_entries(table.signs['h_sign'], neg_h):0{len(table.entries)}b}"[::-1]
+    fronts = {"0": side._prefactor * side.d_over_pi_at(1), "1": side._prefactor * side.d_over_pi_at(-1)}
+    # The table's first entry is the identity's.
+    return (
+        _fold(table.h_law, side.weyl_table, fronts, [*map(digits.__getitem__, eng.h_positions)]),
+        -1 if digits[0] == "1" else 1,
+    )
+
+
+def _x_g_chamber(scenario: EllipticScenario, neg_g: int):
+    """d_tilde_gh's memo entry under x_g's mask: for every w, the product
+    weight(w^{-1}) [D/pi](w x_g), and the term fronts for each sign of
+    [D/pi](x_h), which x_g's chamber does not fix."""
+    eng, table, side = scenario.engine, scenario.table, scenario.h_side
+    weights = negative_entries(table.signs["weight_at"], neg_g)
+    digits = _digits(len(table.entries), weights, negative_entries(table.signs["h_sign"], neg_g))
+    plus = side._gamma * side._prefactor * side.d_over_pi_at(1)
+    minus = side._gamma * side._prefactor * side.d_over_pi_at(-1)
+    products, plus_fronts, minus_fronts = {}, {}, {}
+    for digit, sign, h_sign in SIGN_DIGITS:
+        weight, d_y = sign * eng.base_value, side.d_over_pi_at(h_sign)
+        products[digit] = weight * d_y
+        plus_fronts[digit] = plus * weight * d_y
+        minus_fronts[digit] = minus * weight * d_y
+    return [*map(products.__getitem__, digits)], {
+        1: [*map(plus_fronts.__getitem__, digits)],
+        -1: [*map(minus_fronts.__getitem__, digits)],
+    }
 
 
 def d_gh(
@@ -301,11 +418,12 @@ def d_gh(
     The terms weight(w) [D/pi](w x_h) [D/pi](x_g) det(u) exp(-i B(u w x_h,
     x_g)) over w in W and u in W_real(G) are regrouped by z = u w, the
     product of G's group law, so each z takes one exponential; the images
-    z x_h come from one pass over W's column table.  Weights and
-    [D/pi] at w x_h come from the masks of x_h and x_g, pair_masks' (taken
-    here when not given).  They fix the multiplicities of the z and the
-    term fronts, which the table's g_memo keeps under x_h's mask and the
-    parity of x_g's: a pair in a chamber seen before reads them there.
+    z x_h come from one pass over the float copy of W's column table.
+    Weights and [D/pi] at w x_h come from the masks of x_h and x_g,
+    pair_masks' (taken here when not given).  They fix the multiplicities
+    of the z and the term fronts, which the table's g_memo keeps under x_h's
+    mask and the parity of x_g's (_g_chamber): a pair in a chamber seen
+    before reads them there.
 
     The value comes with the route's closed-form w-terms, in the order of
     W: gamma prefactor [D/pi](x_g) weight(w) [D/pi](w x_h) times the
@@ -315,31 +433,20 @@ def d_gh(
         if masks is None:
             return KernelValue(complex(0.0), ())
     neg_h, neg_g = masks
-    eng = scenario.engine
     table = scenario.table
     side = scenario.g_side
     key = neg_h, neg_g.bit_count() & 1
     chamber = table.g_memo.get(key)
     if chamber is None:
-        d_y = side.d_over_pi_at(parity_sign(key[1]))
-        factors = [
-            (entry.weight_moved(neg_h) * eng.base_value, side.d_over_pi_at(entry.g_sign(neg_h)))
-            for entry in table.entries
-        ]
-        fronts = [weight * (side._prefactor * d_x) * d_y for weight, d_x in factors]
-        front = side._gamma * side._prefactor * d_y
-        chamber = table.g_memo[key] = (
-            _fold(table.g_law, side.weyl_table, fronts),
-            [front * weight * d_x for weight, d_x in factors],
-        )
+        chamber = table.g_memo[key] = _g_chamber(scenario, *key)
     counts, fronts = chamber
-    images = images_in_order(table.g_columns, x_h.floats())
+    images = images_in_order(table.g_floats, x_h.floats())
     phases = side.exponentials(images, side.form_image(x_g.coords))
     total = complex(0.0)
     for count, phase in zip(counts, phases):
         total += count * phase
     terms = tuple(front * phase for front, phase in zip(fronts, phases))
-    return KernelValue(side._gamma * total / len(eng.real_weyl_g), terms)
+    return KernelValue(side._gamma * total / len(scenario.engine.real_weyl_g), terms)
 
 
 def d_tilde_gh(
@@ -351,18 +458,21 @@ def d_tilde_gh(
     w x_g)) over w' in W_H and u' in W_real(H) are regrouped by z = u' w',
     the product of H's group law; each w then takes one exponential per z.
     The images z x_h come from one pass over W_H's column table, and
-    B w x_g for every w from a pass over W's, then one over B; both are
-    turned into point tuples zero-padded to MAX_RANK coordinates.  For each
-    w, one loop over z takes each unit phase as the one expression of the
-    module docstring and adds it, times the multiplicity of z, to the inner
-    sum: no list of exponentials and no list per coordinate is built.
-    z = 1, the first element of W_H, is taken apart for its term.
-    Weights and [D/pi] at moved points come from the masks of x_h and x_g,
-    pair_masks' (taken here when not given).  The table's h_memo keeps what
-    they fix: under x_h's mask the multiplicities of the z and the sign of
-    [D/pi](x_h), under x_g's the per-w products weight(w^{-1}) [D/pi](w x_g)
-    and the term fronts for either sign; a pair in chambers seen before
-    reads them there.
+    B w x_g for every w from a pass over W's, then one over B; a float
+    point reads the float copies of the tables, an exact x_g the integer
+    one.  The images z x_h are turned into flat tuples (multiplicity of z,
+    then z x_h zero-padded to MAX_RANK coordinates), and B w x_g into
+    padded point tuples.  For each w, one loop over z takes each unit phase
+    as the one expression of the module docstring and adds it, times the
+    multiplicity of z, to the inner sum: no list of exponentials and no
+    list per coordinate is built.  z = 1, the first element of W_H, is
+    taken apart for its term.  Weights and [D/pi] at moved points come from
+    the masks of x_h and x_g, pair_masks' (taken here when not given).  The
+    table's h_memo keeps what they fix: under x_h's mask the multiplicities
+    of the z and the sign of [D/pi](x_h) (_h_chamber), under x_g's the
+    per-w products weight(w^{-1}) [D/pi](w x_g) and the term fronts for
+    either sign (_x_g_chamber); a pair in chambers seen before reads them
+    there.
 
     The value comes with the route's closed-form w-terms, in the order of
     W: gamma prefactor [D/pi](x_h) weight(w^{-1}) [D/pi](w x_g), the weight
@@ -376,37 +486,21 @@ def d_tilde_gh(
     eng = scenario.engine
     table = scenario.table
     side = scenario.h_side
-    entries = table.entries
     at_h, at_g = table.h_memo
     h_chamber = at_h.get(neg_h)
     if h_chamber is None:
-        fronts = [
-            side._prefactor * side.d_over_pi_at(entries[k].h_sign(neg_h)) for k in eng.h_positions
-        ]
-        # The table's first entry is the identity's.
-        h_chamber = at_h[neg_h] = (
-            _fold(table.h_law, side.weyl_table, fronts), entries[0].h_sign(neg_h)
-        )
+        h_chamber = at_h[neg_h] = _h_chamber(scenario, neg_h)
     counts, sign = h_chamber
     g_chamber = at_g.get(neg_g)
     if g_chamber is None:
-        # The term fronts for each sign of [D/pi](x_h), which x_g's chamber
-        # does not fix.
-        plus = side._gamma * side._prefactor * side.d_over_pi_at(1)
-        minus = side._gamma * side._prefactor * side.d_over_pi_at(-1)
-        products, plus_fronts, minus_fronts = [], [], []
-        for entry in entries:
-            weight = entries[entry.inverse].weight_at(neg_g) * eng.base_value
-            d_y = side.d_over_pi_at(entry.h_sign(neg_g))
-            products.append(weight * d_y)
-            plus_fronts.append(plus * weight * d_y)
-            minus_fronts.append(minus * weight * d_y)
-        g_chamber = at_g[neg_g] = products, {1: plus_fronts, -1: minus_fronts}
+        g_chamber = at_g[neg_g] = _x_g_chamber(scenario, neg_g)
     products, by_sign = g_chamber
-    (count_one, (o0, o1, o2, o3)), *rest = zip(
-        counts, padded_points(images_in_order(table.h_columns, x_h.floats()))
+    (count_one, o0, o1, o2, o3), *rest = padded_points(
+        images_in_order(table.h_floats, x_h.floats()), counts
     )
-    moved = side.form_columns(images_in_order(table.g_columns, x_g.coords))
+    x = x_g.coords
+    columns = table.g_floats if all([type(c) is float for c in x]) else table.g_columns
+    moved = side.form_columns(images_in_order(columns, x))
     scale = side._scale
     rect = cmath.rect
     terms = []
@@ -415,7 +509,7 @@ def d_tilde_gh(
         one = rect(1.0, 0.0 - scale * ((((0.0 + o0 * b0) + o1 * b1) + o2 * b2) + o3 * b3))
         inner = complex(0.0)
         inner += count_one * one
-        for count, (a0, a1, a2, a3) in rest:
+        for count, a0, a1, a2, a3 in rest:
             inner += count * rect(1.0, 0.0 - scale * ((((0.0 + a0 * b0) + a1 * b1) + a2 * b2) + a3 * b3))
         total += product * inner
         terms.append(front * one)
@@ -427,15 +521,29 @@ def explicit_term(
 ) -> complex:
     """Single-exponential w-term of the closed-form expansion of either
     route: side "G" reads it from d_gh's terms, side "H" from d_tilde_gh's;
-    any other side is refused.  x_h on an ambient wall is refused, as x_g
+    any other side is refused, as is a w outside the Weyl group.  x_h on an ambient wall is refused, as x_g
     is."""
     routes = {"G": d_gh, "H": d_tilde_gh}
     if side not in routes:
         raise ValueError(f'side must be "G" or "H", got {side!r}')
     route = routes[side]
-    g = scenario.engine.g_datum
+    eng = scenario.engine
+    try:
+        position = eng.weyl_g.index(w)
+    except ValueError:
+        raise ValueError(
+            f"w with matrix {w.matrix} is not in the Weyl group of {eng.g_datum.cartan_label}"
+        ) from None
+    g = eng.g_datum
     masks = require_regular(g, x_h), require_regular(g, x_g)
-    return route(scenario, x_h, x_g, masks).terms[scenario.engine.weyl_g.index(w)]
+    return route(scenario, x_h, x_g, masks).terms[position]
+
+
+def require_tolerance(tolerance: float) -> None:
+    """ValueError unless 0 <= tolerance < inf: inf would pass every pair
+    and nan fail every pair, each without a message."""
+    if not 0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be a nonnegative finite number, got {tolerance!r}")
 
 
 def verify_identity(
@@ -446,7 +554,9 @@ def verify_identity(
 ) -> IdentityReport:
     """Both routes, their difference, and the largest difference of the w
     vs w^{-1} pairing of the terms each route returns with its value.  The
-    masks of x_h and x_g are taken once, for both routes."""
+    masks of x_h and x_g are taken once, for both routes; a tolerance
+    outside 0 <= tol < inf is refused."""
+    require_tolerance(tolerance)
     masks = pair_masks(scenario, x_h, x_g)
     regular = masks is not None
     termwise_max = 0.0

@@ -132,27 +132,41 @@ class WeylWeight(Record):
     alpha in S with w^{-1} alpha < 0.  at is the mask of roots itself (at x);
     moved and h_moved are (mask, parity) of roots and of Phi+_H at w x;
     length is the parity of Phi+_G at w x, whose mask holds every bit.
+
+    So the routes read four signs of an entry at a point x:
+
+        weight_at     sign (-1)^|at & neg(x)|, the factor at (w, w^{-1} x, x);
+        weight_moved  sign (-1)^(parity + |mask & neg(x)|), (mask, parity)
+                      = moved, the factor at (w, x, w x);
+        h_sign        (-1)^(parity + |mask & neg(x)|), (mask, parity) =
+                      h_moved, the sign of prod <beta, w x> over Phi+_H;
+        g_sign        (-1)^(length + |neg(x)|), that of prod <alpha, w x>
+                      over Phi+_G.
+
+    They take them for every entry at once, from the table's sign columns
+    (negative_entries).
     """
 
     __slots__ = _fields = ("w", "inverse", "sign", "roots", "at", "moved", "h_moved", "length")
 
-    def weight_at(self, negative: int) -> int:
-        """The factor at the diagram (w, w^{-1} x, x), from x's mask."""
-        return -self.sign if (self.at & negative).bit_count() & 1 else self.sign
 
-    def weight_moved(self, negative: int) -> int:
-        """The factor at the diagram (w, x, w x), from x's mask."""
-        mask, parity = self.moved
-        return -self.sign if (parity + (mask & negative).bit_count()) & 1 else self.sign
-
-    def h_sign(self, negative: int) -> int:
-        """The sign of the product of <beta, w x> over Phi+_H, from x's mask."""
-        mask, parity = self.h_moved
-        return -1 if (parity + (mask & negative).bit_count()) & 1 else 1
-
-    def g_sign(self, negative: int) -> int:
-        """The sign of the product of <alpha, w x> over Phi+_G, from x's mask."""
-        return -1 if (self.length + negative.bit_count()) & 1 else 1
+def negative_entries(signs: tuple[int, tuple[int, ...]], negative: int) -> int:
+    """One of WeylWeight's signs for every entry of the transfer table at
+    once, at a point of mask negative: the entries whose sign is -1 there,
+    as bit k for the k-th.  Each sign is (-1)^(parity + |mask & negative|),
+    linear over GF(2) in the mask, so signs = (start, columns) gives them
+    all (TransferFactorEngine.transfer_table): start holds the bits at a
+    point whose mask is 0, and columns[b] the bits of the entries whose
+    mask holds the b-th positive root, XORed in when that root is negative
+    at the point."""
+    bits, columns = signs
+    for column in columns:
+        if not negative:
+            break
+        if negative & 1:
+            bits ^= column
+        negative >>= 1
+    return bits
 
 
 def build_endoscopic_datum(g_datum: RootDatum, s_simple_signs: Sequence[int]) -> EndoscopicDatum:
@@ -456,10 +470,11 @@ class TransferFactorEngine:
 
     # -- normalized transfer factor ---------------------------------------
 
-    def transfer_table(self) -> tuple[WeylWeight, ...]:
+    def transfer_table(self) -> tuple[tuple[WeylWeight, ...], dict[str, tuple]]:
         """The pair-independent part of relative_factor for every w of
         weyl_g, in its order, taken from the factors at the diagram (w, x_h,
-        w x_h) of the base point's x_h.  delta_III depends on w alone, so
+        w x_h) of the base point's x_h, with the entries' sign columns
+        (negative_entries).  delta_III depends on w alone, so
         it is handed w's diagram without its points.  delta_I delta_II does
         not depend on the a-datum (Langlands-Shelstad 1987, section 3), so
         the table is that of the default one.  There delta_I is the same for
@@ -474,7 +489,13 @@ class TransferFactorEngine:
         Phi+_G at w x counts the alpha > 0 with w^{-1} alpha < 0, so it is
         that of the length of w, the length of its reduced word.  The base
         diagram's w is 1, the first of weyl_g, so delta_II there is the
-        parity of the first at against x_g's mask (a-signs are +1)."""
+        parity of the first at against x_g's mask (a-signs are +1).
+
+        The same pass sets the entries' bits in the sign columns, keyed by
+        the sign they give (WeylWeight names the four): weight_moved, g_sign
+        and h_sign of the k-th entry at bit k, and weight_at of the entry
+        of w_k^{-1} at bit k, the weight the transform route reads for
+        w_k."""
         a = ADatum.default(self.g_datum)
         base = self.base_diagram
         d1 = self.delta_i(base, a)
@@ -484,16 +505,22 @@ class TransferFactorEngine:
         # Each root's bit in a mask, and whether it is negative.
         bits = [1 << bit for bit, _ in self._bits]
         negative = [n for _, n in self._bits]
+        # The sign columns by root, folded onto the positive roots below.
+        at_columns, moved_columns, h_columns = [0] * len(roots), [0] * len(roots), [0] * len(roots)
+        at_start = moved_start = h_start = lengths = 0
         entries = []
         for k, w in enumerate(self.weyl_g):
             inverse = inverses[k]
             back = perms[inverse]
             outside = outside_h(back)
+            own, its = 1 << k, 1 << inverse
             at = mask = parity = 0
             for j in outside:
                 at |= bits[j]
+                at_columns[j] |= its
                 j = back[j]
                 mask |= bits[j]
+                moved_columns[j] |= own
                 parity ^= negative[j]
             if not k:
                 base_sign = d1 * parity_sign((at & self._base_negative).bit_count())
@@ -504,12 +531,36 @@ class TransferFactorEngine:
             for j in h_positive:
                 j = back[j]
                 h_mask |= bits[j]
+                h_columns[j] |= own
                 h_parity ^= negative[j]
+            length = len(w.word) & 1
+            if sign < 0:
+                at_start |= its
+            if (sign < 0) ^ parity:
+                moved_start |= own
+            if h_parity:
+                h_start |= own
+            if length:
+                lengths |= own
             entries.append(WeylWeight(
                 w, inverse, sign, tuple([roots[j] for j in outside]), at,
-                (mask, parity), (h_mask, h_parity), len(w.word) & 1,
+                (mask, parity), (h_mask, h_parity), length,
             ))
-        return tuple(entries)
+        minus = self._negation
+        positive = self._positive_index
+
+        # A root and its negative set the bit of the same positive root.
+        def fold(columns):
+            return tuple([columns[j] | columns[minus[j]] for j in positive])
+
+        signs = {
+            "weight_moved": (moved_start, fold(moved_columns)),
+            # Every positive root is in every entry's mask of Phi+_G.
+            "g_sign": (lengths, ((1 << len(entries)) - 1,) * len(positive)),
+            "weight_at": (at_start, fold(at_columns)),
+            "h_sign": (h_start, fold(h_columns)),
+        }
+        return tuple(entries), signs
 
     def group_products(
         self, group: Sequence[int], real: Sequence[WeylElement]

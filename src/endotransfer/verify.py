@@ -9,12 +9,11 @@ produce byte-identical machine reports.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 
 from .cohomology import DUALITY_CONVENTION
-from .distributions import EllipticScenario, verify_identity
+from .distributions import EllipticScenario, require_tolerance, verify_identity
 from .endoscopy import EllipticElement
 from .lattice import dot_in_order
 from .record import Record
@@ -125,9 +124,7 @@ def run_verify(
     # random.Random(seed) seeds with |seed|, so -n would draw the pairs of n.
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    # inf would pass every pair and nan fail every pair, each without a message.
-    if not 0 <= tolerance < math.inf:
-        raise ValueError(f"tolerance must be a nonnegative finite number, got {tolerance!r}")
+    require_tolerance(tolerance)
     floor = precision_floor(scenario)
     if floor > tolerance / 4:
         raise PrecisionError(

@@ -35,6 +35,7 @@ from endotransfer.endoscopy import (
     EndoscopyError,
     TransferFactorEngine,
     build_diagram,
+    parity_sign,
     root_signs,
     sign_of,
 )
@@ -692,6 +693,84 @@ def unit_phase_mismatches() -> list[tuple]:
                 if bits(got) != bits(want):
                     bad.append((scale, p, got, want))
     return bad
+
+
+# ---------------------------------------------------------------------------
+# the routes' chamber-memo fills taken entry by entry, from each entry's own
+# masks, with a product per (u, w) in the fold: the reference for the fills
+# from the table's sign columns
+# ---------------------------------------------------------------------------
+
+
+def weight_at(entry, negative: int) -> int:
+    """The factor at the diagram (w, w^{-1} x, x), from x's mask."""
+    return -entry.sign if (entry.at & negative).bit_count() & 1 else entry.sign
+
+
+def weight_moved(entry, negative: int) -> int:
+    """The factor at the diagram (w, x, w x), from x's mask."""
+    mask, parity = entry.moved
+    return -entry.sign if (parity + (mask & negative).bit_count()) & 1 else entry.sign
+
+
+def h_sign(entry, negative: int) -> int:
+    """The sign of the product of <beta, w x> over Phi+_H, from x's mask."""
+    mask, parity = entry.h_moved
+    return -1 if (parity + (mask & negative).bit_count()) & 1 else 1
+
+
+def g_sign(entry, negative: int) -> int:
+    """The sign of the product of <alpha, w x> over Phi+_G, from x's mask."""
+    return -1 if (entry.length + negative.bit_count()) & 1 else 1
+
+
+def entry_fold(law, weyl_table, fronts) -> list[complex]:
+    """c_z = sum over u w = z of fronts[w] * det(u), over u in order."""
+    counts = [complex(0.0)] * len(fronts)
+    for (_, det), row in zip(weyl_table, law):
+        for front, z in zip(fronts, row):
+            counts[z] += front * det
+    return counts
+
+
+def entry_g_chamber(scenario, neg_h: int, parity: int):
+    """d_gh's memo entry under (mask of x_h, parity of x_g's mask)."""
+    eng, table, side = scenario.engine, scenario.table, scenario.g_side
+    d_y = side.d_over_pi_at(parity_sign(parity))
+    factors = [
+        (weight_moved(entry, neg_h) * eng.base_value, side.d_over_pi_at(g_sign(entry, neg_h)))
+        for entry in table.entries
+    ]
+    fronts = [weight * (side._prefactor * d_x) * d_y for weight, d_x in factors]
+    front = side._gamma * side._prefactor * d_y
+    return (
+        entry_fold(table.g_law, side.weyl_table, fronts),
+        [front * weight * d_x for weight, d_x in factors],
+    )
+
+
+def entry_h_chamber(scenario, neg_h: int):
+    """d_tilde_gh's memo entry under x_h's mask."""
+    eng, table, side = scenario.engine, scenario.table, scenario.h_side
+    entries = table.entries
+    fronts = [side._prefactor * side.d_over_pi_at(h_sign(entries[k], neg_h)) for k in eng.h_positions]
+    return entry_fold(table.h_law, side.weyl_table, fronts), h_sign(entries[0], neg_h)
+
+
+def entry_x_g_chamber(scenario, neg_g: int):
+    """d_tilde_gh's memo entry under x_g's mask."""
+    eng, table, side = scenario.engine, scenario.table, scenario.h_side
+    entries = table.entries
+    plus = side._gamma * side._prefactor * side.d_over_pi_at(1)
+    minus = side._gamma * side._prefactor * side.d_over_pi_at(-1)
+    products, plus_fronts, minus_fronts = [], [], []
+    for entry in entries:
+        weight = weight_at(entries[entry.inverse], neg_g) * eng.base_value
+        d_y = side.d_over_pi_at(h_sign(entry, neg_g))
+        products.append(weight * d_y)
+        plus_fronts.append(plus * weight * d_y)
+        minus_fronts.append(minus * weight * d_y)
+    return products, {1: plus_fronts, -1: minus_fronts}
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@ h_memo).
 
 A pair read from a warm table gives the bits of the same pair read from a
 cold one, whatever the order of the pairs before it; a pair in chambers
-already seen calls no WeylWeight sign method and no fold; and each memo
-holds one key per chamber seen, two per chamber for d_gh's.  A pair whose
+already seen runs none of the routes' memo fills; and each memo holds one
+key per chamber seen, two per chamber for d_gh's.  A pair whose
 x_h sits on an ambient wall leaves them empty (tests/test_distributions.py).
 """
 
@@ -20,7 +20,7 @@ from endotransfer.distributions import (
     pair_masks,
     verify_identity,
 )
-from endotransfer.endoscopy import EllipticElement, WeylWeight
+from endotransfer.endoscopy import EllipticElement
 from endotransfer.scenario import build_scenario, load_builtin, parse_scenario
 from endotransfer.verify import run_verify, sample_regular_vector
 
@@ -29,7 +29,8 @@ from test_report_digests import B3_TEXT
 SHIPPED = ("sl2_compact", "sl2_endoscopy", "sl2xsl2_double", "sl2xsl2_mixed", "sp4_endoscopy")
 NAMES = SHIPPED + ("b3",)
 PAIRS = 41
-SIGN_METHODS = ("weight_moved", "weight_at", "h_sign", "g_sign")
+# The memo fills: d_gh's, and d_tilde_gh's under x_h's mask and x_g's.
+FILLS = ("_g_chamber", "_h_chamber", "_x_g_chamber")
 
 
 def _scenario(name: str) -> EllipticScenario:
@@ -92,7 +93,7 @@ def test_warm_table_gives_the_bits_of_a_cold_one(name):
 
 
 @pytest.mark.parametrize("name", NAMES)
-def test_pair_in_chambers_seen_calls_no_sign_method_and_no_fold(monkeypatch, name):
+def test_pair_in_chambers_seen_runs_no_fill(monkeypatch, name):
     scenario = _scenario(name)
     calls = []
 
@@ -103,13 +104,12 @@ def test_pair_in_chambers_seen_calls_no_sign_method_and_no_fold(monkeypatch, nam
 
         return wrapper
 
-    for method in SIGN_METHODS:
-        monkeypatch.setattr(WeylWeight, method, counted(method, getattr(WeylWeight, method)))
-    monkeypatch.setattr(distributions, "_fold", counted("_fold", distributions._fold))
+    for fill in FILLS:
+        monkeypatch.setattr(distributions, fill, counted(fill, getattr(distributions, fill)))
 
     (x_h, x_g), = _pairs(scenario, 3, 1)
     verify_identity(scenario, x_h, x_g)
-    assert calls.count("_fold") == 2
+    assert sorted(calls) == sorted(FILLS)
 
     # Points moved along their rays stay in their chambers.
     y_h = EllipticElement(tuple(1.5 * c for c in x_h.coords))

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -14,7 +15,8 @@ from endotransfer.distributions import (
     verify_identity,
 )
 from endotransfer.endoscopy import EllipticElement, EndoscopyError
-from endotransfer.scenario import load_builtin
+from endotransfer.rootdata import WeylElement
+from endotransfer.scenario import build_scenario, load_builtin, parse_scenario
 from endotransfer.verify import sample_regular_vector
 
 from oracles import (
@@ -25,6 +27,7 @@ from oracles import (
     weil_prefactor_balanced_invariant,
     weil_prefactor_sides,
 )
+from test_report_digests import B3_TEXT
 
 
 def _rand_regular(scenario, rng):
@@ -202,6 +205,58 @@ def test_explicit_term_refuses_an_unknown_side(side):
     xg = _rand_regular(sc, rng)
     with pytest.raises(ValueError, match=f"side must be \"G\" or \"H\", got {side!r}"):
         explicit_term(sc, sc.engine.weyl_g[1], xh, xg, side)
+
+
+def test_explicit_term_refuses_a_w_outside_the_weyl_group():
+    """A matrix that is no element of W is refused by name, before any
+    route runs, not with tuple.index's bare message."""
+    sc = load_builtin("sp4_endoscopy")
+    xh = EllipticElement((0.31, 1.7))
+    xg = EllipticElement((1.13, -0.4))
+    stranger = WeylElement(((2, 0), (0, 1)), ())
+    with pytest.raises(ValueError, match=r"w with matrix \(\(2, 0\), \(0, 1\)\) is not in the Weyl group"):
+        explicit_term(sc, stranger, xh, xg, "G")
+    a1 = load_builtin("sl2_endoscopy").engine.weyl_g[1]
+    with pytest.raises(ValueError, match="is not in the Weyl group of C2"):
+        explicit_term(sc, a1, xh, xg, "H")
+
+
+@pytest.mark.parametrize("tolerance", [math.inf, math.nan, -1.0, -math.inf])
+def test_verify_identity_refuses_a_tolerance_outside_zero_to_infinity(tolerance):
+    """inf would pass every pair, nan fail every pair with no message."""
+    sc = load_builtin("sp4_endoscopy")
+    xh = EllipticElement((0.31, 1.7))
+    xg = EllipticElement((1.13, -0.4))
+    message = f"tolerance must be a nonnegative finite number, got {tolerance!r}"
+    with pytest.raises(ValueError) as exc:
+        verify_identity(sc, xh, xg, tolerance)
+    assert str(exc.value) == message
+    assert verify_identity(sc, xh, xg, 0.0).abs_error >= 0.0
+
+
+# Exact points, and float x_h against exact and mixed x_g: the transform
+# route takes an exact or mixed x_g's images through the integer table of
+# W, so these keep the route bits they had before the float tables.
+EXACT_CASES = [
+    ("sl2_endoscopy", (Fraction(1),), (Fraction(2),)),
+    ("sl2xsl2_mixed", (Fraction(1), Fraction(-2, 3)), (Fraction(5, 4), Fraction(1, 3))),
+    ("sp4_endoscopy", (Fraction(3), Fraction(1)), (Fraction(1), Fraction(1, 3))),
+    ("sp4_endoscopy", (0.31, 1.7), (Fraction(7, 5), Fraction(-2, 5))),
+    ("sp4_endoscopy", (0.31, 1.7), (Fraction(7, 5), -0.4)),
+    ("b3", (Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)), (Fraction(5, 7), Fraction(-1, 3), Fraction(2))),
+]
+EXACT_DIGEST = "20e89206477421b808b9b94bdb85ddc563529b5b701cf137aa263f70c64d5037"
+
+
+def test_exact_points_keep_their_route_bits():
+    digest = hashlib.sha256()
+    for name, xh, xg in EXACT_CASES:
+        sc = build_scenario(parse_scenario(B3_TEXT)) if name == "b3" else load_builtin(name)
+        for route in (d_gh, d_tilde_gh):
+            kernel = route(sc, EllipticElement(xh), EllipticElement(xg))
+            for z in (kernel.value, *kernel.terms):
+                digest.update(f"{z.real.hex()} {z.imag.hex()};".encode())
+    assert digest.hexdigest() == EXACT_DIGEST
 
 
 def test_explicit_terms_sum_to_routes():

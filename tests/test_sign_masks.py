@@ -1,7 +1,10 @@
 """The routes read every transfer-factor weight and every [D/pi] sign at a
 Weyl-moved point w x from the table's sign masks and the mask of roots
-negative at x.  Here each is checked against the literal product of signs
-at w x, with w x from w's matrix, over every (type, grading, s) of rank <= 3
+negative at x, for all entries at once from the table's sign columns
+(negative_entries).  Here each is checked, entry by entry from the entry's
+masks (the oracles' sign functions) and from the columns, against the
+literal product of signs at w x, with w x from w's matrix, over every
+(type, grading, s) of rank <= 3
 with -1 in the Weyl group: the weights against root_signs over the entry's
 roots, [D/pi] against LiteralRoutes.d_over_pi on both sides, at seeded
 float points and one exact point.  The table's inverse positions are
@@ -14,10 +17,16 @@ from fractions import Fraction
 import pytest
 
 from endotransfer.distributions import d_gh, d_tilde_gh, verify_identity
-from endotransfer.endoscopy import EllipticElement, EndoscopyError, require_regular, root_signs
+from endotransfer.endoscopy import (
+    EllipticElement,
+    EndoscopyError,
+    negative_entries,
+    require_regular,
+    root_signs,
+)
 from endotransfer.rootdata import build_root_datum, weyl_inverse
 
-from oracles import LiteralRoutes
+from oracles import LiteralRoutes, g_sign, h_sign, weight_at, weight_moved
 
 
 def _regular_point(g, rng, exact=False):
@@ -65,17 +74,26 @@ def test_sign_masks_match_literal_signs_at_moved_points(scenarios):
             assert eng.inverse_of(entry.w).matrix == inverses[entry.w.matrix], key
         for k, x in enumerate(points):
             negative = require_regular(g, x)
-            for entry in entries:
+            columns = {name: negative_entries(signs, negative) for name, signs in sc.table.signs.items()}
+            for position, entry in enumerate(entries):
+                by_entry = (
+                    ("weight_moved", weight_moved(entry, negative)),
+                    ("weight_at", weight_at(entries[entry.inverse], negative)),
+                    ("g_sign", g_sign(entry, negative)),
+                    ("h_sign", h_sign(entry, negative)),
+                )
+                for name, sign in by_entry:
+                    assert columns[name] >> position & 1 == (sign < 0), (key, name, entry.w.word)
                 at = (k, entry.w.matrix)
                 wx = moved[at]
                 expected = once((entry.roots, at), lambda: root_signs(entry.roots, wx))
-                assert entry.weight_moved(negative) == entry.sign * expected, (key, entry.w.word)
+                assert weight_moved(entry, negative) == entry.sign * expected, (key, entry.w.word)
                 expected = once((entry.roots, k), lambda: root_signs(entry.roots, x.coords))
-                assert entry.weight_at(negative) == entry.sign * expected, (key, entry.w.word)
-                for side, sign in ((sc.g_side, entry.g_sign), (sc.h_side, entry.h_sign)):
+                assert weight_at(entry, negative) == entry.sign * expected, (key, entry.w.word)
+                for side, sign in ((sc.g_side, g_sign), (sc.h_side, h_sign)):
                     label = side.datum.cartan_label
                     expected = once((label, at), lambda: LiteralRoutes.d_over_pi(side, wx))
-                    assert side.d_over_pi_at(sign(negative)) == expected, (key, entry.w.word)
+                    assert side.d_over_pi_at(sign(entry, negative)) == expected, (key, entry.w.word)
 
 
 def _near_wall(g, x, alpha):
