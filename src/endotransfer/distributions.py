@@ -36,9 +36,9 @@ point's mask, so the table keeps, per sign kind, one |W|-bit integer per
 positive root (endoscopy.negative_entries): the signs of all w at once are
 the XOR of the columns of the roots negative at the point.  Two such bit
 rows, spread into hex digits, give each w a digit 0-3 (one alone gives a
-binary digit), and each front is
-read from a dict of at most four values, each computed once with the
-operands, in the order, that the pair's own term would take.  The fold
+binary digit), and each front is read from a dict of at most four values,
+each computed once with the operands, in the order, that the pair's own
+term would take.  The fold
 multiplies each distinct (value, det) once and adds the products in the
 order of the real Weyl group.  d_gh reads the kinds weight_moved and
 g_sign, d_tilde_gh weight_at and h_sign; neither reads the other's.
@@ -459,8 +459,8 @@ def d_tilde_gh(
     the product of H's group law; each w then takes one exponential per z.
     The images z x_h come from one pass over W_H's column table, and
     B w x_g for every w from a pass over W's, then one over B; a float
-    point reads the float copies of the tables, an exact x_g the integer
-    one.  The images z x_h are turned into flat tuples (multiplicity of z,
+    point reads the float copies of the tables, an exact or mixed x_g the
+    integer one.  The images z x_h are turned into flat tuples (multiplicity of z,
     then z x_h zero-padded to MAX_RANK coordinates), and B w x_g into
     padded point tuples.  For each w, one loop over z takes each unit phase
     as the one expression of the module docstring and adds it, times the
