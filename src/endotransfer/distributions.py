@@ -65,6 +65,36 @@ cmath.rect(1.0, 0.0 - scale * p) gives the bits of cmath.exp(1j *
 -(scale * p)), signed zeros included: the real part of 1j * t is a zero,
 so exp takes e^0 = 1.0 and returns (cos t, sin t) with t = 0.0 + t, and
 0.0 - scale * p turns a zero phase into +0.0 as that sum does.
+
+The transform route takes the unit phases of w and -w = omega w in one loop
+(the loader requires omega = -1 in W).  For the first of the two in the
+order of W, the lead, the loop over z takes each phase e once and adds
+c_z e to the lead's inner sum and conj(c_z) e to a second sum; the inner
+sum of -w is the second with sigma(x) = 0.0 - x on its imaginary part, and
+its phase at z = 1 is the lead's with sigma on the imaginary part.  These
+are the bits of -w's own loop:
+
+- The images satisfy p(-w) = sigma(p(w)).  The column of -w in W's table
+  is w's negated, so each product is negated; a sum from 0 is never -0.0,
+  so the sum of negated terms is sigma of the sum, +0.0 where that is a
+  zero.  B is linear, B(u, -v) = -B(u, v), so the same holds for B -w x_g,
+  for each contraction p, and for 0.0 - scale * p.
+- cos is even and sin odd in the platform's libm, so rect gives -w the
+  lead's phase with sigma on its imaginary part: the conjugate, except
+  that at a zero phase both are (1.0, +0.0).
+- CPython's complex product gives c (a, -d) the real part of conj(c) (a, d)
+  and its imaginary part negated, term by term, up to the sign of a zero
+  part.
+- A sum that starts at +0.0 takes no sign from a zero term, so it keeps
+  sigma: -w's inner sum has the real part of the second sum and sigma of
+  its imaginary part.
+
+So sigma is taken, not .conjugate() alone, which would give -0.0 where
+the direct loop gives +0.0 at a zero phase.  The route takes it as
+.conjugate() + 0j, one call and one sum: -x + 0.0 is 0.0 - x for every x,
+and a real part that is never -0.0 keeps its bits under + 0.0.  The
+argument uses only the linearity of B: no W-invariance of B, no
+invariance of the factors, and nothing of d_gh.
 """
 
 from __future__ import annotations
@@ -73,7 +103,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 
 from .endoscopy import (
     EllipticElement,
@@ -189,13 +219,20 @@ class PairTable(Record):
     Weyl group, the row whose k-th entry is the index of u w_k in the
     side's Weyl group (W for G, W_H for H), both in that group's order.
 
-    Three attributes besides the fields are derived at set-up.  signs
+    Six attributes besides the fields are derived at set-up.  signs
     holds the sign columns of the entries (endoscopy.negative_entries),
     keyed by the sign they give: weight_moved, g_sign and h_sign of the
     k-th entry at bit k, weight_at of the entry of w_k^{-1} at bit k
     (TransferFactorEngine.transfer_table); a table built without them
     serves no route.  g_floats and h_floats are float copies of the column
-    tables, which the routes read for the images of float points.
+    tables, which the routes read for the images of float points.  leads
+    and partners pair each w of W with -w, from negated, the position of
+    -w for every w (TransferFactorEngine.negated): for each pair, the
+    position of the first of the two in the order of W, the lead, and of
+    the other, |W|/2 of each; lead_mask holds one bool per w, True at the
+    leads.  d_tilde_gh takes the unit phases of a lead and reads its
+    partner's from them; a table built without negated serves no
+    d_tilde_gh.
 
     Every sign a route multiplies in is read from require_regular's mask of
     a point, and a regular point's mask names its Weyl chamber, so each
@@ -213,19 +250,26 @@ class PairTable(Record):
     3|W| under one of h_memo: at most about 280|W|^2 + 40|W||W_H| bytes on
     CPython, 0.76 MB on B3 (|W| = 48) and 45 MB on B4 (|W| = 384), which a
     run reaches only after pairs in both parities of every one of B4's 384
-    chambers, at about 34 ms a pair.  The sign columns are 4(|Phi+| + 1)
+    chambers, at about 12 ms a pair (2-core x86-64 host, CPython 3.11).  The sign columns are 4(|Phi+| + 1)
     integers of |W| bits, 1.6 KB on B3 and 3.2 KB on B4 with their tuples;
     the float tables take about 32 bytes per matrix entry over W and W_H,
-    22 KB on B3 and 0.30 MB on B4."""
+    22 KB on B3 and 0.30 MB on B4; the pairing's three tuples hold 2|W|
+    entries, 0.9 KB on B3 and 6.3 KB on B4."""
 
     _fields = ("entries", "g_columns", "h_columns", "g_law", "h_law")
-    __slots__ = _fields + ("signs", "g_floats", "h_floats", "g_memo", "h_memo")
+    __slots__ = _fields + (
+        "signs", "g_floats", "h_floats", "lead_mask", "leads", "partners", "g_memo", "h_memo"
+    )
 
-    def __init__(self, entries, g_columns, h_columns, g_law, h_law, *, signs=None):
+    def __init__(self, entries, g_columns, h_columns, g_law, h_law, *, signs=None, negated=()):
         super().__init__(entries, g_columns, h_columns, g_law, h_law)
         set_attribute(self, "signs", signs)
         set_attribute(self, "g_floats", float_columns(g_columns))
         set_attribute(self, "h_floats", float_columns(h_columns))
+        lead_mask = tuple([k < minus for k, minus in enumerate(negated)])
+        set_attribute(self, "lead_mask", lead_mask)
+        set_attribute(self, "leads", tuple(compress(range(len(negated)), lead_mask)))
+        set_attribute(self, "partners", tuple(compress(negated, lead_mask)))
         set_attribute(self, "g_memo", {})
         set_attribute(self, "h_memo", ({}, {}))
 
@@ -268,6 +312,7 @@ class EllipticScenario(MutableRecord):
             eng.group_products(range(len(eng.weyl_g)), eng.real_weyl_g),
             eng.group_products(eng.h_positions, eng.real_weyl_h),
             signs=signs,
+            negated=eng.negated,
         )
 
     @cached_property
@@ -460,13 +505,19 @@ def d_tilde_gh(
     The images z x_h come from one pass over W_H's column table, and
     B w x_g for every w from a pass over W's, then one over B; a float
     point reads the float copies of the tables, an exact or mixed x_g the
-    integer one.  The images z x_h are turned into flat tuples (multiplicity of z,
-    then z x_h zero-padded to MAX_RANK coordinates), and B w x_g into
-    padded point tuples.  For each w, one loop over z takes each unit phase
-    as the one expression of the module docstring and adds it, times the
-    multiplicity of z, to the inner sum: no list of exponentials and no
-    list per coordinate is built.  z = 1, the first element of W_H, is
-    taken apart for its term.  Weights and [D/pi] at moved points come from
+    integer one.  The images z x_h are turned into flat tuples (multiplicity
+    c_z of z, its conjugate, then z x_h zero-padded to MAX_RANK
+    coordinates), and B w x_g, for the leads of the table's pairing of w
+    with -w, into padded point tuples.  For each lead w, one loop over z
+    takes each unit phase e as the one expression of the module docstring
+    and adds c_z e to w's inner sum and conj(c_z) e to -w's, whose
+    imaginary part then takes 0.0 - x: |W| |W_H| / 2 unit phases, with the
+    bits of a loop for each w (the module docstring says why).  No list of
+    exponentials and no list per coordinate is built.  z = 1, the first
+    element of W_H, is taken apart for the terms, and -w takes w's phase
+    there with 0.0 - x on the imaginary part.  One pass in the order of W
+    then sums the inner sums against the products.
+    Weights and [D/pi] at moved points come from
     the masks of x_h and x_g, pair_masks' (taken here when not given).  The
     table's h_memo keeps what they fix: under x_h's mask the multiplicities
     of the z and the sign of [D/pi](x_h) (_h_chamber), under x_g's the
@@ -495,24 +546,34 @@ def d_tilde_gh(
     if g_chamber is None:
         g_chamber = at_g[neg_g] = _x_g_chamber(scenario, neg_g)
     products, by_sign = g_chamber
-    (count_one, o0, o1, o2, o3), *rest = padded_points(
-        images_in_order(table.h_floats, x_h.floats()), counts
+    (count_one, bar_one, o0, o1, o2, o3), *rest = padded_points(
+        images_in_order(table.h_floats, x_h.floats()), counts, map(complex.conjugate, counts)
     )
     x = x_g.coords
     columns = table.g_floats if all([type(c) is float for c in x]) else table.g_columns
     moved = side.form_columns(images_in_order(columns, x))
     scale = side._scale
     rect = cmath.rect
-    terms = []
-    total = complex(0.0)
-    for product, front, (b0, b1, b2, b3) in zip(products, by_sign[sign], padded_points(moved)):
+    fronts = by_sign[sign]
+    inners, terms = [None] * len(products), [None] * len(products)
+    for lead, partner, (b0, b1, b2, b3) in zip(
+        table.leads, table.partners, compress(padded_points(moved), table.lead_mask)
+    ):
         one = rect(1.0, 0.0 - scale * ((((0.0 + o0 * b0) + o1 * b1) + o2 * b2) + o3 * b3))
-        inner = complex(0.0)
-        inner += count_one * one
-        for count, a0, a1, a2, a3 in rest:
-            inner += count * rect(1.0, 0.0 - scale * ((((0.0 + a0 * b0) + a1 * b1) + a2 * b2) + a3 * b3))
+        inner = 0j + count_one * one
+        bar = 0j + bar_one * one
+        for count, conj, a0, a1, a2, a3 in rest:
+            e = rect(1.0, 0.0 - scale * ((((0.0 + a0 * b0) + a1 * b1) + a2 * b2) + a3 * b3))
+            inner += count * e
+            bar += conj * e
+        inners[lead] = inner
+        terms[lead] = fronts[lead] * one
+        # -w's: conjugate() + 0j is sigma on the imaginary part (module docstring).
+        inners[partner] = bar.conjugate() + 0j
+        terms[partner] = fronts[partner] * (one.conjugate() + 0j)
+    total = complex(0.0)
+    for product, inner in zip(products, inners):
         total += product * inner
-        terms.append(front * one)
     return KernelValue(side._gamma * total / (len(eng.real_weyl_h) * len(eng.weyl_h)), tuple(terms))
 
 

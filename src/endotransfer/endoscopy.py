@@ -300,7 +300,8 @@ class TransferFactorEngine:
     2 xhat_s as integer vectors, the root permutation of every w with the
     position of w^{-1}, w . 2 rho_check for every w, and for every root the
     parity of <2 xhat_s, its coroot>.  The factors are then parities of
-    integer dot products on X_*/2X_*.
+    integer dot products on X_*/2X_*.  negated holds the position of
+    omega w = -w for every w, which the transform route pairs w with.
     """
 
     def __init__(
@@ -343,6 +344,9 @@ class TransferFactorEngine:
         # w^{-1} sends alpha_j to the root that w sends to alpha_j.
         simple = self._simple_index
         self._inverse = tuple(by_key[tuple([p.index(j) for j in simple])] for p in perms)
+        # omega w sends alpha_j to minus the root that w sends it to.
+        negation = self._negation
+        self.negated = tuple(by_key[tuple([negation[p[j]] for j in simple])] for p in perms)
         # w^2 has the permutation p o p, and the position of w^{-2} is that
         # of its inverse.
         self._inverse_square = tuple(

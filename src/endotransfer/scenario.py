@@ -28,9 +28,13 @@ from .verify import phase_bound
 
 
 class ScenarioError(ValueError):
+    """The problems of a scenario file, each (line, message); line 0 names
+    no line (a key or section the file leaves out), and its message is
+    printed alone."""
+
     def __init__(self, problems: list[tuple[int, str]]):
         self.problems = problems
-        lines = "; ".join(f"line {n}: {msg}" for n, msg in problems)
+        lines = "; ".join(f"line {n}: {msg}" if n else msg for n, msg in problems)
         super().__init__(lines)
 
 

@@ -262,6 +262,43 @@ def test_zero_phase_matches_literal_oracle():
     assert repr(verify_identity(scenario, x_h, x_g)) == repr(oracle.verify_identity(x_h, x_g))
 
 
+# Exact points at which a lead w of the transform route's pairing (the first
+# of w and -w in W) meets z x_h at a zero phase B(z x_h, w x_g) = 0.0, for
+# z = 1 and for other z of W_H, on data with |W_H| > 1.
+ZERO_PHASE_CASES = [
+    ("sp4_endoscopy", (F(1, 2), F(2)), (F(1, 2), F(-1))),
+    ("b3_kernel", (F(2, 3), F(3, 2), F(-1, 2)), (F(-1), F(1), F(-3))),
+]
+
+
+@pytest.mark.parametrize("name,h,g", ZERO_PHASE_CASES)
+def test_paired_zero_phases_match_literal_oracle(name, h, g):
+    """d_tilde_gh takes the phases of -w from those of w, 0.0 - x for the
+    imaginary parts: at a zero phase that is +0.0, as the literal
+    exponential of -w gives.  The route's value and every w-term must have
+    the oracle's bits, signed zeros included."""
+    config = parse_scenario(_text(name))
+    scenario = build_scenario(config)
+    oracle = GroupedRoutes(build_scenario(config), config.form_scale)
+    eng = scenario.engine
+    x_h, x_g = EllipticElement(h), EllipticElement(g)
+    zeros = set()
+    for k in scenario.table.leads:
+        pulled = EllipticElement(tuple(eng.weyl_g[k].act(g))).floats()
+        zeros.update(
+            j for j, z in enumerate(eng.weyl_h) if oracle.bform(oracle.image(z, x_h), pulled) == 0.0
+        )
+    assert len(eng.weyl_h) > 1 and 0 in zeros and len(zeros) > 1
+
+    def hexes(z: complex) -> tuple[str, str]:
+        return z.real.hex(), z.imag.hex()
+
+    got = distributions.d_tilde_gh(scenario, x_h, x_g)
+    assert hexes(got.value) == hexes(oracle.d_tilde_gh(x_h, x_g))
+    want = [oracle.explicit_term(w, x_h, x_g, "H") for w in eng.weyl_g]
+    assert list(map(hexes, got.terms)) == list(map(hexes, want))
+
+
 def test_unit_phases_match_literal_exponential():
     """Side.exponentials gives the bits of cmath.exp(1j * -(scale * p)) at
     every contraction p of oracles.unit_phase_mismatches, among them the
@@ -291,9 +328,10 @@ class _CountingCmath:
 
 def test_routes_compute_each_distinct_exponential_once(monkeypatch):
     """On the b3_kernel datum d_gh takes one exponential per z in W, the
-    products u w (u in W_real(G), w in W) grouped, and d_tilde_gh one per w
-    in W and z in W_H, the products u' w' (u' in W_real(H), w' in W_H)
-    grouped: fewer than the terms of either route."""
+    products u w (u in W_real(G), w in W) grouped, and d_tilde_gh one per
+    pair {w, -w} of W and z in W_H, the products u' w' (u' in W_real(H),
+    w' in W_H) grouped and -w reading the phases of w: fewer than the terms
+    of either route."""
     scenario = build_scenario(parse_scenario(B3_KERNEL))
     eng = scenario.engine
     rng = random.Random(5)
@@ -307,13 +345,13 @@ def test_routes_compute_each_distinct_exponential_once(monkeypatch):
     assert counter.rect_calls == len(eng.weyl_g) == 48
     counter.rect_calls = 0
     distributions.d_tilde_gh(scenario, x_h, x_g)
-    assert counter.rect_calls == len(eng.weyl_g) * len(eng.weyl_h) == 1152
+    assert counter.rect_calls == len(eng.weyl_g) * len(eng.weyl_h) // 2 == 576
     assert counter.exp_calls == 0
 
 
 def test_pair_computes_each_exponential_once(monkeypatch):
     """One whole verify_identity on the b3_kernel datum takes the routes'
-    exponentials and no more: |W| for d_gh and |W| |W_H| for d_tilde_gh,
+    exponentials and no more: |W| for d_gh and |W| |W_H| / 2 for d_tilde_gh,
     since the term pairing reads each route's own."""
     scenario = build_scenario(parse_scenario(B3_KERNEL))
     eng = scenario.engine
@@ -324,7 +362,7 @@ def test_pair_computes_each_exponential_once(monkeypatch):
     counter = _CountingCmath()
     monkeypatch.setattr(distributions, "cmath", counter)
     verify_identity(scenario, x_h, x_g)
-    assert counter.rect_calls == len(eng.weyl_g) + len(eng.weyl_g) * len(eng.weyl_h) == 1200
+    assert counter.rect_calls == len(eng.weyl_g) + len(eng.weyl_g) * len(eng.weyl_h) // 2 == 624
     assert counter.exp_calls == 0
 
 
@@ -353,7 +391,7 @@ def test_pair_builds_no_record_per_w(monkeypatch, name):
 
 def test_rank_4_pair_keeps_no_batch_of_w_and_z(monkeypatch):
     """On B4_SPLIT, |W| = 384 and |W_H| = 192.  One pair takes
-    |W| + |W| |W_H| unit phases, and since no list of |W| |W_H| exponentials
+    |W| + |W| |W_H| / 2 unit phases, and since no list of exponentials
     is built, its allocation peak stays under 1 MB: for a pair in chambers
     already seen, and for one in new chambers, which adds one key to each of
     the routes' memos."""
@@ -388,8 +426,8 @@ def test_rank_4_pair_keeps_no_batch_of_w_and_z(monkeypatch):
     counter = _CountingCmath()
     monkeypatch.setattr(distributions, "cmath", counter)
     verify_identity(scenario, x_h, x_g)
-    assert counter.rect_calls == 384 + 73_728
+    assert counter.rect_calls == 384 + 36_864
     counter.rect_calls = 0
     verify_identity(scenario, moved(2, x_h), moved(2, x_g))
-    assert counter.rect_calls == 384 + 73_728
+    assert counter.rect_calls == 384 + 36_864
     assert counter.exp_calls == 0

@@ -634,6 +634,25 @@ def test_a_missing_section_keeps_line_0():
         build_scenario(parse_scenario(text))
     assert [n for n, _ in exc.value.problems] == [0]
     assert "grading_h needs 2 entries" in str(exc.value)
+    assert "line 0" not in str(exc.value)
+
+
+def test_cli_names_no_line_for_missing_keys(tmp_path, capsys):
+    """An empty file leaves out every required key: each is printed without
+    a line, since there is none to name, and a problem at a line keeps it."""
+    empty = tmp_path / "empty.scn"
+    empty.write_text("", encoding="utf-8")
+    assert cli.main(["verify", str(empty)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "invalid scenario: missing key 'g_type' in the top section; "
+        "missing key 'x_h' in [base_point]; missing key 'x_g' in [base_point]\n"
+    )
+    stray = tmp_path / "stray.scn"
+    stray.write_text("name = x\nstray\n", encoding="utf-8")
+    assert cli.main(["verify", str(stray)]) == 2
+    err = capsys.readouterr().err
+    assert "line 2: expected 'key = value', got 'stray'" in err and "line 0" not in err
 
 
 @pytest.mark.parametrize(
