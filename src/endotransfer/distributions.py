@@ -9,7 +9,7 @@ W_real(H).  Each regroups its terms by the group law of its own side
 exponential; neither reads the other's group law or anything the other
 computes for a pair, and neither uses the invariance of the factors under
 W_real(G) or W_H, or the W-invariance of B.  Both take their Weyl images
-from the column tables of W and W_H in the scenario's pair table.  Each
+from the row tables of W and W_H in the scenario's pair table.  Each
 route returns its value with its closed-form w-terms, built from its own
 exponentials and signs: the transfer route's exponential of z = w, the
 transform route's of z = 1 against w x_g.  The term-by-term comparison
@@ -37,17 +37,20 @@ positive root (endoscopy.negative_entries): the signs of all w at once are
 the XOR of the columns of the roots negative at the point.  Two such bit
 rows, spread into hex digits, give each w a digit 0-3 (one alone gives a
 binary digit), and each front is read from a dict of at most four values,
-each computed once with the operands, in the order, that the pair's own
-term would take.  The fold
+computed once per scenario (EllipticScenario.chamber_values) with the
+operands, in the order, that the pair's own term would take.  The fold
 multiplies each distinct (value, det) once and adds the products in the
 order of the real Weyl group.  d_gh reads the kinds weight_moved and
 g_sign, d_tilde_gh weight_at and h_sign; neither reads the other's.
 
-Weyl images of float points are taken over float copies of the column
-tables (PairTable.g_floats and h_floats): a small integer converts to a
-double exactly, so float(m) * x has the bits of m * x, and the sums from
-the integer 0 are the same sums.  An exact or mixed x_g still goes through
-the integer table of W, so its images stay exact until they meet the form.
+Weyl images come from the pair table's row tables (lattice.row_table):
+over W, row i of w's matrix takes |W|/|W_(i)| values, 6, 12 and 8 of 48 on
+B3, so a pass takes one dot per distinct row and gathers each element's
+coordinates in C, each with dot_in_order's operands, in its order, on the
+element's own row.  The rows are integers, and m * x has the bits of
+float(m) * x, so an exact or mixed x_g reads the same rows and stays exact
+until it meets the form.  The transform route applies B to the images of
+the leads (below) alone (Side.form_points).
 
 Every unit phase exp(-i scale p) of either route is one expression over
 a point tuple: with the image u and B v each padded with 0.0 to MAX_RANK
@@ -74,8 +77,9 @@ sum of -w is the second with sigma(x) = 0.0 - x on its imaginary part, and
 its phase at z = 1 is the lead's with sigma on the imaginary part.  These
 are the bits of -w's own loop:
 
-- The images satisfy p(-w) = sigma(p(w)).  The column of -w in W's table
-  is w's negated, so each product is negated; a sum from 0 is never -0.0,
+- The images satisfy p(-w) = sigma(p(w)).  The matrix of -w is w's
+  negated, so each product of a row with the point is negated (a padded
+  term stays the integer 0); a sum from 0 is never -0.0,
   so the sum of negated terms is sigma of the sum, +0.0 where that is a
   zero.  B is linear, B(u, -v) = -B(u, v), so the same holds for B -w x_g,
   for each contraction p, and for 0.0 - scale * p.
@@ -103,7 +107,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 
 from .endoscopy import (
     EllipticElement,
@@ -113,7 +117,7 @@ from .endoscopy import (
     parity_sign,
     require_regular,
 )
-from .lattice import column_table, dot_in_order, images_in_order
+from .lattice import dot_in_order, row_images, row_table
 from .realform import EighthRoot, RealFormGrading, dimension_profile, prefactor, weil_constant
 from .record import MutableRecord, Record, set_attribute
 from .rootdata import MAX_RANK, RootDatum, WeylElement
@@ -148,7 +152,9 @@ class Side:
         self.grading = grading
         self.real_weyl = tuple(real_weyl)
         self.weyl_table = tuple([(w, parity_sign(len(w.word))) for w in self.real_weyl])
-        self._form = tuple(tuple(float(b) for b in row) for row in form)
+        # Each row padded with the integer 0 to MAX_RANK entries, for
+        # form_points; form_image's pairing stops at the point's rank.
+        self._form = tuple(tuple(float(b) for b in row) + (0,) * (MAX_RANK - len(row)) for row in form)
         self._scale = float(form_scale)
         self.profile = profile = dimension_profile(grading)
         self.gamma: EighthRoot = weil_constant(profile.dim_g_over_k, profile.dim_k)
@@ -162,19 +168,22 @@ class Side:
         v = tuple(map(float, v))
         return tuple(dot_in_order(row, v) for row in self._form)
 
-    def form_columns(self, columns) -> list[list[float]]:
-        """B u before the scale for every u of the image columns, as image
-        columns: coordinate i of each is form_image's row i paired with u,
-        accumulated left to right from 0 over all u at once.  An exact
-        coordinate of u meets the float form at a float multiply, which
-        converts it as form_image does."""
-        out = []
-        for row in self._form:
-            acc = [0] * len(columns[0])
-            for b, column in zip(row, columns):
-                acc = [a + b * c for a, c in zip(acc, column)]
-            out.append(acc)
-        return out
+    def form_points(self, table, v):
+        """B u before the scale for the image u = M_k v of each matrix of a
+        row table, as padded point tuples (padded_points): coordinate i is
+        (((0 + b_i0 u_0) + b_i1 u_1) + b_i2 u_2) + b_i3 u_3, form_image's
+        sum, over the form's row and u padded with the integer 0, which
+        changes no bit (lattice.row_images).  An exact u_j meets the float
+        form at a float multiply, which converts it as form_image does."""
+        images = row_images(table, v)
+        pad = MAX_RANK - len(images)
+        columns = []
+        for b0, b1, b2, b3 in self._form:
+            columns.append([
+                (((0 + b0 * c0) + b1 * c1) + b2 * c2) + b3 * c3
+                for c0, c1, c2, c3 in zip(*images, *repeat(repeat(0), pad))
+            ])
+        return padded_points(columns)
 
     def d_over_pi(self, x: EllipticElement) -> complex:
         """D^{1/2}(X)/pi(X) on the compact Cartan: (-i)^m sign(prod <alpha,v>),
@@ -212,27 +221,27 @@ class PairTable(Record):
     """Everything a pair reads besides its two points, fixed per scenario.
 
     entries holds the engine's transfer table, one WeylWeight per element
-    of W in the order of weyl_g.  g_columns and h_columns are the column
-    tables (lattice.column_table) of the integer matrices of W and of W_H,
-    in the order of weyl_g and of weyl_h.  g_law and h_law are the group
-    laws each route regroups by: for the r-th element u of the side's real
-    Weyl group, the row whose k-th entry is the index of u w_k in the
-    side's Weyl group (W for G, W_H for H), both in that group's order.
+    of W in the order of weyl_g.  g_rows and h_rows are the row tables
+    (lattice.row_table) of the integer matrices of W and of W_H, in the
+    order of weyl_g and of weyl_h, from which the routes take every image
+    of a point.  g_law and h_law are the group laws each route regroups
+    by: for the r-th element u of the side's real Weyl group, the row whose
+    k-th entry is the index of u w_k in the side's Weyl group (W for G, W_H
+    for H), both in that group's order.
 
-    Six attributes besides the fields are derived at set-up.  signs
+    Four attributes besides the fields are derived at set-up.  signs
     holds the sign columns of the entries (endoscopy.negative_entries),
     keyed by the sign they give: weight_moved, g_sign and h_sign of the
     k-th entry at bit k, weight_at of the entry of w_k^{-1} at bit k
     (TransferFactorEngine.transfer_table); a table built without them
-    serves no route.  g_floats and h_floats are float copies of the column
-    tables, which the routes read for the images of float points.  leads
-    and partners pair each w of W with -w, from negated, the position of
-    -w for every w (TransferFactorEngine.negated): for each pair, the
-    position of the first of the two in the order of W, the lead, and of
-    the other, |W|/2 of each; lead_mask holds one bool per w, True at the
-    leads.  d_tilde_gh takes the unit phases of a lead and reads its
+    serves no route.  leads and partners pair each w of W with -w, from
+    negated, the position of -w for every w
+    (TransferFactorEngine.negated): for each pair, the position of the
+    first of the two in the order of W, the lead, and of the other, |W|/2
+    of each.  d_tilde_gh takes the unit phases of a lead and reads its
     partner's from them; a table built without negated serves no
-    d_tilde_gh.
+    d_tilde_gh.  lead_rows is the row table of the leads' matrices, from
+    which d_tilde_gh takes B w x_g for the leads (Side.form_points).
 
     Every sign a route multiplies in is read from require_regular's mask of
     a point, and a regular point's mask names its Weyl chamber, so each
@@ -250,39 +259,35 @@ class PairTable(Record):
     3|W| under one of h_memo: at most about 280|W|^2 + 40|W||W_H| bytes on
     CPython, 0.76 MB on B3 (|W| = 48) and 45 MB on B4 (|W| = 384), which a
     run reaches only after pairs in both parities of every one of B4's 384
-    chambers, at about 12 ms a pair (2-core x86-64 host, CPython 3.11).  The sign columns are 4(|Phi+| + 1)
-    integers of |W| bits, 1.6 KB on B3 and 3.2 KB on B4 with their tuples;
-    the float tables take about 32 bytes per matrix entry over W and W_H,
-    22 KB on B3 and 0.30 MB on B4; the pairing's three tuples hold 2|W|
-    entries, 0.9 KB on B3 and 6.3 KB on B4."""
+    chambers, at about 10 ms a pair (2-core x86-64 host, CPython 3.11).
+    The sign columns are 4(|Phi+| + 1) integers of |W| bits, 1.6 KB on B3
+    and 3.2 KB on B4 with their tuples.  The row tables hold 26, 22 and 19
+    distinct rows on B3 and 80, 72 and 61 on B4 (W, W_H, the leads), and
+    their gathers one index per element and coordinate: 9.4 KB on B3 and
+    43 KB on B4.  The pairing's two tuples hold |W| entries, 0.5 KB on B3
+    and 6.6 KB on B4 with their integers."""
 
-    _fields = ("entries", "g_columns", "h_columns", "g_law", "h_law")
-    __slots__ = _fields + (
-        "signs", "g_floats", "h_floats", "lead_mask", "leads", "partners", "g_memo", "h_memo"
-    )
+    _fields = ("entries", "g_rows", "h_rows", "g_law", "h_law")
+    __slots__ = _fields + ("signs", "leads", "partners", "lead_rows", "g_memo", "h_memo")
 
-    def __init__(self, entries, g_columns, h_columns, g_law, h_law, *, signs=None, negated=()):
-        super().__init__(entries, g_columns, h_columns, g_law, h_law)
+    def __init__(self, entries, g_rows, h_rows, g_law, h_law, *, signs=None, negated=()):
+        super().__init__(entries, g_rows, h_rows, g_law, h_law)
         set_attribute(self, "signs", signs)
-        set_attribute(self, "g_floats", float_columns(g_columns))
-        set_attribute(self, "h_floats", float_columns(h_columns))
-        lead_mask = tuple([k < minus for k, minus in enumerate(negated)])
-        set_attribute(self, "lead_mask", lead_mask)
-        set_attribute(self, "leads", tuple(compress(range(len(negated)), lead_mask)))
-        set_attribute(self, "partners", tuple(compress(negated, lead_mask)))
+        leads = tuple([k for k, minus in enumerate(negated) if k < minus])
+        set_attribute(self, "leads", leads)
+        set_attribute(self, "partners", tuple([negated[k] for k in leads]))
+        # Each element of W as its padded rows, gathered from g_rows.
+        weyl = [*zip(*[pick(rows) for rows, pick in g_rows])]
+        set_attribute(self, "lead_rows", row_table([weyl[k] for k in leads]))
         set_attribute(self, "g_memo", {})
         set_attribute(self, "h_memo", ({}, {}))
 
 
-def float_columns(columns):
-    """A column table with every entry turned into a float."""
-    return tuple([tuple([tuple(map(float, entries)) for entries in row]) for row in columns])
-
-
 class EllipticScenario(MutableRecord):
-    """A fully assembled elliptic verification scenario.  Its pair table and
-    phase bound are cached_property values, kept in the instance's
-    __dict__; the loader sets the phase bound it checks form_scale against."""
+    """A fully assembled elliptic verification scenario.  Its pair table,
+    chamber values and phase bound are cached_property values, kept in the
+    instance's __dict__; the loader sets the phase bound it checks
+    form_scale against."""
 
     _fields = ("name", "engine", "g_side", "h_side", "form_scale")
 
@@ -307,13 +312,45 @@ class EllipticScenario(MutableRecord):
         entries, signs = eng.transfer_table()
         return PairTable(
             entries,
-            eng.g_columns,
-            column_table([w.matrix for w in eng.weyl_h]),
+            eng.g_rows,
+            row_table([w.matrix for w in eng.weyl_h]),
             eng.group_products(range(len(eng.weyl_g)), eng.real_weyl_g),
             eng.group_products(eng.h_positions, eng.real_weyl_h),
             signs=signs,
             negated=eng.negated,
         )
+
+    @cached_property
+    def chamber_values(self) -> tuple:
+        """The values the chamber fills read by sign digit (SIGN_DIGITS),
+        which depend on the scenario alone, each computed once with the
+        operands, in the order, that the pair's own term would take: d_gh's
+        fronts and terms for each parity of x_g's mask (_g_chamber),
+        d_tilde_gh's fronts by the h_sign digit of an element of W_H
+        (_h_chamber), and its products with the term fronts for either sign
+        of [D/pi](x_h) (_x_g_chamber)."""
+        base = self.engine.base_value
+        g, h = self.g_side, self.h_side
+        g_values = {}
+        for parity in (0, 1):
+            d_y = g.d_over_pi_at(parity_sign(parity))
+            front = g._gamma * g._prefactor * d_y
+            fronts, terms = {}, {}
+            for digit, sign, g_sign in SIGN_DIGITS:
+                weight, d_x = sign * base, g.d_over_pi_at(g_sign)
+                fronts[digit] = weight * (g._prefactor * d_x) * d_y
+                terms[digit] = front * weight * d_x
+            g_values[parity] = fronts, terms
+        h_fronts = {"0": h._prefactor * h.d_over_pi_at(1), "1": h._prefactor * h.d_over_pi_at(-1)}
+        plus = h._gamma * h._prefactor * h.d_over_pi_at(1)
+        minus = h._gamma * h._prefactor * h.d_over_pi_at(-1)
+        products, plus_fronts, minus_fronts = {}, {}, {}
+        for digit, sign, h_sign in SIGN_DIGITS:
+            weight, d_y = sign * base, h.d_over_pi_at(h_sign)
+            products[digit] = weight * d_y
+            plus_fronts[digit] = plus * weight * d_y
+            minus_fronts[digit] = minus * weight * d_y
+        return g_values, h_fronts, (products, {1: plus_fronts, -1: minus_fronts})
 
     @cached_property
     def phase_bound(self) -> float:
@@ -344,8 +381,7 @@ def rossmann_kernel(side: Side, x: EllipticElement, y: EllipticElement) -> Kerne
     prefactor * [D/pi](x) [D/pi](y) * sum over the real Weyl group of
     det(w) exp(-i B(w u, v)); the form convention is <iu, iv> = -B(u, v)."""
     front = side._prefactor * side.d_over_pi(x) * side.d_over_pi(y)
-    columns = column_table([w.matrix for w in side.real_weyl])
-    images = images_in_order(columns, x.floats())
+    images = row_images(row_table([w.matrix for w in side.real_weyl]), x.floats())
     phases = side.exponentials(images, side.form_image(y.floats()))
     terms = []
     total = complex(0.0)
@@ -405,17 +441,12 @@ def _g_chamber(scenario: EllipticScenario, neg_h: int, parity: int):
     """d_gh's memo entry under (mask of x_h, parity of x_g's mask): the
     multiplicities folded over g_law and the term fronts.  The weight and
     the sign of [D/pi](w x_h) of every w are read from the sign columns,
-    and each front from the at most four values they select."""
-    eng, table, side = scenario.engine, scenario.table, scenario.g_side
+    and each front from the at most four values they select
+    (EllipticScenario.chamber_values)."""
+    table, side = scenario.table, scenario.g_side
     weights = negative_entries(table.signs["weight_moved"], neg_h)
     digits = _digits(len(table.entries), weights, negative_entries(table.signs["g_sign"], neg_h))
-    d_y = side.d_over_pi_at(parity_sign(parity))
-    front = side._gamma * side._prefactor * d_y
-    fronts, terms = {}, {}
-    for digit, sign, g_sign in SIGN_DIGITS:
-        weight, d_x = sign * eng.base_value, side.d_over_pi_at(g_sign)
-        fronts[digit] = weight * (side._prefactor * d_x) * d_y
-        terms[digit] = front * weight * d_x
+    fronts, terms = scenario.chamber_values[0][parity]
     return _fold(table.g_law, side.weyl_table, fronts, digits), [*map(terms.__getitem__, digits)]
 
 
@@ -426,7 +457,7 @@ def _h_chamber(scenario: EllipticScenario, neg_h: int):
     eng, table, side = scenario.engine, scenario.table, scenario.h_side
     # One sign kind: its binary digits, bit k the k-th.
     digits = f"{negative_entries(table.signs['h_sign'], neg_h):0{len(table.entries)}b}"[::-1]
-    fronts = {"0": side._prefactor * side.d_over_pi_at(1), "1": side._prefactor * side.d_over_pi_at(-1)}
+    fronts = scenario.chamber_values[1]
     # The table's first entry is the identity's.
     return (
         _fold(table.h_law, side.weyl_table, fronts, [*map(digits.__getitem__, eng.h_positions)]),
@@ -438,20 +469,12 @@ def _x_g_chamber(scenario: EllipticScenario, neg_g: int):
     """d_tilde_gh's memo entry under x_g's mask: for every w, the product
     weight(w^{-1}) [D/pi](w x_g), and the term fronts for each sign of
     [D/pi](x_h), which x_g's chamber does not fix."""
-    eng, table, side = scenario.engine, scenario.table, scenario.h_side
+    table = scenario.table
     weights = negative_entries(table.signs["weight_at"], neg_g)
     digits = _digits(len(table.entries), weights, negative_entries(table.signs["h_sign"], neg_g))
-    plus = side._gamma * side._prefactor * side.d_over_pi_at(1)
-    minus = side._gamma * side._prefactor * side.d_over_pi_at(-1)
-    products, plus_fronts, minus_fronts = {}, {}, {}
-    for digit, sign, h_sign in SIGN_DIGITS:
-        weight, d_y = sign * eng.base_value, side.d_over_pi_at(h_sign)
-        products[digit] = weight * d_y
-        plus_fronts[digit] = plus * weight * d_y
-        minus_fronts[digit] = minus * weight * d_y
+    products, by_sign = scenario.chamber_values[2]
     return [*map(products.__getitem__, digits)], {
-        1: [*map(plus_fronts.__getitem__, digits)],
-        -1: [*map(minus_fronts.__getitem__, digits)],
+        sign: [*map(fronts.__getitem__, digits)] for sign, fronts in by_sign.items()
     }
 
 
@@ -463,7 +486,7 @@ def d_gh(
     The terms weight(w) [D/pi](w x_h) [D/pi](x_g) det(u) exp(-i B(u w x_h,
     x_g)) over w in W and u in W_real(G) are regrouped by z = u w, the
     product of G's group law, so each z takes one exponential; the images
-    z x_h come from one pass over the float copy of W's column table.
+    z x_h come from one pass over W's row table.
     Weights and [D/pi] at w x_h come from the masks of x_h and x_g,
     pair_masks' (taken here when not given).  They fix the multiplicities
     of the z and the term fronts, which the table's g_memo keeps under x_h's
@@ -485,7 +508,7 @@ def d_gh(
     if chamber is None:
         chamber = table.g_memo[key] = _g_chamber(scenario, *key)
     counts, fronts = chamber
-    images = images_in_order(table.g_floats, x_h.floats())
+    images = row_images(table.g_rows, x_h.floats())
     phases = side.exponentials(images, side.form_image(x_g.coords))
     total = complex(0.0)
     for count, phase in zip(counts, phases):
@@ -502,13 +525,14 @@ def d_tilde_gh(
     The inner kernels' terms [D/pi](w' x_h) det(u') exp(-i B(u' w' x_h,
     w x_g)) over w' in W_H and u' in W_real(H) are regrouped by z = u' w',
     the product of H's group law; each w then takes one exponential per z.
-    The images z x_h come from one pass over W_H's column table, and
-    B w x_g for every w from a pass over W's, then one over B; a float
-    point reads the float copies of the tables, an exact or mixed x_g the
-    integer one.  The images z x_h are turned into flat tuples (multiplicity
-    c_z of z, its conjugate, then z x_h zero-padded to MAX_RANK
-    coordinates), and B w x_g, for the leads of the table's pairing of w
-    with -w, into padded point tuples.  For each lead w, one loop over z
+    The images z x_h come from one pass over W_H's row table, and B w x_g
+    for the leads of the table's pairing of w with -w from one over the
+    leads' row table, then one over B (Side.form_points); an exact or mixed
+    x_g reads the same integer rows and stays exact until it meets the
+    form.  The images z x_h are turned
+    into flat tuples (multiplicity c_z of z, its conjugate, then z x_h
+    zero-padded to MAX_RANK coordinates), and B w x_g into padded point
+    tuples.  For each lead w, one loop over z
     takes each unit phase e as the one expression of the module docstring
     and adds c_z e to w's inner sum and conj(c_z) e to -w's, whose
     imaginary part then takes 0.0 - x: |W| |W_H| / 2 unit phases, with the
@@ -547,17 +571,14 @@ def d_tilde_gh(
         g_chamber = at_g[neg_g] = _x_g_chamber(scenario, neg_g)
     products, by_sign = g_chamber
     (count_one, bar_one, o0, o1, o2, o3), *rest = padded_points(
-        images_in_order(table.h_floats, x_h.floats()), counts, map(complex.conjugate, counts)
+        row_images(table.h_rows, x_h.floats()), counts, map(complex.conjugate, counts)
     )
-    x = x_g.coords
-    columns = table.g_floats if all([type(c) is float for c in x]) else table.g_columns
-    moved = side.form_columns(images_in_order(columns, x))
     scale = side._scale
     rect = cmath.rect
     fronts = by_sign[sign]
     inners, terms = [None] * len(products), [None] * len(products)
     for lead, partner, (b0, b1, b2, b3) in zip(
-        table.leads, table.partners, compress(padded_points(moved), table.lead_mask)
+        table.leads, table.partners, side.form_points(table.lead_rows, x_g.coords)
     ):
         one = rect(1.0, 0.0 - scale * ((((0.0 + o0 * b0) + o1 * b1) + o2 * b2) + o3 * b3))
         inner = 0j + count_one * one

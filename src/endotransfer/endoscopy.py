@@ -37,7 +37,7 @@ from typing import Optional, Sequence, Union
 # Unused here: perfbench/tracing.py wraps these names in this module, so they
 # stay until its cohomology layers are dropped.
 from .cohomology import cocycle_class, h1, quotient_torus_lattice, tate_nakayama_pair  # noqa: F401
-from .lattice import IntVec, column_table, common_denominator, dot, dot_in_order, images_in_order
+from .lattice import IntVec, common_denominator, dot, dot_in_order, row_images, row_table
 from .realform import RealFormGrading
 from .record import Record, set_attribute
 from .rootdata import (
@@ -352,10 +352,10 @@ class TransferFactorEngine:
         self._inverse_square = tuple(
             self._inverse[by_key[tuple([p[p[j]] for j in simple])]] for p in perms
         )
-        # The column table of W's matrices, which the pair table reads too,
+        # The row table of W's matrices, which the pair table reads too,
         # gives w 2 rho_check for every w at once.
-        self.g_columns = column_table([w.matrix for w in self.weyl_g])
-        self._two_rho_images = tuple(zip(*images_in_order(self.g_columns, self.two_rho_check)))
+        self.g_rows = row_table([w.matrix for w in self.weyl_g])
+        self._two_rho_images = tuple(zip(*row_images(self.g_rows, self.two_rho_check)))
         self.h_positions = tuple(self._position[w] for w in self.weyl_h)
         self._check_tits_central()
 

@@ -6,18 +6,24 @@ entry an integer; rationals are integer numerators over one denominator.
 Sizes stay below ~10x10 in this package, so the classical elimination
 algorithms are used without any pivot-size tricks.  Vectors over GF(2) are
 ints read as bit sets, and one elimination, gf2_basis, serves them all.
+The images of a point under a whole group come from the distinct rows of
+its matrices (row_table): one dot per row, then a gather in C.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Optional, Sequence
 
 IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]
 FracVec = tuple[Fraction, ...]
+
+# The largest total rank build_root_datum accepts; row tables and the routes
+# pad every row and point to this many coordinates.
+MAX_RANK = 4
 
 
 def vec_int(v: Iterable) -> IntVec:
@@ -65,27 +71,42 @@ def dot_in_order(u: Sequence, v: Sequence):
     return acc
 
 
-def column_table(matrices: Sequence[Sequence[Sequence]]):
-    """Square matrices M_0, M_1, ... of one size in column layout:
-    cols[i][j][k] = M_k[i][j]."""
-    n = len(matrices[0])
-    return tuple(tuple(zip(*[m[i] for m in matrices])) for i in range(n))
+def row_table(matrices: Sequence[Sequence[Sequence[int]]]) -> tuple:
+    """For each coordinate i of square integer matrices M_k: their distinct
+    rows i in order of first appearance, padded with the integer 0 to
+    MAX_RANK entries, and the gather (operator.itemgetter, one C call) that
+    picks each M_k's row from a sequence over them.  Over a Weyl group, row
+    i of w is a fundamental weight moved by w, so it takes |W|/|W_(i)|
+    values, W_(i) the weight's parabolic stabiliser (Humphreys, Reflection
+    Groups and Coxeter Groups, 1990, 1.12)."""
+    table = []
+    for i in range(len(matrices[0]) if matrices else 0):
+        distinct: dict = {}
+        positions = [distinct.setdefault(m[i], len(distinct)) for m in matrices]
+        # itemgetter of one index gives the item itself; one element has the
+        # positions of a slice.
+        pick = itemgetter(*positions) if len(positions) > 1 else itemgetter(slice(1))
+        table.append((tuple([r + (0,) * (MAX_RANK - len(r)) for r in distinct]), pick))
+    return tuple(table)
 
 
-def images_in_order(cols, v) -> list[list]:
-    """Every M_k v at once, from the column table of the M_k, as image
-    columns: out[i][k] is coordinate i of M_k v, the sum over j of
-    cols[i][j][k] v_j accumulated left to right from the integer 0 as
-    dot_in_order does.  An exact v gives exact images; a float v gives the
-    rounding of dot_in_order on each row, and +0.0 where that gives it."""
+def row_images(table, v) -> list:
+    """Every M_k v at once, from the row table of the M_k: out[i][k] is
+    coordinate i of M_k v.  Each distinct row (m0, m1, m2, m3) of
+    coordinate i is paired with v once, as one expression over the row and
+    v padded with the integer 0,
+
+        (((0 + m0*x0) + m1*x1) + m2*x2) + m3*x3,
+
+    and the gather picks each M_k's value.  These are dot_in_order's
+    operands in its order, so an exact v gives exact images and a float v
+    the bits of dot_in_order on each row: a padded term, the integer 0,
+    changes no bit of a float sum that starts at 0 + ..., which is never
+    -0.0 (an exact zero sum of two floats is -0.0 only when both are)."""
+    x0, x1, x2, x3 = (*v, *(0,) * (MAX_RANK - len(v)))
     out = []
-    for row in cols:
-        pairs = zip(row, v)
-        col, x = next(pairs)
-        acc = [0 + m * x for m in col]
-        for col, x in pairs:
-            acc = [a + m * x for a, m in zip(acc, col)]
-        out.append(acc)
+    for rows, pick in table:
+        out.append(pick([(((0 + m0 * x0) + m1 * x1) + m2 * x2) + m3 * x3 for m0, m1, m2, m3 in rows]))
     return out
 
 

@@ -26,6 +26,7 @@ from functools import lru_cache
 from operator import itemgetter, mul, sub
 
 from .lattice import (
+    MAX_RANK,
     FracVec,
     IntMat,
     IntVec,
@@ -41,9 +42,6 @@ from .lattice import (
 from .record import Record, set_attribute
 
 WEYL_ORDER_CAP = 10**6
-# The largest total rank build_root_datum accepts; the routes pad every
-# point to this many coordinates.
-MAX_RANK = 4
 
 # Cartan matrices, row i = pairings of simple root i with the simple coroots.
 _CARTAN: dict[str, IntMat] = {

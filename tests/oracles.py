@@ -1023,7 +1023,7 @@ class LiteralSetup(TransferFactorEngine):
     delta_III and the transfer table are frozen copies; the rest (Weyl
     groups, base diagram) is the engine's, so the two transfer tables must
     agree entry by entry.  literal_lookups, literal_entries and
-    literal_columns_and_laws recompute from matrices and words what the
+    literal_matrices_and_laws recompute from matrices and words what the
     engine and the pair table read by lookup from root permutations.
     """
 
@@ -1169,15 +1169,14 @@ class LiteralSetup(TransferFactorEngine):
             for e in self.transfer_table(ADatum.default(self.g_datum))
         )
 
-    def literal_columns_and_laws(self):
-        """The pair table's other fields from their definitions: the column
-        tables of W and W_H by explicit loops, and each group law from
-        matrix products, row u holding the position of u w for each w of
-        the side's Weyl group."""
+    def literal_matrices_and_laws(self):
+        """The pair table's other fields from their definitions: the
+        matrices of W and W_H, which its row tables hold, and each group law
+        from matrix products, row u holding the position of u w for each w
+        of the side's Weyl group."""
 
-        def columns(group):
-            n = self.g_datum.rank
-            return tuple(tuple(tuple(w.matrix[i][j] for w in group) for j in range(n)) for i in range(n))
+        def matrices(group):
+            return tuple(w.matrix for w in group)
 
         def law(group, real):
             position = {w.matrix: k for k, w in enumerate(group)}
@@ -1186,11 +1185,17 @@ class LiteralSetup(TransferFactorEngine):
             )
 
         return (
-            columns(self.weyl_g),
-            columns(self.weyl_h),
+            matrices(self.weyl_g),
+            matrices(self.weyl_h),
             law(self.weyl_g, self.real_weyl_g),
             law(self.weyl_h, self.real_weyl_h),
         )
+
+
+def matrices_from_rows(rows) -> tuple:
+    """Each element's matrix from a row table (lattice.row_table): its rows
+    as the table's gathers pick them, the padding cut off."""
+    return tuple(tuple(row[: len(rows)] for row in m) for m in zip(*[pick(r) for r, pick in rows]))
 
 
 def literal_product(a, b):

@@ -54,8 +54,8 @@ STAGES = (
      [(endoscopy, "require_regular"), (endoscopy, "_minimal_diagram")]),
     ("make_scenario (two Sides)", 0, [(scenario, "make_scenario")]),
     ("transfer_table", 0, [(TransferFactorEngine, "transfer_table")]),
-    ("group_products and column_table", 0,
-     [(TransferFactorEngine, "group_products"), (distributions, "column_table")]),
+    ("group_products and row_table", 0,
+     [(TransferFactorEngine, "group_products"), (distributions, "row_table")]),
     ("first pair beyond its table", 0, []),
 )
 

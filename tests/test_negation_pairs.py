@@ -4,11 +4,13 @@ takes the unit phases of the first of the two in the order of W and reads
 the other's from them (distributions.d_tilde_gh).  Here the pair table's
 pairing is checked on every datum of rank <= 3 (conftest.scenarios) and on
 B4_SPLIT: each partner's matrix is its lead's negated, each lead comes
-before its partner in W, and the leads and partners together are W, each
-element once."""
+before its partner in W, the leads and partners together are W, each
+element once, and the leads' row table, from which the route takes B w x_g,
+holds the leads' matrices."""
 
 from endotransfer.scenario import build_scenario, parse_scenario
 
+from oracles import matrices_from_rows
 from test_route_oracle import B4_SPLIT
 
 
@@ -25,8 +27,8 @@ def _pairing_faults(scenario) -> list:
             faults.append((lead, partner, "partner before its lead"))
     if sorted(table.leads + table.partners) != list(range(len(weyl))):
         faults.append((None, None, "leads and partners do not partition W"))
-    if table.lead_mask != tuple(k in table.leads for k in range(len(weyl))):
-        faults.append((None, None, "lead mask does not mark the leads"))
+    if matrices_from_rows(table.lead_rows) != tuple(weyl[k].matrix for k in table.leads):
+        faults.append((None, None, "lead rows do not rebuild the leads' matrices"))
     return faults
 
 

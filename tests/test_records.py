@@ -49,6 +49,7 @@ from endotransfer.endoscopy import (
     WeylWeight,
     build_endoscopic_datum,
 )
+from endotransfer.lattice import row_table
 from endotransfer.realform import DimensionProfile, EighthRoot, RealFormGrading
 from endotransfer.record import Record
 from endotransfer.rootdata import RootDatum, WeylElement, build_root_datum
@@ -64,7 +65,7 @@ QUOTIENT = quotient_torus_lattice(TORUS, [(Fraction(1, 2),)])
 DATUM = build_endoscopic_datum(A1, [-1])
 X = EllipticElement((Fraction(1),))
 WEIGHT = WeylWeight(S, 1, -1, ((2,),), 1, (1, 0), (0, 0), 1)
-COLUMNS = (((1, -1),),)
+ROWS = row_table([((1,),), ((-1,),)])
 REPORT = IdentityReport(1j, 1j, 0.0, 0.0, True)
 SCENARIO_FIELDS = dict(
     name="a1", g_type="A1", form_scale=Fraction(1), grading_g=[1], s_character=[-1],
@@ -114,8 +115,8 @@ CASES = [
     ),
     (
         PairTable,
-        dict(entries=(WEIGHT,), g_columns=COLUMNS, h_columns=(((1,),),), g_law=((0, 1),), h_law=((0,),)),
-        ((WEIGHT,), COLUMNS, (((1,),),), ((0, 1),), ((0,),)),
+        dict(entries=(WEIGHT,), g_rows=ROWS, h_rows=(), g_law=((0, 1),), h_law=((0,),)),
+        ((WEIGHT,), ROWS, (), ((0, 1),), ((0,),)),
     ),
     (EighthRoot, dict(k=11), (3,)),
     (RealFormGrading, dict(datum=A1, grade={(2,): 1, (-2,): 1}), (A1, {(2,): 1, (-2,): 1})),

@@ -1,6 +1,6 @@
 """The set-up reads its structures from data that already exists: Weyl
 matrices from root permutations, H's datum from G's roots and coroots, and
-the per-w lookups of the engine from its permutations and column table.
+the per-w lookups of the engine from its permutations and row table.
 These guards recompute each from its definition:
 
 * every element of enumerate_weyl and of closure (the real Weyl groups):
@@ -22,7 +22,7 @@ from endotransfer.lattice import det_int
 from endotransfer.realform import build_grading, real_weyl_group
 from endotransfer.rootdata import _CARTAN, RootDatumError, build_root_datum, build_sub_datum, enumerate_weyl
 
-from oracles import TYPES, LiteralSetup
+from oracles import TYPES, LiteralSetup, matrices_from_rows
 
 
 def _check_elements(datum, group, perms=None) -> None:
@@ -82,8 +82,8 @@ def test_engine_lookups_and_pair_table_match_the_literal_ones(scenarios):
             entries[signs] = literal.literal_entries()
         table = sc.table
         assert tuple((e.w, e.inverse, e.sign, e.roots, e.length) for e in table.entries) == entries[signs], signs
-        fields = (table.g_columns, table.h_columns, table.g_law, table.h_law)
-        assert fields == literal.literal_columns_and_laws(), (grades, signs)
+        fields = (matrices_from_rows(table.g_rows), matrices_from_rows(table.h_rows), table.g_law, table.h_law)
+        assert fields == literal.literal_matrices_and_laws(), (grades, signs)
 
 
 def _literal_closure(g, roots):
