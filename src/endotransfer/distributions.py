@@ -314,8 +314,8 @@ class EllipticScenario(MutableRecord):
             entries,
             eng.g_rows,
             row_table([w.matrix for w in eng.weyl_h]),
-            eng.group_products(range(len(eng.weyl_g)), eng.real_weyl_g),
-            eng.group_products(eng.h_positions, eng.real_weyl_h),
+            eng.group_products(eng.weyl_g, eng.real_weyl_g),
+            eng.group_products(eng.weyl_h, eng.real_weyl_h),
             signs=signs,
             negated=eng.negated,
         )

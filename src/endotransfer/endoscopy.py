@@ -31,7 +31,8 @@ stable-conjugacy invariant (tested against an independent matrix model).
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, itemgetter, mul
+from functools import cached_property
+from operator import add, mul, sub
 from typing import Optional, Sequence, Union
 
 # Unused here: perfbench/tracing.py wraps these names in this module, so they
@@ -43,9 +44,11 @@ from .record import Record, set_attribute
 from .rootdata import (
     RootDatum,
     WeylElement,
+    WeylGroup,
     build_sub_datum,
     enumerate_weyl,
     right_coset_representatives,
+    weyl_subgroup,
 )
 from .tits import fold as tits_fold, inverse as tits_inverse, multiply as tits_multiply, n_of
 
@@ -170,6 +173,13 @@ def negative_entries(signs: tuple[int, tuple[int, ...]], negative: int) -> int:
 
 
 def build_endoscopic_datum(g_datum: RootDatum, s_simple_signs: Sequence[int]) -> EndoscopicDatum:
+    """The endoscopic datum of the character s with these signs on the
+    simple coroots.  H's roots are those whose coroot has even parity
+    <2 xhat_s, coroot>.  That parity is additive on coroots, so a sum of two
+    coroots of H that is a coroot is of H again, and the closedness check
+    (_check_coroot_closed) cannot fire for a datum built from an s; it
+    guards the coroot side of the subsystem that build_sub_datum then
+    checks on the root side."""
     if len(s_simple_signs) != len(g_datum.simple_roots):
         raise EndoscopyError("one sign per simple coroot is required")
     if any(s not in (1, -1) for s in s_simple_signs):
@@ -190,15 +200,19 @@ def build_endoscopic_datum(g_datum: RootDatum, s_simple_signs: Sequence[int]) ->
 
 
 def _check_coroot_closed(g_datum: RootDatum, h_roots: tuple[IntVec, ...]) -> None:
-    """Closedness of the coroot system of H inside the coroots of G."""
-    h_coroots = {g_datum.coroot(r) for r in h_roots}
-    others = set(g_datum.coroots) - h_coroots
-    for a in h_coroots:
-        if tuple([-x for x in a]) not in h_coroots:
-            raise EndoscopyError("endoscopic coroot system is not symmetric")
-        for b in h_coroots:
-            if tuple(map(add, a, b)) in others:
-                raise EndoscopyError("endoscopic coroot system is not closed")
+    """Closedness of the coroot system of H inside the coroots of G: it is
+    symmetric, and no sum of two of its coroots is a coroot of G outside
+    it.  A sum is symmetric in its terms, so each unordered pair, a coroot
+    with itself included, is summed once: 78 sums for the 12 coroots of
+    A3, not 144."""
+    h_coroots = [g_datum.coroot(r) for r in h_roots]
+    members = set(h_coroots)
+    if any(tuple([-x for x in a]) not in members for a in h_coroots):
+        raise EndoscopyError("endoscopic coroot system is not symmetric")
+    others = set(g_datum.coroots) - members
+    for k, a in enumerate(h_coroots):
+        if not others.isdisjoint([tuple(map(add, a, b)) for b in h_coroots[k:]]):
+            raise EndoscopyError("endoscopic coroot system is not closed")
 
 
 def build_diagram(
@@ -302,6 +316,11 @@ class TransferFactorEngine:
     parity of <2 xhat_s, its coroot>.  The factors are then parities of
     integer dot products on X_*/2X_*.  negated holds the position of
     omega w = -w for every w, which the transform route pairs w with.
+
+    Every group law of set-up is read by position from W's right Cayley
+    table (WeylGroup.table: 144 ints on B3, 1,536 on B4, 4,608 on F4):
+    W_H with its positions in W (weyl_subgroup), the positions of w^{-1},
+    w^{-2} and -w, and the group laws of the pair table (group_products).
     """
 
     def __init__(
@@ -319,44 +338,32 @@ class TransferFactorEngine:
         self.g_datum = datum.g_datum
         self.grading_g = grading_g
         self.grading_h = grading_h
-        self.weyl_g = enumerate_weyl(self.g_datum)
-        self.weyl_h = enumerate_weyl(datum.h_datum)
+        self.weyl_g = group = enumerate_weyl(self.g_datum)
+        self.weyl_h = weyl_subgroup(group, datum.h_datum)
         self.real_weyl_g = real_weyl_g
         self.real_weyl_h = real_weyl_h
         self.base_value = base_value
 
         self.two_rho_check = _vector_sum(self.g_datum.coroot(r) for r in self.g_datum.positive_roots)
         self.two_xhat_s = tuple(int(2 * x) for x in datum.xhat_s)
-        self._position = {w: k for k, w in enumerate(self.weyl_g)}
+        self._position = {w: k for k, w in enumerate(group)}
         self._root_sets()
-        self._perms = perms = self.weyl_g.perms
-        # An element is fixed by its images of the simple roots, its key.
-        key = self.g_datum.key
-        by_key = {key(p): k for k, p in enumerate(perms)}
-        self._keys = tuple(by_key)
-        minus_one = by_key.get(key(self._negation))
-        if minus_one is None:
+        self._perms = group.perms
+        # -1, when W holds it, is its longest element, which the search
+        # finds last.
+        if self._perms[-1] != self._negation:
             raise EndoscopyError(
                 f"-1 in the Weyl group: {self.g_datum.cartan_label} has no Weyl element acting by -1, "
                 "and the transfer factor is normalized through n(omega) with omega = -1"
             )
-        self.omega = self.weyl_g[minus_one]
-        # w^{-1} sends alpha_j to the root that w sends to alpha_j.
-        simple = self._simple_index
-        self._inverse = tuple(by_key[tuple([p.index(j) for j in simple])] for p in perms)
-        # omega w sends alpha_j to minus the root that w sends it to.
-        negation = self._negation
-        self.negated = tuple(by_key[tuple([negation[p[j]] for j in simple])] for p in perms)
-        # w^2 has the permutation p o p, and the position of w^{-2} is that
-        # of its inverse.
-        self._inverse_square = tuple(
-            self._inverse[by_key[tuple([p[p[j]] for j in simple])]] for p in perms
-        )
+        self.omega = group[-1]
+        self._inverse, self._inverse_square = group.inverses()
+        (self.negated,) = group.left_rows((len(group) - 1,))
         # The row table of W's matrices, which the pair table reads too,
         # gives w 2 rho_check for every w at once.
-        self.g_rows = row_table([w.matrix for w in self.weyl_g])
+        self.g_rows = row_table([w.matrix for w in group])
         self._two_rho_images = tuple(zip(*row_images(self.g_rows, self.two_rho_check)))
-        self.h_positions = tuple(self._position[w] for w in self.weyl_h)
+        self.h_positions = self.weyl_h.positions
         self._check_tits_central()
 
         # build_diagram's checks, keeping x_g's mask: at the base diagram,
@@ -467,10 +474,25 @@ class TransferFactorEngine:
             base = self.base_diagram
         if base.datum is not self.datum or diagram.datum is not self.datum:
             raise EndoscopyError("diagrams come from different endoscopic data")
-        images, square = self._two_rho_images, self._inverse_square
-        b_rho = images[square[self._position[base.w]]]
-        w_rho = images[square[self._position[diagram.w]]]
-        return _half_pairing("delta_III", self.two_xhat_s, [x - y for x, y in zip(b_rho, w_rho)])
+        signs, position = self._delta_iii_signs, self._position
+        return signs[position[diagram.w]] * signs[position[base.w]]
+
+    @cached_property
+    def _delta_iii_signs(self) -> tuple[int, ...]:
+        """delta_III against the identity for every w, in the order of
+        weyl_g: (-1)^<2 xhat_s, (2 rho_check - w^{-2} 2 rho_check) / 2>, or
+        EndoscopyError naming delta_III when a class is not integral.  Its
+        value against a base b is the product of w's and b's: the class
+        b^{-2} 2 rho_check - w^{-2} 2 rho_check is w's class against the
+        identity minus b's, and a sign is its own inverse."""
+        two_xhat, two_rho, images = self.two_xhat_s, self.two_rho_check, self._two_rho_images
+        classes = [tuple(map(sub, two_rho, images[k])) for k in self._inverse_square]
+        odd = next((doubled for doubled in classes if any([x & 1 for x in doubled])), None)
+        if odd is not None:
+            raise _not_integral("delta_III", odd)
+        # An even class pairs to an even integer, whose bit 1 is the parity
+        # of the pairing with the class halved.
+        return tuple([-1 if sum(map(mul, two_xhat, doubled)) & 2 else 1 for doubled in classes])
 
     # -- normalized transfer factor ---------------------------------------
 
@@ -566,25 +588,13 @@ class TransferFactorEngine:
         }
         return tuple(entries), signs
 
-    def group_products(
-        self, group: Sequence[int], real: Sequence[WeylElement]
-    ) -> tuple[tuple[int, ...], ...]:
-        """Left multiplication by real on group, a subgroup of weyl_g given
-        by positions in it: for each u of real, in its order, the row whose
-        k-th entry is the index in group of u w, w = weyl_g[group[k]].
-        Each element is keyed by its images of the simple roots, which fix
-        it, so one product costs rank lookups: p_uw = p_u o p_w, read by
-        one itemgetter per key (a rank-1 key is then a bare position, in
-        the index as in every product)."""
-        perms = self._perms
-        getters = [itemgetter(*self._keys[k]) for k in group]
-        identity = perms[0]  # weyl_g starts with the identity
-        index = {get(identity): i for i, get in enumerate(getters)}
-        rows = []
-        for u in real:
-            p = perms[self._position[u]]
-            rows.append(tuple([index[get(p)] for get in getters]))
-        return tuple(rows)
+    def group_products(self, group: WeylGroup, real: Sequence[WeylElement]) -> tuple[tuple[int, ...], ...]:
+        """Left multiplication by real on group, weyl_g or weyl_h: for each u
+        of real, in its order, the row whose k-th entry is the index in group
+        of u w_k, read from group's table (WeylGroup.left_rows).  u's index
+        is its position in weyl_g, read through group.positions."""
+        index, position = group.positions.index, self._position
+        return group.left_rows([index(position[u]) for u in real])
 
     def relative_factor(self, diagram: Diagram, a: Optional[ADatum] = None) -> int:
         if a is None:
@@ -642,10 +652,13 @@ def _half_pairing(factor: str, functional: Sequence[int], doubled: Sequence[int]
     factor when doubled / 2, the class (1 - sigma) x of its cocycle, is not
     integral."""
     if any([x & 1 for x in doubled]):
-        raise EndoscopyError(
-            f"{factor}: (1 - sigma) x = {tuple(doubled)} / 2 is not integral; not a cocycle"
-        )
+        raise _not_integral(factor, doubled)
     return parity_sign(sum(map(mul, functional, [x >> 1 for x in doubled])))
+
+
+def _not_integral(factor: str, doubled: Sequence[int]) -> EndoscopyError:
+    """The refusal of a factor whose class doubled / 2 is not integral."""
+    return EndoscopyError(f"{factor}: (1 - sigma) x = {tuple(doubled)} / 2 is not integral; not a cocycle")
 
 
 def _vector_sum(vectors) -> IntVec:

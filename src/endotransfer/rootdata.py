@@ -12,6 +12,8 @@ Conventions used throughout the package:
 * A Weyl element is also its root permutation p, w . roots[j] = roots[p[j]]:
   groups are found by one search over permutations (_search), and words are
   folded onto matrices by word_matrix and onto permutations by word_permutation.
+  The search keeps the right Cayley table of the group it finds, from which
+  products, inverses and subgroups are read by position (WeylGroup).
 * Every datum has an ambient datum on the same lattice whose simple coroots
   are the standard basis: itself for build_root_datum's, the parent for
   build_sub_datum's.  A Weyl group search runs on the ambient's root
@@ -285,11 +287,6 @@ class RootDatum(Record):
         coroots = ambient.coroots
         return tuple(zip(*[coroots[perm[j]] for j in ambient._simple_index]))
 
-    def key(self, perm: tuple[int, ...]) -> tuple[int, ...]:
-        """The positions of the images of the simple roots under a root
-        permutation, which fix its Weyl element."""
-        return tuple([perm[j] for j in self._simple_index])
-
     def permutation_word(self, perm: tuple[int, ...]) -> tuple[int, ...]:
         """A reduced word for the Weyl element with this root permutation,
         read from it: strip an s_i with w . alpha_i < 0, a lookup, from the
@@ -473,57 +470,178 @@ def _build_form(rank: int, roots, simple_coroots) -> tuple[FracVec, ...]:
 
 class WeylGroup(tuple):
     """A Weyl group as enumerate_weyl gives it: the tuple of its elements,
-    and perms, the root permutation of each, in the same order: the k-th
-    element w sends roots[j] to roots[perms[k][j]]."""
+    breadth-first from the identity, each found from an earlier one, its
+    parent, by right multiplication by the last letter of its word.  Three
+    attributes follow the elements' order:
 
-    def __new__(cls, elements, perms):
+    * perms, the root permutation of each: the k-th element w sends
+      roots[j] to roots[perms[k][j]];
+    * table, the right Cayley table over the n generators s_i the search
+      ran over, one flat tuple: table[k * n + i] is the position of w_k s_i.
+      That is n|W| ints: 144 on B3, 1,536 on B4 and 4,608 on F4;
+    * positions, the position of each element in the group it was read
+      from: range(|W|) for a group enumerated on its own, positions in W for
+      a W_H read from W's table (weyl_subgroup).
+
+    Every set-up group law is read from table by position."""
+
+    def __new__(cls, elements, perms, table, positions):
         group = super().__new__(cls, elements)
         group.perms = perms
+        group.table = table
+        group.positions = positions
         return group
 
+    def columns(self) -> list[tuple[int, ...]]:
+        """table by generator: columns[i][k] is the position of w_k s_i."""
+        n = len(self.table) // len(self)
+        return [self.table[i::n] for i in range(n)]
 
-def _search(datum: RootDatum, steps) -> list[tuple[tuple[int, ...], int, int]]:
+    def left_rows(self, starts) -> tuple[tuple[int, ...], ...]:
+        """For each position u of starts, the positions of w_u w_k for every
+        k, in order.  The parent of w_k is w_k s_i, s_i the last letter of
+        its word, and comes before it, so w_u w_k = (w_u w_parent) s_i is
+        one lookup in the column of s_i."""
+        columns = self.columns()
+        links = []
+        for k, w in enumerate(self[1:], 1):
+            column = columns[w.word[-1]]
+            links.append((column[k], column))
+        rows = []
+        for u in starts:
+            row = [u]
+            append = row.append
+            for parent, column in links:
+                append(column[row[parent]])
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    def inverses(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The positions of w^{-1} and of w^{-2} for every w.  w^{-1} is the
+        walk on table from the identity along w's word reversed, and w^{-2}
+        the inverse of the walk from w along its own word, w^2; each walk
+        serves w^{-1} too, whose inverse is w and whose w^{-2} is w^2."""
+        columns = self.columns()
+        inverse = [-1] * len(self)
+        for k, w in enumerate(self):
+            if inverse[k] < 0:
+                j = 0
+                for i in reversed(w.word):
+                    j = columns[i][j]
+                inverse[k] = j
+                inverse[j] = k
+        inverse_square = [-1] * len(self)
+        for k, w in enumerate(self):
+            if inverse_square[k] < 0:
+                j = k
+                for i in w.word:
+                    j = columns[i][j]
+                inverse_square[inverse[k]] = j
+                inverse_square[k] = inverse[j]
+        return tuple(inverse), tuple(inverse_square)
+
+
+def _search(datum: RootDatum, steps) -> tuple[list[tuple[tuple[int, ...], int, int]], tuple[int, ...]]:
     """The elements reached from the identity by right multiplication by the
     steps, root permutations, first in first out, as (permutation, parent's
-    position, step's position), the identity's -1 and -1.  An element is
-    keyed by its images of the simple roots, which fix it, so a child's key
-    costs rank lookups, and only a new child takes its permutation.  Both
-    are read by itemgetters: p o step is p read at step's entries, and its
-    key p read at the positions of step . alpha_j."""
+    position, step's position), the identity's -1 and -1, and the right
+    Cayley table: its (k * len(steps) + i)-th entry is the position of the
+    k-th element times the i-th step.  An element is keyed by its images of
+    the simple roots, which fix it, and seen maps each key to the element's
+    position, so a child's key costs rank lookups, and only a new child
+    takes its permutation.  Both are read by itemgetters: p o step is p read
+    at step's entries, and its key p read at the positions of step .
+    alpha_j."""
     identity = tuple(range(len(datum.roots)))
     # One getter per step: a rank-1 key is a bare position, as the seed's.
     keys = [itemgetter(*[step[j] for j in datum._simple_index]) for step in steps]
     moves = [itemgetter(*step) for step in steps]
     found = [(identity, -1, -1)]
-    seen = {itemgetter(*datum._simple_index)(identity)}
+    seen = {itemgetter(*datum._simple_index)(identity): 0}
+    get = seen.get
+    table = []
+    append = table.append
     pairs = list(enumerate(zip(keys, moves)))
     # The list grows as the search runs, so the loop reaches every element.
     for k, (p, _, _) in enumerate(found):
         for i, (key, move) in pairs:
             child = key(p)
-            if child not in seen:
-                seen.add(child)
-                if len(seen) > WEYL_ORDER_CAP:
+            position = get(child)
+            if position is None:
+                position = seen[child] = len(found)
+                if position >= WEYL_ORDER_CAP:
                     raise RootDatumError(f"Weyl group order exceeds cap {WEYL_ORDER_CAP}")
                 found.append((move(p), k, i))
-    return found
+            append(position)
+    return found, tuple(table)
 
 
 def enumerate_weyl(datum: RootDatum) -> WeylGroup:
     """The full Weyl group, breadth-first, identity first: _search over the
     simple reflections, as permutations of the ambient's roots, gives each
     level in the lexicographic order of the words, each element with its
-    parent's word and s_i.  Each matrix is read from the element's
-    permutation (matrix_of); perms holds them restricted to datum's roots."""
-    found = _search(datum.ambient, datum._ambient_reflections)
+    parent's word and s_i, and the right Cayley table over the s_i, rank |W|
+    ints (144 on B3, 1,536 on B4, 4,608 on F4).  Each matrix is read from
+    the element's permutation (matrix_of); perms holds them restricted to
+    datum's roots."""
+    found, table = _search(datum.ambient, datum._ambient_reflections)
+    matrix_of, restrict = datum.matrix_of, datum.restrict
+    return WeylGroup(
+        tuple([WeylElement(matrix_of(p), word) for (p, _, _), word in zip(found, _words(found))]),
+        tuple([restrict(p) for p, _, _ in found]),
+        table,
+        range(len(found)),
+    )
+
+
+def weyl_subgroup(group: WeylGroup, sub: RootDatum) -> WeylGroup:
+    """The Weyl group of sub as enumerate_weyl(sub) gives it, read by
+    position from group, that of sub's ambient: the same first-in-first-out
+    search over sub's simple reflections s_beta, each a word in the
+    ambient's (permutation_word), so that a child is the walk on group's
+    table from its parent along the word of its s_beta.  The elements, their
+    order, their words in sub's letters, their permutations and the table
+    are enumerate_weyl(sub)'s; each element shares group's matrix, and
+    positions holds its position in group.  A child's permutation of sub's
+    roots is its parent's read at s_beta's, one itemgetter call."""
+    columns = group.columns()
+    # The columns of group's table along the word of each s_beta.
+    walks = [[columns[i] for i in sub.ambient.permutation_word(step)] for step in sub._ambient_reflections]
+    # As _search's: (position in group, parent's index, step's index).
+    found = [(0, -1, -1)]
+    sub_table = []
+    # The index in the subgroup of each position in group found so far.
+    index = [-1] * len(group)
+    index[0] = 0
+    for k, (p, _, _) in enumerate(found):
+        for j, walk in enumerate(walks):
+            child = p
+            for column in walk:
+                child = column[child]
+            position = index[child]
+            if position < 0:
+                position = index[child] = len(found)
+                found.append((child, k, j))
+            sub_table.append(position)
+    moves = [itemgetter(*step) for step in sub._reflections]
+    perms = [tuple(range(len(sub.roots)))]
+    for _, parent, j in found[1:]:
+        perms.append(moves[j](perms[parent]))
+    return WeylGroup(
+        tuple([WeylElement(group[p].matrix, word) for (p, _, _), word in zip(found, _words(found))]),
+        tuple(perms),
+        tuple(sub_table),
+        tuple([p for p, _, _ in found]),
+    )
+
+
+def _words(found) -> list[tuple[int, ...]]:
+    """The word of each element a search found, in its order: its parent's
+    word and its step's letter."""
     words = [()]
     for _, parent, i in found[1:]:
         words.append(words[parent] + (i,))
-    matrix_of, restrict = datum.matrix_of, datum.restrict
-    return WeylGroup(
-        tuple([WeylElement(matrix_of(p), word) for (p, _, _), word in zip(found, words)]),
-        tuple([restrict(p) for p, _, _ in found]),
-    )
+    return words
 
 
 def weyl_inverse(datum: RootDatum, w: WeylElement) -> WeylElement:
@@ -574,8 +692,9 @@ def closure(
     ambient = datum.ambient
     steps = [ambient.reflection_permutation(r) for r in roots]
     steps += [ambient.permutation(e.matrix) for e in extras]
+    found, _ = _search(ambient, steps)
     elements = [
         WeylElement(datum.matrix_of(p), datum.permutation_word(datum.restrict(p)))
-        for p, _, _ in _search(ambient, steps)
+        for p, _, _ in found
     ]
     return tuple(sorted(elements, key=lambda e: (len(e.word), e.word, e.matrix)))

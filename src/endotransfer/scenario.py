@@ -174,8 +174,8 @@ def parse_scenario(text: str) -> Scenario:
             form_scale = _rational(value)
             if form_scale <= 0:
                 problems.append((lineno, "form_scale must be positive"))
-        except ValueError:
-            problems.append((lineno, f"bad rational {value!r}"))
+        except ValueError as e:
+            problems.append((lineno, f"bad rational {value!r}: {e}"))
 
     def simple_root_entries(section_name, parse) -> list:
         """parse of the values of alpha1, alpha2, ..., alphaN, N the number
@@ -213,8 +213,8 @@ def parse_scenario(text: str) -> Scenario:
             lineno, value = entry
             try:
                 points[key] = _parse_vector(value)
-            except ValueError:
-                problems.append((lineno, f"bad rational vector {value!r}"))
+            except ValueError as e:
+                problems.append((lineno, f"bad rational vector {value!r}: {e}"))
 
     extras_h_line, words = sections.get("real_weyl_extras", {}).get("h", (0, ""))
     extras_h = _parse_words(extras_h_line, words, problems)

@@ -511,6 +511,34 @@ def test_bad_scenario_values_name_their_line(tmp_path, text, line):
 
 
 @pytest.mark.parametrize(
+    "key,value,reason",
+    [
+        ("form_scale", "1e-400", "is too small for a float"),
+        ("form_scale", "1/0", "has a zero denominator"),
+        ("form_scale", "1e400", "has a zero denominator or is too large for a float"),
+        ("x_h", "1/0", "has a zero denominator"),
+        ("x_h", "1e-400", "is too small for a float"),
+        ("x_h", "1e99999", "has an exponent beyond 5000"),
+    ],
+)
+def test_a_refused_rational_names_its_reason(tmp_path, key, value, reason):
+    """The loader keeps the reason the rational parser gives, after the
+    line and the refused text, as the vector options do: exit 2, no
+    traceback."""
+    if key == "form_scale":
+        good, entry, refusal = "1", value, "bad rational"
+    else:
+        good, entry, refusal = "1, 1/2", f"1, {value}", "bad rational vector"
+    text = MIXED.replace(f"{key} = {good}", f"{key} = {entry}")
+    lineno = text.splitlines().index(f"{key} = {entry}") + 1
+    scn = tmp_path / "bad.scn"
+    scn.write_text(text, encoding="utf-8")
+    res = _run_cli("verify", str(scn), "--samples", "1")
+    assert res.returncode == 2 and "Traceback" not in res.stderr
+    assert f"line {lineno}: {refusal} {entry!r}: {value!r} {reason}" in res.stderr, res.stderr
+
+
+@pytest.mark.parametrize(
     "name", ["sl2_compact", "sl2_endoscopy", "sl2xsl2_double", "sl2xsl2_mixed", "sp4_endoscopy"]
 )
 def test_form_scale_that_can_overflow_is_refused_by_name(tmp_path, name):

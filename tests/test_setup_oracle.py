@@ -282,8 +282,9 @@ x_g = 1/2, 2/3, 3/4
 
 def test_b3_setup_call_counts(monkeypatch):
     """One cold B3 scenario build and its pair table do matrix work only
-    for what is new: each element of the four Weyl groups has its matrix
-    read once from its root permutation (matrix_of), and no element is
+    for what is new: each element of W and of the two real Weyl groups has
+    its matrix read once from its root permutation (matrix_of), W_H shares
+    W's matrices, read with it from W's Cayley table, and no element is
     folded from its word by rank-one updates (times_reflection).  The Tits
     check folds on root permutations, so it makes no update and no
     root_image call; no word is read from a matrix, and delta_I is
@@ -328,9 +329,10 @@ def test_b3_setup_call_counts(monkeypatch):
     eng = sc.engine
     groups = (eng.weyl_g, eng.weyl_h, eng.real_weyl_g, eng.real_weyl_h)
     assert [len(g) for g in groups] == [48, 24, 6, 4]
+    assert all(w.matrix is eng.weyl_g[k].matrix for w, k in zip(eng.weyl_h, eng.h_positions))
     assert calls == {
         "times_reflection": 0,
-        "matrix_of": sum(len(g) for g in groups),
+        "matrix_of": sum(len(g) for g in groups) - len(eng.weyl_h),
         "root_image": 0,
         "reduced_word": 0,
         "delta_i": 1,
@@ -344,7 +346,9 @@ def test_factors_refuse_a_class_that_is_not_integral(monkeypatch):
     """The class (1 - sigma) x of each factor's cocycle is P / 2 or (b^{-2}
     2 rho_check - w^{-2} 2 rho_check) / 2; an odd coordinate, here from a
     2 rho_check or a w . 2 rho_check off by a simple coroot, must stop the
-    factor by name instead of flooring to a parity."""
+    factor by name instead of flooring to a parity.  delta_III reads a
+    table of every w's class against the identity, built on its first
+    call, so its image is doctored on a fresh engine before that call."""
     eng = _engine("B2", (1, -1))
     a = ADatum.default(eng.g_datum)
     x_h = eng.base_diagram.x_h
@@ -363,11 +367,12 @@ def test_factors_refuse_a_class_that_is_not_integral(monkeypatch):
     rotation = next(w for w in eng.weyl_g if w.word == (0, 1))
     turned = Diagram(eng.datum, rotation, x_h, EllipticElement(rotation.act(x_h.coords)))
     eng.delta_iii(turned)
-    images = list(eng._two_rho_images)
+    fresh = _engine("B2", (1, -1))
+    images = list(fresh._two_rho_images)
     images[0] = (images[0][0] + 1,) + images[0][1:]
-    monkeypatch.setattr(eng, "_two_rho_images", tuple(images))
+    monkeypatch.setattr(fresh, "_two_rho_images", tuple(images))
     with pytest.raises(EndoscopyError, match="delta_III"):
-        eng.delta_iii(turned)
+        fresh.delta_iii(Diagram(fresh.datum, rotation, turned.x_h, turned.x_g))
 
 
 def test_engine_refuses_nonzero_delta_of_a_simple_reflection(monkeypatch):
