@@ -3,32 +3,33 @@ two-route identity check between the endoscopic sum and its transform.
 
 The two routes are independent summation structures.  The transfer route
 sums the ambient kernel over W and W_real(G) against transfer-factor
-weights; the transform route runs the doubled sum over W, W_H and
-W_real(H).  Each regroups its terms by the group law of its own side
-(PairTable.g_law or h_law), so that each group element takes one
-exponential; neither reads the other's group law or anything the other
-computes for a pair, and neither uses the invariance of the factors under
-W_real(G) or W_H, or the W-invariance of B.  Both take their Weyl images
-from the row tables of W and W_H in the scenario's pair table.  Each
-route returns its value with its closed-form w-terms, built from its own
-exponentials and signs: the transfer route's exponential of z = w, the
-transform route's of z = 1 against w x_g.  The term-by-term comparison
-pairs the w-term of the first route with the w^{-1}-term of the second,
-each carrying its own Weil constant and dimension prefactor; it computes
-nothing of either route again, and keeps only the largest difference.
+weights, regrouped by G's group law (PairTable.g_law) so that each element
+of W takes one exponential.  The transform route is H's stable sum, over W
+and W_H: det(u') [D/pi](w' x_h) = [D/pi](u' w' x_h) for u' in W_real(H)
+and w' in W_H, so a sum over W_real(H) would add |W_real(H)| equal copies
+of it.  Neither reads anything the other computes for a pair, and neither
+uses the invariance of the factors under W_real(G) or W_H, or the
+W-invariance of B.  Both take their Weyl images from the row tables of W
+and W_H in the scenario's pair table.  Each route returns its value with
+its closed-form w-terms, built from its own exponentials and signs: the
+transfer route's exponential of z = w, the transform route's of z = 1
+against w x_g.  The term-by-term comparison pairs the w-term of the first
+route with the w^{-1}-term of the second, each carrying its own Weil
+constant and dimension prefactor; it computes nothing of either route
+again, and keeps only the largest difference.
 
 Signs are computed once per Weyl chamber.  Every weight, [D/pi] sign and
-folded multiplicity a route multiplies in is read from require_regular's
-mask of the positive roots negative at x_h or x_g, and a regular point's
-mask names its chamber.  So each route keeps them in its own memo on the
-pair table, filled from its own sign columns and group law the first time
-a chamber is seen: d_gh's under (mask of x_h, parity of x_g's mask),
-d_tilde_gh's under x_h's mask and under x_g's.  A pair in chambers already
-seen computes its images, form products, unit phases and sums, and nothing
-else.  The memos hold at most one entry per chamber (two for d_gh's key):
-about 0.76 MB on B3 and 45 MB on B4 once every chamber is visited
-(PairTable).  Each product the memos keep is taken in the order and
-association the pair would take it, so a warm pair gives the bits of a
+coefficient a route multiplies in is read from require_regular's mask of
+the positive roots negative at x_h or x_g, and a regular point's mask
+names its chamber.  So each route keeps them in its own memo on the pair
+table, filled from its own sign columns the first time a chamber is seen:
+d_gh's, folded over G's group law, under (mask of x_h, parity of x_g's
+mask), d_tilde_gh's under x_h's mask and under x_g's.  A pair in
+chambers already seen computes its images, form products, unit phases and
+sums, and nothing else.  The memos hold at most one entry per chamber (two
+for d_gh's key): about 0.76 MB on B3 and 45 MB on B4 once every chamber
+is visited (PairTable).  Each product the memos keep is taken in the order
+and association the pair would take it, so a warm pair gives the bits of a
 cold one.
 
 A fill is a few lookups.  Each sign it needs is linear over GF(2) in the
@@ -38,10 +39,10 @@ the XOR of the columns of the roots negative at the point.  Two such bit
 rows, spread into hex digits, give each w a digit 0-3 (one alone gives a
 binary digit), and each front is read from a dict of at most four values,
 computed once per scenario (EllipticScenario.chamber_values) with the
-operands, in the order, that the pair's own term would take.  The fold
+operands, in the order, that the pair's own term would take.  d_gh's fold
 multiplies each distinct (value, det) once and adds the products in the
-order of the real Weyl group.  d_gh reads the kinds weight_moved and
-g_sign, d_tilde_gh weight_at and h_sign; neither reads the other's.
+order of W_real(G).  d_gh reads the kinds weight_moved and g_sign,
+d_tilde_gh weight_at and h_sign; neither reads the other's.
 
 Weyl images come from the pair table's row tables (lattice.row_table):
 over W, row i of w's matrix takes |W|/|W_(i)| values, 6, 12 and 8 of 48 on
@@ -224,10 +225,9 @@ class PairTable(Record):
     of W in the order of weyl_g.  g_rows and h_rows are the row tables
     (lattice.row_table) of the integer matrices of W and of W_H, in the
     order of weyl_g and of weyl_h, from which the routes take every image
-    of a point.  g_law and h_law are the group laws each route regroups
-    by: for the r-th element u of the side's real Weyl group, the row whose
-    k-th entry is the index of u w_k in the side's Weyl group (W for G, W_H
-    for H), both in that group's order.
+    of a point.  g_law is G's group law, which d_gh regroups by: for the
+    r-th element u of W_real(G), the row whose k-th entry is the position
+    of u w_k in W.  d_tilde_gh, H's stable sum, needs no group law.
 
     Four attributes besides the fields are derived at set-up.  signs
     holds the sign columns of the entries (endoscopy.negative_entries),
@@ -249,10 +249,10 @@ class PairTable(Record):
     filled the first time a chamber is seen; a pair in chambers already
     seen computes only its phases.  g_memo, d_gh's, maps (mask of x_h,
     parity of x_g's mask) to the folded multiplicities and the term fronts.
-    h_memo, d_tilde_gh's, is two dicts: x_h's mask to the multiplicities
-    folded over h_law with the sign of [D/pi](x_h), and x_g's mask to the
-    products weight(w^{-1}) [D/pi](w x_g) with the term fronts for either
-    sign of [D/pi](x_h).  Neither memo is a field.
+    h_memo, d_tilde_gh's, is two dicts: x_h's mask to the coefficients
+    prefactor [D/pi](z x_h) of the z in W_H with the sign of [D/pi](x_h),
+    and x_g's mask to the products weight(w^{-1}) [D/pi](w x_g) with the
+    term fronts for either sign of [D/pi](x_h).  Neither memo is a field.
 
     The memos grow to at most one key per chamber in each dict, two in
     g_memo, and hold 2|W| complex numbers under a key of g_memo, |W_H| or
@@ -267,11 +267,11 @@ class PairTable(Record):
     43 KB on B4.  The pairing's two tuples hold |W| entries, 0.5 KB on B3
     and 6.6 KB on B4 with their integers."""
 
-    _fields = ("entries", "g_rows", "h_rows", "g_law", "h_law")
+    _fields = ("entries", "g_rows", "h_rows", "g_law")
     __slots__ = _fields + ("signs", "leads", "partners", "lead_rows", "g_memo", "h_memo")
 
-    def __init__(self, entries, g_rows, h_rows, g_law, h_law, *, signs=None, negated=()):
-        super().__init__(entries, g_rows, h_rows, g_law, h_law)
+    def __init__(self, entries, g_rows, h_rows, g_law, *, signs=None, negated=()):
+        super().__init__(entries, g_rows, h_rows, g_law)
         set_attribute(self, "signs", signs)
         leads = tuple([k for k, minus in enumerate(negated) if k < minus])
         set_attribute(self, "leads", leads)
@@ -314,8 +314,7 @@ class EllipticScenario(MutableRecord):
             entries,
             eng.g_rows,
             row_table([w.matrix for w in eng.weyl_h]),
-            eng.group_products(eng.weyl_g, eng.real_weyl_g),
-            eng.group_products(eng.weyl_h, eng.real_weyl_h),
+            eng.group_products(),
             signs=signs,
             negated=eng.negated,
         )
@@ -418,9 +417,9 @@ SIGN_DIGITS = (("0", 1, 1), ("1", -1, 1), ("2", 1, -1), ("3", -1, -1))
 
 
 def _fold(law, weyl_table, values, digits) -> list[complex]:
-    """The multiplicities c_z = sum over u w = z of values[digits[w]] *
-    det(u), for z in the side's Weyl group, each summed over u in the real
-    Weyl group's order; each product is taken once per value and det."""
+    """d_gh's multiplicities c_z = sum over u w = z of values[digits[w]] *
+    det(u), for z in W, each summed over u in the order of W_real(G); each
+    product is taken once per value and det."""
     counts = [complex(0.0)] * len(digits)
     by_det = {}
     for (_, det), row in zip(weyl_table, law):
@@ -451,16 +450,16 @@ def _g_chamber(scenario: EllipticScenario, neg_h: int, parity: int):
 
 
 def _h_chamber(scenario: EllipticScenario, neg_h: int):
-    """d_tilde_gh's memo entry under x_h's mask: the multiplicities folded
-    over h_law and the sign of [D/pi](x_h), read from the h_sign digits of
-    the elements of W_H."""
-    eng, table, side = scenario.engine, scenario.table, scenario.h_side
+    """d_tilde_gh's memo entry under x_h's mask: the coefficient
+    prefactor [D/pi](z x_h) of each z in W_H, read from the h_sign digits
+    of the elements of W_H, and the sign of [D/pi](x_h)."""
+    table = scenario.table
     # One sign kind: its binary digits, bit k the k-th.
     digits = f"{negative_entries(table.signs['h_sign'], neg_h):0{len(table.entries)}b}"[::-1]
     fronts = scenario.chamber_values[1]
     # The table's first entry is the identity's.
     return (
-        _fold(table.h_law, side.weyl_table, fronts, [*map(digits.__getitem__, eng.h_positions)]),
+        [fronts[digits[k]] for k in scenario.engine.h_positions],
         -1 if digits[0] == "1" else 1,
     )
 
@@ -522,15 +521,15 @@ def d_tilde_gh(
 ) -> KernelValue:
     """Transform route: doubled endoscopic sum against pulled-back elements.
 
-    The inner kernels' terms [D/pi](w' x_h) det(u') exp(-i B(u' w' x_h,
-    w x_g)) over w' in W_H and u' in W_real(H) are regrouped by z = u' w',
-    the product of H's group law; each w then takes one exponential per z.
+    The inner kernels are H's stable sum (module docstring): each z of W_H
+    takes the coefficient c_z = prefactor [D/pi](z x_h), the total is
+    divided by |W_H| alone, and each w takes one exponential per z.
     The images z x_h come from one pass over W_H's row table, and B w x_g
     for the leads of the table's pairing of w with -w from one over the
     leads' row table, then one over B (Side.form_points); an exact or mixed
     x_g reads the same integer rows and stays exact until it meets the
     form.  The images z x_h are turned
-    into flat tuples (multiplicity c_z of z, its conjugate, then z x_h
+    into flat tuples (coefficient c_z of z, its conjugate, then z x_h
     zero-padded to MAX_RANK coordinates), and B w x_g into padded point
     tuples.  For each lead w, one loop over z
     takes each unit phase e as the one expression of the module docstring
@@ -543,7 +542,7 @@ def d_tilde_gh(
     then sums the inner sums against the products.
     Weights and [D/pi] at moved points come from
     the masks of x_h and x_g, pair_masks' (taken here when not given).  The
-    table's h_memo keeps what they fix: under x_h's mask the multiplicities
+    table's h_memo keeps what they fix: under x_h's mask the coefficients
     of the z and the sign of [D/pi](x_h) (_h_chamber), under x_g's the
     per-w products weight(w^{-1}) [D/pi](w x_g) and the term fronts for
     either sign (_x_g_chamber); a pair in chambers seen before reads them
@@ -595,7 +594,7 @@ def d_tilde_gh(
     total = complex(0.0)
     for product, inner in zip(products, inners):
         total += product * inner
-    return KernelValue(side._gamma * total / (len(eng.real_weyl_h) * len(eng.weyl_h)), tuple(terms))
+    return KernelValue(side._gamma * total / len(eng.weyl_h), tuple(terms))
 
 
 def explicit_term(

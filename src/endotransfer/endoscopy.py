@@ -44,7 +44,6 @@ from .record import Record, set_attribute
 from .rootdata import (
     RootDatum,
     WeylElement,
-    WeylGroup,
     build_sub_datum,
     enumerate_weyl,
     right_coset_representatives,
@@ -320,7 +319,7 @@ class TransferFactorEngine:
     Every group law of set-up is read by position from W's right Cayley
     table (WeylGroup.table: 144 ints on B3, 1,536 on B4, 4,608 on F4):
     W_H with its positions in W (weyl_subgroup), the positions of w^{-1},
-    w^{-2} and -w, and the group laws of the pair table (group_products).
+    w^{-2} and -w, and the pair table's group law of G (group_products).
     """
 
     def __init__(
@@ -588,13 +587,12 @@ class TransferFactorEngine:
         }
         return tuple(entries), signs
 
-    def group_products(self, group: WeylGroup, real: Sequence[WeylElement]) -> tuple[tuple[int, ...], ...]:
-        """Left multiplication by real on group, weyl_g or weyl_h: for each u
-        of real, in its order, the row whose k-th entry is the index in group
-        of u w_k, read from group's table (WeylGroup.left_rows).  u's index
-        is its position in weyl_g, read through group.positions."""
-        index, position = group.positions.index, self._position
-        return group.left_rows([index(position[u]) for u in real])
+    def group_products(self) -> tuple[tuple[int, ...], ...]:
+        """Left multiplication by W_real(G) on W: for each u of real_weyl_g,
+        in its order, the row whose k-th entry is the position of u w_k in
+        weyl_g, read from W's table (WeylGroup.left_rows)."""
+        position = self._position
+        return self.weyl_g.left_rows([position[u] for u in self.real_weyl_g])
 
     def relative_factor(self, diagram: Diagram, a: Optional[ADatum] = None) -> int:
         if a is None:

@@ -544,17 +544,18 @@ class LiteralRoutes:
 
 
 class GroupedRoutes(LiteralRoutes):
-    """The two routes regrouped by each side's group law, written out
-    literally.  Each product z = u w of a real Weyl element u and an element
-    w of the side's Weyl group is found by the integer matrix product and a
-    search of that group, each determinant is an exact one, each weight the
-    engine's full relative factor, and each z x_h the product of z's matrix
-    with x_h in floats.  The term pairing is LiteralRoutes', its G-term of w
-    taking its phase at this float image w x_h, as d_gh's exponential of
-    z = w does.
+    """The two routes as the package groups them, written out literally:
+    the transfer route regrouped by G's group law, and the transform route
+    as H's stable sum over W_H alone.  Each product z = u w of u in
+    W_real(G) and w in W is found by the integer matrix product and a
+    search of W, each determinant is an exact one, each weight the engine's
+    full relative factor, and each z x_h the product of z's matrix with x_h
+    in floats.  The term pairing is LiteralRoutes', its G-term of w taking
+    its phase at this float image w x_h, as d_gh's exponential of z = w
+    does.
 
-    The package's routes read the group-law tables instead; they must agree
-    with this oracle to the last bit.
+    The package's routes read the group-law and row tables instead; they
+    must agree with this oracle to the last bit.
     """
 
     @staticmethod
@@ -604,10 +605,12 @@ class GroupedRoutes(LiteralRoutes):
         require_regular(self.eng.g_datum, x_g)
         s = self.sc.h_side
         group = self.eng.weyl_h
-        fronts = [
-            complex(s.prefactor) * self.d_over_pi(s, tuple(wp.act(x_h.coords))) for wp in group
+        # H's stable sum: u' in W_real(H) gives det(u') [D/pi](w' x_h) =
+        # [D/pi](u' w' x_h), so the W_real(H) sum is |W_real(H)| equal
+        # copies of the sum over W_H, and is divided out.
+        counts = [
+            complex(s.prefactor) * self.d_over_pi(s, tuple(z.act(x_h.coords))) for z in group
         ]
-        counts = self.fold(s, group, fronts)
         total = complex(0.0)
         for w in self.eng.weyl_g:
             pulled = EllipticElement(tuple(w.act(x_g.coords)))
@@ -617,7 +620,7 @@ class GroupedRoutes(LiteralRoutes):
             for count, z in zip(counts, group):
                 inner += count * cmath.exp(1j * -self.bform(self.image(z, x_h), pulled.coords))
             total += weight * d_y * inner
-        return complex(s.gamma) * total / (len(self.eng.real_weyl_h) * len(group))
+        return complex(s.gamma) * total / len(group)
 
 
 def bits(z: complex) -> tuple:
@@ -697,8 +700,8 @@ def unit_phase_mismatches() -> list[tuple]:
 
 # ---------------------------------------------------------------------------
 # the routes' chamber-memo fills taken entry by entry, from each entry's own
-# masks, with a product per (u, w) in the fold: the reference for the fills
-# from the table's sign columns
+# masks, with a product per (u, w) in d_gh's fold: the reference for the
+# fills from the table's sign columns
 # ---------------------------------------------------------------------------
 
 
@@ -750,11 +753,12 @@ def entry_g_chamber(scenario, neg_h: int, parity: int):
 
 
 def entry_h_chamber(scenario, neg_h: int):
-    """d_tilde_gh's memo entry under x_h's mask."""
+    """d_tilde_gh's memo entry under x_h's mask: prefactor [D/pi](z x_h)
+    for each z in W_H, with no fold, and the sign of [D/pi](x_h)."""
     eng, table, side = scenario.engine, scenario.table, scenario.h_side
     entries = table.entries
     fronts = [side._prefactor * side.d_over_pi_at(h_sign(entries[k], neg_h)) for k in eng.h_positions]
-    return entry_fold(table.h_law, side.weyl_table, fronts), h_sign(entries[0], neg_h)
+    return fronts, h_sign(entries[0], neg_h)
 
 
 def entry_x_g_chamber(scenario, neg_g: int):
@@ -1171,25 +1175,15 @@ class LiteralSetup(TransferFactorEngine):
 
     def literal_matrices_and_laws(self):
         """The pair table's other fields from their definitions: the
-        matrices of W and W_H, which its row tables hold, and each group law
+        matrices of W and W_H, which its row tables hold, and G's group law
         from matrix products, row u holding the position of u w for each w
-        of the side's Weyl group."""
-
-        def matrices(group):
-            return tuple(w.matrix for w in group)
-
-        def law(group, real):
-            position = {w.matrix: k for k, w in enumerate(group)}
-            return tuple(
-                tuple(position[literal_product(u.matrix, w.matrix)] for w in group) for u in real
-            )
-
-        return (
-            matrices(self.weyl_g),
-            matrices(self.weyl_h),
-            law(self.weyl_g, self.real_weyl_g),
-            law(self.weyl_h, self.real_weyl_h),
+        of W."""
+        position = {w.matrix: k for k, w in enumerate(self.weyl_g)}
+        law = tuple(
+            tuple(position[literal_product(u.matrix, w.matrix)] for w in self.weyl_g)
+            for u in self.real_weyl_g
         )
+        return tuple(w.matrix for w in self.weyl_g), tuple(w.matrix for w in self.weyl_h), law
 
 
 def matrices_from_rows(rows) -> tuple:

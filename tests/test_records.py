@@ -115,8 +115,8 @@ CASES = [
     ),
     (
         PairTable,
-        dict(entries=(WEIGHT,), g_rows=ROWS, h_rows=(), g_law=((0, 1),), h_law=((0,),)),
-        ((WEIGHT,), ROWS, (), ((0, 1),), ((0,),)),
+        dict(entries=(WEIGHT,), g_rows=ROWS, h_rows=(), g_law=((0, 1),)),
+        ((WEIGHT,), ROWS, (), ((0, 1),)),
     ),
     (EighthRoot, dict(k=11), (3,)),
     (RealFormGrading, dict(datum=A1, grade={(2,): 1, (-2,): 1}), (A1, {(2,): 1, (-2,): 1})),

@@ -1,6 +1,7 @@
-"""The routes read per-scenario tables and regroup each sum by its side's
-group law.  The literal regrouped routes of oracles.GroupedRoutes must give
-the same reports to the last bit; against the term-by-term routes of
+"""The routes read per-scenario tables: d_gh regroups its sum by G's group
+law, and d_tilde_gh is H's stable sum over W and W_H.  The literal routes
+of oracles.GroupedRoutes, grouped the same way, must give the same reports
+to the last bit; against the term-by-term routes of
 oracles.LiteralRoutes the term pairing and the verdicts must be equal and
 the route values equal up to the rounding of a different summation order."""
 
@@ -72,8 +73,8 @@ x_g = 1/2, 2/3
 """
 
 # Two data of the cold sweep (split-count grading, base point 1/2, 2/3, 3/4),
-# whose group laws are acted on by real Weyl groups of orders 8 and 2 (C3)
-# and 4 and 1 (A1xG2).
+# whose real Weyl groups of G and H have orders 8 and 2 (C3) and 4 and 1
+# (A1xG2).
 C3_SWEEP = """
 name = C3_-+-
 g_type = C3
@@ -329,9 +330,8 @@ class _CountingCmath:
 def test_routes_compute_each_distinct_exponential_once(monkeypatch):
     """On the b3_kernel datum d_gh takes one exponential per z in W, the
     products u w (u in W_real(G), w in W) grouped, and d_tilde_gh one per
-    pair {w, -w} of W and z in W_H, the products u' w' (u' in W_real(H),
-    w' in W_H) grouped and -w reading the phases of w: fewer than the terms
-    of either route."""
+    pair {w, -w} of W and z in W_H, H's stable sum taking each z once and
+    -w reading the phases of w: fewer than the terms of either route."""
     scenario = build_scenario(parse_scenario(B3_KERNEL))
     eng = scenario.engine
     rng = random.Random(5)

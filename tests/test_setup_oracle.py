@@ -85,6 +85,28 @@ def _a_datum(g, seed):
     return ADatum(tuple((r, rng.choice((1, -1)) * rng.choice(sizes)) for r in g.positive_roots))
 
 
+@pytest.mark.parametrize("g_type", TYPES)
+def test_delta_i_delta_ii_do_not_depend_on_the_a_datum(g_type):
+    """Delta_I Delta_II is independent of the a-datum (Langlands-Shelstad,
+    Math. Ann. 278 (1987), section 3): the engine's own delta_i times
+    delta_ii at every diagram (w, x_h, w x_h), x_h the base point, for
+    every nontrivial s and three seeded a-data, is its value on the
+    default a-datum."""
+    g = build_root_datum(g_type)
+    a_data = {seed: _a_datum(g, seed) for seed in (11, 12, 13)}
+    default = ADatum.default(g)
+    for signs in itertools.product((1, -1), repeat=g.rank):
+        if all(s == 1 for s in signs):
+            continue
+        eng = _engine(g_type, signs)
+        x_h = eng.base_diagram.x_h
+        for w in eng.weyl_g:
+            dw = Diagram(eng.datum, w, x_h, EllipticElement(w.act(x_h.coords)))
+            want = eng.delta_i(dw, default) * eng.delta_ii(dw, default)
+            for seed, a in a_data.items():
+                assert eng.delta_i(dw, a) * eng.delta_ii(dw, a) == want, (signs, w.word, seed)
+
+
 @pytest.mark.parametrize("seed", (11, 12, 13))
 @pytest.mark.parametrize("g_type", ("C2", "G2", "B3"))
 def test_setup_matches_literal_path_on_other_a_data(g_type, seed):

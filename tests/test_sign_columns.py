@@ -1,8 +1,8 @@
 """The routes fill their chamber memos from the table's sign columns: the
 signs of all entries at once from XORs of GF(2) columns, each front taken
-once per distinct value, and each fold product once per (value, det).  Here
-every memo entry is checked against the fill taken entry by entry from the
-entries' own masks, with a product per (u, w) in the fold
+once per distinct value, and each product of d_gh's fold once per (value,
+det).  Here every memo entry is checked against the fill taken entry by
+entry from the entries' own masks, with a product per (u, w) in d_gh's fold
 (oracles.entry_g_chamber, entry_h_chamber and entry_x_g_chamber), to the
 last bit: on the five shipped files, the b3_kernel datum and B4_SPLIT, at a
 point in every Weyl chamber, w r for w in W and a fixed regular r, as x_h
