@@ -35,7 +35,9 @@ cold one.
 A fill is a few lookups.  Each sign it needs is linear over GF(2) in the
 point's mask, so the table keeps, per sign kind, one |W|-bit integer per
 positive root (endoscopy.negative_entries): the signs of all w at once are
-the XOR of the columns of the roots negative at the point.  Two such bit
+the XOR of the columns of the roots negative at the point.  The sign of
+[D/pi](w x_h) on G reads every root, so it keeps only its start, w's
+length bits, complemented at a point whose mask is odd.  Two such bit
 rows, spread into hex digits, give each w a digit 0-3 (one alone gives a
 binary digit), and each front is read from a dict of at most four values,
 computed once per scenario (EllipticScenario.chamber_values) with the
@@ -221,21 +223,22 @@ def padded_points(columns, *leading):
 class PairTable(Record):
     """Everything a pair reads besides its two points, fixed per scenario.
 
-    entries holds the engine's transfer table, one WeylWeight per element
-    of W in the order of weyl_g.  g_rows and h_rows are the row tables
-    (lattice.row_table) of the integer matrices of W and of W_H, in the
-    order of weyl_g and of weyl_h, from which the routes take every image
-    of a point.  g_law is G's group law, which d_gh regroups by: for the
-    r-th element u of W_real(G), the row whose k-th entry is the position
-    of u w_k in W.  d_tilde_gh, H's stable sum, needs no group law.
+    inverse holds the position of w^{-1} for every w of W, in the order of
+    weyl_g, by which the terms of the two routes are paired.  g_rows and
+    h_rows are the row tables (lattice.row_table) of the integer matrices
+    of W and of W_H, in the order of weyl_g and of weyl_h, from which the
+    routes take every image of a point.  g_law is G's group law, which d_gh
+    regroups by: for the r-th element u of W_real(G), the row whose k-th
+    entry is the position of u w_k in W.  d_tilde_gh, H's stable sum, needs
+    no group law.
 
-    Four attributes besides the fields are derived at set-up.  signs
-    holds the sign columns of the entries (endoscopy.negative_entries),
-    keyed by the sign they give: weight_moved, g_sign and h_sign of the
-    k-th entry at bit k, weight_at of the entry of w_k^{-1} at bit k
-    (TransferFactorEngine.transfer_table); a table built without them
-    serves no route.  leads and partners pair each w of W with -w, from
-    negated, the position of -w for every w
+    Four attributes besides the fields are derived at set-up.  signs is
+    the transfer table, the engine's sign columns
+    (TransferFactorEngine.transfer_table, endoscopy.negative_entries),
+    keyed by the sign they give: weight_moved and h_sign of w_k at bit k,
+    weight_at of w_k^{-1} at bit k, and g_sign as w_k's length bit alone;
+    a table built without them serves no route.  leads and partners pair
+    each w of W with -w, from negated, the position of -w for every w
     (TransferFactorEngine.negated): for each pair, the position of the
     first of the two in the order of W, the lead, and of the other, |W|/2
     of each.  d_tilde_gh takes the unit phases of a lead and reads its
@@ -260,18 +263,19 @@ class PairTable(Record):
     CPython, 0.76 MB on B3 (|W| = 48) and 45 MB on B4 (|W| = 384), which a
     run reaches only after pairs in both parities of every one of B4's 384
     chambers, at about 10 ms a pair (2-core x86-64 host, CPython 3.11).
-    The sign columns are 4(|Phi+| + 1) integers of |W| bits, 1.6 KB on B3
-    and 3.2 KB on B4 with their tuples.  The row tables hold 26, 22 and 19
-    distinct rows on B3 and 80, 72 and 61 on B4 (W, W_H, the leads), and
-    their gathers one index per element and coordinate: 9.4 KB on B3 and
-    43 KB on B4.  The pairing's two tuples hold |W| entries, 0.5 KB on B3
-    and 6.6 KB on B4 with their integers."""
+    The sign columns are 3(|Phi+| + 1) integers of |W| bits and the length
+    bits, 1.4 KB on B3 and 2.9 KB on B4 with their tuples; inverse is the
+    engine's own tuple (TransferFactorEngine._inverse).  The row tables
+    hold 26, 22 and 19 distinct rows on B3 and 80, 72 and 61 on B4 (W,
+    W_H, the leads), and their gathers one index per element and
+    coordinate: 9.4 KB on B3 and 43 KB on B4.  The pairing's two tuples
+    hold |W| entries, 0.5 KB on B3 and 6.6 KB on B4 with their integers."""
 
-    _fields = ("entries", "g_rows", "h_rows", "g_law")
+    _fields = ("inverse", "g_rows", "h_rows", "g_law")
     __slots__ = _fields + ("signs", "leads", "partners", "lead_rows", "g_memo", "h_memo")
 
-    def __init__(self, entries, g_rows, h_rows, g_law, *, signs=None, negated=()):
-        super().__init__(entries, g_rows, h_rows, g_law)
+    def __init__(self, inverse, g_rows, h_rows, g_law, *, signs=None, negated=()):
+        super().__init__(inverse, g_rows, h_rows, g_law)
         set_attribute(self, "signs", signs)
         leads = tuple([k for k, minus in enumerate(negated) if k < minus])
         set_attribute(self, "leads", leads)
@@ -309,13 +313,12 @@ class EllipticScenario(MutableRecord):
     def table(self) -> PairTable:
         """The scenario's pair table, built on the first pair."""
         eng = self.engine
-        entries, signs = eng.transfer_table()
         return PairTable(
-            entries,
+            eng._inverse,
             eng.g_rows,
             row_table([w.matrix for w in eng.weyl_h]),
             eng.group_products(),
-            signs=signs,
+            signs=eng.transfer_table(),
             negated=eng.negated,
         )
 
@@ -438,13 +441,18 @@ def _fold(law, weyl_table, values, digits) -> list[complex]:
 
 def _g_chamber(scenario: EllipticScenario, neg_h: int, parity: int):
     """d_gh's memo entry under (mask of x_h, parity of x_g's mask): the
-    multiplicities folded over g_law and the term fronts.  The weight and
-    the sign of [D/pi](w x_h) of every w are read from the sign columns,
-    and each front from the at most four values they select
-    (EllipticScenario.chamber_values)."""
+    multiplicities folded over g_law and the term fronts.  The weight of
+    every w is read from the sign columns, the sign of [D/pi](w x_h) from
+    the length bits, and each front from the at most four values they
+    select (EllipticScenario.chamber_values)."""
     table, side = scenario.table, scenario.g_side
+    size = len(table.inverse)
     weights = negative_entries(table.signs["weight_moved"], neg_h)
-    digits = _digits(len(table.entries), weights, negative_entries(table.signs["g_sign"], neg_h))
+    g_signs = table.signs["g_sign"]
+    if neg_h.bit_count() & 1:
+        # Every positive root is in every mask of Phi+_G.
+        g_signs ^= (1 << size) - 1
+    digits = _digits(size, weights, g_signs)
     fronts, terms = scenario.chamber_values[0][parity]
     return _fold(table.g_law, side.weyl_table, fronts, digits), [*map(terms.__getitem__, digits)]
 
@@ -455,7 +463,7 @@ def _h_chamber(scenario: EllipticScenario, neg_h: int):
     of the elements of W_H, and the sign of [D/pi](x_h)."""
     table = scenario.table
     # One sign kind: its binary digits, bit k the k-th.
-    digits = f"{negative_entries(table.signs['h_sign'], neg_h):0{len(table.entries)}b}"[::-1]
+    digits = f"{negative_entries(table.signs['h_sign'], neg_h):0{len(table.inverse)}b}"[::-1]
     fronts = scenario.chamber_values[1]
     # The table's first entry is the identity's.
     return (
@@ -470,7 +478,7 @@ def _x_g_chamber(scenario: EllipticScenario, neg_g: int):
     [D/pi](x_h), which x_g's chamber does not fix."""
     table = scenario.table
     weights = negative_entries(table.signs["weight_at"], neg_g)
-    digits = _digits(len(table.entries), weights, negative_entries(table.signs["h_sign"], neg_g))
+    digits = _digits(len(table.inverse), weights, negative_entries(table.signs["h_sign"], neg_g))
     products, by_sign = scenario.chamber_values[2]
     return [*map(products.__getitem__, digits)], {
         sign: [*map(fronts.__getitem__, digits)] for sign, fronts in by_sign.items()
@@ -647,7 +655,7 @@ def verify_identity(
         h_route = d_tilde_gh(scenario, x_h, x_g, masks)
         lhs, rhs, g_terms, h_terms = g_route.value, h_route.value, g_route.terms, h_route.terms
         termwise_max = max(
-            (abs(t_lhs - h_terms[entry.inverse]) for entry, t_lhs in zip(scenario.table.entries, g_terms)),
+            (abs(t_lhs - h_terms[inverse]) for inverse, t_lhs in zip(scenario.table.inverse, g_terms)),
             default=0.0,
         )
         for t_lhs in g_terms:

@@ -116,51 +116,21 @@ class Diagram(Record):
     __slots__ = _fields = ("datum", "w", "x_h", "x_g")
 
 
-class WeylWeight(Record):
-    """The relative transfer factor of the diagrams (w, x_h, x_g), split
-    into a sign fixed by the scenario and root signs at x_g:
-
-        relative_factor(diagram) = sign * root_signs(roots, x_g).
-
-    sign is delta_I(w) delta_I(base) delta_III(w, base) delta_II(base) for
-    the default a-datum; roots are the positive roots outside w Phi_H;
-    inverse is the position of w^{-1} in the ambient Weyl group.
+def negative_entries(signs: tuple[int, tuple[int, ...]], negative: int) -> int:
+    """One sign of the transfer table (TransferFactorEngine.transfer_table)
+    for every element of W at once, at a point of mask negative: the
+    elements whose sign is -1 there, as bit k for the k-th.
 
     The routes take every root-sign product from the mask of positive roots
     of G negative at a point, which require_regular returns (bit k for the
     k-th positive root).  sign<alpha, w x> = sign<w^{-1} alpha, x>, so the
     product over a set S of roots at w x is (-1)^(parity + |mask & neg(x)|),
     mask holding the positive roots +-w^{-1} alpha and parity counting the
-    alpha in S with w^{-1} alpha < 0.  at is the mask of roots itself (at x);
-    moved and h_moved are (mask, parity) of roots and of Phi+_H at w x;
-    length is the parity of Phi+_G at w x, whose mask holds every bit.
-
-    So the routes read four signs of an entry at a point x:
-
-        weight_at     sign (-1)^|at & neg(x)|, the factor at (w, w^{-1} x, x);
-        weight_moved  sign (-1)^(parity + |mask & neg(x)|), (mask, parity)
-                      = moved, the factor at (w, x, w x);
-        h_sign        (-1)^(parity + |mask & neg(x)|), (mask, parity) =
-                      h_moved, the sign of prod <beta, w x> over Phi+_H;
-        g_sign        (-1)^(length + |neg(x)|), that of prod <alpha, w x>
-                      over Phi+_G.
-
-    They take them for every entry at once, from the table's sign columns
-    (negative_entries).
-    """
-
-    __slots__ = _fields = ("w", "inverse", "sign", "roots", "at", "moved", "h_moved", "length")
-
-
-def negative_entries(signs: tuple[int, tuple[int, ...]], negative: int) -> int:
-    """One of WeylWeight's signs for every entry of the transfer table at
-    once, at a point of mask negative: the entries whose sign is -1 there,
-    as bit k for the k-th.  Each sign is (-1)^(parity + |mask & negative|),
-    linear over GF(2) in the mask, so signs = (start, columns) gives them
-    all (TransferFactorEngine.transfer_table): start holds the bits at a
-    point whose mask is 0, and columns[b] the bits of the entries whose
-    mask holds the b-th positive root, XORed in when that root is negative
-    at the point."""
+    alpha in S with w^{-1} alpha < 0.  That is linear over GF(2) in the
+    point's mask, so signs = (start, columns) gives it for every w:
+    start holds the bits at a point whose mask is 0, and columns[b] the
+    bits of the entries whose mask holds the b-th positive root, XORed in
+    when that root is negative at the point."""
     bits, columns = signs
     for column in columns:
         if not negative:
@@ -495,82 +465,87 @@ class TransferFactorEngine:
 
     # -- normalized transfer factor ---------------------------------------
 
-    def transfer_table(self) -> tuple[tuple[WeylWeight, ...], dict[str, tuple]]:
-        """The pair-independent part of relative_factor for every w of
-        weyl_g, in its order, taken from the factors at the diagram (w, x_h,
-        w x_h) of the base point's x_h, with the entries' sign columns
-        (negative_entries).  delta_III depends on w alone, so
-        it is handed w's diagram without its points.  delta_I delta_II does
-        not depend on the a-datum (Langlands-Shelstad 1987, section 3), so
-        the table is that of the default one.  There delta_I is the same for
-        every w: a(w beta) < 0 exactly when w beta < 0, so P = w 2 rho_check
-        + 2 rho_check + 2 (w beta)^vee over the beta > 0 with w beta < 0 is
-        2 w 2 rho_check, and the value is (-1)^<2 xhat_s, 2 rho_check>; it
-        is evaluated once, at the base.
+    def transfer_table(self) -> dict[str, Union[int, tuple[int, tuple[int, ...]]]]:
+        """The pair-independent part of relative_factor for every w_k of
+        weyl_g, as the sign columns the routes read (negative_entries).
+        relative_factor at (w, x_h, x_g) is the root signs at x_g of the
+        positive roots outside w Phi_H times
 
-        The masks are read in one pass over each w's positions: a positive
-        root alpha outside w Phi_H sets its own bit in at, and in moved the
-        bit of +-w^{-1} alpha, whose sign the parity counts.  The parity of
-        Phi+_G at w x counts the alpha > 0 with w^{-1} alpha < 0, so it is
-        that of the length of w, the length of its reduced word.  The base
-        diagram's w is 1, the first of weyl_g, so delta_II there is the
-        parity of the first at against x_g's mask (a-signs are +1).
+            sign(w) = delta_I(w) delta_I(base) delta_III(w, base) delta_II(base),
 
-        The same pass sets the entries' bits in the sign columns, keyed by
-        the sign they give (WeylWeight names the four): weight_moved, g_sign
-        and h_sign of the k-th entry at bit k, and weight_at of the entry
-        of w_k^{-1} at bit k, the weight the transform route reads for
-        w_k."""
+        taken from the factors at the diagram (w, x_h, w x_h) of the base
+        point's x_h.  delta_III depends on w alone, so it is handed w's
+        diagram without its points.  delta_I delta_II does not depend on the
+        a-datum (Langlands-Shelstad 1987, section 3), so the table is that
+        of the default one.  There delta_I is the same for every w: a(w
+        beta) < 0 exactly when w beta < 0, so P = w 2 rho_check + 2
+        rho_check + 2 (w beta)^vee over the beta > 0 with w beta < 0 is 2 w
+        2 rho_check, and the value is (-1)^<2 xhat_s, 2 rho_check>; it is
+        evaluated once, at the base.  The base diagram's w is 1, the first
+        of weyl_g, so delta_II there is the sign of x_g's mask on the
+        positive roots outside Phi_H (a-signs are +1).
+
+        The routes read four signs at a point x, keyed by name:
+
+            weight_at     the factor at (w, w^{-1} x, x): sign(w) times the
+                          signs at x of the roots outside w Phi_H, for the
+                          entry of w_k^{-1} at bit k, the weight the
+                          transform route reads for w_k;
+            weight_moved  the factor at (w, x, w x): sign(w) times those
+                          roots' signs at w x;
+            h_sign        the sign of prod <beta, w x> over Phi+_H;
+            g_sign        the sign of prod <alpha, w x> over Phi+_G,
+                          (-1)^(length + |neg(x)|).
+
+        The first three are sign columns, read in one pass over each w's
+        positions: a positive root alpha outside w Phi_H sets the bit of
+        w_k^{-1} in its own weight_at column, and that of w_k in the
+        weight_moved column of +-w^{-1} alpha, whose sign the parity
+        counts; each beta in Phi+_H sets w_k's in the h_sign column of
+        +-w^{-1} beta.  Every positive root is in the mask of Phi+_G, so
+        g_sign is kept as its start alone: the length bits, bit k the
+        parity of Phi+_G at w_k x for a point of mask 0, the alpha > 0 with
+        w^{-1} alpha < 0, that is the length of w_k's reduced word.  A
+        point with |neg(x)| odd complements them."""
         a = ADatum.default(self.g_datum)
         base = self.base_diagram
         d1 = self.delta_i(base, a)
+        base_outside = sum([1 << self._bits[j][0] for j in self._outside_h(self._perms[0])])
+        base_sign = d1 * parity_sign((base_outside & self._base_negative).bit_count())
         datum, delta_iii, outside_h = self.datum, self.delta_iii, self._outside_h
-        roots, perms, inverses = self.g_datum.roots, self._perms, self._inverse
+        perms, inverses = self._perms, self._inverse
         h_positive = self._h_positive_index
-        # Each root's bit in a mask, and whether it is negative.
-        bits = [1 << bit for bit, _ in self._bits]
+        # Whether each root is negative; the mask bit of +-it is the
+        # column it sets, after the fold below.
         negative = [n for _, n in self._bits]
-        # The sign columns by root, folded onto the positive roots below.
-        at_columns, moved_columns, h_columns = [0] * len(roots), [0] * len(roots), [0] * len(roots)
+        at_columns, moved_columns, h_columns = [0] * len(negative), [0] * len(negative), [0] * len(negative)
         at_start = moved_start = h_start = lengths = 0
-        entries = []
         for k, w in enumerate(self.weyl_g):
             inverse = inverses[k]
             back = perms[inverse]
-            outside = outside_h(back)
             own, its = 1 << k, 1 << inverse
-            at = mask = parity = 0
-            for j in outside:
-                at |= bits[j]
+            parity = 0
+            for j in outside_h(back):
                 at_columns[j] |= its
                 j = back[j]
-                mask |= bits[j]
                 moved_columns[j] |= own
                 parity ^= negative[j]
-            if not k:
-                base_sign = d1 * parity_sign((at & self._base_negative).bit_count())
             # delta_II's root signs at x_g cancel against the route's, and
             # its a-signs are +1 for the default a-datum.
-            sign = d1 * base_sign * delta_iii(Diagram(datum, w, None, None), base)
-            h_mask = h_parity = 0
+            if d1 * base_sign * delta_iii(Diagram(datum, w, None, None), base) < 0:
+                at_start |= its
+                parity ^= 1
+            if parity:
+                moved_start |= own
+            h_parity = 0
             for j in h_positive:
                 j = back[j]
-                h_mask |= bits[j]
                 h_columns[j] |= own
                 h_parity ^= negative[j]
-            length = len(w.word) & 1
-            if sign < 0:
-                at_start |= its
-            if (sign < 0) ^ parity:
-                moved_start |= own
             if h_parity:
                 h_start |= own
-            if length:
+            if len(w.word) & 1:
                 lengths |= own
-            entries.append(WeylWeight(
-                w, inverse, sign, tuple([roots[j] for j in outside]), at,
-                (mask, parity), (h_mask, h_parity), length,
-            ))
         minus = self._negation
         positive = self._positive_index
 
@@ -578,14 +553,12 @@ class TransferFactorEngine:
         def fold(columns):
             return tuple([columns[j] | columns[minus[j]] for j in positive])
 
-        signs = {
+        return {
             "weight_moved": (moved_start, fold(moved_columns)),
-            # Every positive root is in every entry's mask of Phi+_G.
-            "g_sign": (lengths, ((1 << len(entries)) - 1,) * len(positive)),
+            "g_sign": lengths,
             "weight_at": (at_start, fold(at_columns)),
             "h_sign": (h_start, fold(h_columns)),
         }
-        return tuple(entries), signs
 
     def group_products(self) -> tuple[tuple[int, ...], ...]:
         """Left multiplication by W_real(G) on W: for each u of real_weyl_g,

@@ -699,10 +699,64 @@ def unit_phase_mismatches() -> list[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# the routes' chamber-memo fills taken entry by entry, from each entry's own
+# the transfer table entry by entry, decoded from its sign columns, and the
+# routes' chamber-memo fills taken entry by entry, from each entry's own
 # masks, with a product per (u, w) in d_gh's fold: the reference for the
 # fills from the table's sign columns
 # ---------------------------------------------------------------------------
+
+# One entry of the transfer table: w; the position of w^{-1}; sign(w) of
+# TransferFactorEngine.transfer_table; the positive roots outside w Phi_H,
+# in their order, and their mask at; (mask, parity) of those roots at w x
+# (moved) and of Phi+_H at w x (h_moved), as endoscopy.negative_entries
+# reads them; and the parity of w's length.  LiteralSetup.transfer_table
+# fills the first four fields alone.
+TableEntry = namedtuple("TableEntry", "w inverse sign roots at moved h_moved length", defaults=(None,) * 4)
+
+
+def _column_mask(columns, k: int) -> int:
+    """The mask of the positive roots whose sign column holds bit k."""
+    mask = 0
+    for b, column in enumerate(columns):
+        if column >> k & 1:
+            mask |= 1 << b
+    return mask
+
+
+def decode_table(engine, signs, inverse) -> tuple[TableEntry, ...]:
+    """The transfer table's entries, rebuilt from its sign columns, the
+    positions of w^{-1} and W: for the k-th element w_k, sign(w_k) < 0 is
+    bit w_k^{-1} of weight_at's start; at is the weight_at columns at that
+    bit, and roots the positive roots at its bits; moved is the
+    weight_moved columns at bit k, with the parity of its start bit k
+    XOR (sign < 0); h_moved the h_sign columns and start at bit k; and
+    length bit k of the length bits (g_sign)."""
+    positive = engine.g_datum.positive_roots
+    at_start, at_columns = signs["weight_at"]
+    moved_start, moved_columns = signs["weight_moved"]
+    h_start, h_columns = signs["h_sign"]
+    entries = []
+    for k, w in enumerate(engine.weyl_g):
+        i = inverse[k]
+        negative = at_start >> i & 1
+        at = _column_mask(at_columns, i)
+        entries.append(TableEntry(
+            w,
+            i,
+            -1 if negative else 1,
+            tuple([alpha for b, alpha in enumerate(positive) if at >> b & 1]),
+            at,
+            (_column_mask(moved_columns, k), (moved_start >> k & 1) ^ negative),
+            (_column_mask(h_columns, k), h_start >> k & 1),
+            signs["g_sign"] >> k & 1,
+        ))
+    return tuple(entries)
+
+
+def table_entries(scenario) -> tuple[TableEntry, ...]:
+    """The entries of the scenario's pair table (decode_table)."""
+    table = scenario.table
+    return decode_table(scenario.engine, table.signs, table.inverse)
 
 
 def weight_at(entry, negative: int) -> int:
@@ -736,13 +790,14 @@ def entry_fold(law, weyl_table, fronts) -> list[complex]:
     return counts
 
 
-def entry_g_chamber(scenario, neg_h: int, parity: int):
-    """d_gh's memo entry under (mask of x_h, parity of x_g's mask)."""
+def entry_g_chamber(scenario, entries, neg_h: int, parity: int):
+    """d_gh's memo entry under (mask of x_h, parity of x_g's mask), from
+    these entries of the table."""
     eng, table, side = scenario.engine, scenario.table, scenario.g_side
     d_y = side.d_over_pi_at(parity_sign(parity))
     factors = [
         (weight_moved(entry, neg_h) * eng.base_value, side.d_over_pi_at(g_sign(entry, neg_h)))
-        for entry in table.entries
+        for entry in entries
     ]
     fronts = [weight * (side._prefactor * d_x) * d_y for weight, d_x in factors]
     front = side._gamma * side._prefactor * d_y
@@ -752,19 +807,17 @@ def entry_g_chamber(scenario, neg_h: int, parity: int):
     )
 
 
-def entry_h_chamber(scenario, neg_h: int):
+def entry_h_chamber(scenario, entries, neg_h: int):
     """d_tilde_gh's memo entry under x_h's mask: prefactor [D/pi](z x_h)
     for each z in W_H, with no fold, and the sign of [D/pi](x_h)."""
-    eng, table, side = scenario.engine, scenario.table, scenario.h_side
-    entries = table.entries
+    eng, side = scenario.engine, scenario.h_side
     fronts = [side._prefactor * side.d_over_pi_at(h_sign(entries[k], neg_h)) for k in eng.h_positions]
     return fronts, h_sign(entries[0], neg_h)
 
 
-def entry_x_g_chamber(scenario, neg_g: int):
+def entry_x_g_chamber(scenario, entries, neg_g: int):
     """d_tilde_gh's memo entry under x_g's mask."""
-    eng, table, side = scenario.engine, scenario.table, scenario.h_side
-    entries = table.entries
+    eng, side = scenario.engine, scenario.h_side
     plus = side._gamma * side._prefactor * side.d_over_pi_at(1)
     minus = side._gamma * side._prefactor * side.d_over_pi_at(-1)
     products, plus_fronts, minus_fronts = [], [], []
@@ -1139,7 +1192,7 @@ class LiteralSetup(TransferFactorEngine):
                 * root_signs(roots, diagram.x_g.coords)
             )
             inverse = position[literal_weyl_inverse(self.g_datum, diagram.w).matrix]
-            entries.append(LiteralWeight(diagram.w, inverse, sign, roots))
+            entries.append(TableEntry(diagram.w, inverse, sign, roots))
         return tuple(entries)
 
     def literal_lookups(self):
@@ -1196,11 +1249,6 @@ def literal_product(a, b):
     """The matrix product a b by its definition, entry by entry."""
     n, m = len(b), len(b[0])
     return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(m)) for i in range(len(a)))
-
-
-# The fields of endoscopy.WeylWeight that the set-up fixes; its sign masks
-# are checked against literal root signs in tests/test_sign_masks.py.
-LiteralWeight = namedtuple("LiteralWeight", "w inverse sign roots")
 
 
 # -- helpers only tests call ------------------------------------------------
@@ -1290,15 +1338,15 @@ def weil_prefactor_balanced_invariant(scenario) -> tuple[EighthRoot, EighthRoot]
 
 
 def closed_form_table(scenario) -> tuple[int, ...]:
-    """The sign the transfer table should hold for each entry, in its order,
-    by the character property (Langlands-Shelstad 1987, sections 3-4):
-    F(w) = kappa(w^{-1} lambda - lambda) prod sign<alpha, w x_h> over the
-    entry's roots, at the base point's x_h.  lambda is the grading
-    coweight, the sum of the fundamental coweights (the columns of the
-    inverse of the simple-root matrix) over the noncompact simple roots of
-    G, and kappa(mu) = (-1)^<2 xhat_s, mu>.  w^{-1} lambda is solved for by
-    Fraction elimination; the engine supplies only the entries' w and
-    roots."""
+    """The sign the transfer table should hold for each w of W, in its
+    order, by the character property (Langlands-Shelstad 1987, sections
+    3-4): F(w) = kappa(w^{-1} lambda - lambda) prod sign<alpha, w x_h> over
+    the positive roots outside w Phi_H, at the base point's x_h.  lambda is
+    the grading coweight, the sum of the fundamental coweights (the columns
+    of the inverse of the simple-root matrix) over the noncompact simple
+    roots of G, and kappa(mu) = (-1)^<2 xhat_s, mu>.  w^{-1} lambda is solved for by
+    Fraction elimination; the engine supplies only W and each w's roots
+    (delta_ii_roots)."""
     eng = scenario.engine
     d = eng.g_datum
     coweights = transpose(invert_rational(d.simple_roots))
@@ -1307,11 +1355,11 @@ def closed_form_table(scenario) -> tuple[int, ...]:
     two_xhat = [2 * x for x in eng.datum.xhat_s]
     x_h = eng.base_diagram.x_h.coords
     signs = []
-    for entry in scenario.table.entries:
-        moved = solve_rational(entry.w.matrix, lam)
+    for w in eng.weyl_g:
+        moved = solve_rational(w.matrix, lam)
         mu = [x - y for x, y in zip(moved, lam)]
         if any(x.denominator != 1 for x in mu):
-            raise AssertionError(f"w^-1 lambda - lambda = {mu} is not integral for w = {entry.w.word}")
+            raise AssertionError(f"w^-1 lambda - lambda = {mu} is not integral for w = {w.word}")
         kappa = -1 if sum(x * m for x, m in zip(two_xhat, mu)) % 2 else 1
-        signs.append(kappa * root_signs(entry.roots, entry.w.act(x_h)))
+        signs.append(kappa * root_signs(eng.delta_ii_roots(w), w.act(x_h)))
     return tuple(signs)

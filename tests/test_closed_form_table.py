@@ -12,7 +12,7 @@ import pytest
 
 from endotransfer.scenario import build_scenario, load_builtin, parse_scenario
 
-from oracles import closed_form_table
+from oracles import closed_form_table, table_entries
 
 SHIPPED = ("sl2_compact", "sl2_endoscopy", "sl2xsl2_double", "sl2xsl2_mixed", "sp4_endoscopy")
 
@@ -30,4 +30,4 @@ def _b3_kernel():
 @pytest.mark.parametrize("name", SHIPPED + ("b3_kernel",))
 def test_table_signs_equal_the_closed_form(name):
     sc = _b3_kernel() if name == "b3_kernel" else load_builtin(name)
-    assert tuple(entry.sign for entry in sc.table.entries) == closed_form_table(sc)
+    assert tuple(entry.sign for entry in table_entries(sc)) == closed_form_table(sc)

@@ -46,7 +46,6 @@ from endotransfer.endoscopy import (
     EllipticElement,
     EndoscopicDatum,
     EndoscopyError,
-    WeylWeight,
     build_endoscopic_datum,
 )
 from endotransfer.lattice import row_table
@@ -64,7 +63,6 @@ GROUP = h1(TORUS)
 QUOTIENT = quotient_torus_lattice(TORUS, [(Fraction(1, 2),)])
 DATUM = build_endoscopic_datum(A1, [-1])
 X = EllipticElement((Fraction(1),))
-WEIGHT = WeylWeight(S, 1, -1, ((2,),), 1, (1, 0), (0, 0), 1)
 ROWS = row_table([((1,),), ((-1,),)])
 REPORT = IdentityReport(1j, 1j, 0.0, 0.0, True)
 SCENARIO_FIELDS = dict(
@@ -109,14 +107,9 @@ CASES = [
     (ADatum, dict(ratios=(((2,), Fraction(3)),)), ((((2,), Fraction(3)),),)),
     (Diagram, dict(datum=DATUM, w=S, x_h=X, x_g=X), (DATUM, S, X, X)),
     (
-        WeylWeight,
-        dict(w=S, inverse=1, sign=-1, roots=((2,),), at=1, moved=(1, 0), h_moved=(0, 0), length=1),
-        (S, 1, -1, ((2,),), 1, (1, 0), (0, 0), 1),
-    ),
-    (
         PairTable,
-        dict(entries=(WEIGHT,), g_rows=ROWS, h_rows=(), g_law=((0, 1),)),
-        ((WEIGHT,), ROWS, (), ((0, 1),)),
+        dict(inverse=(0, 1), g_rows=ROWS, h_rows=(), g_law=((0, 1),)),
+        ((0, 1), ROWS, (), ((0, 1),)),
     ),
     (EighthRoot, dict(k=11), (3,)),
     (RealFormGrading, dict(datum=A1, grade={(2,): 1, (-2,): 1}), (A1, {(2,): 1, (-2,): 1})),

@@ -229,7 +229,7 @@ def test_routes_agree_with_term_by_term_oracle(name, samples):
         want = oracle.verify_identity(x_h, x_g)
         g_terms = distributions.d_gh(scenario, x_h, x_g).terms
         h_terms = distributions.d_tilde_gh(scenario, x_h, x_g).terms
-        got_pairs = [(g_terms[k], h_terms[e.inverse]) for k, e in enumerate(scenario.table.entries)]
+        got_pairs = [(g_terms[k], h_terms[i]) for k, i in enumerate(scenario.table.inverse)]
         want_pairs = [
             (oracle.explicit_term(w, x_h, x_g, "G"), oracle.explicit_term(eng.inverse_of(w), x_h, x_g, "H"))
             for w in eng.weyl_g

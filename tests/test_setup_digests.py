@@ -8,8 +8,10 @@ tests/conftest.py, two digests per Cartan type, and on B4_SPLIT:
 * the group-law digest: W's elements in their order, each as its word and
   root permutation; the positions of w^{-1}, of -w and of w^{-2} for every
   w; the pair table's group law g_law; and the positions of W_H in W;
-* the entries digest: the pair table's transfer entries, field by field,
-  and their sign columns.
+* the entries digest: the transfer entries, field by field as
+  oracles.table_entries decodes them from the pair table (w's word, the
+  position of w^{-1}, sign, roots, at, moved, h_moved, length), and the
+  sign columns themselves, g_sign's as its length bits.
 
 A change to the transfer factor moves the entries digests alone; a change
 to how W or its laws are read moves the group-law digests.  Each digest is
@@ -23,53 +25,54 @@ import hashlib
 
 from endotransfer.scenario import build_scenario, parse_scenario
 
+from oracles import table_entries
 from test_route_oracle import B4_SPLIT
 
 # (group-law digest, entries digest) per Cartan type.
 DIGESTS = {
     "A1": (
         "7936de65765dcffd7e878053e46b2fdce28f0a80bbac95791333e1f409e4d8a5",
-        "89f0bf7d0a0a567cfcf1f8d9db4f0b592da0a2291f855d1c4d5e5890726b8535",
+        "624c5beb068ed9e79257633fb5d0c8802ee2934ebf8aea1199376e0669a43c3f",
     ),
     "A1xA1": (
         "ce1ebde6c9753c5b248df2f9efa38cac4c7c8b4fb1b643afc0e4f909fbf47437",
-        "78bb83beff9a9205ed63e1b294217e28c423ca7a91b57f036537af5125829884",
+        "8d464436fd083cf8ce19a3ab54224bd704295535ddc75af90251200f39a4f890",
     ),
     "B2": (
         "834d537d8ced1039a2d6dd82ded3d9ac94f0e08566b9f36e4c6d61725fe2767c",
-        "3e207ccf3d171bbdaa7e2e85fb4a216076603bf7467d380d6c44fb9fb356cc99",
+        "e4eac0e09c6075a6df58b886b4565534afaeddcf1f6b398cb39febd95ad737e1",
     ),
     "C2": (
         "834d537d8ced1039a2d6dd82ded3d9ac94f0e08566b9f36e4c6d61725fe2767c",
-        "3e207ccf3d171bbdaa7e2e85fb4a216076603bf7467d380d6c44fb9fb356cc99",
+        "e4eac0e09c6075a6df58b886b4565534afaeddcf1f6b398cb39febd95ad737e1",
     ),
     "G2": (
         "3836ae9ea22d862d2386c65d07d131c250efda9a88458f40beeccb5cce35a503",
-        "cbe7ad266ed03ac467ef8c503dae357f5b7e54f0f74fd587c3955fa04a055048",
+        "c9d755b57a6bfa82bba31dabdf9a34d05cd9d4bc0c7b089e33e21f7592f10576",
     ),
     "A1xA1xA1": (
         "219668042a8ad632a94df641c1790822075fc9d405014da1dfbb80163db5b117",
-        "9624d1855a0ae4ddb1c808baf8e8c3d26f77aa424cae35d60ac62968eca64fe8",
+        "82b5fdd293ea5ebfb3ce627952fd0c82455486e1fb109c5b6fa1f5437b59451d",
     ),
     "A1xB2": (
         "91c569180271ee4adebe0c3958c5e6908701ad78332917f283e2ffc77aa701e4",
-        "e8abb0ef7de43ac01e5e279c41e620966bcc857a5b8a20666627058ae33d832b",
+        "0a6f7bd262376c93ac5fa52f21dde3a43eae7a5167c612daa95947a958d2845f",
     ),
     "A1xG2": (
         "414224a27c44f237ce481b6e0834415beb2f74c774a805b76df76e9ffa0cd130",
-        "86c70be63370b0d5a2ae82220e60c1915042ec7cef6e5132105506ad61be8535",
+        "80506a5dfcd3f4e3936632137b158c9db7d2e712201571c03accd3d2dc023409",
     ),
     "B3": (
         "60a207e889214aa38d395700d94189a4ce5f04294372b9abab5c63842305ea37",
-        "53a6086c4045be1c6fb3c44a1b7276967e3b8649d068247b6f74711e41348d70",
+        "69b85f8524cc60a152762ee3967c092d46ca2941bf11b15b0c0381a3360db743",
     ),
     "C3": (
         "c2dce99f50aa0ec235e025b12f3eb911348bdcc7fd4e8f1a1c6e3e6c4092c7d7",
-        "cee088f1eb1f36b336726f0488d093639cda887b85c02f9d427caff806e541c9",
+        "83bcd0c015cd2d5994983506b497262b5400ae6a78301ae651165a39e1fe5eeb",
     ),
     "B4_SPLIT": (
         "95e0c6529a69017fe5afee8575a3e82dcfc52de84d4844cb387f1d576073aac8",
-        "2dbcd57b90f65b8b42993e0df1e841eb4cc34e22339aa900629b548d7c9be295",
+        "336c054749d9773c25c5418ff6f4f782e953fb327c7786ed2c46b214f63eb2de",
     ),
 }
 
@@ -83,12 +86,12 @@ def group_law_tables(sc) -> tuple:
 
 
 def entry_tables(sc) -> tuple:
-    """The transfer entries, field by field, and their sign columns."""
-    table = sc.table
+    """The transfer entries, field by field as oracles.table_entries
+    decodes them, and the sign columns."""
     entries = tuple(
-        (e.w.word, e.inverse, e.sign, e.roots, e.at, e.moved, e.h_moved, e.length) for e in table.entries
+        (e.w.word, e.inverse, e.sign, e.roots, e.at, e.moved, e.h_moved, e.length) for e in table_entries(sc)
     )
-    return entries, tuple(sorted(table.signs.items()))
+    return entries, tuple(sorted(sc.table.signs.items()))
 
 
 def digests(scenarios) -> tuple[str, str]:

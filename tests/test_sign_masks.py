@@ -1,15 +1,17 @@
 """The routes read every transfer-factor weight and every [D/pi] sign at a
-Weyl-moved point w x from the table's sign masks and the mask of roots
-negative at x, for all entries at once from the table's sign columns
-(negative_entries).  Here each is checked, entry by entry from the entry's
-masks (the oracles' sign functions) and from the columns, against the
-literal product of signs at w x, with w x from w's matrix, over every
-(type, grading, s) of rank <= 3
-with -1 in the Weyl group: the weights against root_signs over the entry's
-roots, [D/pi] against LiteralRoutes.d_over_pi on both sides, at seeded
-float points and one exact point.  The table's inverse positions are
-checked against weyl_inverse, and a point 1e-10 |x| from a wall gets the
-regularity check's message from every route."""
+Weyl-moved point w x from the mask of roots negative at x, for all entries
+at once from the table's sign columns (negative_entries), g_sign from its
+length bits.  Here each is checked, from the columns and entry by entry
+from the masks that oracles.table_entries decodes (the oracles' sign
+functions), against the literal product of signs at w x, with w x from w's
+matrix, over every (type, grading, s) of rank <= 3 with -1 in the Weyl
+group: the weights against sign(w) root_signs over w's roots, with sign(w)
+read from the engine's relative_factor at (w, x_h, w x_h), x_h the base
+point, and the roots from delta_ii_roots, not from the table; [D/pi]
+against LiteralRoutes.d_over_pi on both sides; at seeded float points and
+one exact point.  The table's inverse positions are checked against
+weyl_inverse, and a point 1e-10 |x| from a wall gets the regularity
+check's message from every route."""
 
 import random
 from fractions import Fraction
@@ -18,6 +20,7 @@ import pytest
 
 from endotransfer.distributions import d_gh, d_tilde_gh, verify_identity
 from endotransfer.endoscopy import (
+    Diagram,
     EllipticElement,
     EndoscopyError,
     negative_entries,
@@ -26,7 +29,7 @@ from endotransfer.endoscopy import (
 )
 from endotransfer.rootdata import build_root_datum, weyl_inverse
 
-from oracles import LiteralRoutes, g_sign, h_sign, weight_at, weight_moved
+from oracles import LiteralRoutes, g_sign, h_sign, table_entries, weight_at, weight_moved
 
 
 def _regular_point(g, rng, exact=False):
@@ -62,38 +65,58 @@ def test_sign_masks_match_literal_signs_at_moved_points(scenarios):
         return literal[key]
 
     for key, sc in data:
-        eng = sc.engine
-        entries = sc.table.entries
+        eng, table = sc.engine, sc.table
+        entries = table_entries(sc)
+        everything = (1 << len(table.inverse)) - 1
         if not inverses:
             inverses = {w.matrix: weyl_inverse(g, w).matrix for w in eng.weyl_g}
             moved = {(k, w.matrix): w.act(x.coords) for k, x in enumerate(points) for w in eng.weyl_g}
         h_positive = set(eng.datum.h_datum.positive_roots)
         assert h_positive == set(eng.datum.h_roots) & set(g.positive_roots), key
-        for entry in entries:
-            assert entries[entry.inverse].w.matrix == inverses[entry.w.matrix], key
-            assert eng.inverse_of(entry.w).matrix == inverses[entry.w.matrix], key
+        for w, inverse in zip(eng.weyl_g, table.inverse):
+            assert eng.weyl_g[inverse].matrix == inverses[w.matrix], key
+            assert eng.inverse_of(w).matrix == inverses[w.matrix], key
+        # sign(w) and w's roots, from the factors rather than the table.
+        x_h = eng.base_diagram.x_h
+        reference = []
+        for w in eng.weyl_g:
+            roots = eng.delta_ii_roots(w)
+            w_x_h = EllipticElement(tuple(w.act(x_h.coords)))
+            factor = eng.relative_factor(Diagram(eng.datum, w, x_h, w_x_h))
+            reference.append((factor * root_signs(roots, w_x_h.coords), roots))
         for k, x in enumerate(points):
             negative = require_regular(g, x)
-            columns = {name: negative_entries(signs, negative) for name, signs in sc.table.signs.items()}
-            for position, entry in enumerate(entries):
-                by_entry = (
-                    ("weight_moved", weight_moved(entry, negative)),
-                    ("weight_at", weight_at(entries[entry.inverse], negative)),
-                    ("g_sign", g_sign(entry, negative)),
-                    ("h_sign", h_sign(entry, negative)),
-                )
-                for name, sign in by_entry:
-                    assert columns[name] >> position & 1 == (sign < 0), (key, name, entry.w.word)
-                at = (k, entry.w.matrix)
+            columns = {
+                name: negative_entries(table.signs[name], negative)
+                for name in ("weight_moved", "weight_at", "h_sign")
+            }
+            columns["g_sign"] = table.signs["g_sign"] ^ (everything if negative.bit_count() & 1 else 0)
+            for position, (entry, (sign, roots)) in enumerate(zip(entries, reference)):
+                w = eng.weyl_g[position]
+                at = (k, w.matrix)
                 wx = moved[at]
-                expected = once((entry.roots, at), lambda: root_signs(entry.roots, wx))
-                assert weight_moved(entry, negative) == entry.sign * expected, (key, entry.w.word)
-                expected = once((entry.roots, k), lambda: root_signs(entry.roots, x.coords))
-                assert weight_at(entry, negative) == entry.sign * expected, (key, entry.w.word)
-                for side, sign in ((sc.g_side, g_sign), (sc.h_side, h_sign)):
+                back_sign, back_roots = reference[table.inverse[position]]
+                weights = (
+                    (
+                        "weight_moved",
+                        weight_moved(entry, negative),
+                        sign * once((roots, at), lambda: root_signs(roots, wx)),
+                    ),
+                    (
+                        "weight_at",
+                        weight_at(entries[entry.inverse], negative),
+                        back_sign * once((back_roots, k), lambda: root_signs(back_roots, x.coords)),
+                    ),
+                )
+                for name, by_entry, expected in weights:
+                    assert by_entry == expected, (key, name, w.word)
+                    assert columns[name] >> position & 1 == (expected < 0), (key, name, w.word)
+                for side, name, by_entry in ((sc.g_side, "g_sign", g_sign), (sc.h_side, "h_sign", h_sign)):
                     label = side.datum.cartan_label
                     expected = once((label, at), lambda: LiteralRoutes.d_over_pi(side, wx))
-                    assert side.d_over_pi_at(sign(entry, negative)) == expected, (key, entry.w.word)
+                    assert side.d_over_pi_at(by_entry(entry, negative)) == expected, (key, name, w.word)
+                    bit = columns[name] >> position & 1
+                    assert side.d_over_pi_at(-1 if bit else 1) == expected, (key, name, w.word)
 
 
 def _near_wall(g, x, alpha):
