@@ -55,6 +55,18 @@ def _count(text: str) -> int:
     return n
 
 
+def _positive_count(text: str) -> int:
+    """A count of at least 1, for --samples: a run of no pairs would print
+    a PASS that checked nothing."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
+
+
 def _tolerance(text: str) -> float:
     try:
         tol = float(text)
@@ -301,7 +313,7 @@ def main(argv=None) -> int:
 
     p_verify = sub.add_parser("verify", help="run the identity verification on sampled pairs")
     p_verify.add_argument("scenario")
-    p_verify.add_argument("--samples", type=_count, default=100)
+    p_verify.add_argument("--samples", type=_positive_count, default=100)
     p_verify.add_argument("--seed", type=_count, default=0)
     p_verify.add_argument("--tol", type=_tolerance, default=None)
     p_verify.add_argument("--format", choices=("human", "machine"), default="human")

@@ -143,21 +143,23 @@ class IdentityReport(Record):
 class Side:
     """Evaluation data for one group of the pair (ambient or endoscopic).
 
-    The invariant form is held as floats, and each real Weyl element with
-    its determinant, so that kernel evaluation does no exact arithmetic.
-    det w is (-1)^k for any word of k reflections that gives w, such as
-    the element's own word.  gamma and the prefactor are read from one
-    dimension profile, gamma at the form's signature (dim g/k, dim k).
+    The invariant form is held as floats, the datum's float_form, and each
+    real Weyl element with its determinant, so that kernel evaluation does
+    no exact arithmetic.  det w is (-1)^k for any word of k reflections
+    that gives w, such as the element's own word.  real_weyl is given as a
+    function of no arguments, called on the first read of real_weyl or
+    weyl_table: the H side's is the engine's W_real(H), which no route
+    reads.  gamma and the prefactor are read from one dimension profile,
+    gamma at the form's signature (dim g/k, dim k).
     """
 
     def __init__(self, datum: RootDatum, grading: RealFormGrading, real_weyl, form, form_scale):
         self.datum = datum
         self.grading = grading
-        self.real_weyl = tuple(real_weyl)
-        self.weyl_table = tuple([(w, parity_sign(len(w.word))) for w in self.real_weyl])
+        self._real_weyl = real_weyl
         # Each row padded with the integer 0 to MAX_RANK entries, for
         # form_points; form_image's pairing stops at the point's rank.
-        self._form = tuple(tuple(float(b) for b in row) + (0,) * (MAX_RANK - len(row)) for row in form)
+        self._form = tuple(row + (0,) * (MAX_RANK - len(row)) for row in form)
         self._scale = float(form_scale)
         self.profile = profile = dimension_profile(grading)
         self.gamma: EighthRoot = weil_constant(profile.dim_g_over_k, profile.dim_k)
@@ -165,6 +167,15 @@ class Side:
         self._gamma = complex(self.gamma)
         self._prefactor = complex(self.prefactor)
         self._d_over_pi_unit = complex(EighthRoot(-2 * len(datum.positive_roots)))
+
+    @cached_property
+    def real_weyl(self) -> tuple[WeylElement, ...]:
+        return tuple(self._real_weyl())
+
+    @cached_property
+    def weyl_table(self) -> tuple[tuple[WeylElement, int], ...]:
+        """Each element of real_weyl with its determinant."""
+        return tuple([(w, parity_sign(len(w.word))) for w in self.real_weyl])
 
     def form_image(self, v) -> tuple[float, ...]:
         """B v before the scale: each row of the form paired with v."""
@@ -371,8 +382,8 @@ def make_scenario(
 ) -> EllipticScenario:
     g = engine.g_datum
     h = engine.datum.h_datum
-    g_side = Side(g, engine.grading_g, engine.real_weyl_g, g.invariant_form, form_scale)
-    h_side = Side(h, engine.grading_h, engine.real_weyl_h, g.invariant_form, form_scale)
+    g_side = Side(g, engine.grading_g, lambda: engine.real_weyl_g, g.float_form, form_scale)
+    h_side = Side(h, engine.grading_h, lambda: engine.real_weyl_h, g.float_form, form_scale)
     return EllipticScenario(
         name=name, engine=engine, g_side=g_side, h_side=h_side, form_scale=Fraction(form_scale)
     )

@@ -33,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from operator import add, mul, sub
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 # Unused here: perfbench/tracing.py wraps these names in this module, so they
 # stay until its cohomology layers are dropped.
@@ -290,6 +290,9 @@ class TransferFactorEngine:
     table (WeylGroup.table: 144 ints on B3, 1,536 on B4, 4,608 on F4):
     W_H with its positions in W (weyl_subgroup), the positions of w^{-1},
     w^{-2} and -w, and the pair table's group law of G (group_products).
+
+    real_weyl_h is a function of no arguments that closes W_real(H), called
+    on the first read of real_weyl_h: no route reads it.
     """
 
     def __init__(
@@ -298,7 +301,7 @@ class TransferFactorEngine:
         grading_g: RealFormGrading,
         grading_h: RealFormGrading,
         real_weyl_g: tuple[WeylElement, ...],
-        real_weyl_h: tuple[WeylElement, ...],
+        real_weyl_h: Callable[[], tuple[WeylElement, ...]],
         base_x_h: EllipticElement,
         base_x_g: EllipticElement,
         base_value: complex = 1.0,
@@ -310,7 +313,7 @@ class TransferFactorEngine:
         self.weyl_g = group = enumerate_weyl(self.g_datum)
         self.weyl_h = weyl_subgroup(group, datum.h_datum)
         self.real_weyl_g = real_weyl_g
-        self.real_weyl_h = real_weyl_h
+        self._close_real_weyl_h = real_weyl_h
         self.base_value = base_value
 
         self.two_rho_check = _vector_sum(self.g_datum.coroot(r) for r in self.g_datum.positive_roots)
@@ -345,6 +348,11 @@ class TransferFactorEngine:
         self.base_diagram = _minimal_diagram(datum, self.weyl_g, base_x_h, base_x_g)
         if self.base_diagram is None or not self.base_diagram.w.is_identity():
             raise EndoscopyError("regularity/base diagram: base point does not admit an identity diagram")
+
+    @cached_property
+    def real_weyl_h(self) -> tuple[WeylElement, ...]:
+        """W_real(H), closed on first read."""
+        return self._close_real_weyl_h()
 
     # -- auxiliary lattice data -------------------------------------------
 

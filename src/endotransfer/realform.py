@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .lattice import IntVec
 from .record import Record
-from .rootdata import RootDatum, WeylElement, closure
+from .rootdata import RootDatum, WeylElement, closure, require_words
 
 COMPACT = 0
 NONCOMPACT = 1
@@ -131,15 +131,24 @@ def preserves_grading(grading: RealFormGrading, w: WeylElement) -> bool:
     )
 
 
+def check_extras(grading: RealFormGrading, extra_generators: tuple[WeylElement, ...]) -> None:
+    """The checks of real_weyl_group's extra generators, which the loader
+    makes without the closure: each must preserve the grading
+    (GradingError), and its word must give its matrix (RootDatumError)."""
+    for w in extra_generators:
+        if not preserves_grading(grading, w):
+            raise GradingError("extra generator does not preserve the grading")
+    require_words(grading.datum, extra_generators)
+
+
 def real_weyl_group(
     grading: RealFormGrading,
     extra_generators: tuple[WeylElement, ...] = (),
 ) -> tuple[WeylElement, ...]:
-    """Subgroup generated by compact-root reflections and validated extras."""
+    """Subgroup generated by compact-root reflections and extras, which
+    must pass check_extras."""
+    check_extras(grading, extra_generators)
     datum = grading.datum
-    for w in extra_generators:
-        if not preserves_grading(grading, w):
-            raise GradingError("extra generator does not preserve the grading")
     roots = tuple(r for r in grading.compact_roots if datum.is_positive(r))
     return closure(datum, roots, tuple(extra_generators))
 

@@ -16,9 +16,11 @@ Conventions used throughout the package:
   products, inverses and subgroups are read by position (WeylGroup).
 * Every datum has an ambient datum on the same lattice whose simple coroots
   are the standard basis: itself for build_root_datum's, the parent for
-  build_sub_datum's.  A Weyl group search runs on the ambient's root
-  permutations, and each element's matrix is read from its permutation
-  (matrix_of): column i is w . coroot_i, the coroot of w . alpha_i.
+  build_sub_datum's.  The ambient keeps the root permutation of the
+  reflection in every root, built once (_build_reflection_table).  A Weyl
+  group search runs on the ambient's root permutations, and each element's
+  matrix is read from its permutation (matrix_of): column i is
+  w . coroot_i, the coroot of w . alpha_i.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ class RootDatum(Record):
     )
     __slots__ = _fields + (
         "_coroot_of", "_root_of", "_root_set", "_coefficients", "_denominator", "_positive", "_positive_set",
-        "_index", "_simple_index", "_negative_index", "_reflections",
+        "_index", "_simple_index", "_negative_index", "_reflections", "_reflection_table", "float_form",
         "ambient", "_ambient_index", "_own_position", "_ambient_reflections",
     )
 
@@ -119,14 +121,23 @@ class RootDatum(Record):
         coroots: tuple[IntVec, ...],
         invariant_form: tuple[FracVec, ...],
         ambient: RootDatum | None = None,
+        coefficients: dict[IntVec, IntVec] | None = None,
+        reflections: tuple[tuple[int, ...], ...] | None = None,
     ):
         """ambient is the parent of a subsystem on the same lattice, whose
         roots must then hold these, with the same coroots; RootDatumError
-        when these roots are not a closed subsystem."""
+        when these roots are not a closed subsystem.  coefficients, each
+        root's integer coefficients over the simple roots, and reflections,
+        the root permutation of each simple reflection, are given as
+        _close_root_system records them; without them the coefficients are
+        solved for (_solve_coefficients) and the permutations read root by
+        root.  A datum without an ambient keeps the reflection of every root
+        (_build_reflection_table), and every datum its form in floats."""
         super().__init__(rank, cartan_label, simple_roots, simple_coroots, roots, coroots, invariant_form)
         set_attribute(self, "_coroot_of", dict(zip(roots, coroots)))
         set_attribute(self, "_root_of", dict(zip(coroots, roots)))
         set_attribute(self, "_root_set", frozenset(roots))
+        set_attribute(self, "float_form", tuple([tuple(map(float, row)) for row in invariant_form]))
         # Root permutations index self.roots: the positions of the simple
         # roots, those of the negative roots, and s_i's permutation.
         index = {r: j for j, r in enumerate(roots)}
@@ -134,31 +145,25 @@ class RootDatum(Record):
         set_attribute(self, "_simple_index", tuple(index[r] for r in simple_roots))
         if ambient is None:
             set_attribute(self, "ambient", self)
-            reflections = tuple(self.reflection_permutation(r) for r in simple_roots)
-            set_attribute(self, "_reflections", reflections)
-            set_attribute(self, "_ambient_reflections", reflections)
         else:
             self._restrict_from(ambient.ambient)
-        # Each root's coefficients over the simple roots, found once through
-        # the one left inverse of the simple roots, over its denominator.
-        try:
-            cmap = coordinate_map(simple_roots)
-        except ValueError:
-            raise RootDatumError("the simple roots are linearly dependent") from None
-        coefficients = {}
-        for r in roots:
-            coeffs = coordinates(simple_roots, cmap, r)
-            if coeffs is None:
-                raise RootDatumError(f"{r} is not in the span of the simple roots")
-            coefficients[r] = coeffs
+        denominator = 1
+        if coefficients is None:
+            coefficients, denominator = _solve_coefficients(simple_roots, roots)
         set_attribute(self, "_coefficients", coefficients)
-        set_attribute(self, "_denominator", cmap[1])
-        positive = tuple([r for r, coeffs in coefficients.items() if min(coeffs) >= 0 and max(coeffs) > 0])
+        set_attribute(self, "_denominator", denominator)
+        positive = tuple([r for r in roots if min(coefficients[r]) >= 0 and max(coefficients[r]) > 0])
         set_attribute(self, "_positive", positive)
         set_attribute(self, "_positive_set", frozenset(positive))
         set_attribute(self, "_negative_index", frozenset(
             j for j, r in enumerate(roots) if r not in self._positive_set
         ))
+        if ambient is None:
+            table = _build_reflection_table(self, reflections)
+            set_attribute(self, "_reflection_table", table)
+            reflections = tuple([table[j] for j in self._simple_index])
+            set_attribute(self, "_reflections", reflections)
+            set_attribute(self, "_ambient_reflections", reflections)
 
     def _restrict_from(self, ambient: RootDatum) -> None:
         """Set the ambient, the positions of these roots among its roots,
@@ -167,7 +172,7 @@ class RootDatum(Record):
         themselves by each s_i.  With build_sub_datum's simple roots, the
         indecomposable positive ones, that is the breadth-first closure's
         test: each positive root is a sum of simple ones, and when these
-        are linearly independent (coordinate_map checks it) some s_i sends
+        are linearly independent (_solve_coefficients checks it) some s_i sends
         a positive root that is not simple to a positive root of lower
         height, so the s_i reach every root from the simple ones."""
         set_attribute(self, "ambient", ambient)
@@ -194,8 +199,10 @@ class RootDatum(Record):
 
     def simple_root_coefficients(self, root: IntVec) -> tuple[IntVec, int]:
         """Coefficients of a root over the simple roots, exact: integer
-        numerators over the denominator of the simple roots' left inverse,
-        which is the same for every root; found at construction."""
+        numerators over a denominator that is the same for every root,
+        found at construction.  It is 1 on a datum of build_root_datum,
+        whose closure records the coefficients, and that of the simple
+        roots' left inverse on any other (_solve_coefficients)."""
         return self._coefficients[root], self._denominator
 
     def is_positive(self, root: IntVec) -> bool:
@@ -261,15 +268,10 @@ class RootDatum(Record):
         return tuple([self._index[self.root_image(matrix, r)] for r in self.roots])
 
     def reflection_permutation(self, root: IntVec) -> tuple[int, ...]:
-        """The root permutation of s_root: the p with s_root . roots[j] =
-        roots[p[j]], from s_root beta = beta - <beta, coroot(root)> root."""
-        coroot = self._coroot_of[root]
-        index = self._index
-        out = []
-        for j, beta in enumerate(self.roots):
-            p = sum(map(mul, beta, coroot))
-            out.append(index[tuple([b - p * a for b, a in zip(beta, root)])] if p else j)
-        return tuple(out)
+        """The permutation of the ambient's roots of s_root, read from the
+        ambient's reflection table (_build_reflection_table)."""
+        ambient = self.ambient
+        return ambient._reflection_table[ambient._index[root]]
 
     def restrict(self, perm: tuple[int, ...]) -> tuple[int, ...]:
         """The permutation of these roots of the Weyl element with this
@@ -409,49 +411,116 @@ def _indecomposable(positives: list[IntVec]) -> list[IntVec]:
 
 
 def _close_root_system(label, rank, simple_roots, simple_coroots) -> RootDatum:
-    """The (root, coroot) pairs reached from the simple ones by the simple
-    reflections, breadth-first.  The simple coroots are the standard basis,
-    so s_i changes coordinate i of a coroot alone, by <alpha_i, coroot>,
-    and <root, coroot_i> is coordinate i of the root.  The two pairings
-    vanish together, as the Cartan entries a_ij and a_ji do, and s_i then
-    fixes the pair."""
+    """The roots reached from the simple ones by the simple reflections,
+    breadth-first, each with its coroot, its coefficients over the simple
+    roots and its images under the s_i.  The simple coroots are the
+    standard basis, so s_i changes coordinate i of a coroot alone, by
+    <alpha_i, coroot>, and <root, coroot_i> is coordinate i of the root, by
+    which s_i lowers coefficient i.  The two pairings vanish together, as
+    the Cartan entries a_ij and a_ji do, and s_i then fixes the root and its
+    coroot."""
     for i, alpha in enumerate(simple_roots):
         if dot(alpha, simple_coroots[i]) != 2:
             raise RootDatumError("pairing of a simple root with its coroot is not 2")
 
-    pairs = set(zip(simple_roots, simple_coroots))
-    pairs |= {(tuple([-x for x in r]), tuple([-x for x in c])) for r, c in pairs}
-    frontier = set(pairs)
+    # Each root reached: its coroot and its coefficients; and, once it has
+    # been in the frontier, its image under each s_i.
+    reached = {}
+    images = {}
+    for i, (alpha, coroot) in enumerate(zip(simple_roots, simple_coroots)):
+        unit = tuple([int(j == i) for j in range(len(simple_roots))])
+        reached[alpha] = coroot, unit
+        reached[tuple([-x for x in alpha])] = tuple([-x for x in coroot]), tuple([-x for x in unit])
+    frontier = list(reached.items())
     while frontier:
-        new = set()
-        for root, coroot in frontier:
+        new = {}
+        for root, (coroot, coefficients) in frontier:
+            steps = images[root] = []
             for i, alpha in enumerate(simple_roots):
                 pairing = root[i]
                 if not pairing:
+                    steps.append(root)
                     continue
-                image_root = tuple([x - pairing * a for x, a in zip(root, alpha)])
+                image = tuple([x - pairing * a for x, a in zip(root, alpha)])
+                steps.append(image)
+                if image in reached or image in new:
+                    continue
                 image_coroot = list(coroot)
                 image_coroot[i] -= sum(map(mul, alpha, coroot))
-                pair = (image_root, tuple(image_coroot))
-                if pair not in pairs:
-                    new.add(pair)
-        pairs |= new
-        frontier = new
-        if len(pairs) > 4 * WEYL_ORDER_CAP:
+                image_coefficients = list(coefficients)
+                image_coefficients[i] -= pairing
+                new[image] = tuple(image_coroot), tuple(image_coefficients)
+        reached.update(new)
+        frontier = list(new.items())
+        if len(reached) > 4 * WEYL_ORDER_CAP:
             raise RootDatumError("root closure does not terminate")
 
-    ordered = sorted(pairs)
-    roots = tuple(r for r, _ in ordered)
-    coroots = tuple(c for _, c in ordered)
+    roots = tuple(sorted(reached))
+    index = {r: j for j, r in enumerate(roots)}
     return RootDatum(
         rank=rank,
         cartan_label=label,
         simple_roots=tuple(simple_roots),
         simple_coroots=tuple(simple_coroots),
         roots=roots,
-        coroots=coroots,
+        coroots=tuple([reached[r][0] for r in roots]),
         invariant_form=_build_form(rank, roots, simple_coroots),
+        coefficients={r: c for r, (_, c) in reached.items()},
+        reflections=tuple(zip(*[[index[image] for image in images[r]] for r in roots])),
     )
+
+
+def _solve_coefficients(simple_roots, roots) -> tuple[dict[IntVec, IntVec], int]:
+    """Each root's coefficients over the simple roots, through the one left
+    inverse of the simple roots (coordinate_map): integer numerators over
+    its denominator, which is returned with them.  RootDatumError when the
+    simple roots are linearly dependent or a root is outside their span."""
+    try:
+        cmap = coordinate_map(simple_roots)
+    except ValueError:
+        raise RootDatumError("the simple roots are linearly dependent") from None
+    coefficients = {}
+    for r in roots:
+        coeffs = coordinates(simple_roots, cmap, r)
+        if coeffs is None:
+            raise RootDatumError(f"{r} is not in the span of the simple roots")
+        coefficients[r] = coeffs
+    return coefficients, cmap[1]
+
+
+def _build_reflection_table(datum: RootDatum, simple=None) -> tuple[tuple[int, ...], ...]:
+    """The root permutation of s_beta for every root beta, by position,
+    from those of the simple reflections, which are read root by root,
+    s_i beta = beta - <beta, coroot_i> alpha_i, unless given.  Every other
+    positive beta, taken by height, has an s_i that sends it to a positive
+    root beta' of lower height, and s_beta = s_i s_beta' s_i (Humphreys
+    1990, 1.2), whose permutation is s_beta''s read at s_i's entries, then
+    s_i's read at those: two gathers.  s_beta sends beta to -beta, whose
+    reflection it is too."""
+    roots, index = datum.roots, datum._index
+    if simple is None:
+        simple = []
+        for alpha, coroot in zip(datum.simple_roots, datum.simple_coroots):
+            out = []
+            for j, beta in enumerate(roots):
+                p = sum(map(mul, beta, coroot))
+                out.append(index[tuple([b - p * a for b, a in zip(beta, alpha)])] if p else j)
+            simple.append(tuple(out))
+    coefficients = datum._coefficients
+    height = [sum(coefficients[r]) for r in roots]
+    table: list = [None] * len(roots)
+    steps = []
+    for j, perm in zip(datum._simple_index, simple):
+        table[j] = table[perm[j]] = perm
+        steps.append((perm, itemgetter(*perm)))
+    for j in sorted([index[r] for r in datum.positive_roots], key=height.__getitem__):
+        if table[j] is None:
+            for perm, gather in steps:
+                if height[perm[j]] < height[j]:
+                    reflection = itemgetter(*gather(table[perm[j]]))(perm)
+                    table[j] = table[reflection[j]] = reflection
+                    break
+    return tuple(table)
 
 
 def _build_form(rank: int, roots, simple_coroots) -> tuple[FracVec, ...]:
@@ -678,17 +747,23 @@ def right_coset_representatives(
     return tuple(reps)
 
 
+def require_words(datum: RootDatum, elements: tuple[WeylElement, ...]) -> None:
+    """RootDatumError unless each element's word gives its matrix."""
+    if any(datum.word_matrix(e.word) != e.matrix for e in elements):
+        raise RootDatumError("the word of the Weyl element does not give its matrix")
+
+
 def closure(
     datum: RootDatum, roots: tuple[IntVec, ...], extras: tuple[WeylElement, ...] = ()
 ) -> tuple[WeylElement, ...]:
     """Subgroup generated by the reflections in the given roots and by the
     extra elements, in (length, word, matrix) order: _search over their
-    permutations of the ambient's roots.  An element's matrix is read from
-    its permutation (matrix_of), and its word from the permutation of
-    datum's roots (permutation_word).  An extra's word must give its
-    matrix (RootDatumError otherwise)."""
-    if any(datum.word_matrix(e.word) != e.matrix for e in extras):
-        raise RootDatumError("the word of the Weyl element does not give its matrix")
+    permutations of the ambient's roots, each reflection's read from the
+    ambient's reflection table.  An element's matrix is read from its
+    permutation (matrix_of), and its word from the permutation of datum's
+    roots (permutation_word).  An extra's word must give its matrix
+    (require_words)."""
+    require_words(datum, extras)
     ambient = datum.ambient
     steps = [ambient.reflection_permutation(r) for r in roots]
     steps += [ambient.permutation(e.matrix) for e in extras]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from functools import partial
 
 from .distributions import EllipticScenario, make_scenario
 from .endoscopy import (
@@ -21,7 +22,7 @@ from .endoscopy import (
     build_endoscopic_datum,
     require_regular,
 )
-from .realform import GradingError, build_grading, parse_grade, real_weyl_group
+from .realform import GradingError, build_grading, check_extras, parse_grade, real_weyl_group
 from .record import MutableRecord
 from .rootdata import RootDatumError, build_root_datum
 from .verify import phase_bound
@@ -276,11 +277,12 @@ def build_scenario(config: Scenario, base_value: complex = 1.0) -> EllipticScena
                 f"uses a simple root number above {n_h_simple}",
             )])
     # G is simply connected, so its real Weyl group is W_K, which the compact
-    # reflections generate; only H takes extras.
+    # reflections generate; only H takes extras.  They are checked here, and
+    # W_real(H), which no route reads, is closed on the engine's first read.
     try:
         extras_h = tuple(datum.h_datum.element_from_word(word) for word in config.extras_h)
         rw_g = real_weyl_group(grading_g)
-        rw_h = real_weyl_group(grading_h, extras_h)
+        check_extras(grading_h, extras_h)
     except (GradingError, RootDatumError) as e:
         raise ScenarioError([(0, f"real Weyl group: {e}")])
 
@@ -304,7 +306,7 @@ def build_scenario(config: Scenario, base_value: complex = 1.0) -> EllipticScena
             grading_g,
             grading_h,
             rw_g,
-            rw_h,
+            partial(real_weyl_group, grading_h, extras_h),
             EllipticElement(config.base_x_h),
             EllipticElement(config.base_x_g),
             base_value=base_value,

@@ -90,9 +90,10 @@ def phase_bound(datum: RootDatum, points) -> float:
     """A bound on |B(u, v)| for u and v on verify's sampling box, among the
     given points, or Weyl images of these.  B is Weyl-invariant and positive
     definite, so by Cauchy-Schwarz the largest B(u, u) bounds it; on the
-    box, a convex function, B(u, u) is largest at a corner.  In floats: a
-    bound that overflows is inf, which refuses every scale."""
-    form = [[float(b) for b in row] for row in datum.invariant_form]
+    box, a convex function, B(u, u) is largest at a corner.  In floats,
+    the datum's float_form: a bound that overflows is inf, which refuses
+    every scale."""
+    form = datum.float_form
 
     def square(u) -> float:
         u = [float(c) for c in u]

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -31,7 +32,7 @@ def scenarios(request):
             datum = build_endoscopic_datum(g, signs)
             grading_h = build_grading(datum.h_datum, [1] * len(datum.h_datum.simple_roots))
             eng = TransferFactorEngine(
-                datum, grading_g, grading_h, rw_g, real_weyl_group(grading_h), point, point
+                datum, grading_g, grading_h, rw_g, partial(real_weyl_group, grading_h), point, point
             )
             out.append(((grades, signs), make_scenario(f"{g_type}{grades}{signs}", eng)))
     return g_type, out

@@ -25,6 +25,7 @@ import io
 import itertools
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "endotransfer"
@@ -96,7 +97,7 @@ def _run(hit: dict[str, set[int]]) -> None:
                     datum = build_endoscopic_datum(g, signs)
                     grading_h = build_grading(datum.h_datum, [1] * len(datum.h_datum.simple_roots))
                     eng = TransferFactorEngine(
-                        datum, grading_g, grading_h, rw_g, real_weyl_group(grading_h), point, point
+                        datum, grading_g, grading_h, rw_g, partial(real_weyl_group, grading_h), point, point
                     )
                     run_verify(make_scenario(f"{g_type}{grades}{signs}", eng), 2, 3)
     finally:

@@ -682,7 +682,7 @@ def unit_phase_mismatches() -> list[tuple]:
         batches += [(columns, bv) for bv in itertools.product(PADDING_FORM_COORDS, repeat=rank)]
     bad = []
     for scale in UNIT_PHASE_SCALES:
-        side = Side(datum, grading, (), datum.invariant_form, scale)
+        side = Side(datum, grading, tuple, datum.float_form, scale)
         for columns, bv in batches:
             pad = (0.0,) * (MAX_RANK - len(bv))
             for u, got in zip(zip(*columns), side.exponentials(columns, bv)):
@@ -1091,7 +1091,7 @@ class LiteralSetup(TransferFactorEngine):
             engine.grading_g,
             engine.grading_h,
             engine.real_weyl_g,
-            engine.real_weyl_h,
+            lambda: engine.real_weyl_h,
             base.x_h,
             base.x_g,
             engine.base_value,
@@ -1363,3 +1363,18 @@ def closed_form_table(scenario) -> tuple[int, ...]:
         kappa = -1 if sum(x * m for x, m in zip(two_xhat, mu)) % 2 else 1
         signs.append(kappa * root_signs(eng.delta_ii_roots(w), w.act(x_h)))
     return tuple(signs)
+
+
+def scenario_text(g_type: str, grades, signs, h_rank: int) -> str:
+    """The scenario text of a datum as tests/conftest.py builds it: G's
+    simple grades (0 compact, 1 noncompact), the signs of s, H quasi-split
+    (all h_rank simple roots noncompact) and the base point (1/2, 2/3, 3/4,
+    ...) on both sides."""
+    grade = {0: "compact", 1: "noncompact"}
+    point = ", ".join(f"{k + 1}/{k + 2}" for k in range(len(grades)))
+    lines = [f"name = {g_type}{tuple(signs)}", f"g_type = {g_type}", "[grading_g]"]
+    lines += [f"alpha{i + 1} = {grade[x]}" for i, x in enumerate(grades)]
+    lines += ["[s_character]"] + [f"alpha{i + 1} = {s:+d}" for i, s in enumerate(signs)]
+    lines += ["[grading_h]"] + [f"alpha{i + 1} = noncompact" for i in range(h_rank)]
+    lines += ["[base_point]", f"x_h = {point}", f"x_g = {point}"]
+    return "\n".join(lines)

@@ -17,10 +17,14 @@ build_scenario, the pair table and the first pair of run_verify.
 
 Each stage is timed by a wrapper around the functions it names, inclusive
 of what they call; the rows marked "of which" are parts of the row above
-them, and count only the calls made inside it.  "Cayley table and group
-laws" is what the engine reads from W's right Cayley table: W_H with its
-positions in W (weyl_subgroup), w^{-1} and w^{-2} (WeylGroup.inverses)
-and -w (WeylGroup.left_rows); the table itself is built by the search of
+them, and count only the calls made inside it.  "reflection table of G"
+is the permutation of every root's reflection, which G's datum builds from
+its closure (rootdata._build_reflection_table).  The real Weyl closure is
+G's alone: the loader leaves W_real(H) to its first read, which set-up and
+verify do not make.  "Cayley table and group laws" is what the engine
+reads from W's right Cayley table: W_H with its positions in W
+(weyl_subgroup), w^{-1} and w^{-2} (WeylGroup.inverses) and -w
+(WeylGroup.left_rows); the table itself is built by the search of
 enumerate_weyl's row.  A pass sets up every datum of a table once, and each
 row prints the median over the passes of its per-pass sum, with its share
 of the median set-up time: in wall milliseconds over PASSES passes
@@ -38,13 +42,13 @@ import sys
 import time
 from functools import wraps
 
-from endotransfer import distributions, endoscopy, scenario
+from endotransfer import distributions, endoscopy, rootdata, scenario
 from endotransfer.endoscopy import TransferFactorEngine
 from endotransfer.realform import build_grading
 from endotransfer.rootdata import WeylGroup, build_root_datum
 from endotransfer.verify import run_verify
 
-from oracles import TYPES
+from oracles import TYPES, scenario_text
 from test_report_digests import B3_TEXT
 
 PASSES = 15
@@ -55,8 +59,9 @@ STAGES = (
     ("parse_scenario", 0, [(scenario, "parse_scenario")]),
     ("root closure with RootDatum.__init__, G and H", 0,
      [(scenario, "build_root_datum"), (endoscopy, "build_sub_datum")]),
+    ("reflection table of G", 1, [(rootdata, "_build_reflection_table")]),
     ("build_grading with _check_grading", 0, [(scenario, "build_grading")]),
-    ("real Weyl closure", 0, [(scenario, "real_weyl_group")]),
+    ("real Weyl closure, G", 0, [(scenario, "real_weyl_group")]),
     ("TransferFactorEngine.__init__", 0, [(TransferFactorEngine, "__init__")]),
     ("enumerate_weyl, G", 1, [(endoscopy, "enumerate_weyl")]),
     ("Cayley table and group laws", 1,
@@ -73,7 +78,6 @@ STAGES = (
 
 def _data() -> list[str]:
     """The scenario texts of the 45 data."""
-    grade = {0: "compact", 1: "noncompact"}
     texts = []
     for g_type in TYPES:
         if g_type == "C2":
@@ -84,17 +88,11 @@ def _data() -> list[str]:
             gr for gr in itertools.product((0, 1), repeat=g.rank)
             if len(build_grading(g, gr).compact_roots) == target
         )
-        point = ", ".join(f"{k + 1}/{k + 2}" for k in range(g.rank))
         for signs in itertools.product((1, -1), repeat=g.rank):
             if all(s == 1 for s in signs):
                 continue
             h_rank = len(endoscopy.build_endoscopic_datum(g, signs).h_datum.simple_roots)
-            lines = [f"name = {g_type}{signs}", f"g_type = {g_type}", "[grading_g]"]
-            lines += [f"alpha{i + 1} = {grade[x]}" for i, x in enumerate(grades)]
-            lines += ["[s_character]"] + [f"alpha{i + 1} = {s:+d}" for i, s in enumerate(signs)]
-            lines += ["[grading_h]"] + [f"alpha{i + 1} = noncompact" for i in range(h_rank)]
-            lines += ["[base_point]", f"x_h = {point}", f"x_g = {point}"]
-            texts.append("\n".join(lines))
+            texts.append(scenario_text(g_type, grades, signs, h_rank))
     return texts
 
 

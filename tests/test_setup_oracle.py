@@ -9,6 +9,7 @@ through cocycle_class and tate_nakayama_pair, which the engine no longer calls."
 import itertools
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -50,7 +51,7 @@ def _engine(g_type, signs, grades=None):
         grading_g,
         grading_h,
         real_weyl_group(grading_g),
-        real_weyl_group(grading_h),
+        partial(real_weyl_group, grading_h),
         EllipticElement(point),
         EllipticElement(point),
     )
@@ -309,13 +310,13 @@ x_g = 1/2, 2/3, 3/4
 
 def test_b3_setup_call_counts(monkeypatch):
     """One cold B3 scenario build and its pair table do matrix work only
-    for what is new: each element of W and of the two real Weyl groups has
-    its matrix read once from its root permutation (matrix_of), W_H shares
-    W's matrices, read with it from W's Cayley table, and no element is
-    folded from its word by rank-one updates (times_reflection).  The Tits
-    check folds on root permutations, so it makes no update and no
-    root_image call; no word is read from a matrix, and delta_I is
-    evaluated once.
+    for what is new: each element of W and of W_real(G) has its matrix
+    read once from its root permutation (matrix_of), W_H shares W's
+    matrices, read with it from W's Cayley table, W_real(H) is not closed
+    until it is read, after verify, and no element is folded from its word
+    by rank-one updates (times_reflection).  The Tits check folds on root
+    permutations, so it makes no update and no root_image call; no word is
+    read from a matrix, and delta_I is evaluated once.
 
     Set-up keeps what it derives: with two pairs of run_verify besides,
     the loader's phase bound is the one verify's precision floor reads
@@ -354,12 +355,12 @@ def test_b3_setup_call_counts(monkeypatch):
     assert len(sc.table.inverse) == 48
     verify.run_verify(sc, 2, 5)
     eng = sc.engine
-    groups = (eng.weyl_g, eng.weyl_h, eng.real_weyl_g, eng.real_weyl_h)
-    assert [len(g) for g in groups] == [48, 24, 6, 4]
+    groups = (eng.weyl_g, eng.weyl_h, eng.real_weyl_g)
+    assert [len(g) for g in groups] == [48, 24, 6]
     assert all(w.matrix is eng.weyl_g[k].matrix for w, k in zip(eng.weyl_h, eng.h_positions))
     assert calls == {
         "times_reflection": 0,
-        "matrix_of": sum(len(g) for g in groups) - len(eng.weyl_h),
+        "matrix_of": 48 + 6,
         "root_image": 0,
         "reduced_word": 0,
         "delta_i": 1,
@@ -367,6 +368,7 @@ def test_b3_setup_call_counts(monkeypatch):
         "root_signs": 0,
         "dimension_profile": 2,
     }
+    assert len(eng.real_weyl_h) == 4 and calls["matrix_of"] == 48 + 6 + 4
 
 
 def test_factors_refuse_a_class_that_is_not_integral(monkeypatch):
