@@ -10,7 +10,7 @@ invariant form, which is negative definite on the compact part.
 from __future__ import annotations
 
 import cmath
-from operator import add
+from operator import add, mul
 from typing import Sequence
 
 from .lattice import IntVec
@@ -79,10 +79,7 @@ def build_grading(datum: RootDatum, simple_grades: Sequence[int]) -> RealFormGra
         )
     grade = {}
     for root in datum.roots:
-        coeffs, den = datum.simple_root_coefficients(root)
-        if any([c % den for c in coeffs]):
-            raise GradingError(f"root {root} has non-integer simple coefficients")
-        grade[root] = sum([c // den * g for c, g in zip(coeffs, simple_grades)]) % 2
+        grade[root] = sum(map(mul, datum.simple_root_coefficients(root), simple_grades)) % 2
     grading = RealFormGrading(datum=datum, grade=grade)
     _check_grading(grading)
     return grading

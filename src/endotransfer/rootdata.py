@@ -7,8 +7,13 @@ Conventions used throughout the package:
   acted on by Weyl matrices.
 * Roots are stored as integer functionals: pairing(root, coroot_vector)
   is the plain dot product.
-* A root is positive when it is a nonnegative rational combination of the
-  simple roots; for the systems built here the coefficients are integers.
+* Every datum's roots are reached from its simple roots and their
+  negatives by one breadth-first walk along the simple reflections
+  (_close_root_system), which records each root's coroot, its integer
+  coefficients over the simple roots and its image under each s_i.
+  build_root_datum walks from the simple roots of a Cartan matrix,
+  build_sub_datum from the indecomposable positive roots of a subsystem.
+  A root is positive when its coefficients are nonnegative.
 * A Weyl element is also its root permutation p, w . roots[j] = roots[p[j]]:
   groups are found by one search over permutations (_search), and words are
   folded onto matrices by word_matrix and onto permutations by word_permutation.
@@ -34,8 +39,6 @@ from .lattice import (
     FracVec,
     IntMat,
     IntVec,
-    coordinate_map,
-    coordinates,
     det_int,
     dot,
     identity,
@@ -106,7 +109,7 @@ class RootDatum(Record):
         "rank", "cartan_label", "simple_roots", "simple_coroots", "roots", "coroots", "invariant_form"
     )
     __slots__ = _fields + (
-        "_coroot_of", "_root_of", "_root_set", "_coefficients", "_denominator", "_positive", "_positive_set",
+        "_coroot_of", "_root_of", "_root_set", "_coefficients", "_positive", "_positive_set",
         "_index", "_simple_index", "_negative_index", "_reflections", "_reflection_table", "float_form",
         "ambient", "_ambient_index", "_own_position", "_ambient_reflections",
     )
@@ -120,19 +123,17 @@ class RootDatum(Record):
         roots: tuple[IntVec, ...],
         coroots: tuple[IntVec, ...],
         invariant_form: tuple[FracVec, ...],
+        coefficients: dict[IntVec, IntVec],
+        reflections: tuple[tuple[int, ...], ...],
         ambient: RootDatum | None = None,
-        coefficients: dict[IntVec, IntVec] | None = None,
-        reflections: tuple[tuple[int, ...], ...] | None = None,
     ):
-        """ambient is the parent of a subsystem on the same lattice, whose
-        roots must then hold these, with the same coroots; RootDatumError
-        when these roots are not a closed subsystem.  coefficients, each
-        root's integer coefficients over the simple roots, and reflections,
-        the root permutation of each simple reflection, are given as
-        _close_root_system records them; without them the coefficients are
-        solved for (_solve_coefficients) and the permutations read root by
-        root.  A datum without an ambient keeps the reflection of every root
-        (_build_reflection_table), and every datum its form in floats."""
+        """coefficients, each root's integer coefficients over the simple
+        roots, and reflections, the permutation of these roots of each
+        simple reflection, are as _close_root_system records them.  ambient
+        is the parent of a subsystem on the same lattice, whose roots hold
+        these, with the same coroots.  A datum without an ambient keeps the
+        reflection of every root (_build_reflection_table), and every datum
+        its form in floats."""
         super().__init__(rank, cartan_label, simple_roots, simple_coroots, roots, coroots, invariant_form)
         set_attribute(self, "_coroot_of", dict(zip(roots, coroots)))
         set_attribute(self, "_root_of", dict(zip(coroots, roots)))
@@ -143,51 +144,27 @@ class RootDatum(Record):
         index = {r: j for j, r in enumerate(roots)}
         set_attribute(self, "_index", index)
         set_attribute(self, "_simple_index", tuple(index[r] for r in simple_roots))
-        if ambient is None:
-            set_attribute(self, "ambient", self)
-        else:
-            self._restrict_from(ambient.ambient)
-        denominator = 1
-        if coefficients is None:
-            coefficients, denominator = _solve_coefficients(simple_roots, roots)
         set_attribute(self, "_coefficients", coefficients)
-        set_attribute(self, "_denominator", denominator)
-        positive = tuple([r for r in roots if min(coefficients[r]) >= 0 and max(coefficients[r]) > 0])
+        positive = tuple([r for r in roots if min(coefficients[r]) >= 0])
         set_attribute(self, "_positive", positive)
         set_attribute(self, "_positive_set", frozenset(positive))
         set_attribute(self, "_negative_index", frozenset(
             j for j, r in enumerate(roots) if r not in self._positive_set
         ))
+        set_attribute(self, "_reflections", reflections)
         if ambient is None:
-            table = _build_reflection_table(self, reflections)
-            set_attribute(self, "_reflection_table", table)
-            reflections = tuple([table[j] for j in self._simple_index])
-            set_attribute(self, "_reflections", reflections)
+            set_attribute(self, "ambient", self)
+            set_attribute(self, "_reflection_table", _build_reflection_table(self))
             set_attribute(self, "_ambient_reflections", reflections)
-
-    def _restrict_from(self, ambient: RootDatum) -> None:
-        """Set the ambient, the positions of these roots among its roots,
-        and s_i's permutation of its roots and of these, after checking
-        that the roots are a closed subsystem: symmetric, and mapped into
-        themselves by each s_i.  With build_sub_datum's simple roots, the
-        indecomposable positive ones, that is the breadth-first closure's
-        test: each positive root is a sum of simple ones, and when these
-        are linearly independent (_solve_coefficients checks it) some s_i sends
-        a positive root that is not simple to a positive root of lower
-        height, so the s_i reach every root from the simple ones."""
-        set_attribute(self, "ambient", ambient)
-        positions = tuple(ambient._index[r] for r in self.roots)
-        own = dict(zip(positions, range(len(positions))))
-        if any(tuple(-x for x in r) not in self._root_set for r in self.roots):
-            raise RootDatumError("subsystem is not closed: the root set is not symmetric")
-        steps = tuple(ambient.reflection_permutation(r) for r in self.simple_roots)
-        for step in steps:
-            if any(step[a] not in own for a in positions):
-                raise RootDatumError("subsystem is not closed: a simple reflection maps a root outside the given root set")
-        set_attribute(self, "_ambient_index", positions)
-        set_attribute(self, "_own_position", own)
-        set_attribute(self, "_ambient_reflections", steps)
-        set_attribute(self, "_reflections", tuple(self.restrict(step) for step in steps))
+        else:
+            # The positions of these roots among the ambient's, and s_i's
+            # permutation of the ambient's roots.
+            ambient = ambient.ambient
+            set_attribute(self, "ambient", ambient)
+            positions = tuple(ambient._index[r] for r in roots)
+            set_attribute(self, "_ambient_index", positions)
+            set_attribute(self, "_own_position", dict(zip(positions, range(len(positions)))))
+            set_attribute(self, "_ambient_reflections", tuple(ambient.reflection_permutation(r) for r in simple_roots))
 
     # -- basic queries ----------------------------------------------------
 
@@ -197,13 +174,10 @@ class RootDatum(Record):
     def coroot(self, root: IntVec) -> IntVec:
         return self._coroot_of[root]
 
-    def simple_root_coefficients(self, root: IntVec) -> tuple[IntVec, int]:
-        """Coefficients of a root over the simple roots, exact: integer
-        numerators over a denominator that is the same for every root,
-        found at construction.  It is 1 on a datum of build_root_datum,
-        whose closure records the coefficients, and that of the simple
-        roots' left inverse on any other (_solve_coefficients)."""
-        return self._coefficients[root], self._denominator
+    def simple_root_coefficients(self, root: IntVec) -> IntVec:
+        """The integer coefficients of a root over the simple roots, which
+        the walk that reached it recorded (_close_root_system)."""
+        return self._coefficients[root]
 
     def is_positive(self, root: IntVec) -> bool:
         """Membership in the positive roots, which are found once, at
@@ -358,6 +332,8 @@ def build_root_datum(spec: str) -> RootDatum:
     'A1xA1'.  Every spelling of a type, 'A1xA2' or ' A1 × A2 ', gives the
     one datum cached under its label 'A1×A2'."""
     parts = [p.strip() for p in spec.replace("x", "×").split("×")]
+    if not all(parts):
+        raise RootDatumError(f"empty Cartan factor in {spec!r}")
     label = "×".join(parts)
     if label != spec:
         return build_root_datum(label)
@@ -375,33 +351,36 @@ def build_root_datum(spec: str) -> RootDatum:
             row[offset:offset + k] = list(cartan[i])
             simple_roots.append(tuple(row))
         offset += k
-    simple_coroots = [tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)]
+    simple_roots = tuple(simple_roots)
+    simple_coroots = tuple(tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank))
 
-    datum = _close_root_system(label, rank, tuple(simple_roots), tuple(simple_coroots))
+    roots, coroots, coefficients, reflections = _close_root_system(simple_roots, simple_coroots)
     expected = sum(_ROOT_COUNTS[p] for p in parts)
-    if len(datum.roots) != expected:
-        raise RootDatumError(
-            f"closure produced {len(datum.roots)} roots for {label}, expected {expected}"
-        )
-    return datum
+    if len(roots) != expected:
+        raise RootDatumError(f"closure produced {len(roots)} roots for {label}, expected {expected}")
+    positive = [r for r in roots if min(coefficients[r]) >= 0]
+    form = _build_form(rank, positive, simple_coroots)
+    return RootDatum(rank, label, simple_roots, simple_coroots, roots, coroots, form, coefficients, reflections)
 
 
 def build_sub_datum(parent: RootDatum, sub_roots: tuple[IntVec, ...], label: str) -> RootDatum:
-    """Root datum of a closed subsystem on the same lattice as the parent:
-    the given roots, sorted, with the parent's coroots, and the
-    indecomposable positive roots as simple roots.  RootDatum refuses a
-    root set that is not a closed subsystem."""
-    roots = tuple(sorted(sub_roots))
-    simple = tuple(_indecomposable([r for r in roots if parent.is_positive(r)]))
+    """Root datum of a closed subsystem on the same lattice as the parent,
+    with the parent's coroots and form: the walk from the indecomposable
+    positive roots Delta and their negatives (_close_root_system).
+    RootDatumError, "subsystem is not closed", unless the walk reaches
+    exactly the given roots.  When it does, they are W_H-stable and each is
+    W_H-conjugate to a root of +-Delta, so they are a root system and Delta,
+    the indecomposable roots of a positive system, is its base (Humphreys,
+    Introduction to Lie Algebras, 10.1): independent, with integer
+    coefficients for every root."""
+    simple = tuple(_indecomposable([r for r in sub_roots if parent.is_positive(r)]))
+    simple_coroots = tuple(parent.coroot(r) for r in simple)
+    roots, coroots, coefficients, reflections = _close_root_system(simple, simple_coroots)
+    if roots != tuple(sorted(sub_roots)):
+        raise RootDatumError("subsystem is not closed: the simple reflections do not reach exactly the given roots")
     return RootDatum(
-        parent.rank,
-        label,
-        simple,
-        tuple(parent.coroot(r) for r in simple),
-        roots,
-        tuple(parent.coroot(r) for r in roots),
-        parent.invariant_form,
-        ambient=parent,
+        parent.rank, label, simple, simple_coroots, roots, coroots, parent.invariant_form,
+        coefficients, reflections, ambient=parent,
     )
 
 
@@ -410,15 +389,14 @@ def _indecomposable(positives: list[IntVec]) -> list[IntVec]:
     return [a for a in sorted(pos) if not any(tuple(map(sub, a, b)) in pos for b in pos if b != a)]
 
 
-def _close_root_system(label, rank, simple_roots, simple_coroots) -> RootDatum:
-    """The roots reached from the simple ones by the simple reflections,
-    breadth-first, each with its coroot, its coefficients over the simple
-    roots and its images under the s_i.  The simple coroots are the
-    standard basis, so s_i changes coordinate i of a coroot alone, by
-    <alpha_i, coroot>, and <root, coroot_i> is coordinate i of the root, by
-    which s_i lowers coefficient i.  The two pairings vanish together, as
-    the Cartan entries a_ij and a_ji do, and s_i then fixes the root and its
-    coroot."""
+def _close_root_system(simple_roots, simple_coroots):
+    """The roots reached from the simple ones and their negatives by the
+    simple reflections, breadth-first and sorted, with their coroots, each
+    root's coefficients over the simple roots, and each s_i as a permutation
+    of the roots.  s_i beta = beta - <beta, coroot_i> alpha_i lowers
+    coefficient i by that pairing, and s_i beta^vee = beta^vee - <alpha_i,
+    beta^vee> coroot_i.  The two pairings vanish together, and s_i then
+    fixes the root and its coroot."""
     for i, alpha in enumerate(simple_roots):
         if dot(alpha, simple_coroots[i]) != 2:
             raise RootDatumError("pairing of a simple root with its coroot is not 2")
@@ -427,8 +405,9 @@ def _close_root_system(label, rank, simple_roots, simple_coroots) -> RootDatum:
     # been in the frontier, its image under each s_i.
     reached = {}
     images = {}
-    for i, (alpha, coroot) in enumerate(zip(simple_roots, simple_coroots)):
-        unit = tuple([int(j == i) for j in range(len(simple_roots))])
+    simple = tuple(zip(simple_roots, simple_coroots))
+    for i, (alpha, coroot) in enumerate(simple):
+        unit = tuple([int(j == i) for j in range(len(simple))])
         reached[alpha] = coroot, unit
         reached[tuple([-x for x in alpha])] = tuple([-x for x in coroot]), tuple([-x for x in unit])
     frontier = list(reached.items())
@@ -436,8 +415,8 @@ def _close_root_system(label, rank, simple_roots, simple_coroots) -> RootDatum:
         new = {}
         for root, (coroot, coefficients) in frontier:
             steps = images[root] = []
-            for i, alpha in enumerate(simple_roots):
-                pairing = root[i]
+            for i, (alpha, alpha_coroot) in enumerate(simple):
+                pairing = sum(map(mul, root, alpha_coroot))
                 if not pairing:
                     steps.append(root)
                     continue
@@ -445,11 +424,11 @@ def _close_root_system(label, rank, simple_roots, simple_coroots) -> RootDatum:
                 steps.append(image)
                 if image in reached or image in new:
                     continue
-                image_coroot = list(coroot)
-                image_coroot[i] -= sum(map(mul, alpha, coroot))
+                copairing = sum(map(mul, alpha, coroot))
+                image_coroot = tuple([c - copairing * a for c, a in zip(coroot, alpha_coroot)])
                 image_coefficients = list(coefficients)
                 image_coefficients[i] -= pairing
-                new[image] = tuple(image_coroot), tuple(image_coefficients)
+                new[image] = image_coroot, tuple(image_coefficients)
         reached.update(new)
         frontier = list(new.items())
         if len(reached) > 4 * WEYL_ORDER_CAP:
@@ -457,60 +436,28 @@ def _close_root_system(label, rank, simple_roots, simple_coroots) -> RootDatum:
 
     roots = tuple(sorted(reached))
     index = {r: j for j, r in enumerate(roots)}
-    return RootDatum(
-        rank=rank,
-        cartan_label=label,
-        simple_roots=tuple(simple_roots),
-        simple_coroots=tuple(simple_coroots),
-        roots=roots,
-        coroots=tuple([reached[r][0] for r in roots]),
-        invariant_form=_build_form(rank, roots, simple_coroots),
-        coefficients={r: c for r, (_, c) in reached.items()},
-        reflections=tuple(zip(*[[index[image] for image in images[r]] for r in roots])),
+    return (
+        roots,
+        tuple([reached[r][0] for r in roots]),
+        {r: c for r, (_, c) in reached.items()},
+        tuple(zip(*[[index[image] for image in images[r]] for r in roots])),
     )
 
 
-def _solve_coefficients(simple_roots, roots) -> tuple[dict[IntVec, IntVec], int]:
-    """Each root's coefficients over the simple roots, through the one left
-    inverse of the simple roots (coordinate_map): integer numerators over
-    its denominator, which is returned with them.  RootDatumError when the
-    simple roots are linearly dependent or a root is outside their span."""
-    try:
-        cmap = coordinate_map(simple_roots)
-    except ValueError:
-        raise RootDatumError("the simple roots are linearly dependent") from None
-    coefficients = {}
-    for r in roots:
-        coeffs = coordinates(simple_roots, cmap, r)
-        if coeffs is None:
-            raise RootDatumError(f"{r} is not in the span of the simple roots")
-        coefficients[r] = coeffs
-    return coefficients, cmap[1]
-
-
-def _build_reflection_table(datum: RootDatum, simple=None) -> tuple[tuple[int, ...], ...]:
+def _build_reflection_table(datum: RootDatum) -> tuple[tuple[int, ...], ...]:
     """The root permutation of s_beta for every root beta, by position,
-    from those of the simple reflections, which are read root by root,
-    s_i beta = beta - <beta, coroot_i> alpha_i, unless given.  Every other
-    positive beta, taken by height, has an s_i that sends it to a positive
-    root beta' of lower height, and s_beta = s_i s_beta' s_i (Humphreys
-    1990, 1.2), whose permutation is s_beta''s read at s_i's entries, then
-    s_i's read at those: two gathers.  s_beta sends beta to -beta, whose
-    reflection it is too."""
+    from those of the simple reflections.  Every other positive beta, taken
+    by height, has an s_i that sends it to a positive root beta' of lower
+    height, and s_beta = s_i s_beta' s_i (Humphreys 1990, 1.2), whose
+    permutation is s_beta''s read at s_i's entries, then s_i's read at
+    those: two gathers.  s_beta sends beta to -beta, whose reflection it is
+    too."""
     roots, index = datum.roots, datum._index
-    if simple is None:
-        simple = []
-        for alpha, coroot in zip(datum.simple_roots, datum.simple_coroots):
-            out = []
-            for j, beta in enumerate(roots):
-                p = sum(map(mul, beta, coroot))
-                out.append(index[tuple([b - p * a for b, a in zip(beta, alpha)])] if p else j)
-            simple.append(tuple(out))
     coefficients = datum._coefficients
     height = [sum(coefficients[r]) for r in roots]
     table: list = [None] * len(roots)
     steps = []
-    for j, perm in zip(datum._simple_index, simple):
+    for j, perm in zip(datum._simple_index, datum._reflections):
         table[j] = table[perm[j]] = perm
         steps.append((perm, itemgetter(*perm)))
     for j in sorted([index[r] for r in datum.positive_roots], key=height.__getitem__):
@@ -523,12 +470,13 @@ def _build_reflection_table(datum: RootDatum, simple=None) -> tuple[tuple[int, .
     return tuple(table)
 
 
-def _build_form(rank: int, roots, simple_coroots) -> tuple[FracVec, ...]:
-    """Weyl-invariant positive form: sum over roots of alpha(u) alpha(v),
-    scaled so the shortest coroot has squared length 2.  Every coroot is
+def _build_form(rank: int, positive_roots, simple_coroots) -> tuple[FracVec, ...]:
+    """Weyl-invariant positive form: sum over positive roots of alpha(u)
+    alpha(v), scaled so the shortest coroot has squared length 2; -alpha
+    adds the same term, which the scaling cancels.  Every coroot is
     W-conjugate to a simple one, so the shortest is among those."""
     raw = [[0] * rank for _ in range(rank)]
-    for f in roots:
+    for f in positive_roots:
         for i in range(rank):
             if f[i]:
                 for j in range(rank):

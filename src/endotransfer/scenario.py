@@ -245,12 +245,12 @@ def parse_scenario(text: str) -> Scenario:
 def build_scenario(config: Scenario, base_value: complex = 1.0) -> EllipticScenario:
     """Assemble and validate the full verification scenario."""
     problems: list[tuple[int, str]] = []
+    line = config.lines.get
     try:
         g_datum = build_root_datum(config.g_type)
     except RootDatumError as e:
-        raise ScenarioError([(0, f"g_type: {e}")])
+        raise ScenarioError([(line("g_type", 0), f"g_type: {e}")])
 
-    line = config.lines.get
     if len(config.grading_g) != len(g_datum.simple_roots):
         problems.append((line("[grading_g]", 0), "grading_g does not match the number of simple roots"))
     if len(config.s_character) != len(g_datum.simple_roots):

@@ -123,6 +123,7 @@ CASES = [
         dict(
             rank=1, cartan_label="A1", simple_roots=((2,),), simple_coroots=((1,),),
             roots=((-2,), (2,)), coroots=((-1,), (1,)), invariant_form=((Fraction(2),),),
+            coefficients={(2,): (1,), (-2,): (-1,)}, reflections=((1, 0),),
         ),
         (1, "A1", ((2,),), ((1,),), ((-2,), (2,)), ((-1,), (1,)), ((Fraction(2),),)),
     ),

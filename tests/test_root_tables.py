@@ -6,10 +6,9 @@ C4 and D4) and of every H of the 330 data of tests/conftest.py:
 * the permutation reflection_permutation reads from the ambient's
   reflection table must be the literal reflection of the ambient's roots,
   s_beta gamma = gamma - <gamma, beta^vee> beta, computed here;
-* the coefficients simple_root_coefficients gives must be beta's exact
-  coordinates over the simple roots, (R R^T)^{-1} R beta by Fraction
-  elimination (oracles.coordinate_map_rational).  An ambient's come from
-  its closure, over 1.
+* the integer coefficients simple_root_coefficients gives must be beta's
+  exact coordinates over the simple roots, (R R^T)^{-1} R beta by Fraction
+  elimination (oracles.coordinate_map_rational).
 
 The check must catch a table in which one entry of one reflection that is
 not simple, and so is built from others, is changed.
@@ -50,8 +49,9 @@ def coefficient_problems(datum) -> list:
     p, den = coordinate_map_rational(datum.simple_roots)
     bad = []
     for beta in datum.roots:
-        coefficients, d = datum.simple_root_coefficients(beta)
-        if tuple(Fraction(c, d) for c in coefficients) != tuple(Fraction(x, den) for x in mat_vec(p, beta)):
+        coefficients = datum.simple_root_coefficients(beta)
+        exact = tuple(Fraction(x, den) for x in mat_vec(p, beta))
+        if coefficients != exact or not all(type(c) is int for c in coefficients):
             bad.append(beta)
     return bad
 
@@ -62,7 +62,6 @@ def test_ambient_tables_match_their_definitions(g_type):
     assert g.ambient is g
     assert reflection_problems(g, g.reflection_permutation) == []
     assert coefficient_problems(g) == []
-    assert all(g.simple_root_coefficients(beta)[1] == 1 for beta in g.roots)
 
 
 def test_h_tables_match_their_definitions(scenarios):

@@ -12,6 +12,9 @@ from endotransfer.rootdata import (
     weyl_inverse,
     weyl_sign,
 )
+from endotransfer.scenario import ScenarioError, build_scenario, parse_scenario
+
+from oracles import scenario_text
 
 
 def orbit_stabilizer_order(datum):
@@ -54,6 +57,13 @@ def test_unknown_type_and_rank_cap():
         build_root_datum("E6")
     with pytest.raises(RootDatumError):
         build_root_datum("A2xA3")  # rank 5
+    for spec in ("A1x", "x", "A1×"):
+        with pytest.raises(RootDatumError, match="empty Cartan factor"):
+            build_root_datum(spec)
+    # The loader names g_type's line: the second of scenario_text's.
+    with pytest.raises(ScenarioError) as refused:
+        build_scenario(parse_scenario(scenario_text("A1x", [1], [-1], 0)))
+    assert refused.value.problems == [(2, "g_type: empty Cartan factor in 'A1x'")]
 
 
 def test_one_datum_per_type_whatever_the_spelling():

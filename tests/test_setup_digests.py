@@ -14,9 +14,8 @@ tests/conftest.py, three digests per Cartan type, and on B4_SPLIT:
   sign columns themselves, g_sign's as its length bits;
 * the root-table digest: for every root of G and then of H, the
   permutation of G's roots of its reflection (reflection_permutation) and
-  its coefficients over the simple roots as reduced fractions, each a
-  (numerator, denominator) pair, so that the form of the denominator
-  simple_root_coefficients returns them over does not count.
+  its integer coefficients over the simple roots, each written as a
+  (numerator, 1) pair, the form the golden digests were taken in.
 
 A change to the transfer factor moves the entries digests alone; a change
 to how W or its laws are read moves the group-law digests, and one to a
@@ -28,7 +27,6 @@ CHANGES.md.
 """
 
 import hashlib
-from fractions import Fraction
 
 from endotransfer.scenario import build_scenario, parse_scenario
 
@@ -114,15 +112,13 @@ def entry_tables(sc) -> tuple:
 
 def root_tables(sc) -> tuple:
     """For every root of G, then of H: its reflection as a permutation of
-    G's roots, and its coefficients as (numerator, denominator) pairs in
-    lowest terms."""
+    G's roots, and its integer coefficients as (numerator, 1) pairs."""
     eng = sc.engine
     g = eng.g_datum
     out = []
     for datum in (g, eng.datum.h_datum):
         for beta in datum.roots:
-            coefficients, den = datum.simple_root_coefficients(beta)
-            fractions = tuple((f.numerator, f.denominator) for f in (Fraction(c, den) for c in coefficients))
+            fractions = tuple((c, 1) for c in datum.simple_root_coefficients(beta))
             out.append((g.reflection_permutation(beta), fractions))
     return tuple(out)
 

@@ -111,7 +111,7 @@ def _literal_closure(g, roots):
     return reached
 
 
-@pytest.mark.parametrize("g_type", ("A2", "B2", "G2", "A1xA1", "A1xB2"))
+@pytest.mark.parametrize("g_type", ("A2", "B2", "G2", "A1xA1", "A1xB2", "A3", "B3", "C3", "A1xG2"))
 def test_build_sub_datum_refuses_every_set_that_is_not_closed(g_type):
     """Every symmetric set of roots, and each with one root of a pair
     +-alpha left out: build_sub_datum builds the set, with G's coroots,
@@ -128,5 +128,5 @@ def test_build_sub_datum_refuses_every_set_that_is_not_closed(g_type):
                 assert h.roots == tuple(sorted(roots))
                 assert h.coroots == tuple(g.coroot(r) for r in h.roots)
             else:
-                with pytest.raises(RootDatumError, match="not closed|linearly dependent"):
+                with pytest.raises(RootDatumError, match="not closed"):
                     build_sub_datum(g, tuple(roots), "sub")
