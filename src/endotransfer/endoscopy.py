@@ -357,17 +357,15 @@ class TransferFactorEngine:
     # -- auxiliary lattice data -------------------------------------------
 
     def _root_sets(self) -> None:
-        """Indices into g_datum.roots of the simple roots, the positive
-        roots and the positive roots of H (Phi+_H = Phi_H n Phi+_G), the
-        root permutation of -1, for each root the bit of the positive root
-        +-it with 1 when it is negative, and for each root the parity of
-        <2 xhat_s, its coroot>, which is 1 exactly off Phi_H."""
+        """Indices into g_datum.roots of the simple roots and the positive
+        roots, the root permutation of -1, for each root the bit of the
+        positive root +-it with 1 when it is negative, and for each root the
+        parity of <2 xhat_s, its coroot>, which is 1 exactly off Phi_H."""
         d = self.g_datum
         index = d._index
         self._negation = tuple(index[tuple(-x for x in r)] for r in d.roots)
         self._simple_index = d._simple_index
         self._positive_index = tuple(index[r] for r in d.positive_roots)
-        self._h_positive_index = tuple(index[r] for r in self.datum.h_datum.positive_roots)
         bit = {j: k for k, j in enumerate(self._positive_index)}
         self._bits = tuple(
             (bit[j], 0) if j in bit else (bit[minus], 1) for j, minus in enumerate(self._negation)
@@ -461,15 +459,19 @@ class TransferFactorEngine:
         EndoscopyError naming delta_III when a class is not integral.  Its
         value against a base b is the product of w's and b's: the class
         b^{-2} 2 rho_check - w^{-2} 2 rho_check is w's class against the
-        identity minus b's, and a sign is its own inverse."""
+        identity minus b's, and a sign is its own inverse.  w's class
+        depends on w^{-2} alone, which takes fewer values than w (12 on B3,
+        of 48), so each class is paired once, in the order of weyl_g."""
         two_xhat, two_rho, images = self.two_xhat_s, self.two_rho_check, self._two_rho_images
-        classes = [tuple(map(sub, two_rho, images[k])) for k in self._inverse_square]
-        odd = next((doubled for doubled in classes if any([x & 1 for x in doubled])), None)
-        if odd is not None:
-            raise _not_integral("delta_III", odd)
-        # An even class pairs to an even integer, whose bit 1 is the parity
-        # of the pairing with the class halved.
-        return tuple([-1 if sum(map(mul, two_xhat, doubled)) & 2 else 1 for doubled in classes])
+        signs = {}
+        for u in dict.fromkeys(self._inverse_square):
+            doubled = tuple(map(sub, two_rho, images[u]))
+            if any([x & 1 for x in doubled]):
+                raise _not_integral("delta_III", doubled)
+            # An even class pairs to an even integer, whose bit 1 is the
+            # parity of the pairing with the class halved.
+            signs[u] = -1 if sum(map(mul, two_xhat, doubled)) & 2 else 1
+        return tuple(map(signs.__getitem__, self._inverse_square))
 
     # -- normalized transfer factor ---------------------------------------
 
@@ -482,8 +484,9 @@ class TransferFactorEngine:
             sign(w) = delta_I(w) delta_I(base) delta_III(w, base) delta_II(base),
 
         taken from the factors at the diagram (w, x_h, w x_h) of the base
-        point's x_h.  delta_III depends on w alone, so it is handed w's
-        diagram without its points.  delta_I delta_II does not depend on the
+        point's x_h.  delta_III depends on w alone, so it is read by
+        position from _delta_iii_signs, w's sign times the base's, as
+        delta_iii reads it.  delta_I delta_II does not depend on the
         a-datum (Langlands-Shelstad 1987, section 3), so the table is that
         of the default one.  There delta_I is the same for every w: a(w
         beta) < 0 exactly when w beta < 0, so P = w 2 rho_check + 2
@@ -505,67 +508,78 @@ class TransferFactorEngine:
             g_sign        the sign of prod <alpha, w x> over Phi+_G,
                           (-1)^(length + |neg(x)|).
 
-        The first three are sign columns, read in one pass over each w's
-        positions: a positive root alpha outside w Phi_H sets the bit of
-        w_k^{-1} in its own weight_at column, and that of w_k in the
-        weight_moved column of +-w^{-1} alpha, whose sign the parity
-        counts; each beta in Phi+_H sets w_k's in the h_sign column of
-        +-w^{-1} beta.  Every positive root is in the mask of Phi+_G, so
-        g_sign is kept as its start alone: the length bits, bit k the
-        parity of Phi+_G at w_k x for a point of mask 0, the alpha > 0 with
-        w^{-1} alpha < 0, that is the length of w_k's reduced word.  A
-        point with |neg(x)| odd complements them."""
+        The sign columns are read root by root, with no loop over W: the
+        images w_0 alpha, w_1 alpha, ... of a positive root alpha, one byte
+        each, mapped through a table of b"0" and b"1" over the roots, spell
+        a binary number whose bit k is w_k's.  alpha is outside w Phi_H
+        exactly when w^{-1} alpha is off Phi_H, so
+
+            weight_at     alpha's column has bit k when w_k alpha is off
+                          Phi_H, alpha being outside w_k^{-1} Phi_H;
+            h_sign        alpha's column has bit k when w_k alpha is in
+                          Phi_H, +-w_k alpha in Phi+_H: the complement;
+            weight_moved  w^{-1} takes the roots outside w Phi_H onto
+                          those off Phi_H, so alpha's column is all of W
+                          when alpha is off Phi_H and empty otherwise.
+
+        A start is the sign at a point of mask 0, where a root of the
+        product is negative at w x when w^{-1} makes it negative.
+        weight_at's is sign(w_k^{-1}) at bit k, its roots being positive
+        there; weight_moved's is sign(w) times the parity of the -w^{-1}
+        alpha, that is of the beta > 0 off Phi_H with w beta < 0; h_sign's
+        is the parity of the gamma > 0 with w gamma in -Phi+_H.  Such a
+        parity is the XOR over its roots of the number whose bit k says
+        that w_k sends the root to a negative one (in Phi_H for h_sign).
+        Every positive root is in the mask of Phi+_G, so g_sign is kept as
+        its start alone: the length bits, bit k the parity of Phi+_G at w_k
+        x for a point of mask 0, the gamma > 0 with w_k gamma < 0, that is
+        the length of w_k's reduced word.  A point with |neg(x)| odd
+        complements them."""
         a = ADatum.default(self.g_datum)
         base = self.base_diagram
         d1 = self.delta_i(base, a)
         base_outside = sum([1 << self._bits[j][0] for j in self._outside_h(self._perms[0])])
         base_sign = d1 * parity_sign((base_outside & self._base_negative).bit_count())
-        datum, delta_iii, outside_h = self.datum, self.delta_iii, self._outside_h
-        perms, inverses = self._perms, self._inverse
-        h_positive = self._h_positive_index
-        # Whether each root is negative; the mask bit of +-it is the
-        # column it sets, after the fold below.
+        # delta_III(w, base) is w's sign against the identity times the
+        # base's (_delta_iii_signs), read by position.  delta_II's root
+        # signs at x_g cancel against the route's, and its a-signs are +1
+        # for the default a-datum.
+        iii = self._delta_iii_signs
+        sign = d1 * base_sign * iii[self._position[base.w]]
+        flipped = [k for k, t in enumerate(iii) if sign * t < 0]
+        positive, off_h = self._positive_index, self._s_parity
         negative = [n for _, n in self._bits]
-        at_columns, moved_columns, h_columns = [0] * len(negative), [0] * len(negative), [0] * len(negative)
-        at_start = moved_start = h_start = lengths = 0
-        for k, w in enumerate(self.weyl_g):
-            inverse = inverses[k]
-            back = perms[inverse]
-            own, its = 1 << k, 1 << inverse
-            parity = 0
-            for j in outside_h(back):
-                at_columns[j] |= its
-                j = back[j]
-                moved_columns[j] |= own
-                parity ^= negative[j]
-            # delta_II's root signs at x_g cancel against the route's, and
-            # its a-signs are +1 for the default a-datum.
-            if d1 * base_sign * delta_iii(Diagram(datum, w, None, None), base) < 0:
-                at_start |= its
-                parity ^= 1
-            if parity:
-                moved_start |= own
-            h_parity = 0
-            for j in h_positive:
-                j = back[j]
-                h_columns[j] |= own
-                h_parity ^= negative[j]
-            if h_parity:
-                h_start |= own
-            if len(w.word) & 1:
-                lengths |= own
-        minus = self._negation
-        positive = self._positive_index
 
-        # A root and its negative set the bit of the same positive root.
-        def fold(columns):
-            return tuple([columns[j] | columns[minus[j]] for j in positive])
+        # A translation table: each root's flag as the digit b"0" or b"1".
+        def digits(flags):
+            return bytes([b"01"[f] for f in flags]).ljust(256, b"0")
 
+        outside, below = digits(off_h), digits(negative)
+        below_in_h = digits([n & ~p for n, p in zip(negative, off_h)])
+        # Each root's images under w_{|W|-1}, ..., w_1, w_0, so that w_0's
+        # digit comes last; a root system within WEYL_ORDER_CAP has fewer
+        # than 256 roots.
+        images = tuple(zip(*reversed(self._perms)))
+        at_columns = []
+        lengths = moved_start = h_start = 0
+        for j in positive:
+            column = bytes(images[j])
+            at_columns.append(int(column.translate(outside), 2))
+            sent_below = int(column.translate(below), 2)
+            lengths ^= sent_below
+            if off_h[j]:
+                moved_start ^= sent_below
+            h_start ^= int(column.translate(below_in_h), 2)
+        every = (1 << len(iii)) - 1
+        inverse = self._inverse
         return {
-            "weight_moved": (moved_start, fold(moved_columns)),
+            "weight_moved": (
+                moved_start ^ sum([1 << k for k in flipped]),
+                tuple([every if off_h[j] else 0 for j in positive]),
+            ),
             "g_sign": lengths,
-            "weight_at": (at_start, fold(at_columns)),
-            "h_sign": (h_start, fold(h_columns)),
+            "weight_at": (sum([1 << inverse[k] for k in flipped]), tuple(at_columns)),
+            "h_sign": (h_start, tuple([every ^ column for column in at_columns])),
         }
 
     def group_products(self) -> tuple[tuple[int, ...], ...]:

@@ -393,30 +393,38 @@ def _close_root_system(simple_roots, simple_coroots):
     """The roots reached from the simple ones and their negatives by the
     simple reflections, breadth-first and sorted, with their coroots, each
     root's coefficients over the simple roots, and each s_i as a permutation
-    of the roots.  s_i beta = beta - <beta, coroot_i> alpha_i lowers
-    coefficient i by that pairing, and s_i beta^vee = beta^vee - <alpha_i,
-    beta^vee> coroot_i.  The two pairings vanish together, and s_i then
-    fixes the root and its coroot."""
-    for i, alpha in enumerate(simple_roots):
-        if dot(alpha, simple_coroots[i]) != 2:
-            raise RootDatumError("pairing of a simple root with its coroot is not 2")
+    of the roots.  Each root reached carries its pairings <beta, alpha_j^vee>
+    with the simple coroots, and s_i updates them by row i of the Cartan
+    matrix, <s_i beta, alpha_j^vee> = <beta, alpha_j^vee> - <beta,
+    alpha_i^vee> <alpha_i, alpha_j^vee>, so a step reads its pairing and
+    takes no dot product.  s_i beta = beta - <beta, alpha_i^vee> alpha_i
+    lowers coefficient i by that pairing.  Only a newly reached root takes
+    one, for its coroot s_i beta^vee = beta^vee - <alpha_i, beta^vee>
+    alpha_i^vee.  The two pairings vanish together, and s_i then fixes the
+    root and its coroot."""
+    # Row i: the pairings of alpha_i with the simple coroots.
+    cartan = [tuple([dot(alpha, coroot) for coroot in simple_coroots]) for alpha in simple_roots]
+    if any(row[i] != 2 for i, row in enumerate(cartan)):
+        raise RootDatumError("pairing of a simple root with its coroot is not 2")
 
-    # Each root reached: its coroot and its coefficients; and, once it has
-    # been in the frontier, its image under each s_i.
+    # Each root reached: its coroot, its coefficients and its pairings; and,
+    # once it has been in the frontier, its image under each s_i.
     reached = {}
     images = {}
-    simple = tuple(zip(simple_roots, simple_coroots))
-    for i, (alpha, coroot) in enumerate(simple):
+    simple = tuple(zip(simple_roots, simple_coroots, cartan))
+    for i, (alpha, coroot, row) in enumerate(simple):
         unit = tuple([int(j == i) for j in range(len(simple))])
-        reached[alpha] = coroot, unit
-        reached[tuple([-x for x in alpha])] = tuple([-x for x in coroot]), tuple([-x for x in unit])
+        reached[alpha] = coroot, unit, row
+        reached[tuple([-x for x in alpha])] = (
+            tuple([-x for x in coroot]), tuple([-x for x in unit]), tuple([-x for x in row])
+        )
     frontier = list(reached.items())
     while frontier:
         new = {}
-        for root, (coroot, coefficients) in frontier:
+        for root, (coroot, coefficients, pairings) in frontier:
             steps = images[root] = []
-            for i, (alpha, alpha_coroot) in enumerate(simple):
-                pairing = sum(map(mul, root, alpha_coroot))
+            for i, (alpha, alpha_coroot, row) in enumerate(simple):
+                pairing = pairings[i]
                 if not pairing:
                     steps.append(root)
                     continue
@@ -428,7 +436,8 @@ def _close_root_system(simple_roots, simple_coroots):
                 image_coroot = tuple([c - copairing * a for c, a in zip(coroot, alpha_coroot)])
                 image_coefficients = list(coefficients)
                 image_coefficients[i] -= pairing
-                new[image] = image_coroot, tuple(image_coefficients)
+                image_pairings = tuple([p - pairing * c for p, c in zip(pairings, row)])
+                new[image] = image_coroot, tuple(image_coefficients), image_pairings
         reached.update(new)
         frontier = list(new.items())
         if len(reached) > 4 * WEYL_ORDER_CAP:
@@ -439,7 +448,7 @@ def _close_root_system(simple_roots, simple_coroots):
     return (
         roots,
         tuple([reached[r][0] for r in roots]),
-        {r: c for r, (_, c) in reached.items()},
+        {r: c for r, (_, c, _) in reached.items()},
         tuple(zip(*[[index[image] for image in images[r]] for r in roots])),
     )
 

@@ -88,6 +88,21 @@ def test_cartan_matrix_diagonal_two():
             assert dot(alpha, d.simple_coroots[i]) == 2
 
 
+@pytest.mark.parametrize(
+    "simple_roots, simple_coroots",
+    [
+        (((1,),), ((1,),)),
+        (((2, -1), (-1, 1)), ((1, 0), (0, 1))),
+    ],
+)
+def test_closure_refuses_a_cartan_diagonal_other_than_two(simple_roots, simple_coroots):
+    """No Cartan type the loader accepts reaches this refusal, so the walk
+    is called directly: a simple root paired with its own coroot to 1, in
+    the first row and in the second."""
+    with pytest.raises(RootDatumError, match="pairing of a simple root with its coroot is not 2"):
+        rootdata._close_root_system(simple_roots, simple_coroots)
+
+
 def test_weyl_orders_against_orbit_oracle():
     for label, order in (("A1", 2), ("A2", 6), ("C2", 8), ("A1xA1", 4), ("B2", 8)):
         d = build_root_datum(label)

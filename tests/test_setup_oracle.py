@@ -221,13 +221,16 @@ def test_factors_are_the_cohomology_pairings(g_type):
                 assert eng.delta_iii(dw, b) == expected, (signs, w.word, b.w.word)
 
 
-def test_transfer_table_makes_no_cohomology_calls(monkeypatch):
-    """On B3, s = (+1, +1, -1), alpha1 and alpha2 compact, one table build
-    evaluates delta_I once, at the base, since under the default a-datum it
-    is the same for every w (test_delta_i_is_the_same_for_every_w), and
-    delta_III once per w, |W| = 48 calls, as integer parities: no class is
-    classified and nothing is paired in the cohomology layer."""
-    calls = {name: 0 for name in ("delta_i", "delta_iii", "cocycle_class", "tate_nakayama_pair", "h1")}
+@pytest.mark.parametrize("g_type", TYPES)
+def test_transfer_table_makes_no_cohomology_calls(g_type, monkeypatch):
+    """With s -1 on the last simple coroot alone, one table build evaluates
+    delta_I once, at the base, since under the default a-datum it is the
+    same for every w (test_delta_i_is_the_same_for_every_w), and reads
+    delta_III by position from the engine's signs: no Diagram built, no
+    delta_iii call, no class classified and nothing paired in the
+    cohomology layer."""
+    names = ("Diagram", "delta_i", "delta_iii", "cocycle_class", "tate_nakayama_pair", "h1")
+    calls = dict.fromkeys(names, 0)
 
     def counted(name, original):
         def wrapper(*args, **kwargs):
@@ -236,15 +239,16 @@ def test_transfer_table_makes_no_cohomology_calls(monkeypatch):
 
         return wrapper
 
-    eng = _engine("B3", (1, 1, -1), grades=(0, 0, 1))
-    assert len(eng.weyl_g) == 48
+    rank = build_root_datum(g_type).rank
+    eng = _engine(g_type, (1,) * (rank - 1) + (-1,))
+    monkeypatch.setattr(Diagram, "__init__", counted("Diagram", Diagram.__init__))
     for name in ("delta_i", "delta_iii"):
         monkeypatch.setattr(TransferFactorEngine, name, counted(name, getattr(TransferFactorEngine, name)))
     for module in (endoscopy, cohomology):
         for name in ("cocycle_class", "tate_nakayama_pair", "h1"):
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     eng.transfer_table()
-    assert calls == {"delta_i": 1, "delta_iii": 48, "cocycle_class": 0, "tate_nakayama_pair": 0, "h1": 0}
+    assert calls == {"Diagram": 0, "delta_i": 1, "delta_iii": 0, "cocycle_class": 0, "tate_nakayama_pair": 0, "h1": 0}
 
 
 @pytest.mark.parametrize("g_type", TYPES)

@@ -46,7 +46,6 @@ def test_traced_pass_runs_clean():
     layers = out["layers"]
     for name in (
         "endoscopy.delta_i_calls",
-        "endoscopy.delta_iii_calls",
         "distributions.verify_identity_calls",
         "distributions.d_gh_s",
         "distributions.d_tilde_gh_s",
@@ -56,3 +55,6 @@ def test_traced_pass_runs_clean():
         "endoscopy.engine_init_s",
     ):
         assert layers[name] > 0, name
+    # Set-up reads delta_III by position; only relative_factor and the
+    # factors command call delta_iii.
+    assert layers["endoscopy.delta_iii_calls"] == 0
