@@ -25,7 +25,6 @@ from .distributions import (
     verify_identity,
 )
 from .endoscopy import (
-    ADatum,
     Diagram,
     EllipticElement,
     EndoscopicDatum,

@@ -29,7 +29,7 @@ from .cohomology import (
     kappa_from_s,
     tate_nakayama_pair,
 )
-from .endoscopy import ADatum, EllipticElement, EndoscopyError, build_diagram
+from .endoscopy import EllipticElement, EndoscopyError, build_diagram
 from .lattice import gf2_basis
 from .scenario import ScenarioError, _parse_vector, load_scenario_file
 from .verify import PrecisionError, emit_report, run_verify
@@ -141,12 +141,11 @@ def _cmd_factors(args) -> int:
     if diagram is None:
         print("no diagram exists for this pair; transfer factor = 0")
         return 0
-    a = ADatum.default(eng.g_datum)
     base = eng.base_diagram
-    d1, d1b = eng.delta_i(diagram, a), eng.delta_i(base, a)
-    d2, d2b = eng.delta_ii(diagram, a), eng.delta_ii(base, a)
+    d1, d1b = eng.delta_i(diagram), eng.delta_i(base)
+    d2, d2b = eng.delta_ii(diagram), eng.delta_ii(base)
     d3 = eng.delta_iii(diagram, base)
-    total = eng.relative_factor(diagram, a) * eng.base_value
+    total = eng.relative_factor(diagram) * eng.base_value
     print(f"diagram Weyl word: {tuple(i + 1 for i in diagram.w.word)}")
     print(f"delta_I   = {d1:+d}   (base {d1b:+d})")
     print(f"delta_II  = {d2:+d}   (base {d2b:+d})")

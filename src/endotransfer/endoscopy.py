@@ -11,13 +11,16 @@ third factor are Tate-Nakayama pairings on H^1(R, T) of the compact Cartan T
 itself.  There sigma = -1 on X_*, so H^1(R, T) = X_*/2X_*: the class of a
 cocycle e(x) is (1 - sigma) x = 2x mod 2X_*, and its pairing with a character
 kappa = xhat is (-1)^<2 xhat, 2x> (Langlands-Shelstad 1987, section 3).  So
-each factor is the parity of one integer dot product, taken from the Weyl
-element's root permutation; the third pairs xhat_s with the single class
-b^{-2} rho_check - w^{-2} rho_check of the diagram's Weyl element w and the
-base's b.  The module cohomology computes the same pairings through
-cocycle_class and tate_nakayama_pair on any real torus; the tests check the
-factors against it, and it is the engine of endotransfer h1.  The cocycle
-constructions fix these auxiliary choices, recorded in every report:
+each factor is the parity of one integer dot product.  The first pairs
+xhat_s with 2 rho_check, the same at every diagram; the third pairs xhat_s
+with the single class b^{-2} rho_check - w^{-2} rho_check of the diagram's
+Weyl element w and the base's b.  The first and second factor are those of
+the a-datum whose ratios are all 1: their product does not depend on the
+a-datum (same section), so the engine takes none.  The module cohomology
+computes the same pairings through cocycle_class and tate_nakayama_pair on
+any real torus; the tests check the factors against it, and it is the
+engine of endotransfer h1.  The cocycle constructions fix these auxiliary
+choices, recorded in every report:
 
 * canonical reflection representatives n(w) built from the pinning;
 * the compact-Cartan realization with torus twist t_q = e(-rho_check / 2);
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from operator import add, mul, sub
+from operator import mul, sub
 from typing import Callable, Optional, Sequence, Union
 
 # Unused here: perfbench/tracing.py wraps these names in this module, so they
@@ -40,7 +43,7 @@ from typing import Callable, Optional, Sequence, Union
 from .cohomology import cocycle_class, h1, quotient_torus_lattice, tate_nakayama_pair  # noqa: F401
 from .lattice import IntVec, common_denominator, dot, dot_in_order, row_images, row_table
 from .realform import RealFormGrading
-from .record import Record, set_attribute
+from .record import Record
 from .rootdata import (
     RootDatum,
     WeylElement,
@@ -81,37 +84,6 @@ class EllipticElement(Record):
         return tuple(map(float, self.coords))
 
 
-class ADatum(Record):
-    """a_alpha = i * ratio(alpha) on positive roots; a(-alpha) = -a(alpha).
-    negative holds the roots, of either sign, whose ratio is negative."""
-
-    _fields = ("ratios",)
-    __slots__ = _fields + ("_map", "negative")
-
-    def __init__(self, ratios: tuple[tuple[IntVec, Fraction], ...]):
-        for _, r in ratios:
-            if r == 0:
-                raise EndoscopyError("a-datum ratio must be nonzero")
-        super().__init__(ratios)
-        set_attribute(self, "_map", dict(ratios))
-        set_attribute(self, "negative", frozenset(
-            root if r < 0 else tuple(-x for x in root) for root, r in ratios
-        ))
-
-    def ratio(self, root: IntVec) -> Fraction:
-        if root in self._map:
-            return self._map[root]
-        neg = tuple(-x for x in root)
-        if neg in self._map:
-            return -self._map[neg]
-        raise EndoscopyError(f"no a-datum value for root {root}")
-
-    @staticmethod
-    def default(datum: RootDatum) -> "ADatum":
-        one = Fraction(1)
-        return ADatum(tuple([(r, one) for r in datum.positive_roots]))
-
-
 class Diagram(Record):
     __slots__ = _fields = ("datum", "w", "x_h", "x_g")
 
@@ -144,11 +116,9 @@ def negative_entries(signs: tuple[int, tuple[int, ...]], negative: int) -> int:
 def build_endoscopic_datum(g_datum: RootDatum, s_simple_signs: Sequence[int]) -> EndoscopicDatum:
     """The endoscopic datum of the character s with these signs on the
     simple coroots.  H's roots are those whose coroot has even parity
-    <2 xhat_s, coroot>.  That parity is additive on coroots, so a sum of two
-    coroots of H that is a coroot is of H again, and the closedness check
-    (_check_coroot_closed) cannot fire for a datum built from an s; it
-    guards the coroot side of the subsystem that build_sub_datum then
-    checks on the root side."""
+    <2 xhat_s, coroot>.  That parity is additive on coroots, so H's
+    coroots are symmetric and closed inside G's by construction;
+    build_sub_datum checks the root side."""
     if len(s_simple_signs) != len(g_datum.simple_roots):
         raise EndoscopyError("one sign per simple coroot is required")
     if any(s not in (1, -1) for s in s_simple_signs):
@@ -156,7 +126,6 @@ def build_endoscopic_datum(g_datum: RootDatum, s_simple_signs: Sequence[int]) ->
     two_xhat = tuple(1 if s == -1 else 0 for s in s_simple_signs)
     # s(coroot) = (-1)^<2 xhat_s, coroot>
     h_roots = tuple([r for r, c in zip(g_datum.roots, g_datum.coroots) if not sum(map(mul, two_xhat, c)) & 1])
-    _check_coroot_closed(g_datum, h_roots)
     h_label = f"{g_datum.cartan_label}|s={''.join('+' if s == 1 else '-' for s in s_simple_signs)}"
     h_datum = build_sub_datum(g_datum, h_roots, h_label)
     return EndoscopicDatum(
@@ -166,22 +135,6 @@ def build_endoscopic_datum(g_datum: RootDatum, s_simple_signs: Sequence[int]) ->
         h_roots=h_roots,
         h_datum=h_datum,
     )
-
-
-def _check_coroot_closed(g_datum: RootDatum, h_roots: tuple[IntVec, ...]) -> None:
-    """Closedness of the coroot system of H inside the coroots of G: it is
-    symmetric, and no sum of two of its coroots is a coroot of G outside
-    it.  A sum is symmetric in its terms, so each unordered pair, a coroot
-    with itself included, is summed once: 78 sums for the 12 coroots of
-    A3, not 144."""
-    h_coroots = [g_datum.coroot(r) for r in h_roots]
-    members = set(h_coroots)
-    if any(tuple([-x for x in a]) not in members for a in h_coroots):
-        raise EndoscopyError("endoscopic coroot system is not symmetric")
-    others = set(g_datum.coroots) - members
-    for k, a in enumerate(h_coroots):
-        if not others.isdisjoint([tuple(map(add, a, b)) for b in h_coroots[k:]]):
-            raise EndoscopyError("endoscopic coroot system is not closed")
 
 
 def build_diagram(
@@ -249,14 +202,6 @@ def parity_sign(n: int) -> int:
     return -1 if n & 1 else 1
 
 
-def a_signs(roots: Sequence[IntVec], a: ADatum) -> int:
-    """Product of the signs of the a-datum ratios over the given roots."""
-    out = 1
-    for alpha in roots:
-        out *= sign_of(a.ratio(alpha))
-    return out
-
-
 def root_signs(roots: Sequence[IntVec], coords: Coords) -> int:
     """Product of the signs of <alpha, v> over the given roots."""
     out = 1
@@ -267,12 +212,6 @@ def root_signs(roots: Sequence[IntVec], coords: Coords) -> int:
                 raise EndoscopyError("sign of zero requested; regularity leak")
             out = -out
     return out
-
-
-def sign_of(value) -> int:
-    if value == 0:
-        raise EndoscopyError("sign of zero requested; regularity leak")
-    return 1 if value > 0 else -1
 
 
 class TransferFactorEngine:
@@ -364,7 +303,6 @@ class TransferFactorEngine:
         d = self.g_datum
         index = d._index
         self._negation = tuple(index[tuple(-x for x in r)] for r in d.roots)
-        self._simple_index = d._simple_index
         self._positive_index = tuple(index[r] for r in d.positive_roots)
         bit = {j: k for k, j in enumerate(self._positive_index)}
         self._bits = tuple(
@@ -398,29 +336,20 @@ class TransferFactorEngine:
     def inverse_of(self, w: WeylElement) -> WeylElement:
         return self.weyl_g[self._inverse[self._position[w]]]
 
-    def delta_i(self, diagram: Diagram, a: ADatum) -> int:
+    def delta_i(self, diagram: Diagram) -> int:
         """Pairing of the splitting-cocycle class with the transported
-        endoscopic character.  The value depends only on the torus
-        identification, that is on w.  The cocycle is e(P / 4) with
-        P = w 2 rho_check + 2 rho_check + 2 (w beta)^vee summed over the
-        beta > 0 with a(w beta) < 0; delta(w) = 0 adds nothing (see
-        _check_tits_central), and the ratios' magnitudes, which on this
-        torus (sigma = -1) always pass the cocycle test, never reach the
-        class.  Its class is P / 2 in X_*/2X_*, and the character is
-        w . xhat_s = (w^{-1})^T xhat_s, whose i-th coordinate doubled is
-        <2 xhat_s, (w^{-1} alpha_i)^vee>: the value is (-1)^<(w^{-1})^T
-        2 xhat_s, P / 2>."""
-        k = self._position[diagram.w]
-        doubled = [x + y for x, y in zip(self._two_rho_images[k], self.two_rho_check)]
-        perm = self._perms[k]
-        roots, coroots = self.g_datum.roots, self.g_datum.coroots
-        for j in self._positive_index:
-            if roots[perm[j]] in a.negative:
-                for i, c in enumerate(coroots[perm[j]]):
-                    doubled[i] += 2 * c
-        back = self._perms[self._inverse[k]]
-        moved = [self._s_parity[back[j]] for j in self._simple_index]
-        return _half_pairing("delta_I", moved, doubled)
+        endoscopic character: (-1)^<2 xhat_s, 2 rho_check>, the same at
+        every diagram.  The cocycle is e(P / 4) with P = w 2 rho_check +
+        2 rho_check + 2 (w beta)^vee summed over the beta > 0 with
+        a(w beta) < 0 (delta(w) = 0 adds nothing, see _check_tits_central).
+        Delta_I Delta_II does not depend on the a-datum (Langlands-Shelstad
+        1987, section 3), so the engine takes the one whose ratios are all
+        1, where a(w beta) < 0 exactly when w beta < 0.  The positive
+        roots are the w beta > 0 and the -w beta with w beta < 0, so
+        2 rho_check is w 2 rho_check - 2 (w beta)^vee summed over the
+        beta > 0 with w beta < 0, and P = 2 w 2 rho_check.  The class P / 2 = w 2 rho_check paired with
+        w . xhat_s = (w^{-1})^T xhat_s is (-1)^<2 xhat_s, 2 rho_check>."""
+        return parity_sign(sum(map(mul, self.two_xhat_s, self.two_rho_check)))
 
     def delta_ii_roots(self, w: WeylElement) -> tuple[IntVec, ...]:
         """The positive roots outside w Phi_H, over which delta_II runs."""
@@ -435,10 +364,11 @@ class TransferFactorEngine:
         parity = self._s_parity
         return [j for j in self._positive_index if parity[back[j]]]
 
-    def delta_ii(self, diagram: Diagram, a: ADatum) -> int:
-        """Sign product over positive roots outside the image of H."""
-        roots = self.delta_ii_roots(diagram.w)
-        return root_signs(roots, diagram.x_g.coords) * a_signs(roots, a)
+    def delta_ii(self, diagram: Diagram) -> int:
+        """Sign product at x_g over the positive roots outside the image of
+        H.  At the a-datum of delta_i, whose ratios are all 1, the a-signs
+        are +1."""
+        return root_signs(self.delta_ii_roots(diagram.w), diagram.x_g.coords)
 
     def delta_iii(self, diagram: Diagram, base: Optional[Diagram] = None) -> int:
         """kappa = xhat_s paired with the class b^{-2} rho_check - w^{-2}
@@ -467,7 +397,7 @@ class TransferFactorEngine:
         for u in dict.fromkeys(self._inverse_square):
             doubled = tuple(map(sub, two_rho, images[u]))
             if any([x & 1 for x in doubled]):
-                raise _not_integral("delta_III", doubled)
+                raise EndoscopyError(f"delta_III: (1 - sigma) x = {doubled} / 2 is not integral; not a cocycle")
             # An even class pairs to an even integer, whose bit 1 is the
             # parity of the pairing with the class halved.
             signs[u] = -1 if sum(map(mul, two_xhat, doubled)) & 2 else 1
@@ -481,20 +411,15 @@ class TransferFactorEngine:
         relative_factor at (w, x_h, x_g) is the root signs at x_g of the
         positive roots outside w Phi_H times
 
-            sign(w) = delta_I(w) delta_I(base) delta_III(w, base) delta_II(base),
+            sign(w) = delta_III(w, base) delta_II(base),
 
         taken from the factors at the diagram (w, x_h, w x_h) of the base
-        point's x_h.  delta_III depends on w alone, so it is read by
+        point's x_h; delta_I is the same at every diagram (delta_i), so it
+        drops out.  delta_III depends on w alone, so it is read by
         position from _delta_iii_signs, w's sign times the base's, as
-        delta_iii reads it.  delta_I delta_II does not depend on the
-        a-datum (Langlands-Shelstad 1987, section 3), so the table is that
-        of the default one.  There delta_I is the same for every w: a(w
-        beta) < 0 exactly when w beta < 0, so P = w 2 rho_check + 2
-        rho_check + 2 (w beta)^vee over the beta > 0 with w beta < 0 is 2 w
-        2 rho_check, and the value is (-1)^<2 xhat_s, 2 rho_check>; it is
-        evaluated once, at the base.  The base diagram's w is 1, the first
-        of weyl_g, so delta_II there is the sign of x_g's mask on the
-        positive roots outside Phi_H (a-signs are +1).
+        delta_iii reads it.  The base diagram's w is 1, the first of
+        weyl_g, so delta_II there is the sign of x_g's mask on the
+        positive roots outside Phi_H.
 
         The routes read four signs at a point x, keyed by name:
 
@@ -535,17 +460,13 @@ class TransferFactorEngine:
         x for a point of mask 0, the gamma > 0 with w_k gamma < 0, that is
         the length of w_k's reduced word.  A point with |neg(x)| odd
         complements them."""
-        a = ADatum.default(self.g_datum)
-        base = self.base_diagram
-        d1 = self.delta_i(base, a)
         base_outside = sum([1 << self._bits[j][0] for j in self._outside_h(self._perms[0])])
-        base_sign = d1 * parity_sign((base_outside & self._base_negative).bit_count())
+        base_sign = parity_sign((base_outside & self._base_negative).bit_count())
         # delta_III(w, base) is w's sign against the identity times the
         # base's (_delta_iii_signs), read by position.  delta_II's root
-        # signs at x_g cancel against the route's, and its a-signs are +1
-        # for the default a-datum.
+        # signs at x_g cancel against the route's.
         iii = self._delta_iii_signs
-        sign = d1 * base_sign * iii[self._position[base.w]]
+        sign = base_sign * iii[self._position[self.base_diagram.w]]
         flipped = [k for k, t in enumerate(iii) if sign * t < 0]
         positive, off_h = self._positive_index, self._s_parity
         negative = [n for _, n in self._bits]
@@ -589,18 +510,12 @@ class TransferFactorEngine:
         position = self._position
         return self.weyl_g.left_rows([position[u] for u in self.real_weyl_g])
 
-    def relative_factor(self, diagram: Diagram, a: Optional[ADatum] = None) -> int:
-        if a is None:
-            a = ADatum.default(self.g_datum)
+    def relative_factor(self, diagram: Diagram) -> int:
+        """delta_I delta_II delta_III at diagram relative to the base
+        diagram.  Each factor is +-1, so the ratio is a product, and
+        delta_I is the same at both, so it drops out."""
         base = self.base_diagram
-        value = (
-            self.delta_i(diagram, a)
-            * self.delta_i(base, a)
-            * self.delta_ii(diagram, a)
-            * self.delta_ii(base, a)
-            * self.delta_iii(diagram, base)
-        )
-        return value  # each factor is +-1, so ratios are products
+        return self.delta_ii(diagram) * self.delta_ii(base) * self.delta_iii(diagram, base)
 
     # -- orbit enumeration ---------------------------------------------------
 
@@ -637,21 +552,6 @@ class TransferFactorEngine:
         if any(x % 2 for x in doubled):
             raise EndoscopyError("stable invariant is not integral")
         return tuple(x // 2 for x in doubled)
-
-
-def _half_pairing(factor: str, functional: Sequence[int], doubled: Sequence[int]) -> int:
-    """(-1)^<functional, doubled / 2>, the pairing of a class of X_*/2X_*
-    with a character given by twice its vector; EndoscopyError naming the
-    factor when doubled / 2, the class (1 - sigma) x of its cocycle, is not
-    integral."""
-    if any([x & 1 for x in doubled]):
-        raise _not_integral(factor, doubled)
-    return parity_sign(sum(map(mul, functional, [x >> 1 for x in doubled])))
-
-
-def _not_integral(factor: str, doubled: Sequence[int]) -> EndoscopyError:
-    """The refusal of a factor whose class doubled / 2 is not integral."""
-    return EndoscopyError(f"{factor}: (1 - sigma) x = {tuple(doubled)} / 2 is not integral; not a cocycle")
 
 
 def _vector_sum(vectors) -> IntVec:

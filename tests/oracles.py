@@ -29,7 +29,6 @@ from math import lcm
 
 from endotransfer.cohomology import elliptic_torus, galois_act
 from endotransfer.endoscopy import (
-    ADatum,
     Diagram,
     EllipticElement,
     EndoscopyError,
@@ -37,7 +36,6 @@ from endotransfer.endoscopy import (
     build_diagram,
     parity_sign,
     root_signs,
-    sign_of,
 )
 from endotransfer.lattice import dot, identity, integer_kernel, mat_int, mat_mul, transpose
 from endotransfer.realform import EighthRoot
@@ -58,6 +56,13 @@ def in_order(terms):
     for t in terms:
         total = total + t
     return total
+
+
+def sign_of(value) -> int:
+    """The sign of a nonzero value."""
+    if value == 0:
+        raise EndoscopyError("sign of zero requested; regularity leak")
+    return 1 if value > 0 else -1
 
 
 def is_elliptic_datum(g_datum, h_roots, involution=None) -> bool:
@@ -386,9 +391,6 @@ class LiteralRoutes:
 
     @staticmethod
     def d_over_pi(side, coords) -> complex:
-        from endotransfer.endoscopy import sign_of
-        from endotransfer.realform import EighthRoot
-
         prod_sign = 1
         for alpha in side.datum.positive_roots:
             prod_sign *= sign_of(sum(a * x for a, x in zip(alpha, coords)))
@@ -975,6 +977,31 @@ def pairwise_grading_refuses(grading) -> bool:
 # ---------------------------------------------------------------------------
 
 
+class ADatum:
+    """a_alpha = i * ratio(alpha) on positive roots; a(-alpha) = -a(alpha).
+    Delta_I Delta_II does not depend on it (Langlands-Shelstad 1987,
+    section 3): the engine's factors are those of default, whose ratios are
+    all 1, and LiteralSetup's take any."""
+
+    def __init__(self, ratios):
+        if any(r == 0 for _, r in ratios):
+            raise EndoscopyError("a-datum ratio must be nonzero")
+        self.ratios = tuple(ratios)
+        self._map = dict(ratios)
+
+    def ratio(self, root):
+        if root in self._map:
+            return self._map[root]
+        neg = tuple(-x for x in root)
+        if neg in self._map:
+            return -self._map[neg]
+        raise EndoscopyError(f"no a-datum value for root {root}")
+
+    @staticmethod
+    def default(datum) -> "ADatum":
+        return ADatum(tuple((r, Fraction(1)) for r in datum.positive_roots))
+
+
 def literal_weyl_inverse(datum, w) -> WeylElement:
     """w^{-1} from the inverse of its matrix by rational elimination."""
     inv = invert_rational(w.matrix)
@@ -1077,11 +1104,14 @@ class LiteralSetup(TransferFactorEngine):
     rational elimination, w acting along its word, delta_III on the doubled
     torus of literal_doubled_basis with coordinates by elimination over its
     basis, and the pairings of literal_pairing.  delta_I, delta_II and
-    delta_III and the transfer table are frozen copies; the rest (Weyl
-    groups, base diagram) is the engine's, so the two transfer tables must
-    agree entry by entry.  literal_lookups, literal_entries and
-    literal_matrices_and_laws recompute from matrices and words what the
-    engine and the pair table read by lookup from root permutations.
+    delta_III, relative_factor and the transfer table are frozen copies;
+    the rest (Weyl groups, base diagram) is the engine's, so the two
+    transfer tables must agree entry by entry.  delta_I, delta_II,
+    relative_factor and the transfer table take an a-datum (ADatum), the
+    default one when none is given: the engine's take none.
+    literal_lookups, literal_entries and literal_matrices_and_laws
+    recompute from matrices and words what the engine and the pair table
+    read by lookup from root permutations.
     """
 
     def __init__(self, engine: TransferFactorEngine):
@@ -1120,7 +1150,8 @@ class LiteralSetup(TransferFactorEngine):
     def kappa_for(self, w):
         return literal_act_on_functional(self.g_datum, w, self.datum.xhat_s)
 
-    def delta_i(self, diagram, a):
+    def delta_i(self, diagram, a=None):
+        a = a or ADatum.default(self.g_datum)
         d = self.g_datum
         w = diagram.w
         phases = [Fraction(0)] * d.rank
@@ -1147,12 +1178,23 @@ class LiteralSetup(TransferFactorEngine):
         h_image = {self.words.act_on_root(w, beta) for beta in self.datum.h_roots}
         return tuple(alpha for alpha in d.positive_roots if alpha not in h_image)
 
-    def delta_ii(self, diagram, a):
+    def delta_ii(self, diagram, a=None):
+        a = a or ADatum.default(self.g_datum)
         roots = self.delta_ii_roots(diagram.w)
         out = root_signs(roots, diagram.x_g.coords)
         for alpha in roots:
             out *= sign_of(a.ratio(alpha))
         return out
+
+    def relative_factor(self, diagram, a=None):
+        base = self.base_diagram
+        return (
+            self.delta_i(diagram, a)
+            * self.delta_i(base, a)
+            * self.delta_ii(diagram, a)
+            * self.delta_ii(base, a)
+            * self.delta_iii(diagram, base)
+        )
 
     def delta_iii(self, diagram, base=None):
         if base is None:
@@ -1172,7 +1214,8 @@ class LiteralSetup(TransferFactorEngine):
         )
         return slot, self.kappa_for(w)
 
-    def transfer_table(self, a):
+    def transfer_table(self, a=None):
+        a = a or ADatum.default(self.g_datum)
         base = self.base_diagram
         position = {w.matrix: i for i, w in enumerate(self.weyl_g)}
         diagrams = [
@@ -1223,7 +1266,7 @@ class LiteralSetup(TransferFactorEngine):
         parity of w's length, read from a reduced word of its matrix."""
         return tuple(
             (e.w, e.inverse, e.sign, e.roots, len(self.words.reduced_word(e.w.matrix)) & 1)
-            for e in self.transfer_table(ADatum.default(self.g_datum))
+            for e in self.transfer_table()
         )
 
     def literal_matrices_and_laws(self):
@@ -1255,11 +1298,13 @@ def literal_product(a, b):
 
 
 def transfer_factor(engine: TransferFactorEngine, x_h, x_g, a=None):
-    """Normalized factor: base_value on the base diagram, 0 off-orbit."""
+    """Normalized factor: base_value on the base diagram, 0 off-orbit.  An
+    a-datum a needs a LiteralSetup for engine."""
     diagram = build_diagram(engine.datum, engine.weyl_g, x_h, x_g)
     if diagram is None:
         return 0
-    return engine.relative_factor(diagram, a) * engine.base_value
+    factor = engine.relative_factor(diagram) if a is None else engine.relative_factor(diagram, a)
+    return factor * engine.base_value
 
 
 def boundary(torus, s):
@@ -1285,14 +1330,13 @@ def delta_ii_ratio_check(scenario, x_h, x_g, w) -> RatioCheckReport:
     value identities on the endoscopic subsystem."""
     eng = scenario.engine
     d = eng.g_datum
-    a = ADatum.default(d)
 
     target = EllipticElement(w.act(x_h.coords))
     d1 = Diagram(eng.datum, w, x_h, target)
     winv = eng.inverse_of(w)
     pulled = EllipticElement(winv.act(x_g.coords))
     d2 = Diagram(eng.datum, w, pulled, x_g)
-    lhs_ratio = eng.delta_ii(d1, a) * eng.delta_ii(d2, a)
+    lhs_ratio = eng.delta_ii(d1) * eng.delta_ii(d2)
 
     h_image = {d.root_image(w.matrix, beta) for beta in eng.datum.h_roots}
     rhs = 1

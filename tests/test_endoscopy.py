@@ -6,14 +6,12 @@ import pytest
 
 from endotransfer.cohomology import CohomologyClass, elliptic_torus, h1, kappa_over, tate_nakayama_pair
 from endotransfer.endoscopy import (
-    ADatum,
     Diagram,
     EllipticElement,
     EndoscopyError,
     build_diagram,
     build_endoscopic_datum,
     require_regular,
-    _check_coroot_closed,
 )
 from endotransfer.rootdata import build_root_datum, enumerate_weyl
 from endotransfer.scenario import load_builtin
@@ -23,6 +21,8 @@ from oracles import (
     IDENT,
     N_S,
     TYPES,
+    ADatum,
+    LiteralSetup,
     compact_point_coordinate,
     e_compact,
     e_split,
@@ -71,20 +71,35 @@ def test_c2_short_root_datum():
         for r2 in datum.h_roots
     ]
     assert any(d.is_root(s) and s not in datum.h_roots for s in sums_inside)
-    _check_coroot_closed(d, datum.h_roots)  # does not raise
+    assert _coroots_closed(d, datum.h_roots)
 
 
-def test_coroot_closedness_rejects_doctored_subsystem():
-    d = build_root_datum("C2")
-    # long roots only, dropping one pair: negation fails first
-    bad = tuple(r for r in d.roots if d.coroot(r) == (1, 1))
-    with pytest.raises(EndoscopyError):
-        _check_coroot_closed(d, bad)
-    # a symmetric but non-closed coroot set: the two long-coroot pairs
-    # (their sum e1+e2-type coroot is again a coroot of C2 but excluded)
-    longs = tuple(r for r in d.roots if d.coroot(r) in ((1, 0), (-1, 0), (0, 1), (0, -1)))
-    with pytest.raises(EndoscopyError):
-        _check_coroot_closed(d, longs)
+def _coroots_closed(d, h_roots) -> bool:
+    """Whether the coroots of h_roots are symmetric and closed inside the
+    coroots of d: no sum of two of them is a coroot of d outside them."""
+    h_coroots = {d.coroot(r) for r in h_roots}
+    if any(tuple(-x for x in c) not in h_coroots for c in h_coroots):
+        return False
+    sums = {tuple(x + y for x, y in zip(a, b)) for a in h_coroots for b in h_coroots}
+    return sums.isdisjoint(set(d.coroots) - h_coroots)
+
+
+def test_h_coroots_are_symmetric_and_closed_in_g():
+    """H's coroots, cut out by the parity of <2 xhat_s, coroot>, which is
+    additive on coroots, are symmetric and closed inside G's for every
+    nontrivial s of every type; a doctored set is not."""
+    for g_type in TYPES:
+        d = build_root_datum(g_type)
+        for signs in itertools.product((1, -1), repeat=d.rank):
+            if all(s == 1 for s in signs):
+                continue
+            datum = build_endoscopic_datum(d, signs)
+            assert _coroots_closed(d, datum.h_roots), (g_type, signs)
+    c2 = build_root_datum("C2")
+    one_sided = tuple(r for r in c2.roots if c2.coroot(r) == (1, 1))
+    longs = tuple(r for r in c2.roots if c2.coroot(r) in ((1, 0), (-1, 0), (0, 1), (0, -1)))
+    assert not _coroots_closed(c2, one_sided)
+    assert not _coroots_closed(c2, longs)
 
 
 def test_weyl_embedding_is_injective_subgroup():
@@ -155,31 +170,28 @@ def test_diagram_rejects_non_regular():
 def test_delta_ii_single_factor_signs():
     sc = load_builtin("sl2_endoscopy")
     eng = sc.engine
-    a = ADatum.default(eng.g_datum)
     xh = EllipticElement((Fraction(1),))
     pos = Diagram(eng.datum, eng.weyl_g[0], xh, EllipticElement((Fraction(1),)))
     neg = Diagram(eng.datum, eng.weyl_g[1], xh, EllipticElement((Fraction(-1),)))
-    assert eng.delta_ii(pos, a) == 1
-    assert eng.delta_ii(neg, a) == -1
+    assert eng.delta_ii(pos) == 1
+    assert eng.delta_ii(neg) == -1
 
 
 def test_delta_ii_trivial_character_empty_product():
     sc = load_builtin("sl2_compact")
     eng = sc.engine
-    a = ADatum.default(eng.g_datum)
     xh = EllipticElement((Fraction(1),))
     d = Diagram(eng.datum, eng.weyl_g[0], xh, EllipticElement((Fraction(1),)))
-    assert eng.delta_ii(d, a) == 1
+    assert eng.delta_ii(d) == 1
 
 
 def test_delta_i_trivial_kappa_gives_plus_one():
     sc = load_builtin("sl2_compact")
     eng = sc.engine
-    a = ADatum.default(eng.g_datum)
     for w in eng.weyl_g:
         xh = EllipticElement((Fraction(1),))
         d = Diagram(eng.datum, w, xh, EllipticElement(tuple(w.act(xh.coords))))
-        assert eng.delta_i(d, a) == 1
+        assert eng.delta_i(d) == 1
         assert eng.delta_iii(d, eng.base_diagram) == 1
 
 
@@ -192,14 +204,13 @@ def test_delta_iii_base_is_plus_one():
 def test_first_and_third_factor_depend_only_on_identification():
     sc = load_builtin("sl2_endoscopy")
     eng = sc.engine
-    a = ADatum.default(eng.g_datum)
     w = eng.weyl_g[1]
     for val in (Fraction(1), Fraction(7, 3), Fraction(1, 5)):
         xh = EllipticElement((val,))
         d = Diagram(eng.datum, w, xh, EllipticElement(tuple(w.act(xh.coords))))
-        assert eng.delta_i(d, a) == eng.delta_i(
+        assert eng.delta_i(d) == eng.delta_i(
             Diagram(eng.datum, w, EllipticElement((Fraction(1),)),
-                    EllipticElement(tuple(w.act((Fraction(1),))))), a)
+                    EllipticElement(tuple(w.act((Fraction(1),))))))
         assert eng.delta_iii(d, eng.base_diagram) == eng.delta_iii(
             Diagram(eng.datum, w, EllipticElement((Fraction(1),)),
                     EllipticElement(tuple(w.act((Fraction(1),))))),
@@ -272,10 +283,13 @@ def test_transfer_factor_stable_under_in_chamber_motion():
 
 
 def test_a_datum_independence_exact():
+    """The literal factor on 20 seeded a-data is the engine's, which takes
+    none."""
     rng = random.Random(17)
     for name in ("sl2_endoscopy", "sl2xsl2_mixed", "sp4_endoscopy"):
         sc = load_builtin(name)
         eng = sc.engine
+        literal = LiteralSetup(eng)
         rank = eng.g_datum.rank
         xh = EllipticElement(tuple(Fraction(2 * k + 3, 2 * k + 2) for k in range(rank)))
         targets = [EllipticElement(tuple(w.act(xh.coords))) for w in eng.weyl_g]
@@ -286,7 +300,7 @@ def test_a_datum_independence_exact():
                 for r in eng.g_datum.positive_roots
             )
             a = ADatum(ratios)
-            values = [transfer_factor(eng, xh, t, a) for t in targets]
+            values = [transfer_factor(literal, xh, t, a) for t in targets]
             assert values == baseline
 
 
@@ -365,13 +379,13 @@ def test_matrix_oracle_splitting_cocycle():
     assert z.real < 0
 
     eng = load_builtin("sl2_endoscopy").engine
-    a = ADatum.default(eng.g_datum)
-    assert eng.delta_i(eng.base_diagram, a) == -1
+    assert eng.delta_i(eng.base_diagram) == -1
 
 
 def test_matrix_oracle_reflection_diagram_cocycle():
     """The reflection diagram g*_s = c n(s) has the same cocycle value, so
-    the first factor agrees on the two diagrams; the package ratio is +1."""
+    the first factor agrees on the two diagrams: on the literal path, and
+    in the package, where it is the same at every diagram."""
     g_s = m_mul(CAYLEY, N_S)
     sigma_gs = m_conj(g_s)
     b_s = m_mul(m_mul(g_s, N_S), m_inv(sigma_gs))
@@ -379,10 +393,10 @@ def test_matrix_oracle_reflection_diagram_cocycle():
     assert m_close(b_s, b_1)
 
     eng = load_builtin("sl2_endoscopy").engine
-    a = ADatum.default(eng.g_datum)
     xh = EllipticElement((Fraction(1),))
     refl = Diagram(eng.datum, eng.weyl_g[1], xh, EllipticElement((Fraction(-1),)))
-    assert eng.delta_i(refl, a) == eng.delta_i(eng.base_diagram, a)
+    literal = LiteralSetup(eng)
+    assert literal.delta_i(refl) == literal.delta_i(eng.base_diagram) == eng.delta_i(refl)
 
 
 def test_matrix_oracle_stable_invariant():

@@ -41,11 +41,9 @@ from endotransfer.distributions import (
     PairTable,
 )
 from endotransfer.endoscopy import (
-    ADatum,
     Diagram,
     EllipticElement,
     EndoscopicDatum,
-    EndoscopyError,
     build_endoscopic_datum,
 )
 from endotransfer.lattice import row_table
@@ -104,7 +102,6 @@ CASES = [
         (A1, (-1,), (Fraction(1, 2),), (), DATUM.h_datum),
     ),
     (EllipticElement, dict(coords=(Fraction(1),)), ((Fraction(1),),)),
-    (ADatum, dict(ratios=(((2,), Fraction(3)),)), ((((2,), Fraction(3)),),)),
     (Diagram, dict(datum=DATUM, w=S, x_h=X, x_g=X), (DATUM, S, X, X)),
     (
         PairTable,
@@ -258,12 +255,11 @@ def test_elliptic_scenario_default_scale_and_caches():
 @pytest.mark.parametrize(
     "build, error",
     [
-        (lambda: ADatum((((2,), Fraction(0)),)), EndoscopyError),
         (lambda: RealTorus(2, ((-1,),)), CohomologyError),
         (lambda: RealTorus(1, ((2,),)), CohomologyError),
         (lambda: DualComponentCharacter(TORUS, (1,), 4), CohomologyError),
     ],
-    ids=["adatum-zero-ratio", "torus-size", "torus-not-involution", "kappa-not-fixed"],
+    ids=["torus-size", "torus-not-involution", "kappa-not-fixed"],
 )
 def test_init_checks_raise(build, error):
     with pytest.raises(error):
@@ -278,8 +274,8 @@ def test_reductions_in_init():
 
 
 def test_caches_are_not_fields():
-    a, b = ADatum((((2,), Fraction(3)),)), ADatum((((2,), Fraction(3)),))
-    assert a.ratio((-2,)) == Fraction(-3)
+    a, b = RealTorus(1, ((-1,),)), RealTorus(1, ((-1,),))
+    assert a.one_minus_sigma((3,)) == (6,)
     assert a == b and hash(a) == hash(b)
 
 

@@ -2,9 +2,11 @@
 reflections, w^{-1} along the reversed word, delta_I and delta_III as
 parities of integer dot products on X_*/2X_* -- must equal the literal per-w
 Fraction path of oracles.LiteralSetup on every nontrivial character of ten
-Cartan types of rank <= 3, and on a-data with negative and non-unit ratios.
-The two factors must also equal the pairings the cohomology module computes
-through cocycle_class and tate_nakayama_pair, which the engine no longer calls."""
+Cartan types of rank <= 3.  The engine takes no a-datum; the literal path
+does, and on a-data with negative and non-unit ratios its delta_I delta_II
+must still be the engine's.  The factors must also equal the pairings the
+cohomology module computes through cocycle_class and tate_nakayama_pair,
+which the engine no longer calls."""
 
 import itertools
 import random
@@ -23,7 +25,6 @@ from endotransfer.cohomology import (
     tate_nakayama_pair,
 )
 from endotransfer.endoscopy import (
-    ADatum,
     Diagram,
     EndoscopyError,
     EllipticElement,
@@ -35,7 +36,7 @@ from endotransfer.realform import build_grading, real_weyl_group
 from endotransfer.rootdata import RootDatum, build_root_datum, enumerate_weyl, weyl_inverse
 from endotransfer.scenario import build_scenario, parse_scenario
 
-from oracles import TYPES, LiteralSetup, decode_table, literal_weyl_inverse
+from oracles import TYPES, ADatum, LiteralSetup, decode_table, literal_weyl_inverse
 
 
 def _engine(g_type, signs, grades=None):
@@ -69,7 +70,6 @@ def _entries(table):
 @pytest.mark.parametrize("g_type", TYPES)
 def test_setup_matches_literal_path(g_type):
     g = build_root_datum(g_type)
-    a = ADatum.default(g)
     zero = (0,) * g.rank
     for signs in itertools.product((1, -1), repeat=g.rank):
         if all(s == 1 for s in signs):
@@ -81,7 +81,7 @@ def test_setup_matches_literal_path(g_type):
             inv = weyl_inverse(g, w)
             expected = literal_weyl_inverse(g, w)
             assert (inv.matrix, inv.word) == (expected.matrix, expected.word), w.word
-        assert _entries(_engine_table(eng)) == _entries(literal.transfer_table(a)), signs
+        assert _entries(_engine_table(eng)) == _entries(literal.transfer_table()), signs
 
 
 def _a_datum(g, seed):
@@ -94,23 +94,24 @@ def _a_datum(g, seed):
 @pytest.mark.parametrize("g_type", TYPES)
 def test_delta_i_delta_ii_do_not_depend_on_the_a_datum(g_type):
     """Delta_I Delta_II is independent of the a-datum (Langlands-Shelstad,
-    Math. Ann. 278 (1987), section 3): the engine's own delta_i times
-    delta_ii at every diagram (w, x_h, w x_h), x_h the base point, for
-    every nontrivial s and three seeded a-data, is its value on the
-    default a-datum."""
+    Math. Ann. 278 (1987), section 3): the literal delta_i times delta_ii
+    at every diagram (w, x_h, w x_h), x_h the base point, for every
+    nontrivial s, on the default a-datum and three seeded ones, is the
+    engine's, which takes none."""
     g = build_root_datum(g_type)
     a_data = {seed: _a_datum(g, seed) for seed in (11, 12, 13)}
-    default = ADatum.default(g)
+    a_data["default"] = ADatum.default(g)
     for signs in itertools.product((1, -1), repeat=g.rank):
         if all(s == 1 for s in signs):
             continue
         eng = _engine(g_type, signs)
+        literal = LiteralSetup(eng)
         x_h = eng.base_diagram.x_h
         for w in eng.weyl_g:
             dw = Diagram(eng.datum, w, x_h, EllipticElement(w.act(x_h.coords)))
-            want = eng.delta_i(dw, default) * eng.delta_ii(dw, default)
+            want = eng.delta_i(dw) * eng.delta_ii(dw)
             for seed, a in a_data.items():
-                assert eng.delta_i(dw, a) * eng.delta_ii(dw, a) == want, (signs, w.word, seed)
+                assert literal.delta_i(dw, a) * literal.delta_ii(dw, a) == want, (signs, w.word, seed)
 
 
 @pytest.mark.parametrize("seed", (11, 12, 13))
@@ -119,8 +120,8 @@ def test_setup_matches_literal_path_on_other_a_data(g_type, seed):
     """Negative ratios move delta_I's phases; non-unit ones give the
     literal path's point magnitudes, which on the compact Cartan cannot
     move the class.  delta_I delta_II does not depend on the a-datum, so
-    the literal table on these a-data is the engine's table, which reads
-    the default one."""
+    the literal table on these a-data is the engine's table, which takes
+    none."""
     g = build_root_datum(g_type)
     a = _a_datum(g, seed)
     ratios = [r for _, r in a.ratios]
@@ -191,9 +192,11 @@ def _two_rho_check(d):
 def test_factors_are_the_cohomology_pairings(g_type):
     """The engine's parities on X_*/2X_* equal the Tate-Nakayama pairings
     that cohomology computes on the elliptic torus through cocycle_class and
-    h1: delta_I for every w on the default a-datum and on a seeded one with
-    negative ratios, delta_III for every w against the base diagram and
-    against a seeded other one, for every nontrivial s."""
+    h1: delta_I for every w, whose a-datum is the default one, and
+    delta_III for every w against the base diagram and against a seeded
+    other one, for every nontrivial s.  On a seeded a-datum with negative
+    ratios the pairing is the literal delta_I, and times the literal
+    delta_II it is the engine's delta_I delta_II."""
     g = build_root_datum(g_type)
     torus = elliptic_torus(g.rank)
     group = h1(torus)
@@ -204,6 +207,7 @@ def test_factors_are_the_cohomology_pairings(g_type):
         if all(s == 1 for s in signs):
             continue
         eng = _engine(g_type, signs)
+        literal = LiteralSetup(eng)
         two_xhat = tuple(1 if s == -1 else 0 for s in signs)
         x_h = eng.base_diagram.x_h
 
@@ -213,9 +217,11 @@ def test_factors_are_the_cohomology_pairings(g_type):
         base, other = eng.base_diagram, diagram(rng.choice(eng.weyl_g))
         for w in eng.weyl_g:
             dw = diagram(w)
-            for a in a_data:
-                expected = _cohomology_delta_i(g, w, a, two_xhat, torus, group)
-                assert eng.delta_i(dw, a) == expected, (signs, w.word, a is a_data[0])
+            default, other_a = (_cohomology_delta_i(g, w, a, two_xhat, torus, group) for a in a_data)
+            assert eng.delta_i(dw) == default, (signs, w.word)
+            assert literal.delta_i(dw, a_data[1]) == other_a, (signs, w.word)
+            product = other_a * literal.delta_ii(dw, a_data[1])
+            assert product == eng.delta_i(dw) * eng.delta_ii(dw), (signs, w.word)
             for b in (base, other):
                 expected = _cohomology_delta_iii(g, w, b.w, two_xhat, torus, group)
                 assert eng.delta_iii(dw, b) == expected, (signs, w.word, b.w.word)
@@ -223,12 +229,11 @@ def test_factors_are_the_cohomology_pairings(g_type):
 
 @pytest.mark.parametrize("g_type", TYPES)
 def test_transfer_table_makes_no_cohomology_calls(g_type, monkeypatch):
-    """With s -1 on the last simple coroot alone, one table build evaluates
-    delta_I once, at the base, since under the default a-datum it is the
-    same for every w (test_delta_i_is_the_same_for_every_w), and reads
-    delta_III by position from the engine's signs: no Diagram built, no
-    delta_iii call, no class classified and nothing paired in the
-    cohomology layer."""
+    """With s -1 on the last simple coroot alone, one table build leaves
+    delta_I out, since it is the same for every w
+    (test_delta_i_is_the_same_for_every_w), and reads delta_III by position
+    from the engine's signs: no Diagram built, no delta_i or delta_iii
+    call, no class classified and nothing paired in the cohomology layer."""
     names = ("Diagram", "delta_i", "delta_iii", "cocycle_class", "tate_nakayama_pair", "h1")
     calls = dict.fromkeys(names, 0)
 
@@ -248,25 +253,26 @@ def test_transfer_table_makes_no_cohomology_calls(g_type, monkeypatch):
         for name in ("cocycle_class", "tate_nakayama_pair", "h1"):
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     eng.transfer_table()
-    assert calls == {"Diagram": 0, "delta_i": 1, "delta_iii": 0, "cocycle_class": 0, "tate_nakayama_pair": 0, "h1": 0}
+    assert calls == {"Diagram": 0, "delta_i": 0, "delta_iii": 0, "cocycle_class": 0, "tate_nakayama_pair": 0, "h1": 0}
 
 
 @pytest.mark.parametrize("g_type", TYPES)
 def test_delta_i_is_the_same_for_every_w(g_type):
     """Under the default a-datum P = 2 w 2 rho_check, so delta_I(w) =
-    (-1)^<2 xhat_s, 2 rho_check> for every w: each w's value equals the
-    base's, for every nontrivial s, which lets the table evaluate it once."""
+    (-1)^<2 xhat_s, 2 rho_check> for every w: each w's literal value is
+    the engine's constant, for every nontrivial s, which lets the engine
+    return it and the table leave it out."""
     g = build_root_datum(g_type)
-    a = ADatum.default(g)
     for signs in itertools.product((1, -1), repeat=g.rank):
         if all(s == 1 for s in signs):
             continue
         eng = _engine(g_type, signs)
+        literal = LiteralSetup(eng)
         base = eng.base_diagram
-        expected = eng.delta_i(base, a)
+        expected = (-1) ** sum(x * y for x, y in zip(eng.two_xhat_s, eng.two_rho_check))
         for w in eng.weyl_g:
             diagram = Diagram(eng.datum, w, base.x_h, EllipticElement(w.act(base.x_h.coords)))
-            assert eng.delta_i(diagram, a) == expected, (signs, w.word)
+            assert literal.delta_i(diagram) == eng.delta_i(diagram) == expected, (signs, w.word)
 
 
 @pytest.mark.parametrize("g_type", TYPES)
@@ -320,7 +326,7 @@ def test_b3_setup_call_counts(monkeypatch):
     until it is read, after verify, and no element is folded from its word
     by rank-one updates (times_reflection).  The Tits check folds on root
     permutations, so it makes no update and no root_image call; no word is
-    read from a matrix, and delta_I is evaluated once.
+    read from a matrix, and delta_I is not evaluated.
 
     Set-up keeps what it derives: with two pairs of run_verify besides,
     the loader's phase bound is the one verify's precision floor reads
@@ -367,7 +373,7 @@ def test_b3_setup_call_counts(monkeypatch):
         "matrix_of": 48 + 6,
         "root_image": 0,
         "reduced_word": 0,
-        "delta_i": 1,
+        "delta_i": 0,
         "phase_bound": 1,
         "root_signs": 0,
         "dimension_profile": 2,
@@ -376,24 +382,14 @@ def test_b3_setup_call_counts(monkeypatch):
 
 
 def test_factors_refuse_a_class_that_is_not_integral(monkeypatch):
-    """The class (1 - sigma) x of each factor's cocycle is P / 2 or (b^{-2}
-    2 rho_check - w^{-2} 2 rho_check) / 2; an odd coordinate, here from a
-    2 rho_check or a w . 2 rho_check off by a simple coroot, must stop the
-    factor by name instead of flooring to a parity.  delta_III reads a
-    table of every w's class against the identity, built on its first
-    call, so its image is doctored on a fresh engine before that call."""
+    """The class (1 - sigma) x of delta_III's cocycle is (b^{-2} 2
+    rho_check - w^{-2} 2 rho_check) / 2; an odd coordinate, here from a
+    w . 2 rho_check off by a simple coroot, must stop the factor by name
+    instead of flooring to a parity.  delta_III reads a table of every w's
+    class against the identity, built on its first call, so its image is
+    doctored on a fresh engine before that call."""
     eng = _engine("B2", (1, -1))
-    a = ADatum.default(eng.g_datum)
     x_h = eng.base_diagram.x_h
-    s1 = eng.weyl_g[1]
-    assert s1.word == (0,)
-    reflection = Diagram(eng.datum, s1, x_h, EllipticElement(s1.act(x_h.coords)))
-    two_rho = eng.two_rho_check
-    monkeypatch.setattr(eng, "two_rho_check", (two_rho[0] + 1,) + two_rho[1:])
-    with pytest.raises(EndoscopyError, match="delta_I"):
-        eng.delta_i(reflection, a)
-    monkeypatch.setattr(eng, "two_rho_check", two_rho)
-    eng.delta_i(reflection, a)
 
     # s1 s2 has order 4, so (s1 s2)^{-2} = -1 and its image of 2 rho_check
     # differs from the identity's, against which the base diagram pairs.

@@ -1,8 +1,8 @@
 """One traced pass of the benchmark's pass runner on a shipped scenario.
 test_trace_names.py only resolves the traced entry points; this runs their
-wrappers and the tracer's observe hooks, which read the diagrams handed to
-delta_i and delta_iii, and checks that the set-up still goes through the
-names the tracer patches.  No span file is asked for and no bytecode is
+wrappers and checks that the set-up still goes through the names the tracer
+patches, and no longer through delta_i or delta_iii, whose observe hooks
+read the diagrams handed to them.  No span file is asked for and no bytecode is
 written, so the pass leaves no file behind."""
 
 import json
@@ -45,7 +45,6 @@ def test_traced_pass_runs_clean():
     assert result["verdicts"] == [True, True]
     layers = out["layers"]
     for name in (
-        "endoscopy.delta_i_calls",
         "distributions.verify_identity_calls",
         "distributions.d_gh_s",
         "distributions.d_tilde_gh_s",
@@ -55,6 +54,8 @@ def test_traced_pass_runs_clean():
         "endoscopy.engine_init_s",
     ):
         assert layers[name] > 0, name
-    # Set-up reads delta_III by position; only relative_factor and the
-    # factors command call delta_iii.
+    # Set-up reads delta_III by position and leaves delta_I, the same at
+    # every diagram, out; only the factors command and the tests call
+    # delta_i and delta_iii.
+    assert layers["endoscopy.delta_i_calls"] == 0
     assert layers["endoscopy.delta_iii_calls"] == 0
