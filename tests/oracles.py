@@ -39,6 +39,7 @@ from endotransfer.endoscopy import (
 )
 from endotransfer.lattice import dot, identity, integer_kernel, mat_int, mat_mul, transpose
 from endotransfer.realform import EighthRoot
+from endotransfer.record import Record, set_attribute
 from endotransfer.rootdata import WEYL_ORDER_CAP, RootDatumError, WeylElement
 from endotransfer.tits import TitsElement, inverse as tits_inverse, multiply as tits_multiply, n_of
 
@@ -977,17 +978,22 @@ def pairwise_grading_refuses(grading) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class ADatum:
+class ADatum(Record):
     """a_alpha = i * ratio(alpha) on positive roots; a(-alpha) = -a(alpha).
     Delta_I Delta_II does not depend on it (Langlands-Shelstad 1987,
     section 3): the engine's factors are those of default, whose ratios are
-    all 1, and LiteralSetup's take any."""
+    all 1, and LiteralSetup's take any.  A frozen record, so tests can key
+    and compare a-data; tests/test_records.py holds it to the contract of
+    the package's records."""
+
+    _fields = ("ratios",)
+    __slots__ = _fields + ("_map",)
 
     def __init__(self, ratios):
         if any(r == 0 for _, r in ratios):
             raise EndoscopyError("a-datum ratio must be nonzero")
-        self.ratios = tuple(ratios)
-        self._map = dict(ratios)
+        super().__init__(ratios)
+        set_attribute(self, "_map", dict(ratios))
 
     def ratio(self, root):
         if root in self._map:

@@ -7,7 +7,8 @@ its own class only, on the field tuple; the hash of that tuple; the checks
 and reductions its __init__ makes; and, for every frozen record, refusal of
 attribute assignment.  Fields are bound by Record.__init__ alone, and no
 record defines an __init__ that only binds them.  The CLI imports one
-dataclass only.
+dataclass only.  The reference a-datum of the tests (oracles.ADatum) is a
+Record too and keeps the same contract.
 """
 
 import ast
@@ -44,6 +45,7 @@ from endotransfer.endoscopy import (
     Diagram,
     EllipticElement,
     EndoscopicDatum,
+    EndoscopyError,
     build_endoscopic_datum,
 )
 from endotransfer.lattice import row_table
@@ -53,6 +55,7 @@ from endotransfer.rootdata import RootDatum, WeylElement, build_root_datum
 from endotransfer.scenario import Scenario, builtin_scenario_path, load_builtin, parse_scenario
 from endotransfer.tits import TitsElement
 from endotransfer.verify import ParsedRecord, PairRecord
+from oracles import ADatum
 
 A1 = build_root_datum("A1")
 S = WeylElement(((-1,),), (0,))
@@ -102,6 +105,7 @@ CASES = [
         (A1, (-1,), (Fraction(1, 2),), (), DATUM.h_datum),
     ),
     (EllipticElement, dict(coords=(Fraction(1),)), ((Fraction(1),),)),
+    (ADatum, dict(ratios=(((2,), Fraction(3)),)), ((((2,), Fraction(3)),),)),
     (Diagram, dict(datum=DATUM, w=S, x_h=X, x_g=X), (DATUM, S, X, X)),
     (
         PairTable,
@@ -255,11 +259,12 @@ def test_elliptic_scenario_default_scale_and_caches():
 @pytest.mark.parametrize(
     "build, error",
     [
+        (lambda: ADatum((((2,), Fraction(0)),)), EndoscopyError),
         (lambda: RealTorus(2, ((-1,),)), CohomologyError),
         (lambda: RealTorus(1, ((2,),)), CohomologyError),
         (lambda: DualComponentCharacter(TORUS, (1,), 4), CohomologyError),
     ],
-    ids=["torus-size", "torus-not-involution", "kappa-not-fixed"],
+    ids=["adatum-zero-ratio", "torus-size", "torus-not-involution", "kappa-not-fixed"],
 )
 def test_init_checks_raise(build, error):
     with pytest.raises(error):
